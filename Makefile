@@ -10,8 +10,12 @@ GO ?= go
 
 .PHONY: test race bench bench-ci obs-overhead speedup-check distfleet-smoke scenario-suite fullscale fullscale-single lint
 
+# bench/ is its own module (replace repro => ../), so ./... never reaches
+# it; the second line builds it against this tree and runs its smoke-size
+# workloads, which check every hash in bench/golden.json.
 test:
 	$(GO) build ./... && $(GO) test ./...
+	$(GO) vet -C bench . && $(GO) test -C bench .
 
 race:
 	$(GO) test -race ./...

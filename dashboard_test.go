@@ -32,7 +32,7 @@ var promIdents = map[string]bool{
 	"group_left": true, "group_right": true,
 	"and": true, "or": true, "unless": true,
 	"histogram_quantile": true,
-	"le": true, "input": true, "metric": true,
+	"le":                 true, "input": true, "metric": true,
 }
 
 var (

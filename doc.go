@@ -39,36 +39,68 @@
 //
 // # Parallel simulation engine
 //
-// internal/engine executes the multi-vantage simulation itself in
-// parallel: a sharded discrete-event engine that pre-partitions the
-// arrival stream (replaying the arrival process and its GUID stream once,
-// sequentially, and splitting sessions by guid.Shard), then runs every
-// vantage node's event loop on its own goroutine with its own virtual
-// clock, random streams and calendar-queue scheduler, joining the
-// per-node traces with trace.Merge.
+// internal/engine executes the multi-vantage simulation in parallel: a
+// sharded discrete-event engine in which every vantage node runs its
+// event loop on its own goroutine with its own virtual clock, random
+// streams and calendar-queue scheduler, and schedules only its own
+// sessions. The arrival process and its GUID stream are replayed once,
+// sequentially — eagerly into per-node lists, or incrementally through
+// the bounded producer of the streaming pipeline below — and split by
+// guid.Shard; the per-node results join in the streaming k-way merge.
 //
-// The determinism contract is exact, not statistical: shard → node →
-// goroutine, and the merge is order-independent. Events with equal
-// timestamps fire in schedule-FIFO order of the sequential fleet's single
-// global sequence; each node replays the whole arrival chain (one trivial
-// event per foreign arrival), which preserves the relative schedule order
-// of exactly the events that node observes, so every per-node trace — and
-// therefore the merged trace — is byte-identical to the sequential
-// capture.Fleet for every worker count, with a one-node engine run
-// reproducing the historical single-vantage Sim byte for byte (all pinned
-// by test, and wired through p2pquery.SimulateFleet and the -simworkers
-// flag of cmd/analyze, cmd/tracegen and cmd/repro).
+// The determinism contract is exact, not statistical. In the sequential
+// capture.Fleet, events with equal timestamps fire in schedule-FIFO order
+// of one global sequence. The engine reproduces that order without any
+// node seeing a foreign arrival, through a keyed tie-break: every
+// scheduler orders events by (timestamp, simtime.SeqKey{Epoch, Pos},
+// insertion); an own arrival is planted at the explicit key {its global
+// chain position, 0} (ScheduleKeyed), and a pre-fire hook counts — by a
+// forward-only galloping search over the shared array of arrival
+// instants — how many global arrivals precede the event about to fire,
+// reseeding the scheduler's implicit key to {count, 1} when the count
+// moved. Every event a node schedules thus carries the tag it would have
+// carried in the global sequence, per-node cost is O(own sessions ×
+// events per session), and every per-node trace — therefore the merged
+// trace — is byte-identical to the sequential fleet's for every worker
+// count, a one-node run reproducing the historical single-vantage Sim
+// byte for byte (pinned against the fleet, against a chain-replay oracle
+// kept in the engine's tests, by fuzzing and by the golden hashes of
+// bench/golden.json; wired through p2pquery.Run and the -simworkers flag).
 //
-// Underneath it, simtime.Scheduler is now an interface with two
-// order-equivalent implementations: the original container/heap
-// HeapScheduler and a Brown calendar queue (CalendarScheduler) with lazy
-// cancellation and deterministic (timestamp, FIFO) tie-breaking —
-// property- and fuzz-tested to pop identical sequences, ties,
-// cancellations and far-future gaps included. The engine selects the
-// calendar queue on benchmark evidence (BenchmarkSchedulerHold at
-// 10^4–10^7 pending events; snapshot in BENCH_pr4.json): O(1) amortized
-// enqueue/dequeue where the heap pays O(log n) on the full-volume run's
-// event counts.
+// simtime.Scheduler has two order-equivalent implementations, the
+// container/heap HeapScheduler and a Brown calendar queue
+// (CalendarScheduler) with lazy cancellation, property- and fuzz-tested
+// to pop identical sequences — ties, cancellations, stale handles and
+// far-future gaps included. The engine's nodes run the calendar queue;
+// the sequential fleet and ad-hoc schedulers the heap. Which of the two
+// should serve a node holding on the order of 10^3 pending events is an
+// open ROADMAP question (direction 2) that bench/'s simtime.*_hold_ns
+// layer metrics exist to answer.
+//
+// The node event loop is nearly all of a simulation's CPU, and nearly
+// every event in it is per-connection background traffic, so the loop is
+// held to three allocation rules (TestEventLoopAllocationBudget: at most
+// one allocation per two scheduled events, all of it per-connection
+// set-up):
+//
+//   - Scheduler items are recycled. Each scheduler keeps a free list; an
+//     item returns to it when its event fires or its cancellation is
+//     swept. A simtime.Handle carries the item's generation, so Cancel
+//     and Cancelled on a handle whose event is spent stay inert however
+//     often the item has been reused — the probe re-arm in
+//     internal/capture cancels such a handle on every delivered message.
+//   - Events are typed records, not closures: a capture.EventKind, the
+//     connection and at most one scalar, dispatched by one Fire. A record
+//     without an argument is immutable and lives inside its connection;
+//     one with an argument (a probe deadline's probe instant, a query
+//     index) comes from a per-vantage free list and returns to it on
+//     fire. The kinds double as the engine_sched_events_by_kind metric.
+//   - Payloads are scratch values. A vantage delivers every message from
+//     one reused wire.Pong/Query/QueryHit; overlay.Node.Receive and the
+//     OnMessage tap copy the fields they keep and never the pointer. In
+//     the other direction a payload handed to overlay.Config.Send belongs
+//     to the transport, which may retain it — so a Passive node, whose
+//     Send discards, counts its PING replies without building them.
 //
 // # Streaming pipeline
 //

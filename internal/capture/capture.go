@@ -131,6 +131,7 @@ const byeFraction = 0.05
 
 type simConn struct {
 	id       int
+	v        *vantage
 	sess     *behavior.Session
 	end      simtime.Time // client's true end (trace time)
 	silent   bool
@@ -138,6 +139,11 @@ type simConn struct {
 	probeH   simtime.Handle
 	probed   bool
 	closed   bool
+	// pongSeen marks that the connection's hop-1 self-pong was recorded.
+	pongSeen bool
+	// fixed holds the connection's argument-less event records, one per
+	// kind below numFixedKinds (see connEvent).
+	fixed [numFixedKinds]connEvent
 	// rec and queries accumulate the connection's record in streaming-sink
 	// mode, where completed sessions are emitted and released instead of
 	// retained in the vantage's trace (see vantage.sink).
@@ -202,8 +208,20 @@ type vantage struct {
 	// droppedQueryEvents counts client query events that found their
 	// connection already closed (diagnostic).
 	droppedQueryEvents uint64
-	// pongSeen marks connections whose hop-1 self-pong was recorded.
-	pongSeen map[int]bool
+	// cur is the connection whose message is being delivered — what the
+	// record tap, which the overlay node calls with a bare connection id,
+	// attributes the message to.
+	cur *simConn
+	// freeEvents recycles the argument-carrying event records (see
+	// connEvent); counts tallies scheduled events by kind.
+	freeEvents []*connEvent
+	counts     EventCounts
+	// Scratch payloads, overwritten by every delivery: overlay.Node.Receive
+	// and the record tap copy what they keep (see overlay.Config.OnMessage).
+	pong      wire.Pong
+	query     wire.Query
+	hit       wire.QueryHit
+	hitResult [1]wire.HitResult
 	// sink, when non-nil, switches the vantage into streaming mode: every
 	// record is emitted into the event stream the moment it is final —
 	// session records at close, pong/hit records at receipt — and nothing
@@ -238,7 +256,6 @@ func newVantage(cfg Config, idx int, sched simtime.Scheduler, sh *SharedModel) *
 		geoReg:      sh.geoReg,
 		vocab:       sh.vocab,
 		conns:       make(map[int]*simConn),
-		pongSeen:    make(map[int]bool),
 		dayKeyCount: make(map[string]int),
 		out: &trace.Trace{
 			Seed:           cfg.Workload.Seed,
@@ -278,9 +295,13 @@ func (s *vantage) arrive(now simtime.Time, sess *behavior.Session) {
 	s.nextID++
 	c := &simConn{
 		id:       id,
+		v:        s,
 		sess:     sess,
 		end:      sess.End(),
 		lastRecv: now,
+	}
+	for k := range c.fixed {
+		c.fixed[k] = connEvent{kind: EventKind(k), c: c}
 	}
 	if sess.Quick {
 		c.silent = s.rng.Float64() < quickSilentFraction
@@ -308,40 +329,27 @@ func (s *vantage) arrive(now simtime.Time, sess *behavior.Session) {
 
 	// The client announces itself with a pong shortly after the
 	// handshake.
-	s.sched.After(300*time.Millisecond, simtime.EventFunc(func(at simtime.Time) {
-		s.clientMessage(c, at, s.selfPong(c))
-	}))
+	s.after(300*time.Millisecond, &c.fixed[KindSelfPong])
 
 	// Schedule the client's query stream.
 	for i := range sess.Queries {
-		q := sess.Queries[i]
-		s.sched.Schedule(c.sess.Start+q.Offset, simtime.EventFunc(func(at simtime.Time) {
-			s.clientMessage(c, at, s.queryEnvelope(&q))
-		}))
+		s.schedule(sess.Start+sess.Queries[i].Offset, s.event(KindClientQuery, c, int64(i)))
 	}
 
 	// Keepalive pings.
 	s.scheduleKeepalive(c)
 
 	// Wider-network traffic through this connection.
-	s.scheduleRemote(c, s.cfg.RemotePongEvery, s.remotePong)
-	s.scheduleRemote(c, s.cfg.RemoteHitEvery, s.remoteHit)
+	s.scheduleRemote(c, KindRemotePong)
+	s.scheduleRemote(c, KindRemoteHit)
 	if sess.Ultrapeer {
-		s.scheduleRemote(c, s.cfg.RemoteQueryEvery, s.remoteQuery)
+		s.scheduleRemote(c, KindRemoteQuery)
 	}
 
 	// Session end: an observed close, or silence for the probe machinery
 	// to detect.
 	if !c.silent {
-		s.sched.Schedule(c.end, simtime.EventFunc(func(at simtime.Time) {
-			if c.closed {
-				return
-			}
-			if s.rng.Float64() < byeFraction {
-				s.deliver(c, at, wire.NewEnvelope(s.guids.Next(), 1, &wire.Bye{Code: 200, Reason: "bye"}))
-			}
-			s.finalize(c, at, false)
-		}))
+		s.schedule(c.end, &c.fixed[KindSessionEnd])
 	}
 	s.rearmProbe(c, s.cfg.ProbeIdle)
 }
@@ -364,28 +372,34 @@ func (s *vantage) clientMessage(c *simConn, at simtime.Time, env wire.Envelope) 
 func (s *vantage) deliver(c *simConn, at simtime.Time, env wire.Envelope) {
 	c.lastRecv = at
 	c.probed = false
+	s.cur = c
 	s.node.Receive(c.id, env)
 }
 
 func (s *vantage) selfPong(c *simConn) wire.Envelope {
+	s.pong = wire.Pong{
+		Port:        6346,
+		Addr:        c.sess.Addr(),
+		SharedFiles: uint32(c.sess.SharedFiles),
+	}
 	return wire.Envelope{
-		Header: wire.Header{GUID: s.guids.Next(), Type: wire.TypePong, TTL: 1, Hops: 1},
-		Payload: &wire.Pong{
-			Port:        6346,
-			Addr:        c.sess.Addr(),
-			SharedFiles: uint32(c.sess.SharedFiles),
-		},
+		Header:  wire.Header{GUID: s.guids.Next(), Type: wire.TypePong, TTL: 1, Hops: 1},
+		Payload: &s.pong,
 	}
 }
 
+// sha1Extension is the extension block of every source-hunt query; shared
+// and never written.
+var sha1Extension = []string{"urn:sha1:PLSTHIPQGSSZTS5FJUPAKUZWUGYQYPFB"}
+
 func (s *vantage) queryEnvelope(q *behavior.TimedQuery) wire.Envelope {
-	wq := &wire.Query{SearchText: q.Text}
+	s.query = wire.Query{SearchText: q.Text}
 	if q.SHA1 {
-		wq.Extensions = []string{"urn:sha1:PLSTHIPQGSSZTS5FJUPAKUZWUGYQYPFB"}
+		s.query.Extensions = sha1Extension
 	}
 	return wire.Envelope{
 		Header:  wire.Header{GUID: s.guids.Next(), Type: wire.TypeQuery, TTL: 6, Hops: 1},
-		Payload: wq,
+		Payload: &s.query,
 	}
 }
 
@@ -396,35 +410,55 @@ func (s *vantage) scheduleKeepalive(c *simConn) {
 	if at >= c.end {
 		return
 	}
-	s.sched.Schedule(at, simtime.EventFunc(func(now simtime.Time) {
-		if c.closed {
-			return
-		}
-		// A keepalive is liveness evidence, so the probe is rearmed with
-		// the long window: probing 15 s after every keepalive would
-		// double the pong volume for no information.
-		s.deliver(c, now, wire.Envelope{
-			Header:  wire.Header{GUID: s.guids.Next(), Type: wire.TypePing, TTL: 1, Hops: 1},
-			Payload: &wire.Ping{},
-		})
-		s.rearmProbe(c, s.cfg.ProbeRearmIdle)
-		s.scheduleKeepalive(c)
-	}))
+	s.schedule(at, &c.fixed[KindKeepalive])
 }
 
-// scheduleRemote chains wider-network traffic on a connection. Inbound
-// forwarded traffic arrives through the peer, so it stops at the peer's
-// true end — this is precisely why a silently dead connection goes idle
-// and the probe machinery can detect it.
-func (s *vantage) scheduleRemote(c *simConn, every time.Duration, emit func(c *simConn, at simtime.Time)) {
+func (s *vantage) keepaliveFire(c *simConn, now simtime.Time) {
+	if c.closed {
+		return
+	}
+	// A keepalive is liveness evidence, so the probe is rearmed with
+	// the long window: probing 15 s after every keepalive would
+	// double the pong volume for no information.
+	s.deliver(c, now, wire.Envelope{
+		Header:  wire.Header{GUID: s.guids.Next(), Type: wire.TypePing, TTL: 1, Hops: 1},
+		Payload: &wire.Ping{},
+	})
+	s.rearmProbe(c, s.cfg.ProbeRearmIdle)
+	s.scheduleKeepalive(c)
+}
+
+// scheduleRemote chains one kind of wider-network traffic on a
+// connection. Inbound forwarded traffic arrives through the peer, so it
+// stops at the peer's true end — this is precisely why a silently dead
+// connection goes idle and the probe machinery can detect it.
+func (s *vantage) scheduleRemote(c *simConn, kind EventKind) {
+	var every time.Duration
+	switch kind {
+	case KindRemoteQuery:
+		every = s.cfg.RemoteQueryEvery
+	case KindRemotePong:
+		every = s.cfg.RemotePongEvery
+	case KindRemoteHit:
+		every = s.cfg.RemoteHitEvery
+	}
 	gap := time.Duration(s.rng.ExpFloat64() * float64(every))
-	s.sched.After(gap, simtime.EventFunc(func(now simtime.Time) {
-		if c.closed || now >= c.end {
-			return
-		}
-		emit(c, now)
-		s.scheduleRemote(c, every, emit)
-	}))
+	s.after(gap, &c.fixed[kind])
+}
+
+func (s *vantage) remoteFire(c *simConn, kind EventKind, now simtime.Time) {
+	if c.closed || now >= c.end {
+		return
+	}
+	switch kind {
+	case KindRemoteQuery:
+		s.remoteQuery(c, now)
+	case KindRemotePong:
+		s.remotePong(c, now)
+	case KindRemoteHit:
+		s.remoteHit(c, now)
+	}
+	s.scheduleRemote(c, kind)
 }
 
 // remoteRegionAddr samples an address for a wider-network peer following
@@ -459,30 +493,41 @@ func (s *vantage) remoteHops() uint8 {
 func (s *vantage) remotePong(c *simConn, at simtime.Time) {
 	_, a4 := s.remoteRegionAddr(at)
 	hops := s.remoteHops()
+	g := s.guids.Next()
+	s.pong = wire.Pong{
+		Port:        6346,
+		Addr:        netip.AddrFrom4(a4),
+		SharedFiles: uint32(s.params.SampleSharedFiles(s.rng)),
+	}
 	s.deliver(c, at, wire.Envelope{
-		Header: wire.Header{GUID: s.guids.Next(), Type: wire.TypePong, TTL: 7 - hops, Hops: hops},
-		Payload: &wire.Pong{
-			Port:        6346,
-			Addr:        netip.AddrFrom4(a4),
-			SharedFiles: uint32(s.params.SampleSharedFiles(s.rng)),
-		},
+		Header:  wire.Header{GUID: g, Type: wire.TypePong, TTL: 7 - hops, Hops: hops},
+		Payload: &s.pong,
 	})
 	s.rearmProbe(c, s.cfg.ProbeRearmIdle)
+}
+
+// hitEnvelope fills the scratch QUERYHIT with one result and wraps it.
+// The header GUID is drawn before the servent GUID.
+func (s *vantage) hitEnvelope(a4 [4]byte, hops uint8, res wire.HitResult) wire.Envelope {
+	g := s.guids.Next()
+	s.hitResult[0] = res
+	s.hit = wire.QueryHit{
+		Port:    6346,
+		Addr:    netip.AddrFrom4(a4),
+		Speed:   350,
+		Results: s.hitResult[:],
+		Servent: s.guids.Next(),
+	}
+	return wire.Envelope{
+		Header:  wire.Header{GUID: g, Type: wire.TypeQueryHit, TTL: 7 - hops, Hops: hops},
+		Payload: &s.hit,
+	}
 }
 
 func (s *vantage) remoteHit(c *simConn, at simtime.Time) {
 	_, a4 := s.remoteRegionAddr(at)
 	hops := s.remoteHops()
-	s.deliver(c, at, wire.Envelope{
-		Header: wire.Header{GUID: s.guids.Next(), Type: wire.TypeQueryHit, TTL: 7 - hops, Hops: hops},
-		Payload: &wire.QueryHit{
-			Port:    6346,
-			Addr:    netip.AddrFrom4(a4),
-			Speed:   350,
-			Results: []wire.HitResult{{FileIndex: 1, FileSize: 3800, FileName: "remote.mp3"}},
-			Servent: s.guids.Next(),
-		},
-	})
+	s.deliver(c, at, s.hitEnvelope(a4, hops, wire.HitResult{FileIndex: 1, FileSize: 3800, FileName: "remote.mp3"}))
 	s.rearmProbe(c, s.cfg.ProbeRearmIdle)
 }
 
@@ -493,9 +538,11 @@ func (s *vantage) remoteQuery(c *simConn, at simtime.Time) {
 		day = s.cfg.Workload.Days - 1
 	}
 	hops := s.remoteHops()
+	g := s.guids.Next()
+	s.query = wire.Query{SearchText: s.vocab.Sample(s.rng, region, day)}
 	s.deliver(c, at, wire.Envelope{
-		Header:  wire.Header{GUID: s.guids.Next(), Type: wire.TypeQuery, TTL: 7 - hops, Hops: hops},
-		Payload: &wire.Query{SearchText: s.vocab.Sample(s.rng, region, day)},
+		Header:  wire.Header{GUID: g, Type: wire.TypeQuery, TTL: 7 - hops, Hops: hops},
+		Payload: &s.query,
 	})
 	s.rearmProbe(c, s.cfg.ProbeRearmIdle)
 }
@@ -507,7 +554,7 @@ func (s *vantage) remoteQuery(c *simConn, at simtime.Time) {
 // sources — so the hit-rate extension analysis can recover the
 // hit-rate/popularity correlation. Responses are received messages and
 // count toward Table 1's QUERYHIT row.
-func (s *vantage) scheduleResponses(conn int, queryIdx int, q *wire.Query, at simtime.Time) {
+func (s *vantage) scheduleResponses(c *simConn, queryIdx int, q *wire.Query, at simtime.Time) {
 	if q.HasSHA1() {
 		// Source hunts answer rarely; the sources are already known.
 		if s.rng.Float64() > 0.10 {
@@ -524,60 +571,56 @@ func (s *vantage) scheduleResponses(conn int, queryIdx int, q *wire.Query, at si
 		s.dayKeyCount = make(map[string]int)
 	}
 	s.dayKeyCount[key]++
-	c := float64(s.dayKeyCount[key])
+	reps := float64(s.dayKeyCount[key])
 
 	// P(no hit) shrinks and the expected source count grows with the
 	// day's repetition count of the keyword set.
-	pMiss := 0.60 / (1 + 0.20*math.Log2(1+c))
+	pMiss := 0.60 / (1 + 0.20*math.Log2(1+reps))
 	if s.rng.Float64() < pMiss {
 		return
 	}
-	mean := 0.30 + 0.22*math.Log2(1+c)
+	mean := 0.30 + 0.22*math.Log2(1+reps)
 	n := 1 + int(s.rng.ExpFloat64()*mean)
 	if n > 15 {
 		n = 15
 	}
-	cs := s.conns[conn]
 	for i := 0; i < n; i++ {
 		delay := 500*time.Millisecond + time.Duration(s.rng.Float64()*float64(8*time.Second))
-		s.sched.After(delay, simtime.EventFunc(func(now simtime.Time) {
-			if cs == nil || cs.closed || now >= cs.end {
-				return
-			}
-			_, a4 := s.remoteRegionAddr(now)
-			hops := s.remoteHops()
-			// The query record is still in flight (its session has not
-			// closed — checked above), so the hit counter can be bumped in
-			// place in either storage mode.
-			if s.sink != nil {
-				cs.queries[queryIdx].Hits++
-			} else {
-				s.out.Queries[queryIdx].Hits++
-			}
-			s.deliver(cs, now, wire.Envelope{
-				Header: wire.Header{GUID: s.guids.Next(), Type: wire.TypeQueryHit, TTL: 7 - hops, Hops: hops},
-				Payload: &wire.QueryHit{
-					Port:    6346,
-					Addr:    netip.AddrFrom4(a4),
-					Speed:   350,
-					Results: []wire.HitResult{{FileIndex: 1, FileSize: 3700, FileName: q.SearchText + ".mp3"}},
-					Servent: s.guids.Next(),
-				},
-			})
-			s.rearmProbe(cs, s.cfg.ProbeRearmIdle)
-		}))
+		s.after(delay, s.event(KindResponseHit, c, int64(queryIdx)))
 	}
 }
 
-// rearmProbe (re)schedules the idle probe at now+idle.
+// responseHitFire delivers one routed-back QUERYHIT for the connection's
+// query record queryIdx.
+func (s *vantage) responseHitFire(c *simConn, queryIdx int, now simtime.Time) {
+	if c.closed || now >= c.end {
+		return
+	}
+	_, a4 := s.remoteRegionAddr(now)
+	hops := s.remoteHops()
+	// The query record is still in flight (its session has not closed —
+	// checked above), so the hit counter can be bumped in place in either
+	// storage mode; the record is also where the query's text is kept.
+	var q *trace.Query
+	if s.sink != nil {
+		q = &c.queries[queryIdx]
+	} else {
+		q = &s.out.Queries[queryIdx]
+	}
+	q.Hits++
+	s.deliver(c, now, s.hitEnvelope(a4, hops, wire.HitResult{FileIndex: 1, FileSize: 3700, FileName: q.Text + ".mp3"}))
+	s.rearmProbe(c, s.cfg.ProbeRearmIdle)
+}
+
+// rearmProbe (re)schedules the idle probe at now+idle. The handle it
+// cancels has usually fired already (every delivered message rearms);
+// simtime guarantees that is a no-op.
 func (s *vantage) rearmProbe(c *simConn, idle time.Duration) {
 	if c.closed {
 		return
 	}
 	s.sched.Cancel(c.probeH)
-	c.probeH = s.sched.After(idle, simtime.EventFunc(func(now simtime.Time) {
-		s.probeFire(c, now)
-	}))
+	c.probeH = s.after(idle, &c.fixed[KindProbe])
 }
 
 // probeFire implements the paper's liveness rule.
@@ -589,27 +632,39 @@ func (s *vantage) probeFire(c *simConn, now simtime.Time) {
 	s.node.Probe(c.id) // sent by the node; not a received message
 	if now < c.end {
 		// Client is alive: it answers with a pong after a network RTT.
+		// If it dies right after the probe, the deadline below still
+		// closes the connection.
 		rtt := 100*time.Millisecond + time.Duration(s.rng.Float64()*float64(300*time.Millisecond))
-		s.sched.After(rtt, simtime.EventFunc(func(at simtime.Time) {
-			if c.closed || at >= c.end {
-				return // died between probe and response
-			}
-			s.deliver(c, at, s.selfPong(c))
-			s.rearmProbe(c, s.cfg.ProbeRearmIdle)
-		}))
-		// If the client dies right after the probe, the deadline below
-		// still closes the connection.
+		s.after(rtt, &c.fixed[KindProbeReply])
 	}
-	deadline := now + s.cfg.ProbeTimeout
-	s.sched.Schedule(deadline, simtime.EventFunc(func(at simtime.Time) {
-		if c.closed {
-			return
-		}
-		if c.lastRecv >= now {
-			return // something arrived since the probe; still alive
-		}
-		s.finalize(c, at, true)
-	}))
+	s.schedule(now+s.cfg.ProbeTimeout, s.event(KindProbeDeadline, c, int64(now)))
+}
+
+func (s *vantage) probeReplyFire(c *simConn, now simtime.Time) {
+	if c.closed || now >= c.end {
+		return // died between probe and response
+	}
+	s.deliver(c, now, s.selfPong(c))
+	s.rearmProbe(c, s.cfg.ProbeRearmIdle)
+}
+
+// probeDeadlineFire closes the connection unless something arrived since
+// the probe sent at probedAt.
+func (s *vantage) probeDeadlineFire(c *simConn, probedAt, now simtime.Time) {
+	if c.closed || c.lastRecv >= probedAt {
+		return
+	}
+	s.finalize(c, now, true)
+}
+
+func (s *vantage) sessionEndFire(c *simConn, now simtime.Time) {
+	if c.closed {
+		return
+	}
+	if s.rng.Float64() < byeFraction {
+		s.deliver(c, now, wire.NewEnvelope(s.guids.Next(), 1, &wire.Bye{Code: 200, Reason: "bye"}))
+	}
+	s.finalize(c, now, false)
 }
 
 // finalize closes a connection and completes its trace record.
@@ -636,9 +691,11 @@ func (s *vantage) finalize(c *simConn, end simtime.Time, silent bool) {
 }
 
 // record is the node's OnMessage tap: it observes every received message
-// exactly as the modified mutella logged its traffic.
+// exactly as the modified mutella logged its traffic. The payload is one
+// of the vantage's scratch values, so only copies of its fields are kept.
 func (s *vantage) record(conn int, env wire.Envelope) {
 	at := s.sched.Now()
+	c := s.cur
 	switch m := env.Payload.(type) {
 	case *wire.Ping:
 		s.out.Counts.Ping++
@@ -659,12 +716,11 @@ func (s *vantage) record(conn int, env wire.Envelope) {
 				Hops:   env.Header.Hops,
 			}
 			if s.sink != nil {
-				cs := s.conns[conn]
-				cs.queries = append(cs.queries, q)
-				s.scheduleResponses(conn, len(cs.queries)-1, m, at)
+				c.queries = append(c.queries, q)
+				s.scheduleResponses(c, len(c.queries)-1, m, at)
 			} else {
 				s.out.Queries = append(s.out.Queries, q)
-				s.scheduleResponses(conn, len(s.out.Queries)-1, m, at)
+				s.scheduleResponses(c, len(s.out.Queries)-1, m, at)
 			}
 		}
 	case *wire.Pong:
@@ -672,8 +728,8 @@ func (s *vantage) record(conn int, env wire.Envelope) {
 		if env.Header.Hops == 1 {
 			// Record the first self-pong per connection; repeats carry
 			// no new information (same peer, same library).
-			if !s.pongSeen[conn] {
-				s.pongSeen[conn] = true
+			if !c.pongSeen {
+				c.pongSeen = true
 				s.recordPong(trace.Pong{At: at, Addr: m.Addr, SharedFiles: m.SharedFiles, Hops: 1})
 			}
 		} else if s.rng.Float64() < s.cfg.PongSampleRate {

@@ -73,9 +73,11 @@ type Fleet struct {
 	shared    *SharedModel
 	sessGUIDs *guid.Source
 	nodes     []*vantage
-	arrivals  uint64
-	ran       bool
-	merged    *trace.Trace
+	// next is the generated session whose arrival event is pending.
+	next     *behavior.Session
+	arrivals uint64
+	ran      bool
+	merged   *trace.Trace
 }
 
 // NewFleet builds a fleet.
@@ -121,10 +123,8 @@ func (f *Fleet) run() {
 	f.ran = true
 	horizon := simtime.Time(f.cfg.Node.Workload.Days) * simtime.Day
 	// Prime the arrival chain.
-	if first := f.gen.Next(); first != nil {
-		f.sched.Schedule(first.Start, simtime.EventFunc(func(now simtime.Time) {
-			f.arrive(now, first)
-		}))
+	if f.next = f.gen.Next(); f.next != nil {
+		f.sched.Schedule(f.next.Start, fleetArrival{f})
 	}
 	f.sched.RunUntil(horizon)
 	for _, n := range f.nodes {
@@ -137,15 +137,19 @@ func (f *Fleet) run() {
 	f.merged = trace.Merge(f.NodeTraces()...)
 }
 
-// arrive dispatches one session arrival to its vantage and schedules the
-// next. The session is tagged with a GUID — the measurement fabric's
+// fleetArrival is the arrival chain's event: one pointer-sized value
+// serves every arrival, the pending session living in Fleet.next.
+type fleetArrival struct{ f *Fleet }
+
+// Fire schedules the next arrival, then dispatches this one to its
+// vantage. The session is tagged with a GUID — the measurement fabric's
 // session identity — and the GUID's consistent hash picks the node, so
 // growing the fleet moves only ≈1/(N+1) of the sessions (guid.Shard).
-func (f *Fleet) arrive(now simtime.Time, sess *behavior.Session) {
-	if next := f.gen.Next(); next != nil {
-		f.sched.Schedule(next.Start, simtime.EventFunc(func(at simtime.Time) {
-			f.arrive(at, next)
-		}))
+func (a fleetArrival) Fire(now simtime.Time) {
+	f := a.f
+	sess := f.next
+	if f.next = f.gen.Next(); f.next != nil {
+		f.sched.Schedule(f.next.Start, a)
 	}
 	f.arrivals++
 	g := f.sessGUIDs.Next()

@@ -78,6 +78,17 @@ func (n *Node) Arrive(now simtime.Time, sess *behavior.Session) {
 	n.v.arrive(now, sess)
 }
 
+// ScheduleArrival queues the driver's arrival event on the node's
+// scheduler at the explicit tie-break key, counting it under KindArrival
+// so EventCounts covers everything the scheduler was given.
+func (n *Node) ScheduleArrival(at simtime.Time, key simtime.SeqKey, e simtime.Event) {
+	n.v.counts[KindArrival]++
+	n.v.sched.ScheduleKeyed(at, key, e)
+}
+
+// EventCounts returns how many events the node has scheduled, by kind.
+func (n *Node) EventCounts() EventCounts { return n.v.counts }
+
 // FinalizeOpen right-censors every still-open connection at the horizon —
 // the collection end of a measurement run, identical to the Fleet's
 // end-of-run pass. Call it after the scheduler has run to the horizon.

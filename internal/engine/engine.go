@@ -166,6 +166,8 @@ type Engine struct {
 	// O(own sessions) scaling metric the keyed tie-break buys, versus the
 	// O(global arrivals) every node paid under chain replay.
 	schedPerNode []uint64
+	// kindsPerNode breaks each node's schedPerNode down by event kind.
+	kindsPerNode []capture.EventCounts
 }
 
 // New builds an engine.
@@ -259,6 +261,13 @@ func (e *Engine) publishRunMetrics() {
 		}
 	}
 	reg.Gauge("engine_sched_events_total", "scheduler events fired across all nodes").SetInt(int64(total))
+	for k := capture.EventKind(0); k < capture.NumEventKinds; k++ {
+		var n uint64
+		for i := range e.kindsPerNode {
+			n += e.kindsPerNode[i][k]
+		}
+		reg.Gauge("engine_sched_events_by_kind", "scheduled events across all nodes, by event kind", obs.L("kind", k.String())).SetInt(int64(n))
+	}
 	reg.Gauge("engine_sched_events_max_node", "busiest node's scheduled-event count").SetInt(int64(maxNode))
 	reg.Gauge("engine_rejected_arrivals", "arrivals rejected by per-node connection caps").SetInt(int64(e.stats.Rejected))
 	reg.Gauge("engine_max_peak_conns", "largest per-node concurrent-connection peak").SetInt(int64(maxPeak))
@@ -275,6 +284,7 @@ func (e *Engine) runEager() {
 
 	e.nodeTraces = make([]*trace.Trace, nodes)
 	e.schedPerNode = make([]uint64, nodes)
+	e.kindsPerNode = make([]capture.EventCounts, nodes)
 	perNode := make([]capture.NodeStats, nodes)
 	// Schedulers are built on the caller's goroutine (a panicking
 	// constructor must surface here, where run()'s memo guard applies,
@@ -290,8 +300,10 @@ func (e *Engine) runEager() {
 	for i := range tasks {
 		i := i
 		tasks[i] = func() {
-			e.nodeTraces[i], perNode[i] = runNode(nodeCfg, i, scheds[i], shared, part, horizon, arrivals)
+			node := runNode(nodeCfg, i, scheds[i], shared, part, horizon, arrivals)
+			e.nodeTraces[i], perNode[i] = node.Trace(), node.Stats()
 			e.schedPerNode[i] = scheds[i].Scheduled()
+			e.kindsPerNode[i] = node.EventCounts()
 		}
 	}
 	par.Run(par.Workers(e.Workers()), tasks)
@@ -475,7 +487,7 @@ func (r *keyedRun) Fire(now simtime.Time) {
 	r.cursor++
 	if r.cursor < len(r.mine) {
 		next := r.mine[r.cursor]
-		r.sched.ScheduleKeyed(next.sess.Start, simtime.SeqKey{Epoch: next.gidx}, r)
+		r.node.ScheduleArrival(next.sess.Start, simtime.SeqKey{Epoch: next.gidx}, r)
 	}
 	sess := r.mine[i].sess
 	// Release consumed sessions as the run progresses; at full volume
@@ -485,9 +497,8 @@ func (r *keyedRun) Fire(now simtime.Time) {
 	r.node.Arrive(now, sess)
 }
 
-// runNode simulates one vantage to the horizon on its own scheduler and
-// returns its trace and accounting row.
-func runNode(cfg capture.Config, idx int, sched simtime.Scheduler, shared *capture.SharedModel, part *partition, horizon simtime.Time, arrivals *obs.Counter) (*trace.Trace, capture.NodeStats) {
+// runNode simulates one vantage to the horizon on its own scheduler.
+func runNode(cfg capture.Config, idx int, sched simtime.Scheduler, shared *capture.SharedModel, part *partition, horizon simtime.Time, arrivals *obs.Counter) *capture.Node {
 	// Reserve Pos 0 of epoch 0 for the virtual chain head before anything
 	// is scheduled, keeping the epoch/Pos split an invariant from the
 	// first event on.
@@ -496,9 +507,9 @@ func runNode(cfg capture.Config, idx int, sched simtime.Scheduler, shared *captu
 	r := &keyedRun{sched: sched, node: node, starts: part.starts, mine: part.perNode[idx], arrivals: arrivals}
 	sched.SetFireHook(r.beforeFire)
 	if len(r.mine) > 0 {
-		sched.ScheduleKeyed(r.mine[0].sess.Start, simtime.SeqKey{Epoch: r.mine[0].gidx}, r)
+		node.ScheduleArrival(r.mine[0].sess.Start, simtime.SeqKey{Epoch: r.mine[0].gidx}, r)
 	}
 	sched.RunUntil(horizon)
 	node.FinalizeOpen(horizon)
-	return node.Trace(), node.Stats()
+	return node
 }

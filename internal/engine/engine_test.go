@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/capture"
+	"repro/internal/obs"
 	"repro/internal/simtime"
 	"repro/internal/trace"
 )
@@ -235,6 +237,49 @@ func TestPeakPendingReportedEveryMode(t *testing.T) {
 		m.run(e)
 		if e.PeakPending() <= 0 {
 			t.Fatalf("%s: PeakPending = %d, want > 0", m.name, e.PeakPending())
+		}
+	}
+}
+
+// TestSchedEventsByKindSumToTotal pins the per-kind breakdown against the
+// schedulers' own count: in every execution mode the twelve
+// engine_sched_events_by_kind series add up to engine_sched_events_total
+// exactly (the kinds are counted by the vantages at Schedule time, the
+// total by the schedulers), every kind the run can produce is non-zero,
+// and the modes agree kind for kind.
+func TestSchedEventsByKindSumToTotal(t *testing.T) {
+	const prefix = `engine_sched_events_by_kind{kind="`
+	byKind := func(run func(e *Engine), lookahead int) map[string]float64 {
+		reg := obs.NewRegistry()
+		e := New(Config{Fleet: testCfg(2004, 1, 3), Lookahead: lookahead, Obs: &obs.Observer{Metrics: reg}})
+		run(e)
+		kinds := map[string]float64{}
+		var sum float64
+		for _, s := range reg.Samples() {
+			if name, ok := strings.CutPrefix(s.Name, prefix); ok {
+				kinds[strings.TrimSuffix(name, `"}`)] = s.Value
+				sum += s.Value
+			}
+		}
+		if len(kinds) != int(capture.NumEventKinds) {
+			t.Fatalf("%d kinds published, want %d: %v", len(kinds), capture.NumEventKinds, kinds)
+		}
+		if total := reg.Value("engine_sched_events_total", -1); sum != total {
+			t.Fatalf("kinds sum to %.0f, engine_sched_events_total = %.0f", sum, total)
+		}
+		for k := capture.EventKind(0); k < capture.NumEventKinds; k++ {
+			if kinds[k.String()] == 0 {
+				t.Errorf("kind %q counted no events", k)
+			}
+		}
+		return kinds
+	}
+	eager := byKind(func(e *Engine) { e.Run() }, 0)
+	bounded := byKind(func(e *Engine) { e.Run() }, 64)
+	streamed := byKind(func(e *Engine) { e.RunStream(nil) }, 0)
+	for k, n := range eager {
+		if bounded[k] != n || streamed[k] != n {
+			t.Errorf("kind %q: eager %.0f, bounded %.0f, stream %.0f", k, n, bounded[k], streamed[k])
 		}
 	}
 }

@@ -212,7 +212,7 @@ func (r *keyedBoundedRun) Fire(now simtime.Time) {
 	sess := r.cur.sess
 	if next, ok := <-r.queue; ok {
 		r.cur = next
-		r.sched.ScheduleKeyed(next.sess.Start, simtime.SeqKey{Epoch: next.gidx}, r)
+		r.node.ScheduleArrival(next.sess.Start, simtime.SeqKey{Epoch: next.gidx}, r)
 	}
 	r.arrivals.Inc()
 	r.node.Arrive(now, sess)
@@ -233,7 +233,7 @@ func runNodeBounded(cfg capture.Config, idx int, sched simtime.Scheduler, shared
 	sched.SetFireHook(r.beforeFire)
 	if first, ok := <-queue; ok {
 		r.cur = first
-		sched.ScheduleKeyed(first.sess.Start, simtime.SeqKey{Epoch: first.gidx}, r)
+		node.ScheduleArrival(first.sess.Start, simtime.SeqKey{Epoch: first.gidx}, r)
 	}
 	sched.RunUntil(horizon)
 	node.FinalizeOpen(horizon)
@@ -284,6 +284,7 @@ func (e *Engine) runBounded(intake chan<- stream.Batch) {
 	arrCounter := e.cfg.Obs.Counter("engine_arrivals_total", "arrival events fired across all vantage nodes")
 	e.nodeTraces = make([]*trace.Trace, nodes)
 	e.schedPerNode = make([]uint64, nodes)
+	e.kindsPerNode = make([]capture.EventCounts, nodes)
 	perNode := make([]capture.NodeStats, nodes)
 	var wg sync.WaitGroup
 	for i := 0; i < nodes; i++ {
@@ -298,6 +299,7 @@ func (e *Engine) runBounded(intake chan<- stream.Batch) {
 			e.nodeTraces[i] = node.Trace()
 			perNode[i] = node.Stats()
 			e.schedPerNode[i] = scheds[i].Scheduled()
+			e.kindsPerNode[i] = node.EventCounts()
 		}(i)
 	}
 	wg.Wait()

@@ -52,14 +52,22 @@ type Config struct {
 	// simulator uses it: its Send callback discards everything anyway,
 	// and iterating a few hundred connections per received query turns
 	// the simulation quadratic in scale. Reverse routes, duplicate
-	// suppression and local hit serving still work.
+	// suppression and local hit serving still work. PING replies are
+	// counted (Stats.PongsSent) but not built or sent.
 	Passive bool
 	// Now supplies the node's clock (simulated or wall).
 	Now func() time.Duration
-	// Send delivers an envelope to a connection. Required.
+	// Send delivers an envelope to a connection. Required. The payload is
+	// the callee's to keep: the node never sends one that aliases a
+	// received message (forwards are cloned) and holds no reference to
+	// what it sent, so a transport may retain it past the call.
 	Send func(conn int, env wire.Envelope)
 	// OnMessage, when set, observes every received message before
-	// processing (the measurement tap).
+	// processing (the measurement tap). The payload is on loan from
+	// Receive's caller, who may overwrite it as soon as Receive returns
+	// (a parser's buffer, the simulator's per-vantage scratch values):
+	// copy whatever must outlive the call — field values, never the
+	// payload pointer or a slice inside it.
 	OnMessage func(conn int, env wire.Envelope)
 	// OnQueryHit, when set, receives hits for queries this node
 	// originated.
@@ -208,6 +216,12 @@ func (n *Node) Receive(conn int, env wire.Envelope) {
 func (n *Node) handlePing(conn int, env wire.Envelope) {
 	// Remember the reverse route so PONGs can flow back.
 	n.routes[env.Header.GUID] = route{conn: conn, at: n.cfg.Now()}
+	if n.cfg.Passive {
+		// The replies below would be built only for Send to drop them;
+		// count them as sent and skip the work.
+		n.stats.PongsSent += 1 + uint64(min(len(n.pongCache), 3))
+		return
+	}
 	// Reply with our own pong...
 	pong := &wire.Pong{
 		Port:        n.cfg.Port,

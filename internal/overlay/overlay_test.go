@@ -310,6 +310,70 @@ func TestPongCacheServedOnPing(t *testing.T) {
 	}
 }
 
+// TestPassivePingRepliesCountedNotSent pins the passive shortcut: a
+// passive node (the simulator's, whose Send discards) counts its PING
+// replies in Stats.PongsSent — own pong plus up to three cached — without
+// building or sending them, while a forwarding node sends exactly those
+// envelopes.
+func TestPassivePingRepliesCountedNotSent(t *testing.T) {
+	for _, cached := range []int{0, 2, 5} {
+		for _, passive := range []bool{true, false} {
+			var out []wire.Envelope
+			node := New(Config{
+				Self:    guid.NewSource(1, 99).Next(),
+				Addr:    netip.MustParseAddr("193.1.1.1"),
+				Port:    6346,
+				Passive: passive,
+				Now:     func() time.Duration { return 0 },
+				Send:    func(_ int, env wire.Envelope) { out = append(out, env) },
+			})
+			node.AddConn(1, true)
+			node.AddConn(2, true)
+			var pongs []wire.Pong
+			for i := 0; i < cached; i++ {
+				p := wire.Pong{Port: 6346, Addr: netip.AddrFrom4([4]byte{61, 0, 0, byte(i)}), SharedFiles: uint32(i)}
+				pongs = append(pongs, p)
+				node.Receive(2, wire.Envelope{
+					Header:  wire.Header{GUID: msgGUIDs.Next(), Type: wire.TypePong, TTL: 3, Hops: 2},
+					Payload: &p,
+				})
+			}
+			out = nil
+			before := node.Stats().PongsSent
+			ping := wire.Envelope{
+				Header:  wire.Header{GUID: msgGUIDs.Next(), Type: wire.TypePing, TTL: 1, Hops: 1},
+				Payload: &wire.Ping{},
+			}
+			node.Receive(1, ping)
+
+			want := 1 + min(3, cached)
+			if got := node.Stats().PongsSent - before; got != uint64(want) {
+				t.Errorf("passive=%v cached=%d: PongsSent advanced by %d, want %d", passive, cached, got, want)
+			}
+			if passive {
+				if len(out) != 0 {
+					t.Errorf("passive cached=%d: Send called %d times, want 0", cached, len(out))
+				}
+				continue
+			}
+			if len(out) != want {
+				t.Fatalf("cached=%d: %d replies sent, want %d", cached, len(out), want)
+			}
+			for i, env := range out {
+				wantHdr := wire.Header{GUID: ping.Header.GUID, Type: wire.TypePong, TTL: 2}
+				wantPong := wire.Pong{Port: 6346, Addr: netip.MustParseAddr("193.1.1.1")}
+				if i > 0 {
+					wantHdr.Hops = 1
+					wantPong = pongs[i-1]
+				}
+				if env.Header != wantHdr || *env.Payload.(*wire.Pong) != wantPong {
+					t.Errorf("cached=%d reply %d = %+v %+v, want %+v %+v", cached, i, env.Header, env.Payload, wantHdr, wantPong)
+				}
+			}
+		}
+	}
+}
+
 func TestPongRoutedBackToPingOrigin(t *testing.T) {
 	h := newHarness(t, true, nil)
 	h.node.AddConn(1, true)

@@ -1,7 +1,7 @@
 package simtime
 
 import (
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -22,8 +22,8 @@ import (
 // fuzz tests pin operation for operation, cancellations and ties included.
 // Cancellation is lazy: a cancelled item stays in its bucket (marked by
 // the shared index == -1 sentinel) until a scan sweeps it out, so Cancel
-// is O(1) and Pending counts live events only. Not safe for concurrent
-// use.
+// is O(1) and Pending counts live events only; the item is recycled at
+// the sweep, not at the Cancel. Not safe for concurrent use.
 type CalendarScheduler struct {
 	now       Time
 	cur       SeqKey // implicit key of the next Schedule call
@@ -31,6 +31,7 @@ type CalendarScheduler struct {
 	scheduled uint64
 	fired     uint64
 	hook      FireHook
+	pool      itemPool
 
 	buckets [][]*item
 	mask    int  // len(buckets) - 1; bucket count is a power of two
@@ -50,6 +51,9 @@ type CalendarScheduler struct {
 	// operation could invalidate it: a Schedule before its timestamp, its
 	// own cancellation (detected via the index sentinel), or a resize.
 	cached *item
+
+	// gather is resize's scratch list of live items, kept between calls.
+	gather []*item
 }
 
 const (
@@ -112,7 +116,8 @@ func (s *CalendarScheduler) ScheduleKeyed(at Time, key SeqKey, e Event) Handle {
 	if s.live+1 > 2*len(s.buckets) {
 		s.resize(len(s.buckets) * 2)
 	}
-	it := &item{at: at, key: key, seq: s.seq, event: e}
+	it := s.pool.get()
+	it.at, it.key, it.seq, it.event, it.index = at, key, s.seq, e, 0
 	s.seq++
 	s.scheduled++
 	i := s.bucketOf(at)
@@ -130,7 +135,7 @@ func (s *CalendarScheduler) ScheduleKeyed(at Time, key SeqKey, e Event) Handle {
 	if s.cached != nil && it.before(s.cached) {
 		s.cached = nil
 	}
-	return Handle{it: it}
+	return Handle{it: it, gen: it.gen}
 }
 
 // Reseed repositions the implicit key.
@@ -148,7 +153,7 @@ func (s *CalendarScheduler) After(delay time.Duration, e Event) Handle {
 // already-cancelled event is a no-op. The item itself is swept out of its
 // bucket by a later scan or resize.
 func (s *CalendarScheduler) Cancel(h Handle) {
-	if h.it == nil || h.it.index == -1 {
+	if !h.pending() {
 		return
 	}
 	h.it.index = -1
@@ -166,12 +171,14 @@ func (s *CalendarScheduler) Cancel(h Handle) {
 	}
 }
 
-// sweep removes cancelled items from bucket i, preserving order is not
-// required (buckets are unordered); swap-deletion keeps it O(dead).
+// sweep removes cancelled items from bucket i and recycles them;
+// preserving order is not required (buckets are unordered), so
+// swap-deletion keeps it O(dead).
 func (s *CalendarScheduler) sweep(i int) {
 	b := s.buckets[i]
 	for j := 0; j < len(b); {
 		if b[j].index == -1 {
+			s.pool.put(b[j])
 			b[j] = b[len(b)-1]
 			b[len(b)-1] = nil
 			b = b[:len(b)-1]
@@ -265,15 +272,18 @@ func (s *CalendarScheduler) Step() bool {
 	}
 	s.cached = nil
 	s.remove(it)
+	at, key, ev := it.at, it.key, it.event
+	// Recycled before Fire so the events it schedules can reuse the item.
+	s.pool.put(it)
 	if s.live < len(s.buckets)/2 && len(s.buckets) > calendarMinBuckets {
 		s.resize(len(s.buckets) / 2)
 	}
-	s.now = it.at
+	s.now = at
 	s.fired++
 	if s.hook != nil {
-		s.hook(it.at, it.key)
+		s.hook(at, key)
 	}
-	it.event.Fire(s.now)
+	ev.Fire(at)
 	return true
 }
 
@@ -300,28 +310,41 @@ func (s *CalendarScheduler) Run() {
 }
 
 // resize rebuilds the bucket array at the given size (a power of two),
-// recomputing the bucket width from the live items' spacing and discarding
-// cancelled items. Also used at constant size as a compaction pass.
+// recomputing the bucket width from the live items' spacing and recycling
+// cancelled items. Also used at constant size as a compaction pass — the
+// steady state of a cancellation-heavy run — which is why that case keeps
+// the buckets' backing arrays instead of allocating the year afresh.
+// (Items never leave the scheduler — they are queued or on the free list
+// — so the stale pointers beyond a truncated slice's length pin nothing.)
 func (s *CalendarScheduler) resize(size int) {
 	if size < calendarMinBuckets {
 		size = calendarMinBuckets
 	}
-	items := make([]*item, 0, s.live)
+	items := s.gather[:0]
 	for _, b := range s.buckets {
 		for _, it := range b {
 			if it.index != -1 {
 				items = append(items, it)
+			} else {
+				s.pool.put(it)
 			}
 		}
 	}
 	s.width = calendarWidth(items)
-	s.buckets = make([][]*item, size)
+	if size == len(s.buckets) {
+		for i, b := range s.buckets {
+			s.buckets[i] = b[:0]
+		}
+	} else {
+		s.buckets = make([][]*item, size)
+	}
 	s.mask = size - 1
 	s.dead = 0
 	for _, it := range items {
 		i := s.bucketOf(it.at)
 		s.buckets[i] = append(s.buckets[i], it)
 	}
+	s.gather = items[:0]
 	// All live timestamps are ≥ now, so scanning from now's day is always
 	// safe after a rebuild.
 	s.winStart = s.now - s.now%s.width
@@ -345,14 +368,14 @@ func calendarWidth(items []*item) Time {
 		return calendarDefaultWidth
 	}
 	stride := len(items)/calendarSampleCap + 1
-	sample := make([]int64, 0, calendarSampleCap)
+	sample := make([]int64, 0, calendarSampleCap) // constant cap: stays on the stack
 	for i := 0; i < len(items); i += stride {
 		sample = append(sample, int64(items[i].at))
 	}
 	if len(sample) < 2 {
 		return calendarDefaultWidth
 	}
-	sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
+	slices.Sort(sample)
 	lo, hi := len(sample)/4, (3*len(sample))/4
 	if hi <= lo+1 {
 		lo, hi = 0, len(sample)

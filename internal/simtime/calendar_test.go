@@ -16,9 +16,11 @@ type popRecord struct {
 }
 
 // opScript is a deterministic random operation mix: schedules (with
-// deliberately colliding timestamps), cancellations of random live
-// handles, events that schedule more events when they fire, and
-// far-future outliers that force the calendar across empty years.
+// deliberately colliding timestamps), cancellations of random handles,
+// events that schedule more events when they fire, far-future outliers
+// that force the calendar across empty years, and cancellations through
+// stale handles — ones whose event already fired or was cancelled, used
+// after later Schedule calls had the chance to recycle their item.
 type opScript struct {
 	seed   uint64
 	n      int
@@ -33,19 +35,36 @@ type opScript struct {
 	// chainFrac makes roughly this fraction of events schedule a child
 	// when they fire (reentrant scheduling, like the probe machinery).
 	chainFrac float64
+	// staleFrac makes roughly this fraction of firing events cancel (and
+	// query) a handle known to be spent.
+	staleFrac float64
 }
 
-func (sc opScript) run(s Scheduler) []popRecord {
+func (sc opScript) run(t *testing.T, s Scheduler) []popRecord {
 	rng := rand.New(rand.NewPCG(sc.seed, 0xca1e4da5))
 	var trace []popRecord
 	var handles []Handle
+	// spent lists the indices of handles whose event has fired or been
+	// cancelled by the script; live[i] says handle i is not among them.
+	var spent []int
+	var live []bool
+	cancel := func(i int) {
+		s.Cancel(handles[i])
+		if live[i] {
+			live[i] = false
+			spent = append(spent, i)
+		}
+	}
 	tag := 0
 	schedule := func(at Time) {
 		myTag := tag
 		tag++
+		idx := len(handles)
 		var ev Event
 		ev = EventFunc(func(now Time) {
 			trace = append(trace, popRecord{at: now, tag: myTag})
+			live[idx] = false
+			spent = append(spent, idx)
 			if rng.Float64() < sc.chainFrac {
 				childTag := tag
 				tag++
@@ -55,10 +74,22 @@ func (sc opScript) run(s Scheduler) []popRecord {
 				}))
 			}
 			if len(handles) > 0 && rng.Float64() < sc.cancelFrac {
-				s.Cancel(handles[rng.IntN(len(handles))])
+				cancel(rng.IntN(len(handles)))
+			}
+			if rng.Float64() < sc.staleFrac {
+				h := handles[spent[rng.IntN(len(spent))]]
+				pending := s.Pending()
+				if !h.Cancelled() {
+					t.Fatalf("seed %d: spent handle reads as pending", sc.seed)
+				}
+				s.Cancel(h)
+				if s.Pending() != pending {
+					t.Fatalf("seed %d: cancelling a spent handle removed an event", sc.seed)
+				}
 			}
 		})
 		handles = append(handles, s.Schedule(at, ev))
+		live = append(live, true)
 	}
 	for i := 0; i < sc.n; i++ {
 		var at Time
@@ -74,10 +105,15 @@ func (sc opScript) run(s Scheduler) []popRecord {
 		}
 		schedule(at)
 		if rng.Float64() < sc.cancelFrac/2 {
-			s.Cancel(handles[rng.IntN(len(handles))])
+			cancel(rng.IntN(len(handles)))
 		}
 	}
 	s.Run()
+	for i, h := range handles {
+		if !h.Cancelled() {
+			t.Fatalf("seed %d: handle %d still pending after Run", sc.seed, i)
+		}
+	}
 	return trace
 }
 
@@ -87,16 +123,17 @@ func (sc opScript) run(s Scheduler) []popRecord {
 // set after cancellations.
 func TestCalendarHeapEquivalence(t *testing.T) {
 	scripts := []opScript{
-		{seed: 1, n: 500, spanNS: int64(time.Hour), tieEvery: 3, cancelFrac: 0.2, chainFrac: 0.3},
-		{seed: 2, n: 2000, spanNS: int64(time.Second), tieEvery: 2, cancelFrac: 0.4, chainFrac: 0.1},
-		{seed: 3, n: 1000, spanNS: int64(40 * 24 * time.Hour), farEvery: 7, cancelFrac: 0.1, chainFrac: 0.2},
-		{seed: 4, n: 50, spanNS: 10, tieEvery: 1, cancelFrac: 0.3, chainFrac: 0.5}, // almost everything ties
-		{seed: 5, n: 3000, spanNS: int64(time.Millisecond), cancelFrac: 0.6, chainFrac: 0.05},
+		{seed: 1, n: 500, spanNS: int64(time.Hour), tieEvery: 3, cancelFrac: 0.2, chainFrac: 0.3, staleFrac: 0.3},
+		{seed: 2, n: 2000, spanNS: int64(time.Second), tieEvery: 2, cancelFrac: 0.4, chainFrac: 0.1, staleFrac: 0.5},
+		{seed: 3, n: 1000, spanNS: int64(40 * 24 * time.Hour), farEvery: 7, cancelFrac: 0.1, chainFrac: 0.2, staleFrac: 0.2},
+		{seed: 4, n: 50, spanNS: 10, tieEvery: 1, cancelFrac: 0.3, chainFrac: 0.5, staleFrac: 0.5}, // almost everything ties
+		{seed: 5, n: 3000, spanNS: int64(time.Millisecond), cancelFrac: 0.6, chainFrac: 0.05, staleFrac: 0.1},
 		{seed: 6, n: 200, spanNS: int64(365 * 24 * time.Hour), farEvery: 2, chainFrac: 0.4}, // sparse, far-future heavy
+		{seed: 7, n: 1500, spanNS: int64(time.Minute), chainFrac: 0.9, staleFrac: 1},        // the probe re-arm pattern: every fire schedules, then cancels a spent handle
 	}
 	for _, sc := range scripts {
-		heapTrace := sc.run(NewScheduler())
-		calTrace := sc.run(NewCalendarScheduler())
+		heapTrace := sc.run(t, NewScheduler())
+		calTrace := sc.run(t, NewCalendarScheduler())
 		if len(heapTrace) != len(calTrace) {
 			t.Fatalf("seed %d: heap fired %d events, calendar %d", sc.seed, len(heapTrace), len(calTrace))
 		}
@@ -242,33 +279,58 @@ func TestCalendarResizeKeepsOrder(t *testing.T) {
 
 // FuzzCalendarHeapEquivalence feeds arbitrary byte strings as operation
 // scripts to both implementations: each byte pair becomes a schedule (with
-// a coarse timestamp grid, so ties are dense) or a cancel, and the two pop
-// traces must match exactly.
+// a coarse timestamp grid, so ties are dense), a cancel, a single Step, or
+// a cancel through a handle that is already spent — its event fired or
+// was cancelled earlier in the script, and later schedules may have
+// recycled its item. The two pop traces must match exactly, and a spent
+// handle must read as cancelled and cancel nothing on either.
 func FuzzCalendarHeapEquivalence(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 255, 254, 7, 7, 7, 9})
 	f.Add([]byte{10, 0, 10, 0, 10, 0, 200, 200})
+	f.Add([]byte{0, 1, 4, 0, 0, 2, 5, 0, 0, 3, 3, 0, 0, 4, 5, 0, 4, 0, 5, 1})
 	f.Add([]byte{})
-	run := func(data []byte, s Scheduler) []popRecord {
+	run := func(t *testing.T, data []byte, s Scheduler) []popRecord {
 		var trace []popRecord
 		var handles []Handle
+		var spent []bool // by handle index: fired, or cancelled by the script
+		schedule := func(at Time, tag int) {
+			idx := len(handles)
+			handles = append(handles, s.Schedule(at, EventFunc(func(now Time) {
+				trace = append(trace, popRecord{at: now, tag: tag})
+				spent[idx] = true
+			})))
+			spent = append(spent, false)
+		}
 		for i := 0; i+1 < len(data); i += 2 {
 			op, arg := data[i], data[i+1]
-			switch op % 4 {
+			switch op % 6 {
 			case 0, 1: // schedule on a coarse grid: ties are the point
-				at := Time(arg%32) * Time(time.Second)
-				tag := i
-				handles = append(handles, s.Schedule(at, EventFunc(func(now Time) {
-					trace = append(trace, popRecord{at: now, tag: tag})
-				})))
+				schedule(s.Now()+Time(arg%32)*Time(time.Second), i)
 			case 2: // far-future schedule (bounded to stay inside int64)
-				at := Time(arg) * 1000 * Time(time.Hour)
-				tag := i
-				handles = append(handles, s.Schedule(at, EventFunc(func(now Time) {
-					trace = append(trace, popRecord{at: now, tag: tag})
-				})))
+				schedule(Time(arg)*1000*Time(time.Hour), i)
 			case 3: // cancel an arbitrary earlier handle
 				if len(handles) > 0 {
-					s.Cancel(handles[int(arg)%len(handles)])
+					j := int(arg) % len(handles)
+					s.Cancel(handles[j])
+					spent[j] = true
+				}
+			case 4: // fire one event, so later schedules reuse its item
+				s.Step()
+			case 5: // cancel through the first spent handle at or after arg
+				for k := range handles {
+					j := (int(arg) + k) % len(handles)
+					if !spent[j] {
+						continue
+					}
+					pending := s.Pending()
+					if !handles[j].Cancelled() {
+						t.Fatalf("op %d: spent handle %d reads as pending", i, j)
+					}
+					s.Cancel(handles[j])
+					if s.Pending() != pending {
+						t.Fatalf("op %d: cancelling spent handle %d removed an event", i, j)
+					}
+					break
 				}
 			}
 		}
@@ -276,8 +338,8 @@ func FuzzCalendarHeapEquivalence(f *testing.F) {
 		return trace
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ht := run(data, NewScheduler())
-		ct := run(data, NewCalendarScheduler())
+		ht := run(t, data, NewScheduler())
+		ct := run(t, data, NewCalendarScheduler())
 		if len(ht) != len(ct) {
 			t.Fatalf("heap fired %d, calendar %d", len(ht), len(ct))
 		}

@@ -6,6 +6,23 @@
 // pins that instant so absolute timestamps and day/hour bins are
 // well-defined. Nothing in the simulator reads the wall clock, which makes
 // runs byte-for-byte reproducible.
+//
+// # Handles and item recycling
+//
+// Both schedulers keep their queue entries on a per-scheduler free list:
+// an entry is recycled when its event fires and when its cancellation is
+// completed, so a steady-state Schedule/Step loop allocates nothing. A
+// Handle therefore names one scheduled event, not one queue entry: it
+// carries the entry's generation, which advances every time the entry is
+// recycled. Cancel and Cancelled on a handle whose event has fired or
+// been cancelled stay the documented no-op / true forever, no matter how
+// many later events have reused the entry — callers may keep a stale
+// handle and cancel it blindly (the probe re-arm pattern in
+// internal/capture does so on every delivered message). The zero Handle
+// names no event and reads as cancelled. A handle is only meaningful to
+// the scheduler that issued it, and a scheduler retains an Event only
+// until it fires or is cancelled, so the caller may reuse the Event value
+// from inside its own Fire.
 package simtime
 
 import (
@@ -161,6 +178,32 @@ type item struct {
 	// calendar implementation only uses the -1 sentinel (cancellation is
 	// lazy there — dead items are swept out when their bucket is scanned).
 	index int
+	// gen counts how often the item has been recycled; a Handle is live
+	// only while its generation matches.
+	gen uint64
+}
+
+// itemPool is a scheduler's free list. Schedulers are single-goroutine by
+// contract, so a plain slice is all the synchronization recycling needs.
+type itemPool struct{ free []*item }
+
+// get returns a recycled item, or a new one when the list is empty. Every
+// field but gen is stale; the caller overwrites them all.
+func (p *itemPool) get() *item {
+	if n := len(p.free); n > 0 {
+		it := p.free[n-1]
+		p.free = p.free[:n-1]
+		return it
+	}
+	return new(item)
+}
+
+// put recycles an item that has left the queue for good. Advancing the
+// generation is what retires every Handle issued for its previous event.
+func (p *itemPool) put(it *item) {
+	it.gen++
+	it.event = nil
+	p.free = append(p.free, it)
 }
 
 // before is the full fire order: timestamp, then key, then insertion.
@@ -174,12 +217,22 @@ func (a *item) before(b *item) bool {
 	return a.seq < b.seq
 }
 
-// Handle identifies a scheduled event so it can be cancelled.
-type Handle struct{ it *item }
+// Handle identifies a scheduled event so it can be cancelled. See the
+// package documentation for its lifetime contract.
+type Handle struct {
+	it  *item
+	gen uint64
+}
+
+// pending reports whether the handle's event is still queued: the item
+// has not been recycled for another event, fired, or been cancelled.
+func (h Handle) pending() bool {
+	return h.it != nil && h.it.gen == h.gen && h.it.index != -1
+}
 
 // Cancelled reports whether the handle's event has been cancelled or
 // already fired.
-func (h Handle) Cancelled() bool { return h.it == nil || h.it.index == -1 }
+func (h Handle) Cancelled() bool { return !h.pending() }
 
 type eventHeap []*item
 
@@ -216,6 +269,7 @@ type HeapScheduler struct {
 	events    eventHeap
 	fired     uint64
 	hook      FireHook
+	pool      itemPool
 }
 
 // NewScheduler returns a heap scheduler positioned at the trace epoch.
@@ -253,11 +307,12 @@ func (s *HeapScheduler) ScheduleKeyed(at Time, key SeqKey, e Event) Handle {
 	if at < s.now {
 		at = s.now
 	}
-	it := &item{at: at, key: key, seq: s.seq, event: e}
+	it := s.pool.get()
+	it.at, it.key, it.seq, it.event = at, key, s.seq, e
 	s.seq++
 	s.scheduled++
 	heap.Push(&s.events, it)
-	return Handle{it: it}
+	return Handle{it: it, gen: it.gen}
 }
 
 // Reseed repositions the implicit key.
@@ -274,11 +329,11 @@ func (s *HeapScheduler) After(delay time.Duration, e Event) Handle {
 // Cancel removes a scheduled event. Cancelling an already-fired or
 // already-cancelled event is a no-op.
 func (s *HeapScheduler) Cancel(h Handle) {
-	if h.it == nil || h.it.index == -1 {
+	if !h.pending() {
 		return
 	}
 	heap.Remove(&s.events, h.it.index)
-	h.it.index = -1
+	s.pool.put(h.it)
 }
 
 // Step fires the earliest pending event, advancing the clock to its
@@ -288,12 +343,15 @@ func (s *HeapScheduler) Step() bool {
 		return false
 	}
 	it := heap.Pop(&s.events).(*item)
-	s.now = it.at
+	at, key, ev := it.at, it.key, it.event
+	// Recycled before Fire so the events it schedules can reuse the item.
+	s.pool.put(it)
+	s.now = at
 	s.fired++
 	if s.hook != nil {
-		s.hook(it.at, it.key)
+		s.hook(at, key)
 	}
-	it.event.Fire(s.now)
+	ev.Fire(at)
 	return true
 }
 

@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 	"time"
@@ -235,4 +236,92 @@ func TestPropertyBinsConsistent(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// bothSchedulers runs a subtest on each implementation.
+func bothSchedulers(t *testing.T, f func(t *testing.T, s Scheduler)) {
+	t.Run("heap", func(t *testing.T) { f(t, NewScheduler()) })
+	t.Run("calendar", func(t *testing.T) { f(t, NewCalendarScheduler()) })
+}
+
+// TestStaleHandleCannotCancelRecycledItem pins the generation check: a
+// handle whose event fired, or was cancelled, must stay inert after the
+// scheduler has given its item to a later event. Without the check the
+// stale Cancel below removes that later event.
+func TestStaleHandleCannotCancelRecycledItem(t *testing.T) {
+	bothSchedulers(t, func(t *testing.T, s Scheduler) {
+		fired := map[string]bool{}
+		ev := func(name string) Event { return EventFunc(func(Time) { fired[name] = true }) }
+
+		// A fires and X is cancelled; B, C, D and E are scheduled afterwards
+		// and take over their items (the calendar recycles X only when the
+		// Step that fires B scans past it, hence the second round).
+		a := s.Schedule(time.Second, ev("a"))
+		x := s.Schedule(2*time.Second, ev("x"))
+		s.Cancel(x)
+		s.Step()
+		b := s.Schedule(2*time.Second+1, ev("b"))
+		c := s.Schedule(9*time.Second, ev("c"))
+		s.Step()
+		d := s.Schedule(10*time.Second, ev("d"))
+		e := s.Schedule(11*time.Second, ev("e"))
+		if !fired["a"] || !fired["b"] || fired["x"] {
+			t.Fatalf("setup fired %v, want a and b only", fired)
+		}
+		reused := func(stale Handle, later ...Handle) bool {
+			for _, h := range later {
+				if h.it == stale.it {
+					return true
+				}
+			}
+			return false
+		}
+		if !reused(a, b, c, d, e) || !reused(x, b, c, d, e) {
+			t.Fatal("no item was recycled into a later event; the test proves nothing")
+		}
+
+		for _, stale := range []Handle{a, x, b} {
+			if !stale.Cancelled() {
+				t.Error("spent handle reads as pending")
+			}
+			s.Cancel(stale)
+		}
+		for name, h := range map[string]Handle{"c": c, "d": d, "e": e} {
+			if h.Cancelled() {
+				t.Errorf("stale Cancel hit live event %s", name)
+			}
+		}
+		if s.Pending() != 3 {
+			t.Fatalf("pending = %d, want 3", s.Pending())
+		}
+		s.Run()
+		if !fired["c"] || !fired["d"] || !fired["e"] || fired["x"] {
+			t.Fatalf("fired %v, want c, d, e and not x", fired)
+		}
+	})
+}
+
+// TestHoldAllocatesNothing pins the free list: at a steady 1 k pending
+// events, pop-one-schedule-one allocates nothing once the scheduler has
+// seen its working set of items (and, for the calendar, bucket capacity).
+func TestHoldAllocatesNothing(t *testing.T) {
+	bothSchedulers(t, func(t *testing.T, s Scheduler) {
+		rng := rand.New(rand.NewPCG(1, 0xa110c))
+		mean := float64(30 * time.Second)
+		hold := func() {
+			if !s.Step() {
+				t.Fatal("queue drained")
+			}
+			s.Schedule(s.Now()+Time(rng.ExpFloat64()*mean), nopEvent{})
+		}
+		for i := 0; i < 1000; i++ {
+			s.Schedule(Time(rng.ExpFloat64()*mean), nopEvent{})
+		}
+		for i := 0; i < 20000; i++ {
+			hold()
+		}
+		if allocs := testing.AllocsPerRun(5000, hold); allocs != 0 {
+			t.Errorf("hold at 1k pending: %v allocs/op, want 0", allocs)
+		}
+	})
 }
