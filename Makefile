@@ -25,8 +25,8 @@ race:
 # for the committed PR-6 snapshot). Sweeping ./... keeps new package-local
 # benchmarks (capture fleet, filter fan-out, vocab, stream sketches)
 # tracked automatically. The phase runs append labeled wall-clock /
-# peak-RSS accountings for the streaming and batch engines at a fixed
-# small scale, plus a 128-node fleet exercising the keyed tie-break's
+# peak-RSS accountings with and without the online sketch layer (-stream)
+# at a fixed small scale, plus a 128-node fleet exercising the keyed tie-break's
 # high-node-count regime (its sched_events_max_node records the busiest
 # node's scheduling cost, O(own sessions) where chain replay paid the
 # global arrival count) — the per-phase record BENCH_pr6.json pins and
@@ -77,23 +77,21 @@ obs-overhead:
 			-rss-tolerance 2 -rss-slack 134217728
 	@echo obs-overhead PASS
 
-# speedup-check proves the two parallel stages on a multi-core host, each
-# ≥ 2× over its sequential reference at 4 workers: the characterization
-# pipeline (PR 2/3) and the sharded simulation engine (PR 4). CI runs this
-# on its 4-vCPU runner; on a single core it fails by construction — that
-# is the point. The simulate pair uses a fixed iteration count: each
-# iteration is a full ~0.5 s fleet simulation, so two are plenty.
+# speedup-check proves the parallel characterization pipeline (PR 2/3) on
+# a multi-core host: ≥ 2× over its sequential reference at 4 workers. CI
+# runs this on its 4-vCPU runner; on a single core it fails by
+# construction — that is the point. The simulation has no sequential
+# reference left to gate against: the engine runs every vantage on its
+# own goroutine, one path.
 speedup-check:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkCharacterizeFull(Sequential|Parallel)$$' -benchtime=2s -benchmem . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkSimulateFleet(Sequential|Parallel)$$' -benchtime=2x -benchmem . ; } | \
+	$(GO) test -run '^$$' -bench 'BenchmarkCharacterizeFull(Sequential|Parallel)$$' -benchtime=2s -benchmem . | \
 		$(GO) run ./cmd/benchjson \
-			-speedup 'BenchmarkCharacterizeFullSequential:BenchmarkCharacterizeFullParallel:2.0' \
-			-speedup 'BenchmarkSimulateFleetSequential:BenchmarkSimulateFleetParallel:2.0'
+			-speedup 'BenchmarkCharacterizeFullSequential:BenchmarkCharacterizeFullParallel:2.0'
 
 # distfleet-smoke proves the distributed ingest pipeline end to end:
 # an in-process collector and N vantage emitter *processes* (bin/vantage)
 # must drain to a trace SHA-256-identical to a single-process
-# engine.RunStream — over clean loopback TCP, then under injected faults
+# engine.Run — over clean loopback TCP, then under injected faults
 # (drops, duplication, reordering, delays) with one vantage SIGKILLed
 # mid-run and restarted to prove resume-from-ack, and finally with a
 # vantage killed for good to prove eviction terminates the merge with the
@@ -128,23 +126,12 @@ scenario-suite:
 # fullscale reproduces the paper's entire trace volume through the
 # multi-vantage measurement fabric: 40 days at scale 1.0 across 48
 # ultrapeer nodes records all ≈4.36 M arrivals (per-node 200-connection
-# caps never bind; see BENCH_pr5.json for the recorded runs). STREAM=1
-# (the default) runs the bounded-memory streaming engine — bounded-
-# lookahead producer, per-node event emission, online k-way merge with
-# the live sketch layer — whose drained trace is byte-identical to the
-# batch path (compare `-tracehash` across STREAM=0/1) at a fraction of
-# the simulate-phase peak RSS. STREAM=0 selects the batch engine, where
-# SIMWORKERS bounds its goroutines (0 = machine-sized; the trace is
-# byte-identical for every value).
-SIMWORKERS ?= 0
-STREAM ?= 1
-ifeq ($(STREAM),1)
-STREAMFLAGS := -stream
-else
-STREAMFLAGS :=
-endif
+# caps never bind; see BENCH_pr5.json for the recorded runs) through the
+# engine's bounded-memory pipeline — bounded-lookahead producer, per-node
+# event emission, online k-way merge — with the live sketch layer on
+# (-stream). `-tracehash` prints the SHA-256 ROADMAP.md carries.
 fullscale:
-	$(GO) run ./cmd/analyze -simulate -scale 1.0 -days 40 -nodes 48 -simworkers $(SIMWORKERS) $(STREAMFLAGS) -tracehash -only summary -perf -perflabel fullscale
+	$(GO) run ./cmd/analyze -simulate -scale 1.0 -days 40 -nodes 48 -stream -tracehash -only summary -perf -perflabel fullscale
 
 # fullscale-single is the paper's literal single-vantage deployment, whose
 # 200-connection cap limits the recorded trace to ≈197 k connections

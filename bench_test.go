@@ -4,7 +4,8 @@ package p2pquery
 // artifact from a shared simulated trace, so `go test -bench .` both
 // exercises every analysis code path and reports how long each costs.
 // Micro-benchmarks for the protocol substrate and ablation benchmarks for
-// the design choices called out in DESIGN.md follow.
+// the paper's methodological choices (filtering, per-day ranking,
+// conditional workload structure, replication strategy) follow.
 
 import (
 	"fmt"
@@ -16,10 +17,8 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/capture"
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/engine"
 	"repro/internal/filter"
 	"repro/internal/geo"
 	"repro/internal/guid"
@@ -43,9 +42,9 @@ var (
 func benchSetup(b *testing.B) (*trace.Trace, []analysis.Session) {
 	b.Helper()
 	benchOnce.Do(func() {
-		cfg := capture.DefaultConfig(2004, 0.01)
+		cfg := DefaultSimulation(2004, 0.01)
 		cfg.Workload.Days = 4
-		benchTr = capture.New(cfg).Run()
+		benchTr = Simulate(cfg)
 		benchFiltered = filter.Apply(benchTr)
 		benchSessions = analysis.Enrich(benchFiltered)
 	})
@@ -57,9 +56,9 @@ func benchSetup(b *testing.B) (*trace.Trace, []analysis.Session) {
 func BenchmarkSimulateTrace(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cfg := capture.DefaultConfig(uint64(i), 0.01)
+		cfg := DefaultSimulation(uint64(i), 0.01)
 		cfg.Workload.Days = 1
-		tr := capture.New(cfg).Run()
+		tr := Simulate(cfg)
 		if len(tr.Conns) == 0 {
 			b.Fatal("empty trace")
 		}
@@ -408,70 +407,13 @@ func BenchmarkCharacterizeFullParallel(b *testing.B) {
 	}
 }
 
-// benchFleetConfig is the fleet deployment the simulate speedup pair
-// runs: big enough that per-node event execution dominates the sequential
-// partition phase and the merge, small enough for CI's -benchtime=1x.
-// Keep it in lockstep with benchCfg in internal/engine/bench_test.go —
-// that file measures this same workload's sequential partition share, the
-// Amdahl bound ROADMAP cites for the speedup gate's headroom.
-func benchFleetConfig() capture.FleetConfig {
-	cfg := capture.DefaultConfig(2004, 0.05)
-	cfg.Workload.Days = 2
-	return capture.FleetConfig{Node: cfg, Nodes: 8}
-}
-
-// BenchmarkSimulateFleetSequential runs the 8-node fleet on the
-// historical shared-scheduler sequential path — the reference the
-// engine's speedup is measured against (and the byte-identity oracle its
-// tests pin).
-func BenchmarkSimulateFleetSequential(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr := capture.NewFleet(benchFleetConfig()).Run()
-		if len(tr.Conns) == 0 {
-			b.Fatal("empty trace")
-		}
-	}
-}
-
-// BenchmarkSimulateFleetParallel runs the same fleet on the sharded
-// engine at GOMAXPROCS workers. On a multi-core host the per-node event
-// loops are the speedup source (CI gates ≥ 2× at 4 vCPUs via `make
-// speedup-check`); on a single core it measures the engine's overhead:
-// the pre-partition pass plus the per-node arrival-chain replay.
-func BenchmarkSimulateFleetParallel(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr := engine.New(engine.Config{Fleet: benchFleetConfig(), Workers: runtime.GOMAXPROCS(0)}).Run()
-		if len(tr.Conns) == 0 {
-			b.Fatal("empty trace")
-		}
-	}
-}
-
-// BenchmarkSimulateFleetStream runs the same fleet in full streaming mode
-// — bounded-lookahead producer, per-node event emission, online k-way
-// merge — producing the byte-identical trace with bounded intermediate
-// state. Against BenchmarkSimulateFleetParallel it prices the streaming
-// layer; its payoff (the multi-GB simulate-phase RSS cut) only shows at
-// full scale, where `make fullscale` records it in the perf line.
-func BenchmarkSimulateFleetStream(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr := engine.New(engine.Config{Fleet: benchFleetConfig()}).RunStream(nil)
-		if len(tr.Conns) == 0 {
-			b.Fatal("empty trace")
-		}
-	}
-}
-
 // BenchmarkCharacterizeScaleSweep reports ns/op and allocs of the full
 // pipeline across trace scales, the perf trajectory future PRs track.
 func BenchmarkCharacterizeScaleSweep(b *testing.B) {
 	for _, scale := range []float64{0.01, 0.03, 0.10} {
-		cfg := capture.DefaultConfig(2004, scale)
+		cfg := DefaultSimulation(2004, scale)
 		cfg.Workload.Days = 4
-		tr := capture.New(cfg).Run()
+		tr := Simulate(cfg)
 		b.Run(fmt.Sprintf("scale=%g", scale), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -484,7 +426,7 @@ func BenchmarkCharacterizeScaleSweep(b *testing.B) {
 	}
 }
 
-// --- Ablations (design choices from DESIGN.md) ---
+// --- Ablations (the paper's methodological choices) ---
 
 // BenchmarkAblationUnfilteredPopularity fits the popularity skew without
 // the Section 3.3 filter — the paper's headline argument is that this

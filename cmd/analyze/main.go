@@ -26,10 +26,9 @@
 // the drained trace, prints one line per check to stderr, and exits 1 if
 // any fail — the scenario suite's CI gate.
 //
-// -simworkers bounds the parallel sharded simulation engine (0 =
-// GOMAXPROCS; each vantage node's event loop runs on its own goroutine;
-// the trace is byte-identical for every value) and -workers bounds the
-// characterization worker pool (0 = GOMAXPROCS, 1 = sequential). -ksboot N
+// The simulation runs every vantage node's event loop on its own
+// goroutine (internal/engine); -workers bounds the characterization
+// worker pool (0 = GOMAXPROCS, 1 = sequential). -ksboot N
 // replaces the Lilliefors-biased asymptotic KS p-values of the appendix
 // fits with parametric-bootstrap p-values from N replicates. -perf appends
 // a machine-readable wall-clock / peak-RSS accounting line to stderr —
@@ -41,7 +40,7 @@
 // can track phases across runs.
 //
 // -journal FILE appends the run's observability journal — one JSON line
-// per phase span (partition/simulate/merge/characterize), heartbeat and
+// per phase span (simulate/characterize), heartbeat and
 // final metrics snapshot; see internal/obs for the schema. -heartbeat D
 // emits a liveness line every D while the run progresses. -pprof ADDR
 // serves net/http/pprof plus the Prometheus metric registry on ADDR for
@@ -54,15 +53,14 @@
 //
 //	analyze -timeline fleet.jsonl
 //
-// -stream (with -simulate) runs the bounded-memory streaming engine: the
-// bounded-lookahead arrival producer feeds per-node event loops, each
-// vantage emits records into the streaming k-way merge as they finalize,
-// and the online sketch layer (internal/stream) prints its live
-// characterization before the standard report. The drained merged trace
-// is byte-identical to the batch path — verify with -tracehash, which
-// prints the trace's canonical SHA-256 either way — but neither the
-// partitioned session set nor per-node traces are ever held in memory,
-// which is what cuts the full-scale simulate-phase peak RSS.
+// Every simulation is the bounded-memory stream: the bounded-lookahead
+// arrival producer feeds per-node event loops, each vantage emits
+// records into the streaming k-way merge as they finalize, and the merge
+// drains into the trace — no per-node trace is ever held in memory.
+// -stream (with -simulate) additionally attaches the online sketch layer
+// (internal/stream), which prints its live characterization before the
+// standard report, and lets -memlimit's auto setting apply. The trace is
+// byte-identical either way — -tracehash prints its canonical SHA-256.
 package main
 
 import (
@@ -116,7 +114,7 @@ func main() {
 	ksboot := flag.Int("ksboot", 0, "parametric-bootstrap replicates for the appendix-fit KS p-values (0 = asymptotic Lilliefors-biased p-values)")
 	perf := flag.Bool("perf", false, "print a wall-clock/peak-RSS accounting line to stderr, simulate and characterize phases separately")
 	checks := flag.Bool("checks", false, "with -spec/-preset: evaluate the spec's headline-metric checks and exit 1 on any failure")
-	traceHash := flag.Bool("tracehash", false, "print the trace's canonical SHA-256 to stderr (comparable across the batch and streaming paths)")
+	traceHash := flag.Bool("tracehash", false, "print the trace's canonical SHA-256 to stderr (comparable across runs, node processes and -stream)")
 	perfLabel := flag.String("perflabel", "", "label attached to the -perf accounting line, so benchjson can track phases across runs")
 	journalPath := flag.String("journal", "", "write the run's observability journal (JSON lines; see internal/obs) to this file")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and the Prometheus metric registry on this address")
@@ -215,12 +213,11 @@ func main() {
 	var deadInputs int
 	var lostSessions uint64
 	var streamMode bool
-	var simWorkers int
 	checksFailed := false
 	switch {
 	case doSim:
 		if flag.NArg() != 0 {
-			fmt.Fprintln(os.Stderr, "usage: analyze -simulate [-seed N] [-scale F] [-days D] [-nodes N] [-simworkers W] [-stream] | -spec FILE | -preset NAME")
+			fmt.Fprintln(os.Stderr, "usage: analyze -simulate [-seed N] [-scale F] [-days D] [-nodes N] [-stream] | -spec FILE | -preset NAME")
 			os.Exit(2)
 		}
 		sc, err := sim.Resolve()
@@ -228,20 +225,18 @@ func main() {
 			fmt.Fprintf(os.Stderr, "resolving run configuration: %v\n", err)
 			os.Exit(2)
 		}
-		streamMode, simWorkers = sc.Stream, sc.Workers
-		// The streaming engine keeps its live state bounded (bounded
-		// producer, incremental merge), but with the default GC target the
-		// heap floats to ~2x the live set before a cycle runs. The soft
-		// limit makes the collector enforce what the data structures
-		// already guarantee; see cliflags.ApplyMemLimit.
+		streamMode = sc.Stream
+		// The engine keeps its live state bounded (bounded producer,
+		// incremental merge), but with the default GC target the heap
+		// floats to ~2x the live set before a cycle runs. The soft limit
+		// makes the collector enforce what the data structures already
+		// guarantee; see cliflags.ApplyMemLimit.
 		cliflags.ApplyMemLimit(sc.MemLimit, sc.Stream)
 		res, err := p2pquery.Run(p2pquery.RunConfig{
-			Sim:     sc.Sim,
-			Nodes:   sc.Nodes,
-			Workers: sc.Workers,
-			Stream:  sc.Stream,
-			Online:  sc.Stream,
-			Obs:     ob,
+			Sim:    sc.Sim,
+			Nodes:  sc.Nodes,
+			Online: sc.Stream,
+			Obs:    ob,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "simulating: %v\n", err)
@@ -249,9 +244,8 @@ func main() {
 		}
 		tr = res.Trace
 		if res.Online != nil {
-			// Streaming mode prints the online sketch characterization
-			// before the standard report; the phase's peak RSS is what
-			// the -stream flag exists to cut.
+			// -stream prints the online sketch characterization before
+			// the standard report.
 			if err := res.Online.WriteText(os.Stdout); err != nil {
 				fmt.Fprintf(os.Stderr, "rendering online snapshot: %v\n", err)
 				os.Exit(1)
@@ -352,20 +346,11 @@ func main() {
 		// from the obs registry (the engine and merge publish them there);
 		// the locally tracked values are the fallback and always agree.
 		if doSim {
-			// Streaming mode ignores the worker pool (every node runs its
-			// own goroutine, throttled by the producer window), so the
-			// accounting reports 0 there rather than an echoed flag that
-			// had no effect.
-			perfWorkers := simWorkers
-			if streamMode {
-				perfWorkers = 0
-			}
 			// merge_peak_pending / spilled_sessions report the k-way
-			// merge's high-water mark and emission-window outlier count
-			// (every mode drives the streaming merge); the sched_events
-			// pair records the keyed engine's per-node scheduling cost —
-			// the max node stays O(own sessions), where the old chain
-			// replay paid O(global arrivals) at every node.
+			// merge's high-water mark and emission-window outlier count;
+			// the sched_events pair records the keyed engine's per-node
+			// scheduling cost — the max node stays O(own sessions), where
+			// the old chain replay paid O(global arrivals) at every node.
 			// dead_inputs / lost_sessions are the merge's degradation
 			// ledger. In-process runs are always 0/0 (no input can die);
 			// the fields exist so the same perf line covers the
@@ -384,7 +369,6 @@ func main() {
 				SimulateS:          simulated.Seconds(),
 				SimulatePeakRSS:    simulatePeakRSS,
 				SimulateHeapLive:   simulateHeapLive,
-				SimWorkers:         perfWorkers,
 				Stream:             streamMode,
 			}
 		}

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/capture"
+	p2pquery "repro"
 )
 
 // buildAnalyze compiles the analyze binary once per test run.
@@ -24,9 +24,9 @@ func buildAnalyze(t *testing.T) string {
 // smallTrace writes a small simulated trace file for the CLI to read.
 func smallTrace(t *testing.T) string {
 	t.Helper()
-	cfg := capture.DefaultConfig(7, 0.01)
+	cfg := p2pquery.DefaultSimulation(7, 0.01)
 	cfg.Workload.Days = 2
-	tr := capture.New(cfg).Run()
+	tr := p2pquery.Simulate(cfg)
 	path := filepath.Join(t.TempDir(), "trace.bin")
 	if err := tr.WriteFile(path); err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestCLIAnalyzeSimulateFleet(t *testing.T) {
 	// The perf line reports the simulate and characterize phases
 	// separately: wall-clock and peak RSS each.
 	for _, want := range []string{`"nodes":3`, `"arrivals":`, `"max_peak_conns":`,
-		`"simulate_s":`, `"simulate_peak_rss_bytes":`, `"simworkers":`,
+		`"simulate_s":`, `"simulate_peak_rss_bytes":`,
 		`"characterize_s":`, `"peak_rss_bytes":`} {
 		if !strings.Contains(stderr.String(), want) {
 			t.Errorf("perf line missing %q: %s", want, stderr.String())
@@ -102,22 +102,26 @@ func TestCLIAnalyzeSimulateFleet(t *testing.T) {
 }
 
 // TestCLIAnalyzeSimWorkersByteIdentical pins the engine's determinism
-// contract end to end through the CLI: the rendered report must be
-// byte-identical for every -simworkers value.
+// contract end to end through the CLI: every vantage's event loop runs on
+// its own goroutine, so the OS threads available to the simulation are
+// its workers, and the rendered report must be byte-identical however
+// many GOMAXPROCS grants.
 func TestCLIAnalyzeSimWorkersByteIdentical(t *testing.T) {
 	bin := buildAnalyze(t)
-	run := func(workers string) string {
-		out, err := exec.Command(bin, "-simulate", "-seed", "5", "-scale", "0.004", "-days", "1",
-			"-nodes", "3", "-simworkers", workers, "-only", "summary").Output()
+	run := func(procs string) string {
+		cmd := exec.Command(bin, "-simulate", "-seed", "5", "-scale", "0.004", "-days", "1",
+			"-nodes", "3", "-only", "summary")
+		cmd.Env = append(os.Environ(), "GOMAXPROCS="+procs)
+		out, err := cmd.Output()
 		if err != nil {
-			t.Fatalf("analyze -simworkers %s: %v", workers, err)
+			t.Fatalf("analyze at GOMAXPROCS=%s: %v", procs, err)
 		}
 		return string(out)
 	}
 	ref := run("1")
-	for _, w := range []string{"2", "4", "0"} {
-		if got := run(w); got != ref {
-			t.Errorf("-simworkers %s output differs from -simworkers 1", w)
+	for _, p := range []string{"2", "4"} {
+		if got := run(p); got != ref {
+			t.Errorf("GOMAXPROCS=%s output differs from GOMAXPROCS=1", p)
 		}
 	}
 }
@@ -184,11 +188,10 @@ func TestCLIAnalyzeBadUsage(t *testing.T) {
 	}
 }
 
-// TestCLIAnalyzeStreamMatchesBatch drives the streaming engine through
-// the CLI: the online characterization block must print, the perf line
-// must carry the streaming phase fields, and the canonical trace hash
-// must equal the batch path's — the full-scale acceptance check at test
-// scale.
+// TestCLIAnalyzeStreamMatchesBatch drives -stream through the CLI: the
+// online characterization block must print, the perf line must carry the
+// stream marker, and the canonical trace hash must equal the run without
+// the flag — the full-scale acceptance check at test scale.
 func TestCLIAnalyzeStreamMatchesBatch(t *testing.T) {
 	bin := buildAnalyze(t)
 	run := func(extra ...string) (stdout, stderr string) {

@@ -26,7 +26,6 @@ type perfSim struct {
 	SimulateS          float64 `json:"simulate_s"`
 	SimulatePeakRSS    int64   `json:"simulate_peak_rss_bytes"`
 	SimulateHeapLive   int64   `json:"simulate_heap_live_bytes"`
-	SimWorkers         int     `json:"simworkers"`
 	Stream             bool    `json:"stream"`
 }
 

@@ -298,8 +298,10 @@ func TestPhaseLineFormatCompat(t *testing.T) {
 	// Verbatim capture of the struct encoder's output (a smoke-scale
 	// run): zero floats render as 0 rather than 0.00 and the sim block
 	// rides an embedded struct, but the field names and order are the
-	// same contract.
-	now := `{"label":"smoke","conns":549,"arrivals":549,"rejected_arrivals":0,"max_peak_conns":9,"merge_peak_pending":549,"spilled_sessions":0,"dead_inputs":0,"lost_sessions":0,"sched_events_max_node":18099,"sched_events_total":33623,"simulate_s":0.04,"simulate_peak_rss_bytes":15863808,"simulate_heap_live_bytes":3550880,"simworkers":0,"stream":false,"nodes":2,"hop1_queries":1197,"characterize_s":0,"total_s":0.04,"peak_rss_bytes":16084992,"workers":0,"scale":0.005,"days":1}`
+	// same contract. The engine's worker knob is gone, so the current
+	// line lacks the PR6-era worker-count key — which the old line above
+	// keeps verbatim, pinning that retired keys still decode.
+	now := `{"label":"smoke","conns":549,"arrivals":549,"rejected_arrivals":0,"max_peak_conns":9,"merge_peak_pending":549,"spilled_sessions":0,"dead_inputs":0,"lost_sessions":0,"sched_events_max_node":18099,"sched_events_total":33623,"simulate_s":0.04,"simulate_peak_rss_bytes":15863808,"simulate_heap_live_bytes":3550880,"stream":false,"nodes":2,"hop1_queries":1197,"characterize_s":0,"total_s":0.04,"peak_rss_bytes":16084992,"workers":0,"scale":0.005,"days":1}`
 	var phNow Phase
 	if err := json.Unmarshal([]byte(now), &phNow); err != nil {
 		t.Fatalf("current line: %v", err)

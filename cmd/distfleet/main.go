@@ -2,7 +2,7 @@
 // distributed ingest pipeline (make distfleet-smoke). It runs an ingest
 // collector in-process, launches one cmd/vantage subprocess per fleet
 // node, and asserts that the drained merged trace is SHA-256-identical
-// to a single-process engine.RunStream with the same parameters — under
+// to a single-process engine.Run with the same parameters — under
 // three escalating scenarios:
 //
 //	clean          N emitters over loopback TCP, no interference. Runs
@@ -76,10 +76,10 @@ func main() {
 		log.Fatalf("distfleet: vantage binary %q not found (run `make bin/vantage` first): %v", p.bin, err)
 	}
 
-	// Reference: the single-process streaming run every scenario must match.
+	// Reference: the single-process run every scenario must match.
 	cfg := capture.DefaultConfig(p.seed, p.scale)
 	cfg.Workload.Days = p.days
-	refRes, err := p2pquery.Run(p2pquery.RunConfig{Sim: cfg, Nodes: p.nodes, Stream: true})
+	refRes, err := p2pquery.Run(p2pquery.RunConfig{Sim: cfg, Nodes: p.nodes})
 	if err != nil {
 		log.Fatalf("distfleet: reference run: %v", err)
 	}

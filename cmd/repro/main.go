@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	repro [-seed N] [-scale F] [-days N] [-nodes N] [-simworkers W] [-ksboot B] [-trace FILE] [-maxconns N]
+//	repro [-seed N] [-scale F] [-days N] [-nodes N] [-ksboot B] [-trace FILE] [-maxconns N]
 //	repro -spec FILE | -preset NAME [overriding flags]
 //
 // At -scale 1.0 the simulation generates the paper's full 4.36 M
@@ -14,7 +14,7 @@
 // arrivals shard across a fleet of vantage ultrapeers and the merged
 // trace is characterized — at -scale 1.0 with enough nodes that the
 // per-node caps don't bind, the whole 4.36 M-connection stream is
-// recorded (see internal/capture's Fleet). -spec/-preset describe the
+// recorded (see internal/engine). -spec/-preset describe the
 // run declaratively (internal/scenario); explicitly set flags override
 // the spec.
 package main
@@ -49,12 +49,7 @@ func main() {
 	wl := sc.Sim.Workload
 	fmt.Printf("simulating %d days at scale %.3g across %d node(s) (seed %d)...\n", wl.Days, wl.Scale, sc.Nodes, wl.Seed)
 	start := time.Now()
-	res, err := p2pquery.Run(p2pquery.RunConfig{
-		Sim:     sc.Sim,
-		Nodes:   sc.Nodes,
-		Workers: sc.Workers,
-		Stream:  sc.Stream,
-	})
+	res, err := p2pquery.Run(p2pquery.RunConfig{Sim: sc.Sim, Nodes: sc.Nodes})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "simulating: %v\n", err)
 		os.Exit(1)

@@ -5,9 +5,9 @@
 // The run is described either by the shared simulation flags or by a
 // declarative spec: -spec FILE / -preset NAME compile through
 // internal/scenario, with explicitly set flags overriding the spec
-// (precedence spec < preset < flag). -stream drains the bounded-memory
-// streaming engine instead of the batch path; the written trace is
-// byte-identical either way.
+// (precedence spec < preset < flag). Every run is the engine's
+// bounded-memory stream drained into the trace; -stream only lets
+// -memlimit's auto setting apply.
 package main
 
 import (
@@ -34,12 +34,7 @@ func main() {
 	cliflags.ApplyMemLimit(sc.MemLimit, sc.Stream)
 
 	start := time.Now()
-	res, err := p2pquery.Run(p2pquery.RunConfig{
-		Sim:     sc.Sim,
-		Nodes:   sc.Nodes,
-		Workers: sc.Workers,
-		Stream:  sc.Stream,
-	})
+	res, err := p2pquery.Run(p2pquery.RunConfig{Sim: sc.Sim, Nodes: sc.Nodes})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "simulating: %v\n", err)
 		os.Exit(1)

@@ -5,7 +5,7 @@
 // sequence-numbered frames, ack-based resume, and reconnect backoff.
 //
 // N vantage processes pointed at one collector drain to a trace
-// byte-identical to a single-process engine.RunStream with the same
+// byte-identical to a single-process engine.Run with the same
 // seed/scale/days/nodes — cmd/distfleet asserts exactly that, including
 // under injected faults and a mid-run SIGKILL+restart.
 //
@@ -49,8 +49,8 @@ func main() {
 
 	// The shared block supplies -seed -scale -days -nodes and the
 	// declarative -spec/-preset pair (all of which must match the
-	// fleet's); -simworkers/-stream/-memlimit are accepted but inert
-	// here — an emitter is inherently a single streaming node.
+	// fleet's); -stream/-memlimit are accepted but inert here — an
+	// emitter is one streaming node with no online sketch layer.
 	sim := cliflags.Bind(flag.CommandLine, cliflags.Defaults{Seed: 2004, Scale: 0.01, Days: 4, Nodes: 1, MemLimit: -1})
 	lookahead := flag.Int("lookahead", 0, "bounded-producer lookahead (0 = engine default)")
 

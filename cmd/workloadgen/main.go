@@ -9,7 +9,7 @@
 // arrivals — each session line then carries a "class" column naming its
 // class (absent for the base class) — and churn events shape the arrival
 // rate. Explicitly set flags override the spec; the fleet-shape flags
-// the shared block also binds (-nodes -simworkers -stream -memlimit)
+// the shared block also binds (-nodes -stream -memlimit)
 // are accepted but inert here, since no measurement node is simulated.
 // Same spec + seed ⇒ byte-identical output (pinned by test).
 package main

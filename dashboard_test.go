@@ -105,7 +105,7 @@ func liveFamilies(t *testing.T) map[string]bool {
 	sim := p2pquery.DefaultSimulation(2004, 0.005)
 	sim.Workload.Days = 1
 	if _, err := p2pquery.Run(p2pquery.RunConfig{
-		Sim: sim, Nodes: 2, Stream: true, Online: true, Obs: ob,
+		Sim: sim, Nodes: 2, Online: true, Obs: ob,
 	}); err != nil {
 		t.Fatal(err)
 	}

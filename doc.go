@@ -13,12 +13,12 @@
 //   - a synthetic peer population driven by the paper's published model
 //     (the generative ground truth);
 //   - the measurement node with the paper's exact observation rules, and
-//     beyond it a multi-vantage measurement fabric: capture.Fleet runs N
-//     cooperating ultrapeer nodes on one simulated network, sharding
+//     beyond it a multi-vantage measurement fabric: N cooperating
+//     ultrapeer nodes (capture.Node) on one simulated network, sharding
 //     arrivals consistently by session GUID (guid.Shard) so that — with N
 //     sized so no per-node 200-connection cap binds — the merged trace
-//     (trace.Merge) records the paper's entire ≈4.36 M-connection arrival
-//     stream instead of the ≈197 k a single capped vantage admits;
+//     records the paper's entire ≈4.36 M-connection arrival stream
+//     instead of the ≈197 k a single capped vantage admits;
 //   - the Section 3.3 filter pipeline and the full Section 4 analysis,
 //     regenerating every table and figure;
 //   - the Figure 12 synthetic workload generator for evaluating new P2P
@@ -37,42 +37,43 @@
 // per-slot seeds) whose acceptances are trustworthy too, and the report
 // tags every verdict with its source.
 //
-// # Parallel simulation engine
+// # Simulation engine
 //
-// internal/engine executes the multi-vantage simulation in parallel: a
-// sharded discrete-event engine in which every vantage node runs its
-// event loop on its own goroutine with its own virtual clock, random
-// streams and calendar-queue scheduler, and schedules only its own
-// sessions. The arrival process and its GUID stream are replayed once,
-// sequentially — eagerly into per-node lists, or incrementally through
-// the bounded producer of the streaming pipeline below — and split by
-// guid.Shard; the per-node results join in the streaming k-way merge.
+// internal/engine is the one way a vantage runs: a bounded producer
+// replays the arrival process and its GUID stream once, in generation
+// order, and hands each session to its owner's bounded queue
+// (guid.Shard); every vantage node runs its event loop on its own
+// goroutine with its own virtual clock, random streams and calendar-queue
+// scheduler, scheduling only its own sessions and emitting each record
+// the moment it is final; the streaming k-way merge joins the per-node
+// streams. A batch run is that stream drained into a trace, the paper's
+// single vantage is one node, and a distributed vantage (cmd/vantage) is
+// the same loop with an ownership filter on the producer.
 //
-// The determinism contract is exact, not statistical. In the sequential
-// capture.Fleet, events with equal timestamps fire in schedule-FIFO order
-// of one global sequence. The engine reproduces that order without any
-// node seeing a foreign arrival, through a keyed tie-break: every
-// scheduler orders events by (timestamp, simtime.SeqKey{Epoch, Pos},
-// insertion); an own arrival is planted at the explicit key {its global
-// chain position, 0} (ScheduleKeyed), and a pre-fire hook counts — by a
-// forward-only galloping search over the shared array of arrival
-// instants — how many global arrivals precede the event about to fire,
-// reseeding the scheduler's implicit key to {count, 1} when the count
-// moved. Every event a node schedules thus carries the tag it would have
-// carried in the global sequence, per-node cost is O(own sessions ×
-// events per session), and every per-node trace — therefore the merged
-// trace — is byte-identical to the sequential fleet's for every worker
-// count, a one-node run reproducing the historical single-vantage Sim
-// byte for byte (pinned against the fleet, against a chain-replay oracle
-// kept in the engine's tests, by fuzzing and by the golden hashes of
-// bench/golden.json; wired through p2pquery.Run and the -simworkers flag).
+// The determinism contract is exact, not statistical. The reference
+// order is one global FIFO scheduler dispatching the arrival chain, in
+// which events with equal timestamps fire in schedule order of one
+// global sequence. The engine reproduces that order without any node
+// seeing a foreign arrival, through a keyed tie-break: every scheduler
+// orders events by (timestamp, simtime.SeqKey{Epoch, Pos}, insertion);
+// an own arrival is planted at the explicit key {its global chain
+// position, 0} (ScheduleKeyed), and a pre-fire hook counts — by a
+// forward-only galloping search over the published arrival instants —
+// how many global arrivals precede the event about to fire, reseeding
+// the scheduler's implicit key to {count, 1} when the count moved. Every
+// event a node schedules thus carries the tag it would have carried in
+// the global sequence, per-node cost is O(own sessions × events per
+// session), and the merged trace is byte-identical however the
+// goroutines interleave, in one process or many (pinned against a
+// chain-replay oracle kept in the engine's tests, by fuzzing and by the
+// golden hashes of bench/golden.json).
 //
 // simtime.Scheduler has two order-equivalent implementations, the
 // container/heap HeapScheduler and a Brown calendar queue
 // (CalendarScheduler) with lazy cancellation, property- and fuzz-tested
 // to pop identical sequences — ties, cancellations, stale handles and
 // far-future gaps included. The engine's nodes run the calendar queue;
-// the sequential fleet and ad-hoc schedulers the heap. Which of the two
+// the chain-replay oracle and ad-hoc schedulers the heap. Which of the two
 // should serve a node holding on the order of 10^3 pending events is an
 // open ROADMAP question (direction 2) that bench/'s simtime.*_hold_ns
 // layer metrics exist to answer.
@@ -114,18 +115,16 @@
 //     close, query, pong and hit records into bounded channels the moment
 //     each record is final, instead of retaining a per-node trace. The
 //     engine's bounded-lookahead producer (engine.Config.Lookahead)
-//     replaces the eager pre-partition: the arrival chain is published
-//     incrementally through a conservative time-window synchronizer and
-//     each node's undelivered sessions are capped, so the in-flight
-//     session set is nodes × Lookahead instead of the whole measurement
-//     period.
+//     publishes the arrival chain incrementally through a conservative
+//     time-window synchronizer and caps each node's undelivered
+//     sessions, so the in-flight session set is nodes × Lookahead instead
+//     of the whole measurement period.
 //   - A streaming k-way merge (stream.Merger): per-node streams are
 //     unioned into the global deduplicated, time-ordered, densely
 //     re-identified order incrementally — a completed session retires the
 //     moment no still-open or future session can precede it (the emission
 //     barrier) — and draining to completion yields a trace byte-identical
-//     to batch trace.Merge (pinned by test; stream.MergeTraces is the
-//     engine's production merge path, with trace.Merge kept as the
+//     to batch trace.Merge (pinned by test; trace.Merge is kept as the
 //     reference oracle).
 //   - An online characterization layer (stream.Online): Space-Saving
 //     top-K keyword ranking (exact while distinct keys fit capacity,
@@ -137,11 +136,11 @@
 //     function of the merged stream, independent of goroutine
 //     interleaving — and pinned against batch-exact oracles by test.
 //
-// Entry points: engine.RunStream / p2pquery.SimulateFleetStream run the
-// whole pipeline (merged trace byte-identical to the batch engine at a
-// fraction of the simulate-phase peak RSS); `analyze -simulate -stream`
-// prints the online characterization above the standard report and
-// `-tracehash` the canonical SHA-256 that proves the two paths equal;
+// Entry points: engine.Run(sink) / p2pquery.Run with Online run the
+// whole pipeline with the sketch layer on the merge sink;
+// `analyze -simulate -stream` prints the online characterization above
+// the standard report and `-tracehash` the canonical SHA-256, identical
+// with or without it;
 // cmd/gnutellad -metrics serves the live snapshot of wire-ingested
 // traffic (Prometheus text at /metrics, the JSON snapshot at
 // /metrics.json); examples/livecapture feeds the same layer from
@@ -150,10 +149,8 @@
 // # Declarative scenarios and the run facade
 //
 // Run(RunConfig) is the one entry point every fleet simulation goes
-// through: batch or streaming, sequential or sharded-parallel, with the
-// online sketch layer optionally attached — the historical
-// SimulateFleet/SimulateFleetWorkers/SimulateFleetStream trio survives
-// as thin deprecated wrappers over it, pinned byte-identical by test.
+// through, with the online sketch layer optionally attached; Simulate is
+// its single-vantage shorthand.
 //
 // internal/scenario makes whole experiments declarative: a strict,
 // versioned YAML spec (parsed by a dependency-free reader that rejects
@@ -209,17 +206,18 @@
 // observer is installed — the obs-overhead make target gates that cost
 // against the pre-observability benchmark baseline in CI. An
 // obs.Observer couples a registry with a JSONL run journal: engine,
-// stream and ingest record phase spans (partition, simulate, merge,
-// characterize), discrete events (input_stalled, input_evicted,
-// scenario_check) and a final metrics snapshot. Journals are
-// deterministic by construction — wall-clock-dependent values ride
+// stream and ingest record phase spans (simulate, characterize),
+// discrete events (input_stalled, input_evicted, scenario_check) and a
+// final metrics snapshot. Journals are deterministic by construction —
+// values that depend on the wall clock or on goroutine interleaving (the
+// merge's pending high-water mark, its barrier position) ride
 // exposition-only GaugeFuncs, excluded from snapshots — so two runs of
 // the same spec are identical after obs.Canonical strips timestamps
 // (pinned by test). The long-running commands share one HTTP surface
 // (obs.NewHTTPHandler): Prometheus text exposition at /metrics, any
 // legacy JSON payload at /metrics.json, and net/http/pprof behind a
 // -pprof flag; `analyze -journal run.jsonl -heartbeat 5s` records a
-// batch run's full story to disk.
+// run's full story to disk.
 //
 // # Quickstart
 //
@@ -239,6 +237,6 @@
 //		feed(s) // region, passive/active, query schedule, query strings
 //	}
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-versus-measured record of every table and figure.
+// `analyze -simulate` and `repro` print every table and figure with the
+// paper's published values alongside.
 package p2pquery

@@ -18,8 +18,8 @@ import (
 	"fmt"
 	"time"
 
+	p2pquery "repro"
 	"repro/internal/analysis"
-	"repro/internal/capture"
 	"repro/internal/core"
 	"repro/internal/filter"
 	"repro/internal/geo"
@@ -110,9 +110,9 @@ func (c *resultCache) hitRate() float64 {
 
 func main() {
 	fmt.Println("simulating 4 days of measurement traffic...")
-	cfg := capture.DefaultConfig(2004, 0.05)
+	cfg := p2pquery.DefaultSimulation(2004, 0.05)
 	cfg.Workload.Days = 4
-	tr := capture.New(cfg).Run()
+	tr := p2pquery.Simulate(cfg)
 
 	const (
 		cacheSize = 4096

@@ -456,9 +456,9 @@ func (g *Generator) automated(class string) bool {
 // Fraction probability, cut off at that instant — its remaining queries
 // never sent, exactly like a peer whose connection an intervention tore
 // down. Draws come from the dedicated churn stream, one per spanning
-// (session, event) pair, so the decision is positional and identical in
-// every execution mode (sequential fleet, eager engine, bounded producer,
-// per-vantage NodeStream regeneration).
+// (session, event) pair, so the decision is positional and identical
+// wherever the arrival chain is replayed (the engine's producer, each
+// per-vantage NodeStream process, the chain-replay test oracle).
 func (g *Generator) applyChurn(cs *Session) {
 	if g.churnRNG == nil {
 		return

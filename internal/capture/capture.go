@@ -20,11 +20,13 @@
 //   - the node itself: probe pings and pong replies (sent, therefore not
 //     part of the received-message counts).
 //
-// Beyond the paper's single vantage, the package grows the deployment the
-// way the distributed-measurement literature does (Allali et al.'s
-// distributed honeypots): a Fleet of N cooperating ultrapeer vantage
-// points sharding the arrival stream, whose per-node traces merge into
-// one full-volume trace (see fleet.go and trace.Merge).
+// Beyond the paper's single vantage, the deployment grows the way the
+// distributed-measurement literature does (Allali et al.'s distributed
+// honeypots): N cooperating ultrapeer vantage points sharding the
+// arrival stream, each the same Node running the same capture code, whose
+// streams merge into one full-volume trace. The package defines the
+// vantage (Node) and the fleet's shape and accounting (FleetConfig,
+// FleetStats); internal/engine drives them.
 package capture
 
 import (
@@ -51,7 +53,7 @@ type Config struct {
 	// Workload configures the peer population (seed, scale, days).
 	Workload workload.Config
 	// MaxConns caps simultaneous connections (the paper's node held 200).
-	// In a Fleet the cap applies to each vantage node independently.
+	// In a fleet the cap applies to each vantage node independently.
 	MaxConns int
 	// ProbeIdle is the idle time before the node sends its single probe
 	// PING (15 s in the paper).
@@ -102,8 +104,8 @@ type Config struct {
 // ≈5% of QUERY — holds for a 40-day run at scales where the 200-slot cap
 // is not binding (the heavy-tailed session durations take a few days to
 // reach steady-state concurrency, so shorter runs see lower background
-// ratios). A Fleet with enough nodes that no per-node cap binds records
-// the entire arrival stream (see fleet.go).
+// ratios). A fleet with enough nodes that no per-node cap binds records
+// the entire arrival stream (see FleetConfig).
 func DefaultConfig(seed uint64, scale float64) Config {
 	return Config{
 		Workload:            workload.DefaultConfig(seed, scale),
@@ -151,41 +153,11 @@ type simConn struct {
 	queries []trace.Query
 }
 
-// Sim is one single-vantage measurement run — the paper's literal
-// deployment. Create with New, execute with Run. It is a Fleet of one
-// node; use NewFleet directly for the multi-vantage fabric.
-type Sim struct {
-	f *Fleet
-	// Rejected counts arrivals refused because all MaxConns slots were
-	// busy; populated by Run.
-	Rejected uint64
-	// DroppedQueryEvents counts client query events that found their
-	// connection already closed (diagnostic); populated by Run.
-	DroppedQueryEvents uint64
-}
-
-// New builds a single-vantage simulation.
-func New(cfg Config) *Sim {
-	return &Sim{f: NewFleet(FleetConfig{Node: cfg, Nodes: 1})}
-}
-
-// Run executes the full measurement period and returns the trace. The
-// measurement stops at the configured horizon: sessions still connected
-// are right-censored there, exactly as a real trace collection ends with
-// connections still open.
-func (s *Sim) Run() *trace.Trace {
-	tr := s.f.Run()
-	st := s.f.Stats()
-	s.Rejected = st.Rejected
-	s.DroppedQueryEvents = st.DroppedQueryEvents
-	return tr
-}
-
-// vantage is one measurement node of a Fleet: its own overlay node,
-// connection slots, random streams and output trace, driven by the
-// fleet's shared clock and arrival stream. The zero-indexed node's random
-// streams coincide with the historical single-node simulator, so a
-// one-node fleet reproduces the original Sim trace.
+// vantage is one measurement node of a fleet: its own overlay node,
+// connection slots, random streams and output trace, driven by its own
+// scheduler and the arrivals its driver hands it. The zero-indexed
+// node's random streams coincide with the historical single-node
+// simulator, so a one-node fleet reproduces the paper's deployment.
 type vantage struct {
 	cfg     Config
 	nodeIdx int
@@ -228,7 +200,7 @@ type vantage struct {
 	// accumulates in out except the aggregate counters (shipped in the
 	// stream trailer). The simulation itself is identical bit for bit:
 	// sink mode changes where records go, never what the vantage does, so
-	// the drained merged stream equals the batch merged trace (pinned by
+	// the drained stream equals the retained trace merged alone (pinned by
 	// internal/engine's equivalence tests).
 	sink *stream.Producer
 	// dayKeyCount tracks how often each keyword set was queried today at
@@ -239,11 +211,9 @@ type vantage struct {
 	dayOfCount  int
 }
 
-// newVantage builds node idx of a fleet-style deployment around the given
-// scheduler — the fleet's shared event loop, or a node-private one when
-// internal/engine runs each vantage on its own goroutine. Per-node random
-// streams are salted by the node index; index 0 reproduces the historical
-// single-node streams exactly.
+// newVantage builds node idx of a fleet deployment around the given
+// scheduler. Per-node random streams are salted by the node index; index
+// 0 reproduces the historical single-node streams exactly.
 func newVantage(cfg Config, idx int, sched simtime.Scheduler, sh *SharedModel) *vantage {
 	salt := uint64(idx) * 0x9e3779b97f4a7c15
 	s := &vantage{

@@ -12,12 +12,13 @@ import (
 	"repro/internal/workload"
 )
 
-// smallTrace runs a short, small-scale capture once per test binary.
+// smallTrace runs a short, small-scale single-vantage capture.
 func smallTrace(t *testing.T, seed uint64, scale float64, days int) *trace.Trace {
 	t.Helper()
 	cfg := DefaultConfig(seed, scale)
 	cfg.Workload.Days = days
-	return New(cfg).Run()
+	tr, _ := simulateVantage(cfg)
+	return tr
 }
 
 func TestDeterminism(t *testing.T) {
@@ -207,9 +208,8 @@ func TestMaxConnsRespected(t *testing.T) {
 	cfg := DefaultConfig(11, 0.02)
 	cfg.Workload.Days = 1
 	cfg.MaxConns = 5 // tiny cap forces rejections
-	sim := New(cfg)
-	tr := sim.Run()
-	if sim.Rejected == 0 {
+	tr, st := simulateVantage(cfg)
+	if st.Rejected == 0 {
 		t.Error("expected rejections with a 5-connection cap")
 	}
 	// Verify concurrency never exceeded the cap: count overlaps.

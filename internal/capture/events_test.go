@@ -1,43 +1,19 @@
 package capture
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/behavior"
 	"repro/internal/simtime"
 	"repro/internal/stream"
+	"repro/internal/trace"
 )
 
-// TestOverlappingProbesGoldenHash pins a trace in which probe machinery
-// events of one connection overlap: with ProbeIdle and ProbeRearmIdle at
-// 5 s and ProbeTimeout at 15 s, an answered probe is followed by the next
-// one while up to three earlier deadlines are still pending, each holding
-// a different probe instant. An event loop that kept one deadline record
-// per connection would close live connections (or keep dead ones) and
-// change the hash, which was recorded with the closure-based loop that
-// preceded the typed events.
-func TestOverlappingProbesGoldenHash(t *testing.T) {
-	cfg := DefaultConfig(2004, 0.02)
-	cfg.Workload.Days = 1
-	cfg.ProbeIdle = 5 * time.Second
-	cfg.ProbeTimeout = 15 * time.Second
-	cfg.ProbeRearmIdle = 5 * time.Second
-	tr := NewFleet(FleetConfig{Node: cfg, Nodes: 2}).Run()
-	h, err := tr.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const want = "8664419e58da76d80ccb836aec8e74871c4ac432312620d12414ff7a50d5ec7d"
-	if got := fmt.Sprintf("%x", h); got != want {
-		t.Fatalf("trace hash %s, want %s", got, want)
-	}
-}
-
 // arrivalFeed delivers pre-generated sessions to one node, one reused
-// event for the whole chain.
+// event for the whole chain: it schedules the next arrival before it
+// delivers this one, on the scheduler's implicit FIFO order — the paper's
+// single-vantage deployment exactly.
 type arrivalFeed struct {
 	node  *Node
 	sched simtime.Scheduler
@@ -51,6 +27,26 @@ func (a *arrivalFeed) Fire(now simtime.Time) {
 		a.sched.Schedule(a.sess[0].Start, a)
 	}
 	a.node.Arrive(now, s)
+}
+
+// simulateVantage runs the single-vantage measurement to the horizon in
+// retained mode and returns the node's trace and accounting row.
+func simulateVantage(cfg Config) (*trace.Trace, NodeStats) {
+	gen := behavior.NewGenerator(cfg.Workload)
+	shared := NewSharedModel(gen)
+	var sessions []*behavior.Session
+	for s := gen.Next(); s != nil; s = gen.Next() {
+		sessions = append(sessions, s)
+	}
+	sched := simtime.NewScheduler()
+	node := NewNode(cfg, 0, sched, shared)
+	if len(sessions) > 0 {
+		sched.Schedule(sessions[0].Start, &arrivalFeed{node: node, sched: sched, sess: sessions})
+	}
+	horizon := simtime.Time(cfg.Workload.Days) * simtime.Day
+	sched.RunUntil(horizon)
+	node.FinalizeOpen(horizon)
+	return node.Trace(), node.Stats()
 }
 
 // TestEventLoopAllocationBudget holds the event loop to its allocation

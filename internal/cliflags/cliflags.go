@@ -1,7 +1,7 @@
 // Package cliflags is the one definition of the simulation flag block
-// every binary used to duplicate (-seed -scale -days -nodes -simworkers
-// -stream -memlimit) plus the declarative pair (-spec -preset), and the
-// one implementation of their precedence:
+// every binary used to duplicate (-seed -scale -days -nodes -stream
+// -memlimit) plus the declarative pair (-spec -preset), and the one
+// implementation of their precedence:
 //
 //	binary defaults  <  -spec file  <  -preset  <  explicitly set flag
 //
@@ -26,7 +26,6 @@ type Defaults struct {
 	Scale    float64
 	Days     int
 	Nodes    int
-	Workers  int
 	Stream   bool
 	MemLimit int64
 }
@@ -39,7 +38,6 @@ type Flags struct {
 	Scale    float64
 	Days     int
 	Nodes    int
-	Workers  int
 	Stream   bool
 	MemLimit int64
 
@@ -57,8 +55,7 @@ func Bind(fs *flag.FlagSet, d Defaults) *Flags {
 	fs.Float64Var(&f.Scale, "scale", d.Scale, "fraction of the paper's arrival volume; 1.0 = full scale")
 	fs.IntVar(&f.Days, "days", d.Days, "measurement period in days; the paper measured 40")
 	fs.IntVar(&f.Nodes, "nodes", d.Nodes, "ultrapeer vantage points; >1 shards arrivals across a measurement fleet")
-	fs.IntVar(&f.Workers, "simworkers", d.Workers, "simulation engine worker pool size (0 = GOMAXPROCS, 1 = sequential); the trace is byte-identical for every value")
-	fs.BoolVar(&f.Stream, "stream", d.Stream, "run the bounded-memory streaming engine")
+	fs.BoolVar(&f.Stream, "stream", d.Stream, "print the online sketch characterization and apply the auto memory limit; the trace is identical either way")
 	fs.Int64Var(&f.MemLimit, "memlimit", d.MemLimit, "soft Go memory limit in bytes (-1 = auto: 2 GiB in stream mode; 0 = runtime default)")
 	return f
 }
@@ -100,7 +97,6 @@ func (f *Flags) defaultsSpec() *scenario.Spec {
 			Scale:    &d.Scale,
 			Days:     &d.Days,
 			Nodes:    &d.Nodes,
-			Workers:  &d.Workers,
 			Stream:   &d.Stream,
 			MemLimit: &d.MemLimit,
 		},
@@ -125,9 +121,6 @@ func (f *Flags) explicitSpec() *scenario.Spec {
 		case "nodes":
 			v := f.Nodes
 			sp.Sim.Nodes = &v
-		case "simworkers":
-			v := f.Workers
-			sp.Sim.Workers = &v
 		case "stream":
 			v := f.Stream
 			sp.Sim.Stream = &v
@@ -142,7 +135,7 @@ func (f *Flags) explicitSpec() *scenario.Spec {
 // ApplyMemLimit enforces the resolved soft memory limit (moved here from
 // cmd/analyze): positive sets it, -1 auto-sets 2 GiB in stream mode
 // unless GOMEMLIMIT is already set, 0 leaves the runtime default. The
-// streaming engine's live state is bounded by design; the limit stops
+// engine's live state is bounded by design; the limit stops
 // the collector's 2x headroom from inflating peak RSS over it. It never
 // OOMs — a too-low soft limit degrades to extra GC.
 func ApplyMemLimit(limit int64, stream bool) {

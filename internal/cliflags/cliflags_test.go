@@ -23,7 +23,7 @@ func resolve(t *testing.T, specFile string, args ...string) (*Flags, *scenarioCo
 	if err != nil {
 		t.Fatalf("resolve %v: %v", args, err)
 	}
-	return f, &scenarioCompiled{c.Sim.Workload.Seed, c.Sim.Workload.Scale, c.Sim.Workload.Days, c.Nodes, c.Workers, c.Stream, c.MemLimit}
+	return f, &scenarioCompiled{c.Sim.Workload.Seed, c.Sim.Workload.Scale, c.Sim.Workload.Days, c.Nodes, c.Stream, c.MemLimit}
 }
 
 // scenarioCompiled flattens the resolved knobs for terse comparisons.
@@ -32,7 +32,6 @@ type scenarioCompiled struct {
 	scale    float64
 	days     int
 	nodes    int
-	workers  int
 	stream   bool
 	memlimit int64
 }
@@ -58,27 +57,27 @@ sim:
 `)
 
 	// Defaults alone: the binary's historical behavior.
-	if _, got := resolve(t, ""); *got != (scenarioCompiled{2004, 0.01, 4, 1, 0, false, -1}) {
+	if _, got := resolve(t, ""); *got != (scenarioCompiled{2004, 0.01, 4, 1, false, -1}) {
 		t.Errorf("defaults: %+v", got)
 	}
 
 	// Spec beats defaults, untouched fields keep defaults.
-	if _, got := resolve(t, spec); *got != (scenarioCompiled{2004, 0.3, 9, 2, 0, false, -1}) {
+	if _, got := resolve(t, spec); *got != (scenarioCompiled{2004, 0.3, 9, 2, false, -1}) {
 		t.Errorf("spec over defaults: %+v", got)
 	}
 
 	// Preset beats spec (laptop pins scale 0.05, days 4, nodes 4).
-	if _, got := resolve(t, spec, "-preset", "laptop"); *got != (scenarioCompiled{2004, 0.05, 4, 4, 0, false, -1}) {
+	if _, got := resolve(t, spec, "-preset", "laptop"); *got != (scenarioCompiled{2004, 0.05, 4, 4, false, -1}) {
 		t.Errorf("preset over spec: %+v", got)
 	}
 
 	// Explicit flags beat everything; unset flags still lose to the spec.
-	if _, got := resolve(t, spec, "-preset", "laptop", "-scale", "0.9", "-seed", "7"); *got != (scenarioCompiled{7, 0.9, 4, 4, 0, false, -1}) {
+	if _, got := resolve(t, spec, "-preset", "laptop", "-scale", "0.9", "-seed", "7"); *got != (scenarioCompiled{7, 0.9, 4, 4, false, -1}) {
 		t.Errorf("flags over preset: %+v", got)
 	}
 
 	// A flag set to its default value still counts as explicit.
-	if _, got := resolve(t, spec, "-days", "4"); *got != (scenarioCompiled{2004, 0.3, 4, 2, 0, false, -1}) {
+	if _, got := resolve(t, spec, "-days", "4"); *got != (scenarioCompiled{2004, 0.3, 4, 2, false, -1}) {
 		t.Errorf("explicit default-valued flag: %+v", got)
 	}
 }

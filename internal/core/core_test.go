@@ -10,6 +10,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/capture"
 	"repro/internal/dist"
+	"repro/internal/engine"
 	"repro/internal/geo"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -29,7 +30,7 @@ func loop(t *testing.T) (*trace.Trace, *Characterization) {
 	loopOnce.Do(func() {
 		cfg := capture.DefaultConfig(1234, 0.03)
 		cfg.Workload.Days = 4
-		loopTrace = capture.New(cfg).Run()
+		loopTrace = engine.New(engine.Config{Fleet: capture.FleetConfig{Node: cfg, Nodes: 1}}).Run(nil)
 		loopChar = Characterize(loopTrace)
 	})
 	return loopTrace, loopChar

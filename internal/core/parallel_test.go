@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/capture"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/report"
 	"repro/internal/trace"
 )
@@ -21,7 +22,7 @@ func parallelTrace(t *testing.T) *trace.Trace {
 	parOnce.Do(func() {
 		cfg := capture.DefaultConfig(77, 0.02)
 		cfg.Workload.Days = 3
-		parTrace = capture.New(cfg).Run()
+		parTrace = engine.New(engine.Config{Fleet: capture.FleetConfig{Node: cfg, Nodes: 1}}).Run(nil)
 	})
 	return parTrace
 }

@@ -1,42 +1,20 @@
 package engine
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/capture"
 )
 
-// benchCfg must stay in lockstep with benchFleetConfig in the root
-// package's bench_test.go: the root pair is the CI speedup gate, and the
-// benchmarks here measure that same workload's sequential partition share
-// (the Amdahl bound for the gate's headroom).
-func benchCfg() capture.FleetConfig {
+// BenchmarkEngineRun measures the whole pipeline — producer, per-node
+// event loops, merge — on an 8-node fleet at 5 % scale over 2 days.
+func BenchmarkEngineRun(b *testing.B) {
 	cfg := capture.DefaultConfig(2004, 0.05)
 	cfg.Workload.Days = 2
-	return capture.FleetConfig{Node: cfg, Nodes: 8}
-}
-
-// BenchmarkPartitionArrivals isolates the engine's sequential phase — the
-// arrival replay that generates, GUID-tags and shards every session. Its
-// share of BenchmarkEngineRun bounds the parallel speedup by Amdahl's law,
-// which is why the phase stays a single tight pass.
-func BenchmarkPartitionArrivals(b *testing.B) {
+	fleet := capture.FleetConfig{Node: cfg, Nodes: 8}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p, _ := partitionArrivals(benchCfg())
-		if len(p.starts) == 0 {
-			b.Fatal("no arrivals")
-		}
-	}
-}
-
-// BenchmarkEngineRun measures the full parallel simulation at machine
-// size: partition, per-node event loops, merge.
-func BenchmarkEngineRun(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr := New(Config{Fleet: benchCfg(), Workers: runtime.GOMAXPROCS(0)}).Run()
+		tr := New(Config{Fleet: fleet}).Run(nil)
 		if len(tr.Conns) == 0 {
 			b.Fatal("empty trace")
 		}
@@ -59,8 +37,8 @@ func BenchmarkEngineHighNodeCount(b *testing.B) {
 	b.ReportAllocs()
 	var maxSched uint64
 	for i := 0; i < b.N; i++ {
-		e := New(Config{Fleet: fleet, Workers: runtime.GOMAXPROCS(0)})
-		tr := e.Run()
+		e := New(Config{Fleet: fleet})
+		tr := e.Run(nil)
 		if len(tr.Conns) == 0 {
 			b.Fatal("empty trace")
 		}

@@ -1,119 +1,108 @@
-// Package engine is the parallel execution layer of the measurement
-// simulation: a sharded discrete-event engine that runs every vantage node
-// of a capture fleet on its own goroutine — its own virtual clock, its own
-// calendar-queue event scheduler, its own random streams — and joins the
-// per-node traces with trace.Merge into a result byte-identical to the
-// sequential capture.Fleet at every worker count.
+// Package engine is the execution layer of the measurement simulation:
+// one pipeline that runs every vantage node of a capture fleet on its own
+// goroutine — its own virtual clock, its own calendar-queue event
+// scheduler, its own random streams — and joins their event streams in
+// the streaming k-way merge. A batch run is that stream drained into a
+// trace; the paper's single vantage is Nodes: 1; a distributed vantage
+// (NodeStream, cmd/vantage) is the same per-node loop with an ownership
+// filter on the producer.
 //
-// # Why this is possible
+// # The pipeline
 //
-// The fleet's vantage nodes are independent given the arrival shard: a
-// node's event stream is generated entirely by its own arrivals and its
-// own per-node random streams, and the only cross-node state — the arrival
-// process, the session-GUID stream that shards it, and the read-only
-// SharedModel — is consumed in arrival order regardless of sharding. The
-// engine therefore runs in two phases:
-//
-//  1. Partition (sequential): replay the arrival process once, drawing the
-//     session GUIDs in the exact order the sequential fleet draws them,
-//     split the sessions by guid.Shard into per-node lists, and record
-//     each arrival's (timestamp, global chain position) — the precomputed
-//     tie-break key that makes phase 2 independent of foreign arrivals.
-//  2. Execute (parallel): each node simulates on its own scheduler,
-//     scheduling only its own sessions. Per-node cost is O(own sessions ×
-//     events per session); the global arrival count appears only through
-//     O(log) amortized reads of the shared, immutable starts array.
+//  1. The bounded producer (produceArrivals, one goroutine) replays the
+//     arrival process once, drawing the session GUIDs that shard it in
+//     generation order, publishes every arrival instant to the shared
+//     chain, and hands each session — with its global chain position, the
+//     precomputed tie-break key that makes a node independent of foreign
+//     arrivals — to its owner's queue, at most Config.Lookahead sessions
+//     deep. The in-flight session set is therefore nodes × Lookahead, not
+//     the measurement period.
+//  2. One keyed event loop per vantage (runNodeBounded, one goroutine
+//     each) schedules only its own sessions and emits each record into
+//     its stream.Producer the moment it is final. Per-node cost is O(own
+//     sessions × events per session); the global arrival count appears
+//     only through O(log) amortized searches of the published chain.
+//  3. stream.Merger unions the per-node streams into the global
+//     deduplicated, time-ordered, densely re-identified trace, feeding an
+//     optional stream.Sink in merged order as sessions retire.
 //
 // # Determinism contract (keyed tie-break, merge order-independent)
 //
-// In the sequential fleet, events with equal timestamps fire in schedule
-// (FIFO) order of one global sequence counter. That counter is equivalent
-// to a lexicographic tag (P, c): P = how many arrivals have been
-// dispatched when the event is scheduled, c = the schedule call's rank
-// within that interval — arrival k itself always carrying exactly (k, 0),
-// because the fleet's dispatcher schedules arrival k as the first call
-// while dispatching arrival k-1. The engine reproduces those tags without
+// The reference order is one global FIFO scheduler that dispatches the
+// arrival chain in generation order — scheduling arrival k+1 before it
+// delivers arrival k — with every vantage's events on the same queue.
+// Events with equal timestamps fire in schedule order of one global
+// sequence counter, which is equivalent to a lexicographic tag (P, c): P =
+// how many arrivals have been dispatched when the event is scheduled, c =
+// the schedule call's rank within that interval, arrival k itself always
+// carrying exactly (k, 0). The engine reproduces those tags without
 // replaying foreign arrivals:
 //
 //   - Each own arrival k is scheduled with the explicit simtime.SeqKey
-//     {Epoch: k, Pos: 0} at its precomputed timestamp — exactly the tag it
-//     has in the sequential order.
+//     {Epoch: k, Pos: 0} at its published timestamp — exactly the tag it
+//     has in the reference order.
 //   - A pre-fire hook (simtime.Scheduler.SetFireHook) maintains the
 //     node's virtual chain cursor: before an implicit event with key
 //     (t, E, p≥1) fires, the hook counts — by a forward-only galloping
-//     search over the shared starts array — how many global arrivals
+//     search over the published chain, blocking until the producer has
+//     published far enough to answer exactly — how many global arrivals
 //     precede it in the total order (start < t, or start == t with index
 //     ≤ E), and reseeds the scheduler's implicit key to (count, 1) when
 //     the count advanced. Every event the node schedules therefore gets
-//     the same (P, c) tag it would get in the sequential fleet, Pos 0 of
+//     the same (P, c) tag it would get in the reference order, Pos 0 of
 //     each epoch staying reserved for the arrival itself.
 //
 // The restriction of the global fire order to one node's events then
 // equals the node's solo fire order — equal-timestamp ties included, which
-// do occur at full volume — so each per-node trace is byte-identical to
-// its sequential counterpart. trace.Merge is order-independent by total
-// order, so the merged trace is byte-identical too, for every Workers
-// value and for Workers == 1, and a one-node engine run reproduces the
-// historical single-vantage Sim byte for byte. All of this is pinned by
-// test against the sequential fleet and against a full-chain-replay
-// oracle (the engine's previous mechanism, kept in the test suite), at
-// node counts up to 256 and by fuzzing.
-//
-// The engine holds the full partitioned session set in memory (the
-// sequential fleet generates lazily); at paper scale this is a few GB on
-// top of the trace itself, released progressively as nodes consume their
-// shards.
+// do occur at full volume — so each vantage's stream is independent of
+// goroutine interleaving, and the merge is order-independent by total
+// order: the drained trace is byte-identical for every Lookahead, either
+// scheduler implementation, with or without a sink or an observer, and
+// whether the vantages run in one process or many. The oracles are the
+// committed hashes (bench/golden.json, the overlapping-probes hash in
+// internal/capture's tests, the full-scale SHA in ROADMAP.md), the
+// chain-replay engine kept in this package's tests — every node replays
+// the whole chain on the implicit FIFO order alone — and batch
+// trace.Merge, at node counts up to 256 and by fuzzing.
 package engine
 
 import (
+	"sync"
+
 	"repro/internal/behavior"
 	"repro/internal/capture"
-	"repro/internal/guid"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/simtime"
 	"repro/internal/stream"
 	"repro/internal/trace"
 )
 
-// Config parameterizes a parallel fleet simulation.
+// Config parameterizes a fleet simulation.
 type Config struct {
-	// Fleet is the deployment exactly as capture.NewFleet takes it.
+	// Fleet is the deployment: the per-vantage configuration and the
+	// vantage count.
 	Fleet capture.FleetConfig
-	// Workers bounds the goroutines executing node event loops in the
-	// eager mode, following the shared par.Workers convention: 0 means
-	// GOMAXPROCS, values below 1 mean 1. The trace is byte-identical for
-	// every setting. In bounded mode (Lookahead > 0, and always under
-	// RunStream) every node runs its own goroutine and throttling comes
-	// from the producer window instead — a blocked node parks, so the OS
-	// scheduler sizes the effective parallelism.
-	Workers int
-	// Lookahead > 0 replaces the eager pre-partition with the bounded
-	// producer: the arrival chain is published incrementally through a
-	// conservative time-window synchronizer and each node's undelivered
-	// sessions are capped at Lookahead, so the in-flight session set is
-	// nodes × Lookahead instead of the whole measurement period (the few
-	// GB the eager partition holds at paper scale). 0 keeps the eager
-	// path. The trace is byte-identical either way (pinned by test).
+	// Lookahead caps each node's undelivered sessions in the bounded
+	// producer; 0 means DefaultLookahead. The trace is byte-identical for
+	// every value (pinned by test).
 	Lookahead int
 	// MergeWindow bounds how long one open session may hold the streaming
-	// merge's emission barrier in RunStream: sessions longer than the
-	// window take the merge's spill-to-final-sort path instead of freezing
-	// retirement (see stream.Merger.SetWindow — the drained trace is
-	// byte-identical either way). 0 means DefaultMergeWindow; negative
-	// disables the window (the pending buffer is then bounded only by the
-	// oldest open session, the pre-window behavior).
+	// merge's emission barrier: sessions longer than the window take the
+	// merge's spill-to-final-sort path instead of freezing retirement (see
+	// stream.Merger.SetWindow — the drained trace is byte-identical either
+	// way). 0 means DefaultMergeWindow; negative disables the window (the
+	// pending buffer is then bounded only by the oldest open session).
 	MergeWindow simtime.Time
-	// Obs attaches the observability layer: phase spans
-	// (partition/simulate/merge) on the journal, the arrival-throughput
-	// counter and post-run scheduler/merge gauges on the registry.
-	// Instrumentation never touches RNG streams or scheduling order — the
-	// merged trace is byte-identical with or without it — and a nil
-	// observer runs at the uninstrumented cost (nil-handle no-ops).
+	// Obs attaches the observability layer: the simulate span on the
+	// journal, the arrival-throughput counter, the merge's metrics and
+	// post-run scheduler gauges on the registry. Instrumentation never
+	// touches RNG streams or scheduling order — the merged trace is
+	// byte-identical with or without it — and a nil observer runs at the
+	// uninstrumented cost (nil-handle no-ops).
 	Obs *obs.Observer
 }
 
-// DefaultMergeWindow is the emission window RunStream uses when
+// DefaultMergeWindow is the emission window Run uses when
 // Config.MergeWindow is 0: a generous max-duration quantile of the
 // paper's session-duration model. The duration fits are seconds-to-hours
 // scale — sessions outlasting a full day are deep in the Pareto tail —
@@ -134,37 +123,43 @@ func (e *Engine) mergeWindow() simtime.Time {
 	}
 }
 
-// Engine is a parallel sharded fleet simulation. Create with New, execute
-// with Run; like capture.Fleet, a second Run returns the memoized trace.
+// lookahead resolves Config.Lookahead to the effective queue depth.
+func (c *Config) lookahead() int {
+	if c.Lookahead > 0 {
+		return c.Lookahead
+	}
+	return DefaultLookahead
+}
+
+// Engine is a sharded fleet simulation. Create with New, execute with
+// Run; a second Run returns the memoized trace.
 type Engine struct {
 	cfg Config
 	// newSched builds each node's scheduler. The calendar queue is the
 	// production choice — at the full-volume run's pending-event counts it
-	// beats the binary heap (see simtime's BenchmarkSchedulerHold and the
-	// committed BENCH_pr4.json) — while tests swap in the heap to pin that
-	// the engine's output does not depend on the implementation.
+	// beats the binary heap (see simtime's BenchmarkSchedulerHold) — while
+	// tests swap in the heap to pin that the engine's output does not
+	// depend on the implementation.
 	newSched func() simtime.Scheduler
 
-	ran        bool
-	merged     *trace.Trace
-	stats      capture.FleetStats
-	nodeTraces []*trace.Trace
+	ran    bool
+	merged *trace.Trace
+	stats  capture.FleetStats
 	// peakPending is the streaming merge's high-water mark of completed
-	// sessions held behind the emission barrier; every mode sets it (Run
-	// feeds the materialized traces through the same streaming merge).
+	// sessions held behind the emission barrier.
 	peakPending int
 	// spilled is the merge's outlier count: sessions longer than the
 	// emission window, folded in at finish instead of held pending.
 	spilled int
 	// deadInputs and lostSessions mirror the merge's degradation ledger
-	// (stream.Merger): always zero for in-process runs, where no input
-	// can die — populated so the perf accounting row is uniform with the
+	// (stream.Merger): always zero for in-process runs, where no input can
+	// die — populated so the perf accounting row is uniform with the
 	// distributed collector's, whose inputs can.
 	deadInputs   int
 	lostSessions uint64
 	// schedPerNode is each node's lifetime scheduled-event count — the
 	// O(own sessions) scaling metric the keyed tie-break buys, versus the
-	// O(global arrivals) every node paid under chain replay.
+	// O(global arrivals) every node pays under chain replay.
 	schedPerNode []uint64
 	// kindsPerNode breaks each node's schedPerNode down by event kind.
 	kindsPerNode []capture.EventCounts
@@ -181,61 +176,110 @@ func New(cfg Config) *Engine {
 	}
 }
 
-// NodeCount returns the number of vantage points.
-func (e *Engine) NodeCount() int { return e.cfg.Fleet.Nodes }
-
-// Run executes the full measurement period once and returns the merged
-// trace; subsequent calls return the same trace.
-func (e *Engine) Run() *trace.Trace {
-	e.run()
-	return e.merged
-}
-
-// Stats reports the fleet accounting, running the simulation first if
-// needed. The same identity as capture.FleetStats holds: Arrivals ==
-// Σ Conns + Σ Rejected over the per-node rows.
-func (e *Engine) Stats() capture.FleetStats {
-	e.run()
-	return e.stats
-}
-
-// NodeTraces returns each vantage's own trace in node order, running the
-// simulation first if needed. The slices alias the engine's records; treat
-// them as read-only.
-func (e *Engine) NodeTraces() []*trace.Trace {
-	e.run()
-	return e.nodeTraces
-}
-
-func (e *Engine) run() {
+// Run executes the measurement period once and returns the drained merged
+// trace; sink (which may be nil) observes every merged session in the
+// global merged order as it retires — except sessions longer than the
+// merge window, which the sink observes last (see Config.MergeWindow).
+// Per-node traces are never materialized. Subsequent calls return the
+// memoized trace and feed no sink.
+func (e *Engine) Run(sink stream.Sink) *trace.Trace {
 	if e.ran {
-		return
+		return e.merged
 	}
-
-	if e.cfg.Lookahead > 0 {
-		sp := e.cfg.Obs.Begin("simulate",
-			obs.A("mode", "bounded"), obs.A("nodes", e.cfg.Fleet.Nodes), obs.A("lookahead", e.cfg.Lookahead))
-		e.runBounded(nil)
-		sp.End(obs.A("arrivals", e.stats.Arrivals))
-	} else {
-		e.runEager()
+	nodes := e.cfg.Fleet.Nodes
+	// Schedulers are built here, before any pipeline goroutine starts: a
+	// panicking constructor must surface on the caller's goroutine, where
+	// a recover leaves the engine retryable, instead of killing the
+	// process from a node goroutine.
+	scheds := make([]simtime.Scheduler, nodes)
+	for i := range scheds {
+		scheds[i] = e.newSched()
 	}
-	// The production merge is the streaming k-way merge (fed the
-	// materialized per-node traces here); batch trace.Merge remains the
-	// reference oracle the equivalence tests compare against.
-	msp := e.cfg.Obs.Begin("merge", obs.A("inputs", len(e.nodeTraces)))
-	var ms stream.MergeStats
-	e.merged, ms = stream.MergeTracesObs(e.cfg.Obs, e.nodeTraces...)
-	e.peakPending = ms.PeakPending
-	e.spilled = ms.Spilled
-	e.deadInputs = ms.DeadInputs
-	e.lostSessions = ms.LostSessions
-	msp.End(obs.A("conns", len(e.merged.Conns)), obs.A("peak_pending", ms.PeakPending), obs.A("spilled", ms.Spilled))
+	// One span covers the overlapped simulate+merge pipeline, emitted from
+	// this goroutine only so journal line order stays deterministic
+	// (producer and node goroutines touch atomic metric handles, never the
+	// journal).
+	sp := e.cfg.Obs.Begin("simulate", obs.A("nodes", nodes), obs.A("lookahead", e.cfg.lookahead()))
+	merger := stream.NewMerger(nodes, sink)
+	merger.SetObserver(e.cfg.Obs)
+	merger.SetWindow(e.mergeWindow())
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		e.runNodes(scheds, merger.Intake())
+	}()
+	e.merged = merger.Run()
+	wg.Wait()
+	e.peakPending = merger.PeakPending()
+	e.spilled = merger.Spilled()
+	e.deadInputs = merger.DeadInputs()
+	e.lostSessions = merger.LostSessions()
+	// The merge's pending high-water mark is left off the span: it depends
+	// on goroutine interleaving, and the journal is deterministic.
+	sp.End(obs.A("arrivals", e.stats.Arrivals), obs.A("conns", len(e.merged.Conns)), obs.A("spilled", e.spilled))
 	e.publishRunMetrics()
 	// Mark the memo only after the run completed: a panic recovered by
 	// the caller must leave the engine retryable, not poisoned into
 	// returning a nil trace and zero stats forever.
 	e.ran = true
+	return e.merged
+}
+
+// runNodes executes the whole fleet: the producer on one goroutine, every
+// node on its own — a blocked node parks its goroutine, so concurrency is
+// throttled by the producer window and sized by the OS scheduler — each
+// emitting into its own stream.Producer over the merger's intake.
+func (e *Engine) runNodes(scheds []simtime.Scheduler, intake chan<- stream.Batch) {
+	nodeCfg := e.cfg.Fleet.Node
+	gen := behavior.NewGenerator(nodeCfg.Workload)
+	shared := capture.NewSharedModel(gen)
+	horizon := simtime.Time(nodeCfg.Workload.Days) * simtime.Day
+	nodes := e.cfg.Fleet.Nodes
+	ch := newChain()
+	queues := make([]chan ownedSession, nodes)
+	for i := range queues {
+		queues[i] = make(chan ownedSession, e.cfg.lookahead())
+	}
+	var arrivals uint64
+	var prodWG sync.WaitGroup
+	prodWG.Add(1)
+	go func() {
+		defer prodWG.Done()
+		arrivals = produceArrivals(e.cfg.Fleet, gen, ch, queues)
+	}()
+
+	arrCounter := e.cfg.Obs.Counter("engine_arrivals_total", "arrival events fired across all vantage nodes")
+	e.schedPerNode = make([]uint64, nodes)
+	e.kindsPerNode = make([]capture.EventCounts, nodes)
+	perNode := make([]capture.NodeStats, nodes)
+	var wg sync.WaitGroup
+	for i := 0; i < nodes; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			node := runNodeBounded(nodeCfg, i, scheds[i], shared, ch, queues[i], horizon, stream.NewProducer(i, intake), arrCounter)
+			perNode[i] = node.Stats()
+			e.schedPerNode[i] = scheds[i].Scheduled()
+			e.kindsPerNode[i] = node.EventCounts()
+		}(i)
+	}
+	wg.Wait()
+	prodWG.Wait()
+
+	e.stats = capture.FleetStats{Arrivals: arrivals, PerNode: perNode}
+	for i := range perNode {
+		e.stats.Rejected += perNode[i].Rejected
+		e.stats.DroppedQueryEvents += perNode[i].DroppedQueryEvents
+	}
+}
+
+// Stats reports the fleet accounting, running the simulation first if
+// needed. The accounting identity Arrivals == Σ Conns + Σ Rejected holds
+// over the per-node rows.
+func (e *Engine) Stats() capture.FleetStats {
+	e.Run(nil)
+	return e.stats
 }
 
 // publishRunMetrics writes the engine's post-run summary gauges from its
@@ -274,56 +318,10 @@ func (e *Engine) publishRunMetrics() {
 	reg.Gauge("engine_nodes", "vantage nodes in the fleet").SetInt(int64(e.cfg.Fleet.Nodes))
 }
 
-func (e *Engine) runEager() {
-	nodeCfg := e.cfg.Fleet.Node
-	nodes := e.cfg.Fleet.Nodes
-	psp := e.cfg.Obs.Begin("partition", obs.A("nodes", nodes))
-	part, shared := partitionArrivals(e.cfg.Fleet)
-	psp.End(obs.A("arrivals", len(part.starts)))
-	horizon := simtime.Time(nodeCfg.Workload.Days) * simtime.Day
-
-	e.nodeTraces = make([]*trace.Trace, nodes)
-	e.schedPerNode = make([]uint64, nodes)
-	e.kindsPerNode = make([]capture.EventCounts, nodes)
-	perNode := make([]capture.NodeStats, nodes)
-	// Schedulers are built on the caller's goroutine (a panicking
-	// constructor must surface here, where run()'s memo guard applies,
-	// not on a pool worker).
-	scheds := make([]simtime.Scheduler, nodes)
-	for i := range scheds {
-		scheds[i] = e.newSched()
-	}
-	arrivals := e.cfg.Obs.Counter("engine_arrivals_total", "arrival events fired across all vantage nodes")
-	ssp := e.cfg.Obs.Begin("simulate",
-		obs.A("mode", "eager"), obs.A("nodes", nodes), obs.A("workers", par.Workers(e.Workers())))
-	tasks := make([]func(), nodes)
-	for i := range tasks {
-		i := i
-		tasks[i] = func() {
-			node := runNode(nodeCfg, i, scheds[i], shared, part, horizon, arrivals)
-			e.nodeTraces[i], perNode[i] = node.Trace(), node.Stats()
-			e.schedPerNode[i] = scheds[i].Scheduled()
-			e.kindsPerNode[i] = node.EventCounts()
-		}
-	}
-	par.Run(par.Workers(e.Workers()), tasks)
-	ssp.End(obs.A("arrivals", len(part.starts)))
-
-	e.stats = capture.FleetStats{
-		Arrivals: uint64(len(part.starts)),
-		PerNode:  perNode,
-	}
-	for i := range perNode {
-		e.stats.Rejected += perNode[i].Rejected
-		e.stats.DroppedQueryEvents += perNode[i].DroppedQueryEvents
-	}
-}
-
 // PeakPending reports the streaming merge's high-water mark of completed
-// sessions held behind the emission barrier. Every execution mode drives
-// the streaming merge — RunStream over live producers, Run over the
-// materialized per-node traces — so the diagnostic is populated (after
-// the run) in every mode.
+// sessions held behind the emission barrier (after the run). It depends
+// on how the node goroutines interleave, so unlike the trace it varies
+// from run to run.
 func (e *Engine) PeakPending() int { return e.peakPending }
 
 // SpilledSessions reports how many merged sessions exceeded the emission
@@ -344,17 +342,12 @@ func (e *Engine) LostSessions() uint64 { return e.lostSessions }
 // ScheduledPerNode returns each node's lifetime scheduled-event count in
 // node order, running the simulation first if needed. With the keyed
 // tie-break this is O(own sessions × events per session) per node; under
-// the old chain replay every node also paid one event per *global*
-// arrival, which is the superlinearity the high-node-count benchmark
-// guards against.
+// chain replay every node also paid one event per *global* arrival, which
+// is the superlinearity the high-node-count benchmark guards against.
 func (e *Engine) ScheduledPerNode() []uint64 {
-	e.run()
+	e.Run(nil)
 	return e.schedPerNode
 }
-
-// Workers returns the configured worker bound (unresolved; 0 means
-// machine-sized).
-func (e *Engine) Workers() int { return e.cfg.Workers }
 
 // ownedSession is one node-owned arrival: the session object plus its
 // global chain position, which is the Epoch of its precomputed tie-break
@@ -362,51 +355,6 @@ func (e *Engine) Workers() int { return e.cfg.Workers }
 type ownedSession struct {
 	sess *behavior.Session
 	gidx uint64
-}
-
-// partition is the pre-sharded arrival stream: every arrival instant in
-// chain order (shared, read-only — the keyed runs' chain cursors search
-// it), and the session objects split per node in the same chain order
-// with their global positions, so a node consumes its list front to back.
-type partition struct {
-	starts  []simtime.Time
-	perNode [][]ownedSession
-}
-
-// partitionArrivals replays the arrival process to the horizon. The
-// generator and the session-GUID source are consumed in exactly the order
-// the sequential fleet consumes them — the fleet draws both inside the
-// arrival-chain events, which fire in generation order — so the sharding
-// is bit-equal to the fleet's.
-func partitionArrivals(cfg capture.FleetConfig) (*partition, *capture.SharedModel) {
-	gen := behavior.NewGenerator(cfg.Node.Workload)
-	shared := capture.NewSharedModel(gen)
-	guids := guid.NewSource(cfg.Node.Workload.Seed, capture.SessionGUIDSalt)
-	p := &partition{perNode: make([][]ownedSession, cfg.Nodes)}
-	var k uint64
-	for sess := gen.Next(); sess != nil; sess = gen.Next() {
-		g := guids.Next()
-		n := g.Shard(cfg.Nodes)
-		p.starts = append(p.starts, sess.Start)
-		p.perNode[n] = append(p.perNode[n], ownedSession{sess: sess, gidx: k})
-		k++
-	}
-	return p, shared
-}
-
-// chainCount returns the first chain position ≥ from that does NOT fire
-// before an implicit event with key (at, epoch, pos ≥ 1) — equivalently,
-// how many global arrivals precede that event in the total order. A chain
-// entry j (key (starts[j], j, 0)) precedes the event iff starts[j] < at,
-// or starts[j] == at and j ≤ epoch. The predicate is monotone in j
-// (starts are nondecreasing) and fired keys are nondecreasing, so callers
-// pass a forward-only cursor as from; galloping plus binary search makes
-// the amortized cost O(log jump) per fired event, independent of the
-// global arrival count.
-func chainCount(starts []simtime.Time, from uint64, at simtime.Time, epoch uint64) uint64 {
-	return chainBoundary(uint64(len(starts)), from, func(j uint64) bool {
-		return starts[j] < at || (starts[j] == at && j <= epoch)
-	})
 }
 
 // chainBoundary returns the first position in [from, n] at which the
@@ -438,78 +386,4 @@ func chainBoundary(n, from uint64, fires func(uint64) bool) uint64 {
 		}
 	}
 	return lo
-}
-
-// keyedRun is one vantage's event loop under the keyed tie-break: it
-// schedules only the node's own arrivals (each with its precomputed
-// explicit key) and, as the scheduler's pre-fire hook, maintains the
-// virtual chain cursor that keeps every implicit key bit-equal to the
-// sequential fleet's FIFO counter. One reusable object serves as the
-// arrival event for every own session, so arrivals cost no per-event
-// closure allocations.
-type keyedRun struct {
-	sched    simtime.Scheduler
-	node     *capture.Node
-	starts   []simtime.Time
-	mine     []ownedSession
-	cursor   int    // next own session
-	chainPos uint64 // global arrivals counted as dispatched so far
-	// arrivals is the fleet-wide throughput counter (atomic; nil when no
-	// registry is installed — the Inc is then a nil-check no-op).
-	arrivals *obs.Counter
-}
-
-// beforeFire is the scheduler's pre-fire hook. Own arrivals carry Pos 0
-// (Pos ≥ 1 is reserved for implicit keys by the Reseed below), so the
-// Epoch is the arrival's own chain position and the cursor jumps past it
-// directly. For implicit events the cursor advances by searching the
-// shared starts array; when it moved, the implicit key is reseeded to
-// (cursor, 1) — Pos 0 of the new epoch stays reserved for the arrival
-// holding that chain position, exactly as the sequential fleet's
-// dispatcher orders it.
-func (r *keyedRun) beforeFire(at simtime.Time, key simtime.SeqKey) {
-	if key.Pos == 0 {
-		r.chainPos = key.Epoch + 1
-		r.sched.Reseed(simtime.SeqKey{Epoch: r.chainPos, Pos: 1})
-		return
-	}
-	if p := chainCount(r.starts, r.chainPos, at, key.Epoch); p > r.chainPos {
-		r.chainPos = p
-		r.sched.Reseed(simtime.SeqKey{Epoch: p, Pos: 1})
-	}
-}
-
-// Fire dispatches the node's next own session: schedule the following own
-// arrival at its precomputed key, then deliver this one — mirroring the
-// fleet dispatcher's schedule-next-then-dispatch order.
-func (r *keyedRun) Fire(now simtime.Time) {
-	i := r.cursor
-	r.cursor++
-	if r.cursor < len(r.mine) {
-		next := r.mine[r.cursor]
-		r.node.ScheduleArrival(next.sess.Start, simtime.SeqKey{Epoch: next.gidx}, r)
-	}
-	sess := r.mine[i].sess
-	// Release consumed sessions as the run progresses; at full volume
-	// the partitioned session set is the engine's main memory cost.
-	r.mine[i].sess = nil
-	r.arrivals.Inc()
-	r.node.Arrive(now, sess)
-}
-
-// runNode simulates one vantage to the horizon on its own scheduler.
-func runNode(cfg capture.Config, idx int, sched simtime.Scheduler, shared *capture.SharedModel, part *partition, horizon simtime.Time, arrivals *obs.Counter) *capture.Node {
-	// Reserve Pos 0 of epoch 0 for the virtual chain head before anything
-	// is scheduled, keeping the epoch/Pos split an invariant from the
-	// first event on.
-	sched.Reseed(simtime.SeqKey{Epoch: 0, Pos: 1})
-	node := capture.NewNode(cfg, idx, sched, shared)
-	r := &keyedRun{sched: sched, node: node, starts: part.starts, mine: part.perNode[idx], arrivals: arrivals}
-	sched.SetFireHook(r.beforeFire)
-	if len(r.mine) > 0 {
-		node.ScheduleArrival(r.mine[0].sess.Start, simtime.SeqKey{Epoch: r.mine[0].gidx}, r)
-	}
-	sched.RunUntil(horizon)
-	node.FinalizeOpen(horizon)
-	return node
 }

@@ -2,14 +2,14 @@ package engine
 
 import (
 	"bytes"
-	"os"
-	"strconv"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/capture"
 	"repro/internal/obs"
 	"repro/internal/simtime"
+	"repro/internal/stream"
 	"repro/internal/trace"
 )
 
@@ -28,81 +28,66 @@ func traceBytes(t *testing.T, tr *trace.Trace) []byte {
 	return buf.Bytes()
 }
 
-// TestEngineMatchesFleetByteForByte is the subsystem's acceptance pin: for
-// several node counts, the engine's merged trace must equal the sequential
-// capture.Fleet's merged trace byte for byte, at every worker count.
+// TestEngineMatchesFleetByteForByte is the subsystem's acceptance pin:
+// for several node counts, the drained trace must equal batch trace.Merge
+// over the chain-replay oracle's per-node traces byte for byte, however
+// many OS threads run the pipeline's goroutines — GOMAXPROCS 1 serializes
+// producer, node loops and merger onto one thread, an interleaving the
+// default never produces.
 func TestEngineMatchesFleetByteForByte(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, nodes := range []int{1, 3, 4} {
-		fleet := capture.NewFleet(testCfg(2004, 2, nodes))
-		want := traceBytes(t, fleet.Run())
-		for _, workers := range []int{1, 2, 4, 8} {
-			e := New(Config{Fleet: testCfg(2004, 2, nodes), Workers: workers})
-			got := traceBytes(t, e.Run())
-			if !bytes.Equal(want, got) {
-				t.Fatalf("nodes=%d workers=%d: engine trace differs from sequential fleet", nodes, workers)
+		cfg := testCfg(2004, 2, nodes)
+		want := traceBytes(t, trace.Merge(chainReplay(cfg, calendarSched).traces...))
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			if got := traceBytes(t, New(Config{Fleet: cfg}).Run(nil)); !bytes.Equal(want, got) {
+				t.Fatalf("nodes=%d GOMAXPROCS=%d: engine trace differs from the oracle fleet's", nodes, procs)
 			}
 		}
 	}
 }
 
 // TestEngineOneNodeMatchesHistoricalSim pins the engine against the
-// paper's literal deployment: a one-node engine run must reproduce the
-// historical single-vantage Sim trace byte for byte.
+// paper's literal deployment: the historical single-vantage Sim was one
+// node on one heap scheduler dispatching the arrival chain — the
+// chain-replay oracle at one node — and a one-node engine run must
+// reproduce its trace byte for byte.
 func TestEngineOneNodeMatchesHistoricalSim(t *testing.T) {
 	cfg := capture.DefaultConfig(21, 0.01)
 	cfg.Workload.Days = 1
-	want := traceBytes(t, capture.New(cfg).Run())
-	e := New(Config{Fleet: capture.FleetConfig{Node: cfg, Nodes: 1}, Workers: 4})
-	got := traceBytes(t, e.Run())
-	if !bytes.Equal(want, got) {
+	fleet := capture.FleetConfig{Node: cfg, Nodes: 1}
+	want := traceBytes(t, trace.Merge(chainReplay(fleet, heapSched).traces...))
+	if got := traceBytes(t, New(Config{Fleet: fleet}).Run(nil)); !bytes.Equal(want, got) {
 		t.Fatal("one-node engine differs from historical Sim")
-	}
-}
-
-// TestEnginePerNodeTracesMatchFleet checks the stronger claim behind the
-// merge identity: each node's own trace — not just the merged union — is
-// byte-identical to the sequential fleet's, which is what the chain-replay
-// tie-break argument guarantees.
-func TestEnginePerNodeTracesMatchFleet(t *testing.T) {
-	fleet := capture.NewFleet(testCfg(7, 2, 4))
-	fleet.Run()
-	e := New(Config{Fleet: testCfg(7, 2, 4), Workers: 4})
-	e.Run()
-	ft, et := fleet.NodeTraces(), e.NodeTraces()
-	if len(ft) != len(et) {
-		t.Fatalf("node counts differ: %d vs %d", len(ft), len(et))
-	}
-	for i := range ft {
-		if !bytes.Equal(traceBytes(t, ft[i]), traceBytes(t, et[i])) {
-			t.Fatalf("node %d trace differs between fleet and engine", i)
-		}
 	}
 }
 
 // TestEngineStatsMatchFleet pins the accounting: total arrivals, per-node
 // connection counts, rejections, peaks and drop counters must all equal
-// the sequential fleet's.
+// the oracle fleet's, and every arrival is either recorded or rejected by
+// exactly one vantage.
 func TestEngineStatsMatchFleet(t *testing.T) {
-	fleet := capture.NewFleet(testCfg(11, 2, 3))
-	fleet.Run()
-	e := New(Config{Fleet: testCfg(11, 2, 3), Workers: 2})
-	e.Run()
-	fs, es := fleet.Stats(), e.Stats()
-	if fs.Arrivals != es.Arrivals || fs.Rejected != es.Rejected || fs.DroppedQueryEvents != es.DroppedQueryEvents {
-		t.Fatalf("aggregate stats differ: fleet %+v engine %+v", fs, es)
+	cfg := testCfg(11, 2, 3)
+	oracle := chainReplay(cfg, calendarSched)
+	es := New(Config{Fleet: cfg}).Stats()
+	if es.Arrivals != oracle.arrivals {
+		t.Fatalf("arrivals: engine %d, oracle %d", es.Arrivals, oracle.arrivals)
 	}
-	if len(fs.PerNode) != len(es.PerNode) {
-		t.Fatalf("per-node rows differ: %d vs %d", len(fs.PerNode), len(es.PerNode))
+	if len(es.PerNode) != len(oracle.stats) {
+		t.Fatalf("per-node rows differ: %d vs %d", len(es.PerNode), len(oracle.stats))
 	}
-	for i := range fs.PerNode {
-		if fs.PerNode[i] != es.PerNode[i] {
-			t.Fatalf("node %d stats differ: fleet %+v engine %+v", i, fs.PerNode[i], es.PerNode[i])
+	var accepted, rejected, dropped uint64
+	for i, ns := range es.PerNode {
+		if ns != oracle.stats[i] {
+			t.Fatalf("node %d stats differ: engine %+v oracle %+v", i, ns, oracle.stats[i])
 		}
-	}
-	var accepted, rejected uint64
-	for _, ns := range es.PerNode {
 		accepted += uint64(ns.Conns)
 		rejected += ns.Rejected
+		dropped += ns.DroppedQueryEvents
+	}
+	if rejected != es.Rejected || dropped != es.DroppedQueryEvents {
+		t.Fatalf("aggregate rows %+v do not sum the per-node rows (%d rejected, %d dropped)", es, rejected, dropped)
 	}
 	if accepted+rejected != es.Arrivals {
 		t.Fatalf("accounting identity broken: %d + %d != %d", accepted, rejected, es.Arrivals)
@@ -113,79 +98,37 @@ func TestEngineStatsMatchFleet(t *testing.T) {
 // queue for the binary heap: the engine's output must not depend on which
 // order-equivalent scheduler implementation runs the loops.
 func TestEngineSchedulerImplementationIrrelevant(t *testing.T) {
-	cal := New(Config{Fleet: testCfg(5, 1, 3), Workers: 2})
-	heap := New(Config{Fleet: testCfg(5, 1, 3), Workers: 2})
-	heap.newSched = func() simtime.Scheduler { return simtime.NewScheduler() }
-	if !bytes.Equal(traceBytes(t, cal.Run()), traceBytes(t, heap.Run())) {
+	cal := New(Config{Fleet: testCfg(5, 1, 3)})
+	heap := New(Config{Fleet: testCfg(5, 1, 3)})
+	heap.newSched = heapSched
+	if !bytes.Equal(traceBytes(t, cal.Run(nil)), traceBytes(t, heap.Run(nil))) {
 		t.Fatal("engine output depends on the scheduler implementation")
 	}
 }
 
-// TestEngineDeterminism: two identical engine runs at machine-sized
-// workers produce identical bytes.
+// TestEngineDeterminism: two identical engine runs produce identical
+// bytes.
 func TestEngineDeterminism(t *testing.T) {
 	a := New(Config{Fleet: testCfg(13, 1, 3)})
 	b := New(Config{Fleet: testCfg(13, 1, 3)})
-	if !bytes.Equal(traceBytes(t, a.Run()), traceBytes(t, b.Run())) {
+	if !bytes.Equal(traceBytes(t, a.Run(nil)), traceBytes(t, b.Run(nil))) {
 		t.Fatal("two identical engine runs differ")
 	}
 }
 
 // TestEngineRunMemoized: Run twice returns the same trace object.
 func TestEngineRunMemoized(t *testing.T) {
-	e := New(Config{Fleet: testCfg(3, 1, 2), Workers: 2})
-	if e.Run() != e.Run() {
+	e := New(Config{Fleet: testCfg(3, 1, 2)})
+	if e.Run(nil) != e.Run(nil) {
 		t.Fatal("second Run did not return the memoized trace")
 	}
 }
 
-// TestEngineMatchesFleetAtScale is the opt-in heavyweight version of the
-// byte-identity pin, for verifying the contract near paper volume rather
-// than at test scale. Enable with e.g.
-//
-//	ENGINE_EQUIV_SCALE=0.25 ENGINE_EQUIV_DAYS=40 go test -run AtScale -timeout 2h ./internal/engine
-//
-// (≈ minutes per run; the regular suite pins the same property at small
-// scale on every CI run.)
-func TestEngineMatchesFleetAtScale(t *testing.T) {
-	scaleStr := os.Getenv("ENGINE_EQUIV_SCALE")
-	if scaleStr == "" {
-		t.Skip("set ENGINE_EQUIV_SCALE (and optionally ENGINE_EQUIV_DAYS, ENGINE_EQUIV_NODES) to run")
-	}
-	scale, err := strconv.ParseFloat(scaleStr, 64)
-	if err != nil {
-		t.Fatalf("bad ENGINE_EQUIV_SCALE: %v", err)
-	}
-	days := 40
-	if d := os.Getenv("ENGINE_EQUIV_DAYS"); d != "" {
-		if days, err = strconv.Atoi(d); err != nil {
-			t.Fatalf("bad ENGINE_EQUIV_DAYS: %v", err)
-		}
-	}
-	nodes := 48
-	if n := os.Getenv("ENGINE_EQUIV_NODES"); n != "" {
-		if nodes, err = strconv.Atoi(n); err != nil {
-			t.Fatalf("bad ENGINE_EQUIV_NODES: %v", err)
-		}
-	}
-	cfg := capture.DefaultConfig(2004, scale)
-	cfg.Workload.Days = days
-	fc := capture.FleetConfig{Node: cfg, Nodes: nodes}
-	t.Logf("sequential fleet: scale=%g days=%d nodes=%d", scale, days, nodes)
-	want := traceBytes(t, capture.NewFleet(fc).Run())
-	t.Logf("engine (machine workers)")
-	got := traceBytes(t, New(Config{Fleet: fc}).Run())
-	if !bytes.Equal(want, got) {
-		t.Fatal("engine trace differs from sequential fleet at scale")
-	}
-	t.Logf("identical: %d trace bytes", len(want))
-}
-
 // TestEngineRunRetryableAfterPanic pins the memo fix: a run that panics
-// (here via a failing scheduler constructor) must leave the engine
-// retryable — before the fix, run() set ran=true up front, so a caller
-// that recovered the panic got a poisoned engine returning a nil trace
-// and zero stats forever.
+// (here via a failing scheduler constructor) must surface the panic on
+// the caller's goroutine — not crash the process from a pipeline
+// goroutine — and leave the engine retryable, returning the trace a fresh
+// engine returns.
 func TestEngineRunRetryableAfterPanic(t *testing.T) {
 	for _, lookahead := range []int{0, 16} {
 		e := New(Config{Fleet: testCfg(13, 1, 3), Lookahead: lookahead})
@@ -197,14 +140,14 @@ func TestEngineRunRetryableAfterPanic(t *testing.T) {
 					t.Fatalf("lookahead=%d: expected Run to panic", lookahead)
 				}
 			}()
-			e.Run()
+			e.Run(nil)
 		}()
 		e.newSched = real
-		tr := e.Run()
+		tr := e.Run(nil)
 		if tr == nil {
 			t.Fatalf("lookahead=%d: engine poisoned — retry after recovered panic returned nil trace", lookahead)
 		}
-		want := New(Config{Fleet: testCfg(13, 1, 3), Lookahead: lookahead}).Run()
+		want := New(Config{Fleet: testCfg(13, 1, 3), Lookahead: lookahead}).Run(nil)
 		if !bytes.Equal(traceBytes(t, want), traceBytes(t, tr)) {
 			t.Fatalf("lookahead=%d: retried run trace differs from a fresh engine's", lookahead)
 		}
@@ -214,27 +157,22 @@ func TestEngineRunRetryableAfterPanic(t *testing.T) {
 	}
 }
 
-// TestPeakPendingReportedEveryMode pins the accounting contract: every
-// mode that produces the merged trace drives the streaming merge, so
-// PeakPending is nonzero after eager Run, bounded Run, and RunStream
-// alike — the analyze -perf line no longer reports a misleading zero for
-// the batch paths.
+// TestPeakPendingReportedEveryMode pins the merge diagnostic: PeakPending
+// is nonzero after a run at the default window, a narrow producer window,
+// and with a sink attached.
 func TestPeakPendingReportedEveryMode(t *testing.T) {
 	modes := []struct {
-		name string
-		run  func(e *Engine)
+		name      string
+		lookahead int
+		sink      stream.Sink
 	}{
-		{"eager", func(e *Engine) { e.Run() }},
-		{"bounded", func(e *Engine) { e.Run() }},
-		{"stream", func(e *Engine) { e.RunStream(nil) }},
+		{"default", 0, nil},
+		{"narrow", 16, nil},
+		{"sink", 0, stream.NewOnline(stream.OnlineConfig{})},
 	}
 	for _, m := range modes {
-		cfg := Config{Fleet: testCfg(7, 1, 4)}
-		if m.name == "bounded" {
-			cfg.Lookahead = 16
-		}
-		e := New(cfg)
-		m.run(e)
+		e := New(Config{Fleet: testCfg(7, 1, 4), Lookahead: m.lookahead})
+		e.Run(m.sink)
 		if e.PeakPending() <= 0 {
 			t.Fatalf("%s: PeakPending = %d, want > 0", m.name, e.PeakPending())
 		}
@@ -242,17 +180,17 @@ func TestPeakPendingReportedEveryMode(t *testing.T) {
 }
 
 // TestSchedEventsByKindSumToTotal pins the per-kind breakdown against the
-// schedulers' own count: in every execution mode the twelve
-// engine_sched_events_by_kind series add up to engine_sched_events_total
-// exactly (the kinds are counted by the vantages at Schedule time, the
-// total by the schedulers), every kind the run can produce is non-zero,
-// and the modes agree kind for kind.
+// schedulers' own count: the twelve engine_sched_events_by_kind series add
+// up to engine_sched_events_total exactly (the kinds are counted by the
+// vantages at Schedule time, the total by the schedulers), every kind the
+// run can produce is non-zero, and the counts agree kind for kind across
+// producer windows and with a sink attached.
 func TestSchedEventsByKindSumToTotal(t *testing.T) {
 	const prefix = `engine_sched_events_by_kind{kind="`
-	byKind := func(run func(e *Engine), lookahead int) map[string]float64 {
+	byKind := func(lookahead int, sink stream.Sink) map[string]float64 {
 		reg := obs.NewRegistry()
 		e := New(Config{Fleet: testCfg(2004, 1, 3), Lookahead: lookahead, Obs: &obs.Observer{Metrics: reg}})
-		run(e)
+		e.Run(sink)
 		kinds := map[string]float64{}
 		var sum float64
 		for _, s := range reg.Samples() {
@@ -274,12 +212,12 @@ func TestSchedEventsByKindSumToTotal(t *testing.T) {
 		}
 		return kinds
 	}
-	eager := byKind(func(e *Engine) { e.Run() }, 0)
-	bounded := byKind(func(e *Engine) { e.Run() }, 64)
-	streamed := byKind(func(e *Engine) { e.RunStream(nil) }, 0)
-	for k, n := range eager {
-		if bounded[k] != n || streamed[k] != n {
-			t.Errorf("kind %q: eager %.0f, bounded %.0f, stream %.0f", k, n, bounded[k], streamed[k])
+	base := byKind(0, nil)
+	narrow := byKind(64, nil)
+	sunk := byKind(0, stream.NewOnline(stream.OnlineConfig{}))
+	for k, n := range base {
+		if narrow[k] != n || sunk[k] != n {
+			t.Errorf("kind %q: default %.0f, lookahead 64 %.0f, with sink %.0f", k, n, narrow[k], sunk[k])
 		}
 	}
 }

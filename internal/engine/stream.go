@@ -10,14 +10,13 @@ import (
 	"repro/internal/obs"
 	"repro/internal/simtime"
 	"repro/internal/stream"
-	"repro/internal/trace"
 )
 
 // DefaultLookahead is the bounded producer's per-node session window: how
 // many undelivered sessions one vantage's queue may hold before the
 // producer blocks. 48 nodes × 1024 sessions bounds the in-flight session
-// set to ≈50 k objects at any instant — versus the 4.36 M the eager
-// pre-partition holds at paper scale.
+// set to ≈50 k objects at any instant, against the 4.36 M arrivals of the
+// paper-scale run.
 const DefaultLookahead = 1024
 
 // chainChunk is one slab of the published arrival instants. Chunked
@@ -32,9 +31,9 @@ type chainChunk struct {
 
 // chain is the incrementally published arrival-instant sequence — the
 // conservative synchronizer of the bounded producer. Under the keyed
-// tie-break, nodes no longer consume foreign chain entries as events;
-// they only need the conservative time window: before an implicit event
-// at instant t fires, the node's chain cursor must know exactly how many
+// tie-break, nodes do not consume foreign chain entries as events; they
+// only need the conservative time window: before an implicit event at
+// instant t fires, the node's chain cursor must know exactly how many
 // global arrivals precede it, which requires the published prefix to
 // extend past t (or the chain to be complete). countThrough blocks —
 // conservatively, in the Chandy–Misra sense: a node's clock never
@@ -57,11 +56,14 @@ func newChain() *chain {
 	return c
 }
 
-// countThrough is the bounded-mode chain cursor: the first chain position
+// countThrough is the node's chain cursor: the first chain position
 // ≥ from that does not fire before an implicit event with key (at, epoch,
 // pos ≥ 1), blocking until the published prefix suffices to answer
-// exactly. Same order predicate and galloping search as the eager
-// chainCount; the only difference is that the array grows underneath it.
+// exactly. A chain entry j (key (start_j, j, 0)) precedes the event iff
+// start_j < at, or start_j == at and j ≤ epoch; the predicate is monotone
+// in j (starts are nondecreasing) and fired keys are nondecreasing, so
+// callers pass a forward-only cursor as from and chainBoundary's
+// galloping search keeps the amortized cost O(log jump) per fired event.
 func (c *chain) countThrough(from uint64, at simtime.Time, epoch uint64) uint64 {
 	for {
 		n := uint64(c.n.Load())
@@ -120,15 +122,17 @@ func (c *chain) finish() {
 }
 
 // produceArrivals is the bounded producer: it replays the arrival process
-// in the exact order the sequential fleet draws it — generator and
-// session-GUID streams consumed identically, so the sharding is bit-equal
-// to the eager partition — but publishes the arrival instants
-// incrementally and hands each session (with its global chain position,
-// the Epoch of its tie-break key) to its owner's bounded queue, blocking
-// when that queue is full. Publication order is chain-before-session: by
-// the time a node can fire arrival k, the chain prefix through k is
-// published, and sessions arrive on each queue in exactly the order the
-// node consumes them.
+// in generation order — generator and session-GUID streams consumed in
+// the one order every vantage agrees on (any divergence would shift every
+// tie-break key) — publishes the arrival instants incrementally and hands
+// each session (with its global chain position, the Epoch of its
+// tie-break key) to its owner's bounded queue, blocking when that queue
+// is full. A nil queue is the ownership filter: the vantage is simulated
+// elsewhere (another NodeStream process), so its sessions are dropped
+// after their instants are published. Publication order is
+// chain-before-session: by the time a node can fire arrival k, the chain
+// prefix through k is published, and sessions arrive on each queue in
+// exactly the order the node consumes them.
 //
 // Deadlock freedom: the producer blocks only on the slowest node's full
 // queue; that node always has a queue's worth of sessions whose chain
@@ -140,26 +144,26 @@ func produceArrivals(cfg capture.FleetConfig, gen *behavior.Generator, ch *chain
 	guids := guid.NewSource(cfg.Node.Workload.Seed, capture.SessionGUIDSalt)
 	const batch = 512
 	starts := make([]simtime.Time, 0, batch)
+	owned := make([]ownedSession, 0, batch)
 	owners := make([]uint32, 0, batch)
-	sessions := make([]*behavior.Session, 0, batch)
 	var total uint64
 	flush := func() {
 		if len(starts) == 0 {
 			return
 		}
 		ch.publish(starts)
-		base := total - uint64(len(starts))
-		for i, s := range sessions {
-			queues[owners[i]] <- ownedSession{sess: s, gidx: base + uint64(i)}
+		for i, os := range owned {
+			queues[owners[i]] <- os
 		}
-		starts, owners, sessions = starts[:0], owners[:0], sessions[:0]
+		starts, owned, owners = starts[:0], owned[:0], owners[:0]
 	}
 	for sess := gen.Next(); sess != nil; sess = gen.Next() {
-		g := guids.Next()
-		n := g.Shard(cfg.Nodes)
+		n := guids.Next().Shard(cfg.Nodes)
+		if queues[n] != nil {
+			owned = append(owned, ownedSession{sess: sess, gidx: total})
+			owners = append(owners, uint32(n))
+		}
 		starts = append(starts, sess.Start)
-		owners = append(owners, uint32(n))
-		sessions = append(sessions, sess)
 		total++
 		if len(starts) == batch {
 			flush()
@@ -168,31 +172,41 @@ func produceArrivals(cfg capture.FleetConfig, gen *behavior.Generator, ch *chain
 	flush()
 	ch.finish()
 	for _, q := range queues {
-		close(q)
+		if q != nil {
+			close(q)
+		}
 	}
 	return total
 }
 
-// keyedBoundedRun is one vantage's event loop against the incrementally
-// published chain: the bounded-mode counterpart of keyedRun, firing the
-// identical event sequence with the shared starts array replaced by the
-// published chain (cursor searches may block until the producer catches
-// up) and the partitioned session list replaced by a Lookahead-deep
-// queue.
+// keyedBoundedRun is one vantage's event loop under the keyed tie-break:
+// it schedules only the node's own arrivals (each at its precomputed
+// explicit key, pulled from the node's queue) and, as the scheduler's
+// pre-fire hook, maintains the virtual chain cursor that keeps every
+// implicit key bit-equal to the reference order's FIFO counter. The run
+// object itself is the arrival event for every own session, so arrivals
+// cost no per-event allocations.
 type keyedBoundedRun struct {
 	sched    simtime.Scheduler
 	node     *capture.Node
 	ch       *chain
 	queue    <-chan ownedSession
 	cur      ownedSession // the session this scheduled arrival delivers
-	chainPos uint64
+	chainPos uint64       // global arrivals counted as dispatched so far
 	// arrivals is the fleet-wide throughput counter (atomic; nil when no
 	// registry is installed — the Inc is then a nil-check no-op).
 	arrivals *obs.Counter
 }
 
-// beforeFire mirrors keyedRun.beforeFire; countThrough blocks this node's
-// goroutine until the published prefix can order the event exactly.
+// beforeFire is the scheduler's pre-fire hook. Own arrivals carry Pos 0
+// (Pos ≥ 1 is reserved for implicit keys by the Reseed below), so the
+// Epoch is the arrival's own chain position and the cursor jumps past it
+// directly. For implicit events the cursor advances by searching the
+// published chain — countThrough blocks this node's goroutine until the
+// published prefix can order the event exactly; when it moved, the
+// implicit key is reseeded to (cursor, 1) — Pos 0 of the new epoch stays
+// reserved for the arrival holding that chain position, exactly as the
+// reference dispatcher orders it.
 func (r *keyedBoundedRun) beforeFire(at simtime.Time, key simtime.SeqKey) {
 	if key.Pos == 0 {
 		r.chainPos = key.Epoch + 1
@@ -207,7 +221,8 @@ func (r *keyedBoundedRun) beforeFire(at simtime.Time, key simtime.SeqKey) {
 
 // Fire dispatches the node's next own session, first pulling the
 // following one off the queue (which may block until the producer
-// delivers it) and scheduling it at its precomputed key.
+// delivers it) and scheduling it at its precomputed key — the reference
+// dispatcher's schedule-next-then-dispatch order.
 func (r *keyedBoundedRun) Fire(now simtime.Time) {
 	sess := r.cur.sess
 	if next, ok := <-r.queue; ok {
@@ -218,17 +233,16 @@ func (r *keyedBoundedRun) Fire(now simtime.Time) {
 	r.node.Arrive(now, sess)
 }
 
-// runNodeBounded simulates one vantage to the horizon against the
-// bounded producer, in retained mode (sink nil) or streaming-sink mode.
+// runNodeBounded simulates vantage idx to the horizon against the bounded
+// producer, emitting every record into sink and finishing with the
+// stream trailer.
 func runNodeBounded(cfg capture.Config, idx int, sched simtime.Scheduler, shared *capture.SharedModel,
 	ch *chain, queue <-chan ownedSession, horizon simtime.Time, sink *stream.Producer, arrivals *obs.Counter) *capture.Node {
+	// Reserve Pos 0 of epoch 0 for the virtual chain head before anything
+	// is scheduled, keeping the epoch/Pos split an invariant from the
+	// first event on.
 	sched.Reseed(simtime.SeqKey{Epoch: 0, Pos: 1})
-	var node *capture.Node
-	if sink != nil {
-		node = capture.NewNodeStream(cfg, idx, sched, shared, sink)
-	} else {
-		node = capture.NewNode(cfg, idx, sched, shared)
-	}
+	node := capture.NewNodeStream(cfg, idx, sched, shared, sink)
 	r := &keyedBoundedRun{sched: sched, node: node, ch: ch, queue: queue, arrivals: arrivals}
 	sched.SetFireHook(r.beforeFire)
 	if first, ok := <-queue; ok {
@@ -237,123 +251,6 @@ func runNodeBounded(cfg capture.Config, idx int, sched simtime.Scheduler, shared
 	}
 	sched.RunUntil(horizon)
 	node.FinalizeOpen(horizon)
-	if sink != nil {
-		node.FinishStream(horizon)
-	}
+	node.FinishStream(horizon)
 	return node
-}
-
-// runBounded executes the whole fleet against the bounded producer. Every
-// node runs on its own goroutine regardless of Workers — a blocked node
-// parks its goroutine, so concurrency is throttled by the window, not by
-// a task pool — and the producer runs on one more. In streaming mode
-// (sink != nil) each node emits into its own stream.Producer over the
-// merger's intake and per-node traces are never materialized.
-func (e *Engine) runBounded(intake chan<- stream.Batch) {
-	nodeCfg := e.cfg.Fleet.Node
-	gen := behavior.NewGenerator(nodeCfg.Workload)
-	shared := capture.NewSharedModel(gen)
-	horizon := simtime.Time(nodeCfg.Workload.Days) * simtime.Day
-
-	nodes := e.cfg.Fleet.Nodes
-	la := e.cfg.Lookahead
-	if la <= 0 {
-		la = DefaultLookahead
-	}
-	ch := newChain()
-	queues := make([]chan ownedSession, nodes)
-	for i := range queues {
-		queues[i] = make(chan ownedSession, la)
-	}
-	// Schedulers are built on the caller's goroutine (a panicking
-	// constructor must surface where the memo guard applies, not on a
-	// node goroutine).
-	scheds := make([]simtime.Scheduler, nodes)
-	for i := range scheds {
-		scheds[i] = e.newSched()
-	}
-
-	var arrivals uint64
-	var prodWG sync.WaitGroup
-	prodWG.Add(1)
-	go func() {
-		defer prodWG.Done()
-		arrivals = produceArrivals(e.cfg.Fleet, gen, ch, queues)
-	}()
-
-	arrCounter := e.cfg.Obs.Counter("engine_arrivals_total", "arrival events fired across all vantage nodes")
-	e.nodeTraces = make([]*trace.Trace, nodes)
-	e.schedPerNode = make([]uint64, nodes)
-	e.kindsPerNode = make([]capture.EventCounts, nodes)
-	perNode := make([]capture.NodeStats, nodes)
-	var wg sync.WaitGroup
-	for i := 0; i < nodes; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var sink *stream.Producer
-			if intake != nil {
-				sink = stream.NewProducer(i, intake)
-			}
-			node := runNodeBounded(nodeCfg, i, scheds[i], shared, ch, queues[i], horizon, sink, arrCounter)
-			e.nodeTraces[i] = node.Trace()
-			perNode[i] = node.Stats()
-			e.schedPerNode[i] = scheds[i].Scheduled()
-			e.kindsPerNode[i] = node.EventCounts()
-		}(i)
-	}
-	wg.Wait()
-	prodWG.Wait()
-
-	e.stats = capture.FleetStats{Arrivals: arrivals, PerNode: perNode}
-	for i := range perNode {
-		e.stats.Rejected += perNode[i].Rejected
-		e.stats.DroppedQueryEvents += perNode[i].DroppedQueryEvents
-	}
-}
-
-// RunStream executes the simulation in full streaming mode and returns
-// the drained merged trace: the bounded producer feeds per-node event
-// loops, each vantage emits records into the streaming k-way merge as
-// they finalize, and sink (which may be nil) observes every merged
-// session in the global merged order as it retires — except sessions
-// longer than the merge window, which the sink observes last (see
-// Config.MergeWindow). Per-node traces and the partitioned session set
-// are never materialized — at paper scale this is what cuts the
-// simulate-phase peak RSS — and the returned trace is byte-identical to
-// Run()'s (pinned by test, verified at full volume by equal trace
-// hashes). Subsequent calls return the memoized trace.
-func (e *Engine) RunStream(sink stream.Sink) *trace.Trace {
-	if e.ran {
-		return e.merged
-	}
-	// One span covers the overlapped simulate+merge pipeline, emitted
-	// from this goroutine only so journal line order stays deterministic
-	// (per-node goroutines touch atomic metric handles, never the
-	// journal).
-	sp := e.cfg.Obs.Begin("simulate",
-		obs.A("mode", "stream"), obs.A("nodes", e.cfg.Fleet.Nodes))
-	merger := stream.NewMerger(e.cfg.Fleet.Nodes, sink)
-	merger.SetObserver(e.cfg.Obs)
-	merger.SetWindow(e.mergeWindow())
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		e.runBounded(merger.Intake())
-	}()
-	e.merged = merger.Run()
-	wg.Wait()
-	e.nodeTraces = nil // streaming nodes hold no records
-	e.peakPending = merger.PeakPending()
-	e.spilled = merger.Spilled()
-	e.deadInputs = merger.DeadInputs()
-	e.lostSessions = merger.LostSessions()
-	sp.End(obs.A("arrivals", e.stats.Arrivals), obs.A("conns", len(e.merged.Conns)),
-		obs.A("peak_pending", e.peakPending), obs.A("spilled", e.spilled))
-	e.publishRunMetrics()
-	// As in run(): the memo marks success only, so a panic recovered by
-	// the caller leaves the engine retryable instead of poisoned.
-	e.ran = true
-	return e.merged
 }

@@ -4,101 +4,110 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/capture"
 	"repro/internal/stream"
 	"repro/internal/trace"
 )
 
-// TestBoundedLookaheadMatchesEager pins satellite byte-identity: the
-// bounded producer (conservative time-window synchronizer, per-node
-// session queues) must reproduce the eager pre-partition's merged trace
-// byte for byte, across node counts and aggressively small windows (a
-// 1-session window maximizes synchronizer round trips).
+// TestBoundedLookaheadMatchesEager pins the producer window's
+// byte-identity: across node counts and aggressively small windows (a
+// 1-session window maximizes synchronizer round trips), the drained trace
+// must hash equal to the eagerly partitioned chain-replay oracle's merge.
 func TestBoundedLookaheadMatchesEager(t *testing.T) {
 	for _, nodes := range []int{1, 3, 4} {
-		want := traceBytes(t, New(Config{Fleet: testCfg(2004, 2, nodes), Workers: 4}).Run())
+		cfg := testCfg(2004, 2, nodes)
+		want := chainReplay(cfg, calendarSched).hash(t)
 		for _, la := range []int{1, 7, 1024} {
-			e := New(Config{Fleet: testCfg(2004, 2, nodes), Lookahead: la})
-			got := traceBytes(t, e.Run())
-			if !bytes.Equal(want, got) {
-				t.Fatalf("nodes=%d lookahead=%d: bounded trace differs from eager", nodes, la)
+			got, err := New(Config{Fleet: cfg, Lookahead: la}).Run(nil).Hash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want != got {
+				t.Fatalf("nodes=%d lookahead=%d: trace differs from the eager oracle's", nodes, la)
 			}
 		}
 	}
 }
 
-// TestBoundedMatchesSequentialFleet closes the loop to the original
-// reference: bounded engine vs the sequential capture.Fleet.
+// TestBoundedMatchesSequentialFleet closes the loop to the sequential
+// reference at a second seed: the oracle runs its nodes one after another
+// on one goroutine, each replaying the whole chain in FIFO order.
 func TestBoundedMatchesSequentialFleet(t *testing.T) {
-	fleet := capture.NewFleet(testCfg(7, 2, 3))
-	want := traceBytes(t, fleet.Run())
-	got := traceBytes(t, New(Config{Fleet: testCfg(7, 2, 3), Lookahead: 64}).Run())
+	cfg := testCfg(7, 2, 3)
+	want := traceBytes(t, trace.Merge(chainReplay(cfg, heapSched).traces...))
+	got := traceBytes(t, New(Config{Fleet: cfg, Lookahead: 64}).Run(nil))
 	if !bytes.Equal(want, got) {
-		t.Fatal("bounded engine differs from sequential fleet")
+		t.Fatal("engine differs from the sequential reference")
 	}
 }
 
-// TestBoundedStatsMatchEager: the accounting identity must survive the
-// bounded producer.
+// TestBoundedStatsMatchEager: the accounting must survive a narrow
+// producer window, row for row against the eager oracle.
 func TestBoundedStatsMatchEager(t *testing.T) {
-	eager := New(Config{Fleet: testCfg(11, 2, 3), Workers: 2})
-	eager.Run()
-	bounded := New(Config{Fleet: testCfg(11, 2, 3), Lookahead: 16})
-	bounded.Run()
-	es, bs := eager.Stats(), bounded.Stats()
-	if es.Arrivals != bs.Arrivals || es.Rejected != bs.Rejected || es.DroppedQueryEvents != bs.DroppedQueryEvents {
-		t.Fatalf("aggregate stats differ: eager %+v bounded %+v", es, bs)
+	cfg := testCfg(11, 2, 3)
+	oracle := chainReplay(cfg, calendarSched)
+	bs := New(Config{Fleet: cfg, Lookahead: 16}).Stats()
+	if bs.Arrivals != oracle.arrivals {
+		t.Fatalf("arrivals: bounded %d, oracle %d", bs.Arrivals, oracle.arrivals)
 	}
-	for i := range es.PerNode {
-		if es.PerNode[i] != bs.PerNode[i] {
-			t.Fatalf("node %d stats differ: eager %+v bounded %+v", i, es.PerNode[i], bs.PerNode[i])
+	for i := range oracle.stats {
+		if bs.PerNode[i] != oracle.stats[i] {
+			t.Fatalf("node %d stats differ: bounded %+v oracle %+v", i, bs.PerNode[i], oracle.stats[i])
 		}
 	}
 }
 
-// TestRunStreamMatchesBatch is the streaming tentpole's acceptance pin:
-// the drained merged trace of a full streaming run — bounded producer,
-// per-node event emission, k-way online merge — must be byte-identical to
-// the batch engine's merged trace, across node counts.
+// countSink counts the sessions a sink observes.
+type countSink int
+
+func (c *countSink) MergedSession(*trace.Conn, []trace.Query) { *c++ }
+
+// TestRunStreamMatchesBatch: a batch run is the stream drained into a
+// trace, so attaching a sink must observe the stream without perturbing
+// it — the drained trace is byte-identical with and without one, and the
+// sink sees every merged session.
 func TestRunStreamMatchesBatch(t *testing.T) {
 	for _, nodes := range []int{1, 3, 4} {
-		want := traceBytes(t, New(Config{Fleet: testCfg(2004, 2, nodes), Workers: 4}).Run())
-		e := New(Config{Fleet: testCfg(2004, 2, nodes)})
-		got := traceBytes(t, e.RunStream(nil))
-		if !bytes.Equal(want, got) {
-			t.Fatalf("nodes=%d: streaming run differs from batch engine", nodes)
+		want := traceBytes(t, New(Config{Fleet: testCfg(2004, 2, nodes)}).Run(nil))
+		var seen countSink
+		tr := New(Config{Fleet: testCfg(2004, 2, nodes)}).Run(&seen)
+		if !bytes.Equal(want, traceBytes(t, tr)) {
+			t.Fatalf("nodes=%d: run with a sink differs from the drained batch trace", nodes)
 		}
-		if e.NodeTraces() != nil {
-			t.Fatal("streaming run retained per-node traces")
+		if int(seen) != len(tr.Conns) {
+			t.Fatalf("nodes=%d: sink saw %d sessions, trace has %d", nodes, seen, len(tr.Conns))
 		}
 	}
 }
 
 // TestRunStreamHashMatchesBatch: the canonical trace hash — what the
-// full-scale run compares — agrees between the two paths.
+// full-scale run compares — agrees between the live merge and batch
+// trace.Merge over the same vantages' streams, each drained alone.
 func TestRunStreamHashMatchesBatch(t *testing.T) {
-	batch := New(Config{Fleet: testCfg(3, 1, 3), Workers: 2}).Run()
-	streamed := New(Config{Fleet: testCfg(3, 1, 3)}).RunStream(nil)
-	hb, err := batch.Hash()
+	cfg := Config{Fleet: testCfg(3, 1, 3)}
+	streamed, err := New(cfg).Run(nil).Hash()
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs, err := streamed.Hash()
+	vantages := make([]*trace.Trace, cfg.Fleet.Nodes)
+	for i := range vantages {
+		vantages[i], _ = drainVantage(t, cfg, i)
+	}
+	batch, err := trace.Merge(vantages...).Hash()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hb != hs {
-		t.Fatalf("trace hashes differ: batch %x stream %x", hb, hs)
+	if batch != streamed {
+		t.Fatalf("trace hashes differ: batch %x stream %x", batch, streamed)
 	}
 }
 
-// TestRunStreamStats: streaming accounting equals the batch engine's.
+// TestRunStreamStats: the accounting of a run feeding a sink equals the
+// sink-less run's, and the merge reports its pending high-water mark.
 func TestRunStreamStats(t *testing.T) {
-	batch := New(Config{Fleet: testCfg(5, 1, 3), Workers: 2})
-	batch.Run()
+	bs := New(Config{Fleet: testCfg(5, 1, 3)}).Stats()
 	str := New(Config{Fleet: testCfg(5, 1, 3)})
-	str.RunStream(nil)
-	bs, ss := batch.Stats(), str.Stats()
+	str.Run(stream.NewOnline(stream.OnlineConfig{}))
+	ss := str.Stats()
 	if bs.Arrivals != ss.Arrivals || bs.Rejected != ss.Rejected {
 		t.Fatalf("stats differ: batch %+v stream %+v", bs, ss)
 	}
@@ -119,8 +128,7 @@ func TestRunStreamStats(t *testing.T) {
 func TestRunStreamOnlineDeterministic(t *testing.T) {
 	run := func() (stream.Snapshot, *trace.Trace) {
 		online := stream.NewOnline(stream.OnlineConfig{})
-		e := New(Config{Fleet: testCfg(13, 2, 3)})
-		tr := e.RunStream(online)
+		tr := New(Config{Fleet: testCfg(13, 2, 3)}).Run(online)
 		return online.Snapshot(10), tr
 	}
 	a, tr := run()

@@ -12,10 +12,10 @@ import (
 // TestNodeStreamMatchesRunStream is the distributed-vantage pin: N
 // independent NodeStream runs — each regenerating the arrival process
 // alone, exactly as N separate emitter processes would — merged through
-// one streaming merger, must reproduce RunStream's trace byte for byte.
+// one streaming merger, must reproduce the in-process Run byte for byte.
 func TestNodeStreamMatchesRunStream(t *testing.T) {
 	for _, nodes := range []int{1, 3, 4} {
-		want := traceBytes(t, New(Config{Fleet: testCfg(2004, 2, nodes)}).RunStream(nil))
+		want := traceBytes(t, New(Config{Fleet: testCfg(2004, 2, nodes)}).Run(nil))
 
 		m := stream.NewMerger(nodes, nil)
 		m.SetWindow(DefaultMergeWindow)
@@ -32,12 +32,8 @@ func TestNodeStreamMatchesRunStream(t *testing.T) {
 			}(i)
 		}
 		wg.Wait()
-		got := traceBytes(t, <-done)
-		if !bytes.Equal(traceBytes(t, New(Config{Fleet: testCfg(2004, 2, nodes)}).Run()), want) {
-			t.Fatalf("nodes=%d: RunStream differs from Run (precondition)", nodes)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("nodes=%d: merged NodeStream vantages differ from RunStream", nodes)
+		if got := traceBytes(t, <-done); !bytes.Equal(got, want) {
+			t.Fatalf("nodes=%d: merged NodeStream vantages differ from Run", nodes)
 		}
 	}
 }
@@ -46,17 +42,9 @@ func TestNodeStreamMatchesRunStream(t *testing.T) {
 // independent NodeStream runs must equal the engine's fleet rows.
 func TestNodeStreamStatsMatchFleet(t *testing.T) {
 	const nodes = 3
-	e := New(Config{Fleet: testCfg(7, 1, nodes)})
-	e.Run()
-	fleetStats := e.Stats()
+	fleetStats := New(Config{Fleet: testCfg(7, 1, nodes)}).Stats()
 	for i := 0; i < nodes; i++ {
-		m := stream.NewMerger(1, nil)
-		go m.Run()
-		st, err := NodeStream(Config{Fleet: testCfg(7, 1, nodes)}, i, stream.NewProducer(0, m.Intake()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st != fleetStats.PerNode[i] {
+		if _, st := drainVantage(t, Config{Fleet: testCfg(7, 1, nodes)}, i); st != fleetStats.PerNode[i] {
 			t.Fatalf("vantage %d stats = %+v, want %+v", i, st, fleetStats.PerNode[i])
 		}
 	}
@@ -73,16 +61,11 @@ func TestNodeStreamRejectsBadIndex(t *testing.T) {
 }
 
 // TestEngineLossAccessorsZeroInProcess: in-process runs can never lose
-// an input; both execution modes must report a clean ledger.
+// an input; the merge's degradation ledger must be clean.
 func TestEngineLossAccessorsZeroInProcess(t *testing.T) {
 	e := New(Config{Fleet: testCfg(5, 1, 2)})
-	e.Run()
+	e.Run(nil)
 	if e.DeadInputs() != 0 || e.LostSessions() != 0 {
-		t.Fatalf("batch run reported losses: dead=%d lost=%d", e.DeadInputs(), e.LostSessions())
-	}
-	es := New(Config{Fleet: testCfg(5, 1, 2)})
-	es.RunStream(nil)
-	if es.DeadInputs() != 0 || es.LostSessions() != 0 {
-		t.Fatalf("stream run reported losses: dead=%d lost=%d", es.DeadInputs(), es.LostSessions())
+		t.Fatalf("in-process run reported losses: dead=%d lost=%d", e.DeadInputs(), e.LostSessions())
 	}
 }

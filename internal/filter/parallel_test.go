@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/capture"
+	"repro/internal/engine"
 	"repro/internal/filter"
 	"repro/internal/trace"
 )
@@ -20,7 +21,7 @@ func parTrace(t testing.TB) *trace.Trace {
 	ptOnce.Do(func() {
 		cfg := capture.DefaultConfig(909, 0.02)
 		cfg.Workload.Days = 2
-		ptTrace = capture.New(cfg).Run()
+		ptTrace = engine.New(engine.Config{Fleet: capture.FleetConfig{Node: cfg, Nodes: 1}}).Run(nil)
 	})
 	return ptTrace
 }

@@ -2,7 +2,7 @@
 // carries the typed event streams of internal/stream across process and
 // machine boundaries, from per-vantage emitter processes to a central
 // collector, and guarantees that the collector's drained merged trace is
-// byte-identical to an in-process engine.RunStream over the same
+// byte-identical to an in-process engine.Run over the same
 // configuration — under connection drops, delays, duplicated and
 // reordered frames, slow readers, partitions, and emitter crashes with
 // restart. When an emitter dies and never comes back, the collector

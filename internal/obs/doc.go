@@ -61,7 +61,7 @@
 //	latency     {kind,t_ms,src?,samples{name:val}}  wall-histogram snapshot
 //
 // Span ids are sequential and parent links give the phase tree
-// (partition → simulate → merge → characterize on the batch path).
+// (simulate → characterize for an `analyze -simulate` run).
 // Canonical(r) normalizes a journal for determinism comparison: it
 // drops heartbeat and latency lines, strips t_ms/dur_ms, and
 // stable-sorts the survivors by src lane, leaving span structure,

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/capture"
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 func TestTableAlignment(t *testing.T) {
@@ -123,7 +124,7 @@ func renderFixture(t *testing.T) *core.Characterization {
 	renderOnce.Do(func() {
 		cfg := capture.DefaultConfig(5, 0.01)
 		cfg.Workload.Days = 2
-		renderChar = core.Characterize(capture.New(cfg).Run())
+		renderChar = core.Characterize(engine.New(engine.Config{Fleet: capture.FleetConfig{Node: cfg, Nodes: 1}}).Run(nil))
 	})
 	return renderChar
 }

@@ -152,9 +152,6 @@ func mergeSim(base, overlay SimSpec) SimSpec {
 	if overlay.Nodes != nil {
 		out.Nodes = overlay.Nodes
 	}
-	if overlay.Workers != nil {
-		out.Workers = overlay.Workers
-	}
 	if overlay.Stream != nil {
 		out.Stream = overlay.Stream
 	}
@@ -175,10 +172,11 @@ type Compiled struct {
 	Name string
 	// Sim is the vantage-node configuration, scenario attached.
 	Sim capture.Config
-	// Nodes, Workers, Stream shape the fleet run (see p2pquery.RunConfig).
-	Nodes   int
-	Workers int
-	Stream  bool
+	// Nodes is the vantage fleet size.
+	Nodes int
+	// Stream attaches the online sketch layer to the run and lets the auto
+	// memory limit apply (see cliflags.ApplyMemLimit).
+	Stream bool
 	// MemLimit is the soft Go memory limit in bytes; 0 means unset.
 	MemLimit int64
 	// Checks are the spec's headline-metric assertions.
@@ -211,9 +209,6 @@ func Compile(sp *Spec) (*Compiled, error) {
 	}
 	if sp.Sim.Nodes != nil {
 		c.Nodes = *sp.Sim.Nodes
-	}
-	if sp.Sim.Workers != nil {
-		c.Workers = *sp.Sim.Workers
 	}
 	if sp.Sim.Stream != nil {
 		c.Stream = *sp.Sim.Stream

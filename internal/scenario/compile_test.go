@@ -66,7 +66,7 @@ func TestPaper40dTraceHashEqualsFlagPath(t *testing.T) {
 	}
 	specTr := engine.New(engine.Config{
 		Fleet: capture.FleetConfig{Node: c.Sim, Nodes: c.Nodes},
-	}).Run()
+	}).Run(nil)
 	specHash, err := specTr.Hash()
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestPaper40dTraceHashEqualsFlagPath(t *testing.T) {
 	cfg.Workload.Days = days
 	flagTr := engine.New(engine.Config{
 		Fleet: capture.FleetConfig{Node: cfg, Nodes: nodes},
-	}).Run()
+	}).Run(nil)
 	flagHash, err := flagTr.Hash()
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestCompileDefaults(t *testing.T) {
 		c.Sim.Workload.Days != DefaultDays || c.Nodes != DefaultNodes {
 		t.Errorf("defaults: %+v nodes=%d", c.Sim.Workload, c.Nodes)
 	}
-	if c.Stream || c.Workers != 0 || c.MemLimit != 0 {
+	if c.Stream || c.MemLimit != 0 {
 		t.Errorf("zero-value run shape expected: %+v", c)
 	}
 }

@@ -32,8 +32,7 @@
 //	  scale: 0.05           # fraction of the paper's arrival volume
 //	  days: 40              # measurement period
 //	  nodes: 4              # vantage fleet size
-//	  workers: 0            # engine worker pool (0 = GOMAXPROCS)
-//	  stream: true          # bounded-memory streaming engine
+//	  stream: true          # print the online sketch block; auto memlimit
 //	  memlimit: 2147483648  # soft Go memory limit in bytes (0 = unset)
 //
 //	classes:                # scenario client classes (workload overlay)
@@ -70,11 +69,11 @@
 // Three built-ins, themselves written as spec documents (Preset):
 //
 //   - paper40d — the paper's 40-day full-scale measurement on a
-//     48-vantage streaming fleet; compiles to exactly today's default
-//     config (pinned by trace-hash equality).
+//     48-vantage fleet with the online sketch layer; compiles to exactly
+//     today's default config (pinned by trace-hash equality).
 //   - laptop — 4 days at scale 0.05 on 4 nodes; seconds, not minutes.
-//   - tenweek — 70 days at scale 0.02, streaming: 2.5× the paper's
-//     period, the long-run memory/drift stress.
+//   - tenweek — 70 days at scale 0.02 with the online sketch layer: 2.5×
+//     the paper's period, the long-run memory/drift stress.
 //
 // # Cookbook
 //

@@ -15,7 +15,6 @@ sim:
   scale: 0.25
   days: 10
   nodes: 8
-  workers: 3
   stream: true
   memlimit: 1073741824
 classes:
@@ -60,8 +59,8 @@ func TestParseFullSpec(t *testing.T) {
 	if sp.Sim.Days == nil || *sp.Sim.Days != 10 || sp.Sim.Nodes == nil || *sp.Sim.Nodes != 8 {
 		t.Errorf("sim.days/nodes: %v %v", sp.Sim.Days, sp.Sim.Nodes)
 	}
-	if sp.Sim.Workers == nil || *sp.Sim.Workers != 3 || sp.Sim.Stream == nil || !*sp.Sim.Stream {
-		t.Errorf("sim.workers/stream: %v %v", sp.Sim.Workers, sp.Sim.Stream)
+	if sp.Sim.Stream == nil || !*sp.Sim.Stream {
+		t.Errorf("sim.stream: %v", sp.Sim.Stream)
 	}
 	if sp.Sim.MemLimit == nil || *sp.Sim.MemLimit != 1<<30 {
 		t.Errorf("sim.memlimit: %v", sp.Sim.MemLimit)

@@ -41,7 +41,6 @@ type SimSpec struct {
 	Scale    *float64
 	Days     *int
 	Nodes    *int
-	Workers  *int
 	Stream   *bool
 	MemLimit *int64
 }
@@ -286,7 +285,7 @@ func (d *decoder) spec(root *node) *Spec {
 
 func (d *decoder) sim(n *node, path string) SimSpec {
 	var s SimSpec
-	if !d.mapping(n, path, "seed", "scale", "days", "nodes", "workers", "stream", "memlimit") {
+	if !d.mapping(n, path, "seed", "scale", "days", "nodes", "stream", "memlimit") {
 		return s
 	}
 	for _, k := range n.keys {
@@ -318,12 +317,6 @@ func (d *decoder) sim(n *node, path string) SimSpec {
 				d.fail(c.line, p, "must be ≥ 1")
 			}
 			s.Nodes = &v
-		case "workers":
-			v := int(d.integer(c, p))
-			if d.err == nil && v < 0 {
-				d.fail(c.line, p, "must be ≥ 0 (0 = GOMAXPROCS)")
-			}
-			s.Workers = &v
 		case "stream":
 			v := d.boolean(c, p)
 			s.Stream = &v

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/capture"
 	"repro/internal/stream"
 	"repro/internal/trace"
 )
@@ -19,24 +18,33 @@ var (
 
 func benchFleetTraces(b *testing.B) []*trace.Trace {
 	b.Helper()
-	benchOnce.Do(func() {
-		cfg := capture.DefaultConfig(2004, 0.02)
-		cfg.Workload.Days = 2
-		benchTraces = capture.NewFleet(capture.FleetConfig{Node: cfg, Nodes: 4}).NodeTraces()
-	})
+	benchOnce.Do(func() { benchTraces = fleetTraces(b, 2004, 2, 4) })
 	return benchTraces
 }
 
-// BenchmarkStreamMergeTraces measures the streaming k-way merge on the
-// same workload BenchmarkTraceMerge (internal/capture) feeds the batch
-// merge — the pair quantifies what the engine's production merge path
-// costs relative to the sort-based reference.
+// BenchmarkStreamMergeTraces measures the streaming k-way merge over a
+// fleet's materialized per-node traces; against BenchmarkTraceMerge it
+// prices the streaming merge relative to the sort-based reference.
 func BenchmarkStreamMergeTraces(b *testing.B) {
 	nodes := benchFleetTraces(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := stream.MergeTraces(nodes...)
+		if len(m.Conns) == 0 {
+			b.Fatal("empty merge")
+		}
+	}
+}
+
+// BenchmarkTraceMerge isolates batch trace.Merge on the same traces:
+// deduplicate, totally order, and re-identify.
+func BenchmarkTraceMerge(b *testing.B) {
+	nodes := benchFleetTraces(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := trace.Merge(nodes...)
 		if len(m.Conns) == 0 {
 			b.Fatal("empty merge")
 		}

@@ -98,10 +98,20 @@ func (m *Merger) SetObserver(o *obs.Observer) {
 	if reg == nil {
 		return
 	}
+	// The pending high-water mark and the last barrier position depend on
+	// how the inputs' batches interleave at the intake — goroutine
+	// scheduling in-process, the network across processes — so they are
+	// exposition-only, kept out of the deterministic journal snapshot like
+	// every other timing-dependent value.
+	live := func(name, help string) *obs.Gauge {
+		g := new(obs.Gauge)
+		reg.GaugeFunc(name, help, g.Value)
+		return g
+	}
 	m.om = mergerMetrics{
 		pending:  reg.Gauge("merge_pending_sessions", "completed sessions held behind the emission barrier"),
-		peak:     reg.Gauge("merge_peak_pending", "high-water mark of the pending buffer"),
-		barrier:  reg.Gauge("merge_barrier_seconds", "emission-barrier watermark in stream time"),
+		peak:     live("merge_peak_pending", "high-water mark of the pending buffer"),
+		barrier:  live("merge_barrier_seconds", "emission-barrier watermark in stream time"),
 		emitted:  reg.Counter("merge_emitted_total", "sessions retired in merged order"),
 		spilled:  reg.Counter("merge_spilled_total", "outlier sessions diverted to the spill path"),
 		dead:     reg.Gauge("merge_dead_inputs", "inputs evicted dead instead of completing"),
@@ -478,8 +488,7 @@ func (h *sessHeap) Pop() any {
 
 // MergeTraces runs already-materialized per-node traces through the
 // streaming merge and returns the merged trace — the drop-in replacement
-// for batch trace.Merge (byte-identical output, pinned by test), and the
-// engine's production merge path for the batch engine. trace.Merge
+// for batch trace.Merge (byte-identical output, pinned by test), which
 // remains as the independent reference oracle the equivalence tests
 // compare against.
 //
@@ -509,18 +518,10 @@ type MergeStats struct {
 // callers running the streaming merge over materialized traces report
 // the same PeakPending accounting as the live streaming path.
 func MergeTracesStats(traces ...*trace.Trace) (*trace.Trace, MergeStats) {
-	return MergeTracesObs(nil, traces...)
-}
-
-// MergeTracesObs is MergeTracesStats with the merge's metric handles
-// attached to o's registry (merge_pending_sessions, merge_peak_pending,
-// merge_emitted_total, …). A nil observer merges uninstrumented.
-func MergeTracesObs(o *obs.Observer, traces ...*trace.Trace) (*trace.Trace, MergeStats) {
 	if len(traces) == 0 {
 		return &trace.Trace{Nodes: 0}, MergeStats{}
 	}
 	m := NewMerger(len(traces), nil)
-	m.SetObserver(o)
 
 	type cursor struct {
 		t      *trace.Trace

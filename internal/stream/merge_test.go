@@ -9,17 +9,31 @@ import (
 	"time"
 
 	"repro/internal/capture"
+	"repro/internal/engine"
 	"repro/internal/stream"
 	"repro/internal/trace"
 )
 
-func fleetTraces(t *testing.T, seed uint64, days, nodes int) []*trace.Trace {
+// fleetTraces simulates a fleet at 1 % scale and returns each vantage's
+// own trace: engine.NodeStream runs the vantage alone and a one-input
+// merger drains its stream.
+func fleetTraces(t testing.TB, seed uint64, days, nodes int) []*trace.Trace {
 	t.Helper()
 	cfg := capture.DefaultConfig(seed, 0.01)
 	cfg.Workload.Days = days
-	f := capture.NewFleet(capture.FleetConfig{Node: cfg, Nodes: nodes})
-	f.Run()
-	return f.NodeTraces()
+	ecfg := engine.Config{Fleet: capture.FleetConfig{Node: cfg, Nodes: nodes}}
+	out := make([]*trace.Trace, nodes)
+	for i := range out {
+		m := stream.NewMerger(1, nil)
+		m.SetWindow(engine.DefaultMergeWindow)
+		done := make(chan *trace.Trace)
+		go func() { done <- m.Run() }()
+		if _, err := engine.NodeStream(ecfg, i, stream.NewProducer(0, m.Intake())); err != nil {
+			t.Fatal(err)
+		}
+		out[i] = <-done
+	}
+	return out
 }
 
 func traceBytes(t *testing.T, tr *trace.Trace) []byte {

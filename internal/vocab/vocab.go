@@ -131,7 +131,7 @@ type classShape struct {
 // Shapes per class. Daily sizes follow Table 3's 1-day column; pool sizes
 // are set so multi-day unions grow roughly like the 2-day column (the
 // 4-day column is not exactly reachable with any stationary daily-draw
-// model — see DESIGN.md).
+// model).
 var classShapes = [NumClasses]classShape{
 	NAOnly: {pool: 10000, daily: 1990, alpha: 0.386},
 	EUOnly: {pool: 15000, daily: 1934, alpha: 0.223},

@@ -11,8 +11,8 @@ import (
 )
 
 // journalRun executes the paper40d preset at smoke scale under a fresh
-// observer and returns the full journal: partition/simulate/merge spans
-// from the engine, a characterize span, the scenario check events, and
+// observer and returns the full journal: the engine's simulate span, a
+// characterize span, the scenario check events, and
 // the final metrics snapshot — the exact sequence `analyze -journal`
 // records.
 func journalRun(t *testing.T) []byte {
@@ -82,7 +82,7 @@ func TestJournalDeterministic(t *testing.T) {
 
 	// The canonical record must tell the whole pipeline's story.
 	joined := strings.Join(a, "\n")
-	for _, span := range []string{"partition", "simulate", "merge", "characterize"} {
+	for _, span := range []string{"simulate", "characterize"} {
 		if !strings.Contains(joined, `"name":"`+span+`"`) {
 			t.Errorf("journal missing %q span", span)
 		}

@@ -46,9 +46,14 @@ func DefaultSimulation(seed uint64, scale float64) SimulationConfig {
 }
 
 // Simulate runs the single-vantage measurement simulation and returns
-// the trace.
+// the trace: Run(RunConfig{Sim: cfg}). It panics on a configuration Run
+// rejects (a zero SimulationConfig).
 func Simulate(cfg SimulationConfig) *Trace {
-	return capture.New(cfg).Run()
+	res, err := Run(RunConfig{Sim: cfg})
+	if err != nil {
+		panic(err)
+	}
+	return res.Trace
 }
 
 // FleetStats aggregates a fleet run's arrival accounting and per-node
@@ -62,30 +67,27 @@ type OnlineMetrics = stream.Snapshot
 
 // RunConfig is the one description of a fleet simulation run: the
 // vantage-node configuration plus every knob that shapes how the fleet
-// executes. It replaces the SimulateFleet/SimulateFleetWorkers/
-// SimulateFleetStream trio — the zero value of each knob means "the
-// default those entry points used".
+// executes; the zero value of each knob means the engine default.
 type RunConfig struct {
 	// Sim is the per-vantage measurement configuration (required; start
 	// from DefaultSimulation or a compiled scenario).
 	Sim SimulationConfig
 	// Nodes is the vantage fleet size (0 = 1, the paper's single node).
 	Nodes int
-	// Workers bounds the engine's worker pool in the eager mode
-	// (0 = GOMAXPROCS, 1 = sequential); byte-identical for every value.
-	Workers int
-	// Stream selects the bounded-memory streaming engine: bounded
-	// producer, per-node emission, online k-way merge. The drained trace
-	// is byte-identical to the batch path.
+	// Stream is ignored: every run is the bounded-memory stream (bounded
+	// producer, per-node emission, online k-way merge) drained into a
+	// trace.
+	//
+	// Deprecated: the engine has one execution path; leave Stream unset.
 	Stream bool
-	// Lookahead bounds the streaming producer's in-flight sessions per
-	// node (0 = engine default; only meaningful with Stream).
+	// Lookahead bounds the producer's in-flight sessions per node
+	// (0 = engine default; the trace is byte-identical for every value).
 	Lookahead int
 	// MergeWindow bounds the streaming merge's emission barrier
 	// (0 = engine default; see engine.Config.MergeWindow).
 	MergeWindow time.Duration
 	// Online attaches the sketch-based online characterization layer to
-	// the merged stream (requires Stream).
+	// the merged stream.
 	Online bool
 	// OnlineTopK sizes the online snapshot's keyword ranking (0 = 10).
 	OnlineTopK int
@@ -119,18 +121,14 @@ type Result struct {
 	ScheduledPerNode []uint64
 }
 
-// Run executes a fleet simulation described by cfg. It is the single
-// entry point every mode routes through: batch (the historical
-// SimulateFleet), explicit worker bounds (SimulateFleetWorkers), and
-// streaming with online metrics (SimulateFleetStream). The merged trace
-// is byte-identical across all of them — the engine's determinism
-// contract (see internal/engine).
+// Run executes a fleet simulation described by cfg: the engine's one
+// pipeline, drained into the merged trace, with the online sketch layer
+// riding the merge when requested. The merged trace is byte-identical
+// for every knob but Sim and Nodes — the engine's determinism contract
+// (see internal/engine).
 func Run(cfg RunConfig) (*Result, error) {
 	if cfg.Sim.MaxConns == 0 && cfg.Sim.Workload.Scale == 0 {
 		return nil, errors.New("p2pquery.Run: zero RunConfig.Sim; build it with DefaultSimulation or LoadScenario")
-	}
-	if cfg.Online && !cfg.Stream {
-		return nil, errors.New("p2pquery.Run: Online requires Stream (online metrics ride the streaming merge)")
 	}
 	if cfg.Lookahead < 0 {
 		return nil, errors.New("p2pquery.Run: negative Lookahead")
@@ -144,31 +142,26 @@ func Run(cfg RunConfig) (*Result, error) {
 	}
 	eng := engine.New(engine.Config{
 		Fleet:       capture.FleetConfig{Node: cfg.Sim, Nodes: nodes},
-		Workers:     cfg.Workers,
 		Lookahead:   cfg.Lookahead,
 		MergeWindow: cfg.MergeWindow,
 		Obs:         cfg.Obs,
 	})
 	res := &Result{}
-	if cfg.Stream {
-		var online *stream.Online
-		var sink stream.Sink
-		if cfg.Online {
-			online = stream.NewOnline(stream.OnlineConfig{})
-			online.Register(cfg.Obs.Reg())
-			sink = online
+	var online *stream.Online
+	var sink stream.Sink
+	if cfg.Online {
+		online = stream.NewOnline(stream.OnlineConfig{})
+		online.Register(cfg.Obs.Reg())
+		sink = online
+	}
+	res.Trace = eng.Run(sink)
+	if online != nil {
+		k := cfg.OnlineTopK
+		if k == 0 {
+			k = 10
 		}
-		res.Trace = eng.RunStream(sink)
-		if online != nil {
-			k := cfg.OnlineTopK
-			if k == 0 {
-				k = 10
-			}
-			snap := online.Snapshot(k)
-			res.Online = &snap
-		}
-	} else {
-		res.Trace = eng.Run()
+		snap := online.Snapshot(k)
+		res.Online = &snap
 	}
 	res.Stats = eng.Stats()
 	res.PeakPending = eng.PeakPending()
@@ -177,44 +170,6 @@ func Run(cfg RunConfig) (*Result, error) {
 	res.LostSessions = eng.LostSessions()
 	res.ScheduledPerNode = eng.ScheduledPerNode()
 	return res, nil
-}
-
-// SimulateFleet runs the multi-vantage measurement fabric and returns
-// the merged full-volume trace.
-//
-// Deprecated: use Run(RunConfig{Sim: cfg, Nodes: nodes}); this wrapper
-// remains for compatibility and is equivalence-tested against Run.
-func SimulateFleet(cfg SimulationConfig, nodes int) *Trace {
-	return SimulateFleetWorkers(cfg, nodes, 0)
-}
-
-// SimulateFleetWorkers is SimulateFleet with an explicit simulation
-// worker-pool bound.
-//
-// Deprecated: use Run(RunConfig{Sim: cfg, Nodes: nodes, Workers:
-// workers}); this wrapper remains for compatibility and is
-// equivalence-tested against Run.
-func SimulateFleetWorkers(cfg SimulationConfig, nodes, workers int) *Trace {
-	res, err := Run(RunConfig{Sim: cfg, Nodes: nodes, Workers: workers})
-	if err != nil {
-		panic(err) // unreachable for configs the old API accepted
-	}
-	return res.Trace
-}
-
-// SimulateFleetStream runs the multi-vantage simulation in full
-// streaming mode and returns the drained trace plus the online
-// characterization snapshot.
-//
-// Deprecated: use Run(RunConfig{Sim: cfg, Nodes: nodes, Stream: true,
-// Online: true}); this wrapper remains for compatibility and is
-// equivalence-tested against Run.
-func SimulateFleetStream(cfg SimulationConfig, nodes int) (*Trace, OnlineMetrics) {
-	res, err := Run(RunConfig{Sim: cfg, Nodes: nodes, Stream: true, Online: true})
-	if err != nil {
-		panic(err) // unreachable for configs the old API accepted
-	}
-	return res.Trace, *res.Online
 }
 
 // Scenario is a compiled declarative experiment: the YAML spec subsystem's
@@ -244,13 +199,7 @@ func ScenarioPreset(name string) (*Scenario, error) {
 
 // RunScenario executes a compiled scenario through Run.
 func RunScenario(c *Scenario) (*Result, error) {
-	return Run(RunConfig{
-		Sim:     c.Sim,
-		Nodes:   c.Nodes,
-		Workers: c.Workers,
-		Stream:  c.Stream,
-		Online:  c.Stream,
-	})
+	return Run(RunConfig{Sim: c.Sim, Nodes: c.Nodes, Online: c.Stream})
 }
 
 // EvaluateScenario measures the scenario's headline metrics on a trace

@@ -57,11 +57,15 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 // TestFacadeFleet drives the multi-vantage entry point: the merged
 // trace must carry the node count, characterize end to end, and be
-// byte-identical for every simulation worker count.
+// byte-identical for every producer window.
 func TestFacadeFleet(t *testing.T) {
 	cfg := DefaultSimulation(7, 0.002)
 	cfg.Workload.Days = 1
-	tr := SimulateFleet(cfg, 3)
+	res, err := Run(RunConfig{Sim: cfg, Nodes: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := res.Trace
 	if tr.Nodes != 3 {
 		t.Fatalf("merged trace Nodes = %d, want 3", tr.Nodes)
 	}
@@ -72,75 +76,61 @@ func TestFacadeFleet(t *testing.T) {
 	if len(c.Sessions) == 0 {
 		t.Fatal("no sessions characterized from merged trace")
 	}
-	var want bytes.Buffer
-	if err := tr.Write(&want); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 3} {
-		var got bytes.Buffer
-		if err := SimulateFleetWorkers(cfg, 3, workers).Write(&got); err != nil {
+	for _, lookahead := range []int{1, 16} {
+		got, err := Run(RunConfig{Sim: cfg, Nodes: 3, Lookahead: lookahead})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(want.Bytes(), got.Bytes()) {
-			t.Fatalf("SimulateFleetWorkers(%d) trace differs", workers)
+		if !bytes.Equal(traceBytes(t, tr), traceBytes(t, got.Trace)) {
+			t.Fatalf("Lookahead %d trace differs", lookahead)
 		}
 	}
 }
 
-// TestRunEquivalence: the deprecated wrapper trio must be byte-identical
-// to the Run(RunConfig) calls that replaced them — the acceptance
-// contract that lets callers migrate without re-validating traces.
+func traceBytes(t *testing.T, tr *Trace) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestRunEquivalence: the run configurations that differ only in how the
+// run is observed or executed must be byte-identical — Simulate is
+// Run{Sim}, the deprecated Stream knob is ignored, and the online sketch
+// layer rides the merge without perturbing it.
 func TestRunEquivalence(t *testing.T) {
 	cfg := DefaultSimulation(7, 0.002)
 	cfg.Workload.Days = 1
 
-	traceBytes := func(tr *Trace) []byte {
-		t.Helper()
-		var buf bytes.Buffer
-		if err := tr.Write(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-
-	// SimulateFleet ≡ Run{Nodes}.
-	res, err := Run(RunConfig{Sim: cfg, Nodes: 3})
+	res, err := Run(RunConfig{Sim: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(traceBytes(SimulateFleet(cfg, 3)), traceBytes(res.Trace)) {
-		t.Error("SimulateFleet differs from Run")
-	}
-	if res.Stats.Arrivals == 0 || len(res.ScheduledPerNode) != 3 {
-		t.Errorf("Run result accounting empty: %+v", res.Stats)
+	if !bytes.Equal(traceBytes(t, Simulate(cfg)), traceBytes(t, res.Trace)) {
+		t.Error("Simulate differs from Run")
 	}
 
-	// SimulateFleetWorkers ≡ Run{Nodes, Workers}.
-	resW, err := Run(RunConfig{Sim: cfg, Nodes: 3, Workers: 1})
+	fleet, err := Run(RunConfig{Sim: cfg, Nodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(traceBytes(SimulateFleetWorkers(cfg, 3, 1)), traceBytes(resW.Trace)) {
-		t.Error("SimulateFleetWorkers differs from Run")
+	if fleet.Stats.Arrivals == 0 || len(fleet.ScheduledPerNode) != 3 {
+		t.Errorf("Run result accounting empty: %+v", fleet.Stats)
 	}
-
-	// SimulateFleetStream ≡ Run{Nodes, Stream, Online} — trace and
-	// snapshot both.
-	trS, snap := SimulateFleetStream(cfg, 3)
-	resS, err := Run(RunConfig{Sim: cfg, Nodes: 3, Stream: true, Online: true})
+	if fleet.Online != nil {
+		t.Error("online snapshot without Online")
+	}
+	online, err := Run(RunConfig{Sim: cfg, Nodes: 3, Stream: true, Online: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(traceBytes(trS), traceBytes(resS.Trace)) {
-		t.Error("SimulateFleetStream trace differs from Run")
+	if !bytes.Equal(traceBytes(t, fleet.Trace), traceBytes(t, online.Trace)) {
+		t.Error("online run's trace differs from the plain run's")
 	}
-	if resS.Online == nil || resS.Online.Sessions != snap.Sessions || resS.Online.Queries != snap.Queries {
-		t.Errorf("online snapshots differ: %+v vs %+v", resS.Online, snap)
-	}
-
-	// And the streaming path drains to the batch path's bytes.
-	if !bytes.Equal(traceBytes(res.Trace), traceBytes(resS.Trace)) {
-		t.Error("streaming trace differs from batch trace")
+	if online.Online == nil || online.Online.Sessions != uint64(len(online.Trace.Conns)) {
+		t.Errorf("online snapshot does not cover the trace: %+v", online.Online)
 	}
 }
 
@@ -150,9 +140,6 @@ func TestRunValidation(t *testing.T) {
 	}
 	cfg := DefaultSimulation(7, 0.001)
 	cfg.Workload.Days = 1
-	if _, err := Run(RunConfig{Sim: cfg, Online: true}); err == nil {
-		t.Error("Online without Stream accepted")
-	}
 	if _, err := Run(RunConfig{Sim: cfg, Nodes: -1}); err == nil {
 		t.Error("negative Nodes accepted")
 	}
