@@ -8,7 +8,7 @@ SHELL := /bin/bash
 
 GO ?= go
 
-.PHONY: test race bench bench-ci obs-overhead speedup-check distfleet-smoke scenario-suite fullscale fullscale-single lint
+.PHONY: test race fuzz-smoke bench bench-ci obs-overhead speedup-check distfleet-smoke scenario-suite fullscale fullscale-single lint
 
 # bench/ is its own module (replace repro => ../), so ./... never reaches
 # it; the second line builds it against this tree and runs its smoke-size
@@ -19,6 +19,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fuzz-smoke runs the calendar queue's order-equivalence fuzz target
+# against the binary heap for ten seconds past its seed corpus.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzCalendarHeapEquivalence -fuzztime 10s ./internal/simtime
 
 # bench runs every benchmark in every package with allocation reporting
 # and writes the machine-readable result to BENCH.json (see BENCH_pr6.json

@@ -55,7 +55,9 @@ type Config struct {
 	// suppression and local hit serving still work. PING replies are
 	// counted (Stats.PongsSent) but not built or sent.
 	Passive bool
-	// Now supplies the node's clock (simulated or wall).
+	// Now supplies the node's clock (simulated, or monotonic wall time
+	// since start). It must never run backward: route expiry relies on
+	// insertion order being time order.
 	Now func() time.Duration
 	// Send delivers an envelope to a connection. Required. The payload is
 	// the callee's to keep: the node never sends one that aliases a
@@ -103,6 +105,14 @@ type route struct {
 	at   time.Duration
 }
 
+// stamp records one insertion into routes (origin false) or origin
+// (origin true) for maybeSweep's expiry queue.
+type stamp struct {
+	g      guid.GUID
+	at     time.Duration
+	origin bool
+}
+
 // Node is the routing engine. It is not safe for concurrent use: the
 // simulator is single-threaded, and the TCP embedding serializes access.
 type Node struct {
@@ -120,6 +130,9 @@ type Node struct {
 	stats       Stats
 	lcg         uint64
 	lastSweep   time.Duration
+	// expiry lists every routes/origin insertion in insertion order,
+	// which is time order; see maybeSweep.
+	expiry []stamp
 }
 
 // New builds a node.
@@ -215,7 +228,7 @@ func (n *Node) Receive(conn int, env wire.Envelope) {
 
 func (n *Node) handlePing(conn int, env wire.Envelope) {
 	// Remember the reverse route so PONGs can flow back.
-	n.routes[env.Header.GUID] = route{conn: conn, at: n.cfg.Now()}
+	n.setRoute(env.Header.GUID, conn)
 	if n.cfg.Passive {
 		// The replies below would be built only for Send to drop them;
 		// count them as sent and skip the work.
@@ -281,7 +294,7 @@ func (n *Node) handleQuery(conn int, env wire.Envelope, m *wire.Query) {
 		n.stats.DroppedDup++
 		return
 	}
-	n.routes[env.Header.GUID] = route{conn: conn, at: n.cfg.Now()}
+	n.setRoute(env.Header.GUID, conn)
 
 	// Serve hits from the local library.
 	if hits := n.match(m); len(hits) > 0 {
@@ -390,7 +403,7 @@ func (n *Node) Originate(m wire.Message, ttl uint8) guid.GUID {
 		panic("overlay: Originate requires Config.GUIDs")
 	}
 	g := n.cfg.GUIDs.Next()
-	n.origin[g] = n.cfg.Now()
+	n.setOrigin(g)
 	env := wire.Envelope{
 		Header:  wire.Header{GUID: g, Type: m.Type(), TTL: ttl, Hops: 1},
 		Payload: m,
@@ -413,7 +426,7 @@ func (n *Node) Probe(conn int) guid.GUID {
 		panic("overlay: Probe requires Config.GUIDs")
 	}
 	g := n.cfg.GUIDs.Next()
-	n.origin[g] = n.cfg.Now()
+	n.setOrigin(g)
 	n.send(conn, wire.Envelope{
 		Header:  wire.Header{GUID: g, Type: wire.TypePing, TTL: 1, Hops: 0},
 		Payload: &wire.Ping{},
@@ -426,6 +439,20 @@ func (n *Node) send(conn int, env wire.Envelope) {
 		return
 	}
 	n.cfg.Send(conn, env)
+}
+
+// setRoute records a reverse route through conn and queues it for expiry.
+func (n *Node) setRoute(g guid.GUID, conn int) {
+	now := n.cfg.Now()
+	n.routes[g] = route{conn: conn, at: now}
+	n.expiry = append(n.expiry, stamp{g: g, at: now})
+}
+
+// setOrigin marks g as originated here and queues it for expiry.
+func (n *Node) setOrigin(g guid.GUID) {
+	now := n.cfg.Now()
+	n.origin[g] = now
+	n.expiry = append(n.expiry, stamp{g: g, at: now, origin: true})
 }
 
 func (n *Node) lookupRoute(g guid.GUID) (route, bool) {
@@ -450,20 +477,34 @@ func (n *Node) RouteCount() int { return len(n.routes) }
 
 // maybeSweep expires old routes at most once per RouteTTL/2 of simulated
 // time, keeping the table bounded without a timer dependency.
+//
+// It deletes exactly the routes and origin entries older than RouteTTL,
+// without walking either map: every insertion also queued a stamp in
+// expiry, and since the clock never runs backward the queue is in time
+// order, so the expired entries are a prefix of it. A stamp can be stale —
+// its entry was since overwritten (a re-sent PING's GUID) or deleted
+// (lookupRoute drops expired and dead routes) — so an entry is deleted
+// only when the map still holds that stamp's exact instant; a newer
+// insertion under the same GUID has its own stamp, no earlier. Popped
+// stamps are compacted out in place, so the queue's backing array is
+// reused.
 func (n *Node) maybeSweep() {
 	now := n.cfg.Now()
 	if now-n.lastSweep < n.cfg.RouteTTL/2 {
 		return
 	}
 	n.lastSweep = now
-	for g, r := range n.routes {
-		if now-r.at > n.cfg.RouteTTL {
-			delete(n.routes, g)
+	q := n.expiry
+	i := 0
+	for ; i < len(q) && now-q[i].at > n.cfg.RouteTTL; i++ {
+		e := q[i]
+		if e.origin {
+			if at, ok := n.origin[e.g]; ok && at == e.at {
+				delete(n.origin, e.g)
+			}
+		} else if r, ok := n.routes[e.g]; ok && r.at == e.at {
+			delete(n.routes, e.g)
 		}
 	}
-	for g, at := range n.origin {
-		if now-at > n.cfg.RouteTTL {
-			delete(n.origin, g)
-		}
-	}
+	n.expiry = q[:copy(q, q[i:])]
 }

@@ -1,6 +1,8 @@
 package overlay
 
 import (
+	"maps"
+	"math/rand/v2"
 	"net/netip"
 	"testing"
 	"time"
@@ -606,5 +608,78 @@ func TestPassiveModeSkipsForwarding(t *testing.T) {
 	})
 	if len(h.sentTo(1)) != 1 {
 		t.Error("passive node must still route responses back")
+	}
+}
+
+// TestRouteExpiryMatchesFullWalk checks the insertion-order expiry queue
+// against the rule it replaces: at every sweep, the routes and origin
+// tables must equal what a walk over both maps deleting every entry older
+// than RouteTTL leaves. A seeded random mix of inserts, same-GUID
+// overwrites (re-sent PINGs, some at the same instant), lookupRoute
+// deletions (hits on expired routes and on routes through closed
+// connections), originated messages, connection churn and clock advances
+// crosses many RouteTTL/2 boundaries, so the queue holds plenty of stale
+// stamps.
+func TestRouteExpiryMatchesFullWalk(t *testing.T) {
+	var now time.Duration
+	n := New(Config{
+		Self:    guid.NewSource(3, 3).Next(),
+		Passive: true,
+		Now:     func() time.Duration { return now },
+		Send:    func(int, wire.Envelope) {},
+		GUIDs:   guid.NewSource(4, 4),
+	})
+	ttl := n.cfg.RouteTTL
+	rng := rand.New(rand.NewPCG(2004, 10))
+	ids := guid.NewSource(5, 5)
+	var seen []guid.GUID // GUIDs sent to the node, for overwrites and hits
+	pick := func() guid.GUID { return seen[rng.IntN(len(seen))] }
+	const conns = 8
+	for c := range conns {
+		n.AddConn(c, true)
+	}
+	sweeps, deleted := 0, 0
+	for step := 0; step < 20000; step++ {
+		if rng.IntN(4) == 0 {
+			// Mostly short steps, now and then past a whole TTL.
+			now += time.Duration(rng.Int64N(int64(ttl / 4)))
+		}
+		// Sweep explicitly so the full walk can be applied to the same
+		// snapshot; Receive's own call below is then a no-op.
+		if now-n.lastSweep >= ttl/2 {
+			wantRoutes := maps.Clone(n.routes)
+			maps.DeleteFunc(wantRoutes, func(_ guid.GUID, r route) bool { return now-r.at > ttl })
+			wantOrigin := maps.Clone(n.origin)
+			maps.DeleteFunc(wantOrigin, func(_ guid.GUID, at time.Duration) bool { return now-at > ttl })
+			deleted += len(n.routes) - len(wantRoutes) + len(n.origin) - len(wantOrigin)
+			n.maybeSweep()
+			if !maps.Equal(n.routes, wantRoutes) || !maps.Equal(n.origin, wantOrigin) {
+				t.Fatalf("step %d: sweep kept %d routes / %d origins, full walk %d / %d",
+					step, len(n.routes), len(n.origin), len(wantRoutes), len(wantOrigin))
+			}
+			sweeps++
+		}
+		conn := rng.IntN(conns)
+		switch op := rng.IntN(10); {
+		case op < 3 || len(seen) == 0: // a fresh query: a new route
+			g := ids.Next()
+			seen = append(seen, g)
+			n.Receive(conn, wire.Envelope{Header: wire.Header{GUID: g, Type: wire.TypeQuery, TTL: 3, Hops: 1}, Payload: &wire.Query{}})
+		case op < 5: // a PING under a known GUID: overwrites the route
+			n.Receive(conn, wire.Envelope{Header: wire.Header{GUID: pick(), Type: wire.TypePing, TTL: 1}, Payload: &wire.Ping{}})
+		case op < 7: // a hit: lookupRoute may delete the route
+			n.Receive(conn, wire.Envelope{Header: wire.Header{GUID: pick(), Type: wire.TypeQueryHit, TTL: 3, Hops: 1}, Payload: &wire.QueryHit{}})
+		case op < 8: // an originated message
+			seen = append(seen, n.Probe(conn))
+		default: // connection churn
+			if n.HasConn(conn) {
+				n.RemoveConn(conn)
+			} else {
+				n.AddConn(conn, true)
+			}
+		}
+	}
+	if sweeps < 100 || deleted < 1000 {
+		t.Fatalf("only %d sweeps deleting %d entries: the mix does not exercise expiry", sweeps, deleted)
 	}
 }

@@ -17,9 +17,12 @@ import (
 //     queue size n. This is the simulator's steady state.
 //   - Churn: schedule then cancel, the probe re-arm pattern.
 //
-// The committed BENCH_pr4.json snapshot records the measured crossover;
+// The committed BENCH_pr4.json snapshot records the measured crossover.
+// Both patterns space events uniformly, which a vantage's traffic is not;
 // internal/engine selects the calendar queue for its per-node loops on
-// that evidence (the heap stays the default for small ad-hoc schedulers).
+// the loop's own timings (see Engine.newSched), and
+// TestCalendarScanBoundedOnClusteredTraffic pins the scan length on the
+// clustered mix. The heap stays the default for small ad-hoc schedulers.
 
 type nopEvent struct{}
 

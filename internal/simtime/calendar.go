@@ -1,25 +1,27 @@
 package simtime
 
-import (
-	"slices"
-	"time"
-)
+import "time"
 
 // CalendarScheduler is a calendar-queue Scheduler (R. Brown, "Calendar
 // Queues: A Fast O(1) Priority Queue Implementation for the Simulation
 // Event Set Problem", CACM 1988): pending events hash by timestamp into an
 // array of day buckets whose combined span is one "year"; dequeue scans the
 // current day for the earliest event of the current year and only falls
-// back to a direct search when a whole year of days is empty. With the
-// bucket count and width adapted to the live event count and spacing,
-// enqueue and dequeue are O(1) amortized where a binary heap pays O(log n)
-// — the difference that matters at the simulation's tens of millions of
-// pending events (see BenchmarkSchedulerHold for the measured crossover).
+// back to a direct search when a whole year of days is empty. The bucket
+// count follows the live event count, and the bucket width is set from
+// the head of the queue — about three times the mean separation of the
+// earliest live events, Brown's rule — so a scanned day holds a handful
+// of entries and enqueue and dequeue are O(1) amortized where a binary
+// heap pays O(log n); calendarWidth says why the head, not the whole live
+// set, must set it. When the head's density drifts between resizes, Step
+// notices the longer scans and re-measures the width (the dynamic
+// calendar queue of Oh and Ahn, 1997).
 //
 // Ordering is identical to HeapScheduler by contract: events fire in
 // (timestamp, sequence-key, insertion) order — plain schedule-FIFO when
 // the caller never touches keys — which the equivalence property and
 // fuzz tests pin operation for operation, cancellations and ties included.
+// The bucket width affects only speed, never the fire order.
 // Cancellation is lazy: a cancelled item stays in its bucket (marked by
 // the shared index == -1 sentinel) until a scan sweeps it out, so Cancel
 // is O(1) and Pending counts live events only; the item is recycled at
@@ -47,13 +49,31 @@ type CalendarScheduler struct {
 	winStart Time
 
 	// cached is the item the last findMin located, so peek-then-pop
-	// (RunUntil's loop) pays one scan, not two. It is dropped whenever an
-	// operation could invalidate it: a Schedule before its timestamp, its
-	// own cancellation (detected via the index sentinel), or a resize.
-	cached *item
+	// (RunUntil's loop) pays one scan, not two, and cachedSlot is its
+	// position in its bucket, so Step removes it without a second walk.
+	// The cache is dropped whenever an operation could invalidate either:
+	// a Schedule before its timestamp, its own cancellation (detected via
+	// the index sentinel), or a resize. Nothing else reorders a bucket
+	// between a findMin and the Step that consumes it: Schedule only
+	// appends, and Cancel only marks.
+	cached     *item
+	cachedSlot int
 
 	// gather is resize's scratch list of live items, kept between calls.
 	gather []*item
+	// counts is newBuckets' scratch: per-bucket item counts.
+	counts []int
+	// head is calendarWidth's scratch: a max-heap of the earliest live
+	// timestamps.
+	head [calendarSampleCap]Time
+
+	// examined counts the bucket entries (live or awaiting sweep) that
+	// findMin has looked at — the scan length the bucket width exists to
+	// keep short. windowSteps and windowMark are the Step count and
+	// examined value at the start of Step's current scan-length window.
+	examined    uint64
+	windowSteps int
+	windowMark  uint64
 }
 
 const (
@@ -63,7 +83,16 @@ const (
 	// calendarDefaultWidth spaces an empty calendar's buckets before any
 	// spacing statistics exist.
 	calendarDefaultWidth = Time(time.Millisecond)
-	// calendarSampleCap bounds the spacing sample a resize sorts.
+	// calendarMaxScan is the mean number of bucket entries per Step above
+	// which Step re-measures the bucket width. A well-sized calendar scans
+	// about five: three of the current day, plus later years' entries and
+	// cancelled ones.
+	calendarMaxScan = 8
+	// calendarSlack is the room newBuckets leaves in each bucket beyond
+	// the items a resize places there.
+	calendarSlack = 4
+	// calendarSampleCap is how many of the earliest live timestamps a
+	// resize measures the bucket width from.
 	calendarSampleCap = 64
 )
 
@@ -171,28 +200,10 @@ func (s *CalendarScheduler) Cancel(h Handle) {
 	}
 }
 
-// sweep removes cancelled items from bucket i and recycles them;
-// preserving order is not required (buckets are unordered), so
-// swap-deletion keeps it O(dead).
-func (s *CalendarScheduler) sweep(i int) {
-	b := s.buckets[i]
-	for j := 0; j < len(b); {
-		if b[j].index == -1 {
-			s.pool.put(b[j])
-			b[j] = b[len(b)-1]
-			b[len(b)-1] = nil
-			b = b[:len(b)-1]
-			s.dead--
-			continue
-		}
-		j++
-	}
-	s.buckets[i] = b
-}
-
 // findMin locates the earliest (at, key, seq) live item, advancing the
-// day scan as far as needed, and caches it. It returns nil when no live
-// items remain.
+// day scan as far as needed, and caches it with its bucket slot. It
+// returns nil when no live items remain. The day scan also sweeps out the
+// cancelled items it meets, so each scanned bucket is walked once.
 func (s *CalendarScheduler) findMin() *item {
 	if s.cached != nil && s.cached.index != -1 {
 		return s.cached
@@ -202,65 +213,56 @@ func (s *CalendarScheduler) findMin() *item {
 		return nil
 	}
 	n := len(s.buckets)
-	for scanned := 0; ; scanned++ {
-		if scanned >= n {
-			// A whole year of days is empty: jump straight to the global
-			// minimum's day instead of spinning across the gap.
-			m := s.directMin()
-			s.winStart = m.at - m.at%s.width
-			s.cached = m
-			return m
-		}
+	for scanned := 0; scanned < n; scanned++ {
 		i := s.bucketOf(s.winStart)
-		s.sweep(i)
-		var best *item
-		top := s.winStart + s.width
-		for _, it := range s.buckets[i] {
-			// Only items of the current year's window belong to this day;
-			// later years wait for their wrap-around.
-			if it.at >= s.winStart && it.at < top {
-				if best == nil || it.before(best) {
-					best = it
-				}
-			}
-		}
-		if best != nil {
-			s.cached = best
+		// Only items of the current year's window belong to this day;
+		// later years wait for their wrap-around.
+		if best, slot := s.scanDay(i, s.winStart, false); best != nil {
+			s.cached, s.cachedSlot = best, slot
 			return best
 		}
 		s.winStart += s.width
 	}
-}
-
-// directMin scans every bucket for the global minimum — the escape hatch
-// for years with no events at all. Only called when live > 0.
-func (s *CalendarScheduler) directMin() *item {
+	// A whole year of days is empty: jump straight to the global minimum's
+	// day instead of spinning across the gap.
 	var best *item
 	for i := range s.buckets {
-		s.sweep(i)
-		for _, it := range s.buckets[i] {
-			if best == nil || it.before(best) {
-				best = it
-			}
+		if it, slot := s.scanDay(i, 0, true); it != nil && (best == nil || it.before(best)) {
+			best, s.cachedSlot = it, slot
 		}
 	}
+	s.winStart = best.at - best.at%s.width
+	s.cached = best
 	return best
 }
 
-// remove deletes a (live) item from its bucket.
-func (s *CalendarScheduler) remove(it *item) {
-	i := s.bucketOf(it.at)
+// scanDay walks bucket i once: it recycles the cancelled items it meets
+// (swap-deletion; buckets are unordered) and returns the earliest live
+// item of the day starting at day — or of any year, when anyYear is set
+// — and that item's slot, or nil.
+func (s *CalendarScheduler) scanDay(i int, day Time, anyYear bool) (*item, int) {
 	b := s.buckets[i]
-	for j := range b {
-		if b[j] == it {
+	s.examined += uint64(len(b))
+	var best *item
+	slot := 0
+	for j := 0; j < len(b); {
+		it := b[j]
+		if it.index == -1 {
+			s.pool.put(it)
 			b[j] = b[len(b)-1]
 			b[len(b)-1] = nil
-			s.buckets[i] = b[:len(b)-1]
-			s.live--
-			it.index = -1
-			return
+			b = b[:len(b)-1]
+			s.dead--
+			continue
 		}
+		inDay := anyYear || it.at >= day && it.at < day+s.width
+		if inDay && (best == nil || it.before(best)) {
+			best, slot = it, j
+		}
+		j++
 	}
+	s.buckets[i] = b
+	return best, slot
 }
 
 // Step fires the earliest pending event, advancing the clock to its
@@ -270,8 +272,28 @@ func (s *CalendarScheduler) Step() bool {
 	if it == nil {
 		return false
 	}
+	// Swap-delete the item from the slot findMin recorded.
+	i := s.bucketOf(it.at)
+	b := s.buckets[i]
+	last := len(b) - 1
+	b[s.cachedSlot] = b[last]
+	b[last] = nil
+	s.buckets[i] = b[:last]
+	s.live--
+	it.index = -1
 	s.cached = nil
-	s.remove(it)
+	// The width was measured at the last resize; when the head's density
+	// has drifted since (a fill that front-loaded one kind of event, a
+	// phase change in the traffic), re-measure it. Judged once per window
+	// of one Step per bucket, so the rebuild costs O(1) amortized.
+	s.windowSteps++
+	if s.windowSteps >= len(s.buckets) {
+		if s.examined-s.windowMark > calendarMaxScan*uint64(s.windowSteps) {
+			s.resize(len(s.buckets))
+		} else {
+			s.windowSteps, s.windowMark = 0, s.examined
+		}
+	}
 	at, key, ev := it.at, it.key, it.event
 	// Recycled before Fire so the events it schedules can reuse the item.
 	s.pool.put(it)
@@ -330,15 +352,15 @@ func (s *CalendarScheduler) resize(size int) {
 			}
 		}
 	}
-	s.width = calendarWidth(items)
+	s.width = s.calendarWidth(items)
+	s.mask = size - 1
 	if size == len(s.buckets) {
 		for i, b := range s.buckets {
 			s.buckets[i] = b[:0]
 		}
 	} else {
-		s.buckets = make([][]*item, size)
+		s.buckets = s.newBuckets(size, items)
 	}
-	s.mask = size - 1
 	s.dead = 0
 	for _, it := range items {
 		i := s.bucketOf(it.at)
@@ -349,47 +371,94 @@ func (s *CalendarScheduler) resize(size int) {
 	// safe after a rebuild.
 	s.winStart = s.now - s.now%s.width
 	s.cached = nil
+	s.windowSteps, s.windowMark = 0, s.examined
 }
 
-// calendarWidth estimates a bucket width from the live items' spacing,
-// Brown's rule of thumb: about three times the average separation between
-// *adjacent* events, so a day holds a handful of events. A sorted sample
-// gives the span of the interquartile timestamp range; that range covers
-// about half the live items, so the average adjacent separation inside it
-// is span ÷ (live/2) — dividing by the sample's own gap count instead
-// would overestimate the width by a factor of live/sampleSize and pile
-// thousands of events into each day (the scan cost then grows linearly,
-// which is precisely the failure mode BenchmarkSchedulerHold guards).
-// Using the middle of the distribution keeps a few far-future outliers
-// (heavy-tailed session ends) from inflating the width. The estimate is
-// deterministic: the sample is taken at a fixed stride.
-func calendarWidth(items []*item) Time {
-	if len(items) < 2 {
+// newBuckets builds a bucket array of the given size over one backing
+// slab: each bucket gets room for the items resize is about to put in it
+// plus calendarSlack more. Left nil, every bucket would allocate its first
+// few slices as the scan sweeps the year and schedules land in it — one
+// small allocation per bucket per growth step, after every size change.
+func (s *CalendarScheduler) newBuckets(size int, items []*item) [][]*item {
+	if cap(s.counts) < size {
+		s.counts = make([]int, size)
+	}
+	counts := s.counts[:size]
+	clear(counts)
+	for _, it := range items {
+		counts[s.bucketOf(it.at)]++
+	}
+	slab := make([]*item, len(items)+calendarSlack*size)
+	buckets := make([][]*item, size)
+	off := 0
+	for i, c := range counts {
+		end := off + c + calendarSlack
+		buckets[i] = slab[off:off:end]
+		off = end
+	}
+	return buckets
+}
+
+// calendarWidth sets the bucket width from the front of the queue, as
+// Brown does: about three times the mean separation of the
+// calendarSampleCap earliest live timestamps, so the days the scan walks
+// next hold a handful of events each. Only the head matters because the
+// scan only ever walks the head; later events hash evenly across the
+// whole year and add about one entry per bucket at the bucket counts
+// resize keeps (between half and twice the live count). The earlier rule
+// took the interquartile spread of all live events, which suits uniformly
+// spaced traffic but not a vantage's: its events crowd the next few
+// seconds (query hits, self-pongs, probe replies) while session ends and
+// query streams trail off days ahead, so the middle of the distribution
+// was hours wide, every scanned day held some thirty entries, and the
+// calendar ran no faster than the heap inside the simulation loop. The
+// selection is a bounded max-heap in the scheduler's own scratch —
+// O(live), no sort of the live set, no allocation — and deterministic: it
+// depends only on the timestamps.
+func (s *CalendarScheduler) calendarWidth(items []*item) Time {
+	h := s.head[:0]
+	for _, it := range items {
+		switch {
+		case len(h) < len(s.head):
+			h = append(h, it.at)
+			// Sift up.
+			for c := len(h) - 1; c > 0; {
+				p := (c - 1) / 2
+				if h[p] >= h[c] {
+					break
+				}
+				h[p], h[c] = h[c], h[p]
+				c = p
+			}
+		case it.at < h[0]:
+			// Replace the largest kept timestamp and sift down.
+			h[0] = it.at
+			for p := 0; ; {
+				c := 2*p + 1
+				if c >= len(h) {
+					break
+				}
+				if c+1 < len(h) && h[c+1] > h[c] {
+					c++
+				}
+				if h[p] >= h[c] {
+					break
+				}
+				h[p], h[c] = h[c], h[p]
+				p = c
+			}
+		}
+	}
+	if len(h) < 2 {
 		return calendarDefaultWidth
 	}
-	stride := len(items)/calendarSampleCap + 1
-	sample := make([]int64, 0, calendarSampleCap) // constant cap: stays on the stack
-	for i := 0; i < len(items); i += stride {
-		sample = append(sample, int64(items[i].at))
+	first := h[0]
+	for _, at := range h[1:] {
+		first = min(first, at)
 	}
-	if len(sample) < 2 {
+	span := h[0] - first
+	if span <= 0 {
 		return calendarDefaultWidth
 	}
-	slices.Sort(sample)
-	lo, hi := len(sample)/4, (3*len(sample))/4
-	if hi <= lo+1 {
-		lo, hi = 0, len(sample)
-	}
-	span := sample[hi-1] - sample[lo]
-	// The [lo, hi) quantile range of the sample covers roughly the same
-	// fraction of the full live set.
-	covered := int64(len(items)) * int64(hi-lo) / int64(len(sample))
-	if span <= 0 || covered <= 1 {
-		return calendarDefaultWidth
-	}
-	w := Time(3 * span / covered)
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(3*span/Time(len(h)-1), 1)
 }

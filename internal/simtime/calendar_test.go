@@ -277,6 +277,72 @@ func TestCalendarResizeKeepsOrder(t *testing.T) {
 	}
 }
 
+// TestCalendarScanBoundedOnClusteredTraffic pins the bucket width on the
+// traffic a measurement vantage actually queues: most of ~4 k live events
+// lie within the next ten seconds (query hits 0.5–8.5 s out, self-pongs,
+// a probe timer per connection cancelled and re-armed on every delivered
+// message) while session ends and query streams trail off up to days
+// ahead. A width taken from the spread of the whole live set is hours
+// wide on this mix and piles the near-term events into the day being
+// scanned; the head-sampled width keeps each Step's scan to a handful of
+// bucket entries.
+func TestCalendarScanBoundedOnClusteredTraffic(t *testing.T) {
+	s := NewCalendarScheduler()
+	rng := rand.New(rand.NewPCG(2004, 0xc1a5))
+	const (
+		conns = 200  // connections, each with a message chain and a probe timer
+		tail  = 3000 // session ends and query streams, out to three days
+	)
+	near := func() Time { return Time(300+rng.Int64N(8200)) * time.Millisecond }
+	var tailEvent, hit Event
+	tailEvent = EventFunc(func(now Time) {
+		s.Schedule(now+Time(rng.Int64N(int64(3*Day))), tailEvent)
+	})
+	hit = EventFunc(func(Time) {})
+	probes := make([]Handle, conns)
+	msgs := make([]Event, conns)
+	for c := range msgs {
+		msgs[c] = EventFunc(func(now Time) {
+			// A delivered message re-arms the connection's idle probe …
+			s.Cancel(probes[c])
+			probes[c] = s.Schedule(now+15*time.Second, hit)
+			// … may draw a burst of hits …
+			if rng.IntN(2) == 0 {
+				for range 3 {
+					s.Schedule(now+near(), hit)
+				}
+			}
+			// … and the next message follows within seconds.
+			s.Schedule(now+near(), msgs[c])
+		})
+	}
+	// Interleave the fill so every resize samples the mix, not one part.
+	const every = tail / conns
+	for i := 0; i < tail; i++ {
+		s.Schedule(Time(rng.Int64N(int64(3*Day))), tailEvent)
+		if i%every == 0 {
+			c := i / every
+			probes[c] = s.Schedule(15*time.Second, hit)
+			s.Schedule(near(), msgs[c])
+		}
+	}
+	for range 50000 { // warm up past the fill's resizes
+		s.Step()
+	}
+	if p := s.Pending(); p < 3500 || p > 4500 {
+		t.Fatalf("pending = %d, want about 4 k", p)
+	}
+	examined, fired := s.examined, s.Fired()
+	for range 200000 {
+		s.Step()
+	}
+	perStep := float64(s.examined-examined) / float64(s.Fired()-fired)
+	t.Logf("%.2f bucket entries examined per Step at %d pending, %d buckets", perStep, s.Pending(), len(s.buckets))
+	if perStep > 8 {
+		t.Errorf("%.2f bucket entries examined per Step, want ≤ 8", perStep)
+	}
+}
+
 // FuzzCalendarHeapEquivalence feeds arbitrary byte strings as operation
 // scripts to both implementations: each byte pair becomes a schedule (with
 // a coarse timestamp grid, so ties are dense), a cancel, a single Step, or
@@ -289,6 +355,9 @@ func FuzzCalendarHeapEquivalence(f *testing.F) {
 	f.Add([]byte{10, 0, 10, 0, 10, 0, 200, 200})
 	f.Add([]byte{0, 1, 4, 0, 0, 2, 5, 0, 0, 3, 3, 0, 0, 4, 5, 0, 4, 0, 5, 1})
 	f.Add([]byte{})
+	// Clustered: a run of near-term schedules, then far-future ones, then
+	// steps and cancels — the vantage's shape, dense near now with a tail.
+	f.Add([]byte{0, 0, 1, 1, 0, 2, 1, 3, 0, 1, 1, 2, 0, 3, 2, 40, 2, 90, 2, 200, 0, 1, 1, 0, 4, 0, 3, 1, 4, 0, 0, 2, 5, 3, 4, 0, 3, 7, 4, 0, 4, 0})
 	run := func(t *testing.T, data []byte, s Scheduler) []popRecord {
 		var trace []popRecord
 		var handles []Handle

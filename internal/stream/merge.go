@@ -2,6 +2,7 @@ package stream
 
 import (
 	"container/heap"
+	"slices"
 	"sort"
 
 	"repro/internal/obs"
@@ -385,12 +386,9 @@ func (m *Merger) finish() {
 	if len(m.spill) > 0 {
 		m.foldSpill()
 	}
-	qs := m.out.Queries
-	sort.Slice(qs, func(i, j int) bool { return trace.CompareQuery(&qs[i], &qs[j]) < 0 })
-	ps := m.out.Pongs
-	sort.Slice(ps, func(i, j int) bool { return trace.ComparePong(&ps[i], &ps[j]) < 0 })
-	hs := m.out.Hits
-	sort.Slice(hs, func(i, j int) bool { return trace.CompareHit(&hs[i], &hs[j]) < 0 })
+	slices.SortFunc(m.out.Queries, func(a, b trace.Query) int { return trace.CompareQuery(&a, &b) })
+	slices.SortFunc(m.out.Pongs, func(a, b trace.Pong) int { return trace.ComparePong(&a, &b) })
+	slices.SortFunc(m.out.Hits, func(a, b trace.Hit) int { return trace.CompareHit(&a, &b) })
 }
 
 // foldSpill merges the spilled outlier sessions into the inline-emitted
@@ -404,7 +402,7 @@ func (m *Merger) finish() {
 func (m *Merger) foldSpill() {
 	sp := m.spill
 	m.spill = nil
-	sort.Slice(sp, func(i, j int) bool { return compareRecords(sp[i], sp[j]) < 0 })
+	slices.SortFunc(sp, compareRecords)
 
 	oldConns, oldQueries := m.out.Conns, m.out.Queries
 	conns := make([]trace.Conn, 0, len(oldConns)+len(sp))
