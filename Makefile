@@ -1,14 +1,14 @@
 # Developer entry points. CI runs the same targets so local and CI
 # results stay comparable.
 
-# pipefail keeps the gated pipelines honest: if `go test -bench` itself
-# crashes, the gate must fail, not inherit benchjson's success.
+# pipefail keeps speedup-check honest: if `go test -bench` itself fails,
+# the target must fail, not inherit the exit status of the awk after it.
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
 GO ?= go
 
-.PHONY: test race fuzz-smoke bench bench-ci obs-overhead speedup-check distfleet-smoke scenario-suite fullscale fullscale-single lint
+.PHONY: test race fuzz-smoke speedup-check distfleet-smoke scenario-suite fullscale fullscale-single lint
 
 # bench/ is its own module (replace repro => ../), so ./... never reaches
 # it; the second line builds it against this tree and runs its smoke-size
@@ -25,73 +25,21 @@ race:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCalendarHeapEquivalence -fuzztime 10s ./internal/simtime
 
-# bench runs every benchmark in every package with allocation reporting
-# and writes the machine-readable result to BENCH.json (see BENCH_pr6.json
-# for the committed PR-6 snapshot). Sweeping ./... keeps new package-local
-# benchmarks (capture fleet, filter fan-out, vocab, stream sketches)
-# tracked automatically. The phase runs append labeled wall-clock /
-# peak-RSS accountings with and without the online sketch layer (-stream)
-# at a fixed small scale, plus a 128-node fleet exercising the keyed tie-break's
-# high-node-count regime (its sched_events_max_node records the busiest
-# node's scheduling cost, O(own sessions) where chain replay paid the
-# global arrival count) — the per-phase record BENCH_pr6.json pins and
-# bench-ci gates.
-PHASE_ARGS := -simulate -seed 2004 -scale 0.02 -days 2 -nodes 4 -only summary -perf
-PHASE_ARGS_WIDE := -simulate -seed 2004 -scale 0.02 -days 1 -nodes 128 -only summary -perf
-bench:
-	{ $(GO) test -run '^$$' -bench . -benchmem -benchtime=1s ./... ; \
-	  $(GO) run ./cmd/analyze $(PHASE_ARGS) -stream -perflabel phase-stream 2>&1 >/dev/null ; \
-	  $(GO) run ./cmd/analyze $(PHASE_ARGS) -perflabel phase-batch 2>&1 >/dev/null ; \
-	  $(GO) run ./cmd/analyze $(PHASE_ARGS_WIDE) -perflabel phase-widefleet 2>&1 >/dev/null ; } | \
-		$(GO) run ./cmd/benchjson -pretty > BENCH.json
-	@echo wrote BENCH.json
-
-# bench-ci is the fast CI variant: one iteration per benchmark, emitting
-# JSON *and* gating against the committed PR-6 baseline so hot-path
-# regressions fail the build instead of scrolling by in logs — ns/op,
-# allocs/op AND the labeled phases' peak RSS (end-of-run and
-# simulate-phase), so the streaming engine's memory contract is enforced,
-# not promised. The tolerances are deliberately generous — CI compares a
-# single -benchtime=1x iteration on an arbitrary runner against numbers
-# recorded elsewhere — so only catastrophic (algorithmic) regressions
-# trip it; finer-grained tracking uses `make bench` snapshots across PRs.
-bench-ci: obs-overhead
-	{ $(GO) test -run '^$$' -bench . -benchtime=1x -benchmem ./... ; \
-	  $(GO) run ./cmd/analyze $(PHASE_ARGS) -stream -perflabel phase-stream 2>&1 >/dev/null ; \
-	  $(GO) run ./cmd/analyze $(PHASE_ARGS) -perflabel phase-batch 2>&1 >/dev/null ; \
-	  $(GO) run ./cmd/analyze $(PHASE_ARGS_WIDE) -perflabel phase-widefleet 2>&1 >/dev/null ; } | \
-		$(GO) run ./cmd/benchjson -compare BENCH_pr6.json \
-			-tolerance 8 -ns-slack 100000 -alloc-tolerance 2 -alloc-slack 256 \
-			-rss-tolerance 2 -rss-slack 134217728
-
-# obs-overhead is the observability layer's cost gate: the hot-path
-# packages' benchmarks (which run with no registry installed — the
-# nil-handle fast path) plus the labeled pipeline phase runs, gated
-# against the PRE-observability PR-6 baseline with the standard bench-ci
-# tolerances. If internal/obs instrumentation ever costs measurable time
-# on a disabled path or a phase's wall clock/RSS, this fails before the
-# main bench sweep even starts.
-obs-overhead:
-	{ $(GO) test -run '^$$' -bench . -benchtime=1x -benchmem \
-	      ./internal/engine ./internal/stream ./internal/simtime ./internal/obs . ; \
-	  $(GO) run ./cmd/analyze $(PHASE_ARGS) -stream -perflabel phase-stream 2>&1 >/dev/null ; \
-	  $(GO) run ./cmd/analyze $(PHASE_ARGS) -perflabel phase-batch 2>&1 >/dev/null ; \
-	  $(GO) run ./cmd/analyze $(PHASE_ARGS_WIDE) -perflabel phase-widefleet 2>&1 >/dev/null ; } | \
-		$(GO) run ./cmd/benchjson -compare BENCH_pr6.json \
-			-tolerance 8 -ns-slack 100000 -alloc-tolerance 2 -alloc-slack 256 \
-			-rss-tolerance 2 -rss-slack 134217728
-	@echo obs-overhead PASS
-
-# speedup-check proves the parallel characterization pipeline (PR 2/3) on
-# a multi-core host: ≥ 2× over its sequential reference at 4 workers. CI
-# runs this on its 4-vCPU runner; on a single core it fails by
-# construction — that is the point. The simulation has no sequential
-# reference left to gate against: the engine runs every vantage on its
-# own goroutine, one path.
+# speedup-check proves the parallel characterization pipeline on a
+# multi-core host: ≥ 2× over its sequential reference at GOMAXPROCS
+# workers. The awk divides the sequential benchmark's ns/op by the
+# parallel one's, prints the ratio, and exits 1 below 2.0 or when either
+# result is missing. CI runs this on its 4-vCPU runner; on one or two
+# cores it fails by construction — that is the point. The simulation has
+# no sequential reference left to gate against: the engine runs every
+# vantage on its own goroutine, one path.
 speedup-check:
-	$(GO) test -run '^$$' -bench 'BenchmarkCharacterizeFull(Sequential|Parallel)$$' -benchtime=2s -benchmem . | \
-		$(GO) run ./cmd/benchjson \
-			-speedup 'BenchmarkCharacterizeFullSequential:BenchmarkCharacterizeFullParallel:2.0'
+	$(GO) test -run '^$$' -bench 'BenchmarkCharacterizeFull(Sequential|Parallel)$$' -benchtime=2s ./internal/core | \
+		awk '{ print } \
+		     /^BenchmarkCharacterizeFullSequential/ { seq = $$3 } \
+		     /^BenchmarkCharacterizeFullParallel/ { par = $$3 } \
+		     END { if (!seq || !par) { print "speedup-check: missing benchmark result"; exit 1 } \
+		           r = seq / par; printf "speedup %.2fx (need >= 2.0x)\n", r; exit (r < 2.0) }'
 
 # distfleet-smoke proves the distributed ingest pipeline end to end:
 # an in-process collector and N vantage emitter *processes* (bin/vantage)
@@ -130,17 +78,19 @@ scenario-suite:
 
 # fullscale reproduces the paper's entire trace volume through the
 # multi-vantage measurement fabric: 40 days at scale 1.0 across 48
-# ultrapeer nodes records all ≈4.36 M arrivals (per-node 200-connection
-# caps never bind; see BENCH_pr5.json for the recorded runs) through the
-# engine's bounded-memory pipeline — bounded-lookahead producer, per-node
-# event emission, online k-way merge — with the live sketch layer on
-# (-stream). `-tracehash` prints the SHA-256 ROADMAP.md carries.
+# ultrapeer nodes records all 4,361,355 arrivals (per-node 200-connection
+# caps never bind: the busiest node peaks at 158 concurrent connections)
+# through the engine's bounded-memory pipeline — bounded-lookahead
+# producer, per-node event emission, online k-way merge — with the live
+# sketch layer on (-stream). On two cores the simulate phase takes ≈250 s
+# wall at 2.21 GB peak RSS (-perf reports both). `-tracehash` prints the
+# SHA-256 ROADMAP.md carries.
 fullscale:
-	$(GO) run ./cmd/analyze -simulate -scale 1.0 -days 40 -nodes 48 -stream -tracehash -only summary -perf -perflabel fullscale
+	$(GO) run ./cmd/analyze -simulate -scale 1.0 -days 40 -nodes 48 -stream -tracehash -only summary -perf
 
 # fullscale-single is the paper's literal single-vantage deployment, whose
-# 200-connection cap limits the recorded trace to ≈197 k connections
-# (the run recorded in BENCH_pr2.json).
+# 200-connection cap limits the recorded trace to 196,908 of the 4,361,355
+# arrivals (298,483 hop-1 queries).
 fullscale-single:
 	$(GO) run ./cmd/analyze -simulate -scale 1.0 -days 40 -only summary -perf
 

@@ -31,20 +31,20 @@
 // worker pool (0 = GOMAXPROCS, 1 = sequential). -ksboot N
 // replaces the Lilliefors-biased asymptotic KS p-values of the appendix
 // fits with parametric-bootstrap p-values from N replicates. -perf appends
-// a machine-readable wall-clock / peak-RSS accounting line to stderr —
-// simulate and characterize phases separately, plus the engine's
-// scheduling cost (sched_events_max_node / sched_events_total) and the
-// k-way merge's high-water mark and outlier spill (merge_peak_pending /
-// spilled_sessions) — which is how the full-scale numbers in
-// BENCH_pr*.json were recorded; -perflabel tags the line so cmd/benchjson
-// can track phases across runs.
+// a one-line JSON wall-clock / peak-RSS accounting to stderr — simulate
+// and characterize phases separately, plus the engine's scheduling cost
+// (sched_events_max_node / sched_events_total) and the k-way merge's
+// high-water mark and outlier spill (merge_peak_pending /
+// spilled_sessions), all read from the run's obs registry. It is the
+// on-demand report of the simulate phase's peak RSS at full scale
+// (`make fullscale`), which the journal leaves out by design.
 //
 // -journal FILE appends the run's observability journal — one JSON line
 // per phase span (simulate/characterize), heartbeat and
 // final metrics snapshot; see internal/obs for the schema. -heartbeat D
-// emits a liveness line every D while the run progresses. -pprof ADDR
-// serves net/http/pprof plus the Prometheus metric registry on ADDR for
-// live profiling of full-scale runs.
+// (requires -journal) emits a liveness line every D while the run
+// progresses. -pprof ADDR serves net/http/pprof plus the Prometheus
+// metric registry on ADDR for live profiling of full-scale runs.
 //
 // -timeline FILE renders a journal — a single-process one, or the
 // merged fleet journal a distfleet collector writes — as a
@@ -115,7 +115,6 @@ func main() {
 	perf := flag.Bool("perf", false, "print a wall-clock/peak-RSS accounting line to stderr, simulate and characterize phases separately")
 	checks := flag.Bool("checks", false, "with -spec/-preset: evaluate the spec's headline-metric checks and exit 1 on any failure")
 	traceHash := flag.Bool("tracehash", false, "print the trace's canonical SHA-256 to stderr (comparable across runs, node processes and -stream)")
-	perfLabel := flag.String("perflabel", "", "label attached to the -perf accounting line, so benchjson can track phases across runs")
 	journalPath := flag.String("journal", "", "write the run's observability journal (JSON lines; see internal/obs) to this file")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and the Prometheus metric registry on this address")
 	heartbeat := flag.Duration("heartbeat", 0, "emit a journal heartbeat line at this interval (requires -journal)")
@@ -150,6 +149,10 @@ func main() {
 	}
 	if *checks && !sim.Declarative() {
 		fmt.Fprintln(os.Stderr, "-checks requires -spec or -preset (checks live in the spec)")
+		os.Exit(2)
+	}
+	if *heartbeat != 0 && *journalPath == "" {
+		fmt.Fprintln(os.Stderr, "-heartbeat requires -journal (heartbeats are journal lines)")
 		os.Exit(2)
 	}
 
@@ -206,12 +209,6 @@ func main() {
 	start := time.Now()
 	var simulated time.Duration
 	var simulatePeakRSS, simulateHeapLive int64
-	var st p2pquery.FleetStats
-	var maxPeak int
-	var mergePeakPending, spilledSessions int
-	var schedEventsMaxNode, schedEventsTotal uint64
-	var deadInputs int
-	var lostSessions uint64
 	var streamMode bool
 	checksFailed := false
 	switch {
@@ -251,22 +248,6 @@ func main() {
 				os.Exit(1)
 			}
 			fmt.Fprintln(os.Stdout)
-		}
-		st = res.Stats
-		for _, ns := range st.PerNode {
-			if ns.PeakConns > maxPeak {
-				maxPeak = ns.PeakConns
-			}
-		}
-		mergePeakPending = res.PeakPending
-		spilledSessions = res.SpilledSessions
-		deadInputs = res.DeadInputs
-		lostSessions = res.LostSessions
-		for _, n := range res.ScheduledPerNode {
-			if n > schedEventsMaxNode {
-				schedEventsMaxNode = n
-			}
-			schedEventsTotal += n
 		}
 		simulated = time.Since(start)
 		// VmHWM is monotone, so the value right after the simulate phase is
@@ -328,7 +309,6 @@ func main() {
 			trNodes = 1
 		}
 		line := &perfLine{
-			Label:         *perfLabel,
 			Conns:         len(tr.Conns),
 			Nodes:         trNodes,
 			Hop1Queries:   len(tr.Queries),
@@ -343,9 +323,10 @@ func main() {
 		// wall-clock / peak RSS are measurements of the simulation run, not
 		// properties a saved trace records — they are only emitted on the
 		// simulation path, never as misleading zeros. The counters come
-		// from the obs registry (the engine and merge publish them there);
-		// the locally tracked values are the fallback and always agree.
+		// from the obs registry: the engine and merge publish them there
+		// from their authoritative post-run fields.
 		if doSim {
+			regInt := func(name string) uint64 { return uint64(reg.Value(name, 0)) }
 			// merge_peak_pending / spilled_sessions report the k-way
 			// merge's high-water mark and emission-window outlier count;
 			// the sched_events pair records the keyed engine's per-node
@@ -357,15 +338,15 @@ func main() {
 			// distributed collector (internal/ingest), where they count
 			// evicted vantages and their still-open sessions.
 			line.perfSim = &perfSim{
-				Arrivals:           regInt(reg, "engine_arrivals_total", st.Arrivals),
-				RejectedArrivals:   regInt(reg, "engine_rejected_arrivals", st.Rejected),
-				MaxPeakConns:       int(regInt(reg, "engine_max_peak_conns", uint64(maxPeak))),
-				MergePeakPending:   int(regInt(reg, "merge_peak_pending", uint64(mergePeakPending))),
-				SpilledSessions:    int(regInt(reg, "merge_spilled_total", uint64(spilledSessions))),
-				DeadInputs:         int(regInt(reg, "merge_dead_inputs", uint64(deadInputs))),
-				LostSessions:       regInt(reg, "merge_lost_sessions", lostSessions),
-				SchedEventsMaxNode: regInt(reg, "engine_sched_events_max_node", schedEventsMaxNode),
-				SchedEventsTotal:   regInt(reg, "engine_sched_events_total", schedEventsTotal),
+				Arrivals:           regInt("engine_arrivals_total"),
+				RejectedArrivals:   regInt("engine_rejected_arrivals"),
+				MaxPeakConns:       int(regInt("engine_max_peak_conns")),
+				MergePeakPending:   int(regInt("merge_peak_pending")),
+				SpilledSessions:    int(regInt("merge_spilled_total")),
+				DeadInputs:         int(regInt("merge_dead_inputs")),
+				LostSessions:       regInt("merge_lost_sessions"),
+				SchedEventsMaxNode: regInt("engine_sched_events_max_node"),
+				SchedEventsTotal:   regInt("engine_sched_events_total"),
 				SimulateS:          simulated.Seconds(),
 				SimulatePeakRSS:    simulatePeakRSS,
 				SimulateHeapLive:   simulateHeapLive,

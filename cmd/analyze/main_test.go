@@ -174,6 +174,7 @@ func TestCLIAnalyzeBadUsage(t *testing.T) {
 		{"-only", "nope", "x"},        // unknown section
 		{"-simulate", "trailing-arg"}, // -simulate takes no file
 		{filepath.Join(t.TempDir(), "missing.bin")}, // unreadable trace
+		{"-simulate", "-heartbeat", "50ms"},         // heartbeat without a journal
 	}
 	for _, args := range cases {
 		err := exec.Command(bin, args...).Run()

@@ -5,14 +5,10 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"repro/internal/obs"
 )
 
 // perfSim is the simulation-phase block of the -perf accounting line,
 // present only on simulation runs — a saved trace measures none of it.
-// Field order mirrors the historical hand-rolled line so diffs across
-// BENCH_pr*.json generations stay readable.
 type perfSim struct {
 	Arrivals           uint64  `json:"arrivals"`
 	RejectedArrivals   uint64  `json:"rejected_arrivals"`
@@ -30,13 +26,11 @@ type perfSim struct {
 }
 
 // perfLine is the full -perf accounting line. The embedded *perfSim
-// splices the simulation fields into the middle of the object exactly
-// where the hand-rolled fmt.Sprintf used to put them; a nil pointer
-// drops the whole block (not merely zeroes it, which omitempty could
-// not express for the always-present "stream":false).
+// splices the simulation fields into the object right after "conns"; a
+// nil pointer drops the whole block (not merely zeroes it, which
+// omitempty could not express for the always-present "stream":false).
 type perfLine struct {
-	Label string `json:"label,omitempty"`
-	Conns int    `json:"conns"`
+	Conns int `json:"conns"`
 	*perfSim
 	Nodes         int     `json:"nodes"`
 	Hop1Queries   int     `json:"hop1_queries"`
@@ -48,14 +42,15 @@ type perfLine struct {
 	Days          int     `json:"days"`
 }
 
-// round2 keeps the wall-clock figures at the historical two-decimal
-// precision instead of full float64 noise.
+// round2 keeps the wall-clock figures at two decimals instead of full
+// float64 noise.
 func round2(s float64) float64 { return math.Round(s*100) / 100 }
 
-// writePerf emits the accounting line as one JSON object per line, the
-// format cmd/benchjson parses.
+// writePerf emits the accounting line as one JSON object on one line.
 func writePerf(w io.Writer, line *perfLine) error {
-	line.SimRound()
+	if line.perfSim != nil {
+		line.SimulateS = round2(line.SimulateS)
+	}
 	line.CharacterizeS = round2(line.CharacterizeS)
 	line.TotalS = round2(line.TotalS)
 	b, err := json.Marshal(line)
@@ -64,20 +59,4 @@ func writePerf(w io.Writer, line *perfLine) error {
 	}
 	_, err = fmt.Fprintf(w, "%s\n", b)
 	return err
-}
-
-// SimRound rounds the sim block's wall-clock figure when present.
-func (l *perfLine) SimRound() {
-	if l.perfSim != nil {
-		l.perfSim.SimulateS = round2(l.perfSim.SimulateS)
-	}
-}
-
-// regInt reads a registry gauge as an integer perf field, falling back
-// to the engine-reported value when the registry has no such series.
-// The engine publishes these from its authoritative post-run fields
-// (engine.publishRunMetrics), so the two sources always agree; routing
-// through the registry keeps the perf line a pure registry consumer.
-func regInt(reg *obs.Registry, name string, fallback uint64) uint64 {
-	return uint64(reg.Value(name, float64(fallback)))
 }

@@ -203,8 +203,9 @@
 // whole pipeline reports through. An obs.Registry holds counters, gauges
 // and fixed-bucket histograms with atomic hot paths; every handle is
 // nil-receiver safe, so instrumented code pays one nil check when no
-// observer is installed — the obs-overhead make target gates that cost
-// against the pre-observability benchmark baseline in CI. An
+// observer is installed, and its handle operations allocate nothing
+// (pinned by test); attrs on per-phase spans and events still box their
+// values at the call site. An
 // obs.Observer couples a registry with a JSONL run journal: engine,
 // stream and ingest record phase spans (simulate, characterize),
 // discrete events (input_stalled, input_evicted, scenario_check) and a

@@ -17,7 +17,7 @@ var (
 	parTrace *trace.Trace
 )
 
-func parallelTrace(t *testing.T) *trace.Trace {
+func parallelTrace(t testing.TB) *trace.Trace {
 	t.Helper()
 	parOnce.Do(func() {
 		cfg := capture.DefaultConfig(77, 0.02)

@@ -11,13 +11,18 @@
 // Journal, Span, Counter, Gauge and Histogram is nil-receiver safe, so
 // production code is instrumented unconditionally and the disabled path
 // costs a nil check per call site — no branches on "is observability
-// on", no interface dispatch, no allocation. The enabled hot path is one
-// atomic op per counter/gauge update (histograms: two atomics plus a CAS
-// accumulate). `make obs-overhead` gates this contract in CI: the
-// engine/stream benchmarks run instrumented-but-disabled and must land
-// within benchmark noise of the pre-obs baseline, and the merged-trace
-// byte-identity (full-scale SHA-256) is untouched because
-// instrumentation never perturbs RNG streams or scheduling order.
+// on", no interface dispatch. Handle operations on that path allocate
+// nothing: counter, gauge and histogram updates, the handle lookups on a
+// nil Observer, and attr-less spans, events and metric snapshots
+// (TestNilObserverAllocatesNothing pins each). Attrs are the exception:
+// an A(...) value boxes at the call site whether or not an observer is
+// installed, so Begin(…, A("conns", n)).End(A(…)) costs two small
+// allocations even when disabled — which is why attrs belong on
+// per-phase spans and events, never in a per-event loop. The enabled
+// hot path is one atomic op per counter/gauge update (histograms: two
+// atomics plus a CAS accumulate). The merged-trace byte-identity
+// (full-scale SHA-256) is untouched because instrumentation never
+// perturbs RNG streams or scheduling order.
 //
 // # Metric naming conventions
 //

@@ -55,6 +55,38 @@ func TestNilHandlesAreInert(t *testing.T) {
 	StartHeartbeat(nil, 0, nil)()
 }
 
+// TestNilObserverAllocatesNothing pins the disabled path's half of the
+// overhead contract (doc.go): with no observer installed, handle
+// operations and attr-less spans, events and snapshots allocate nothing.
+// Attrs are left out on purpose — an A(...) value boxes at the call site.
+func TestNilObserverAllocatesNothing(t *testing.T) {
+	var o *Observer
+	var c *Counter
+	var g *Gauge
+	var h *Histogram
+	buckets := []float64{1, 2}
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"Counter.Inc", func() { c.Inc() }},
+		{"Counter.Add", func() { c.Add(3) }},
+		{"Gauge.Set", func() { g.Set(1) }},
+		{"Gauge.Add", func() { g.Add(1) }},
+		{"Histogram.Observe", func() { h.Observe(1.5) }},
+		{"Observer.Counter.Inc", func() { o.Counter("x_total", "").Inc() }},
+		{"Observer.Gauge.Set", func() { o.Gauge("x", "").Set(1) }},
+		{"Observer.Histogram.Observe", func() { o.Histogram("x_seconds", "", buckets).Observe(1) }},
+		{"Observer.Begin.End", func() { o.Begin("phase").End() }},
+		{"Observer.Event", func() { o.Event("e") }},
+		{"Observer.SnapshotMetrics", func() { o.SnapshotMetrics() }},
+	} {
+		if n := testing.AllocsPerRun(100, tc.op); n != 0 {
+			t.Errorf("nil %s: %v allocations per call, want 0", tc.name, n)
+		}
+	}
+}
+
 func TestRegistryIdempotentHandles(t *testing.T) {
 	r := NewRegistry()
 	a := r.Counter("arrivals_total", "help", L("node", "1"))

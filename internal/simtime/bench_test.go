@@ -17,10 +17,10 @@ import (
 //     queue size n. This is the simulator's steady state.
 //   - Churn: schedule then cancel, the probe re-arm pattern.
 //
-// The committed BENCH_pr4.json snapshot records the measured crossover.
 // Both patterns space events uniformly, which a vantage's traffic is not;
 // internal/engine selects the calendar queue for its per-node loops on
-// the loop's own timings (see Engine.newSched), and
+// the loop's own timings, calendar vs heap measured inside Engine.Run
+// (the numbers are in Engine.newSched's comment), and
 // TestCalendarScanBoundedOnClusteredTraffic pins the scan length on the
 // clustered mix. The heap stays the default for small ad-hoc schedulers.
 
