@@ -20,10 +20,27 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz-smoke runs the calendar queue's order-equivalence fuzz target
-# against the binary heap for ten seconds past its seed corpus.
+# fuzz-smoke runs every fuzz target in the tree for five seconds past its
+# seed corpus, one package:target pair at a time. Names are anchored
+# because FuzzParse exists in both internal/wire and internal/scenario.
+# A crasher becomes a committed corpus seed (testdata/fuzz) plus its fix.
+FUZZ_TARGETS := \
+	internal/dist:FuzzFitZipf \
+	internal/dist:FuzzKS \
+	internal/dist:FuzzFitters \
+	internal/engine:FuzzKeyedReplayEquivalence \
+	internal/handshake:FuzzReadRequest \
+	internal/obs:FuzzWriteTimeline \
+	internal/scenario:FuzzParse \
+	internal/simtime:FuzzCalendarHeapEquivalence \
+	internal/stream:FuzzMergeAgainstBatch \
+	internal/wire:FuzzParse \
+	internal/wire:FuzzKeywordKey \
+	internal/wire:FuzzStreamReader
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzCalendarHeapEquivalence -fuzztime 10s ./internal/simtime
+	for t in $(FUZZ_TARGETS); do \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime 5s ./$${t%%:*}; \
+	done
 
 # speedup-check proves the parallel characterization pipeline on a
 # multi-core host: ≥ 2× over its sequential reference at GOMAXPROCS
@@ -82,11 +99,12 @@ scenario-suite:
 # caps never bind: the busiest node peaks at 158 concurrent connections)
 # through the engine's bounded-memory pipeline — bounded-lookahead
 # producer, per-node event emission, online k-way merge — with the live
-# sketch layer on (-stream). On two cores the simulate phase takes ≈250 s
-# wall at 2.21 GB peak RSS (-perf reports both). `-tracehash` prints the
-# SHA-256 ROADMAP.md carries.
+# sketch layer on (-online). On two cores the simulate phase takes ≈250 s
+# wall at 2.21 GB peak RSS (-perf reports both), under the 2 GiB soft
+# memory limit analyze applies when GOMEMLIMIT is unset. `-tracehash`
+# prints the SHA-256 ROADMAP.md carries.
 fullscale:
-	$(GO) run ./cmd/analyze -simulate -scale 1.0 -days 40 -nodes 48 -stream -tracehash -only summary -perf
+	$(GO) run ./cmd/analyze -simulate -scale 1.0 -days 40 -nodes 48 -online -tracehash -only summary -perf
 
 # fullscale-single is the paper's literal single-vantage deployment, whose
 # 200-connection cap limits the recorded trace to 196,908 of the 4,361,355

@@ -1,10 +1,12 @@
-// Command analyze characterizes a trace and prints the selected sections
-// of the paper reproduction report.
+// Command analyze is the reproduction's one front door: it simulates the
+// measurement (or reads a saved trace), characterizes the trace, and
+// prints the selected sections of the paper reproduction report with the
+// published values alongside.
 //
 // Usage:
 //
 //	analyze [-only SECTION] trace-file
-//	analyze [-only SECTION] -simulate [-seed N] [-scale F] [-days D] [-nodes N]
+//	analyze [-only SECTION] -simulate [-seed N] [-scale F] [-days D] [-nodes N] [-online]
 //	analyze [-only SECTION] -spec FILE | -preset NAME [overriding flags]
 //
 // SECTION is one of: summary, table1, table2, table3, fig1..fig11, fits,
@@ -12,11 +14,19 @@
 //
 // With -simulate the trace is produced in-process by the measurement
 // simulation instead of being read from a file; -scale 1.0 -days 40 is
-// the paper-scale configuration (≈4.36 M connections). -nodes N runs a
-// fleet of N ultrapeer vantage points sharding the arrival stream and
-// characterizes the merged trace — with N sized so the per-node
+// the paper-scale configuration (≈4.36 M connections), and
+// `-simulate -scale 0.05 -days 40` the laptop-sized full report. -nodes N
+// runs a fleet of N ultrapeer vantage points sharding the arrival stream
+// and characterizes the merged trace — with N sized so the per-node
 // 200-connection caps don't bind, the fleet records the *entire* arrival
 // stream where a single node is cap-limited to ≈197 k connections.
+// -scale must be > 0 and -days and -nodes ≥ 1; anything else exits 2.
+//
+// -o FILE writes the trace — simulated or read — in the binary format
+// this command reads back, and -jsonl FILE writes its connection and
+// query records as JSON lines (trace.ExportJSONL) for external tooling.
+// The trace is still characterized and reported; at full scale that adds
+// ≈11 s to ≈250 s of simulation.
 //
 // -spec FILE runs a declarative experiment spec and -preset NAME a
 // built-in one (paper40d, laptop, tenweek); both imply -simulate. The
@@ -57,10 +67,14 @@
 // arrival producer feeds per-node event loops, each vantage emits
 // records into the streaming k-way merge as they finalize, and the merge
 // drains into the trace — no per-node trace is ever held in memory.
-// -stream (with -simulate) additionally attaches the online sketch layer
+// -online (with -simulate) additionally attaches the online sketch layer
 // (internal/stream), which prints its live characterization before the
-// standard report, and lets -memlimit's auto setting apply. The trace is
-// byte-identical either way — -tracehash prints its canonical SHA-256.
+// standard report. The trace is byte-identical either way — -tracehash
+// prints its canonical SHA-256.
+//
+// A simulation runs under a 2 GiB soft memory limit unless GOMEMLIMIT is
+// set: GOMEMLIMIT=N sets the limit to N bytes (any Go size suffix), and
+// GOMEMLIMIT=off runs with none.
 package main
 
 import (
@@ -72,6 +86,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"time"
 
 	p2pquery "repro"
@@ -109,12 +124,14 @@ func main() {
 	only := flag.String("only", "all", "section to print (summary, table1..3, fig1..fig11, fits, all)")
 	csvDir := flag.String("csv", "", "optional directory for CSV exports of the distribution figures")
 	simulate := flag.Bool("simulate", false, "simulate the trace in-process instead of reading a file")
-	sim := cliflags.Bind(flag.CommandLine, cliflags.Defaults{Seed: 2004, Scale: 0.01, Days: 4, Nodes: 1, MemLimit: -1})
+	sim := cliflags.Bind(flag.CommandLine, cliflags.Defaults{Seed: 2004, Scale: 0.01, Days: 4, Nodes: 1})
+	out := flag.String("o", "", "write the trace (simulated or read) to this file")
+	jsonl := flag.String("jsonl", "", "write the trace's connection and query records to this file as JSON lines")
 	workers := flag.Int("workers", 0, "characterization worker pool size (0 = GOMAXPROCS, 1 = sequential)")
 	ksboot := flag.Int("ksboot", 0, "parametric-bootstrap replicates for the appendix-fit KS p-values (0 = asymptotic Lilliefors-biased p-values)")
 	perf := flag.Bool("perf", false, "print a wall-clock/peak-RSS accounting line to stderr, simulate and characterize phases separately")
 	checks := flag.Bool("checks", false, "with -spec/-preset: evaluate the spec's headline-metric checks and exit 1 on any failure")
-	traceHash := flag.Bool("tracehash", false, "print the trace's canonical SHA-256 to stderr (comparable across runs, node processes and -stream)")
+	traceHash := flag.Bool("tracehash", false, "print the trace's canonical SHA-256 to stderr (comparable across runs, node processes and -online)")
 	journalPath := flag.String("journal", "", "write the run's observability journal (JSON lines; see internal/obs) to this file")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and the Prometheus metric registry on this address")
 	heartbeat := flag.Duration("heartbeat", 0, "emit a journal heartbeat line at this interval (requires -journal)")
@@ -143,8 +160,8 @@ func main() {
 	// A spec or preset describes a simulation, so naming one implies
 	// -simulate.
 	doSim := *simulate || sim.Declarative()
-	if sim.Stream && !doSim {
-		fmt.Fprintln(os.Stderr, "-stream requires -simulate (streaming characterizes the simulation's live event stream)")
+	if sim.Online && !doSim {
+		fmt.Fprintln(os.Stderr, "-online requires -simulate (the sketch layer rides the simulation's merged stream)")
 		os.Exit(2)
 	}
 	if *checks && !sim.Declarative() {
@@ -209,12 +226,11 @@ func main() {
 	start := time.Now()
 	var simulated time.Duration
 	var simulatePeakRSS, simulateHeapLive int64
-	var streamMode bool
 	checksFailed := false
 	switch {
 	case doSim:
 		if flag.NArg() != 0 {
-			fmt.Fprintln(os.Stderr, "usage: analyze -simulate [-seed N] [-scale F] [-days D] [-nodes N] [-stream] | -spec FILE | -preset NAME")
+			fmt.Fprintln(os.Stderr, "usage: analyze -simulate [-seed N] [-scale F] [-days D] [-nodes N] [-online] | -spec FILE | -preset NAME")
 			os.Exit(2)
 		}
 		sc, err := sim.Resolve()
@@ -222,17 +238,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "resolving run configuration: %v\n", err)
 			os.Exit(2)
 		}
-		streamMode = sc.Stream
-		// The engine keeps its live state bounded (bounded producer,
-		// incremental merge), but with the default GC target the heap
-		// floats to ~2x the live set before a cycle runs. The soft limit
-		// makes the collector enforce what the data structures already
-		// guarantee; see cliflags.ApplyMemLimit.
-		cliflags.ApplyMemLimit(sc.MemLimit, sc.Stream)
+		setDefaultMemoryLimit()
 		res, err := p2pquery.Run(p2pquery.RunConfig{
 			Sim:    sc.Sim,
 			Nodes:  sc.Nodes,
-			Online: sc.Stream,
+			Online: sc.Online,
 			Obs:    ob,
 		})
 		if err != nil {
@@ -241,7 +251,7 @@ func main() {
 		}
 		tr = res.Trace
 		if res.Online != nil {
-			// -stream prints the online sketch characterization before
+			// -online prints the online sketch characterization before
 			// the standard report.
 			if err := res.Online.WriteText(os.Stdout); err != nil {
 				fmt.Fprintf(os.Stderr, "rendering online snapshot: %v\n", err)
@@ -289,6 +299,10 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "trace sha256 %x\n", h)
+	}
+	if err := writeTrace(tr, *out, *jsonl); err != nil {
+		fmt.Fprintf(os.Stderr, "writing trace: %v\n", err)
+		os.Exit(1)
 	}
 
 	charStart := time.Now()
@@ -350,7 +364,6 @@ func main() {
 				SimulateS:          simulated.Seconds(),
 				SimulatePeakRSS:    simulatePeakRSS,
 				SimulateHeapLive:   simulateHeapLive,
-				Stream:             streamMode,
 			}
 		}
 		if err := writePerf(os.Stderr, line); err != nil {
@@ -370,6 +383,39 @@ func main() {
 		fmt.Fprintln(os.Stderr, "scenario checks FAILED")
 		os.Exit(1)
 	}
+}
+
+// setDefaultMemoryLimit sets a 2 GiB soft memory limit unless GOMEMLIMIT
+// chose one ("off" means none). The engine's live state is bounded, but
+// the default GC target lets the heap float to ~2x it; 2 GiB holds the
+// paper-scale fleet run (live peak ≈ 1.9 GB) with GC headroom, does
+// nothing to a smaller run, and never OOMs — a low limit only costs GC.
+func setDefaultMemoryLimit() {
+	if os.Getenv("GOMEMLIMIT") == "" {
+		debug.SetMemoryLimit(2 << 30)
+	}
+}
+
+// writeTrace writes tr to path in the binary trace format and to jsonl as
+// JSON lines; an empty name skips that form.
+func writeTrace(tr *trace.Trace, path, jsonl string) error {
+	if path != "" {
+		if err := tr.WriteFile(path); err != nil {
+			return err
+		}
+	}
+	if jsonl == "" {
+		return nil
+	}
+	f, err := os.Create(jsonl)
+	if err != nil {
+		return err
+	}
+	if err := tr.ExportJSONL(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // exportCSV writes the per-region CCDF series of Figures 5–9 and the

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	p2pquery "repro"
 )
@@ -175,9 +178,18 @@ func TestCLIAnalyzeBadUsage(t *testing.T) {
 		{"-simulate", "trailing-arg"}, // -simulate takes no file
 		{filepath.Join(t.TempDir(), "missing.bin")}, // unreadable trace
 		{"-simulate", "-heartbeat", "50ms"},         // heartbeat without a journal
+		// Run shapes the engine cannot honour meet the spec's range checks.
+		{"-simulate", "-days", "0"},
+		{"-simulate", "-scale", "0"},
+		{"-simulate", "-nodes", "0"},
+		{"-simulate", "-memlimit", "1"}, // retired: GOMEMLIMIT sets the limit
 	}
 	for _, args := range cases {
-		err := exec.Command(bin, args...).Run()
+		// A bad run shape must be refused, not simulated: -days 0 used to
+		// hang, so each case gets a deadline; a killed run exits -1.
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		err := exec.CommandContext(ctx, bin, args...).Run()
+		cancel()
 		ee, ok := err.(*exec.ExitError)
 		if !ok {
 			t.Errorf("analyze %v: expected nonzero exit, got %v", args, err)
@@ -189,10 +201,42 @@ func TestCLIAnalyzeBadUsage(t *testing.T) {
 	}
 }
 
-// TestCLIAnalyzeStreamMatchesBatch drives -stream through the CLI: the
-// online characterization block must print, the perf line must carry the
-// stream marker, and the canonical trace hash must equal the run without
-// the flag — the full-scale acceptance check at test scale.
+// TestCLIAnalyzeWritesTrace: -o and -jsonl write the simulated trace, and
+// reading -o's file back reproduces the simulate run's report exactly.
+func TestCLIAnalyzeWritesTrace(t *testing.T) {
+	bin := buildAnalyze(t)
+	dir := t.TempDir()
+	file, jsonl := filepath.Join(dir, "trace.bin"), filepath.Join(dir, "trace.jsonl")
+	simOut, err := exec.Command(bin, "-simulate", "-seed", "7", "-scale", "0.004", "-days", "1", "-nodes", "2",
+		"-only", "summary", "-o", file, "-jsonl", jsonl).Output()
+	if err != nil {
+		t.Fatalf("analyze -simulate -o: %v", err)
+	}
+	readOut, err := exec.Command(bin, "-only", "summary", file).Output()
+	if err != nil {
+		t.Fatalf("analyze %s: %v", file, err)
+	}
+	if string(readOut) != string(simOut) {
+		t.Errorf("report from the written trace differs from the simulate run's:\n%s\nvs\n%s", readOut, simOut)
+	}
+
+	tr, err := p2pquery.ReadTrace(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(jsonl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(data, []byte("\n")); len(tr.Conns) == 0 || n != len(tr.Conns)+len(tr.Queries) {
+		t.Errorf("JSONL has %d lines, want %d conns + %d hop-1 queries", n, len(tr.Conns), len(tr.Queries))
+	}
+}
+
+// TestCLIAnalyzeStreamMatchesBatch drives -online through the CLI: the
+// online characterization block must print, and the canonical trace hash
+// must equal the run without the flag — the full-scale acceptance check
+// at test scale.
 func TestCLIAnalyzeStreamMatchesBatch(t *testing.T) {
 	bin := buildAnalyze(t)
 	run := func(extra ...string) (stdout, stderr string) {
@@ -209,18 +253,15 @@ func TestCLIAnalyzeStreamMatchesBatch(t *testing.T) {
 		return so.String(), se.String()
 	}
 	batchOut, batchErr := run()
-	streamOut, streamErr := run("-stream")
+	streamOut, streamErr := run("-online")
 
 	for _, want := range []string{"Online characterization", "top keyword sets", "Headline measures"} {
 		if !strings.Contains(streamOut, want) {
-			t.Errorf("-stream output missing %q", want)
+			t.Errorf("-online output missing %q", want)
 		}
 	}
 	if strings.Contains(batchOut, "Online characterization") {
 		t.Error("batch output unexpectedly contains the online block")
-	}
-	if !strings.Contains(streamErr, `"stream":true`) {
-		t.Errorf("perf line missing stream marker: %s", streamErr)
 	}
 
 	hashOf := func(stderr string) string {

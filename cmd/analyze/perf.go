@@ -22,13 +22,12 @@ type perfSim struct {
 	SimulateS          float64 `json:"simulate_s"`
 	SimulatePeakRSS    int64   `json:"simulate_peak_rss_bytes"`
 	SimulateHeapLive   int64   `json:"simulate_heap_live_bytes"`
-	Stream             bool    `json:"stream"`
 }
 
 // perfLine is the full -perf accounting line. The embedded *perfSim
 // splices the simulation fields into the object right after "conns"; a
-// nil pointer drops the whole block (not merely zeroes it, which
-// omitempty could not express for the always-present "stream":false).
+// nil pointer drops the whole block, where omitempty would also drop a
+// simulation's genuine zeros (rejected_arrivals, dead_inputs).
 type perfLine struct {
 	Conns int `json:"conns"`
 	*perfSim

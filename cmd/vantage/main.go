@@ -49,9 +49,9 @@ func main() {
 
 	// The shared block supplies -seed -scale -days -nodes and the
 	// declarative -spec/-preset pair (all of which must match the
-	// fleet's); -stream/-memlimit are accepted but inert here — an
-	// emitter is one streaming node with no online sketch layer.
-	sim := cliflags.Bind(flag.CommandLine, cliflags.Defaults{Seed: 2004, Scale: 0.01, Days: 4, Nodes: 1, MemLimit: -1})
+	// fleet's); -online is accepted but inert here — an emitter is one
+	// streaming node with no online sketch layer.
+	sim := cliflags.Bind(flag.CommandLine, cliflags.Defaults{Seed: 2004, Scale: 0.01, Days: 4, Nodes: 1})
 	lookahead := flag.Int("lookahead", 0, "bounded-producer lookahead (0 = engine default)")
 
 	retryMax := flag.Int("retry-max", 10, "reconnect attempts per outage")
@@ -76,6 +76,11 @@ func main() {
 
 	if *collector == "" {
 		log.Fatal("vantage: -collector is required")
+	}
+	sc, err := sim.Resolve()
+	if err != nil {
+		log.Printf("vantage: resolving run configuration: %v", err)
+		os.Exit(2)
 	}
 
 	// The vantage's observability surface: arrival counter plus emitter
@@ -118,10 +123,6 @@ func main() {
 		go func() { _ = srv.Serve(ln) }()
 	}
 
-	sc, err := sim.Resolve()
-	if err != nil {
-		log.Fatalf("vantage: resolving run configuration: %v", err)
-	}
 	cfg := sc.Sim
 	seed := cfg.Workload.Seed
 

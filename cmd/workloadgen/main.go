@@ -9,8 +9,8 @@
 // arrivals — each session line then carries a "class" column naming its
 // class (absent for the base class) — and churn events shape the arrival
 // rate. Explicitly set flags override the spec; the fleet-shape flags
-// the shared block also binds (-nodes -stream -memlimit)
-// are accepted but inert here, since no measurement node is simulated.
+// the shared block also binds (-nodes -online) are accepted but inert
+// here, since no measurement node is simulated.
 // Same spec + seed ⇒ byte-identical output (pinned by test).
 package main
 
@@ -44,7 +44,7 @@ type jsonSession struct {
 }
 
 func main() {
-	sim := cliflags.Bind(flag.CommandLine, cliflags.Defaults{Seed: 2004, Scale: 0.01, Days: 1, Nodes: 1, MemLimit: -1})
+	sim := cliflags.Bind(flag.CommandLine, cliflags.Defaults{Seed: 2004, Scale: 0.01, Days: 1, Nodes: 1})
 	flag.Parse()
 
 	sc, err := sim.Resolve()

@@ -138,7 +138,7 @@
 //
 // Entry points: engine.Run(sink) / p2pquery.Run with Online run the
 // whole pipeline with the sketch layer on the merge sink;
-// `analyze -simulate -stream` prints the online characterization above
+// `analyze -simulate -online` prints the online characterization above
 // the standard report and `-tracehash` the canonical SHA-256, identical
 // with or without it;
 // cmd/gnutellad -metrics serves the live snapshot of wire-ingested
@@ -163,9 +163,10 @@
 // against the recorded trace. Specs compile into the same
 // capture/engine/workload configs the flags produce — the paper40d
 // preset compiles to exactly the historical default run, SHA-256-equal
-// trace and all — and every simulation command takes -spec/-preset
-// through the shared internal/cliflags block with precedence
-// spec < preset < explicitly set flag. LoadScenario, ScenarioPreset,
+// trace and all — and every command that runs or regenerates a fleet
+// (analyze, vantage, workloadgen) takes -spec/-preset through the shared
+// internal/cliflags block with precedence spec < preset < explicitly set
+// flag, and one range check in scenario.Compile for all three layers. LoadScenario, ScenarioPreset,
 // RunScenario and EvaluateScenario are the library faces of the same
 // path; the committed specs under scenarios/ run in CI with their
 // checks gating the build (make scenario-suite).
@@ -238,6 +239,8 @@
 //		feed(s) // region, passive/active, query schedule, query strings
 //	}
 //
-// `analyze -simulate` and `repro` print every table and figure with the
-// paper's published values alongside.
+// cmd/analyze is the one command that simulates: `analyze -simulate`
+// prints every table and figure with the paper's published values
+// alongside, `-o FILE` saves the trace it characterized, and
+// `analyze FILE` re-analyzes a saved trace.
 package p2pquery

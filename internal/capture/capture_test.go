@@ -118,7 +118,8 @@ func TestTable1Shape(t *testing.T) {
 	// burstiness and the pre-steady-state background (the heavy-tailed
 	// session durations need days to fill the slot pool) give this short
 	// run ≈±30% ratio noise, so the band checks ordering and rough
-	// magnitude only; cmd/repro at 40 days reproduces the composition.
+	// magnitude only; `analyze -simulate -days 40` reproduces the
+	// composition.
 	if !(c.Query > c.Ping && c.Ping > c.Pong && c.Pong > 3*c.QueryHit) {
 		t.Errorf("count ordering violated: %+v", c)
 	}

@@ -1,6 +1,6 @@
-// Package cliflags is the one definition of the simulation flag block
-// every binary used to duplicate (-seed -scale -days -nodes -stream
-// -memlimit) plus the declarative pair (-spec -preset), and the one
+// Package cliflags is the one definition of the run-shape flag block
+// (-seed -scale -days -nodes -online) plus the declarative pair (-spec
+// -preset) that analyze, vantage and workloadgen bind, and the one
 // implementation of their precedence:
 //
 //	binary defaults  <  -spec file  <  -preset  <  explicitly set flag
@@ -9,37 +9,33 @@
 // defaults; after flag.Parse, Resolve folds spec, preset and explicitly
 // set flags into one scenario.Compiled. A run with neither -spec nor
 // -preset resolves to exactly the flag values — byte-identical behavior
-// to the pre-spec binaries.
+// to the pre-spec binaries. Flag values meet the spec's range checks
+// (scenario.Compile), so -days 0 is an error, not a different run.
 package cliflags
 
 import (
 	"flag"
-	"os"
-	"runtime/debug"
 
 	"repro/internal/scenario"
 )
 
 // Defaults carries a binary's historical flag defaults.
 type Defaults struct {
-	Seed     uint64
-	Scale    float64
-	Days     int
-	Nodes    int
-	Stream   bool
-	MemLimit int64
+	Seed  uint64
+	Scale float64
+	Days  int
+	Nodes int
 }
 
 // Flags holds the bound flag values; read them only after flag.Parse.
 type Flags struct {
-	Spec     string
-	Preset   string
-	Seed     uint64
-	Scale    float64
-	Days     int
-	Nodes    int
-	Stream   bool
-	MemLimit int64
+	Spec   string
+	Preset string
+	Seed   uint64
+	Scale  float64
+	Days   int
+	Nodes  int
+	Online bool
 
 	fs *flag.FlagSet
 	d  Defaults
@@ -55,8 +51,7 @@ func Bind(fs *flag.FlagSet, d Defaults) *Flags {
 	fs.Float64Var(&f.Scale, "scale", d.Scale, "fraction of the paper's arrival volume; 1.0 = full scale")
 	fs.IntVar(&f.Days, "days", d.Days, "measurement period in days; the paper measured 40")
 	fs.IntVar(&f.Nodes, "nodes", d.Nodes, "ultrapeer vantage points; >1 shards arrivals across a measurement fleet")
-	fs.BoolVar(&f.Stream, "stream", d.Stream, "print the online sketch characterization and apply the auto memory limit; the trace is identical either way")
-	fs.Int64Var(&f.MemLimit, "memlimit", d.MemLimit, "soft Go memory limit in bytes (-1 = auto: 2 GiB in stream mode; 0 = runtime default)")
+	fs.BoolVar(&f.Online, "online", false, "attach the online sketch layer and print its characterization before the report; the trace is identical either way")
 	return f
 }
 
@@ -93,12 +88,10 @@ func (f *Flags) defaultsSpec() *scenario.Spec {
 	return &scenario.Spec{
 		Version: scenario.SchemaVersion,
 		Sim: scenario.SimSpec{
-			Seed:     &d.Seed,
-			Scale:    &d.Scale,
-			Days:     &d.Days,
-			Nodes:    &d.Nodes,
-			Stream:   &d.Stream,
-			MemLimit: &d.MemLimit,
+			Seed:  &d.Seed,
+			Scale: &d.Scale,
+			Days:  &d.Days,
+			Nodes: &d.Nodes,
 		},
 	}
 }
@@ -121,30 +114,10 @@ func (f *Flags) explicitSpec() *scenario.Spec {
 		case "nodes":
 			v := f.Nodes
 			sp.Sim.Nodes = &v
-		case "stream":
-			v := f.Stream
-			sp.Sim.Stream = &v
-		case "memlimit":
-			v := f.MemLimit
-			sp.Sim.MemLimit = &v
+		case "online":
+			v := f.Online
+			sp.Sim.Online = &v
 		}
 	})
 	return sp
-}
-
-// ApplyMemLimit enforces the resolved soft memory limit (moved here from
-// cmd/analyze): positive sets it, -1 auto-sets 2 GiB in stream mode
-// unless GOMEMLIMIT is already set, 0 leaves the runtime default. The
-// engine's live state is bounded by design; the limit stops
-// the collector's 2x headroom from inflating peak RSS over it. It never
-// OOMs — a too-low soft limit degrades to extra GC.
-func ApplyMemLimit(limit int64, stream bool) {
-	switch {
-	case limit > 0:
-		debug.SetMemoryLimit(limit)
-	case limit < 0 && stream && os.Getenv("GOMEMLIMIT") == "":
-		// 2 GiB holds the paper-scale streaming run (live peak ≈ 1.9 GB)
-		// with ≈250 MB of GC headroom; see cmd/analyze's docs.
-		debug.SetMemoryLimit(2 << 30)
-	}
 }

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-var testDefaults = Defaults{Seed: 2004, Scale: 0.01, Days: 4, Nodes: 1, MemLimit: -1}
+var testDefaults = Defaults{Seed: 2004, Scale: 0.01, Days: 4, Nodes: 1}
 
 func resolve(t *testing.T, specFile string, args ...string) (*Flags, *scenarioCompiled) {
 	t.Helper()
@@ -23,17 +23,16 @@ func resolve(t *testing.T, specFile string, args ...string) (*Flags, *scenarioCo
 	if err != nil {
 		t.Fatalf("resolve %v: %v", args, err)
 	}
-	return f, &scenarioCompiled{c.Sim.Workload.Seed, c.Sim.Workload.Scale, c.Sim.Workload.Days, c.Nodes, c.Stream, c.MemLimit}
+	return f, &scenarioCompiled{c.Sim.Workload.Seed, c.Sim.Workload.Scale, c.Sim.Workload.Days, c.Nodes, c.Online}
 }
 
 // scenarioCompiled flattens the resolved knobs for terse comparisons.
 type scenarioCompiled struct {
-	seed     uint64
-	scale    float64
-	days     int
-	nodes    int
-	stream   bool
-	memlimit int64
+	seed   uint64
+	scale  float64
+	days   int
+	nodes  int
+	online bool
 }
 
 func writeSpec(t *testing.T, body string) string {
@@ -57,28 +56,36 @@ sim:
 `)
 
 	// Defaults alone: the binary's historical behavior.
-	if _, got := resolve(t, ""); *got != (scenarioCompiled{2004, 0.01, 4, 1, false, -1}) {
+	if _, got := resolve(t, ""); *got != (scenarioCompiled{2004, 0.01, 4, 1, false}) {
 		t.Errorf("defaults: %+v", got)
 	}
 
 	// Spec beats defaults, untouched fields keep defaults.
-	if _, got := resolve(t, spec); *got != (scenarioCompiled{2004, 0.3, 9, 2, false, -1}) {
+	if _, got := resolve(t, spec); *got != (scenarioCompiled{2004, 0.3, 9, 2, false}) {
 		t.Errorf("spec over defaults: %+v", got)
 	}
 
 	// Preset beats spec (laptop pins scale 0.05, days 4, nodes 4).
-	if _, got := resolve(t, spec, "-preset", "laptop"); *got != (scenarioCompiled{2004, 0.05, 4, 4, false, -1}) {
+	if _, got := resolve(t, spec, "-preset", "laptop"); *got != (scenarioCompiled{2004, 0.05, 4, 4, false}) {
 		t.Errorf("preset over spec: %+v", got)
 	}
 
 	// Explicit flags beat everything; unset flags still lose to the spec.
-	if _, got := resolve(t, spec, "-preset", "laptop", "-scale", "0.9", "-seed", "7"); *got != (scenarioCompiled{7, 0.9, 4, 4, false, -1}) {
+	if _, got := resolve(t, spec, "-preset", "laptop", "-scale", "0.9", "-seed", "7"); *got != (scenarioCompiled{7, 0.9, 4, 4, false}) {
 		t.Errorf("flags over preset: %+v", got)
 	}
 
 	// A flag set to its default value still counts as explicit.
-	if _, got := resolve(t, spec, "-days", "4"); *got != (scenarioCompiled{2004, 0.3, 4, 2, false, -1}) {
+	if _, got := resolve(t, spec, "-days", "4"); *got != (scenarioCompiled{2004, 0.3, 4, 2, false}) {
 		t.Errorf("explicit default-valued flag: %+v", got)
+	}
+
+	// -online follows the same order: tenweek pins it on, a flag turns it off.
+	if _, got := resolve(t, "", "-preset", "tenweek"); !got.online {
+		t.Errorf("preset online lost: %+v", got)
+	}
+	if _, got := resolve(t, "", "-preset", "tenweek", "-online=false"); got.online {
+		t.Errorf("explicit -online=false lost to the preset: %+v", got)
 	}
 }
 

@@ -233,8 +233,10 @@ func readHeaders(r *bufio.Reader) (*Headers, error) {
 		if total > maxHeaderBytes {
 			return nil, ErrHeadersSize
 		}
+		// A name that is blank once trimmed would serialize as ": value",
+		// which this reader rejects, so it is malformed here too.
 		colon := strings.IndexByte(line, ':')
-		if colon <= 0 {
+		if colon < 0 || strings.TrimSpace(line[:colon]) == "" {
 			return nil, fmt.Errorf("%w: %q", ErrBadHeader, line)
 		}
 		h.Set(line[:colon], line[colon+1:])

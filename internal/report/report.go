@@ -1,8 +1,8 @@
 // Package report renders the analysis results as text: aligned tables,
 // log-scale ASCII charts for the paper's CCDF/PMF figures, and CSV export
 // for external plotting. Every renderer emits the same rows or series the
-// corresponding paper artifact shows, so a run of cmd/repro can be read
-// side by side with the paper.
+// corresponding paper artifact shows, so an `analyze -simulate` report
+// can be read side by side with the paper.
 package report
 
 import (

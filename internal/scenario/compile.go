@@ -9,9 +9,9 @@ import (
 	"repro/internal/workload"
 )
 
-// Compile-time defaults for Sim fields no spec, preset or flag pinned.
-// They match cmd/repro's historical flag defaults: the paper's 40-day
-// measurement period at a laptop-friendly scale on a single vantage.
+// Compile-time defaults for Sim fields no spec, preset or flag pinned:
+// the paper's 40-day measurement period at a laptop-friendly scale on a
+// single vantage.
 const (
 	DefaultSeed  = 2004
 	DefaultScale = 0.05
@@ -24,9 +24,9 @@ const (
 // golden tests re-parse them forever).
 var presets = map[string]string{
 	// paper40d is the reproduction's reference configuration: the paper's
-	// full 40-day, full-volume measurement on a 48-vantage fleet, run
-	// streaming. It must compile to exactly capture.DefaultConfig — the
-	// trace SHA-256 equality test against the flag-driven path pins it.
+	// full 40-day, full-volume measurement on a 48-vantage fleet, with the
+	// online sketch layer. It must compile to exactly capture.DefaultConfig —
+	// the trace SHA-256 equality test against the flag-driven path pins it.
 	"paper40d": `version: 1
 name: paper40d
 description: the paper's 40-day full-scale measurement (trace sha256 4b2f8bcf...efc8c)
@@ -35,7 +35,7 @@ sim:
   scale: 1.0
   days: 40
   nodes: 48
-  stream: true
+  online: true
 `,
 	// laptop finishes in tens of seconds and is enough for every
 	// distributional comparison.
@@ -59,7 +59,7 @@ sim:
   scale: 0.02
   days: 70
   nodes: 4
-  stream: true
+  online: true
 `,
 }
 
@@ -152,11 +152,8 @@ func mergeSim(base, overlay SimSpec) SimSpec {
 	if overlay.Nodes != nil {
 		out.Nodes = overlay.Nodes
 	}
-	if overlay.Stream != nil {
-		out.Stream = overlay.Stream
-	}
-	if overlay.MemLimit != nil {
-		out.MemLimit = overlay.MemLimit
+	if overlay.Online != nil {
+		out.Online = overlay.Online
 	}
 	return out
 }
@@ -174,17 +171,16 @@ type Compiled struct {
 	Sim capture.Config
 	// Nodes is the vantage fleet size.
 	Nodes int
-	// Stream attaches the online sketch layer to the run and lets the auto
-	// memory limit apply (see cliflags.ApplyMemLimit).
-	Stream bool
-	// MemLimit is the soft Go memory limit in bytes; 0 means unset.
-	MemLimit int64
+	// Online attaches the online sketch layer to the run
+	// (p2pquery.RunConfig.Online).
+	Online bool
 	// Checks are the spec's headline-metric assertions.
 	Checks []Check
 }
 
 // Compile resolves a spec to runnable configuration, applying defaults
-// for unpinned Sim fields.
+// for unpinned Sim fields and rejecting a run shape the engine cannot
+// honour (scale ≤ 0, days < 1, nodes < 1) with an error naming the field.
 func Compile(sp *Spec) (*Compiled, error) {
 	sp, err := resolvePreset(sp)
 	if err != nil {
@@ -210,11 +206,16 @@ func Compile(sp *Spec) (*Compiled, error) {
 	if sp.Sim.Nodes != nil {
 		c.Nodes = *sp.Sim.Nodes
 	}
-	if sp.Sim.Stream != nil {
-		c.Stream = *sp.Sim.Stream
+	if sp.Sim.Online != nil {
+		c.Online = *sp.Sim.Online
 	}
-	if sp.Sim.MemLimit != nil {
-		c.MemLimit = *sp.Sim.MemLimit
+	switch {
+	case !(scale > 0): // NaN too
+		return nil, fmt.Errorf("sim.scale: must be > 0, got %v", scale)
+	case c.Sim.Workload.Days < 1:
+		return nil, fmt.Errorf("sim.days: must be ≥ 1, got %d", c.Sim.Workload.Days)
+	case c.Nodes < 1:
+		return nil, fmt.Errorf("sim.nodes: must be ≥ 1, got %d", c.Nodes)
 	}
 	c.Checks = sp.Checks
 	sc, err := compileScenario(sp)

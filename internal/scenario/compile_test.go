@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/capture"
@@ -43,8 +44,8 @@ func TestPaper40dIsTodaysDefaultConfig(t *testing.T) {
 	if !reflect.DeepEqual(c.Sim, want) {
 		t.Errorf("paper40d.Sim = %+v\nwant default %+v", c.Sim, want)
 	}
-	if c.Nodes != 48 || !c.Stream {
-		t.Errorf("paper40d run shape: nodes=%d stream=%v, want 48/true", c.Nodes, c.Stream)
+	if c.Nodes != 48 || !c.Online {
+		t.Errorf("paper40d run shape: nodes=%d online=%v, want 48/true", c.Nodes, c.Online)
 	}
 }
 
@@ -94,10 +95,10 @@ func TestMergePrecedence(t *testing.T) {
 		t.Fatal(err)
 	}
 	scale := 0.5
-	stream := true
+	online := true
 	overlay := &Spec{
 		Name: "over",
-		Sim:  SimSpec{Scale: &scale, Stream: &stream},
+		Sim:  SimSpec{Scale: &scale, Online: &online},
 		Classes: []ClassSpec{
 			{Name: "x", Share: 0.1},
 		},
@@ -115,8 +116,8 @@ func TestMergePrecedence(t *testing.T) {
 	if m.Sim.Days == nil || *m.Sim.Days != 4 {
 		t.Errorf("base days lost: %v", m.Sim.Days)
 	}
-	if m.Sim.Stream == nil || !*m.Sim.Stream {
-		t.Errorf("overlay stream lost: %v", m.Sim.Stream)
+	if m.Sim.Online == nil || !*m.Sim.Online {
+		t.Errorf("overlay online lost: %v", m.Sim.Online)
 	}
 	if len(m.Classes) != 1 || m.Classes[0].Name != "x" {
 		t.Errorf("overlay classes lost: %+v", m.Classes)
@@ -136,8 +137,31 @@ func TestCompileDefaults(t *testing.T) {
 		c.Sim.Workload.Days != DefaultDays || c.Nodes != DefaultNodes {
 		t.Errorf("defaults: %+v nodes=%d", c.Sim.Workload, c.Nodes)
 	}
-	if c.Stream || c.MemLimit != 0 {
+	if c.Online {
 		t.Errorf("zero-value run shape expected: %+v", c)
+	}
+}
+
+// TestCompileRejectsBadRunShape: the run-shape range checks live in
+// Compile, not the decoder, so specs, presets and command-line flags meet
+// one check, and its error names the spec field.
+func TestCompileRejectsBadRunShape(t *testing.T) {
+	cases := []struct{ name, sim, want string }{
+		{"negative scale", "scale: -1", "sim.scale"},
+		{"zero scale", "scale: 0", "sim.scale"},
+		{"zero days", "days: 0", "sim.days"},
+		{"zero nodes", "nodes: 0", "sim.nodes"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sp, err := Parse([]byte("version: 1\nsim:\n  " + tc.sim + "\n"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Compile(sp); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Compile error %v does not name %s", err, tc.want)
+			}
+		})
 	}
 }
 

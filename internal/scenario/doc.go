@@ -32,8 +32,11 @@
 //	  scale: 0.05           # fraction of the paper's arrival volume
 //	  days: 40              # measurement period
 //	  nodes: 4              # vantage fleet size
-//	  stream: true          # print the online sketch block; auto memlimit
-//	  memlimit: 2147483648  # soft Go memory limit in bytes (0 = unset)
+//	  online: true          # attach the online sketch layer and print
+//	                        #   its block before the report
+//
+// Compile rejects scale ≤ 0, days < 1 and nodes < 1 whichever layer set
+// them, so a command-line flag meets the same check as a spec field.
 //
 //	classes:                # scenario client classes (workload overlay)
 //	  - name: polluter      # required; carried on Session.Class

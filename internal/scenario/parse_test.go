@@ -15,8 +15,7 @@ sim:
   scale: 0.25
   days: 10
   nodes: 8
-  stream: true
-  memlimit: 1073741824
+  online: true
 classes:
   - name: polluter
     share: 0.15
@@ -59,11 +58,8 @@ func TestParseFullSpec(t *testing.T) {
 	if sp.Sim.Days == nil || *sp.Sim.Days != 10 || sp.Sim.Nodes == nil || *sp.Sim.Nodes != 8 {
 		t.Errorf("sim.days/nodes: %v %v", sp.Sim.Days, sp.Sim.Nodes)
 	}
-	if sp.Sim.Stream == nil || !*sp.Sim.Stream {
-		t.Errorf("sim.stream: %v", sp.Sim.Stream)
-	}
-	if sp.Sim.MemLimit == nil || *sp.Sim.MemLimit != 1<<30 {
-		t.Errorf("sim.memlimit: %v", sp.Sim.MemLimit)
+	if sp.Sim.Online == nil || !*sp.Sim.Online {
+		t.Errorf("sim.online: %v", sp.Sim.Online)
 	}
 	if len(sp.Classes) != 2 {
 		t.Fatalf("classes: %d", len(sp.Classes))
@@ -104,9 +100,10 @@ func TestParseErrorsNameTheField(t *testing.T) {
 		{"missing version", "name: x\n", "version"},
 		{"future version", "version: 99\n", "version"},
 		{"bad number", "version: 1\nsim:\n  scale: fast\n", "sim.scale"},
-		{"bad bool", "version: 1\nsim:\n  stream: yes\n", "sim.stream"},
+		{"bad bool", "version: 1\nsim:\n  online: yes\n", "sim.online"},
+		{"retired sim.stream", "version: 1\nsim:\n  stream: true\n", "sim.stream: unknown field"},
+		{"retired sim.memlimit", "version: 1\nsim:\n  memlimit: 1073741824\n", "sim.memlimit: unknown field"},
 		{"bad duration", "version: 1\nevents:\n  - churn:\n      at: soon\n      fraction: 0.5\n", "events[0].churn.at"},
-		{"negative scale", "version: 1\nsim:\n  scale: -1\n", "sim.scale"},
 		{"fraction out of range", "version: 1\nevents:\n  - churn:\n      at: 1h\n      fraction: 1.5\n", "events[0].churn.fraction"},
 		{"churn missing at", "version: 1\nevents:\n  - churn:\n      fraction: 0.5\n", "events[0].churn.at"},
 		{"class missing name", "version: 1\nclasses:\n  - share: 0.5\n", "classes[0].name"},

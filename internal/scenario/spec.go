@@ -37,12 +37,11 @@ type Spec struct {
 
 // SimSpec mirrors the shared simulation flag block (internal/cliflags).
 type SimSpec struct {
-	Seed     *uint64
-	Scale    *float64
-	Days     *int
-	Nodes    *int
-	Stream   *bool
-	MemLimit *int64
+	Seed   *uint64
+	Scale  *float64
+	Days   *int
+	Nodes  *int
+	Online *bool
 }
 
 // ClassSpec declares one client class; it compiles 1:1 into
@@ -81,7 +80,8 @@ type Check struct {
 
 // Parse reads a spec document. Decoding is strict: unknown keys, type
 // mismatches, out-of-range values and an unknown schema version are all
-// errors, each naming the offending field and line.
+// errors, each naming the offending field and line. The sim range checks
+// live in Compile, which specs, presets and flags all pass through.
 func Parse(data []byte) (*Spec, error) {
 	root, err := parseYAML(data)
 	if err != nil {
@@ -285,7 +285,7 @@ func (d *decoder) spec(root *node) *Spec {
 
 func (d *decoder) sim(n *node, path string) SimSpec {
 	var s SimSpec
-	if !d.mapping(n, path, "seed", "scale", "days", "nodes", "stream", "memlimit") {
+	if !d.mapping(n, path, "seed", "scale", "days", "nodes", "online") {
 		return s
 	}
 	for _, k := range n.keys {
@@ -301,31 +301,16 @@ func (d *decoder) sim(n *node, path string) SimSpec {
 			s.Seed = &u
 		case "scale":
 			v := d.float(c, p)
-			if d.err == nil && v <= 0 {
-				d.fail(c.line, p, "must be > 0")
-			}
 			s.Scale = &v
 		case "days":
 			v := int(d.integer(c, p))
-			if d.err == nil && v <= 0 {
-				d.fail(c.line, p, "must be ≥ 1")
-			}
 			s.Days = &v
 		case "nodes":
 			v := int(d.integer(c, p))
-			if d.err == nil && v <= 0 {
-				d.fail(c.line, p, "must be ≥ 1")
-			}
 			s.Nodes = &v
-		case "stream":
+		case "online":
 			v := d.boolean(c, p)
-			s.Stream = &v
-		case "memlimit":
-			v := d.integer(c, p)
-			if d.err == nil && v < 0 {
-				d.fail(c.line, p, "must be ≥ 0")
-			}
-			s.MemLimit = &v
+			s.Online = &v
 		}
 	}
 	return s

@@ -2,54 +2,12 @@ package stream_test
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/stream"
 	"repro/internal/trace"
 )
-
-// benchTraces simulates one 4-node fleet per benchmark binary.
-var (
-	benchOnce   sync.Once
-	benchTraces []*trace.Trace
-)
-
-func benchFleetTraces(b *testing.B) []*trace.Trace {
-	b.Helper()
-	benchOnce.Do(func() { benchTraces = fleetTraces(b, 2004, 2, 4) })
-	return benchTraces
-}
-
-// BenchmarkStreamMergeTraces measures the streaming k-way merge over a
-// fleet's materialized per-node traces; against BenchmarkTraceMerge it
-// prices the streaming merge relative to the sort-based reference.
-func BenchmarkStreamMergeTraces(b *testing.B) {
-	nodes := benchFleetTraces(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := stream.MergeTraces(nodes...)
-		if len(m.Conns) == 0 {
-			b.Fatal("empty merge")
-		}
-	}
-}
-
-// BenchmarkTraceMerge isolates batch trace.Merge on the same traces:
-// deduplicate, totally order, and re-identify.
-func BenchmarkTraceMerge(b *testing.B) {
-	nodes := benchFleetTraces(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := trace.Merge(nodes...)
-		if len(m.Conns) == 0 {
-			b.Fatal("empty merge")
-		}
-	}
-}
 
 // BenchmarkTopKAdd measures the Space-Saving hot path at full eviction
 // pressure (distinct keys ≫ capacity).

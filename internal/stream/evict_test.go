@@ -100,12 +100,13 @@ func TestMergerEvictAfterDoneIgnored(t *testing.T) {
 	}
 }
 
-// TestMergeTracesStatsNoDeadInputs: the in-process merge can never lose
-// an input, so its stats must report a clean ledger.
+// TestMergeTracesStatsNoDeadInputs: an in-process merge of live streams
+// can never lose an input, so the merger must report a clean ledger.
 func TestMergeTracesStatsNoDeadInputs(t *testing.T) {
 	traces := fleetTraces(t, 17, 1, 2)
-	_, ms := stream.MergeTracesStats(traces...)
-	if ms.DeadInputs != 0 || ms.LostSessions != 0 {
-		t.Fatalf("in-process merge reported losses: %+v", ms)
+	m := stream.NewMerger(len(traces), nil)
+	drain(m, traces...)
+	if m.DeadInputs() != 0 || m.LostSessions() != 0 {
+		t.Fatalf("in-process merge reported losses: dead=%d lost=%d", m.DeadInputs(), m.LostSessions())
 	}
 }

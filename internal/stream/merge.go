@@ -3,7 +3,6 @@ package stream
 import (
 	"container/heap"
 	"slices"
-	"sort"
 
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -482,139 +481,4 @@ func (h *sessHeap) Pop() any {
 	old[n-1] = nil
 	*h = old[:n-1]
 	return it
-}
-
-// MergeTraces runs already-materialized per-node traces through the
-// streaming merge and returns the merged trace — the drop-in replacement
-// for batch trace.Merge (byte-identical output, pinned by test), which
-// remains as the independent reference oracle the equivalence tests
-// compare against.
-//
-// The inputs are fed interleaved in global start order (each input still
-// sees its own records in its own start order, satisfying the watermark
-// contract), so sessions retire — and their transient record copies are
-// released — progressively as the feed advances, instead of every record
-// pending until the last input has been consumed.
-func MergeTraces(traces ...*trace.Trace) *trace.Trace {
-	t, _ := MergeTracesStats(traces...)
-	return t
-}
-
-// MergeStats reports a completed merge's memory diagnostics — the pending
-// buffer's high-water mark and how many sessions took the spill path —
-// plus its degradation ledger: inputs evicted dead and the open sessions
-// lost with them (always zero for in-process merges, which cannot lose an
-// input; the distributed ingest path is where these go nonzero).
-type MergeStats struct {
-	PeakPending  int
-	Spilled      int
-	DeadInputs   int
-	LostSessions uint64
-}
-
-// MergeTracesStats is MergeTraces plus the merge's own diagnostics, so
-// callers running the streaming merge over materialized traces report
-// the same PeakPending accounting as the live streaming path.
-func MergeTracesStats(traces ...*trace.Trace) (*trace.Trace, MergeStats) {
-	if len(traces) == 0 {
-		return &trace.Trace{Nodes: 0}, MergeStats{}
-	}
-	m := NewMerger(len(traces), nil)
-
-	type cursor struct {
-		t      *trace.Trace
-		byConn [][]*trace.Query
-		order  []int // conn indices in start order
-		pos    int
-	}
-	curs := make([]*cursor, len(traces))
-	for i, t := range traces {
-		c := &cursor{t: t, byConn: t.QueriesPerConn(), order: make([]int, len(t.Conns))}
-		for j := range c.order {
-			c.order[j] = j
-		}
-		// Simulated traces are already in arrival order; imported traces
-		// with arbitrary record order are sorted into it here.
-		sort.SliceStable(c.order, func(a, b int) bool {
-			return t.Conns[c.order[a]].Start < t.Conns[c.order[b]].Start
-		})
-		curs[i] = c
-	}
-
-	// finishInput feeds an input's non-session records and its trailer the
-	// moment its sessions are exhausted, so its watermark leaves the
-	// barrier immediately — an empty or short-span input must not freeze
-	// retirement for the inputs still feeding.
-	finishInput := func(i int) {
-		t := traces[i]
-		st := &m.inputs[i]
-		feed := func(ev Event) { m.apply(i, st, &ev) }
-		for _, p := range t.Pongs {
-			feed(Event{Kind: EvPong, Pong: p})
-		}
-		for _, h := range t.Hits {
-			feed(Event{Kind: EvHit, Hit: h})
-		}
-		feed(Event{Kind: EvDone, Done: &End{
-			Counts:         t.Counts,
-			Seed:           t.Seed,
-			Scale:          t.Scale,
-			Days:           t.Days,
-			Nodes:          t.Nodes,
-			PongSampleRate: t.PongSampleRate,
-			HitSampleRate:  t.HitSampleRate,
-		}})
-	}
-	for i, c := range curs {
-		if len(c.order) == 0 {
-			finishInput(i)
-		}
-	}
-
-	fed := 0
-	for {
-		// Pick the input whose next session starts earliest (linear scan:
-		// the input count is the fleet size, not the record count).
-		next := -1
-		var nextStart trace.Time
-		for i, c := range curs {
-			if c.pos >= len(c.order) {
-				continue
-			}
-			s := c.t.Conns[c.order[c.pos]].Start
-			if next < 0 || s < nextStart {
-				next, nextStart = i, s
-			}
-		}
-		if next < 0 {
-			break
-		}
-		c := curs[next]
-		j := c.order[c.pos]
-		c.pos++
-		conn := c.t.Conns[j]
-		rec := &SessionRecord{Conn: conn}
-		if qs := c.byConn[j]; len(qs) > 0 {
-			rec.Queries = make([]trace.Query, len(qs))
-			for k, q := range qs {
-				rec.Queries[k] = *q
-			}
-		}
-		st := &m.inputs[next]
-		m.apply(next, st, &Event{Kind: EvOpen, ID: conn.ID, Time: conn.Start})
-		m.apply(next, st, &Event{Kind: EvClose, ID: conn.ID, Time: conn.Start, Sess: rec})
-		if c.pos == len(c.order) {
-			finishInput(next)
-		}
-		if fed++; fed%1024 == 0 {
-			m.advance()
-		}
-	}
-	m.finish()
-	return m.out, MergeStats{
-		PeakPending:  m.peakPending,
-		Spilled:      m.spilled,
-		DeadInputs:   m.deadInputs,
-		LostSessions: m.lostSessions,
-	}
 }

@@ -46,13 +46,13 @@ func traceBytes(t *testing.T, tr *trace.Trace) []byte {
 }
 
 // TestMergeTracesMatchesBatchMerge is the subsystem's core identity pin:
-// feeding per-node traces through the streaming k-way merge must
-// reproduce batch trace.Merge byte for byte.
+// replaying per-node traces as live streams through the k-way merger
+// must reproduce batch trace.Merge byte for byte.
 func TestMergeTracesMatchesBatchMerge(t *testing.T) {
 	for _, nodes := range []int{1, 2, 4} {
 		traces := fleetTraces(t, 2004, 2, nodes)
 		want := traceBytes(t, trace.Merge(traces...))
-		got := traceBytes(t, stream.MergeTraces(traces...))
+		got := traceBytes(t, mergeStreams(traces...))
 		if !bytes.Equal(want, got) {
 			t.Fatalf("nodes=%d: streaming merge differs from batch trace.Merge", nodes)
 		}
@@ -63,8 +63,8 @@ func TestMergeTracesMatchesBatchMerge(t *testing.T) {
 // order-independence contract on the streaming path.
 func TestMergeTracesOrderIndependent(t *testing.T) {
 	traces := fleetTraces(t, 7, 2, 3)
-	want := traceBytes(t, stream.MergeTraces(traces[0], traces[1], traces[2]))
-	got := traceBytes(t, stream.MergeTraces(traces[2], traces[0], traces[1]))
+	want := traceBytes(t, mergeStreams(traces[0], traces[1], traces[2]))
+	got := traceBytes(t, mergeStreams(traces[2], traces[0], traces[1]))
 	if !bytes.Equal(want, got) {
 		t.Fatal("streaming merge depends on input order")
 	}
@@ -76,11 +76,11 @@ func TestMergeTracesOrderIndependent(t *testing.T) {
 func TestMergeTracesDedup(t *testing.T) {
 	traces := fleetTraces(t, 11, 1, 2)
 	want := traceBytes(t, trace.Merge(traces[0], traces[0], traces[1]))
-	got := traceBytes(t, stream.MergeTraces(traces[0], traces[0], traces[1]))
+	got := traceBytes(t, mergeStreams(traces[0], traces[0], traces[1]))
 	if !bytes.Equal(want, got) {
 		t.Fatal("duplicate handling differs from batch merge")
 	}
-	m := stream.MergeTraces(traces[0], traces[0])
+	m := mergeStreams(traces[0], traces[0])
 	if uint64(len(m.Queries)) != m.Counts.QueryHop1 {
 		t.Fatalf("len(Queries)=%d != Counts.QueryHop1=%d after dedup", len(m.Queries), m.Counts.QueryHop1)
 	}
@@ -90,25 +90,40 @@ func TestMergeTracesDedup(t *testing.T) {
 }
 
 // TestMergeTracesUnequalSpans: one empty input and one short-span input
-// alongside a long one — exhausted inputs must release the barrier (their
-// trailers are fed the moment their sessions run out), and the output
-// must still equal the batch merge.
+// alongside a long one — each input's trailer arrives at its own horizon,
+// the exhausted inputs must release the barrier, and the output must
+// still equal the batch merge.
 func TestMergeTracesUnequalSpans(t *testing.T) {
 	long := fleetTraces(t, 3, 2, 1)[0]
 	short := fleetTraces(t, 5, 1, 1)[0]
 	empty := &trace.Trace{Days: 1, Nodes: 1, PongSampleRate: 0.1, HitSampleRate: 0.1}
 	want := traceBytes(t, trace.Merge(long, short, empty))
-	got := traceBytes(t, stream.MergeTraces(long, short, empty))
+	got := traceBytes(t, mergeStreams(long, short, empty))
 	if !bytes.Equal(want, got) {
 		t.Fatal("unequal-span merge differs from batch trace.Merge")
 	}
 }
 
-// TestMergeTracesEmpty matches the batch merge's empty-input behavior.
-func TestMergeTracesEmpty(t *testing.T) {
-	if got := stream.MergeTraces(); got.Nodes != 0 || len(got.Conns) != 0 {
-		t.Fatalf("empty merge: %+v", got)
+// drain replays each trace as one live vantage — concurrent producers,
+// each closing its stream at its own trace's horizon — through m, and
+// returns the drained trace.
+func drain(m *stream.Merger, traces ...*trace.Trace) *trace.Trace {
+	var wg sync.WaitGroup
+	for i, tr := range traces {
+		wg.Add(1)
+		go func(i int, tr *trace.Trace) {
+			defer wg.Done()
+			replayAsStream(tr, stream.NewProducer(i, m.Intake()), trace.Time(tr.Days)*24*time.Hour)
+		}(i, tr)
 	}
+	out := m.Run()
+	wg.Wait()
+	return out
+}
+
+// mergeStreams is drain through a fresh unwindowed merger.
+func mergeStreams(traces ...*trace.Trace) *trace.Trace {
+	return drain(stream.NewMerger(len(traces), nil), traces...)
 }
 
 // replayAsStream plays a trace's sessions through a producer the way a
@@ -167,19 +182,8 @@ func replayAsStream(tr *trace.Trace, p *stream.Producer, horizon trace.Time) {
 func TestMergerLiveStreamsMatchBatch(t *testing.T) {
 	traces := fleetTraces(t, 5, 2, 3)
 	want := traceBytes(t, trace.Merge(traces...))
-	horizon := 2 * 24 * time.Hour
-
 	m := stream.NewMerger(len(traces), nil)
-	var wg sync.WaitGroup
-	for i, tr := range traces {
-		wg.Add(1)
-		go func(i int, tr *trace.Trace) {
-			defer wg.Done()
-			replayAsStream(tr, stream.NewProducer(i, m.Intake()), horizon)
-		}(i, tr)
-	}
-	got := traceBytes(t, m.Run())
-	wg.Wait()
+	got := traceBytes(t, drain(m, traces...))
 	if !bytes.Equal(want, got) {
 		t.Fatal("live-stream merge differs from batch trace.Merge")
 	}
@@ -247,17 +251,7 @@ func TestMergerSinkSeesMergedOrder(t *testing.T) {
 		ids = append(ids, c.ID)
 		starts = append(starts, c.Start)
 	})
-	m := stream.NewMerger(len(traces), sink)
-	var wg sync.WaitGroup
-	for i, tr := range traces {
-		wg.Add(1)
-		go func(i int, tr *trace.Trace) {
-			defer wg.Done()
-			replayAsStream(tr, stream.NewProducer(i, m.Intake()), 24*time.Hour)
-		}(i, tr)
-	}
-	merged := m.Run()
-	wg.Wait()
+	merged := drain(stream.NewMerger(len(traces), sink), traces...)
 	if len(ids) != len(merged.Conns) {
 		t.Fatalf("sink saw %d sessions, merged trace has %d", len(ids), len(merged.Conns))
 	}
@@ -303,7 +297,7 @@ func FuzzMergeAgainstBatch(f *testing.F) {
 			traces[i] = tr
 		}
 		want := traceBytes(t, trace.Merge(traces...))
-		got := traceBytes(t, stream.MergeTraces(traces...))
+		got := traceBytes(t, mergeStreams(traces...))
 		if !bytes.Equal(want, got) {
 			t.Fatal("streaming merge differs from batch merge")
 		}
@@ -388,16 +382,7 @@ func TestMergerTinyWindowMatchesBatch(t *testing.T) {
 	want := traceBytes(t, trace.Merge(traces...))
 	m := stream.NewMerger(len(traces), nil)
 	m.SetWindow(time.Second)
-	var wg sync.WaitGroup
-	for i, tr := range traces {
-		wg.Add(1)
-		go func(i int, tr *trace.Trace) {
-			defer wg.Done()
-			replayAsStream(tr, stream.NewProducer(i, m.Intake()), 24*time.Hour)
-		}(i, tr)
-	}
-	got := traceBytes(t, m.Run())
-	wg.Wait()
+	got := traceBytes(t, drain(m, traces...))
 	if !bytes.Equal(want, got) {
 		t.Fatal("tiny-window merge differs from batch trace.Merge")
 	}

@@ -258,7 +258,7 @@ func (o *Online) Snapshot(k int) Snapshot {
 }
 
 // WriteText renders the snapshot as the report-style text block `analyze
-// -stream` prints.
+// -online` prints.
 func (s *Snapshot) WriteText(w io.Writer) error {
 	exact := "exact"
 	if !s.TopKExact {
@@ -291,10 +291,9 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 }
 
 // Exact computes the same metrics as Online exactly, from a materialized
-// trace — the oracle the sketch tolerances are pinned against, and what
-// `analyze -stream` prints next to the online estimates when the drained
-// trace is at hand. Rates are omitted (they are defined on the stream's
-// leading edge, which a batch trace does not have).
+// trace — the oracle the sketch tolerances are pinned against. Rates are
+// omitted (they are defined on the stream's leading edge, which a batch
+// trace does not have).
 func Exact(tr *trace.Trace, k int) Snapshot {
 	if k <= 0 {
 		k = 10

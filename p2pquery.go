@@ -47,7 +47,7 @@ func DefaultSimulation(seed uint64, scale float64) SimulationConfig {
 
 // Simulate runs the single-vantage measurement simulation and returns
 // the trace: Run(RunConfig{Sim: cfg}). It panics on a configuration Run
-// rejects (a zero SimulationConfig).
+// rejects (no connection cap, scale ≤ 0 or days < 1).
 func Simulate(cfg SimulationConfig) *Trace {
 	res, err := Run(RunConfig{Sim: cfg})
 	if err != nil {
@@ -127,8 +127,13 @@ type Result struct {
 // for every knob but Sim and Nodes — the engine's determinism contract
 // (see internal/engine).
 func Run(cfg RunConfig) (*Result, error) {
-	if cfg.Sim.MaxConns == 0 && cfg.Sim.Workload.Scale == 0 {
-		return nil, errors.New("p2pquery.Run: zero RunConfig.Sim; build it with DefaultSimulation or LoadScenario")
+	switch {
+	case cfg.Sim.MaxConns < 1:
+		return nil, errors.New("p2pquery.Run: Sim.MaxConns < 1; build Sim with DefaultSimulation or LoadScenario")
+	case !(cfg.Sim.Workload.Scale > 0):
+		return nil, errors.New("p2pquery.Run: Sim.Workload.Scale ≤ 0")
+	case cfg.Sim.Workload.Days < 1:
+		return nil, errors.New("p2pquery.Run: Sim.Workload.Days < 1")
 	}
 	if cfg.Lookahead < 0 {
 		return nil, errors.New("p2pquery.Run: negative Lookahead")
@@ -199,7 +204,7 @@ func ScenarioPreset(name string) (*Scenario, error) {
 
 // RunScenario executes a compiled scenario through Run.
 func RunScenario(c *Scenario) (*Result, error) {
-	return Run(RunConfig{Sim: c.Sim, Nodes: c.Nodes, Online: c.Stream})
+	return Run(RunConfig{Sim: c.Sim, Nodes: c.Nodes, Online: c.Online})
 }
 
 // EvaluateScenario measures the scenario's headline metrics on a trace

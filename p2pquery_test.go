@@ -146,6 +146,20 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(RunConfig{Sim: cfg, Lookahead: -1}); err == nil {
 		t.Error("negative Lookahead accepted")
 	}
+	// Each run-shape field the engine would otherwise silently rewrite or
+	// hang on is its own error, not part of a zero-config heuristic.
+	for name, mut := range map[string]func(*SimulationConfig){
+		"MaxConns 0": func(c *SimulationConfig) { c.MaxConns = 0 },
+		"Scale 0":    func(c *SimulationConfig) { c.Workload.Scale = 0 },
+		"Scale -1":   func(c *SimulationConfig) { c.Workload.Scale = -1 },
+		"Days 0":     func(c *SimulationConfig) { c.Workload.Days = 0 },
+	} {
+		bad := cfg
+		mut(&bad)
+		if _, err := Run(RunConfig{Sim: bad}); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
 }
 
 // TestScenarioFacade: preset loading, scenario runs and check evaluation
