@@ -137,12 +137,11 @@ func main() {
 	var emitDone chan error
 	if *emit != "" {
 		em := ingest.NewEmitter(ingest.EmitterConfig{
-			Addr:    *emit,
-			Input:   *emitInput,
-			Obs:     &obs.Observer{Metrics: d.reg, Journal: jl},
-			Ship:    ship,
-			Source:  fmt.Sprintf("gnutellad%d", *emitInput),
-			Journal: jl,
+			Addr:   *emit,
+			Input:  *emitInput,
+			Obs:    &obs.Observer{Metrics: d.reg, Journal: jl},
+			Ship:   ship,
+			Source: fmt.Sprintf("gnutellad%d", *emitInput),
 		})
 		d.emitter = em
 		d.prod = stream.NewProducer(*emitInput, em.Intake())

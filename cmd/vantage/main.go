@@ -132,7 +132,6 @@ func main() {
 		Obs:            ob,
 		Ship:           ship,
 		Source:         fmt.Sprintf("vantage%d", *input),
-		Journal:        jl,
 		Retry:          transport.Retry{Max: *retryMax, Base: *retryBase, Cap: *retryCap, Seed: seed + uint64(*input) + 1},
 		AckTimeout:     *ackTimeout,
 		WelcomeTimeout: *welcomeTimeout,

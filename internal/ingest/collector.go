@@ -85,9 +85,9 @@ type CollectorConfig struct {
 	ReadTimeout time.Duration
 	// WriteTimeout bounds welcome/ack writes (default 10 s).
 	WriteTimeout time.Duration
-	// MaxReorder bounds the per-input reorder buffer in events (default
-	// 1<<15). A connection that overflows it is dropped, forcing an
-	// in-order retransmit.
+	// MaxReorder bounds each input's per-lane reorder buffer in items
+	// (default 1<<15). A connection that would overflow it is dropped,
+	// forcing an in-order retransmit.
 	MaxReorder int
 
 	// Obs attaches the observability layer: per-input liveness
@@ -142,11 +142,17 @@ type inputTrack struct {
 	sendMu sync.Mutex
 	mu     sync.Mutex
 
-	applied      uint64
-	pending      map[uint64]stream.Event
-	reordered    int
+	// The input's two lanes (under mu). done marks the events lane's
+	// trailer applied; jDone the journal lane's end-of-journal sentinel
+	// — what Run's post-merge linger waits for, when jShip says this
+	// input's emitter ships a journal at all.
+	events  recvLane[stream.Event]
+	journal recvLane[[]byte]
+	done    bool
+	jDone   bool
+	jShip   bool
+
 	lastProgress time.Time
-	done         bool
 	evicted      bool
 	// stalled marks that an input_stalled event was emitted for the
 	// current silence; cleared (with input_recovered) when frames resume.
@@ -154,20 +160,13 @@ type inputTrack struct {
 	active  net.Conn
 	conns   int
 
-	// Journal shipping: the exactly-once layer for the sidecar journal
-	// sequence space, mirroring applied/pending, plus the lane name and
-	// the clock offset (collector journal ms minus emitter journal ms;
-	// the minimum over handshake samples, which is the sample with the
-	// least network delay baked in). jShip marks that this input's
-	// emitter ships a journal; jDone that its end-of-journal sentinel
-	// has been applied — what Run's post-merge linger waits for.
+	// source names the input's lanes in the fleet journal; offset is the
+	// clock offset for its shipped lines (collector journal ms minus
+	// emitter journal ms; the minimum over handshake samples, which is
+	// the sample with the least network delay baked in).
 	source    string
-	jApplied  uint64
-	jPending  map[uint64][]byte
 	offset    float64
 	offsetSet bool
-	jShip     bool
-	jDone     bool
 }
 
 // Collector accepts emitter connections, reassembles each input's exact
@@ -226,8 +225,6 @@ func NewCollector(cfg CollectorConfig) (*Collector, error) {
 	for i := range c.tracks {
 		c.tracks[i] = &inputTrack{
 			input:        i,
-			pending:      make(map[uint64]stream.Event),
-			jPending:     make(map[uint64][]byte),
 			source:       "input" + strconv.Itoa(i),
 			lastProgress: now, // a vantage that never connects still gets evicted
 		}
@@ -258,12 +255,12 @@ func (c *Collector) registerMetrics() {
 		c.reg.GaugeFunc("ingest_applied_seq", "cumulative ack watermark: events applied in order for this input", func() float64 {
 			t.mu.Lock()
 			defer t.mu.Unlock()
-			return float64(t.applied)
+			return float64(t.events.applied)
 		}, l)
 		c.reg.GaugeFunc("ingest_reordered_events", "events that arrived ahead of the contiguous run for this input", func() float64 {
 			t.mu.Lock()
 			defer t.mu.Unlock()
-			return float64(t.reordered)
+			return float64(t.events.reordered)
 		}, l)
 		c.reg.GaugeFunc("ingest_input_conns", "connections this input's emitter has made so far", func() float64 {
 			t.mu.Lock()
@@ -404,8 +401,9 @@ func (c *Collector) acceptLoop() {
 }
 
 // serve handles one emitter connection: hello, welcome-with-resume, then
-// data frames acked as applied. Any protocol or I/O error just drops the
-// connection — the emitter's reconnect-and-retransmit makes that safe.
+// data and journal frames, each acked on its lane as applied. Any
+// protocol or I/O error just drops the connection — the emitter's
+// reconnect-and-retransmit makes that safe.
 func (c *Collector) serve(conn net.Conn) {
 	defer c.wg.Done()
 	defer func() {
@@ -421,7 +419,7 @@ func (c *Collector) serve(conn net.Conn) {
 		return
 	}
 	h := f.Hello
-	if h.Proto < protoVersionMin || h.Proto > protoVersion || h.Input < 0 || h.Input >= len(c.tracks) {
+	if h.Proto != protoVersion || h.Input < 0 || h.Input >= len(c.tracks) {
 		return
 	}
 	t := c.tracks[h.Input]
@@ -430,13 +428,8 @@ func (c *Collector) serve(conn net.Conn) {
 	// clock as stamped into the hello. Both ends pay the network delay
 	// between hello write and here, inflating the sample — so across
 	// reconnects the minimum (least-delay) sample wins.
-	var offSample float64
-	// A version-1 hello has no JournalTMs field; gob leaves it zero, which
-	// must not read as "shipping with clock 0".
-	haveOff := h.Proto >= 2 && h.JournalTMs >= 0
-	if haveOff {
-		offSample = c.obs.Log().Now() - h.JournalTMs
-	}
+	haveOff := h.JournalTMs >= 0
+	offSample := c.obs.Log().Now() - h.JournalTMs
 
 	t.mu.Lock()
 	if t.active != nil && t.active != conn {
@@ -461,7 +454,7 @@ func (c *Collector) serve(conn net.Conn) {
 	if !evicted {
 		t.lastProgress = time.Now()
 	}
-	welcome := &welcomeFrame{Resume: t.applied, JournalResume: t.jApplied, Evicted: evicted}
+	welcome := &welcomeFrame{Resume: t.events.applied, JournalResume: t.journal.applied, Evicted: evicted}
 	t.mu.Unlock()
 
 	_ = conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
@@ -475,84 +468,106 @@ func (c *Collector) serve(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		var ackf *frame
+		lane, ack, ok := laneEvents, uint64(0), false
 		switch {
 		case f.Kind == frameData && f.Data != nil:
-			ack, ok := c.apply(t, f.Data)
-			if !ok {
-				return
-			}
-			ackf = &frame{Kind: frameAck, Ack: &ackFrame{Seq: ack}}
+			ack, ok = c.applyEvents(t, f.Data)
 		case f.Kind == frameJournal && f.Journal != nil:
-			ack, ok := c.applyJournal(t, f.Journal)
-			if !ok {
-				return
-			}
-			ackf = &frame{Kind: frameJournalAck, JAck: &ackFrame{Seq: ack}}
+			lane = laneJournal
+			ack, ok = c.applyLines(t, f.Journal)
 		default:
 			continue // stray duplicated hello or unknown frame: ignore
 		}
+		if !ok {
+			return
+		}
 		_ = conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
-		if err := writeFrame(conn, ackf, c.hEncode); err != nil {
+		if err := writeFrame(conn, newAck(lane, ack), c.hEncode); err != nil {
 			return
 		}
 	}
 }
 
-// apply runs one data frame through the exactly-once layer: drop
-// duplicates, hold reordered events, forward the contiguous run to the
-// merge, and return the cumulative ack. ok is false when the connection
-// should drop (input evicted, or reorder buffer overflow).
-func (c *Collector) apply(t *inputTrack, df *dataFrame) (ack uint64, ok bool) {
+// applyEvents runs one data frame through the events lane and forwards
+// the contiguous run to the merge, still under sendMu so per-input order
+// holds across connections. ok is false when the connection should drop.
+func (c *Collector) applyEvents(t *inputTrack, df *dataFrame) (ack uint64, ok bool) {
 	t.sendMu.Lock()
 	defer t.sendMu.Unlock()
+	run, ack, src, doneNow, ok := applyLane(c, t, &t.events, df.FirstSeq, df.Events, &t.done,
+		func(ev stream.Event) bool { return ev.Kind == stream.EvDone })
+	if !ok {
+		return 0, false
+	}
+	if doneNow {
+		c.obs.EventSrc("collector/"+src, "input_done", obs.A("input", t.input), obs.A("applied_seq", ack))
+	}
+	if len(run) > 0 {
+		select {
+		case c.merger.Intake() <- stream.Batch{Input: t.input, Events: run}:
+		case <-c.stop:
+			return 0, false
+		}
+	}
+	return ack, true
+}
 
+// applyLines runs one journal frame through the journal lane and folds
+// the contiguous run into the fleet journal, in the input's lane and
+// rebased by its clock offset. The end-of-journal sentinel (an empty
+// line) completes the lane and is not itself a journal line.
+func (c *Collector) applyLines(t *inputTrack, jf *journalFrame) (ack uint64, ok bool) {
+	run, ack, src, _, ok := applyLane(c, t, &t.journal, jf.FirstSeq, jf.Lines, &t.jDone,
+		func(line []byte) bool { return len(line) == 0 })
+	if !ok {
+		return 0, false
+	}
+	t.mu.Lock()
+	offset := t.offset
+	t.mu.Unlock()
+	for _, line := range run {
+		if len(line) == 0 {
+			continue
+		}
+		// A malformed line is the shipper's bug, not a connection fault:
+		// skip it rather than tearing the connection into a retransmit
+		// loop of the same bad line.
+		if err := c.obs.Log().IngestLine(line, src, offset); err == nil {
+			c.mJournalLines.Inc()
+		}
+	}
+	return ack, true
+}
+
+// applyLane is the exactly-once step both lanes share. Under t.mu it
+// refuses an evicted input, runs the frame through lane (ok false on a
+// reorder overflow, which drops the connection and forces an in-order
+// retransmit), sets *done when the run carries the lane's end marker,
+// and counts the frame as liveness: any valid frame is, progress or not
+// — an emitter retransmitting into a lossy link is alive, not dead. It
+// returns the contiguous run for the caller to deliver, the cumulative
+// ack, the input's lane name, and whether this run completed the lane.
+func applyLane[T any](c *Collector, t *inputTrack, lane *recvLane[T], first uint64, items []T, done *bool, isEnd func(T) bool) (run []T, ack uint64, src string, doneNow, ok bool) {
 	t.mu.Lock()
 	if t.evicted {
 		t.mu.Unlock()
-		return 0, false
+		return nil, 0, "", false, false
 	}
-	var fwd []stream.Event
-	for i := range df.Events {
-		seq := df.FirstSeq + uint64(i)
-		if seq <= t.applied {
-			continue // duplicate of an applied event
-		}
-		if seq != t.applied+1 {
-			if len(t.pending) >= c.cfg.MaxReorder {
-				t.mu.Unlock()
-				return 0, false
-			}
-			t.pending[seq] = df.Events[i]
-			t.reordered++
-			continue
-		}
-		t.applied++
-		fwd = append(fwd, df.Events[i])
-		for {
-			next, held := t.pending[t.applied+1]
-			if !held {
-				break
-			}
-			delete(t.pending, t.applied+1)
-			t.applied++
-			fwd = append(fwd, next)
-		}
+	run, ack, ok = lane.apply(first, items, c.cfg.MaxReorder)
+	if !ok {
+		t.mu.Unlock()
+		return nil, 0, "", false, false
 	}
-	// Any valid frame is a liveness signal, progress or not: an emitter
-	// retransmitting into a lossy link is alive, not dead.
-	t.lastProgress = time.Now()
-	recovered := t.stalled
-	t.stalled = false
-	doneNow := false
-	for i := range fwd {
-		if fwd[i].Kind == stream.EvDone && !t.done {
-			t.done = true
+	for _, it := range run {
+		if !*done && isEnd(it) {
+			*done = true
 			doneNow = true
 		}
 	}
-	ack = t.applied
-	src := t.source
+	t.lastProgress = time.Now()
+	recovered := t.stalled
+	t.stalled = false
+	src = t.source
 	t.mu.Unlock()
 
 	// Liveness transitions are journaled into the input's own collector
@@ -563,89 +578,7 @@ func (c *Collector) apply(t *inputTrack, df *dataFrame) (ack uint64, ok bool) {
 	if recovered {
 		c.obs.EventSrc("collector/"+src, "input_recovered", obs.A("input", t.input), obs.A("applied_seq", ack))
 	}
-	if doneNow {
-		c.obs.EventSrc("collector/"+src, "input_done", obs.A("input", t.input), obs.A("applied_seq", ack))
-	}
-
-	if len(fwd) > 0 {
-		select {
-		case c.merger.Intake() <- stream.Batch{Input: t.input, Events: fwd}:
-		case <-c.stop:
-			return 0, false
-		}
-	}
-	return ack, true
-}
-
-// applyJournal is the journal sidecar's exactly-once layer, the exact
-// shape of apply in the journal sequence space: drop duplicates, hold
-// reordered lines, fold the contiguous run into the fleet journal with
-// the input's lane and clock offset, and return the cumulative journal
-// ack. Journal frames count as liveness exactly like data frames — an
-// emitter with nothing to merge but a flowing journal is alive.
-func (c *Collector) applyJournal(t *inputTrack, jf *journalFrame) (ack uint64, ok bool) {
-	t.mu.Lock()
-	if t.evicted {
-		t.mu.Unlock()
-		return 0, false
-	}
-	var fwd [][]byte
-	for i := range jf.Lines {
-		seq := jf.FirstSeq + uint64(i)
-		if seq <= t.jApplied {
-			continue // duplicate of an applied line
-		}
-		if seq != t.jApplied+1 {
-			if len(t.jPending) >= c.cfg.MaxReorder {
-				t.mu.Unlock()
-				return 0, false
-			}
-			t.jPending[seq] = jf.Lines[i]
-			t.reordered++
-			continue
-		}
-		t.jApplied++
-		fwd = append(fwd, jf.Lines[i])
-		for {
-			next, held := t.jPending[t.jApplied+1]
-			if !held {
-				break
-			}
-			delete(t.jPending, t.jApplied+1)
-			t.jApplied++
-			fwd = append(fwd, next)
-		}
-	}
-	t.lastProgress = time.Now()
-	recovered := t.stalled
-	t.stalled = false
-	for _, line := range fwd {
-		if len(line) == 0 {
-			// The emitter's end-of-journal sentinel: this lane is
-			// complete, nothing more ships in this process life.
-			t.jDone = true
-		}
-	}
-	ack = t.jApplied
-	src := t.source
-	offset := t.offset
-	t.mu.Unlock()
-
-	if recovered {
-		c.obs.EventSrc("collector/"+src, "input_recovered", obs.A("input", t.input), obs.A("applied_seq", ack))
-	}
-	for _, line := range fwd {
-		if len(line) == 0 {
-			continue // sentinel, not a journal line
-		}
-		// A malformed line is the shipper's bug, not a connection fault:
-		// skip it rather than tearing the connection into a retransmit
-		// loop of the same bad line.
-		if err := c.obs.Log().IngestLine(line, src, offset); err == nil {
-			c.mJournalLines.Inc()
-		}
-	}
-	return ack, true
+	return run, ack, src, doneNow, true
 }
 
 // liveness evicts inputs whose silence outlives EvictAfter, injecting
@@ -682,7 +615,7 @@ func (c *Collector) liveness() {
 				continue
 			}
 			t.evicted = true
-			applied := t.applied
+			applied := t.events.applied
 			src := t.source
 			if t.active != nil {
 				t.active.Close()
@@ -720,11 +653,11 @@ func (c *Collector) Health() Health {
 		t.mu.Lock()
 		ih := InputHealth{
 			Input:      i,
-			AppliedSeq: t.applied,
-			JournalSeq: t.jApplied,
+			AppliedSeq: t.events.applied,
+			JournalSeq: t.journal.applied,
 			Conns:      t.conns,
 			SilentMS:   now.Sub(t.lastProgress).Milliseconds(),
-			Reordered:  t.reordered,
+			Reordered:  t.events.reordered,
 		}
 		switch {
 		case t.done:

@@ -21,7 +21,8 @@
 // state can be corrupted by an out-of-order type descriptor. Torn frames
 // only arise from a dying connection, which ends the gob stream too.
 //
-// The exchange, per connection:
+// The exchange, per connection (the collector closes on a hello whose
+// proto is not the one version it speaks):
 //
 //	emitter → collector   hello       {proto, input, source, journalTMs}
 //	collector → emitter   welcome     {resume, journalResume, evicted}
@@ -32,18 +33,23 @@
 //
 // # Sequencing and resume
 //
-// The emitter assigns every event a per-input sequence number, starting
-// at 1, and keeps each event buffered until the collector's cumulative
-// ack covers it. The collector applies events in seq order exactly once —
-// duplicates (seq ≤ applied) are dropped, gaps are held in a bounded
-// reorder buffer — and acknowledges the highest contiguous seq applied.
-// On reconnect the welcome's resume field carries that same watermark, so
-// the emitter drops the acked prefix of its buffer and retransmits the
-// rest. A *restarted* emitter (fresh process, seq counter back at 1)
-// regenerates its deterministic event stream from the start and discards
-// events whose seq is ≤ resume at assignment time, converging to the
-// exact suffix the collector is missing. Both paths make retransmission
-// idempotent: the merged stream sees every event exactly once, in order.
+// A connection carries two sequenced lanes, events (lane 0) and shipped
+// journal lines (lane 1), each with its own seq space from 1, its own
+// frame kinds and cumulative ack, and one generic implementation
+// (lane.go) used for both. The emitter's sendQueue keeps every item
+// until an ack covers it; the collector's recvLane applies items in seq
+// order exactly once — duplicates (seq ≤ applied) are dropped, a frame
+// past a gap is held in a reorder buffer bounded by MaxReorder — and
+// acks the highest contiguous seq applied. On reconnect the welcome
+// carries both watermarks (resume, journalResume): the emitter drops
+// each acked prefix and retransmits the rest. A *restarted* emitter
+// (fresh process) regenerates its deterministic event stream from seq 1
+// and drops every event ≤ resume as it is pushed, converging to the
+// exact suffix the collector is missing; journal lines are not
+// regenerated, so it numbers its first line journalResume+1. Either way
+// every item applies exactly once, in order. Backpressure (MaxUnacked),
+// ack timing (ingest_ack_rtt_seconds) and ingest_reordered_events belong
+// to the events lane alone.
 //
 // # Liveness and degradation
 //
@@ -60,20 +66,16 @@
 // collector's observability surface (internal/obs): stall, recovery and
 // eviction transitions land as journal events and ingest_* counters, the
 // MetricsHandler serves the registry as Prometheus text at /metrics, and
-// the legacy Health JSON lives on at /metrics.json.
+// the Health JSON at /metrics.json.
 //
-// # Journal sidecar: fleet-wide observability in-band
+// # Journal lane: fleet-wide observability in-band
 //
 // An emitter given a JournalShip ships its own obs run journal to the
-// collector on the same connection as the event stream, as a sidecar
-// that inherits all of the machinery above. Journal lines are
-// sequence-numbered in their own per-input seq space (independent of
-// event seqs), carried in journal frames interleaved with data frames,
-// cumulatively acked by journalAck frames, buffered until acked,
-// retransmitted on reconnect and deduped/reordered at the collector —
-// so every line lands in the collector's fleet journal exactly once, in
-// emission order, across any number of connection losses. A restarted
-// emitter resumes numbering from the welcome's journalResume watermark.
+// collector on the same connection as the event stream, as the journal
+// lane: journal frames interleave with data frames, journalAck frames
+// carry its acks, and the lane machinery above makes every line land in
+// the collector's fleet journal exactly once, in emission order, across
+// any number of connection losses.
 //
 // The collector merges shipped lines into one fleet journal via
 // obs.Journal.IngestLine, rebasing each line's t_ms onto its own clock:
@@ -85,7 +87,7 @@
 // spans and per-input liveness events interleave in collector time.
 //
 // Shutdown is handshaked end to end: when the emitter's JournalShip is
-// closed, the sidecar appends a zero-length sentinel line occupying the
+// closed, the emitter appends a zero-length sentinel line occupying the
 // next journal seq (JournalShip never emits an empty line, so it is
 // unambiguous); the collector marks the input's journal complete when
 // the sentinel applies and — after the event merge finishes — lingers
@@ -93,8 +95,8 @@
 // arrived or its eviction bound elapses. That linger is what lets the
 // trailing lines every emitter writes after its events drain (final
 // metrics/latency snapshots) survive a connection cut at exactly the
-// wrong moment. Trace byte-identity is untouched: the sidecar rides the
-// wire but never enters the merge.
+// wrong moment. Trace byte-identity is untouched: the journal lane rides
+// the wire but never enters the merge.
 //
 // Wire latency is measured per frame on both ends: gob encode/decode
 // time (ingest_frame_encode_seconds / ingest_frame_decode_seconds) and

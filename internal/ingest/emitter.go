@@ -68,24 +68,23 @@ type EmitterConfig struct {
 	// Obs attaches the observability layer: reconnect counts, the acked
 	// watermark and the retransmit-buffer depth, all labeled by input,
 	// plus the wall-clock latency histograms (frame encode/decode time,
-	// ack round-trip). nil runs uninstrumented.
+	// ack round-trip). nil runs uninstrumented. With a Ship, the clock of
+	// Obs.Journal (the process's own journal) is sampled into every hello
+	// so the collector can estimate this input's clock offset and rebase
+	// shipped lines onto its own time axis; no journal ships lines without
+	// offset normalization.
 	Obs *obs.Observer
 
 	// Ship, when set, streams this process's journal lines to the
 	// collector as sequence-acked journal frames on the same connection
-	// as event data (point the process's obs.Journal at the ship). Run
-	// then returns only after both the event stream and the shipped
-	// journal are fully acknowledged — close the ship (after the final
-	// journal line) the way the intake channel is closed.
+	// as event data (point Obs.Journal at the ship). Run then returns
+	// only after both the event stream and the shipped journal are fully
+	// acknowledged — close the ship (after the final journal line) the
+	// way the intake channel is closed.
 	Ship *JournalShip
 	// Source names this emitter's lane in the collector's fleet journal
 	// (e.g. "vantage0"). Empty lets the collector default to input<N>.
 	Source string
-	// Journal is the process's own journal; its clock (Journal.Now) is
-	// sampled into every hello so the collector can estimate this
-	// input's clock offset and rebase shipped lines onto its own time
-	// axis. nil (with Ship set) ships lines without offset normalization.
-	Journal *obs.Journal
 }
 
 func (c *EmitterConfig) defaults() {
@@ -186,18 +185,6 @@ func (e *Emitter) Stop() { e.stopOnce.Do(func() { close(e.stop) }) }
 // Close it when the stream is complete; Run returns after the final ack.
 func (e *Emitter) Intake() chan<- stream.Batch { return e.intake }
 
-// pendingEv is one unacknowledged event awaiting its cumulative ack.
-type pendingEv struct {
-	seq uint64
-	ev  stream.Event
-}
-
-// pendingLine is one unacknowledged shipped journal line.
-type pendingLine struct {
-	seq  uint64
-	line []byte
-}
-
 // rttMark remembers when the data frame ending at seq was written, so
 // the covering cumulative ack can be timed.
 type rttMark struct {
@@ -205,13 +192,12 @@ type rttMark struct {
 	at  time.Time
 }
 
-// ackMsg is what the per-connection reader goroutine reports: an ack seq
-// (journal marks the journal sequence space) or the read error that
-// ended the connection.
+// ackMsg is what the per-connection reader goroutine reports: a lane's
+// cumulative ack seq, or the read error that ended the connection.
 type ackMsg struct {
-	seq     uint64
-	journal bool
-	err     error
+	lane int
+	seq  uint64
+	err  error
 }
 
 // Run pumps the intake (and, with a Ship, the process's journal lines)
@@ -222,26 +208,14 @@ func (e *Emitter) Run() error {
 		conn     net.Conn
 		acks     chan ackMsg
 		connDone chan struct{}
-
-		unacked  []pendingEv
-		nextSeq  uint64 = 1
-		ackedSeq uint64
 		inflight []rttMark
 
-		// Journal shipping state. Lines from the ship queue un-numbered
-		// in jQueued until the first welcome reveals JournalResume —
-		// that is where this process's numbering starts, so a restarted
-		// emitter's lane continues after its previous life's acked
-		// prefix instead of colliding with it.
-		jQueued    [][]byte
-		jUnacked   []pendingLine
-		jNext      uint64
-		jNumbered  bool
-		jAcked     uint64
-		shipClosed bool
+		events  = sendQueue[stream.Event]{next: 1, frame: newDataFrame}
+		journal = sendQueue[[]byte]{frame: newJournalFrame}
 
 		intakeCh     = e.intake
 		intakeClosed bool
+		shipClosed   bool
 		lastProgress time.Time
 		lastSend     time.Time
 		connects     int
@@ -256,28 +230,35 @@ func (e *Emitter) Run() error {
 	// process write its final journal lines between the last event ack
 	// and the ship's close.
 	finished := func() bool {
-		if !intakeClosed || len(unacked) != 0 {
+		if !intakeClosed || len(events.items) != 0 {
 			return false
 		}
 		e.drainOnce.Do(func() { close(e.drained) })
 		if e.cfg.Ship == nil {
 			return true
 		}
-		return shipClosed && len(jQueued) == 0 && len(jUnacked) == 0
+		return shipClosed && len(journal.items) == 0
 	}
-	// flushQueued numbers queued journal lines and sends them. Only
-	// callable once numbered (first welcome seen).
-	flushQueued := func(c net.Conn) error {
-		if !jNumbered || len(jQueued) == 0 {
-			return nil
+	// ack applies one of lane's cumulative acks — from a welcome or an
+	// ack frame — and reports whether it moved the watermark.
+	ack := func(lane int, seq uint64) bool {
+		if lane == laneJournal {
+			if !journal.ack(seq) {
+				return false
+			}
+			e.jAckedPub.Store(journal.acked)
+			return true
 		}
-		start := len(jUnacked)
-		for _, line := range jQueued {
-			jUnacked = append(jUnacked, pendingLine{seq: jNext, line: line})
-			jNext++
+		if !events.ack(seq) {
+			return false
 		}
-		jQueued = nil
-		return e.sendJournal(c, jUnacked[start:])
+		for len(inflight) > 0 && inflight[0].seq <= seq {
+			e.hAckRTT.Observe(time.Since(inflight[0].at).Seconds())
+			inflight = inflight[1:]
+		}
+		e.mAcked.SetInt(int64(events.acked))
+		e.mUnacked.SetInt(int64(len(events.items)))
+		return true
 	}
 	tick := e.cfg.AckTimeout / 4
 	if k := e.cfg.KeepAlive / 2; k < tick {
@@ -326,37 +307,22 @@ func (e *Emitter) Run() error {
 			connects++
 			if connects > 1 {
 				e.mReconnects.Inc()
+			} else {
+				// This process's journal lines continue after whatever a
+				// previous life of this input already had acked.
+				journal.next = welcome.JournalResume + 1
 			}
-			if welcome.Resume > ackedSeq {
-				ackedSeq = welcome.Resume
-				unacked = dropAcked(unacked, ackedSeq)
-				e.mAcked.SetInt(int64(ackedSeq))
-				e.mUnacked.SetInt(int64(len(unacked)))
-			}
-			if e.cfg.Ship != nil {
-				if !jNumbered {
-					jNext = welcome.JournalResume + 1
-					jNumbered = true
-				}
-				if welcome.JournalResume > jAcked {
-					jAcked = welcome.JournalResume
-					jUnacked = dropAckedLines(jUnacked, jAcked)
-					e.jAckedPub.Store(jAcked)
-				}
-			}
+			ack(laneEvents, welcome.Resume)
+			ack(laneJournal, welcome.JournalResume)
 			if finished() {
 				c.Close()
 				return nil
 			}
-			if err := e.send(c, unacked); err != nil {
+			if err := send(e, c, &events, 0); err != nil {
 				c.Close()
 				continue
 			}
-			if err := e.sendJournal(c, jUnacked); err != nil {
-				c.Close()
-				continue
-			}
-			if err := flushQueued(c); err != nil {
+			if err := send(e, c, &journal, 0); err != nil {
 				c.Close()
 				continue
 			}
@@ -369,7 +335,7 @@ func (e *Emitter) Run() error {
 		}
 
 		in := intakeCh
-		if len(unacked) >= e.cfg.MaxUnacked {
+		if len(events.items) >= e.cfg.MaxUnacked {
 			in = nil // backpressure: stall the producer until acks drain
 		}
 		select {
@@ -381,30 +347,18 @@ func (e *Emitter) Run() error {
 				intakeCh = nil
 				continue
 			}
-			fresh := unacked[len(unacked):]
-			for _, ev := range b.Events {
-				seq := nextSeq
-				nextSeq++
-				if seq <= ackedSeq {
-					// Restart resume: the collector already applied this
-					// regenerated event in a previous life.
-					continue
-				}
-				fresh = append(fresh, pendingEv{seq: seq, ev: ev})
-			}
-			unacked = append(unacked, fresh...)
-			e.mUnacked.SetInt(int64(len(unacked)))
-			if len(fresh) > 0 {
-				if err := e.send(conn, fresh); err != nil {
+			i := events.push(b.Events)
+			e.mUnacked.SetInt(int64(len(events.items)))
+			if i < len(events.items) {
+				if err := send(e, conn, &events, i); err != nil {
 					teardown()
 				} else {
-					inflight = append(inflight, rttMark{seq: fresh[len(fresh)-1].seq, at: time.Now()})
+					inflight = append(inflight, rttMark{seq: events.next - 1, at: time.Now()})
 					lastSend = time.Now()
 				}
 			}
 		case <-shipCh:
 			lines, closed := e.cfg.Ship.Take()
-			jQueued = append(jQueued, lines...)
 			if closed && !shipClosed {
 				shipClosed = true
 				// End-of-journal sentinel: a zero-length line occupying
@@ -414,54 +368,34 @@ func (e *Emitter) Run() error {
 				// until every shipping input's sentinel has been applied
 				// (JournalShip never emits an empty line, so the sentinel
 				// is unambiguous).
-				jQueued = append(jQueued, []byte{})
+				lines = append(lines, []byte{})
 			}
-			if conn != nil {
-				if err := flushQueued(conn); err != nil {
+			if i := journal.push(lines); i < len(journal.items) {
+				if err := send(e, conn, &journal, i); err != nil {
 					teardown()
-				} else if jNumbered {
+				} else {
 					lastSend = time.Now()
 				}
 			}
 		case a := <-acks:
 			if a.err != nil {
 				teardown()
-				continue
-			}
-			if a.journal {
-				if a.seq > jAcked {
-					jAcked = a.seq
-					jUnacked = dropAckedLines(jUnacked, jAcked)
-					lastProgress = time.Now()
-					e.jAckedPub.Store(jAcked)
-				}
-				continue
-			}
-			if a.seq > ackedSeq {
-				ackedSeq = a.seq
-				unacked = dropAcked(unacked, ackedSeq)
+			} else if ack(a.lane, a.seq) {
 				lastProgress = time.Now()
-				for len(inflight) > 0 && inflight[0].seq <= a.seq {
-					e.hAckRTT.Observe(time.Since(inflight[0].at).Seconds())
-					inflight = inflight[1:]
-				}
-				e.mAcked.SetInt(int64(ackedSeq))
-				e.mUnacked.SetInt(int64(len(unacked)))
 			}
 		case <-time.After(tick):
-			if (len(unacked) > 0 || len(jUnacked) > 0) && time.Since(lastProgress) > e.cfg.AckTimeout {
+			if (len(events.items) > 0 || len(journal.items) > 0) && time.Since(lastProgress) > e.cfg.AckTimeout {
 				// Outstanding events or journal lines, no ack progress:
 				// the connection is wedged (or a fault ate the frames).
 				// Start over.
 				teardown()
 				continue
 			}
-			if conn != nil && time.Since(lastSend) > e.cfg.KeepAlive {
+			if time.Since(lastSend) > e.cfg.KeepAlive {
 				// Idle keepalive: an empty data frame, so the collector's
 				// liveness layer can tell quiet from dead.
 				_ = conn.SetWriteDeadline(time.Now().Add(e.cfg.WriteTimeout))
-				ka := &frame{Kind: frameData, Data: &dataFrame{FirstSeq: nextSeq}}
-				if err := writeFrame(conn, ka, e.hEncode); err != nil {
+				if err := writeFrame(conn, newDataFrame(events.next, nil), e.hEncode); err != nil {
 					teardown()
 				} else {
 					_ = conn.SetWriteDeadline(time.Time{})
@@ -509,7 +443,7 @@ func (e *Emitter) handshake(c net.Conn) (*welcomeFrame, error) {
 	// shipping.
 	jtms := -1.0
 	if e.cfg.Ship != nil {
-		jtms = e.cfg.Journal.Now()
+		jtms = e.cfg.Obs.Log().Now()
 	}
 	hello := &frame{Kind: frameHello, Hello: &helloFrame{
 		Proto:      protoVersion,
@@ -533,57 +467,25 @@ func (e *Emitter) handshake(c net.Conn) (*welcomeFrame, error) {
 	return f.Welcome, nil
 }
 
-// send writes events as data frames of at most maxFrameEvents, each a
-// single deadline-bounded Write. Events must be seq-contiguous, which
-// every caller's slice is: seqs are assigned consecutively and only an
-// already-acked prefix is ever removed.
-func (e *Emitter) send(c net.Conn, evs []pendingEv) error {
-	for len(evs) > 0 {
-		n := len(evs)
-		if n > maxFrameEvents {
-			n = maxFrameEvents
-		}
-		chunk := evs[:n]
-		evs = evs[n:]
-		df := &dataFrame{FirstSeq: chunk[0].seq, Events: make([]stream.Event, n)}
-		for i, pe := range chunk {
-			df.Events[i] = pe.ev
-		}
+// send writes q's unacked items from index i on as frames of at most
+// maxFrameEvents items, built by q.frame, each a single deadline-bounded
+// Write. The frames reference q's storage; writeFrame has encoded them
+// before it returns.
+func send[T any](e *Emitter, c net.Conn, q *sendQueue[T], i int) error {
+	for i < len(q.items) {
+		n := min(len(q.items)-i, maxFrameEvents)
 		_ = c.SetWriteDeadline(time.Now().Add(e.cfg.WriteTimeout))
-		if err := writeFrame(c, &frame{Kind: frameData, Data: df}, e.hEncode); err != nil {
+		if err := writeFrame(c, q.frame(q.acked+1+uint64(i), q.items[i:i+n]), e.hEncode); err != nil {
 			return err
 		}
+		i += n
 	}
 	_ = c.SetWriteDeadline(time.Time{})
 	return nil
 }
 
-// sendJournal writes journal lines as journal frames of at most
-// maxFrameEvents lines each, mirroring send's contiguity contract in
-// the journal sequence space.
-func (e *Emitter) sendJournal(c net.Conn, pls []pendingLine) error {
-	for len(pls) > 0 {
-		n := len(pls)
-		if n > maxFrameEvents {
-			n = maxFrameEvents
-		}
-		chunk := pls[:n]
-		pls = pls[n:]
-		jf := &journalFrame{FirstSeq: chunk[0].seq, Lines: make([][]byte, n)}
-		for i, pl := range chunk {
-			jf.Lines[i] = pl.line
-		}
-		_ = c.SetWriteDeadline(time.Now().Add(e.cfg.WriteTimeout))
-		if err := writeFrame(c, &frame{Kind: frameJournal, Journal: jf}, e.hEncode); err != nil {
-			return err
-		}
-	}
-	_ = c.SetWriteDeadline(time.Time{})
-	return nil
-}
-
-// readAcks is the per-connection reader: it forwards event and journal
-// ack seqs until the connection dies, then reports the error and exits.
+// readAcks is the per-connection reader: it forwards each lane's ack seqs
+// until the connection dies, then reports the error and exits.
 // connDone unblocks it when the main loop has already moved on to a new
 // connection.
 func readAcks(c net.Conn, out chan<- ackMsg, connDone <-chan struct{}, dec *obs.Histogram) {
@@ -594,9 +496,9 @@ func readAcks(c net.Conn, out chan<- ackMsg, connDone <-chan struct{}, dec *obs.
 		case err != nil:
 			msg = ackMsg{err: err}
 		case f.Kind == frameAck && f.Ack != nil:
-			msg = ackMsg{seq: f.Ack.Seq}
+			msg = ackMsg{lane: laneEvents, seq: f.Ack.Seq}
 		case f.Kind == frameJournalAck && f.JAck != nil:
-			msg = ackMsg{seq: f.JAck.Seq, journal: true}
+			msg = ackMsg{lane: laneJournal, seq: f.JAck.Seq}
 		default:
 			// A duplicated welcome or other stray frame: ignore.
 			continue
@@ -610,28 +512,4 @@ func readAcks(c net.Conn, out chan<- ackMsg, connDone <-chan struct{}, dec *obs.
 			return
 		}
 	}
-}
-
-// dropAcked removes the acknowledged prefix.
-func dropAcked(unacked []pendingEv, acked uint64) []pendingEv {
-	i := 0
-	for i < len(unacked) && unacked[i].seq <= acked {
-		i++
-	}
-	if i == 0 {
-		return unacked
-	}
-	return append(unacked[:0:0], unacked[i:]...)
-}
-
-// dropAckedLines removes the acknowledged journal-line prefix.
-func dropAckedLines(unacked []pendingLine, acked uint64) []pendingLine {
-	i := 0
-	for i < len(unacked) && unacked[i].seq <= acked {
-		i++
-	}
-	if i == 0 {
-		return unacked
-	}
-	return append(unacked[:0:0], unacked[i:]...)
 }

@@ -12,15 +12,11 @@ import (
 	"repro/internal/stream"
 )
 
-// protoVersion is the ingest wire protocol version; the collector
-// rejects hellos it does not speak. Version 2 added journal shipping
-// (the frameJournal/frameJournalAck sidecar and the hello's
-// Source/JournalTMs fields); version-1 hellos are still accepted — they
-// simply never ship journal lines.
+// protoVersion is the ingest wire protocol version, the only one spoken:
+// the collector closes any hello carrying another. Version 2 is the one
+// with journal shipping (the frameJournal/frameJournalAck lane and the
+// hello's Source/JournalTMs fields).
 const protoVersion = 2
-
-// protoVersionMin is the oldest hello the collector still serves.
-const protoVersionMin = 1
 
 // maxFrameLen bounds one frame's payload: a data frame carries at most
 // maxFrameEvents session records, far under this; anything larger is a
@@ -109,6 +105,25 @@ type frame struct {
 	Ack     *ackFrame
 	Journal *journalFrame
 	JAck    *ackFrame
+}
+
+// newDataFrame and newJournalFrame build one lane's frame for a
+// contiguous run whose first item carries seq first: the sendQueue
+// frame builders.
+func newDataFrame(first uint64, evs []stream.Event) *frame {
+	return &frame{Kind: frameData, Data: &dataFrame{FirstSeq: first, Events: evs}}
+}
+
+func newJournalFrame(first uint64, lines [][]byte) *frame {
+	return &frame{Kind: frameJournal, Journal: &journalFrame{FirstSeq: first, Lines: lines}}
+}
+
+// newAck builds lane's cumulative ack frame.
+func newAck(lane int, seq uint64) *frame {
+	if lane == laneJournal {
+		return &frame{Kind: frameJournalAck, JAck: &ackFrame{Seq: seq}}
+	}
+	return &frame{Kind: frameAck, Ack: &ackFrame{Seq: seq}}
 }
 
 // encodeFrame renders f as one wire unit: 4-byte big-endian length

@@ -3,11 +3,15 @@ package ingest
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"net"
 	"net/netip"
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/stream"
 	"repro/internal/trace"
 )
@@ -100,5 +104,75 @@ func TestFrameTornPayload(t *testing.T) {
 	torn := buf.Bytes()[:buf.Len()-3]
 	if _, err := readFrame(bytes.NewReader(torn), nil); err == nil {
 		t.Fatal("torn frame accepted")
+	}
+}
+
+// TestCollectorRawFrames speaks the protocol by hand over a real
+// connection: a hello of any version but protoVersion is closed on with
+// no welcome, a current hello is welcomed, and journal frames sent out of
+// order (seq 2, then 1) are acked cumulatively, land in the fleet journal
+// in seq order, and are not counted as reordered events.
+func TestCollectorRawFrames(t *testing.T) {
+	var fleet bytes.Buffer
+	col, err := NewCollector(CollectorConfig{Inputs: 1, Obs: &obs.Observer{Journal: obs.NewJournal(&fleet)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() { _, _ = col.Run(); close(done) }()
+	exchange := func(c net.Conn, f *frame) (*frame, error) {
+		if err := writeFrame(c, f, nil); err != nil {
+			return nil, err
+		}
+		return readFrame(c, nil)
+	}
+	var conns [2]net.Conn
+	for i, proto := range []int{1, protoVersion} {
+		if conns[i], err = net.Dial("tcp", col.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		defer conns[i].Close()
+		_ = conns[i].SetDeadline(time.Now().Add(10 * time.Second))
+		f, err := exchange(conns[i], &frame{Kind: frameHello, Hello: &helloFrame{Proto: proto, Source: "raw"}})
+		if welcomed := err == nil && f.Kind == frameWelcome; welcomed != (proto == protoVersion) {
+			t.Fatalf("version-%d hello: welcomed %v (frame %+v, err %v)", proto, welcomed, f, err)
+		}
+	}
+	c := conns[1]
+	line := func(n int) []byte { return []byte(fmt.Sprintf(`{"kind":"event","t_ms":%d,"name":"line%d"}`, n, n)) }
+	for _, step := range []struct {
+		f    *frame
+		lane int
+		ack  uint64
+	}{
+		{newJournalFrame(2, [][]byte{line(2)}), laneJournal, 0},
+		{newJournalFrame(1, [][]byte{line(1)}), laneJournal, 2},
+		{newDataFrame(1, []stream.Event{{Kind: stream.EvDone, Time: time.Second, Done: &stream.End{Nodes: 1}}}), laneEvents, 1},
+	} {
+		if got, err := exchange(c, step.f); err != nil || !reflect.DeepEqual(got, newAck(step.lane, step.ack)) {
+			t.Fatalf("after frame kind %d: got %+v, err %v; want ack %d on lane %d", step.f.Kind, got, err, step.ack, step.lane)
+		}
+	}
+	if h := col.Health().Inputs[0]; h.JournalSeq != 2 || h.Reordered != 0 {
+		t.Fatalf("health %+v, want journal seq 2 and no reordered events", h)
+	}
+	// The end-of-journal sentinel lets Run return; its ack may lose the
+	// race with shutdown, so it is not read.
+	if err := writeFrame(c, newJournalFrame(3, [][]byte{{}}), nil); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	var names []string
+	for dec := json.NewDecoder(&fleet); dec.More(); {
+		var rec struct{ Src, Name string }
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Src == "raw" {
+			names = append(names, rec.Name)
+		}
+	}
+	if want := []string{"line1", "line2"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("raw lane = %v, want %v", names, want)
 	}
 }

@@ -98,6 +98,20 @@ func hashOf(t *testing.T, tr *trace.Trace) [32]byte {
 	return h
 }
 
+// runCollector runs col in the background; the channel yields its
+// merged trace.
+func runCollector(t *testing.T, col *ingest.Collector) <-chan *trace.Trace {
+	trCh := make(chan *trace.Trace, 1)
+	go func() {
+		tr, err := col.Run()
+		if err != nil {
+			t.Errorf("collector: %v", err)
+		}
+		trCh <- tr
+	}()
+	return trCh
+}
+
 // runEmitters ships each stream through its own emitter and returns once
 // all emitter Runs finished, failing the test on any emitter error.
 func runEmitters(t *testing.T, addr string, streams [][]stream.Event, mod func(int, *ingest.EmitterConfig)) {
@@ -140,14 +154,7 @@ func TestIngestLoopbackByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trCh := make(chan *trace.Trace, 1)
-	go func() {
-		tr, err := col.Run()
-		if err != nil {
-			t.Errorf("collector: %v", err)
-		}
-		trCh <- tr
-	}()
+	trCh := runCollector(t, col)
 
 	runEmitters(t, col.Addr(), streams, nil)
 	got := <-trCh
@@ -190,14 +197,7 @@ func TestIngestByteIdenticalUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trCh := make(chan *trace.Trace, 1)
-	go func() {
-		tr, err := col.Run()
-		if err != nil {
-			t.Errorf("collector: %v", err)
-		}
-		trCh <- tr
-	}()
+	trCh := runCollector(t, col)
 
 	dial := inj.Dial(func(addr string, timeout time.Duration) (net.Conn, error) {
 		return net.DialTimeout("tcp", addr, timeout)
@@ -231,14 +231,7 @@ func TestIngestEmitterRestartResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trCh := make(chan *trace.Trace, 1)
-	go func() {
-		tr, err := col.Run()
-		if err != nil {
-			t.Errorf("collector: %v", err)
-		}
-		trCh <- tr
-	}()
+	trCh := runCollector(t, col)
 
 	// Input 1's first life: sends roughly half its events, then dies.
 	half := len(streams[1]) / 2
@@ -299,14 +292,7 @@ func TestIngestDeadInputEvictedNoDeadlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trCh := make(chan *trace.Trace, 1)
-	go func() {
-		tr, err := col.Run()
-		if err != nil {
-			t.Errorf("collector: %v", err)
-		}
-		trCh <- tr
-	}()
+	trCh := runCollector(t, col)
 
 	// Input 0 completes immediately.
 	runEmitters(t, col.Addr(), [][]stream.Event{genStream(0, 20)}, nil)
@@ -393,11 +379,7 @@ func TestCollectorMetricsHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trCh := make(chan *trace.Trace, 1)
-	go func() {
-		tr, _ := col.Run()
-		trCh <- tr
-	}()
+	trCh := runCollector(t, col)
 	srv := httptest.NewServer(col.MetricsHandler())
 	defer srv.Close()
 

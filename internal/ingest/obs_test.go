@@ -9,7 +9,6 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/stream"
-	"repro/internal/trace"
 )
 
 // TestCollectorJournalStallEvictOrder pins the liveness narrative the
@@ -31,14 +30,7 @@ func TestCollectorJournalStallEvictOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trCh := make(chan *trace.Trace, 1)
-	go func() {
-		tr, err := col.Run()
-		if err != nil {
-			t.Errorf("collector: %v", err)
-		}
-		trCh <- tr
-	}()
+	trCh := runCollector(t, col)
 
 	// Input 1 completes cleanly.
 	e1 := ingest.NewEmitter(ingest.EmitterConfig{Addr: col.Addr(), Input: 1, Obs: o})

@@ -90,14 +90,7 @@ func runShippedFleet(t *testing.T, streams [][]stream.Event, colMod func(*ingest
 	if err != nil {
 		t.Fatal(err)
 	}
-	trCh := make(chan *trace.Trace, 1)
-	go func() {
-		tr, err := col.Run()
-		if err != nil {
-			t.Errorf("collector: %v", err)
-		}
-		trCh <- tr
-	}()
+	trCh := runCollector(t, col)
 
 	locals := make([]*bytes.Buffer, len(streams))
 	errs := make([]error, len(streams))
@@ -109,12 +102,11 @@ func runShippedFleet(t *testing.T, streams [][]stream.Event, colMod func(*ingest
 		j := obs.NewJournal(io.MultiWriter(local, ship))
 		o := &obs.Observer{Metrics: obs.NewRegistry(), Journal: j}
 		cfg := ingest.EmitterConfig{
-			Addr:    col.Addr(),
-			Input:   i,
-			Obs:     o,
-			Ship:    ship,
-			Source:  fmt.Sprintf("vantage%d", i),
-			Journal: j,
+			Addr:   col.Addr(),
+			Input:  i,
+			Obs:    o,
+			Ship:   ship,
+			Source: fmt.Sprintf("vantage%d", i),
 		}
 		if emMod != nil {
 			emMod(i, &cfg)
@@ -285,21 +277,14 @@ func TestJournalShipRestartResumesLane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trCh := make(chan *trace.Trace, 1)
-	go func() {
-		tr, err := col.Run()
-		if err != nil {
-			t.Errorf("collector: %v", err)
-		}
-		trCh <- tr
-	}()
+	trCh := runCollector(t, col)
 
 	// First life: three journal events and half the stream, then death
 	// with no flush.
 	ship1 := ingest.NewJournalShip()
 	j1 := obs.NewJournal(ship1)
 	e1 := ingest.NewEmitter(ingest.EmitterConfig{
-		Addr: col.Addr(), Input: 0, Ship: ship1, Source: "vantage0", Journal: j1,
+		Addr: col.Addr(), Input: 0, Ship: ship1, Source: "vantage0", Obs: &obs.Observer{Journal: j1},
 	})
 	e1done := make(chan error, 1)
 	go func() { e1done <- e1.Run() }()
@@ -328,7 +313,7 @@ func TestJournalShipRestartResumesLane(t *testing.T) {
 	ship2 := ingest.NewJournalShip()
 	j2 := obs.NewJournal(ship2)
 	e2 := ingest.NewEmitter(ingest.EmitterConfig{
-		Addr: col.Addr(), Input: 0, Ship: ship2, Source: "vantage0", Journal: j2,
+		Addr: col.Addr(), Input: 0, Ship: ship2, Source: "vantage0", Obs: &obs.Observer{Journal: j2},
 	})
 	e2done := make(chan error, 1)
 	go func() { e2done <- e2.Run() }()

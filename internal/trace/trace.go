@@ -431,78 +431,3 @@ func (t *Trace) ExportJSONL(w io.Writer) error {
 	}
 	return bw.Flush()
 }
-
-// ImportJSONL reads a trace from the JSONL form produced by ExportJSONL
-// (and by external tooling): one JSON object per line, kind-discriminated
-// ("conn" or "query"). Lines of unknown kind are ignored so that richer
-// streams can embed extra record types. Counts are reconstructed from the
-// imported queries (hop-1 only); message totals beyond that are not part
-// of the JSONL form.
-func ImportJSONL(r io.Reader) (*Trace, error) {
-	type probe struct {
-		Kind string `json:"kind"`
-	}
-	tr := &Trace{PongSampleRate: 1, HitSampleRate: 1}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	line := 0
-	maxDay := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var p probe
-		if err := json.Unmarshal(raw, &p); err != nil {
-			return nil, fmt.Errorf("trace: jsonl line %d: %w", line, err)
-		}
-		switch p.Kind {
-		case "conn":
-			var c jsonConn
-			if err := json.Unmarshal(raw, &c); err != nil {
-				return nil, fmt.Errorf("trace: jsonl line %d: %w", line, err)
-			}
-			addr, err := netip.ParseAddr(c.Addr)
-			if err != nil {
-				return nil, fmt.Errorf("trace: jsonl line %d: addr: %w", line, err)
-			}
-			tr.Conns = append(tr.Conns, Conn{
-				ID:          c.ID,
-				Start:       secsDur(c.StartSec),
-				End:         secsDur(c.EndSec),
-				Addr:        addr,
-				Ultrapeer:   c.Ultrapeer,
-				UserAgent:   c.UserAgent,
-				SilentClose: c.SilentClose,
-			})
-			if d := int(secsDur(c.EndSec) / (24 * time.Hour)); d+1 > maxDay {
-				maxDay = d + 1
-			}
-		case "query":
-			var q jsonQuery
-			if err := json.Unmarshal(raw, &q); err != nil {
-				return nil, fmt.Errorf("trace: jsonl line %d: %w", line, err)
-			}
-			tr.Queries = append(tr.Queries, Query{
-				ConnID: q.ConnID,
-				At:     secsDur(q.AtSec),
-				Text:   q.Text,
-				SHA1:   q.SHA1,
-				TTL:    q.TTL,
-				Hops:   q.Hops,
-			})
-			tr.Counts.Query++
-			if q.Hops == 1 {
-				tr.Counts.QueryHop1++
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	tr.Days = maxDay
-	return tr, nil
-}
-
-func secsDur(s float64) Time { return Time(s * float64(time.Second)) }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"net/netip"
 	"os"
@@ -193,60 +194,25 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := tr.ExportJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ImportJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Conns) != len(tr.Conns) || len(got.Queries) != len(tr.Queries) {
-		t.Fatalf("sizes: %d conns %d queries", len(got.Conns), len(got.Queries))
-	}
-	for i := range tr.Conns {
-		want, have := tr.Conns[i], got.Conns[i]
-		if want.ID != have.ID || want.Addr != have.Addr || want.UserAgent != have.UserAgent ||
-			want.Ultrapeer != have.Ultrapeer || want.SilentClose != have.SilentClose {
-			t.Fatalf("conn %d differs: %+v vs %+v", i, want, have)
-		}
-		// Times survive to sub-millisecond precision through float seconds.
-		if d := want.Start - have.Start; d < -time.Millisecond || d > time.Millisecond {
-			t.Fatalf("conn %d start drift %v", i, d)
+	// Every line decodes back, in order, to exactly the record's fields;
+	// float seconds survive encoding/json's shortest round-trip form.
+	dec := json.NewDecoder(&buf)
+	dec.DisallowUnknownFields()
+	for i, c := range tr.Conns {
+		want := jsonConn{"conn", c.ID, c.Start.Seconds(), c.End.Seconds(), c.Addr.String(), c.Ultrapeer, c.UserAgent, c.SilentClose}
+		var got jsonConn
+		if err := dec.Decode(&got); err != nil || got != want {
+			t.Fatalf("conn line %d = %+v (%v), want %+v", i, got, err, want)
 		}
 	}
-	for i := range tr.Queries {
-		if tr.Queries[i].Text != got.Queries[i].Text || tr.Queries[i].SHA1 != got.Queries[i].SHA1 {
-			t.Fatalf("query %d differs", i)
+	for i, q := range tr.Queries {
+		want := jsonQuery{"query", q.ConnID, q.At.Seconds(), q.Text, q.SHA1, q.TTL, q.Hops}
+		var got jsonQuery
+		if err := dec.Decode(&got); err != nil || got != want {
+			t.Fatalf("query line %d = %+v (%v), want %+v", i, got, err, want)
 		}
 	}
-	if got.Counts.QueryHop1 != uint64(len(tr.Queries)) {
-		t.Fatalf("reconstructed hop-1 count = %d", got.Counts.QueryHop1)
-	}
-}
-
-func TestImportJSONLErrors(t *testing.T) {
-	if _, err := ImportJSONL(strings.NewReader("not json\n")); err == nil {
-		t.Error("garbage should fail")
-	}
-	if _, err := ImportJSONL(strings.NewReader(`{"kind":"conn","addr":"bad"}` + "\n")); err == nil {
-		t.Error("bad address should fail")
-	}
-	// Unknown kinds and empty lines are skipped.
-	tr, err := ImportJSONL(strings.NewReader("\n" + `{"kind":"future-record"}` + "\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Conns) != 0 || len(tr.Queries) != 0 {
-		t.Error("unknown kinds must be ignored")
-	}
-}
-
-func TestImportedTraceFiltersCleanly(t *testing.T) {
-	// An imported external trace must flow through the filter pipeline.
-	var buf bytes.Buffer
-	sampleTrace().ExportJSONL(&buf)
-	tr, err := ImportJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Days == 0 {
-		t.Error("days not inferred from records")
+	if dec.More() {
+		t.Fatal("records past the conns and queries")
 	}
 }
