@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -85,19 +86,18 @@ type CollectorConfig struct {
 	ReadTimeout time.Duration
 	// WriteTimeout bounds welcome/ack writes (default 10 s).
 	WriteTimeout time.Duration
-	// MaxReorder bounds each input's per-lane reorder buffer in items
-	// (default 1<<15). A connection that would overflow it is dropped,
-	// forcing an in-order retransmit.
-	MaxReorder int
 
 	// Obs attaches the observability layer: per-input liveness
 	// transitions (input_stalled / input_recovered / input_evicted /
 	// input_done) as journal events, stall/eviction counters and
 	// per-input applied-seq gauges on the registry. nil disables both.
 	Obs *obs.Observer
-	// Pprof mounts net/http/pprof on MetricsHandler's mux.
-	Pprof bool
 }
+
+// maxReorder bounds each input's per-lane reorder buffer in items. A
+// connection that would overflow it is dropped, forcing an in-order
+// retransmit.
+const maxReorder = 1 << 15
 
 func (c *CollectorConfig) defaults() {
 	if c.Addr == "" {
@@ -128,9 +128,6 @@ func (c *CollectorConfig) defaults() {
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 10 * time.Second
 	}
-	if c.MaxReorder <= 0 {
-		c.MaxReorder = 1 << 15
-	}
 }
 
 // inputTrack is the collector's per-input state. Lock order: sendMu
@@ -143,14 +140,12 @@ type inputTrack struct {
 	mu     sync.Mutex
 
 	// The input's two lanes (under mu). done marks the events lane's
-	// trailer applied; jDone the journal lane's end-of-journal sentinel
-	// — what Run's post-merge linger waits for, when jShip says this
-	// input's emitter ships a journal at all.
+	// trailer applied; bye that the emitter then said bye, holding acks
+	// for both lanes — what Run waits for after the merge.
 	events  recvLane[stream.Event]
 	journal recvLane[[]byte]
 	done    bool
-	jDone   bool
-	jShip   bool
+	bye     bool
 
 	lastProgress time.Time
 	evicted      bool
@@ -190,6 +185,9 @@ type Collector struct {
 	conns  map[net.Conn]struct{}
 	closed bool
 
+	// byes carries one signal per input's first bye; its capacity is the
+	// input count, so a send never blocks.
+	byes chan struct{}
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
@@ -219,6 +217,7 @@ func NewCollector(cfg CollectorConfig) (*Collector, error) {
 		merger: m,
 		tracks: make([]*inputTrack, cfg.Inputs),
 		conns:  make(map[net.Conn]struct{}),
+		byes:   make(chan struct{}, cfg.Inputs),
 		stop:   make(chan struct{}),
 	}
 	now := time.Now()
@@ -297,11 +296,16 @@ func (c *Collector) registerMetrics() {
 // Addr is the listen address emitters should dial.
 func (c *Collector) Addr() string { return c.l.Addr().String() }
 
-// Run serves until every input has delivered its trailer or been
-// evicted, then lingers (bounded by EvictAfter) until every shipping
-// input's journal is fully delivered before returning the drained merged
-// trace. The accept loop paces transient listener errors and exits on
-// permanent ones, exactly like the daemon's (transport.AcceptBackoff).
+// Run serves until the merge completes (every input has delivered its
+// trailer or been evicted) and every input it did not evict has said bye,
+// then returns the drained merged trace. An emitter says bye once it
+// holds acks for everything on both lanes, so no connection closes under
+// an emitter still owed an ack, and the journal lines a process writes
+// after its last event ack are in the fleet journal. The wait for byes is
+// bounded by EvictAfter (30 s when eviction is disabled), against an
+// emitter that dies after its trailer. The accept loop paces transient
+// listener errors and exits on permanent ones, exactly like the daemon's
+// (transport.AcceptBackoff).
 func (c *Collector) Run() (*trace.Trace, error) {
 	sp := c.obs.Begin("collect", obs.A("inputs", c.cfg.Inputs))
 	merged := make(chan *trace.Trace, 1)
@@ -312,7 +316,7 @@ func (c *Collector) Run() (*trace.Trace, error) {
 	go c.liveness()
 
 	tr := <-merged
-	c.drainJournals()
+	c.awaitByes()
 	c.shutdown()
 	c.wg.Wait()
 	sp.End(
@@ -328,33 +332,23 @@ func (c *Collector) DeadInputs() int { return c.merger.DeadInputs() }
 // Valid after Run.
 func (c *Collector) LostSessions() uint64 { return c.merger.LostSessions() }
 
-// drainJournals lingers after the merge completes so shipping emitters
-// can deliver their trailing journal lines — a process's final
-// metrics/latency snapshots are written after its last event ack, so
-// they are necessarily still in flight when the merge finishes. The
-// listener stays open (an emitter cut mid-ship reconnects and
-// retransmits) until every shipping, non-evicted input has applied its
-// end-of-journal sentinel, bounded by EvictAfter (30 s when eviction is
-// disabled) against an emitter that never closes its ship.
-func (c *Collector) drainJournals() {
+// awaitByes holds the listener and every connection open after the merge
+// until each input the merge did not evict has said bye, or the bound
+// passes. Only a done input's bye counts, and a done input is never
+// evicted, so exactly Inputs − DeadInputs byes are owed.
+func (c *Collector) awaitByes() {
 	bound := c.cfg.EvictAfter
 	if bound <= 0 {
 		bound = 30 * time.Second
 	}
-	deadline := time.Now().Add(bound)
-	for {
-		waiting := false
-		for _, t := range c.tracks {
-			t.mu.Lock()
-			if t.jShip && !t.jDone && !t.evicted {
-				waiting = true
-			}
-			t.mu.Unlock()
-		}
-		if !waiting || time.Now().After(deadline) {
+	deadline := time.NewTimer(bound)
+	defer deadline.Stop()
+	for owed := c.cfg.Inputs - c.merger.DeadInputs(); owed > 0; owed-- {
+		select {
+		case <-c.byes:
+		case <-deadline.C:
 			return
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -401,9 +395,9 @@ func (c *Collector) acceptLoop() {
 }
 
 // serve handles one emitter connection: hello, welcome-with-resume, then
-// data and journal frames, each acked on its lane as applied. Any
-// protocol or I/O error just drops the connection — the emitter's
-// reconnect-and-retransmit makes that safe.
+// data and journal frames, each acked on its lane as applied, until the
+// bye. Any protocol or I/O error just drops the connection — the
+// emitter's reconnect-and-retransmit makes that safe.
 func (c *Collector) serve(conn net.Conn) {
 	defer c.wg.Done()
 	defer func() {
@@ -443,12 +437,9 @@ func (c *Collector) serve(conn net.Conn) {
 	if h.Source != "" {
 		t.source = h.Source
 	}
-	if haveOff {
-		t.jShip = true
-		if !t.offsetSet || offSample < t.offset {
-			t.offset = offSample
-			t.offsetSet = true
-		}
+	if haveOff && (!t.offsetSet || offSample < t.offset) {
+		t.offset = offSample
+		t.offsetSet = true
 	}
 	evicted := t.evicted
 	if !evicted {
@@ -475,6 +466,17 @@ func (c *Collector) serve(conn net.Conn) {
 		case f.Kind == frameJournal && f.Journal != nil:
 			lane = laneJournal
 			ack, ok = c.applyLines(t, f.Journal)
+		case f.Kind == frameBye:
+			t.mu.Lock()
+			first := t.done && !t.bye // only a done input's bye counts
+			if first {
+				t.bye = true
+			}
+			t.mu.Unlock()
+			if first {
+				c.byes <- struct{}{}
+			}
+			return
 		default:
 			continue // stray duplicated hello or unknown frame: ignore
 		}
@@ -490,16 +492,19 @@ func (c *Collector) serve(conn net.Conn) {
 
 // applyEvents runs one data frame through the events lane and forwards
 // the contiguous run to the merge, still under sendMu so per-input order
-// holds across connections. ok is false when the connection should drop.
+// holds across connections; a run carrying the EvDone trailer marks the
+// input done. ok is false when the connection should drop.
 func (c *Collector) applyEvents(t *inputTrack, df *dataFrame) (ack uint64, ok bool) {
 	t.sendMu.Lock()
 	defer t.sendMu.Unlock()
-	run, ack, src, doneNow, ok := applyLane(c, t, &t.events, df.FirstSeq, df.Events, &t.done,
-		func(ev stream.Event) bool { return ev.Kind == stream.EvDone })
+	run, ack, src, ok := applyLane(c, t, &t.events, df.FirstSeq, df.Events)
 	if !ok {
 		return 0, false
 	}
-	if doneNow {
+	if slices.ContainsFunc(run, func(ev stream.Event) bool { return ev.Kind == stream.EvDone }) {
+		t.mu.Lock()
+		t.done = true
+		t.mu.Unlock()
 		c.obs.EventSrc("collector/"+src, "input_done", obs.A("input", t.input), obs.A("applied_seq", ack))
 	}
 	if len(run) > 0 {
@@ -514,11 +519,9 @@ func (c *Collector) applyEvents(t *inputTrack, df *dataFrame) (ack uint64, ok bo
 
 // applyLines runs one journal frame through the journal lane and folds
 // the contiguous run into the fleet journal, in the input's lane and
-// rebased by its clock offset. The end-of-journal sentinel (an empty
-// line) completes the lane and is not itself a journal line.
+// rebased by its clock offset.
 func (c *Collector) applyLines(t *inputTrack, jf *journalFrame) (ack uint64, ok bool) {
-	run, ack, src, _, ok := applyLane(c, t, &t.journal, jf.FirstSeq, jf.Lines, &t.jDone,
-		func(line []byte) bool { return len(line) == 0 })
+	run, ack, src, ok := applyLane(c, t, &t.journal, jf.FirstSeq, jf.Lines)
 	if !ok {
 		return 0, false
 	}
@@ -526,9 +529,6 @@ func (c *Collector) applyLines(t *inputTrack, jf *journalFrame) (ack uint64, ok 
 	offset := t.offset
 	t.mu.Unlock()
 	for _, line := range run {
-		if len(line) == 0 {
-			continue
-		}
 		// A malformed line is the shipper's bug, not a connection fault:
 		// skip it rather than tearing the connection into a retransmit
 		// loop of the same bad line.
@@ -542,27 +542,20 @@ func (c *Collector) applyLines(t *inputTrack, jf *journalFrame) (ack uint64, ok 
 // applyLane is the exactly-once step both lanes share. Under t.mu it
 // refuses an evicted input, runs the frame through lane (ok false on a
 // reorder overflow, which drops the connection and forces an in-order
-// retransmit), sets *done when the run carries the lane's end marker,
-// and counts the frame as liveness: any valid frame is, progress or not
-// — an emitter retransmitting into a lossy link is alive, not dead. It
-// returns the contiguous run for the caller to deliver, the cumulative
-// ack, the input's lane name, and whether this run completed the lane.
-func applyLane[T any](c *Collector, t *inputTrack, lane *recvLane[T], first uint64, items []T, done *bool, isEnd func(T) bool) (run []T, ack uint64, src string, doneNow, ok bool) {
+// retransmit), and counts the frame as liveness: any valid frame is,
+// progress or not — an emitter retransmitting into a lossy link is
+// alive, not dead. It returns the contiguous run for the caller to
+// deliver, the cumulative ack, and the input's lane name.
+func applyLane[T any](c *Collector, t *inputTrack, lane *recvLane[T], first uint64, items []T) (run []T, ack uint64, src string, ok bool) {
 	t.mu.Lock()
 	if t.evicted {
 		t.mu.Unlock()
-		return nil, 0, "", false, false
+		return nil, 0, "", false
 	}
-	run, ack, ok = lane.apply(first, items, c.cfg.MaxReorder)
+	run, ack, ok = lane.apply(first, items, maxReorder)
 	if !ok {
 		t.mu.Unlock()
-		return nil, 0, "", false, false
-	}
-	for _, it := range run {
-		if !*done && isEnd(it) {
-			*done = true
-			doneNow = true
-		}
+		return nil, 0, "", false
 	}
 	t.lastProgress = time.Now()
 	recovered := t.stalled
@@ -578,7 +571,7 @@ func applyLane[T any](c *Collector, t *inputTrack, lane *recvLane[T], first uint
 	if recovered {
 		c.obs.EventSrc("collector/"+src, "input_recovered", obs.A("input", t.input), obs.A("applied_seq", ack))
 	}
-	return run, ack, src, doneNow, true
+	return run, ack, src, true
 }
 
 // liveness evicts inputs whose silence outlives EvictAfter, injecting
@@ -681,9 +674,8 @@ func (c *Collector) Health() Health {
 }
 
 // MetricsHandler serves the collector's observability surface: the
-// ingest_* registry as Prometheus text at /metrics, the legacy Health
-// JSON at /metrics.json, and (when CollectorConfig.Pprof is set)
-// net/http/pprof under /debug/pprof/.
+// ingest_* registry as Prometheus text at /metrics and the legacy Health
+// JSON at /metrics.json.
 func (c *Collector) MetricsHandler() http.Handler {
 	legacy := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -693,9 +685,5 @@ func (c *Collector) MetricsHandler() http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	return obs.NewHTTPHandler(obs.HTTPConfig{
-		Registry:   c.reg,
-		LegacyJSON: legacy,
-		Pprof:      c.cfg.Pprof,
-	})
+	return obs.NewHTTPHandler(obs.HTTPConfig{Registry: c.reg, LegacyJSON: legacy})
 }

@@ -22,7 +22,7 @@
 // only arise from a dying connection, which ends the gob stream too.
 //
 // The exchange, per connection (the collector closes on a hello whose
-// proto is not the one version it speaks):
+// proto is not 3, the one version it speaks):
 //
 //	emitter → collector   hello       {proto, input, source, journalTMs}
 //	collector → emitter   welcome     {resume, journalResume, evicted}
@@ -30,6 +30,7 @@
 //	collector → emitter   ack         {seq}                  (after each data frame)
 //	emitter → collector   journal     {firstSeq, lines[][]}  (interleaved with data)
 //	collector → emitter   journalAck  {seq}                  (after each journal frame)
+//	emitter → collector   bye         {}                     (once both lanes are acked)
 //
 // # Sequencing and resume
 //
@@ -39,7 +40,7 @@
 // (lane.go) used for both. The emitter's sendQueue keeps every item
 // until an ack covers it; the collector's recvLane applies items in seq
 // order exactly once — duplicates (seq ≤ applied) are dropped, a frame
-// past a gap is held in a reorder buffer bounded by MaxReorder — and
+// past a gap is held in a reorder buffer of at most 1<<15 items — and
 // acks the highest contiguous seq applied. On reconnect the welcome
 // carries both watermarks (resume, journalResume): the emitter drops
 // each acked prefix and retransmits the rest. A *restarted* emitter
@@ -47,9 +48,10 @@
 // and drops every event ≤ resume as it is pushed, converging to the
 // exact suffix the collector is missing; journal lines are not
 // regenerated, so it numbers its first line journalResume+1. Either way
-// every item applies exactly once, in order. Backpressure (MaxUnacked),
-// ack timing (ingest_ack_rtt_seconds) and ingest_reordered_events belong
-// to the events lane alone.
+// every item applies exactly once, in order. Backpressure (the emitter
+// stops draining its intake at 1<<16 unacked events), ack timing
+// (ingest_ack_rtt_seconds) and ingest_reordered_events belong to the
+// events lane alone.
 //
 // # Liveness and degradation
 //
@@ -86,14 +88,14 @@
 // named by the hello's source ("vantage0", …); the collector's own
 // spans and per-input liveness events interleave in collector time.
 //
-// Shutdown is handshaked end to end: when the emitter's JournalShip is
-// closed, the emitter appends a zero-length sentinel line occupying the
-// next journal seq (JournalShip never emits an empty line, so it is
-// unambiguous); the collector marks the input's journal complete when
-// the sentinel applies and — after the event merge finishes — lingers
-// with the listener open until every shipping input's sentinel has
-// arrived or its eviction bound elapses. That linger is what lets the
-// trailing lines every emitter writes after its events drain (final
+// Shutdown is handshaked end to end, for every input alike: once an
+// emitter's intake (and JournalShip, if it ships) is closed and it holds
+// cumulative acks for everything on both lanes, it writes a bye frame
+// and closes; a bye whose write fails goes out again on a reconnect. The
+// collector's Run returns only after the merge completes and every input
+// it did not evict has said bye, bounded by EvictAfter. So no connection
+// closes under an emitter still owed its final ack, and the trailing
+// lines every emitter writes after its events drain (final
 // metrics/latency snapshots) survive a connection cut at exactly the
 // wrong moment. Trace byte-identity is untouched: the journal lane rides
 // the wire but never enters the merge.

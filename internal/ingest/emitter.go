@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/obs"
@@ -20,8 +21,23 @@ import (
 // re-admission is impossible, so the emitter must stop rather than retry.
 var ErrEvicted = errors.New("ingest: input evicted by collector")
 
-// errStopped aborts connect's backoff sleep when Stop is called.
-var errStopped = errors.New("ingest: emitter stopped")
+// errStopped aborts connect's backoff sleep when Stop is called. errGone
+// is a refused dial once everything is acked: the collector has finished
+// without hearing this input's bye, which costs it nothing. Run returns
+// nil for both.
+var (
+	errStopped = errors.New("ingest: emitter stopped")
+	errGone    = errors.New("ingest: collector gone after full ack")
+)
+
+// dialTimeout bounds one connect attempt. maxUnacked bounds the
+// retransmit buffer in events: at the bound the emitter stops draining
+// its intake, so backpressure propagates to the producer exactly like a
+// full merger intake does in-process.
+const (
+	dialTimeout = 5 * time.Second
+	maxUnacked  = 1 << 16
+)
 
 // EmitterConfig configures one vantage's emitter.
 type EmitterConfig struct {
@@ -30,11 +46,9 @@ type EmitterConfig struct {
 	// Input is this vantage's merger input index.
 	Input int
 
-	// Dial overrides the dialer (fault injection, tests). Default is
-	// net.DialTimeout over TCP.
+	// Dial overrides the dialer (fault injection, tests); every call gets
+	// dialTimeout. Default is net.DialTimeout over TCP.
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
-	// DialTimeout bounds one connect attempt (default 5 s).
-	DialTimeout time.Duration
 	// Retry paces reconnects: Max attempts per outage on the
 	// exponential-backoff-with-full-jitter schedule (default Max 10,
 	// transport defaults for Base/Cap). Run fails when one outage
@@ -53,11 +67,6 @@ type EmitterConfig struct {
 	// recovers from faults that swallow frames without killing the
 	// connection.
 	AckTimeout time.Duration
-	// MaxUnacked bounds the retransmit buffer in events (default 1<<16).
-	// At the bound the emitter stops draining its intake — backpressure
-	// propagates to the producer, exactly like a full merger intake does
-	// in-process.
-	MaxUnacked int
 	// KeepAlive is how often an idle emitter sends an empty data frame
 	// (default 2 s). The collector counts any valid frame as liveness, so
 	// the keepalive is what distinguishes a healthy vantage with nothing
@@ -77,10 +86,10 @@ type EmitterConfig struct {
 
 	// Ship, when set, streams this process's journal lines to the
 	// collector as sequence-acked journal frames on the same connection
-	// as event data (point Obs.Journal at the ship). Run then returns
-	// only after both the event stream and the shipped journal are fully
-	// acknowledged — close the ship (after the final journal line) the
-	// way the intake channel is closed.
+	// as event data (point Obs.Journal at the ship). Close the ship
+	// (after the final journal line) the way the intake channel is
+	// closed: the bye then waits for the shipped journal's acks as well
+	// as the event stream's.
 	Ship *JournalShip
 	// Source names this emitter's lane in the collector's fleet journal
 	// (e.g. "vantage0"). Empty lets the collector default to input<N>.
@@ -92,9 +101,6 @@ func (c *EmitterConfig) defaults() {
 		c.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, timeout)
 		}
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
 	}
 	if c.Retry.Max == 0 {
 		c.Retry.Max = 10
@@ -108,9 +114,6 @@ func (c *EmitterConfig) defaults() {
 	if c.AckTimeout <= 0 {
 		c.AckTimeout = 15 * time.Second
 	}
-	if c.MaxUnacked <= 0 {
-		c.MaxUnacked = 1 << 16
-	}
 	if c.KeepAlive <= 0 {
 		c.KeepAlive = 2 * time.Second
 	}
@@ -120,7 +123,7 @@ func (c *EmitterConfig) defaults() {
 // in order from the collector's point of view, across any number of
 // connection losses. Feed it through Intake (a stream.Producer pointed at
 // that channel works unchanged), close the channel after the trailer, and
-// Run returns once everything fed has been acknowledged.
+// Run returns once everything fed has been acknowledged and the bye sent.
 type Emitter struct {
 	cfg       EmitterConfig
 	intake    chan stream.Batch
@@ -182,7 +185,7 @@ func (e *Emitter) Stop() { e.stopOnce.Do(func() { close(e.stop) }) }
 // Intake is the channel to feed events into, shaped exactly like a
 // merger intake so stream.NewProducer(0, e.Intake()) plugs in directly
 // (the batch's Input field is ignored — the hello frame binds the input).
-// Close it when the stream is complete; Run returns after the final ack.
+// Close it when the stream is complete; Run says bye after the final ack.
 func (e *Emitter) Intake() chan<- stream.Batch { return e.intake }
 
 // rttMark remembers when the data frame ending at seq was written, so
@@ -201,8 +204,11 @@ type ackMsg struct {
 }
 
 // Run pumps the intake (and, with a Ship, the process's journal lines)
-// to the collector until everything is acked or the retry budget dies.
-// Safe to call exactly once.
+// to the collector until it holds cumulative acks for everything on both
+// lanes, then writes a bye frame and closes. A bye whose write fails goes
+// out again on a reconnect; a dial refused at that point means the
+// collector has already finished, and Run returns nil. Run fails when the
+// retry budget dies or the input was evicted. Safe to call exactly once.
 func (e *Emitter) Run() error {
 	var (
 		conn     net.Conn
@@ -224,7 +230,7 @@ func (e *Emitter) Run() error {
 	if e.cfg.Ship != nil {
 		shipCh = e.cfg.Ship.Ready()
 	}
-	// finished reports whether Run may return: events drained (closing
+	// finished reports whether Run may say bye: events drained (closing
 	// the EventsDrained latch on the way) and, when shipping, the
 	// journal drained too. The EventsDrained signal is what lets the
 	// process write its final journal lines between the last event ack
@@ -293,12 +299,9 @@ func (e *Emitter) Run() error {
 	}()
 
 	for {
-		if finished() {
-			return nil
-		}
 		if conn == nil {
-			c, welcome, err := e.connect(rng)
-			if errors.Is(err, errStopped) {
+			c, welcome, err := e.connect(rng, finished())
+			if errors.Is(err, errStopped) || errors.Is(err, errGone) {
 				return nil
 			}
 			if err != nil {
@@ -314,10 +317,6 @@ func (e *Emitter) Run() error {
 			}
 			ack(laneEvents, welcome.Resume)
 			ack(laneJournal, welcome.JournalResume)
-			if finished() {
-				c.Close()
-				return nil
-			}
 			if err := send(e, c, &events, 0); err != nil {
 				c.Close()
 				continue
@@ -333,9 +332,19 @@ func (e *Emitter) Run() error {
 			lastProgress = time.Now()
 			lastSend = time.Now()
 		}
+		if finished() {
+			// Everything is acked: say bye and close (the deferred
+			// teardown). A failed write says it again on a reconnect.
+			_ = conn.SetWriteDeadline(time.Now().Add(e.cfg.WriteTimeout))
+			if writeFrame(conn, &frame{Kind: frameBye}, e.hEncode) == nil {
+				return nil
+			}
+			teardown()
+			continue
+		}
 
 		in := intakeCh
-		if len(events.items) >= e.cfg.MaxUnacked {
+		if len(events.items) >= maxUnacked {
 			in = nil // backpressure: stall the producer until acks drain
 		}
 		select {
@@ -358,18 +367,8 @@ func (e *Emitter) Run() error {
 				}
 			}
 		case <-shipCh:
-			lines, closed := e.cfg.Ship.Take()
-			if closed && !shipClosed {
-				shipClosed = true
-				// End-of-journal sentinel: a zero-length line occupying
-				// the next seq, so "this lane is complete" rides the same
-				// at-least-once-send / exactly-once-apply machinery as the
-				// lines themselves. The collector lingers after the merge
-				// until every shipping input's sentinel has been applied
-				// (JournalShip never emits an empty line, so the sentinel
-				// is unambiguous).
-				lines = append(lines, []byte{})
-			}
+			var lines [][]byte
+			lines, shipClosed = e.cfg.Ship.Take()
 			if i := journal.push(lines); i < len(journal.items) {
 				if err := send(e, conn, &journal, i); err != nil {
 					teardown()
@@ -407,12 +406,17 @@ func (e *Emitter) Run() error {
 }
 
 // connect dials and handshakes on the Retry schedule, returning the
-// established connection and its welcome.
-func (e *Emitter) connect(rng *rand.Rand) (net.Conn, *welcomeFrame, error) {
+// established connection and its welcome. With everything acked (acked),
+// a refused dial returns errGone at once: only the bye is left to say,
+// and nobody is listening for it.
+func (e *Emitter) connect(rng *rand.Rand, acked bool) (net.Conn, *welcomeFrame, error) {
 	var err error
 	for attempt := 0; ; attempt++ {
 		var c net.Conn
-		c, err = e.cfg.Dial(e.cfg.Addr, e.cfg.DialTimeout)
+		c, err = e.cfg.Dial(e.cfg.Addr, dialTimeout)
+		if acked && errors.Is(err, syscall.ECONNREFUSED) {
+			return nil, nil, errGone
+		}
 		if err == nil {
 			var w *welcomeFrame
 			w, err = e.handshake(c)

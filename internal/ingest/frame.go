@@ -13,10 +13,10 @@ import (
 )
 
 // protoVersion is the ingest wire protocol version, the only one spoken:
-// the collector closes any hello carrying another. Version 2 is the one
-// with journal shipping (the frameJournal/frameJournalAck lane and the
-// hello's Source/JournalTMs fields).
-const protoVersion = 2
+// the collector closes any hello carrying another. Version 3 has the
+// journal lane (frameJournal/frameJournalAck and the hello's
+// Source/JournalTMs fields) and ends every input with frameBye.
+const protoVersion = 3
 
 // maxFrameLen bounds one frame's payload: a data frame carries at most
 // maxFrameEvents session records, far under this; anything larger is a
@@ -37,6 +37,9 @@ const (
 	frameAck
 	frameJournal
 	frameJournalAck
+	// frameBye carries no payload: the emitter holds cumulative acks for
+	// everything on both lanes and is closing for good.
+	frameBye
 )
 
 // helloFrame opens a connection: which merger input this emitter feeds.
@@ -95,8 +98,8 @@ type journalFrame struct {
 	Lines    [][]byte
 }
 
-// frame is the wire unit; exactly one pointer field is set, matching
-// Kind. Gob omits the nil ones.
+// frame is the wire unit; the one pointer field matching Kind is set
+// (none for a bye). Gob omits the nil ones.
 type frame struct {
 	Kind    frameKind
 	Hello   *helloFrame

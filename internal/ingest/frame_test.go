@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/netip"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/stream"
 	"repro/internal/trace"
+	"repro/internal/transport"
 )
 
 func roundTrip(t *testing.T, f *frame) *frame {
@@ -53,6 +55,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			{Kind: stream.EvDone, Time: time.Hour, Done: &stream.End{Seed: 1, Scale: 0.5, Days: 2, Nodes: 1}},
 		}}},
 		{Kind: frameAck, Ack: &ackFrame{Seq: 1 << 40}},
+		{Kind: frameBye},
 	}
 	for _, f := range frames {
 		got := roundTrip(t, f)
@@ -109,9 +112,10 @@ func TestFrameTornPayload(t *testing.T) {
 
 // TestCollectorRawFrames speaks the protocol by hand over a real
 // connection: a hello of any version but protoVersion is closed on with
-// no welcome, a current hello is welcomed, and journal frames sent out of
+// no welcome, a current hello is welcomed, journal frames sent out of
 // order (seq 2, then 1) are acked cumulatively, land in the fleet journal
-// in seq order, and are not counted as reordered events.
+// in seq order, and are not counted as reordered events, and the bye
+// after the trailer's ack ends the run.
 func TestCollectorRawFrames(t *testing.T) {
 	var fleet bytes.Buffer
 	col, err := NewCollector(CollectorConfig{Inputs: 1, Obs: &obs.Observer{Journal: obs.NewJournal(&fleet)}})
@@ -127,7 +131,7 @@ func TestCollectorRawFrames(t *testing.T) {
 		return readFrame(c, nil)
 	}
 	var conns [2]net.Conn
-	for i, proto := range []int{1, protoVersion} {
+	for i, proto := range []int{2, protoVersion} {
 		if conns[i], err = net.Dial("tcp", col.Addr()); err != nil {
 			t.Fatal(err)
 		}
@@ -156,9 +160,8 @@ func TestCollectorRawFrames(t *testing.T) {
 	if h := col.Health().Inputs[0]; h.JournalSeq != 2 || h.Reordered != 0 {
 		t.Fatalf("health %+v, want journal seq 2 and no reordered events", h)
 	}
-	// The end-of-journal sentinel lets Run return; its ack may lose the
-	// race with shutdown, so it is not read.
-	if err := writeFrame(c, newJournalFrame(3, [][]byte{{}}), nil); err != nil {
+	// Every ack is in; the bye lets Run return.
+	if err := writeFrame(c, &frame{Kind: frameBye}, nil); err != nil {
 		t.Fatal(err)
 	}
 	<-done
@@ -175,4 +178,138 @@ func TestCollectorRawFrames(t *testing.T) {
 	if want := []string{"line1", "line2"}; !reflect.DeepEqual(names, want) {
 		t.Fatalf("raw lane = %v, want %v", names, want)
 	}
+}
+
+// TestCollectorWaitsForGoodbye pins the end-of-input handshake from the
+// collector's side: a completed merge alone does not end Run while an
+// input still owes its bye, the bye ends it promptly, and an input that
+// vanishes after its trailer's ack releases Run at EvictAfter.
+func TestCollectorWaitsForGoodbye(t *testing.T) {
+	// start runs a one-input collector, then hellos, sends the trailer and
+	// reads its ack. It returns the connection, Run's completion signal,
+	// and when the trailer was sent.
+	start := func(t *testing.T, evictAfter time.Duration) (net.Conn, <-chan struct{}, time.Time) {
+		t.Helper()
+		col, err := NewCollector(CollectorConfig{Inputs: 1, EvictAfter: evictAfter})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() { _, _ = col.Run(); close(done) }()
+		c, err := net.Dial("tcp", col.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		_ = c.SetDeadline(time.Now().Add(10 * time.Second))
+		if err := writeFrame(c, &frame{Kind: frameHello, Hello: &helloFrame{Proto: protoVersion, JournalTMs: -1}}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if f, err := readFrame(c, nil); err != nil || f.Kind != frameWelcome {
+			t.Fatalf("welcome: frame %+v, err %v", f, err)
+		}
+		sent := time.Now()
+		trailer := newDataFrame(1, []stream.Event{{Kind: stream.EvDone, Time: time.Second, Done: &stream.End{Nodes: 1}}})
+		if err := writeFrame(c, trailer, nil); err != nil {
+			t.Fatal(err)
+		}
+		if f, err := readFrame(c, nil); err != nil || !reflect.DeepEqual(f, newAck(laneEvents, 1)) {
+			t.Fatalf("trailer ack: frame %+v, err %v", f, err)
+		}
+		return c, done, sent
+	}
+
+	t.Run("bye", func(t *testing.T) {
+		c, done, _ := start(t, 30*time.Second)
+		select {
+		case <-done:
+			t.Fatal("Run returned before the bye")
+		case <-time.After(200 * time.Millisecond):
+		}
+		if err := writeFrame(c, &frame{Kind: frameBye}, nil); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-done:
+		case <-time.After(time.Second):
+			t.Fatal("Run still running 1 s after the bye")
+		}
+	})
+
+	t.Run("no bye", func(t *testing.T) {
+		const evictAfter = 300 * time.Millisecond
+		c, done, sent := start(t, evictAfter)
+		c.Close()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("Run hung on an input that left without a bye")
+		}
+		if waited := time.Since(sent); waited < evictAfter {
+			t.Fatalf("Run returned %v after the trailer, before EvictAfter (%v)", waited, evictAfter)
+		}
+	})
+}
+
+// TestEmitterByeAfterCollectorGone pins the emitter's half: once
+// everything is acked, a bye whose write fails is retried through a
+// reconnect, and a refused dial there means the collector has finished,
+// so Run returns nil at once instead of spending its retry budget.
+func TestEmitterByeAfterCollectorGone(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { // a one-connection collector that closes its listener first
+		c, err := l.Accept()
+		l.Close()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		if f, err := readFrame(c, nil); err != nil || f.Kind != frameHello {
+			return
+		}
+		_ = writeFrame(c, &frame{Kind: frameWelcome, Welcome: &welcomeFrame{}}, nil)
+		if f, err := readFrame(c, nil); err == nil && f.Kind == frameData {
+			_ = writeFrame(c, newAck(laneEvents, uint64(len(f.Data.Events))), nil)
+		}
+		_, _ = readFrame(c, nil) // until the emitter closes
+	}()
+	em := NewEmitter(EmitterConfig{
+		Addr:  l.Addr().String(),
+		Retry: transport.Retry{Max: 2, Base: time.Millisecond},
+		Dial: func(addr string, timeout time.Duration) (net.Conn, error) {
+			c, err := net.DialTimeout("tcp", addr, timeout)
+			if err != nil {
+				return nil, err
+			}
+			return &failByeConn{Conn: c}, nil
+		},
+	})
+	em.Intake() <- stream.Batch{Events: []stream.Event{{Kind: stream.EvDone, Time: time.Second, Done: &stream.End{Nodes: 1}}}}
+	close(em.Intake())
+	done := make(chan error, 1)
+	go func() { done <- em.Run() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Run after full ack and a refused redial: %v, want nil", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run hung after full ack")
+	}
+}
+
+// failByeConn fails its third write: the bye, after hello and trailer.
+type failByeConn struct {
+	net.Conn
+	writes int
+}
+
+func (c *failByeConn) Write(p []byte) (int, error) {
+	if c.writes++; c.writes == 3 {
+		return 0, errors.New("bye lost")
+	}
+	return c.Conn.Write(p)
 }

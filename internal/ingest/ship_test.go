@@ -256,6 +256,30 @@ func TestJournalShipUnderFaults(t *testing.T) {
 	}
 }
 
+// TestIngestHandOffStress repeats the end of a clean run back to back:
+// each hand-off is a fresh collector and three emitters over loopback,
+// input 0 shipping its journal. Every emitter must return nil (none left
+// redialing a collector that closed under it), every trace must equal
+// the in-process merge, and input 0's lane must hold its whole journal,
+// including the snapshots written after its events drained.
+func TestIngestHandOffStress(t *testing.T) {
+	streams := [][]stream.Event{genStream(0, 8), genStream(1, 8), genStream(2, 8)}
+	want := hashOf(t, directMerge(streams))
+	for n := 0; n < 200; n++ {
+		tr, fleet, locals := runShippedFleet(t, streams, nil, func(i int, cfg *ingest.EmitterConfig) {
+			if i != 0 {
+				cfg.Ship = nil
+			}
+		})
+		if hashOf(t, tr) != want {
+			t.Fatalf("hand-off %d: trace differs from in-process merge", n)
+		}
+		if got, wantLane := laneLines(t, fleet, "vantage0"), normLines(t, locals[0], "", false); !reflect.DeepEqual(got, wantLane) {
+			t.Fatalf("hand-off %d: lane vantage0 has %d lines, want %d", n, len(got), len(wantLane))
+		}
+	}
+}
+
 // TestJournalShipRestartResumesLane kills a shipping emitter after its
 // first journal lines are applied and brings up a replacement process
 // with a fresh journal. The welcome's JournalResume makes the new
