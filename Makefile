@@ -30,6 +30,7 @@ FUZZ_TARGETS := \
 	internal/dist:FuzzFitters \
 	internal/engine:FuzzKeyedReplayEquivalence \
 	internal/handshake:FuzzReadRequest \
+	internal/ingest:FuzzDecodeFrame \
 	internal/ingest:FuzzSequencedLane \
 	internal/obs:FuzzWriteTimeline \
 	internal/scenario:FuzzParse \

@@ -108,8 +108,11 @@ func main() {
 	runScenario(p, scenario{name: "faults+restart", faults: true, kill: true, restart: true}, refHash, len(ref.Conns))
 	// The fast heartbeat makes the victim ship several liveness lines
 	// before the kill even on a short run, so the journal story
-	// (heartbeat -> stalled -> evicted) has material to assert on.
-	runScenario(p, scenario{name: "dead-input", kill: true, evictAfter: 2 * time.Second, heartbeat: 50 * time.Millisecond}, refHash, len(ref.Conns))
+	// (heartbeat -> stalled -> evicted) has material to assert on. It
+	// must be well under the victim's whole stream: at the smoke size
+	// that is under 100 ms, so two heartbeats at 50 ms can arrive only
+	// after its trailer.
+	runScenario(p, scenario{name: "dead-input", kill: true, evictAfter: 2 * time.Second, heartbeat: 10 * time.Millisecond}, refHash, len(ref.Conns))
 
 	fmt.Println("distfleet-smoke PASS")
 }

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -178,6 +179,7 @@ type Collector struct {
 	mStalls       *obs.Counter
 	mEvictions    *obs.Counter
 	mJournalLines *obs.Counter
+	mRefused      *obs.Counter
 	hEncode       *obs.Histogram
 	hDecode       *obs.Histogram
 
@@ -246,8 +248,9 @@ func (c *Collector) registerMetrics() {
 	c.mStalls = c.reg.Counter("ingest_stalls_total", "input_stalled transitions observed by the liveness loop")
 	c.mEvictions = c.reg.Counter("ingest_evictions_total", "inputs evicted from the merge after EvictAfter of silence")
 	c.mJournalLines = c.reg.Counter("ingest_journal_lines_total", "shipped journal lines applied into the fleet journal")
-	c.hEncode = c.reg.WallHistogram("ingest_frame_encode_seconds", "gob encode time per outbound frame", latencyBuckets())
-	c.hDecode = c.reg.WallHistogram("ingest_frame_decode_seconds", "gob decode time per inbound frame", latencyBuckets())
+	c.mRefused = c.reg.Counter("ingest_hellos_refused_total", "connections closed at their first frame: not a hello, an undecodable frame, another protocol version or an unknown input")
+	c.hEncode = c.reg.WallHistogram("ingest_frame_encode_seconds", "encode time per outbound frame", latencyBuckets())
+	c.hDecode = c.reg.WallHistogram("ingest_frame_decode_seconds", "decode time per inbound frame", latencyBuckets())
 	for _, t := range c.tracks {
 		t := t
 		l := obs.L("input", strconv.Itoa(t.input))
@@ -407,13 +410,20 @@ func (c *Collector) serve(conn net.Conn) {
 		c.mu.Unlock()
 	}()
 
+	fr := frameReader{dec: c.hDecode}
+	fw := frameWriter{enc: c.hEncode}
 	_ = conn.SetReadDeadline(time.Now().Add(c.cfg.ReadTimeout))
-	f, err := readFrame(conn, c.hDecode)
-	if err != nil || f.Kind != frameHello || f.Hello == nil {
+	f, err := fr.read(conn)
+	if err != nil || f.Kind != frameHello {
+		// An I/O error is no verdict on the peer; a frame that arrived is.
+		if err == nil || errors.Is(err, errBadFrame) {
+			c.mRefused.Inc()
+		}
 		return
 	}
 	h := f.Hello
 	if h.Proto != protoVersion || h.Input < 0 || h.Input >= len(c.tracks) {
+		c.mRefused.Inc()
 		return
 	}
 	t := c.tracks[h.Input]
@@ -449,21 +459,21 @@ func (c *Collector) serve(conn net.Conn) {
 	t.mu.Unlock()
 
 	_ = conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
-	if err := writeFrame(conn, &frame{Kind: frameWelcome, Welcome: welcome}, c.hEncode); err != nil || evicted {
+	if err := fw.write(conn, &frame{Kind: frameWelcome, Welcome: welcome}); err != nil || evicted {
 		return
 	}
 
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(c.cfg.ReadTimeout))
-		f, err := readFrame(conn, c.hDecode)
+		f, err := fr.read(conn)
 		if err != nil {
 			return
 		}
 		lane, ack, ok := laneEvents, uint64(0), false
 		switch {
-		case f.Kind == frameData && f.Data != nil:
+		case f.Kind == frameData:
 			ack, ok = c.applyEvents(t, f.Data)
-		case f.Kind == frameJournal && f.Journal != nil:
+		case f.Kind == frameJournal:
 			lane = laneJournal
 			ack, ok = c.applyLines(t, f.Journal)
 		case f.Kind == frameBye:
@@ -484,7 +494,7 @@ func (c *Collector) serve(conn net.Conn) {
 			return
 		}
 		_ = conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
-		if err := writeFrame(conn, newAck(lane, ack), c.hEncode); err != nil {
+		if err := fw.write(conn, newAck(lane, ack)); err != nil {
 			return
 		}
 	}

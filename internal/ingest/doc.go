@@ -12,25 +12,50 @@
 //
 // # Wire protocol
 //
-// Every message is one frame: a 4-byte big-endian payload length followed
-// by a gob-encoded frame struct, written with a single Write call and
-// decoded by a fresh decoder per frame. One-frame-per-Write is what makes
-// the protocol survive write-granular duplication and reordering (a
-// duplicated or swapped frame is still a well-formed frame — the seq
-// layer below discards it); a fresh gob stream per frame means no decoder
-// state can be corrupted by an out-of-order type descriptor. Torn frames
-// only arise from a dying connection, which ends the gob stream too.
+// Every message is one frame: a 4-byte big-endian payload length, then
+// the payload, written with a single Write call. One-frame-per-Write is
+// what makes the protocol survive write-granular duplication and
+// reordering (a duplicated or swapped frame is still a well-formed frame
+// — the seq layer below discards it). Each frame is stateless: it
+// decodes alone, with no dictionary or type descriptor carried over from
+// an earlier one, so torn frames only arise from a dying connection.
 //
-// The exchange, per connection (the collector closes on a hello whose
-// proto is not 3, the one version it speaks):
+// The payload is a kind byte and a fixed layout per kind (frame.go's
+// codec walks each layout once, in both directions). Integers are
+// uvarints; signed ones (times, hello ints) are zigzag uvarints; floats
+// are the 8 raw IEEE bytes, little-endian; bools one byte, 0 or 1. A
+// string is its uvarint length and bytes. A slice is its uvarint length
+// plus one (0 for nil) and its items; a journal line is such a byte
+// slice. The exchange, per connection (the collector closes on a hello
+// whose proto is not 4, the one version it speaks):
 //
-//	emitter → collector   hello       {proto, input, source, journalTMs}
-//	collector → emitter   welcome     {resume, journalResume, evicted}
-//	emitter → collector   data        {firstSeq, events[]}   (repeated)
-//	collector → emitter   ack         {seq}                  (after each data frame)
-//	emitter → collector   journal     {firstSeq, lines[][]}  (interleaved with data)
-//	collector → emitter   journalAck  {seq}                  (after each journal frame)
-//	emitter → collector   bye         {}                     (once both lanes are acked)
+//	dir  kind            payload after the kind byte
+//	e→c  1 hello         proto, input, source, journalTMs
+//	c→e  2 welcome       resume, journalResume, evicted
+//	e→c  3 data          firstSeq, events[]            (repeated)
+//	c→e  4 ack           seq                           (after each data frame)
+//	e→c  5 journal       firstSeq, lines[]             (interleaved with data)
+//	c→e  6 journalAck    seq                           (after each journal frame)
+//	e→c  7 bye           —                             (once both lanes are acked)
+//
+// An event is kind, presence flags (1 Sess, 2 Done, 4 Pong, 8 Hit: what
+// is set, never what the kind implies), ID and Time, then each present
+// part in flag order: Sess (Conn: ID, Start, End, Addr, Ultrapeer,
+// UserAgent, SilentClose; then queries[], each ConnID, At, Text, SHA1,
+// TTL, Hops, Hits), Done (the seven message counts, Seed, Scale, Days,
+// Nodes, PongSampleRate, HitSampleRate), Pong (At, Addr, SharedFiles,
+// Hops), Hit (At, Addr, Hops). An Addr is netip.Addr's binary form with
+// a uvarint length: 0 bytes for none, 4 for IPv4, 16 plus the zone for
+// IPv6.
+//
+// Decoding is strict, so every frame it accepts re-encodes to the same
+// bytes: minimal varints, bools 0 or 1, no unknown kind or flag, no
+// trailing byte. A count is checked against the bytes left before
+// anything is allocated for it, and the read buffer grows only as bytes
+// arrive, so a hostile length or count costs an error, not memory. The
+// collector counts every connection it refuses at the first frame
+// (ingest_hellos_refused_total): an undecodable frame, such as a
+// version-3 emitter's gob hello, or another version, or an unknown input.
 //
 // # Sequencing and resume
 //
@@ -100,7 +125,7 @@
 // wrong moment. Trace byte-identity is untouched: the journal lane rides
 // the wire but never enters the merge.
 //
-// Wire latency is measured per frame on both ends: gob encode/decode
+// Wire latency is measured per frame on both ends: encode/decode
 // time (ingest_frame_encode_seconds / ingest_frame_decode_seconds) and
 // the emitter's data-send → covering-ack round trip
 // (ingest_ack_rtt_seconds), as wall histograms — Prometheus exposition

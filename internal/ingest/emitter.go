@@ -142,9 +142,12 @@ type Emitter struct {
 	mReconnects *obs.Counter
 	mUnacked    *obs.Gauge
 	mAcked      *obs.Gauge
-	hEncode     *obs.Histogram
 	hDecode     *obs.Histogram
 	hAckRTT     *obs.Histogram
+
+	// fw encodes every frame Run writes, on whichever connection; only
+	// Run's goroutine uses it.
+	fw frameWriter
 }
 
 // NewEmitter builds an emitter; Run does the work.
@@ -163,8 +166,8 @@ func NewEmitter(cfg EmitterConfig) *Emitter {
 	// Wall-clock histograms: exposition-only (excluded from journal
 	// metrics snapshots — see obs.Registry.WallHistogram), surfaced in
 	// Prometheus text and the journal's latency line.
-	e.hEncode = cfg.Obs.Reg().WallHistogram("ingest_frame_encode_seconds", "gob encode time per outbound frame", latencyBuckets(), l)
-	e.hDecode = cfg.Obs.Reg().WallHistogram("ingest_frame_decode_seconds", "gob decode time per inbound frame", latencyBuckets(), l)
+	e.fw.enc = cfg.Obs.Reg().WallHistogram("ingest_frame_encode_seconds", "encode time per outbound frame", latencyBuckets(), l)
+	e.hDecode = cfg.Obs.Reg().WallHistogram("ingest_frame_decode_seconds", "decode time per inbound frame", latencyBuckets(), l)
 	e.hAckRTT = cfg.Obs.Reg().WallHistogram("ingest_ack_rtt_seconds", "data-frame send to covering cumulative ack", latencyBuckets(), l)
 	return e
 }
@@ -336,7 +339,7 @@ func (e *Emitter) Run() error {
 			// Everything is acked: say bye and close (the deferred
 			// teardown). A failed write says it again on a reconnect.
 			_ = conn.SetWriteDeadline(time.Now().Add(e.cfg.WriteTimeout))
-			if writeFrame(conn, &frame{Kind: frameBye}, e.hEncode) == nil {
+			if e.fw.write(conn, &frame{Kind: frameBye}) == nil {
 				return nil
 			}
 			teardown()
@@ -394,7 +397,7 @@ func (e *Emitter) Run() error {
 				// Idle keepalive: an empty data frame, so the collector's
 				// liveness layer can tell quiet from dead.
 				_ = conn.SetWriteDeadline(time.Now().Add(e.cfg.WriteTimeout))
-				if err := writeFrame(conn, newDataFrame(events.next, nil), e.hEncode); err != nil {
+				if err := e.fw.write(conn, newDataFrame(events.next, nil)); err != nil {
 					teardown()
 				} else {
 					_ = conn.SetWriteDeadline(time.Time{})
@@ -455,14 +458,14 @@ func (e *Emitter) handshake(c net.Conn) (*welcomeFrame, error) {
 		Source:     e.cfg.Source,
 		JournalTMs: jtms,
 	}}
-	if err := writeFrame(c, hello, e.hEncode); err != nil {
+	if err := e.fw.write(c, hello); err != nil {
 		return nil, err
 	}
-	f, err := readFrame(c, e.hDecode)
+	f, err := (&frameReader{dec: e.hDecode}).read(c)
 	if err != nil {
 		return nil, err
 	}
-	if f.Kind != frameWelcome || f.Welcome == nil {
+	if f.Kind != frameWelcome {
 		return nil, fmt.Errorf("ingest: expected welcome, got frame kind %d", f.Kind)
 	}
 	if f.Welcome.Evicted {
@@ -473,13 +476,13 @@ func (e *Emitter) handshake(c net.Conn) (*welcomeFrame, error) {
 
 // send writes q's unacked items from index i on as frames of at most
 // maxFrameEvents items, built by q.frame, each a single deadline-bounded
-// Write. The frames reference q's storage; writeFrame has encoded them
-// before it returns.
+// Write. The frames reference q's storage; e.fw has encoded them before
+// it returns.
 func send[T any](e *Emitter, c net.Conn, q *sendQueue[T], i int) error {
 	for i < len(q.items) {
 		n := min(len(q.items)-i, maxFrameEvents)
 		_ = c.SetWriteDeadline(time.Now().Add(e.cfg.WriteTimeout))
-		if err := writeFrame(c, q.frame(q.acked+1+uint64(i), q.items[i:i+n]), e.hEncode); err != nil {
+		if err := e.fw.write(c, q.frame(q.acked+1+uint64(i), q.items[i:i+n])); err != nil {
 			return err
 		}
 		i += n
@@ -493,15 +496,16 @@ func send[T any](e *Emitter, c net.Conn, q *sendQueue[T], i int) error {
 // connDone unblocks it when the main loop has already moved on to a new
 // connection.
 func readAcks(c net.Conn, out chan<- ackMsg, connDone <-chan struct{}, dec *obs.Histogram) {
+	fr := frameReader{dec: dec}
 	for {
-		f, err := readFrame(c, dec)
+		f, err := fr.read(c)
 		var msg ackMsg
 		switch {
 		case err != nil:
 			msg = ackMsg{err: err}
-		case f.Kind == frameAck && f.Ack != nil:
+		case f.Kind == frameAck:
 			msg = ackMsg{lane: laneEvents, seq: f.Ack.Seq}
-		case f.Kind == frameJournalAck && f.JAck != nil:
+		case f.Kind == frameJournalAck:
 			msg = ackMsg{lane: laneJournal, seq: f.JAck.Seq}
 		default:
 			// A duplicated welcome or other stray frame: ignore.
