@@ -99,7 +99,7 @@ scenario-suite:
 # multi-vantage measurement fabric: 40 days at scale 1.0 across 48
 # ultrapeer nodes records all 4,361,355 arrivals (per-node 200-connection
 # caps never bind: the busiest node peaks at 158 concurrent connections)
-# through the engine's bounded-memory pipeline — bounded-lookahead
+# through the engine's bounded-memory pipeline — bounded arrival
 # producer, per-node event emission, online k-way merge — with the live
 # sketch layer on (-online). On two cores the simulate phase takes ≈250 s
 # wall at 2.21 GB peak RSS (-perf reports both), under the 2 GiB soft

@@ -63,7 +63,7 @@
 //
 //	analyze -timeline fleet.jsonl
 //
-// Every simulation is the bounded-memory stream: the bounded-lookahead
+// Every simulation is the bounded-memory stream: the bounded
 // arrival producer feeds per-node event loops, each vantage emits
 // records into the streaming k-way merge as they finalize, and the merge
 // drains into the trace — no per-node trace is ever held in memory.
@@ -143,7 +143,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "opening journal: %v\n", err)
 			os.Exit(2)
 		}
-		err = obs.WriteTimeline(os.Stdout, f, obs.TimelineOptions{})
+		err = obs.WriteTimeline(os.Stdout, f)
 		f.Close()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rendering timeline: %v\n", err)

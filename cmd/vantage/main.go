@@ -52,14 +52,12 @@ func main() {
 	// fleet's); -online is accepted but inert here — an emitter is one
 	// streaming node with no online sketch layer.
 	sim := cliflags.Bind(flag.CommandLine, cliflags.Defaults{Seed: 2004, Scale: 0.01, Days: 4, Nodes: 1})
-	lookahead := flag.Int("lookahead", 0, "bounded-producer lookahead (0 = engine default)")
 
 	retryMax := flag.Int("retry-max", 10, "reconnect attempts per outage")
 	retryBase := flag.Duration("retry-base", 100*time.Millisecond, "reconnect backoff base")
 	retryCap := flag.Duration("retry-cap", 5*time.Second, "reconnect backoff cap")
 	ackTimeout := flag.Duration("ack-timeout", 15*time.Second, "reconnect when unacked events see no ack progress for this long")
 	welcomeTimeout := flag.Duration("welcome-timeout", 10*time.Second, "hello/welcome exchange deadline")
-	writeTimeout := flag.Duration("write-timeout", 10*time.Second, "per-frame write deadline")
 	keepAlive := flag.Duration("keepalive", 2*time.Second, "idle keepalive period (keep well under the collector's evict timeout)")
 
 	faultSeed := flag.Uint64("fault-seed", 0, "faultnet seed for self-injected connection faults (0 with all probs 0 = no injection)")
@@ -135,7 +133,6 @@ func main() {
 		Retry:          transport.Retry{Max: *retryMax, Base: *retryBase, Cap: *retryCap, Seed: seed + uint64(*input) + 1},
 		AckTimeout:     *ackTimeout,
 		WelcomeTimeout: *welcomeTimeout,
-		WriteTimeout:   *writeTimeout,
 		KeepAlive:      *keepAlive,
 	}
 	if *faultSeed != 0 || *faultDrop > 0 || *faultDup > 0 || *faultReorder > 0 || *faultDelay > 0 {
@@ -167,7 +164,7 @@ func main() {
 		obs.A("nodes", sc.Nodes))
 	stopHB := obs.StartHeartbeat(jl, *heartbeat, nil)
 	st, err := engine.NodeStream(
-		engine.Config{Fleet: capture.FleetConfig{Node: cfg, Nodes: sc.Nodes}, Lookahead: *lookahead, Obs: ob},
+		engine.Config{Fleet: capture.FleetConfig{Node: cfg, Nodes: sc.Nodes}, Obs: ob},
 		*input,
 		stream.NewProducer(*input, em.Intake()),
 	)

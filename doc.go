@@ -114,11 +114,11 @@
 //     streaming-sink mode (capture.NewNodeStream) emit session open /
 //     close, query, pong and hit records into bounded channels the moment
 //     each record is final, instead of retaining a per-node trace. The
-//     engine's bounded-lookahead producer (engine.Config.Lookahead)
-//     publishes the arrival chain incrementally through a conservative
-//     time-window synchronizer and caps each node's undelivered
-//     sessions, so the in-flight session set is nodes × Lookahead instead
-//     of the whole measurement period.
+//     engine's bounded producer publishes the arrival chain
+//     incrementally through a conservative time-window synchronizer and
+//     caps each node's undelivered sessions at engine.DefaultLookahead
+//     (1024), so the in-flight session set is nodes × 1024 instead of
+//     the whole measurement period.
 //   - A streaming k-way merge (stream.Merger): per-node streams are
 //     unioned into the global deduplicated, time-ordered, densely
 //     re-identified order incrementally — a completed session retires the

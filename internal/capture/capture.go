@@ -67,24 +67,6 @@ type Config struct {
 	// + 15 s timeout), so it trades pong volume against the accuracy of
 	// recorded durations for silently closed sessions.
 	ProbeRearmIdle time.Duration
-	// KeepaliveMean is the mean gap between a client's own keepalive
-	// PINGs.
-	KeepaliveMean time.Duration
-	// SilentCloseFraction is the share of user sessions that end without
-	// an observed TCP close. The paper notes most clients skip the BYE
-	// message, but a BYE-less exit still produces a TCP FIN the node
-	// observes immediately; only crashes, NAT timeouts and network drops
-	// are truly silent and pay the ~30 s probe overestimate.
-	SilentCloseFraction float64
-	// RemoteQueryEvery is the mean gap between forwarded wider-network
-	// queries per ultrapeer connection.
-	RemoteQueryEvery time.Duration
-	// RemotePongEvery is the mean gap between forwarded pongs per
-	// connection.
-	RemotePongEvery time.Duration
-	// RemoteHitEvery is the mean gap between observed query hits per
-	// connection.
-	RemoteHitEvery time.Duration
 	// PongSampleRate and HitSampleRate subsample remote pong/hit records
 	// in the trace (all are counted; only a sample is stored).
 	PongSampleRate float64
@@ -93,6 +75,19 @@ type Config struct {
 
 // DefaultConfig returns the paper-calibrated configuration at the given
 // seed and scale.
+func DefaultConfig(seed uint64, scale float64) Config {
+	return Config{
+		Workload:       workload.DefaultConfig(seed, scale),
+		MaxConns:       200,
+		ProbeIdle:      15 * time.Second,
+		ProbeTimeout:   15 * time.Second,
+		ProbeRearmIdle: 140 * time.Second,
+		PongSampleRate: 0.1,
+		HitSampleRate:  0.1,
+	}
+}
+
+// The client and wider-network traffic rates.
 //
 // Calibration note: the real node capped concurrency at 200, which bounds
 // its connection-seconds; with the paper's own session-duration
@@ -106,22 +101,27 @@ type Config struct {
 // reach steady-state concurrency, so shorter runs see lower background
 // ratios). A fleet with enough nodes that no per-node cap binds records
 // the entire arrival stream (see FleetConfig).
-func DefaultConfig(seed uint64, scale float64) Config {
-	return Config{
-		Workload:            workload.DefaultConfig(seed, scale),
-		MaxConns:            200,
-		ProbeIdle:           15 * time.Second,
-		ProbeTimeout:        15 * time.Second,
-		ProbeRearmIdle:      140 * time.Second,
-		KeepaliveMean:       168 * time.Second,
-		SilentCloseFraction: 0.05,
-		RemoteQueryEvery:    52 * time.Second,
-		RemotePongEvery:     2000 * time.Second,
-		RemoteHitEvery:      7000 * time.Second,
-		PongSampleRate:      0.1,
-		HitSampleRate:       0.1,
-	}
-}
+const (
+	// keepaliveMean is the mean gap between a client's own keepalive
+	// PINGs.
+	keepaliveMean = 168 * time.Second
+	// remoteQueryEvery is the mean gap between forwarded wider-network
+	// queries per ultrapeer connection.
+	remoteQueryEvery = 52 * time.Second
+	// remotePongEvery is the mean gap between forwarded pongs per
+	// connection.
+	remotePongEvery = 2000 * time.Second
+	// remoteHitEvery is the mean gap between observed query hits per
+	// connection.
+	remoteHitEvery = 7000 * time.Second
+)
+
+// silentCloseFraction is the share of user sessions that end without an
+// observed TCP close. The paper notes most clients skip the BYE message,
+// but a BYE-less exit still produces a TCP FIN the node observes
+// immediately; only crashes, NAT timeouts and network drops are truly
+// silent and pay the ~30 s probe overestimate.
+const silentCloseFraction = 0.05
 
 // quickSilentFraction is the share of quick system disconnects that end
 // silently; system-initiated disconnects are normally proper TCP closes.
@@ -276,7 +276,7 @@ func (s *vantage) arrive(now simtime.Time, sess *behavior.Session) {
 	if sess.Quick {
 		c.silent = s.rng.Float64() < quickSilentFraction
 	} else {
-		c.silent = s.rng.Float64() < s.cfg.SilentCloseFraction
+		c.silent = s.rng.Float64() < silentCloseFraction
 	}
 	s.conns[id] = c
 	rec := trace.Conn{
@@ -375,7 +375,7 @@ func (s *vantage) queryEnvelope(q *behavior.TimedQuery) wire.Envelope {
 
 // scheduleKeepalive chains the client's own periodic PINGs.
 func (s *vantage) scheduleKeepalive(c *simConn) {
-	gap := time.Duration(s.rng.ExpFloat64() * float64(s.cfg.KeepaliveMean))
+	gap := time.Duration(s.rng.ExpFloat64() * float64(keepaliveMean))
 	at := s.sched.Now() + gap
 	if at >= c.end {
 		return
@@ -406,11 +406,11 @@ func (s *vantage) scheduleRemote(c *simConn, kind EventKind) {
 	var every time.Duration
 	switch kind {
 	case KindRemoteQuery:
-		every = s.cfg.RemoteQueryEvery
+		every = remoteQueryEvery
 	case KindRemotePong:
-		every = s.cfg.RemotePongEvery
+		every = remotePongEvery
 	case KindRemoteHit:
-		every = s.cfg.RemoteHitEvery
+		every = remoteHitEvery
 	}
 	gap := time.Duration(s.rng.ExpFloat64() * float64(every))
 	s.after(gap, &c.fixed[kind])

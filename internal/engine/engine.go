@@ -14,9 +14,9 @@
 //     generation order, publishes every arrival instant to the shared
 //     chain, and hands each session — with its global chain position, the
 //     precomputed tie-break key that makes a node independent of foreign
-//     arrivals — to its owner's queue, at most Config.Lookahead sessions
-//     deep. The in-flight session set is therefore nodes × Lookahead, not
-//     the measurement period.
+//     arrivals — to its owner's queue, at most DefaultLookahead sessions
+//     deep. The in-flight session set is therefore nodes × DefaultLookahead,
+//     not the measurement period.
 //  2. One keyed event loop per vantage (runNodeBounded, one goroutine
 //     each) schedules only its own sessions and emits each record into
 //     its stream.Producer the moment it is final. Per-node cost is O(own
@@ -56,9 +56,10 @@
 // equals the node's solo fire order — equal-timestamp ties included, which
 // do occur at full volume — so each vantage's stream is independent of
 // goroutine interleaving, and the merge is order-independent by total
-// order: the drained trace is byte-identical for every Lookahead, either
-// scheduler implementation, with or without a sink or an observer, and
-// whether the vantages run in one process or many. The oracles are the
+// order: the drained trace is byte-identical for every producer window
+// (this package's tests vary it), either scheduler implementation, with
+// or without a sink or an observer, and whether the vantages run in one
+// process or many. The oracles are the
 // committed hashes (bench/golden.json, the overlapping-probes hash in
 // internal/capture's tests, the full-scale SHA in ROADMAP.md), the
 // chain-replay engine kept in this package's tests — every node replays
@@ -82,17 +83,6 @@ type Config struct {
 	// Fleet is the deployment: the per-vantage configuration and the
 	// vantage count.
 	Fleet capture.FleetConfig
-	// Lookahead caps each node's undelivered sessions in the bounded
-	// producer; 0 means DefaultLookahead. The trace is byte-identical for
-	// every value (pinned by test).
-	Lookahead int
-	// MergeWindow bounds how long one open session may hold the streaming
-	// merge's emission barrier: sessions longer than the window take the
-	// merge's spill-to-final-sort path instead of freezing retirement (see
-	// stream.Merger.SetWindow — the drained trace is byte-identical either
-	// way). 0 means DefaultMergeWindow; negative disables the window (the
-	// pending buffer is then bounded only by the oldest open session).
-	MergeWindow simtime.Time
 	// Obs attaches the observability layer: the simulate span on the
 	// journal, the arrival-throughput counter, the merge's metrics and
 	// post-run scheduler gauges on the registry. Instrumentation never
@@ -100,33 +90,29 @@ type Config struct {
 	// byte-identical with or without it — and a nil observer runs at the
 	// uninstrumented cost (nil-handle no-ops).
 	Obs *obs.Observer
+
+	// lookahead overrides DefaultLookahead when positive. It is a test
+	// seam: the tests that narrow the producer window prove the trace
+	// does not depend on it.
+	lookahead int
 }
 
-// DefaultMergeWindow is the emission window Run uses when
-// Config.MergeWindow is 0: a generous max-duration quantile of the
-// paper's session-duration model. The duration fits are seconds-to-hours
+// DefaultMergeWindow is the streaming merge's emission window: how long
+// one open session may hold the merge's emission barrier before it takes
+// the merge's spill-to-final-sort path instead of freezing retirement
+// (see stream.Merger.SetWindow — the drained trace is byte-identical
+// either way). It is a generous max-duration quantile of the paper's
+// session-duration model. The duration fits are seconds-to-hours
 // scale — sessions outlasting a full day are deep in the Pareto tail —
 // so the window virtually never spills while capping the pending buffer
 // at one day's worth of completed sessions even when a session spans the
 // whole trace.
 const DefaultMergeWindow = simtime.Day
 
-// mergeWindow resolves Config.MergeWindow to the effective window.
-func (e *Engine) mergeWindow() simtime.Time {
-	switch {
-	case e.cfg.MergeWindow > 0:
-		return e.cfg.MergeWindow
-	case e.cfg.MergeWindow < 0:
-		return 0
-	default:
-		return DefaultMergeWindow
-	}
-}
-
-// lookahead resolves Config.Lookahead to the effective queue depth.
-func (c *Config) lookahead() int {
-	if c.Lookahead > 0 {
-		return c.Lookahead
+// queueDepth is each node's producer queue depth.
+func (c *Config) queueDepth() int {
+	if c.lookahead > 0 {
+		return c.lookahead
 	}
 	return DefaultLookahead
 }
@@ -156,12 +142,6 @@ type Engine struct {
 	// spilled is the merge's outlier count: sessions longer than the
 	// emission window, folded in at finish instead of held pending.
 	spilled int
-	// deadInputs and lostSessions mirror the merge's degradation ledger
-	// (stream.Merger): always zero for in-process runs, where no input can
-	// die — populated so the perf accounting row is uniform with the
-	// distributed collector's, whose inputs can.
-	deadInputs   int
-	lostSessions uint64
 	// schedPerNode is each node's lifetime scheduled-event count — the
 	// O(own sessions) scaling metric the keyed tie-break buys, versus the
 	// O(global arrivals) every node pays under chain replay.
@@ -184,7 +164,7 @@ func New(cfg Config) *Engine {
 // Run executes the measurement period once and returns the drained merged
 // trace; sink (which may be nil) observes every merged session in the
 // global merged order as it retires — except sessions longer than the
-// merge window, which the sink observes last (see Config.MergeWindow).
+// merge window, which the sink observes last (see DefaultMergeWindow).
 // Per-node traces are never materialized. Subsequent calls return the
 // memoized trace and feed no sink.
 func (e *Engine) Run(sink stream.Sink) *trace.Trace {
@@ -204,10 +184,10 @@ func (e *Engine) Run(sink stream.Sink) *trace.Trace {
 	// this goroutine only so journal line order stays deterministic
 	// (producer and node goroutines touch atomic metric handles, never the
 	// journal).
-	sp := e.cfg.Obs.Begin("simulate", obs.A("nodes", nodes), obs.A("lookahead", e.cfg.lookahead()))
+	sp := e.cfg.Obs.Begin("simulate", obs.A("nodes", nodes), obs.A("lookahead", e.cfg.queueDepth()))
 	merger := stream.NewMerger(nodes, sink)
 	merger.SetObserver(e.cfg.Obs)
-	merger.SetWindow(e.mergeWindow())
+	merger.SetWindow(DefaultMergeWindow)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -218,8 +198,6 @@ func (e *Engine) Run(sink stream.Sink) *trace.Trace {
 	wg.Wait()
 	e.peakPending = merger.PeakPending()
 	e.spilled = merger.Spilled()
-	e.deadInputs = merger.DeadInputs()
-	e.lostSessions = merger.LostSessions()
 	// The merge's pending high-water mark is left off the span: it depends
 	// on goroutine interleaving, and the journal is deterministic.
 	sp.End(obs.A("arrivals", e.stats.Arrivals), obs.A("conns", len(e.merged.Conns)), obs.A("spilled", e.spilled))
@@ -244,7 +222,7 @@ func (e *Engine) runNodes(scheds []simtime.Scheduler, intake chan<- stream.Batch
 	ch := newChain()
 	queues := make([]chan ownedSession, nodes)
 	for i := range queues {
-		queues[i] = make(chan ownedSession, e.cfg.lookahead())
+		queues[i] = make(chan ownedSession, e.cfg.queueDepth())
 	}
 	var arrivals uint64
 	var prodWG sync.WaitGroup
@@ -331,18 +309,8 @@ func (e *Engine) PeakPending() int { return e.peakPending }
 
 // SpilledSessions reports how many merged sessions exceeded the emission
 // window and took the merge's spill-to-final-sort path (see
-// Config.MergeWindow); 0 when the window never bound.
+// DefaultMergeWindow); 0 when the window never bound.
 func (e *Engine) SpilledSessions() int { return e.spilled }
-
-// DeadInputs reports how many merge inputs were evicted instead of
-// delivering their trailer. Always 0 for in-process runs (no input can
-// die); the accessor exists so the perf accounting row carries the same
-// degradation ledger the distributed ingest collector reports.
-func (e *Engine) DeadInputs() int { return e.deadInputs }
-
-// LostSessions reports how many sessions evicted inputs left open —
-// sessions known lost to input death. Always 0 in-process.
-func (e *Engine) LostSessions() uint64 { return e.lostSessions }
 
 // ScheduledPerNode returns each node's lifetime scheduled-event count in
 // node order, running the simulation first if needed. With the keyed

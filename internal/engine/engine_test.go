@@ -131,7 +131,7 @@ func TestEngineRunMemoized(t *testing.T) {
 // engine returns.
 func TestEngineRunRetryableAfterPanic(t *testing.T) {
 	for _, lookahead := range []int{0, 16} {
-		e := New(Config{Fleet: testCfg(13, 1, 3), Lookahead: lookahead})
+		e := New(Config{Fleet: testCfg(13, 1, 3), lookahead: lookahead})
 		real := e.newSched
 		e.newSched = func() simtime.Scheduler { panic("scheduler construction failed") }
 		func() {
@@ -147,7 +147,7 @@ func TestEngineRunRetryableAfterPanic(t *testing.T) {
 		if tr == nil {
 			t.Fatalf("lookahead=%d: engine poisoned — retry after recovered panic returned nil trace", lookahead)
 		}
-		want := New(Config{Fleet: testCfg(13, 1, 3), Lookahead: lookahead}).Run(nil)
+		want := New(Config{Fleet: testCfg(13, 1, 3), lookahead: lookahead}).Run(nil)
 		if !bytes.Equal(traceBytes(t, want), traceBytes(t, tr)) {
 			t.Fatalf("lookahead=%d: retried run trace differs from a fresh engine's", lookahead)
 		}
@@ -171,7 +171,7 @@ func TestPeakPendingReportedEveryMode(t *testing.T) {
 		{"sink", 0, stream.NewOnline(stream.OnlineConfig{})},
 	}
 	for _, m := range modes {
-		e := New(Config{Fleet: testCfg(7, 1, 4), Lookahead: m.lookahead})
+		e := New(Config{Fleet: testCfg(7, 1, 4), lookahead: m.lookahead})
 		e.Run(m.sink)
 		if e.PeakPending() <= 0 {
 			t.Fatalf("%s: PeakPending = %d, want > 0", m.name, e.PeakPending())
@@ -189,7 +189,7 @@ func TestSchedEventsByKindSumToTotal(t *testing.T) {
 	const prefix = `engine_sched_events_by_kind{kind="`
 	byKind := func(lookahead int, sink stream.Sink) map[string]float64 {
 		reg := obs.NewRegistry()
-		e := New(Config{Fleet: testCfg(2004, 1, 3), Lookahead: lookahead, Obs: &obs.Observer{Metrics: reg}})
+		e := New(Config{Fleet: testCfg(2004, 1, 3), lookahead: lookahead, Obs: &obs.Observer{Metrics: reg}})
 		e.Run(sink)
 		kinds := map[string]float64{}
 		var sum float64

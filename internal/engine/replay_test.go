@@ -185,7 +185,7 @@ func TestKeyed256NodesMatchesOracle(t *testing.T) {
 	cfg := testCfg(2004, 1, 256)
 	want := chainReplay(cfg, calendarSched).hash(t)
 	for _, lookahead := range []int{0, 64} {
-		got, err := New(Config{Fleet: cfg, Lookahead: lookahead}).Run(nil).Hash()
+		got, err := New(Config{Fleet: cfg, lookahead: lookahead}).Run(nil).Hash()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func FuzzKeyedReplayEquivalence(f *testing.F) {
 		want := chainReplay(fleet, calendarSched).hash(t)
 		ecfg := Config{Fleet: fleet}
 		if narrow {
-			ecfg.Lookahead = 32
+			ecfg.lookahead = 32
 		}
 		got, err := New(ecfg).Run(nil).Hash()
 		if err != nil {

@@ -17,7 +17,7 @@ func TestBoundedLookaheadMatchesEager(t *testing.T) {
 		cfg := testCfg(2004, 2, nodes)
 		want := chainReplay(cfg, calendarSched).hash(t)
 		for _, la := range []int{1, 7, 1024} {
-			got, err := New(Config{Fleet: cfg, Lookahead: la}).Run(nil).Hash()
+			got, err := New(Config{Fleet: cfg, lookahead: la}).Run(nil).Hash()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -34,7 +34,7 @@ func TestBoundedLookaheadMatchesEager(t *testing.T) {
 func TestBoundedMatchesSequentialFleet(t *testing.T) {
 	cfg := testCfg(7, 2, 3)
 	want := traceBytes(t, trace.Merge(chainReplay(cfg, heapSched).traces...))
-	got := traceBytes(t, New(Config{Fleet: cfg, Lookahead: 64}).Run(nil))
+	got := traceBytes(t, New(Config{Fleet: cfg, lookahead: 64}).Run(nil))
 	if !bytes.Equal(want, got) {
 		t.Fatal("engine differs from the sequential reference")
 	}
@@ -45,7 +45,7 @@ func TestBoundedMatchesSequentialFleet(t *testing.T) {
 func TestBoundedStatsMatchEager(t *testing.T) {
 	cfg := testCfg(11, 2, 3)
 	oracle := chainReplay(cfg, calendarSched)
-	bs := New(Config{Fleet: cfg, Lookahead: 16}).Stats()
+	bs := New(Config{Fleet: cfg, lookahead: 16}).Stats()
 	if bs.Arrivals != oracle.arrivals {
 		t.Fatalf("arrivals: bounded %d, oracle %d", bs.Arrivals, oracle.arrivals)
 	}

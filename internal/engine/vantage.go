@@ -24,7 +24,7 @@ import (
 // replays the same stream from the start and the ingest resume protocol
 // discards the already-delivered prefix.
 //
-// The bounded producer (Config.Lookahead) paces regeneration, so a
+// The bounded producer (DefaultLookahead) paces regeneration, so a
 // vantage process holds only its lookahead window of sessions no matter
 // how large the fleet-wide arrival volume is. Foreign sessions cost only
 // their generation.
@@ -42,7 +42,7 @@ func NodeStream(cfg Config, idx int, sink *stream.Producer) (capture.NodeStats, 
 
 	ch := newChain()
 	queues := make([]chan ownedSession, cfg.Fleet.Nodes)
-	queues[idx] = make(chan ownedSession, cfg.lookahead())
+	queues[idx] = make(chan ownedSession, cfg.queueDepth())
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {

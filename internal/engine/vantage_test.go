@@ -59,13 +59,3 @@ func TestNodeStreamRejectsBadIndex(t *testing.T) {
 		}
 	}
 }
-
-// TestEngineLossAccessorsZeroInProcess: in-process runs can never lose
-// an input; the merge's degradation ledger must be clean.
-func TestEngineLossAccessorsZeroInProcess(t *testing.T) {
-	e := New(Config{Fleet: testCfg(5, 1, 2)})
-	e.Run(nil)
-	if e.DeadInputs() != 0 || e.LostSessions() != 0 {
-		t.Fatalf("in-process run reported losses: dead=%d lost=%d", e.DeadInputs(), e.LostSessions())
-	}
-}

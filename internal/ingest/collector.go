@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"slices"
@@ -61,8 +62,6 @@ type CollectorConfig struct {
 	// hook for fault-injected listeners.
 	Listener net.Listener
 
-	// Sink observes merged sessions in final order (may be nil).
-	Sink stream.Sink
 	// Window bounds the merge's emission barrier (stream.Merger.SetWindow);
 	// 0 leaves it unbounded.
 	Window trace.Time
@@ -73,20 +72,14 @@ type CollectorConfig struct {
 	// (and input_recovered when frames resume).
 	StallAfter time.Duration
 	// EvictAfter is how long an input may be silent before it is declared
-	// dead and evicted from the merge (default 30 s). Negative disables
-	// eviction — the barrier then stalls forever on a dead input, which
-	// is only safe when the emitters are trusted to finish.
+	// dead and evicted from the merge (default 30 s). The liveness check
+	// runs every min(StallAfter, EvictAfter)/4, kept within [10 ms, 1 s].
 	EvictAfter time.Duration
-	// Tick is the liveness check period (default EvictAfter/4, capped to
-	// [10 ms, 1 s]).
-	Tick time.Duration
 
 	// ReadTimeout bounds each frame read on a connection (default 2×
 	// EvictAfter): a connection that goes silent longer is reaped, which
 	// also bounds how long serve goroutines outlive their emitters.
 	ReadTimeout time.Duration
-	// WriteTimeout bounds welcome/ack writes (default 10 s).
-	WriteTimeout time.Duration
 
 	// Obs attaches the observability layer: per-input liveness
 	// transitions (input_stalled / input_recovered / input_evicted /
@@ -107,27 +100,11 @@ func (c *CollectorConfig) defaults() {
 	if c.StallAfter <= 0 {
 		c.StallAfter = 2 * time.Second
 	}
-	if c.EvictAfter == 0 {
+	if c.EvictAfter <= 0 {
 		c.EvictAfter = 30 * time.Second
 	}
-	if c.Tick <= 0 {
-		c.Tick = c.EvictAfter / 4
-		if c.Tick < 10*time.Millisecond {
-			c.Tick = 10 * time.Millisecond
-		}
-		if c.Tick > time.Second {
-			c.Tick = time.Second
-		}
-	}
 	if c.ReadTimeout <= 0 {
-		if c.EvictAfter > 0 {
-			c.ReadTimeout = 2 * c.EvictAfter
-		} else {
-			c.ReadTimeout = time.Minute
-		}
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
+		c.ReadTimeout = 2 * c.EvictAfter
 	}
 }
 
@@ -209,7 +186,7 @@ func NewCollector(cfg CollectorConfig) (*Collector, error) {
 			return nil, err
 		}
 	}
-	m := stream.NewMerger(cfg.Inputs, cfg.Sink)
+	m := stream.NewMerger(cfg.Inputs, nil)
 	if cfg.Window > 0 {
 		m.SetWindow(cfg.Window)
 	}
@@ -248,7 +225,7 @@ func (c *Collector) registerMetrics() {
 	c.mStalls = c.reg.Counter("ingest_stalls_total", "input_stalled transitions observed by the liveness loop")
 	c.mEvictions = c.reg.Counter("ingest_evictions_total", "inputs evicted from the merge after EvictAfter of silence")
 	c.mJournalLines = c.reg.Counter("ingest_journal_lines_total", "shipped journal lines applied into the fleet journal")
-	c.mRefused = c.reg.Counter("ingest_hellos_refused_total", "connections closed at their first frame: not a hello, an undecodable frame, another protocol version or an unknown input")
+	c.mRefused = c.reg.Counter("ingest_hellos_refused_total", "connections closed at their first frame: not a hello, an undecodable frame, another protocol version, an unknown input or a non-finite journal clock")
 	c.hEncode = c.reg.WallHistogram("ingest_frame_encode_seconds", "encode time per outbound frame", latencyBuckets())
 	c.hDecode = c.reg.WallHistogram("ingest_frame_decode_seconds", "decode time per inbound frame", latencyBuckets())
 	for _, t := range c.tracks {
@@ -305,10 +282,9 @@ func (c *Collector) Addr() string { return c.l.Addr().String() }
 // holds acks for everything on both lanes, so no connection closes under
 // an emitter still owed an ack, and the journal lines a process writes
 // after its last event ack are in the fleet journal. The wait for byes is
-// bounded by EvictAfter (30 s when eviction is disabled), against an
-// emitter that dies after its trailer. The accept loop paces transient
-// listener errors and exits on permanent ones, exactly like the daemon's
-// (transport.AcceptBackoff).
+// bounded by EvictAfter, against an emitter that dies after its trailer.
+// The accept loop paces transient listener errors and exits on permanent
+// ones, exactly like the daemon's (transport.AcceptBackoff).
 func (c *Collector) Run() (*trace.Trace, error) {
 	sp := c.obs.Begin("collect", obs.A("inputs", c.cfg.Inputs))
 	merged := make(chan *trace.Trace, 1)
@@ -340,11 +316,7 @@ func (c *Collector) LostSessions() uint64 { return c.merger.LostSessions() }
 // passes. Only a done input's bye counts, and a done input is never
 // evicted, so exactly Inputs − DeadInputs byes are owed.
 func (c *Collector) awaitByes() {
-	bound := c.cfg.EvictAfter
-	if bound <= 0 {
-		bound = 30 * time.Second
-	}
-	deadline := time.NewTimer(bound)
+	deadline := time.NewTimer(c.cfg.EvictAfter)
 	defer deadline.Stop()
 	for owed := c.cfg.Inputs - c.merger.DeadInputs(); owed > 0; owed-- {
 		select {
@@ -422,7 +394,11 @@ func (c *Collector) serve(conn net.Conn) {
 		return
 	}
 	h := f.Hello
-	if h.Proto != protoVersion || h.Input < 0 || h.Input >= len(c.tracks) {
+	// A non-finite clock reading would make the input's offset infinite
+	// or NaN for the collector's whole life, and every line it ships
+	// unencodable.
+	if h.Proto != protoVersion || h.Input < 0 || h.Input >= len(c.tracks) ||
+		math.IsNaN(h.JournalTMs) || math.IsInf(h.JournalTMs, 0) {
 		c.mRefused.Inc()
 		return
 	}
@@ -458,7 +434,7 @@ func (c *Collector) serve(conn net.Conn) {
 	welcome := &welcomeFrame{Resume: t.events.applied, JournalResume: t.journal.applied, Evicted: evicted}
 	t.mu.Unlock()
 
-	_ = conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
+	_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if err := fw.write(conn, &frame{Kind: frameWelcome, Welcome: welcome}); err != nil || evicted {
 		return
 	}
@@ -493,7 +469,7 @@ func (c *Collector) serve(conn net.Conn) {
 		if !ok {
 			return
 		}
-		_ = conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
+		_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if err := fw.write(conn, newAck(lane, ack)); err != nil {
 			return
 		}
@@ -590,10 +566,8 @@ func applyLane[T any](c *Collector, t *inputTrack, lane *recvLane[T], first uint
 // journal event always precedes that input's input_evicted.
 func (c *Collector) liveness() {
 	defer c.wg.Done()
-	if c.cfg.EvictAfter < 0 {
-		return
-	}
-	tick := time.NewTicker(c.cfg.Tick)
+	period := min(c.cfg.StallAfter, c.cfg.EvictAfter) / 4
+	tick := time.NewTicker(min(max(period, 10*time.Millisecond), time.Second))
 	defer tick.Stop()
 	for {
 		select {

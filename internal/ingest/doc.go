@@ -89,6 +89,11 @@
 // from the barrier, counts it in DeadInputs, counts its never-closed
 // sessions in LostSessions, and lets the merge drain. The drained trace
 // is exactly the merge of what arrived; what is missing is reported.
+// Eviction is always on, so a dead input holds the barrier for at most
+// EvictAfter plus one liveness check; the check runs every
+// min(StallAfter, EvictAfter)/4, kept within [10 ms, 1 s]. Every frame
+// write, on either end, has a fixed 10 s deadline: a peer that stops
+// reading costs the writer a torn connection, not a wedged goroutine.
 // Ingest applies the End-of-run accounting to analyze -perf and the
 // collector's observability surface (internal/obs): stall, recovery and
 // eviction transitions land as journal events and ingest_* counters, the

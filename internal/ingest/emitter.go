@@ -30,13 +30,16 @@ var (
 	errGone    = errors.New("ingest: collector gone after full ack")
 )
 
-// dialTimeout bounds one connect attempt. maxUnacked bounds the
-// retransmit buffer in events: at the bound the emitter stops draining
-// its intake, so backpressure propagates to the producer exactly like a
-// full merger intake does in-process.
+// dialTimeout bounds one connect attempt. writeTimeout bounds every
+// frame write on both ends: a peer reading slowly cannot wedge the
+// writer, it gets a torn connection and a retransmit instead. maxUnacked
+// bounds the retransmit buffer in events: at the bound the emitter stops
+// draining its intake, so backpressure propagates to the producer
+// exactly like a full merger intake does in-process.
 const (
-	dialTimeout = 5 * time.Second
-	maxUnacked  = 1 << 16
+	dialTimeout  = 5 * time.Second
+	writeTimeout = 10 * time.Second
+	maxUnacked   = 1 << 16
 )
 
 // EmitterConfig configures one vantage's emitter.
@@ -55,10 +58,6 @@ type EmitterConfig struct {
 	// outlives the budget.
 	Retry transport.Retry
 
-	// WriteTimeout bounds every frame write (default 10 s) — a peer
-	// reading slowly cannot wedge the emitter, it gets a torn connection
-	// and a retransmit instead.
-	WriteTimeout time.Duration
 	// WelcomeTimeout bounds the hello/welcome exchange (default 10 s).
 	WelcomeTimeout time.Duration
 	// AckTimeout declares the connection wedged when events are
@@ -104,9 +103,6 @@ func (c *EmitterConfig) defaults() {
 	}
 	if c.Retry.Max == 0 {
 		c.Retry.Max = 10
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
 	}
 	if c.WelcomeTimeout <= 0 {
 		c.WelcomeTimeout = 10 * time.Second
@@ -338,7 +334,7 @@ func (e *Emitter) Run() error {
 		if finished() {
 			// Everything is acked: say bye and close (the deferred
 			// teardown). A failed write says it again on a reconnect.
-			_ = conn.SetWriteDeadline(time.Now().Add(e.cfg.WriteTimeout))
+			_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 			if e.fw.write(conn, &frame{Kind: frameBye}) == nil {
 				return nil
 			}
@@ -396,7 +392,7 @@ func (e *Emitter) Run() error {
 			if time.Since(lastSend) > e.cfg.KeepAlive {
 				// Idle keepalive: an empty data frame, so the collector's
 				// liveness layer can tell quiet from dead.
-				_ = conn.SetWriteDeadline(time.Now().Add(e.cfg.WriteTimeout))
+				_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 				if err := e.fw.write(conn, newDataFrame(events.next, nil)); err != nil {
 					teardown()
 				} else {
@@ -481,7 +477,7 @@ func (e *Emitter) handshake(c net.Conn) (*welcomeFrame, error) {
 func send[T any](e *Emitter, c net.Conn, q *sendQueue[T], i int) error {
 	for i < len(q.items) {
 		n := min(len(q.items)-i, maxFrameEvents)
-		_ = c.SetWriteDeadline(time.Now().Add(e.cfg.WriteTimeout))
+		_ = c.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if err := e.fw.write(c, q.frame(q.acked+1+uint64(i), q.items[i:i+n])); err != nil {
 			return err
 		}

@@ -383,8 +383,9 @@ func FuzzDecodeFrame(f *testing.F) {
 
 // TestCollectorRawFrames speaks the protocol by hand over a real
 // connection. A version-3 (gob) hello captured from the previous
-// protocol, and a current-layout hello of any version but protoVersion,
-// are closed on with no welcome and counted as refused. A current hello
+// protocol, a current-layout hello of any version but protoVersion, and
+// a current hello whose journal clock is NaN or ±Inf are closed on with
+// no welcome and counted as refused. A current hello
 // is welcomed, journal frames sent out of order (seq 2, then 1) are
 // acked cumulatively, land in the fleet journal in seq order, and are
 // not counted as reordered events, and the bye after the trailer's ack
@@ -431,15 +432,22 @@ func TestCollectorRawFrames(t *testing.T) {
 	if f, err := readFrame(c); err == nil {
 		t.Fatalf("v3 gob hello answered with %+v", f)
 	}
-	for _, proto := range []int{3, protoVersion} {
-		c = dial()
-		f, err := exchange(c, &frame{Kind: frameHello, Hello: &helloFrame{Proto: proto, Source: "raw"}})
-		if welcomed := err == nil && f.Kind == frameWelcome; welcomed != (proto == protoVersion) {
-			t.Fatalf("version-%d hello: welcomed %v (frame %+v, err %v)", proto, welcomed, f, err)
+	for _, h := range []*helloFrame{
+		{Proto: 3, Source: "raw"},
+		{Proto: protoVersion, Source: "raw", JournalTMs: math.Inf(1)},
+		{Proto: protoVersion, Source: "raw", JournalTMs: math.Inf(-1)},
+		{Proto: protoVersion, Source: "raw", JournalTMs: math.NaN()},
+	} {
+		if f, err := exchange(dial(), &frame{Kind: frameHello, Hello: h}); err == nil {
+			t.Fatalf("hello %+v answered with %+v", h, f)
 		}
 	}
-	if n := col.mRefused.Value(); n != 2 {
-		t.Fatalf("ingest_hellos_refused_total = %d, want 2 (the gob hello and the version-3 one)", n)
+	if n := col.mRefused.Value(); n != 5 {
+		t.Fatalf("ingest_hellos_refused_total = %d, want 5 (the gob hello, the version-3 one and the three non-finite clocks)", n)
+	}
+	c = dial()
+	if f, err := exchange(c, &frame{Kind: frameHello, Hello: &helloFrame{Proto: protoVersion, Source: "raw"}}); err != nil || f.Kind != frameWelcome {
+		t.Fatalf("current hello: frame %+v, err %v; want a welcome", f, err)
 	}
 	line := func(n int) []byte { return []byte(fmt.Sprintf(`{"kind":"event","t_ms":%d,"name":"line%d"}`, n, n)) }
 	for _, step := range []struct {

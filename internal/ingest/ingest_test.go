@@ -207,7 +207,6 @@ func TestIngestByteIdenticalUnderFaults(t *testing.T) {
 		cfg.Retry = transport.Retry{Max: 500, Base: time.Millisecond, Cap: 10 * time.Millisecond, Seed: uint64(i + 1)}
 		cfg.AckTimeout = 400 * time.Millisecond
 		cfg.WelcomeTimeout = 300 * time.Millisecond
-		cfg.WriteTimeout = time.Second
 	})
 	got := <-trCh
 	if hashOf(t, got) != want {
@@ -287,7 +286,6 @@ func TestIngestDeadInputEvictedNoDeadlock(t *testing.T) {
 		Inputs:     3,
 		StallAfter: 50 * time.Millisecond,
 		EvictAfter: 300 * time.Millisecond,
-		Tick:       20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

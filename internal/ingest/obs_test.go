@@ -24,7 +24,6 @@ func TestCollectorJournalStallEvictOrder(t *testing.T) {
 		Inputs:     2,
 		StallAfter: 50 * time.Millisecond,
 		EvictAfter: 400 * time.Millisecond,
-		Tick:       20 * time.Millisecond,
 		Obs:        o,
 	})
 	if err != nil {

@@ -241,7 +241,6 @@ func TestJournalShipUnderFaults(t *testing.T) {
 			cfg.Retry = transport.Retry{Max: 500, Base: time.Millisecond, Cap: 10 * time.Millisecond, Seed: uint64(i + 1)}
 			cfg.AckTimeout = 400 * time.Millisecond
 			cfg.WelcomeTimeout = 300 * time.Millisecond
-			cfg.WriteTimeout = time.Second
 		})
 	if hashOf(t, tr) != want {
 		t.Fatal("trace under faults differs from in-process merge")

@@ -354,7 +354,7 @@ func TestWriteTimeline(t *testing.T) {
 	cs.End()
 
 	var out bytes.Buffer
-	if err := WriteTimeline(&out, bytes.NewReader(fbuf.Bytes()), TimelineOptions{}); err != nil {
+	if err := WriteTimeline(&out, bytes.NewReader(fbuf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -377,7 +377,7 @@ func TestWriteTimeline(t *testing.T) {
 	}
 
 	var empty bytes.Buffer
-	if err := WriteTimeline(&empty, strings.NewReader(""), TimelineOptions{}); err != nil {
+	if err := WriteTimeline(&empty, strings.NewReader("")); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(empty.String(), "empty journal") {
@@ -389,19 +389,16 @@ func TestWriteTimelineGapAnnotation(t *testing.T) {
 	in := strings.Join([]string{
 		`{"kind":"event","t_ms":0,"name":"a"}`,
 		`{"kind":"event","t_ms":5000,"name":"b"}`,
+		`{"kind":"event","t_ms":5900,"name":"c"}`,
 	}, "\n")
 	var out bytes.Buffer
-	if err := WriteTimeline(&out, strings.NewReader(in), TimelineOptions{GapMs: 1000}); err != nil {
+	if err := WriteTimeline(&out, strings.NewReader(in)); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "~ gap 5.00s") {
 		t.Fatalf("gap annotation missing:\n%s", out.String())
 	}
-	out.Reset()
-	if err := WriteTimeline(&out, strings.NewReader(in), TimelineOptions{GapMs: -1}); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(out.String(), "~ gap") {
-		t.Fatalf("gap annotation printed with annotations disabled:\n%s", out.String())
+	if n := strings.Count(out.String(), "~ gap"); n != 1 {
+		t.Fatalf("%d gap annotations, want 1 (a 900 ms silence is not a gap):\n%s", n, out.String())
 	}
 }

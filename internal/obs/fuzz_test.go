@@ -36,6 +36,6 @@ func FuzzWriteTimeline(f *testing.F) {
 	f.Add(fbuf.Bytes())
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_ = WriteTimeline(io.Discard, bytes.NewReader(data), TimelineOptions{})
+		_ = WriteTimeline(io.Discard, bytes.NewReader(data))
 	})
 }

@@ -83,25 +83,17 @@ func TimeOrder(r io.Reader) ([]string, error) {
 	return out, nil
 }
 
-// TimelineOptions tunes WriteTimeline rendering.
-type TimelineOptions struct {
-	// GapMs is the intra-lane silence (milliseconds between consecutive
-	// lines) above which a gap annotation is printed. Zero means the
-	// default of 1000 ms; negative disables gap annotations.
-	GapMs float64
-}
+// timelineGapMs is the intra-lane silence (milliseconds between
+// consecutive lines) above which WriteTimeline prints a gap annotation.
+const timelineGapMs = 1000
 
 // WriteTimeline reads a (single-process or fleet) JSONL journal and
 // renders a human-readable account of the run: one lane per src, lines
 // in time order, span open/close markers with measured durations,
 // stall/evict events flagged, runs of heartbeats collapsed to one line,
-// intra-lane silences above opts.GapMs annotated, and each lane's final
+// intra-lane silences above one second annotated, and each lane's final
 // metrics / latency snapshots rolled up at the bottom of the lane.
-func WriteTimeline(w io.Writer, r io.Reader, opts TimelineOptions) error {
-	gap := opts.GapMs
-	if gap == 0 {
-		gap = 1000
-	}
+func WriteTimeline(w io.Writer, r io.Reader) error {
 	lines, err := parseJournal(r)
 	if err != nil {
 		return err
@@ -137,12 +129,12 @@ func WriteTimeline(w io.Writer, r io.Reader, opts TimelineOptions) error {
 			label = "(main)"
 		}
 		fmt.Fprintf(bw, "\nlane %s: %d lines\n", label, len(ll))
-		writeLane(bw, ll, gap)
+		writeLane(bw, ll)
 	}
 	return bw.Flush()
 }
 
-func writeLane(w io.Writer, ll []tlLine, gap float64) {
+func writeLane(w io.Writer, ll []tlLine) {
 	var lastMetrics, lastLatency map[string]float64
 	prevT := ll[0].t
 	hb := 0 // pending collapsed heartbeats
@@ -155,7 +147,7 @@ func writeLane(w io.Writer, ll []tlLine, gap float64) {
 		hb = 0
 	}
 	for _, l := range ll {
-		if gap > 0 && l.t-prevT > gap {
+		if l.t-prevT > timelineGapMs {
 			flushHB()
 			fmt.Fprintf(w, "  %10s  ~ gap %s\n", fmtMs(prevT), fmtMs(l.t-prevT))
 		}

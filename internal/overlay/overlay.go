@@ -2,8 +2,11 @@
 // duplicate suppression and TTL handling for flooded QUERY/PING messages,
 // GUID-based reverse routing for QUERYHIT and PONG responses with the
 // specification's 10-minute route expiry, pong caching, leaf/ultrapeer
-// forwarding rules, and local query matching against a shared-file
-// library.
+// forwarding rules (a leaf receives a query with probability 0.05, a
+// stand-in for query routing), and local query matching against a
+// shared-file library. The only message a node originates is the
+// measurement node's single-PING liveness probe (Probe); responses to it
+// end at the node.
 //
 // The engine is transport-agnostic and clock-agnostic: the embedder
 // supplies a Send callback and a Now function, which lets the same code
@@ -40,14 +43,6 @@ type Config struct {
 	// Library is the node's shared-file list; queries matching it produce
 	// QUERYHIT responses.
 	Library []SharedFile
-	// RouteTTL is how long reverse routes live; the specification
-	// suggests 10 minutes, which is the default when zero.
-	RouteTTL time.Duration
-	// LeafForwardProb approximates query-routing-protocol behavior: the
-	// probability that a query is forwarded to a given leaf connection
-	// ("only ... to the leaf nodes that have a high probability of
-	// responding"). Defaults to 0.05.
-	LeafForwardProb float64
 	// Passive disables query forwarding entirely. The measurement
 	// simulator uses it: its Send callback discards everything anyway,
 	// and iterating a few hundred connections per received query turns
@@ -71,21 +66,26 @@ type Config struct {
 	// copy whatever must outlive the call — field values, never the
 	// payload pointer or a slice inside it.
 	OnMessage func(conn int, env wire.Envelope)
-	// OnQueryHit, when set, receives hits for queries this node
-	// originated.
-	OnQueryHit func(env wire.Envelope, hit *wire.QueryHit)
 	// GUIDs generates identifiers for originated messages. Required for
-	// Originate and pong generation.
+	// Probe.
 	GUIDs *guid.Source
 	// Rand supplies the [0,1) variates used for probabilistic leaf
 	// forwarding. Defaults to a small deterministic LCG when nil.
 	Rand func() float64
 }
 
+// routeTTL is how long reverse routes live, as the specification
+// suggests.
+const routeTTL = 10 * time.Minute
+
+// leafForwardProb approximates query-routing-protocol behavior: the
+// probability that a query is forwarded to a given leaf connection ("only
+// ... to the leaf nodes that have a high probability of responding").
+const leafForwardProb = 0.05
+
 // Stats counts the node's routing activity.
 type Stats struct {
 	Received       wire.MessageCountsByType
-	ForwardedPing  uint64
 	ForwardedQry   uint64
 	RoutedPong     uint64
 	RoutedHit      uint64
@@ -119,8 +119,8 @@ type Node struct {
 	cfg    Config
 	conns  map[int]*connState
 	routes map[guid.GUID]route
-	// origin tracks GUIDs of messages this node originated, so returning
-	// responses are delivered locally instead of forwarded.
+	// origin tracks GUIDs of the probes this node originated, so their
+	// responses end here instead of being forwarded.
 	origin map[guid.GUID]time.Duration
 	// pongCache holds recently seen pongs for ping replies.
 	pongCache []wire.Pong
@@ -142,12 +142,6 @@ func New(cfg Config) *Node {
 	}
 	if cfg.Now == nil {
 		panic("overlay: Config.Now is required")
-	}
-	if cfg.RouteTTL == 0 {
-		cfg.RouteTTL = 10 * time.Minute
-	}
-	if cfg.LeafForwardProb == 0 {
-		cfg.LeafForwardProb = 0.05
 	}
 	n := &Node{
 		cfg:       cfg,
@@ -328,7 +322,7 @@ func (n *Node) handleQuery(conn int, env wire.Envelope, m *wire.Query) {
 		}
 		// Ultrapeers receive every query; leaves only those likely to
 		// match (QRP approximation).
-		if !st.ultrapeer && n.rand() >= n.cfg.LeafForwardProb {
+		if !st.ultrapeer && n.rand() >= leafForwardProb {
 			continue
 		}
 		n.send(id, fwd)
@@ -338,11 +332,7 @@ func (n *Node) handleQuery(conn int, env wire.Envelope, m *wire.Query) {
 
 func (n *Node) handleQueryHit(conn int, env wire.Envelope, m *wire.QueryHit) {
 	if _, ours := n.origin[env.Header.GUID]; ours {
-		if n.cfg.OnQueryHit != nil {
-			cp := wire.Clone(env)
-			n.cfg.OnQueryHit(cp, cp.Payload.(*wire.QueryHit))
-		}
-		return
+		return // answers our own probe
 	}
 	r, ok := n.lookupRoute(env.Header.GUID)
 	if !ok || r.conn == conn {
@@ -395,30 +385,6 @@ func containsAll(have, want []string) bool {
 	return true
 }
 
-// Originate floods a message from this node to every connection and
-// registers its GUID so responses are delivered to the local callbacks.
-// It returns the message GUID.
-func (n *Node) Originate(m wire.Message, ttl uint8) guid.GUID {
-	if n.cfg.GUIDs == nil {
-		panic("overlay: Originate requires Config.GUIDs")
-	}
-	g := n.cfg.GUIDs.Next()
-	n.setOrigin(g)
-	env := wire.Envelope{
-		Header:  wire.Header{GUID: g, Type: m.Type(), TTL: ttl, Hops: 1},
-		Payload: m,
-	}
-	for id := range n.conns {
-		n.send(id, env)
-		if m.Type() == wire.TypeQuery {
-			n.stats.ForwardedQry++
-		} else if m.Type() == wire.TypePing {
-			n.stats.ForwardedPing++
-		}
-	}
-	return g
-}
-
 // Probe sends a single PING on one connection — the measurement node's
 // idle-liveness check.
 func (n *Node) Probe(conn int) guid.GUID {
@@ -460,7 +426,7 @@ func (n *Node) lookupRoute(g guid.GUID) (route, bool) {
 	if !ok {
 		return route{}, false
 	}
-	if n.cfg.Now()-r.at > n.cfg.RouteTTL {
+	if n.cfg.Now()-r.at > routeTTL {
 		delete(n.routes, g)
 		return route{}, false
 	}
@@ -475,10 +441,10 @@ func (n *Node) lookupRoute(g guid.GUID) (route, bool) {
 // (post-sweep value may be smaller).
 func (n *Node) RouteCount() int { return len(n.routes) }
 
-// maybeSweep expires old routes at most once per RouteTTL/2 of simulated
+// maybeSweep expires old routes at most once per routeTTL/2 of simulated
 // time, keeping the table bounded without a timer dependency.
 //
-// It deletes exactly the routes and origin entries older than RouteTTL,
+// It deletes exactly the routes and origin entries older than routeTTL,
 // without walking either map: every insertion also queued a stamp in
 // expiry, and since the clock never runs backward the queue is in time
 // order, so the expired entries are a prefix of it. A stamp can be stale —
@@ -490,13 +456,13 @@ func (n *Node) RouteCount() int { return len(n.routes) }
 // reused.
 func (n *Node) maybeSweep() {
 	now := n.cfg.Now()
-	if now-n.lastSweep < n.cfg.RouteTTL/2 {
+	if now-n.lastSweep < routeTTL/2 {
 		return
 	}
 	n.lastSweep = now
 	q := n.expiry
 	i := 0
-	for ; i < len(q) && now-q[i].at > n.cfg.RouteTTL; i++ {
+	for ; i < len(q) && now-q[i].at > routeTTL; i++ {
 		e := q[i]
 		if e.origin {
 			if at, ok := n.origin[e.g]; ok && at == e.at {

@@ -21,7 +21,6 @@ type harness struct {
 	node *Node
 	out  []sent
 	now  time.Duration
-	hits []*wire.QueryHit
 }
 
 func newHarness(t *testing.T, ultrapeer bool, lib []SharedFile) *harness {
@@ -36,11 +35,7 @@ func newHarness(t *testing.T, ultrapeer bool, lib []SharedFile) *harness {
 		Library:   lib,
 		Now:       func() time.Duration { return h.now },
 		Send:      func(conn int, env wire.Envelope) { h.out = append(h.out, sent{conn, env}) },
-		OnQueryHit: func(env wire.Envelope, qh *wire.QueryHit) {
-			cp := *qh
-			h.hits = append(h.hits, &cp)
-		},
-		GUIDs: guid.NewSource(2, 2),
+		GUIDs:     guid.NewSource(2, 2),
 	})
 	return h
 }
@@ -126,7 +121,7 @@ func TestQueryLeafForwardingIsSelective(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		h.node.Receive(1, query("text", 5, 1))
 	}
-	// With LeafForwardProb = 0.05, about 250 of 5000 leaf deliveries.
+	// With leafForwardProb = 0.05, about 250 of 5000 leaf deliveries.
 	n := len(h.out)
 	if n < 100 || n > 500 {
 		t.Errorf("leaf deliveries = %d, want ≈250", n)
@@ -396,14 +391,13 @@ func TestPongRoutedBackToPingOrigin(t *testing.T) {
 	}
 }
 
-func TestOriginateAndHitDelivery(t *testing.T) {
+// TestHitToOwnProbeNotForwarded: a QUERYHIT under a GUID this node
+// originated ends at the node, neither forwarded nor counted as a miss.
+func TestHitToOwnProbeNotForwarded(t *testing.T) {
 	h := newHarness(t, true, nil)
 	h.node.AddConn(1, true)
 	h.node.AddConn(2, true)
-	g := h.node.Originate(&wire.Query{SearchText: "mine"}, 7)
-	if len(h.out) != 2 {
-		t.Fatalf("originated query sent to %d conns", len(h.out))
-	}
+	g := h.node.Probe(2)
 	h.reset()
 	hit := wire.Envelope{
 		Header: wire.Header{GUID: g, Type: wire.TypeQueryHit, TTL: 6, Hops: 1},
@@ -414,11 +408,11 @@ func TestOriginateAndHitDelivery(t *testing.T) {
 		},
 	}
 	h.node.Receive(1, hit)
-	if len(h.hits) != 1 {
-		t.Fatalf("local hit callback fired %d times", len(h.hits))
-	}
 	if len(h.out) != 0 {
-		t.Error("locally delivered hit must not be forwarded")
+		t.Error("hit answering our own message must not be forwarded")
+	}
+	if st := h.node.Stats(); st.DroppedNoRoute != 0 || st.RoutedHit != 0 {
+		t.Errorf("hit answering our own message counted: %+v", st)
 	}
 }
 
@@ -488,25 +482,18 @@ func TestRouteSweepBoundsTable(t *testing.T) {
 	}
 }
 
-func TestOriginateRequiresGUIDs(t *testing.T) {
+func TestProbeRequiresGUIDs(t *testing.T) {
 	n := New(Config{
 		Now:  func() time.Duration { return 0 },
 		Send: func(int, wire.Envelope) {},
 	})
 	n.AddConn(1, true)
-	for _, f := range []func(){
-		func() { n.Originate(&wire.Ping{}, 3) },
-		func() { n.Probe(1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic without Config.GUIDs")
-				}
-			}()
-			f()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic without Config.GUIDs")
+		}
+	}()
+	n.Probe(1)
 }
 
 func TestPongToOwnPingNotForwarded(t *testing.T) {
@@ -614,11 +601,11 @@ func TestPassiveModeSkipsForwarding(t *testing.T) {
 // TestRouteExpiryMatchesFullWalk checks the insertion-order expiry queue
 // against the rule it replaces: at every sweep, the routes and origin
 // tables must equal what a walk over both maps deleting every entry older
-// than RouteTTL leaves. A seeded random mix of inserts, same-GUID
+// than routeTTL leaves. A seeded random mix of inserts, same-GUID
 // overwrites (re-sent PINGs, some at the same instant), lookupRoute
 // deletions (hits on expired routes and on routes through closed
 // connections), originated messages, connection churn and clock advances
-// crosses many RouteTTL/2 boundaries, so the queue holds plenty of stale
+// crosses many routeTTL/2 boundaries, so the queue holds plenty of stale
 // stamps.
 func TestRouteExpiryMatchesFullWalk(t *testing.T) {
 	var now time.Duration
@@ -629,7 +616,7 @@ func TestRouteExpiryMatchesFullWalk(t *testing.T) {
 		Send:    func(int, wire.Envelope) {},
 		GUIDs:   guid.NewSource(4, 4),
 	})
-	ttl := n.cfg.RouteTTL
+	ttl := routeTTL
 	rng := rand.New(rand.NewPCG(2004, 10))
 	ids := guid.NewSource(5, 5)
 	var seen []guid.GUID // GUIDs sent to the node, for overwrites and hits

@@ -79,12 +79,6 @@ type Config struct {
 	Scale float64
 	// Days is the trace length in days (the paper measured 40).
 	Days int
-	// PreConnectQueryFraction is the probability that an active session
-	// carries user queries issued before the connection was established
-	// (which the client then re-issues automatically; Section 3.3 rules
-	// 4–5). Those queries count toward the session's query total and the
-	// popularity distribution but have no valid interarrival time.
-	PreConnectQueryFraction float64
 	// Scenario, when non-nil, attaches a compiled experiment scenario:
 	// client-class overrides and churn transients (see Scenario). Nil is
 	// contractually a no-op — the generator's output is byte-identical to
@@ -96,12 +90,18 @@ type Config struct {
 // factor.
 func DefaultConfig(seed uint64, scale float64) Config {
 	return Config{
-		Seed:                    seed,
-		Scale:                   scale,
-		Days:                    40,
-		PreConnectQueryFraction: 0.25,
+		Seed:  seed,
+		Scale: scale,
+		Days:  40,
 	}
 }
+
+// preConnectQueryFraction is the probability that an active session
+// carries user queries issued before the connection was established
+// (which the client then re-issues automatically; Section 3.3 rules
+// 4–5). Those queries count toward the session's query total and the
+// popularity distribution but have no valid interarrival time.
+const preConnectQueryFraction = 0.25
 
 // Generator produces user sessions. It is not safe for concurrent use.
 type Generator struct {
@@ -228,7 +228,7 @@ func (g *Generator) SessionAt(start simtime.Time) *Session {
 	// class and per-day rank (Table 3 + Figure 11).
 	s.Queries = make([]Query, 0, n)
 	offset := secs(first)
-	preConnect := rng.Float64() < g.cfg.PreConnectQueryFraction
+	preConnect := rng.Float64() < preConnectQueryFraction
 	for i := 0; i < n; i++ {
 		if i > 0 {
 			offset += secs(g.params.Interarrival(region, period, n).Sample(rng))

@@ -192,8 +192,8 @@ func TestPreConnectQueries(t *testing.T) {
 		}
 	}
 	frac := float64(withPre) / float64(active)
-	if math.Abs(frac-cfg.PreConnectQueryFraction) > 0.05 {
-		t.Errorf("pre-connect fraction = %v, want ≈%v", frac, cfg.PreConnectQueryFraction)
+	if math.Abs(frac-preConnectQueryFraction) > 0.05 {
+		t.Errorf("pre-connect fraction = %v, want ≈%v", frac, preConnectQueryFraction)
 	}
 }
 

@@ -3,7 +3,6 @@ package p2pquery
 import (
 	"errors"
 	"io"
-	"time"
 
 	"repro/internal/capture"
 	"repro/internal/core"
@@ -65,6 +64,9 @@ type FleetStats = capture.FleetStats
 // sliding-window rates; see internal/stream for the accuracy contracts.
 type OnlineMetrics = stream.Snapshot
 
+// onlineTopK is how many keywords the online snapshot ranks.
+const onlineTopK = 10
+
 // RunConfig is the one description of a fleet simulation run: the
 // vantage-node configuration plus every knob that shapes how the fleet
 // executes; the zero value of each knob means the engine default.
@@ -80,17 +82,9 @@ type RunConfig struct {
 	//
 	// Deprecated: the engine has one execution path; leave Stream unset.
 	Stream bool
-	// Lookahead bounds the producer's in-flight sessions per node
-	// (0 = engine default; the trace is byte-identical for every value).
-	Lookahead int
-	// MergeWindow bounds the streaming merge's emission barrier
-	// (0 = engine default; see engine.Config.MergeWindow).
-	MergeWindow time.Duration
 	// Online attaches the sketch-based online characterization layer to
 	// the merged stream.
 	Online bool
-	// OnlineTopK sizes the online snapshot's keyword ranking (0 = 10).
-	OnlineTopK int
 	// Obs attaches the observability layer (internal/obs): phase spans on
 	// its journal, engine/merge metrics on its registry. nil runs
 	// uninstrumented at effectively zero cost; instrumentation never
@@ -113,8 +107,10 @@ type Result struct {
 	// mark and emission-window outlier count.
 	PeakPending     int
 	SpilledSessions int
-	// DeadInputs and LostSessions are the merge's degradation ledger
-	// (always 0 in-process; meaningful under the distributed collector).
+	// DeadInputs and LostSessions are always 0: an in-process run has no
+	// input that can be evicted (the distributed collector reports its
+	// own). They stay, unset, until bench/ stops reading them (ROADMAP
+	// fix-first 2).
 	DeadInputs   int
 	LostSessions uint64
 	// ScheduledPerNode is the engine's per-node scheduled-event counts.
@@ -135,9 +131,6 @@ func Run(cfg RunConfig) (*Result, error) {
 	case cfg.Sim.Workload.Days < 1:
 		return nil, errors.New("p2pquery.Run: Sim.Workload.Days < 1")
 	}
-	if cfg.Lookahead < 0 {
-		return nil, errors.New("p2pquery.Run: negative Lookahead")
-	}
 	nodes := cfg.Nodes
 	if nodes == 0 {
 		nodes = 1
@@ -146,10 +139,8 @@ func Run(cfg RunConfig) (*Result, error) {
 		return nil, errors.New("p2pquery.Run: negative Nodes")
 	}
 	eng := engine.New(engine.Config{
-		Fleet:       capture.FleetConfig{Node: cfg.Sim, Nodes: nodes},
-		Lookahead:   cfg.Lookahead,
-		MergeWindow: cfg.MergeWindow,
-		Obs:         cfg.Obs,
+		Fleet: capture.FleetConfig{Node: cfg.Sim, Nodes: nodes},
+		Obs:   cfg.Obs,
 	})
 	res := &Result{}
 	var online *stream.Online
@@ -161,18 +152,12 @@ func Run(cfg RunConfig) (*Result, error) {
 	}
 	res.Trace = eng.Run(sink)
 	if online != nil {
-		k := cfg.OnlineTopK
-		if k == 0 {
-			k = 10
-		}
-		snap := online.Snapshot(k)
+		snap := online.Snapshot(onlineTopK)
 		res.Online = &snap
 	}
 	res.Stats = eng.Stats()
 	res.PeakPending = eng.PeakPending()
 	res.SpilledSessions = eng.SpilledSessions()
-	res.DeadInputs = eng.DeadInputs()
-	res.LostSessions = eng.LostSessions()
 	res.ScheduledPerNode = eng.ScheduledPerNode()
 	return res, nil
 }

@@ -56,8 +56,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 // TestFacadeFleet drives the multi-vantage entry point: the merged
-// trace must carry the node count, characterize end to end, and be
-// byte-identical for every producer window.
+// trace must carry the node count and characterize end to end.
 func TestFacadeFleet(t *testing.T) {
 	cfg := DefaultSimulation(7, 0.002)
 	cfg.Workload.Days = 1
@@ -75,15 +74,6 @@ func TestFacadeFleet(t *testing.T) {
 	c := Characterize(tr)
 	if len(c.Sessions) == 0 {
 		t.Fatal("no sessions characterized from merged trace")
-	}
-	for _, lookahead := range []int{1, 16} {
-		got, err := Run(RunConfig{Sim: cfg, Nodes: 3, Lookahead: lookahead})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(traceBytes(t, tr), traceBytes(t, got.Trace)) {
-			t.Fatalf("Lookahead %d trace differs", lookahead)
-		}
 	}
 }
 
@@ -142,9 +132,6 @@ func TestRunValidation(t *testing.T) {
 	cfg.Workload.Days = 1
 	if _, err := Run(RunConfig{Sim: cfg, Nodes: -1}); err == nil {
 		t.Error("negative Nodes accepted")
-	}
-	if _, err := Run(RunConfig{Sim: cfg, Lookahead: -1}); err == nil {
-		t.Error("negative Lookahead accepted")
 	}
 	// Each run-shape field the engine would otherwise silently rewrite or
 	// hang on is its own error, not part of a zero-config heuristic.
