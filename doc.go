@@ -72,11 +72,11 @@
 // container/heap HeapScheduler and a Brown calendar queue
 // (CalendarScheduler) with lazy cancellation, property- and fuzz-tested
 // to pop identical sequences — ties, cancellations, stale handles and
-// far-future gaps included. The engine's nodes run the calendar queue;
-// the chain-replay oracle and ad-hoc schedulers the heap. Which of the two
-// should serve a node holding on the order of 10^3 pending events is an
-// open ROADMAP question (direction 2) that bench/'s simtime.*_hold_ns
-// layer metrics exist to answer.
+// far-future gaps included. The engine's nodes run the calendar queue:
+// bench/'s simtime.*_hold_ns layer metrics measured a hold at 110 ns
+// against the heap's 304 ns at 10^3 pending events, and 152 against 497
+// ns at 32·10^3. HeapScheduler is the order oracle for tests (the
+// chain-replay oracle and ad-hoc test schedulers run it), nothing more.
 //
 // The node event loop is nearly all of a simulation's CPU, and nearly
 // every event in it is per-connection background traffic, so the loop is

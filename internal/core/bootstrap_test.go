@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -117,5 +119,28 @@ func TestBootstrapReportIdenticalAcrossWorkers(t *testing.T) {
 		if !bytes.Equal(seq, render(workers)) {
 			t.Fatalf("bootstrap report differs at workers=%d", workers)
 		}
+	}
+}
+
+// bootstrapReportSHA is the SHA-256 of the fully rendered bootstrap report
+// of parallelTrace at one worker and 19 replicates per fit. It pins every
+// bit the fitters, the KS kernel and the replicate loop contribute: a
+// kernel optimization that moves one summation order or rounding step
+// changes a fitted parameter, a replicate distance or a p-value, and with
+// it this hash. Update it only with a change that means to move report
+// bytes, and say so.
+const bootstrapReportSHA = "03662002d700f0724b651c1e98de1f13adca42a778d11e4ecd8dbad0cb99529e"
+
+// TestBootstrapReportGolden asserts the bootstrap report's bytes against
+// bootstrapReportSHA.
+func TestBootstrapReportGolden(t *testing.T) {
+	tr := parallelTrace(t)
+	var buf bytes.Buffer
+	c := core.CharacterizeOpts(tr, core.Options{Workers: 1, KSBootstrap: 19})
+	if err := report.RenderAll(&buf, c); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != bootstrapReportSHA {
+		t.Fatalf("bootstrap report SHA-256 = %s, want %s", got, bootstrapReportSHA)
 	}
 }

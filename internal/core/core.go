@@ -14,6 +14,7 @@ package core
 import (
 	"math"
 	"math/rand/v2"
+	"sort"
 	"time"
 
 	"repro/internal/analysis"
@@ -238,7 +239,7 @@ func slotBoot(replicates, table, region, period, bucket int) bootCfg {
 // still trustworthy — when the family cannot be refit reliably enough to
 // reach the replicate target), Stephens' asymptotic p-value otherwise.
 func ksVerdict(ks float64, n int, boot bootCfg,
-	sample func(rng *rand.Rand, n int) []float64,
+	sample func(rng *rand.Rand, out []float64),
 	distance func(xs []float64) float64) (p float64, src KSSource, rejected bool) {
 	if boot.b > 0 {
 		bp := dist.KSPValueBootstrap(ks, dist.BootstrapSpec{
@@ -393,12 +394,11 @@ func fitLognormalCounts(xs []float64, boot bootCfg) LognormalFit {
 	}
 	ks := ksRoundedCounts(xs, m)
 	p, src, rej := ksVerdict(ks, len(xs), boot,
-		func(rng *rand.Rand, n int) []float64 {
+		func(rng *rand.Rand, out []float64) {
 			// Replicates mimic the generating process the fitter assumes:
 			// continuous lognormal draws rounded to counts, with the k=1
 			// cell absorbing everything below (matching ksRoundedCounts'
 			// censoring).
-			out := make([]float64, n)
 			for i := range out {
 				k := math.Round(m.Sample(rng))
 				if k < 1 {
@@ -406,7 +406,6 @@ func fitLognormalCounts(xs []float64, boot bootCfg) LognormalFit {
 				}
 				out[i] = k
 			}
-			return out
 		},
 		func(v []float64) float64 {
 			m2, err := dist.FitLognormalCounts(v)
@@ -462,19 +461,18 @@ func fitLognormal(xs []float64, boot bootCfg) LognormalFit {
 	}
 	ks := dist.KS(xs, m)
 	p, src, rej := ksVerdict(ks, len(xs), boot,
-		func(rng *rand.Rand, n int) []float64 {
-			out := make([]float64, n)
+		func(rng *rand.Rand, out []float64) {
 			for i := range out {
 				out[i] = m.Sample(rng)
 			}
-			return out
 		},
 		func(v []float64) float64 {
 			m2, err := dist.FitLognormal(v)
 			if err != nil {
 				return math.NaN()
 			}
-			return dist.KS(v, m2)
+			sort.Float64s(v)
+			return dist.KSSorted(v, m2)
 		})
 	return LognormalFit{
 		OK: true, N: len(xs), Model: m, KS: ks,
@@ -493,19 +491,20 @@ func fitBodyTail(xs []float64, fit func([]float64) (dist.BodyTailFit, error), bo
 	mix := bt.Mixture()
 	ks := dist.KS(xs, mix)
 	p, src, rej := ksVerdict(ks, len(xs), boot,
-		func(rng *rand.Rand, n int) []float64 {
-			out := make([]float64, n)
+		func(rng *rand.Rand, out []float64) {
 			for i := range out {
 				out[i] = mix.Sample(rng)
 			}
-			return out
 		},
 		func(v []float64) float64 {
+			// Refit on the replicate as drawn (the fitters' sums run in
+			// sample order), then sort it in place for the distance.
 			bt2, err := fit(v)
 			if err != nil {
 				return math.NaN()
 			}
-			return dist.KS(v, bt2.Mixture())
+			sort.Float64s(v)
+			return dist.KSSorted(v, bt2.Mixture())
 		})
 	return BodyTailFit{
 		OK: true, N: len(xs), Fit: bt, KS: ks,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"sort"
 	"testing"
 )
 
@@ -22,9 +23,20 @@ func benchSample(n int) []float64 {
 // The fitter benchmarks size the Nelder–Mead cost at the sample volumes
 // the full-scale run actually feeds the appendix fits (the per-(region,
 // period) slices of 4.36 M sessions reach the 10^5–10^6 range). Each
-// simplex evaluation is a full pass over the sample, so ns/op scales
-// linearly in n at a fixed iteration budget — the profile result recorded
-// in ROADMAP.md: the budget, not the data pass, is the lever.
+// simplex evaluation of the Weibull body is a full pass over the sample,
+// so ns/op scales linearly in n at a fixed iteration budget.
+//
+// Where that pass goes, from CPU profiles of BenchmarkKSPValueBootstrap
+// at n=1k (-cpu 1, 2-core x86-64 Xeon VM). Before the per-sample logs
+// left the truncated objectives, the Weibull objective was 90 % of the
+// bootstrap: math.Pow 61 %, the three logarithms it took per sample per
+// evaluation 27 %, replicate copy-and-sort 3 %. With ln x taken once per
+// fit and the ln α + α ln λ prefix once per evaluation, math.Pow alone is
+// 84 % and the in-place sort 3 %: ns/op 389 → 263 ms (medians of five
+// alternating runs), 3.9 → 1.7 MB and 2576 → 696 allocations per op. The
+// data pass is now one Pow per sample, so what is left to cut is the
+// number of evaluations (the iteration budget, warm starts) or the Pow
+// itself, and both move bits.
 
 // BenchmarkFitLognormal is the closed-form (moment) fit — the baseline
 // the iterative fitters are compared against.
@@ -89,6 +101,66 @@ func BenchmarkKSDistance(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if v := KS(xs, d); v <= 0 || v >= 1 {
 					b.Fatalf("implausible KS distance %v", v)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFitWeibullLognormal exercises the Table A.3 composite: a
+// truncated Weibull body, whose objective pays a math.Pow per sample per
+// simplex evaluation, plus a truncated lognormal tail.
+func BenchmarkFitWeibullLognormal(b *testing.B) {
+	for _, n := range []int{10_000, 100_000, 1_000_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			xs := benchSample(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := FitWeibullLognormal(xs, 0, 45); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkKSPValueBootstrap is one fit slot's bootstrap verdict as
+// internal/core runs it for Table A.3: 99 replicates, each drawn from
+// the fitted Weibull–lognormal mixture into the one reused buffer,
+// refitted as drawn, then sorted in place and measured by KSSorted.
+func BenchmarkKSPValueBootstrap(b *testing.B) {
+	fit := func(v []float64) (BodyTailFit, error) { return FitWeibullLognormal(v, 0, 45) }
+	for _, n := range []int{1_000, 10_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			xs := benchSample(n)
+			bt, err := fit(xs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			mix := bt.Mixture()
+			observed := KS(xs, mix)
+			spec := BootstrapSpec{
+				N: n, B: 99, Seed: 1,
+				Sample: func(rng *rand.Rand, out []float64) {
+					for i := range out {
+						out[i] = mix.Sample(rng)
+					}
+				},
+				Distance: func(v []float64) float64 {
+					bt2, err := fit(v)
+					if err != nil {
+						return math.NaN()
+					}
+					sort.Float64s(v)
+					return KSSorted(v, bt2.Mixture())
+				},
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if p := KSPValueBootstrap(observed, spec); math.IsNaN(p) {
+					b.Fatal("bootstrap abandoned the estimate")
 				}
 			}
 		})

@@ -19,13 +19,20 @@ type BootstrapSpec struct {
 	// the report must stay byte-identical across worker counts, so every
 	// fit slot uses its own fixed seed.
 	Seed uint64
-	// Sample draws n variates from the *fitted* model (the null).
-	Sample func(rng *rand.Rand, n int) []float64
+	// Sample fills out (len(out) == N) with variates drawn from the
+	// *fitted* model (the null). out is one buffer that
+	// KSPValueBootstrap allocates once and hands to every replicate, so
+	// Sample must overwrite every element and keep no reference to it.
+	Sample func(rng *rand.Rand, out []float64)
 	// Distance refits the model family to a replicate and returns the KS
 	// distance of the refit on that replicate — the same
 	// fit-then-measure-on-the-fitting-sample procedure the observed
 	// distance came from, which is exactly what cancels the bias. NaN
-	// marks a failed refit; such replicates are skipped.
+	// marks a failed refit; such replicates are skipped. Distance owns
+	// xs for the duration of the call and may reorder it — typically it
+	// refits on xs as drawn, then sorts it in place for KSSorted — but
+	// must keep no reference to it after returning: the next replicate
+	// overwrites it.
 	Distance func(xs []float64) float64
 }
 
@@ -55,8 +62,9 @@ func KSPValueBootstrap(observed float64, spec BootstrapSpec) float64 {
 	}
 	rng := rand.New(rand.NewPCG(spec.Seed, 0xb005_c4a9))
 	asExtreme, valid := 0, 0
+	xs := make([]float64, spec.N)
 	for attempts := 0; valid < spec.B && attempts < 2*spec.B; attempts++ {
-		xs := spec.Sample(rng, spec.N)
+		spec.Sample(rng, xs)
 		d := spec.Distance(xs)
 		if math.IsNaN(d) {
 			continue

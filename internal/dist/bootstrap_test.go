@@ -3,6 +3,7 @@ package dist
 import (
 	"math"
 	"math/rand/v2"
+	"sort"
 	"testing"
 )
 
@@ -21,19 +22,18 @@ func lognormalBootSpec(n int, seed uint64, m Lognormal) BootstrapSpec {
 		N:    n,
 		B:    99,
 		Seed: seed,
-		Sample: func(rng *rand.Rand, n int) []float64 {
-			xs := make([]float64, n)
-			for i := range xs {
-				xs[i] = m.Sample(rng)
+		Sample: func(rng *rand.Rand, out []float64) {
+			for i := range out {
+				out[i] = m.Sample(rng)
 			}
-			return xs
 		},
 		Distance: func(xs []float64) float64 {
 			m2, err := FitLognormal(xs)
 			if err != nil {
 				return math.NaN()
 			}
-			return KS(xs, m2)
+			sort.Float64s(xs)
+			return KSSorted(xs, m2)
 		},
 	}
 }

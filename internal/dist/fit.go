@@ -124,50 +124,78 @@ func fitTruncatedLognormal(xs []float64, lo, hi float64) (Lognormal, error) {
 	if err := checkSample(xs, 3); err != nil {
 		return Lognormal{}, err
 	}
+	o, err := newTruncatedLognormalLL(xs, lo, hi)
+	if err != nil {
+		return Lognormal{}, err
+	}
+	mu, t := minimize2(o.negLL, o.mu0, o.t0, 0.3, 0.3)
+	return Lognormal{Sigma: math.Exp(t), Mu: mu}, nil
+}
+
+// truncatedLognormalLL is fitTruncatedLognormal's objective over one
+// sample: the negative truncated log-likelihood in (µ, ln σ), with its
+// log-moment start (mu0, t0).
+type truncatedLognormalLL struct {
+	lo, hi    float64
+	n, s1, s2 float64
+	mu0, t0   float64
+}
+
+func newTruncatedLognormalLL(xs []float64, lo, hi float64) (truncatedLognormalLL, error) {
 	// The sample enters the likelihood only through n, Σ ln x, Σ (ln x)²,
 	// so precompute the sufficient statistics and keep each of the few
-	// hundred simplex evaluations O(1).
-	var s1, s2 float64
-	for _, x := range xs {
+	// hundred simplex evaluations O(1). The same pass yields the
+	// log-moment start: Σ ln x accumulates in logMoments' order, so µ₀ is
+	// its µ bit for bit, and σ₀ sums the deviations over the cached logs.
+	lxs := make([]float64, len(xs))
+	o := truncatedLognormalLL{lo: lo, hi: hi, n: float64(len(xs))}
+	for i, x := range xs {
 		lx := math.Log(x)
-		s1 += lx
-		s2 += lx * lx
+		lxs[i] = lx
+		o.s1 += lx
+		o.s2 += lx * lx
 	}
-	mu0, s0 := logMoments(xs)
+	o.mu0 = o.s1 / o.n
+	var dev float64
+	for _, lx := range lxs {
+		d := lx - o.mu0
+		dev += d * d
+	}
+	s0 := math.Sqrt(dev / o.n)
 	if s0 == 0 {
-		return Lognormal{}, errZeroVariance
+		return o, errZeroVariance
 	}
-	n := float64(len(xs))
-	t0 := math.Log(s0)
-	negLL := func(mu, t float64) float64 {
-		if math.Abs(mu) > 60 || math.Abs(t) > 8 {
-			return math.MaxFloat64
-		}
-		s := math.Exp(t)
-		za, zb := math.Inf(-1), math.Inf(1)
-		if lo > 0 {
-			za = (math.Log(lo) - mu) / s
-		}
-		if !math.IsInf(hi, 1) {
-			zb = (math.Log(hi) - mu) / s
-		}
-		norm := normCDFDiff(za, zb)
-		if norm < 1e-300 {
-			return math.MaxFloat64
-		}
-		ll := -n * (math.Log(s) + math.Log(norm))
-		// Σ((ln x − µ)/s)² expanded over the sufficient statistics.
-		ll -= (s2 - 2*mu*s1 + n*mu*mu) / (2 * s * s)
-		// A doubly-truncated window can leave (µ, σ) unidentifiable: whole
-		// ridges of parameters give the same conditional law. The faint
-		// pull toward the log-moment start is invisible wherever the
-		// likelihood has gradient, but keeps ridge solutions at humane
-		// values instead of the clamp boundary.
-		ll -= 1e-3 * ((mu-mu0)*(mu-mu0) + (t-t0)*(t-t0))
-		return -ll
+	o.t0 = math.Log(s0)
+	return o, nil
+}
+
+func (o *truncatedLognormalLL) negLL(mu, t float64) float64 {
+	if math.Abs(mu) > 60 || math.Abs(t) > 8 {
+		return math.MaxFloat64
 	}
-	mu, t := minimize2(negLL, mu0, math.Log(s0), 0.3, 0.3)
-	return Lognormal{Sigma: math.Exp(t), Mu: mu}, nil
+	s := math.Exp(t)
+	za, zb := math.Inf(-1), math.Inf(1)
+	if o.lo > 0 {
+		za = (math.Log(o.lo) - mu) / s
+	}
+	if !math.IsInf(o.hi, 1) {
+		zb = (math.Log(o.hi) - mu) / s
+	}
+	norm := normCDFDiff(za, zb)
+	if norm < 1e-300 {
+		return math.MaxFloat64
+	}
+	n := o.n
+	ll := -n * (math.Log(s) + math.Log(norm))
+	// Σ((ln x − µ)/s)² expanded over the sufficient statistics.
+	ll -= (o.s2 - 2*mu*o.s1 + n*mu*mu) / (2 * s * s)
+	// A doubly-truncated window can leave (µ, σ) unidentifiable: whole
+	// ridges of parameters give the same conditional law. The faint
+	// pull toward the log-moment start is invisible wherever the
+	// likelihood has gradient, but keeps ridge solutions at humane
+	// values instead of the clamp boundary.
+	ll -= 1e-3 * ((mu-o.mu0)*(mu-o.mu0) + (t-o.t0)*(t-o.t0))
+	return -ll
 }
 
 // fitTruncatedWeibull fits a Weibull (shape/rate) to samples known to be
@@ -176,37 +204,61 @@ func fitTruncatedWeibull(xs []float64, lo, hi float64) (Weibull, error) {
 	if err := checkSample(xs, 3); err != nil {
 		return Weibull{}, err
 	}
+	o := newTruncatedWeibullLL(xs, lo, hi)
+	la, ll2 := minimize2(o.negLL, 0, o.l0, 0.3, 0.3)
+	return Weibull{Alpha: math.Exp(la), Lambda: math.Exp(ll2)}, nil
+}
+
+// truncatedWeibullLL is fitTruncatedWeibull's objective over one sample:
+// the negative truncated log-likelihood in (ln α, ln λ), started at
+// ln α = 0 and ln λ = l0 = ln(1/mean).
+type truncatedWeibullLL struct {
+	xs, lxs   []float64
+	lo, hi, n float64
+	l0        float64
+}
+
+func newTruncatedWeibullLL(xs []float64, lo, hi float64) truncatedWeibullLL {
 	var mean float64
 	for _, x := range xs {
 		mean += x
 	}
 	mean /= float64(len(xs))
-	n := float64(len(xs))
-	l0 := math.Log(1 / mean)
-	negLL := func(la, ll2 float64) float64 {
-		if math.Abs(la) > 4 || math.Abs(ll2) > 30 {
-			return math.MaxFloat64
-		}
-		alpha, lambda := math.Exp(la), math.Exp(ll2)
-		w := Weibull{Alpha: alpha, Lambda: lambda}
-		norm := w.CDF(hi) - w.CDF(lo)
-		if norm < 1e-300 {
-			return math.MaxFloat64
-		}
-		ll := -n * math.Log(norm)
-		for _, x := range xs {
-			ll += math.Log(alpha) + alpha*math.Log(lambda) + (alpha-1)*math.Log(x) -
-				math.Pow(lambda*x, alpha)
-		}
-		if math.IsNaN(ll) || math.IsInf(ll, 0) {
-			return math.MaxFloat64
-		}
-		// Same ridge guard as the truncated lognormal fit.
-		ll -= 1e-3 * (la*la + (ll2-l0)*(ll2-l0))
-		return -ll
+	// Each simplex evaluation walks the whole sample; ln x never changes
+	// between evaluations, so it is taken once here.
+	lxs := make([]float64, len(xs))
+	for i, x := range xs {
+		lxs[i] = math.Log(x)
 	}
-	la, ll2 := minimize2(negLL, 0, l0, 0.3, 0.3)
-	return Weibull{Alpha: math.Exp(la), Lambda: math.Exp(ll2)}, nil
+	return truncatedWeibullLL{xs: xs, lxs: lxs, lo: lo, hi: hi, n: float64(len(xs)), l0: math.Log(1 / mean)}
+}
+
+func (o *truncatedWeibullLL) negLL(la, ll2 float64) float64 {
+	if math.Abs(la) > 4 || math.Abs(ll2) > 30 {
+		return math.MaxFloat64
+	}
+	alpha, lambda := math.Exp(la), math.Exp(ll2)
+	w := Weibull{Alpha: alpha, Lambda: lambda}
+	norm := w.CDF(o.hi) - w.CDF(o.lo)
+	if norm < 1e-300 {
+		return math.MaxFloat64
+	}
+	ll := -o.n * math.Log(norm)
+	// Per-sample log-density ln α + α ln λ + (α−1) ln x − (λx)^α, summed
+	// left to right as written: the hoisted prefix is exactly the first
+	// partial sum, so every term rounds as it would inline. (λx)^α stays
+	// a Pow, since ln(λx) and ln λ + ln x differ in bits.
+	prefix := math.Log(alpha) + alpha*math.Log(lambda)
+	am1 := alpha - 1
+	for i, x := range o.xs {
+		ll += prefix + am1*o.lxs[i] - math.Pow(lambda*x, alpha)
+	}
+	if math.IsNaN(ll) || math.IsInf(ll, 0) {
+		return math.MaxFloat64
+	}
+	// Same ridge guard as the truncated lognormal fit.
+	ll -= 1e-3 * (la*la + (ll2-o.l0)*(ll2-o.l0))
+	return -ll
 }
 
 // minComponent is the smallest body or tail sub-sample a composite fit
@@ -219,6 +271,14 @@ func splitComposite(xs []float64, hi float64) (body, tail []float64, weight floa
 	if err := checkSample(xs, 2*minComponent); err != nil {
 		return nil, nil, 0, err
 	}
+	nb := 0
+	for _, x := range xs {
+		if x <= hi {
+			nb++
+		}
+	}
+	body = make([]float64, 0, nb)
+	tail = make([]float64, 0, len(xs)-nb)
 	for _, x := range xs {
 		if x <= hi {
 			body = append(body, x)

@@ -3,6 +3,7 @@ package dist
 import (
 	"encoding/binary"
 	"math"
+	"sort"
 	"testing"
 )
 
@@ -55,7 +56,8 @@ func FuzzFitZipf(f *testing.F) {
 }
 
 // FuzzKS asserts KS never panics and only ever returns NaN or a value in
-// [0, 1] for arbitrary samples against a fixed model.
+// [0, 1] for arbitrary samples against a fixed model, and that KSSorted
+// on the sorted sample returns KS's exact bits.
 func FuzzKS(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(make([]byte, 8))
@@ -68,6 +70,10 @@ func FuzzKS(f *testing.F) {
 		if !math.IsNaN(ks) && (ks < 0 || ks > 1) {
 			t.Fatalf("KS = %v outside [0, 1]", ks)
 		}
+		sort.Float64s(xs)
+		if ss := KSSorted(xs, model); math.Float64bits(ss) != math.Float64bits(ks) {
+			t.Fatalf("KSSorted = %v on the sorted sample, KS = %v", ss, ks)
+		}
 		// Two-sample variant against a fixed healthy sample.
 		ref := []float64{1, 2, 3, 4, 5}
 		ks2 := KS2(xs, ref)
@@ -78,10 +84,19 @@ func FuzzKS(f *testing.F) {
 }
 
 // FuzzFitters drives the sample-based fitters with arbitrary inputs:
-// errors are fine, panics and non-finite accepted parameters are not.
+// errors are fine, panics and non-finite accepted parameters are not. The
+// composite cases also hold the truncated kernels under their windows to
+// the reference kernels (oracle_test.go) bit for bit.
 func FuzzFitters(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add(make([]byte, 80), uint8(1))
+	durations := make([]byte, 0, 8*64)
+	for _, v := range benchSample(64) {
+		durations = binary.LittleEndian.AppendUint64(durations, math.Float64bits(v))
+	}
+	for which := uint8(2); which <= 4; which++ {
+		f.Add(durations, which)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, which uint8) {
 		xs := bytesToFloats(data)
 		check := func(name string, d Dist, err error) {
@@ -104,16 +119,21 @@ func FuzzFitters(f *testing.F) {
 			if err == nil {
 				check("FitBimodalLognormal", m.Mixture(), nil)
 			}
+			checkKernelsBitExact(t, xs, 64, 120)
+			checkKernelsBitExact(t, xs, 120, math.Inf(1))
 		case 3:
 			m, err := FitWeibullLognormal(xs, 0, 45)
 			if err == nil {
 				check("FitWeibullLognormal", m.Mixture(), nil)
 			}
+			checkKernelsBitExact(t, xs, 0, 45)
+			checkKernelsBitExact(t, xs, 45, math.Inf(1))
 		case 4:
 			m, err := FitLognormalPareto(xs, 0, 103)
 			if err == nil {
 				check("FitLognormalPareto", m.Mixture(), nil)
 			}
+			checkKernelsBitExact(t, xs, 0, 103)
 		}
 	})
 }

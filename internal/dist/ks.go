@@ -10,12 +10,21 @@ import (
 // what the fit tables report as goodness of fit. Degenerate input (empty
 // sample, NaN values) yields NaN, never a panic.
 func KS(xs []float64, d Dist) float64 {
-	if len(xs) == 0 || d == nil {
-		return math.NaN()
-	}
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
 	sort.Float64s(sorted)
+	return KSSorted(sorted, d)
+}
+
+// KSSorted is KS over a sample already in ascending order (as
+// sort.Float64s leaves it, NaNs first), skipping KS's copy and sort: a
+// caller that owns its sample, such as a bootstrap replicate, sorts it in
+// place and measures it here. On a sorted sample it returns exactly what
+// KS returns.
+func KSSorted(sorted []float64, d Dist) float64 {
+	if len(sorted) == 0 || d == nil {
+		return math.NaN()
+	}
 	n := float64(len(sorted))
 	maxD := 0.0
 	for i, x := range sorted {

@@ -93,6 +93,14 @@ type CollectorConfig struct {
 // retransmit.
 const maxReorder = 1 << 15
 
+// maxHelloJournalTMs is the largest emitter journal clock a hello may
+// carry: ten years in milliseconds, far beyond any emitter's uptime. The
+// clock counts from the emitter's journal creation, and the least offset
+// sample wins for the collector's whole life, so one absurd but finite
+// clock (1e300, say) would pin that input's offset and shift every line
+// it ships by as much. Such a hello is refused instead.
+const maxHelloJournalTMs = 10 * 365.25 * 24 * 3600 * 1000
+
 func (c *CollectorConfig) defaults() {
 	if c.Addr == "" {
 		c.Addr = "127.0.0.1:0"
@@ -225,7 +233,7 @@ func (c *Collector) registerMetrics() {
 	c.mStalls = c.reg.Counter("ingest_stalls_total", "input_stalled transitions observed by the liveness loop")
 	c.mEvictions = c.reg.Counter("ingest_evictions_total", "inputs evicted from the merge after EvictAfter of silence")
 	c.mJournalLines = c.reg.Counter("ingest_journal_lines_total", "shipped journal lines applied into the fleet journal")
-	c.mRefused = c.reg.Counter("ingest_hellos_refused_total", "connections closed at their first frame: not a hello, an undecodable frame, another protocol version, an unknown input or a non-finite journal clock")
+	c.mRefused = c.reg.Counter("ingest_hellos_refused_total", "connections closed at their first frame: not a hello, an undecodable frame, another protocol version, an unknown input, or a journal clock that is NaN, infinite or above the ten-year ceiling")
 	c.hEncode = c.reg.WallHistogram("ingest_frame_encode_seconds", "encode time per outbound frame", latencyBuckets())
 	c.hDecode = c.reg.WallHistogram("ingest_frame_decode_seconds", "decode time per inbound frame", latencyBuckets())
 	for _, t := range c.tracks {
@@ -396,9 +404,11 @@ func (c *Collector) serve(conn net.Conn) {
 	h := f.Hello
 	// A non-finite clock reading would make the input's offset infinite
 	// or NaN for the collector's whole life, and every line it ships
-	// unencodable.
+	// unencodable; a finite one above maxHelloJournalTMs would pin the
+	// offset absurdly far back. (Any negative clock means "no journal".)
 	if h.Proto != protoVersion || h.Input < 0 || h.Input >= len(c.tracks) ||
-		math.IsNaN(h.JournalTMs) || math.IsInf(h.JournalTMs, 0) {
+		math.IsNaN(h.JournalTMs) || math.IsInf(h.JournalTMs, 0) ||
+		h.JournalTMs > maxHelloJournalTMs {
 		c.mRefused.Inc()
 		return
 	}

@@ -55,7 +55,11 @@
 // arrive, so a hostile length or count costs an error, not memory. The
 // collector counts every connection it refuses at the first frame
 // (ingest_hellos_refused_total): an undecodable frame, such as a
-// version-3 emitter's gob hello, or another version, or an unknown input.
+// version-3 emitter's gob hello, or another version, or an unknown input,
+// or a journal clock that is NaN, infinite or above a ten-year ceiling
+// (maxHelloJournalTMs): the least clock-offset sample wins for the
+// collector's life, so one absurd clock would skew that input's shipped
+// lines for good.
 //
 // # Sequencing and resume
 //

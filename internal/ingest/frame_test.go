@@ -437,13 +437,15 @@ func TestCollectorRawFrames(t *testing.T) {
 		{Proto: protoVersion, Source: "raw", JournalTMs: math.Inf(1)},
 		{Proto: protoVersion, Source: "raw", JournalTMs: math.Inf(-1)},
 		{Proto: protoVersion, Source: "raw", JournalTMs: math.NaN()},
+		{Proto: protoVersion, Source: "raw", JournalTMs: 1e300},
+		{Proto: protoVersion, Source: "raw", JournalTMs: math.Nextafter(maxHelloJournalTMs, math.Inf(1))},
 	} {
 		if f, err := exchange(dial(), &frame{Kind: frameHello, Hello: h}); err == nil {
 			t.Fatalf("hello %+v answered with %+v", h, f)
 		}
 	}
-	if n := col.mRefused.Value(); n != 5 {
-		t.Fatalf("ingest_hellos_refused_total = %d, want 5 (the gob hello, the version-3 one and the three non-finite clocks)", n)
+	if n := col.mRefused.Value(); n != 7 {
+		t.Fatalf("ingest_hellos_refused_total = %d, want 7 (the gob hello, the version-3 one, the three non-finite clocks and the two above the ceiling)", n)
 	}
 	c = dial()
 	if f, err := exchange(c, &frame{Kind: frameHello, Hello: &helloFrame{Proto: protoVersion, Source: "raw"}}); err != nil || f.Kind != frameWelcome {
