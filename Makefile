@@ -32,6 +32,7 @@ FUZZ_TARGETS := \
 	internal/handshake:FuzzReadRequest \
 	internal/ingest:FuzzDecodeFrame \
 	internal/ingest:FuzzSequencedLane \
+	internal/obs:FuzzIngestLine \
 	internal/obs:FuzzWriteTimeline \
 	internal/scenario:FuzzParse \
 	internal/simtime:FuzzCalendarHeapEquivalence \

@@ -9,9 +9,10 @@
 // streaming duration/interarrival quantiles, sliding-window arrival and
 // query rates (internal/stream). http://ADDR/metrics is the Prometheus
 // text exposition of the daemon's metric registry (online gauges, message
-// counters, process stats; internal/obs); the historical JSON snapshot
-// lives on at http://ADDR/metrics.json, and -pprof additionally mounts
-// net/http/pprof under /debug/pprof/ on the same mux: the daemon-side
+// counters, process stats; internal/obs). http://ADDR/online.json is the
+// online snapshot as JSON — the one view the registry cannot hold, since
+// it carries the top-K keywords themselves — and -pprof additionally
+// mounts net/http/pprof under /debug/pprof/ on the same mux: the daemon-side
 // half of the streaming pipeline, characterizing wire traffic as it
 // arrives with bounded state.
 //
@@ -58,7 +59,7 @@ import (
 func main() {
 	listen := flag.String("listen", "127.0.0.1:6346", "listen address")
 	library := flag.String("library", "", "optional file with one shared file name per line")
-	metrics := flag.String("metrics", "", "optional HTTP address serving Prometheus text at /metrics and the online characterization JSON at /metrics.json")
+	metrics := flag.String("metrics", "", "optional HTTP address serving Prometheus text at /metrics and the online characterization JSON at /online.json")
 	pprofFlag := flag.Bool("pprof", false, "with -metrics: mount net/http/pprof under /debug/pprof/")
 	emit := flag.String("emit", "", "optional ingest collector address to stream session records to")
 	emitInput := flag.Int("emit-input", 0, "collector input index this daemon feeds")
@@ -98,7 +99,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("metrics listen: %v", err)
 		}
-		log.Printf("metrics on http://%s/metrics (legacy JSON at /metrics.json)", ml.Addr())
+		log.Printf("metrics on http://%s/metrics (online snapshot at /online.json)", ml.Addr())
 		go func() {
 			if err := http.Serve(ml, d.metricsHandler(*pprofFlag)); err != nil {
 				log.Printf("metrics server: %v", err)
@@ -332,9 +333,11 @@ func newDaemon(files []overlay.SharedFile) *daemon {
 
 // metricsHandler serves the daemon's observability surface: the metric
 // registry as Prometheus text at /metrics, the online characterization
-// snapshot as JSON at /metrics.json, and optionally pprof.
+// snapshot (with its top-K keywords) as JSON at /online.json, and
+// optionally pprof.
 func (d *daemon) metricsHandler(pprof bool) http.Handler {
-	legacy := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	mux := obs.NewHTTPHandler(obs.HTTPConfig{Registry: d.reg, Pprof: pprof})
+	mux.HandleFunc("/online.json", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
@@ -342,7 +345,7 @@ func (d *daemon) metricsHandler(pprof bool) http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	return obs.NewHTTPHandler(obs.HTTPConfig{Registry: d.reg, LegacyJSON: legacy, Pprof: pprof})
+	return mux
 }
 
 func (d *daemon) serve(peer *transport.Peer, idle time.Duration) {

@@ -119,8 +119,8 @@ func TestCLIGnutelladServesQueriesAndMetrics(t *testing.T) {
 	}
 	peer.Close()
 
-	// Poll the legacy JSON endpoint until the daemon has ingested the
-	// queries and observed the session close.
+	// Poll the online snapshot until the daemon has ingested the queries
+	// and observed the session close.
 	var snap struct {
 		Sessions    uint64 `json:"sessions"`
 		Queries     uint64 `json:"queries"`
@@ -132,7 +132,7 @@ func TestCLIGnutelladServesQueriesAndMetrics(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		resp, err := http.Get(fmt.Sprintf("http://%s/metrics.json", metricsAddr))
+		resp, err := http.Get(fmt.Sprintf("http://%s/online.json", metricsAddr))
 		if err == nil {
 			err = json.NewDecoder(resp.Body).Decode(&snap)
 			resp.Body.Close()
@@ -177,8 +177,8 @@ func TestCLIGnutelladServesQueriesAndMetrics(t *testing.T) {
 }
 
 // TestGnutelladMetricsHandler exercises the handler in-process: /metrics
-// serves Prometheus text over the daemon registry, /metrics.json the
-// historical online-characterization snapshot.
+// serves Prometheus text over the daemon registry, /online.json the
+// online-characterization snapshot, and /metrics.json is gone.
 func TestGnutelladMetricsHandler(t *testing.T) {
 	d := newDaemon(nil)
 	d.mConns.Inc()
@@ -213,9 +213,18 @@ func TestGnutelladMetricsHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/metrics.json status %d, want 404", resp.StatusCode)
+	}
+
+	resp, err = http.Get(srv.URL + "/online.json")
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("legacy content type %q", ct)
+		t.Fatalf("online snapshot content type %q", ct)
 	}
 	var snap struct {
 		Queries uint64 `json:"queries"`
@@ -224,7 +233,7 @@ func TestGnutelladMetricsHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	if snap.Queries != 1 {
-		t.Fatalf("legacy snapshot queries = %d, want 1", snap.Queries)
+		t.Fatalf("online snapshot queries = %d, want 1", snap.Queries)
 	}
 }
 

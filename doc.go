@@ -110,10 +110,12 @@
 // production deployment serving a live overlay needs, and the mode the
 // paper's own 40-day capture actually ran in. Three layers compose:
 //
-//   - A typed, backpressured event stream: vantage nodes built in
-//     streaming-sink mode (capture.NewNodeStream) emit session open /
-//     close, query, pong and hit records into bounded channels the moment
-//     each record is final, instead of retaining a per-node trace. The
+//   - A typed, backpressured event stream: every vantage node
+//     (capture.NewNode) emits session open / close, query, pong and hit
+//     records into a bounded channel the moment each record is final,
+//     and keeps no per-node trace; Node.Finish censors the sessions
+//     still open at the horizon, in connection-id order, and ships the
+//     trailer. The
 //     engine's bounded producer publishes the arrival chain
 //     incrementally through a conservative time-window synchronizer and
 //     caps each node's undelivered sessions at engine.DefaultLookahead
@@ -142,8 +144,8 @@
 // the standard report and `-tracehash` the canonical SHA-256, identical
 // with or without it;
 // cmd/gnutellad -metrics serves the live snapshot of wire-ingested
-// traffic (Prometheus text at /metrics, the JSON snapshot at
-// /metrics.json); examples/livecapture feeds the same layer from
+// traffic (Prometheus text at /metrics, the JSON snapshot with its top-K
+// keywords at /online.json); examples/livecapture feeds the same layer from
 // loopback TCP.
 //
 // # Declarative scenarios and the run facade
@@ -216,9 +218,10 @@
 // exposition-only GaugeFuncs, excluded from snapshots — so two runs of
 // the same spec are identical after obs.Canonical strips timestamps
 // (pinned by test). The long-running commands share one HTTP surface
-// (obs.NewHTTPHandler): Prometheus text exposition at /metrics, any
-// legacy JSON payload at /metrics.json, and net/http/pprof behind a
-// -pprof flag; `analyze -journal run.jsonl -heartbeat 5s` records a
+// (obs.NewHTTPHandler): Prometheus text exposition at /metrics, the one
+// metrics surface, and net/http/pprof behind a -pprof flag; a daemon
+// mounts its own endpoints beside them (gnutellad's /online.json);
+// `analyze -journal run.jsonl -heartbeat 5s` records a
 // run's full story to disk.
 //
 // # Quickstart

@@ -146,15 +146,14 @@ type simConn struct {
 	// fixed holds the connection's argument-less event records, one per
 	// kind below numFixedKinds (see connEvent).
 	fixed [numFixedKinds]connEvent
-	// rec and queries accumulate the connection's record in streaming-sink
-	// mode, where completed sessions are emitted and released instead of
-	// retained in the vantage's trace (see vantage.sink).
+	// rec and queries accumulate the connection's record until it closes,
+	// when the vantage emits it into its sink and releases it.
 	rec     trace.Conn
 	queries []trace.Query
 }
 
 // vantage is one measurement node of a fleet: its own overlay node,
-// connection slots, random streams and output trace, driven by its own
+// connection slots, random streams and output stream, driven by its own
 // scheduler and the arrivals its driver hands it. The zero-indexed
 // node's random streams coincide with the historical single-node
 // simulator, so a one-node fleet reproduces the paper's deployment.
@@ -168,9 +167,11 @@ type vantage struct {
 	params  *model.Params
 	geoReg  *geo.Registry
 	vocab   *vocab.Vocabulary
-	out     *trace.Trace
-	conns   map[int]*simConn
-	nextID  int
+	// received tallies every received message by type: the aggregate
+	// counters the stream trailer carries.
+	received trace.MessageCounts
+	conns    map[int]*simConn
+	nextID   int
 	// peak tracks the maximum simultaneous connection count, the
 	// cap-sizing diagnostic of FleetStats.
 	peak int
@@ -194,14 +195,9 @@ type vantage struct {
 	query     wire.Query
 	hit       wire.QueryHit
 	hitResult [1]wire.HitResult
-	// sink, when non-nil, switches the vantage into streaming mode: every
-	// record is emitted into the event stream the moment it is final —
-	// session records at close, pong/hit records at receipt — and nothing
-	// accumulates in out except the aggregate counters (shipped in the
-	// stream trailer). The simulation itself is identical bit for bit:
-	// sink mode changes where records go, never what the vantage does, so
-	// the drained stream equals the retained trace merged alone (pinned by
-	// internal/engine's equivalence tests).
+	// sink receives every record the moment it is final — session records
+	// at close, pong/hit records at receipt — and, at the end of the run,
+	// the trailer with the aggregate counters.
 	sink *stream.Producer
 	// dayKeyCount tracks how often each keyword set was queried today at
 	// this vantage, the popularity proxy of the hit-response model (each
@@ -214,7 +210,7 @@ type vantage struct {
 // newVantage builds node idx of a fleet deployment around the given
 // scheduler. Per-node random streams are salted by the node index; index
 // 0 reproduces the historical single-node streams exactly.
-func newVantage(cfg Config, idx int, sched simtime.Scheduler, sh *SharedModel) *vantage {
+func newVantage(cfg Config, idx int, sched simtime.Scheduler, sh *SharedModel, sink *stream.Producer) *vantage {
 	salt := uint64(idx) * 0x9e3779b97f4a7c15
 	s := &vantage{
 		cfg:         cfg,
@@ -226,15 +222,8 @@ func newVantage(cfg Config, idx int, sched simtime.Scheduler, sh *SharedModel) *
 		geoReg:      sh.geoReg,
 		vocab:       sh.vocab,
 		conns:       make(map[int]*simConn),
+		sink:        sink,
 		dayKeyCount: make(map[string]int),
-		out: &trace.Trace{
-			Seed:           cfg.Workload.Seed,
-			Scale:          cfg.Workload.Scale,
-			Days:           cfg.Workload.Days,
-			Nodes:          1,
-			PongSampleRate: cfg.PongSampleRate,
-			HitSampleRate:  cfg.HitSampleRate,
-		},
 	}
 	s.node = overlay.New(overlay.Config{
 		Self:      s.guids.Next(),
@@ -279,19 +268,14 @@ func (s *vantage) arrive(now simtime.Time, sess *behavior.Session) {
 		c.silent = s.rng.Float64() < silentCloseFraction
 	}
 	s.conns[id] = c
-	rec := trace.Conn{
+	c.rec = trace.Conn{
 		ID:        uint64(id),
 		Start:     now,
 		Addr:      sess.Addr(),
 		Ultrapeer: sess.Ultrapeer,
 		UserAgent: sess.UserAgent,
 	}
-	if s.sink != nil {
-		c.rec = rec
-		s.sink.Open(uint64(id), now)
-	} else {
-		s.out.Conns = append(s.out.Conns, rec)
-	}
+	s.sink.Open(uint64(id), now)
 	s.node.AddConn(id, sess.Ultrapeer)
 	if cc := s.node.ConnCount(); cc > s.peak {
 		s.peak = cc
@@ -569,14 +553,9 @@ func (s *vantage) responseHitFire(c *simConn, queryIdx int, now simtime.Time) {
 	_, a4 := s.remoteRegionAddr(now)
 	hops := s.remoteHops()
 	// The query record is still in flight (its session has not closed —
-	// checked above), so the hit counter can be bumped in place in either
-	// storage mode; the record is also where the query's text is kept.
-	var q *trace.Query
-	if s.sink != nil {
-		q = &c.queries[queryIdx]
-	} else {
-		q = &s.out.Queries[queryIdx]
-	}
+	// checked above), so the hit counter can be bumped in place; the
+	// record is also where the query's text is kept.
+	q := &c.queries[queryIdx]
 	q.Hits++
 	s.deliver(c, now, s.hitEnvelope(a4, hops, wire.HitResult{FileIndex: 1, FileSize: 3700, FileName: q.Text + ".mp3"}))
 	s.rearmProbe(c, s.cfg.ProbeRearmIdle)
@@ -637,7 +616,9 @@ func (s *vantage) sessionEndFire(c *simConn, now simtime.Time) {
 	s.finalize(c, now, false)
 }
 
-// finalize closes a connection and completes its trace record.
+// finalize closes a connection, then emits and releases its record. The
+// record is final: no response event bumps a hit counter after close
+// (they check closed first).
 func (s *vantage) finalize(c *simConn, end simtime.Time, silent bool) {
 	if c.closed {
 		return
@@ -646,18 +627,10 @@ func (s *vantage) finalize(c *simConn, end simtime.Time, silent bool) {
 	s.sched.Cancel(c.probeH)
 	s.node.RemoveConn(c.id)
 	delete(s.conns, c.id)
-	if s.sink != nil {
-		// The record is final: no response event bumps a hit counter after
-		// close (they check closed first). Emit and release.
-		c.rec.End = end
-		c.rec.SilentClose = silent
-		s.sink.Close(uint64(c.id), end, &stream.SessionRecord{Conn: c.rec, Queries: c.queries})
-		c.queries = nil
-		return
-	}
-	rec := &s.out.Conns[c.id]
-	rec.End = end
-	rec.SilentClose = silent
+	c.rec.End = end
+	c.rec.SilentClose = silent
+	s.sink.Close(uint64(c.id), end, &stream.SessionRecord{Conn: c.rec, Queries: c.queries})
+	c.queries = nil
 }
 
 // record is the node's OnMessage tap: it observes every received message
@@ -668,15 +641,15 @@ func (s *vantage) record(conn int, env wire.Envelope) {
 	c := s.cur
 	switch m := env.Payload.(type) {
 	case *wire.Ping:
-		s.out.Counts.Ping++
+		s.received.Ping++
 	case *wire.Bye:
-		s.out.Counts.Bye++
+		s.received.Bye++
 	case *wire.Push:
-		s.out.Counts.Push++
+		s.received.Push++
 	case *wire.Query:
-		s.out.Counts.Query++
+		s.received.Query++
 		if env.Header.Hops == 1 {
-			s.out.Counts.QueryHop1++
+			s.received.QueryHop1++
 			q := trace.Query{
 				ConnID: uint64(conn),
 				At:     at,
@@ -685,45 +658,25 @@ func (s *vantage) record(conn int, env wire.Envelope) {
 				TTL:    env.Header.TTL,
 				Hops:   env.Header.Hops,
 			}
-			if s.sink != nil {
-				c.queries = append(c.queries, q)
-				s.scheduleResponses(c, len(c.queries)-1, m, at)
-			} else {
-				s.out.Queries = append(s.out.Queries, q)
-				s.scheduleResponses(c, len(s.out.Queries)-1, m, at)
-			}
+			c.queries = append(c.queries, q)
+			s.scheduleResponses(c, len(c.queries)-1, m, at)
 		}
 	case *wire.Pong:
-		s.out.Counts.Pong++
+		s.received.Pong++
 		if env.Header.Hops == 1 {
 			// Record the first self-pong per connection; repeats carry
 			// no new information (same peer, same library).
 			if !c.pongSeen {
 				c.pongSeen = true
-				s.recordPong(trace.Pong{At: at, Addr: m.Addr, SharedFiles: m.SharedFiles, Hops: 1})
+				s.sink.Pong(trace.Pong{At: at, Addr: m.Addr, SharedFiles: m.SharedFiles, Hops: 1})
 			}
 		} else if s.rng.Float64() < s.cfg.PongSampleRate {
-			s.recordPong(trace.Pong{At: at, Addr: m.Addr, SharedFiles: m.SharedFiles, Hops: env.Header.Hops})
+			s.sink.Pong(trace.Pong{At: at, Addr: m.Addr, SharedFiles: m.SharedFiles, Hops: env.Header.Hops})
 		}
 	case *wire.QueryHit:
-		s.out.Counts.QueryHit++
+		s.received.QueryHit++
 		if s.rng.Float64() < s.cfg.HitSampleRate {
-			rec := trace.Hit{At: at, Addr: m.Addr, Hops: env.Header.Hops}
-			if s.sink != nil {
-				s.sink.Hit(rec)
-			} else {
-				s.out.Hits = append(s.out.Hits, rec)
-			}
+			s.sink.Hit(trace.Hit{At: at, Addr: m.Addr, Hops: env.Header.Hops})
 		}
 	}
-}
-
-// recordPong stores or emits one pong record depending on the vantage's
-// mode.
-func (s *vantage) recordPong(rec trace.Pong) {
-	if s.sink != nil {
-		s.sink.Pong(rec)
-		return
-	}
-	s.out.Pongs = append(s.out.Pongs, rec)
 }

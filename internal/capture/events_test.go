@@ -29,8 +29,9 @@ func (a *arrivalFeed) Fire(now simtime.Time) {
 	a.node.Arrive(now, s)
 }
 
-// simulateVantage runs the single-vantage measurement to the horizon in
-// retained mode and returns the node's trace and accounting row.
+// simulateVantage runs the single-vantage measurement to the horizon,
+// drains the node's stream through a one-input merge and returns the
+// drained trace and the node's accounting row.
 func simulateVantage(cfg Config) (*trace.Trace, NodeStats) {
 	gen := behavior.NewGenerator(cfg.Workload)
 	shared := NewSharedModel(gen)
@@ -38,15 +39,18 @@ func simulateVantage(cfg Config) (*trace.Trace, NodeStats) {
 	for s := gen.Next(); s != nil; s = gen.Next() {
 		sessions = append(sessions, s)
 	}
+	m := stream.NewMerger(1, nil)
+	done := make(chan *trace.Trace)
+	go func() { done <- m.Run() }()
 	sched := simtime.NewScheduler()
-	node := NewNode(cfg, 0, sched, shared)
+	node := NewNode(cfg, 0, sched, shared, stream.NewProducer(0, m.Intake()))
 	if len(sessions) > 0 {
 		sched.Schedule(sessions[0].Start, &arrivalFeed{node: node, sched: sched, sess: sessions})
 	}
 	horizon := simtime.Time(cfg.Workload.Days) * simtime.Day
 	sched.RunUntil(horizon)
-	node.FinalizeOpen(horizon)
-	return node.Trace(), node.Stats()
+	node.Finish(horizon)
+	return <-done, node.Stats()
 }
 
 // TestEventLoopAllocationBudget holds the event loop to its allocation
@@ -72,7 +76,7 @@ func TestEventLoopAllocationBudget(t *testing.T) {
 		}
 	}()
 	sched := simtime.NewCalendarScheduler()
-	node := NewNodeStream(cfg, 0, sched, shared, stream.NewProducer(0, intake))
+	node := NewNode(cfg, 0, sched, shared, stream.NewProducer(0, intake))
 	feed := &arrivalFeed{node: node, sched: sched, sess: sessions}
 	sched.Schedule(sessions[0].Start, feed)
 	horizon := simtime.Time(cfg.Workload.Days) * simtime.Day
@@ -82,8 +86,7 @@ func TestEventLoopAllocationBudget(t *testing.T) {
 	sched.RunUntil(horizon)
 	runtime.ReadMemStats(&after)
 
-	node.FinalizeOpen(horizon)
-	node.FinishStream(horizon)
+	node.Finish(horizon)
 	close(intake)
 	<-drained
 

@@ -1,12 +1,14 @@
 package capture
 
 import (
+	"maps"
+	"slices"
+
 	"repro/internal/behavior"
 	"repro/internal/geo"
 	"repro/internal/model"
 	"repro/internal/simtime"
 	"repro/internal/stream"
-	"repro/internal/trace"
 	"repro/internal/vocab"
 )
 
@@ -98,26 +100,12 @@ type Node struct {
 }
 
 // NewNode builds vantage idx of an N-node deployment around the given
-// scheduler in retained mode: every record accumulates in the node's own
-// trace (Trace). The node's random streams are salted by idx, so the
-// trace depends only on the arrivals delivered and the order the
-// scheduler fires them.
-func NewNode(cfg Config, idx int, sched simtime.Scheduler, sh *SharedModel) *Node {
-	return &Node{v: newVantage(cfg, idx, sched, sh)}
-}
-
-// NewNodeStream builds the same vantage in streaming-sink mode: records
-// are emitted into the producer as they finalize — session records at
-// close, pong/hit records at receipt — and released, instead of
-// accumulating in the node's trace. The simulation's event and random
-// streams are bit-identical to the retained mode; only record storage
-// differs, so draining the emitted stream reproduces the retained trace
-// (pinned by internal/engine's oracle tests). Trace() on a streaming node
-// returns an empty record set (aggregate counters only).
-func NewNodeStream(cfg Config, idx int, sched simtime.Scheduler, sh *SharedModel, sink *stream.Producer) *Node {
-	n := &Node{v: newVantage(cfg, idx, sched, sh)}
-	n.v.sink = sink
-	return n
+// scheduler. The node emits every record into sink the moment it is
+// final — session records at close, pong/hit records at receipt — and
+// keeps none. Its random streams are salted by idx, so the stream depends
+// only on the arrivals delivered and the order the scheduler fires them.
+func NewNode(cfg Config, idx int, sched simtime.Scheduler, sh *SharedModel, sink *stream.Producer) *Node {
+	return &Node{v: newVantage(cfg, idx, sched, sh, sink)}
 }
 
 // Arrive delivers one session arrival assigned to this vantage: the node
@@ -138,40 +126,32 @@ func (n *Node) ScheduleArrival(at simtime.Time, key simtime.SeqKey, e simtime.Ev
 // EventCounts returns how many events the node has scheduled, by kind.
 func (n *Node) EventCounts() EventCounts { return n.v.counts }
 
-// FinalizeOpen right-censors every still-open connection at the horizon —
-// the collection end of a measurement run, exactly as a real trace
-// collection ends with connections still open. Call it after the
+// Finish ends the run at the horizon: it right-censors every
+// still-open connection there — a real trace collection ends with
+// connections still open — then emits the stream trailer (the aggregate
+// message counters and the trace metadata the merge folds into the
+// merged trace) and flushes the producer. The censored sessions close in
+// connection-id order, so a rerun emits the same event sequence, the
+// guarantee ingest's resume-by-seq relies on. Call it once, after the
 // scheduler has run to the horizon.
-func (n *Node) FinalizeOpen(horizon simtime.Time) {
-	for _, c := range n.v.conns {
-		if !c.closed {
-			n.v.finalize(c, horizon, false)
-		}
-	}
-}
-
-// FinishStream emits the streaming trailer — the aggregate message
-// counters plus the trace metadata the merge folds into the merged trace
-// — and flushes the producer. Call it once, after FinalizeOpen, on a node
-// built with NewNodeStream.
-func (n *Node) FinishStream(horizon simtime.Time) {
+func (n *Node) Finish(horizon simtime.Time) {
 	v := n.v
+	for _, id := range slices.Sorted(maps.Keys(v.conns)) {
+		v.finalize(v.conns[id], horizon, false)
+	}
 	v.sink.Done(horizon, &stream.End{
-		Counts:         v.out.Counts,
-		Seed:           v.out.Seed,
-		Scale:          v.out.Scale,
-		Days:           v.out.Days,
+		Counts:         v.received,
+		Seed:           v.cfg.Workload.Seed,
+		Scale:          v.cfg.Workload.Scale,
+		Days:           v.cfg.Workload.Days,
 		Nodes:          1,
-		PongSampleRate: v.out.PongSampleRate,
-		HitSampleRate:  v.out.HitSampleRate,
+		PongSampleRate: v.cfg.PongSampleRate,
+		HitSampleRate:  v.cfg.HitSampleRate,
 	})
 }
 
-// Trace returns the node's own recorded trace.
-func (n *Node) Trace() *trace.Trace { return n.v.out }
-
-// Stats returns the node's accounting row. nextID counts accepted
-// arrivals, so the row is identical in retained and streaming modes.
+// Stats returns the node's accounting row; nextID counts accepted
+// arrivals.
 func (n *Node) Stats() NodeStats {
 	return NodeStats{
 		Node:               n.v.nodeIdx,

@@ -74,7 +74,7 @@ func (r *replayRun) Fire(now simtime.Time) {
 	}
 }
 
-// oracleRun is one chain-replay fleet: per-node retained traces, stats
+// oracleRun is one chain-replay fleet: per-node drained traces, stats
 // and scheduled-event counts, plus the global arrival count.
 type oracleRun struct {
 	traces    []*trace.Trace
@@ -94,7 +94,8 @@ func (o *oracleRun) hash(t testing.TB) [32]byte {
 }
 
 // chainReplay runs the chain-replay oracle over every node, one after
-// another, each on its own scheduler.
+// another, each on its own scheduler, and drains each node's stream
+// through its own one-input merge.
 func chainReplay(cfg capture.FleetConfig, newSched func() simtime.Scheduler) *oracleRun {
 	part, shared := replayPartition(cfg)
 	horizon := simtime.Time(cfg.Node.Workload.Days) * simtime.Day
@@ -105,15 +106,18 @@ func chainReplay(cfg capture.FleetConfig, newSched func() simtime.Scheduler) *or
 		arrivals:  uint64(len(part.starts)),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
+		m := stream.NewMerger(1, nil)
+		done := make(chan *trace.Trace)
+		go func() { done <- m.Run() }()
 		sched := newSched()
-		node := capture.NewNode(cfg.Node, i, sched, shared)
+		node := capture.NewNode(cfg.Node, i, sched, shared, stream.NewProducer(0, m.Intake()))
 		r := &replayRun{sched: sched, node: node, part: part, idx: uint32(i)}
 		if len(part.starts) > 0 {
 			sched.Schedule(part.starts[0], r)
 		}
 		sched.RunUntil(horizon)
-		node.FinalizeOpen(horizon)
-		o.traces[i] = node.Trace()
+		node.Finish(horizon)
+		o.traces[i] = <-done
 		o.stats[i] = node.Stats()
 		o.scheduled[i] = sched.Scheduled()
 	}

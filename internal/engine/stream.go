@@ -242,7 +242,7 @@ func runNodeBounded(cfg capture.Config, idx int, sched simtime.Scheduler, shared
 	// is scheduled, keeping the epoch/Pos split an invariant from the
 	// first event on.
 	sched.Reseed(simtime.SeqKey{Epoch: 0, Pos: 1})
-	node := capture.NewNodeStream(cfg, idx, sched, shared, sink)
+	node := capture.NewNode(cfg, idx, sched, shared, sink)
 	r := &keyedBoundedRun{sched: sched, node: node, ch: ch, queue: queue, arrivals: arrivals}
 	sched.SetFireHook(r.beforeFire)
 	if first, ok := <-queue; ok {
@@ -250,7 +250,6 @@ func runNodeBounded(cfg capture.Config, idx int, sched simtime.Scheduler, shared
 		node.ScheduleArrival(first.sess.Start, simtime.SeqKey{Epoch: first.gidx}, r)
 	}
 	sched.RunUntil(horizon)
-	node.FinalizeOpen(horizon)
-	node.FinishStream(horizon)
+	node.Finish(horizon)
 	return node
 }

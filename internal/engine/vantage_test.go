@@ -2,9 +2,11 @@ package engine
 
 import (
 	"bytes"
+	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/simtime"
 	"repro/internal/stream"
 	"repro/internal/trace"
 )
@@ -57,5 +59,49 @@ func TestNodeStreamRejectsBadIndex(t *testing.T) {
 		if _, err := NodeStream(Config{Fleet: testCfg(1, 1, 3)}, idx, nil); err == nil {
 			t.Fatalf("idx %d accepted", idx)
 		}
+	}
+}
+
+// nodeEvents runs NodeStream(cfg, idx) and returns every event it
+// emitted, in emission order.
+func nodeEvents(t *testing.T, cfg Config, idx int) []stream.Event {
+	t.Helper()
+	intake := make(chan stream.Batch)
+	collected := make(chan []stream.Event)
+	go func() {
+		var evs []stream.Event
+		for b := range intake {
+			evs = append(evs, b.Events...)
+		}
+		collected <- evs
+	}()
+	if _, err := NodeStream(cfg, idx, stream.NewProducer(0, intake)); err != nil {
+		t.Fatal(err)
+	}
+	close(intake)
+	return <-collected
+}
+
+// TestNodeStreamEventsDeterministic pins the per-input stream itself, not
+// just its drained trace: ingest resumes a restarted emitter by event seq,
+// so two runs of one vantage must emit the same event sequence —
+// including the burst of right-censored closes at the horizon.
+func TestNodeStreamEventsDeterministic(t *testing.T) {
+	cfg := Config{Fleet: testCfg(2004, 2, 3)}
+	a, b := nodeEvents(t, cfg, 0), nodeEvents(t, cfg, 0)
+	if len(a) != len(b) {
+		t.Fatalf("runs emitted %d and %d events", len(a), len(b))
+	}
+	censored := 0
+	for i := range a {
+		if !reflect.DeepEqual(a[i], b[i]) {
+			t.Fatalf("event %d differs: %+v vs %+v", i, a[i], b[i])
+		}
+		if a[i].Kind == stream.EvClose && a[i].Time == simtime.Time(2)*simtime.Day {
+			censored++
+		}
+	}
+	if censored < 2 {
+		t.Fatalf("only %d sessions censored at the horizon; the test cannot see their order", censored)
 	}
 }

@@ -1,7 +1,6 @@
 package ingest
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -24,7 +23,8 @@ type InputState string
 // Liveness states: an input is waiting until its emitter first connects,
 // live while progress arrives, stalled after StallAfter of silence (the
 // merge barrier is being held), dead once evicted, done after its
-// trailer.
+// trailer. The ingest_input_state gauge charts each as its index in
+// inputStates.
 const (
 	StateWaiting InputState = "waiting"
 	StateLive    InputState = "live"
@@ -32,6 +32,8 @@ const (
 	StateDead    InputState = "dead"
 	StateDone    InputState = "done"
 )
+
+var inputStates = []InputState{StateWaiting, StateLive, StateStalled, StateDead, StateDone}
 
 // InputHealth is one input's row in Health.
 type InputHealth struct {
@@ -44,7 +46,9 @@ type InputHealth struct {
 	Reordered  int        `json:"reordered"`
 }
 
-// Health is the collector's live status, served as JSON at /metrics.json.
+// Health is the collector's live status. The registry charts the same
+// values (ingest_inputs_*, and per input ingest_applied_seq,
+// ingest_journal_seq, ingest_input_state, ingest_input_silent_seconds).
 type Health struct {
 	Inputs     []InputHealth `json:"inputs"`
 	Live       int           `json:"live"`
@@ -239,21 +243,32 @@ func (c *Collector) registerMetrics() {
 	for _, t := range c.tracks {
 		t := t
 		l := obs.L("input", strconv.Itoa(t.input))
-		c.reg.GaugeFunc("ingest_applied_seq", "cumulative ack watermark: events applied in order for this input", func() float64 {
-			t.mu.Lock()
-			defer t.mu.Unlock()
+		// gauge charts one per-input value, read under the input's lock.
+		gauge := func(name, help string, read func() float64) {
+			c.reg.GaugeFunc(name, help, func() float64 {
+				t.mu.Lock()
+				defer t.mu.Unlock()
+				return read()
+			}, l)
+		}
+		gauge("ingest_applied_seq", "cumulative ack watermark: events applied in order for this input", func() float64 {
 			return float64(t.events.applied)
-		}, l)
-		c.reg.GaugeFunc("ingest_reordered_events", "events that arrived ahead of the contiguous run for this input", func() float64 {
-			t.mu.Lock()
-			defer t.mu.Unlock()
+		})
+		gauge("ingest_reordered_events", "events that arrived ahead of the contiguous run for this input", func() float64 {
 			return float64(t.events.reordered)
-		}, l)
-		c.reg.GaugeFunc("ingest_input_conns", "connections this input's emitter has made so far", func() float64 {
-			t.mu.Lock()
-			defer t.mu.Unlock()
+		})
+		gauge("ingest_input_conns", "connections this input's emitter has made so far", func() float64 {
 			return float64(t.conns)
-		}, l)
+		})
+		gauge("ingest_journal_seq", "shipped journal lines applied in order for this input", func() float64 {
+			return float64(t.journal.applied)
+		})
+		gauge("ingest_input_state", "liveness state of this input: 0 waiting, 1 live, 2 stalled, 3 dead, 4 done", func() float64 {
+			return float64(slices.Index(inputStates, c.state(t, time.Now())))
+		})
+		gauge("ingest_input_silent_seconds", "time since this input last delivered a valid frame", func() float64 {
+			return time.Since(t.lastProgress).Seconds()
+		})
 	}
 	health := func(pick func(Health) int) func() float64 {
 		return func() float64 { return float64(pick(c.Health())) }
@@ -631,8 +646,24 @@ func (c *Collector) liveness() {
 	}
 }
 
+// state is input t's liveness state at now. Call with t.mu held.
+func (c *Collector) state(t *inputTrack, now time.Time) InputState {
+	switch {
+	case t.done:
+		return StateDone
+	case t.evicted:
+		return StateDead
+	case t.conns == 0:
+		return StateWaiting
+	case now.Sub(t.lastProgress) > c.cfg.StallAfter:
+		return StateStalled
+	default:
+		return StateLive
+	}
+}
+
 // Health snapshots every input's liveness. Safe to call concurrently
-// with Run — this is what /metrics.json serves.
+// with Run.
 func (c *Collector) Health() Health {
 	h := Health{Inputs: make([]InputHealth, len(c.tracks))}
 	now := time.Now()
@@ -640,44 +671,29 @@ func (c *Collector) Health() Health {
 		t.mu.Lock()
 		ih := InputHealth{
 			Input:      i,
+			State:      c.state(t, now),
 			AppliedSeq: t.events.applied,
 			JournalSeq: t.journal.applied,
 			Conns:      t.conns,
 			SilentMS:   now.Sub(t.lastProgress).Milliseconds(),
 			Reordered:  t.events.reordered,
 		}
-		switch {
-		case t.done:
-			ih.State = StateDone
+		t.mu.Unlock()
+		switch ih.State {
+		case StateDone:
 			h.Done++
-		case t.evicted:
-			ih.State = StateDead
+		case StateDead:
 			h.DeadInputs++
-		case t.conns == 0:
-			ih.State = StateWaiting
-		case now.Sub(t.lastProgress) > c.cfg.StallAfter:
-			ih.State = StateStalled
-		default:
-			ih.State = StateLive
+		case StateLive:
 			h.Live++
 		}
-		t.mu.Unlock()
 		h.Inputs[i] = ih
 	}
 	return h
 }
 
-// MetricsHandler serves the collector's observability surface: the
-// ingest_* registry as Prometheus text at /metrics and the legacy Health
-// JSON at /metrics.json.
+// MetricsHandler serves the collector's ingest_* registry as Prometheus
+// text at /metrics.
 func (c *Collector) MetricsHandler() http.Handler {
-	legacy := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(c.Health()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	return obs.NewHTTPHandler(obs.HTTPConfig{Registry: c.reg, LegacyJSON: legacy})
+	return obs.NewHTTPHandler(obs.HTTPConfig{Registry: c.reg})
 }

@@ -101,8 +101,9 @@
 // Ingest applies the End-of-run accounting to analyze -perf and the
 // collector's observability surface (internal/obs): stall, recovery and
 // eviction transitions land as journal events and ingest_* counters, the
-// MetricsHandler serves the registry as Prometheus text at /metrics, and
-// the Health JSON at /metrics.json.
+// MetricsHandler serves the registry as Prometheus text at /metrics —
+// per input the applied and journal seqs, the liveness state and the
+// silence — and Health returns the same view as a Go value.
 //
 // # Journal lane: fleet-wide observability in-band
 //

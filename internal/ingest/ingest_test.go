@@ -1,11 +1,11 @@
 package ingest_test
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
@@ -370,8 +370,8 @@ func TestIngestDeadInputEvictedNoDeadlock(t *testing.T) {
 }
 
 // TestCollectorMetricsHandler scrapes the observability surface mid-run:
-// /metrics serves Prometheus text with the ingest_* families, and the
-// legacy Health JSON lives on at /metrics.json.
+// /metrics serves Prometheus text with the ingest_* families, including
+// the per-input values Health reports, and nothing else is served.
 func TestCollectorMetricsHandler(t *testing.T) {
 	col, err := ingest.NewCollector(ingest.CollectorConfig{Inputs: 1})
 	if err != nil {
@@ -400,6 +400,9 @@ func TestCollectorMetricsHandler(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE ingest_inputs_waiting gauge",
 		`ingest_applied_seq{input="0"} 0`,
+		`ingest_journal_seq{input="0"} 0`,
+		`ingest_input_state{input="0"} 0`, // waiting
+		`ingest_input_silent_seconds{input="0"} `,
 		"ingest_inputs_waiting 1",
 	} {
 		if !strings.Contains(text, want) {
@@ -407,23 +410,17 @@ func TestCollectorMetricsHandler(t *testing.T) {
 		}
 	}
 
+	if h := col.Health(); len(h.Inputs) != 1 || h.Inputs[0].State != ingest.StateWaiting {
+		t.Fatalf("health = %+v, want one waiting input", h)
+	}
+
 	resp, err = srv.Client().Get(srv.URL + "/metrics.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("content type %q", ct)
-	}
-	var h ingest.Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		t.Fatal(err)
-	}
-	if len(h.Inputs) != 1 || h.Inputs[0].State != ingest.StateWaiting {
-		t.Fatalf("health = %+v, want one waiting input", h)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/metrics.json status %d, want 404", resp.StatusCode)
 	}
 
 	runEmitters(t, col.Addr(), [][]stream.Event{genStream(0, 5)}, nil)

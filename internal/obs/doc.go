@@ -94,7 +94,7 @@
 // # HTTP surface
 //
 // NewHTTPHandler serves Prometheus text at /metrics (Content-Type
-// version=0.0.4), each daemon's pre-existing JSON payload at
-// /metrics.json, and — behind a -pprof flag — net/http/pprof under
-// /debug/pprof/ for profiling the hot paths the ROADMAP targets.
+// version=0.0.4) and — behind a -pprof flag — net/http/pprof under
+// /debug/pprof/ for profiling the hot paths the ROADMAP targets. It
+// returns the mux, so a daemon can mount its own endpoints beside them.
 package obs

@@ -78,6 +78,11 @@ func TestJournalIngestLineRebasesClock(t *testing.T) {
 	if err := fleet.IngestLine([]byte("{not json"), "vantage3", 0); err == nil {
 		t.Fatal("malformed shipped line accepted")
 	}
+	for _, line := range []string{"null", " null ", "[1]", `"x"`, "7"} {
+		if err := fleet.IngestLine([]byte(line), "vantage3", 0); err == nil {
+			t.Fatalf("non-object shipped line %q accepted", line)
+		}
+	}
 }
 
 func TestCanonicalGroupsLanes(t *testing.T) {

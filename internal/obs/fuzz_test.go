@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"testing"
 )
@@ -37,5 +38,37 @@ func FuzzWriteTimeline(f *testing.F) {
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_ = WriteTimeline(io.Discard, bytes.NewReader(data))
+	})
+}
+
+// FuzzIngestLine: the collector hands IngestLine bytes a remote emitter
+// shipped, so no line may panic it, and a line it accepts must land in the
+// fleet journal as exactly one JSON object filed under the shipper's lane.
+func FuzzIngestLine(f *testing.F) {
+	f.Add([]byte(`{"kind":"event","t_ms":1.5,"name":"x","attrs":{"node":3}}`), 250.0)
+	f.Add([]byte(`{"t_ms":"late","src":"spoofed"}`), 0.0)
+	f.Add([]byte("null"), 0.0)
+	f.Add([]byte("[]"), 0.0)
+	f.Add([]byte("{not json"), 0.0)
+	f.Fuzz(func(t *testing.T, line []byte, offsetMs float64) {
+		var buf bytes.Buffer
+		j := NewJournal(&buf)
+		if err := j.IngestLine(line, "vantage0", offsetMs); err != nil {
+			if buf.Len() != 0 {
+				t.Fatalf("rejected line %q still wrote %q", line, buf.Bytes())
+			}
+			return
+		}
+		out := bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
+		if bytes.Contains(out, []byte("\n")) {
+			t.Fatalf("accepted line %q wrote more than one line: %q", line, buf.Bytes())
+		}
+		var m map[string]any
+		if err := json.Unmarshal(out, &m); err != nil || m == nil {
+			t.Fatalf("accepted line %q re-encoded as %q, not a JSON object (%v)", line, out, err)
+		}
+		if m["src"] != "vantage0" {
+			t.Fatalf("accepted line %q filed under src %v", line, m["src"])
+		}
 	})
 }

@@ -14,26 +14,20 @@ type HTTPConfig struct {
 	// Registry backs /metrics (Prometheus text). nil serves an empty
 	// (still valid) exposition.
 	Registry *Registry
-	// LegacyJSON, when non-nil, is mounted at /metrics.json — the
-	// pre-Prometheus JSON payload each daemon used to serve at /metrics,
-	// preserved for compatibility.
-	LegacyJSON http.Handler
 	// Pprof mounts net/http/pprof under /debug/pprof/.
 	Pprof bool
 }
 
 // NewHTTPHandler builds the shared observability mux: Prometheus text at
-// /metrics, the daemon's legacy JSON at /metrics.json, and (behind the
-// Pprof flag) the standard profiling endpoints under /debug/pprof/.
-func NewHTTPHandler(cfg HTTPConfig) http.Handler {
+// /metrics and (behind the Pprof flag) the standard profiling endpoints
+// under /debug/pprof/. A daemon mounts its own endpoints on the returned
+// mux.
+func NewHTTPHandler(cfg HTTPConfig) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", ContentTypePrometheus)
 		_ = cfg.Registry.WritePrometheus(w)
 	})
-	if cfg.LegacyJSON != nil {
-		mux.Handle("/metrics.json", cfg.LegacyJSON)
-	}
 	if cfg.Pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

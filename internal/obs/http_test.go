@@ -8,14 +8,17 @@ import (
 	"testing"
 )
 
-func TestHTTPHandlerPrometheusAndLegacy(t *testing.T) {
+// TestHTTPHandlerPrometheusAndDaemonRoutes: the mux serves the registry
+// at /metrics, and a route a daemon mounts on it (gnutellad's
+// /online.json) is served beside it.
+func TestHTTPHandlerPrometheusAndDaemonRoutes(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("requests_total", "served requests").Add(3)
-	legacy := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := NewHTTPHandler(HTTPConfig{Registry: reg, Pprof: true})
+	h.HandleFunc("/online.json", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(map[string]int{"requests": 3})
 	})
-	h := NewHTTPHandler(HTTPConfig{Registry: reg, LegacyJSON: legacy, Pprof: true})
 
 	rr := httptest.NewRecorder()
 	h.ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
@@ -29,16 +32,13 @@ func TestHTTPHandlerPrometheusAndLegacy(t *testing.T) {
 	}
 
 	rr = httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest("GET", "/metrics.json", nil))
-	if ct := rr.Header().Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("/metrics.json Content-Type = %q", ct)
+	h.ServeHTTP(rr, httptest.NewRequest("GET", "/online.json", nil))
+	var online map[string]int
+	if err := json.Unmarshal(rr.Body.Bytes(), &online); err != nil {
+		t.Fatalf("daemon route payload not JSON: %v", err)
 	}
-	var legacyBody map[string]int
-	if err := json.Unmarshal(rr.Body.Bytes(), &legacyBody); err != nil {
-		t.Fatalf("legacy payload not JSON: %v", err)
-	}
-	if legacyBody["requests"] != 3 {
-		t.Fatalf("legacy payload = %v", legacyBody)
+	if online["requests"] != 3 {
+		t.Fatalf("daemon route payload = %v", online)
 	}
 
 	rr = httptest.NewRecorder()
@@ -58,6 +58,6 @@ func TestHTTPHandlerPprofDisabledByDefault(t *testing.T) {
 	rr = httptest.NewRecorder()
 	h.ServeHTTP(rr, httptest.NewRequest("GET", "/metrics.json", nil))
 	if rr.Code != http.StatusNotFound {
-		t.Fatalf("legacy endpoint without handler: status %d", rr.Code)
+		t.Fatalf("/metrics.json served: status %d", rr.Code)
 	}
 }

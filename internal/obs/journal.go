@@ -224,7 +224,7 @@ func (j *Journal) EventSrc(src, name string, attrs ...Attr) {
 // appended under the same mutex as local lines. The rebased line
 // round-trips through a map, so its keys render in sorted order; the
 // Canonical and timeline readers normalize the same way, making the two
-// layouts compare equal.
+// layouts compare equal. A line that is not one JSON object is an error.
 func (j *Journal) IngestLine(line []byte, src string, offsetMs float64) error {
 	if j == nil {
 		return nil
@@ -232,6 +232,10 @@ func (j *Journal) IngestLine(line []byte, src string, offsetMs float64) error {
 	var m map[string]any
 	if err := json.Unmarshal(line, &m); err != nil {
 		return fmt.Errorf("obs: ingest journal line: %w", err)
+	}
+	if m == nil {
+		// json.Unmarshal decodes the literal null into a nil map.
+		return fmt.Errorf("obs: ingest journal line: %.20q is not a JSON object", line)
 	}
 	if t, ok := m["t_ms"].(float64); ok {
 		m["t_ms"] = t + offsetMs
