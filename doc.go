@@ -8,8 +8,8 @@
 // generation. This module rebuilds the entire apparatus:
 //
 //   - a Gnutella v0.6 protocol stack (wire codec, handshake, overlay
-//     routing) that runs both under a discrete-event simulator and over
-//     real TCP;
+//     routing) that runs over real TCP, beside a discrete-event simulator
+//     of the measurement node that records what the stack would receive;
 //   - a synthetic peer population driven by the paper's published model
 //     (the generative ground truth);
 //   - the measurement node with the paper's exact observation rules, and
@@ -80,8 +80,8 @@
 //
 // The node event loop is nearly all of a simulation's CPU, and nearly
 // every event in it is per-connection background traffic, so the loop is
-// held to three allocation rules (TestEventLoopAllocationBudget: at most
-// one allocation per two scheduled events, all of it per-connection
+// held to three allocation rules (TestEventLoopAllocationBudget: under
+// 0.18 allocations per scheduled event, nearly all of it per-connection
 // set-up):
 //
 //   - Scheduler items are recycled. Each scheduler keeps a free list; an
@@ -96,12 +96,12 @@
 //     one with an argument (a probe deadline's probe instant, a query
 //     index) comes from a per-vantage free list and returns to it on
 //     fire. The kinds double as the engine_sched_events_by_kind metric.
-//   - Payloads are scratch values. A vantage delivers every message from
-//     one reused wire.Pong/Query/QueryHit; overlay.Node.Receive and the
-//     OnMessage tap copy the fields they keep and never the pointer. In
-//     the other direction a payload handed to overlay.Config.Send belongs
-//     to the transport, which may retain it — so a Passive node, whose
-//     Send discards, counts its PING replies without building them.
+//   - A delivery is a record, not a message. The vantage routes nothing
+//     (the paper's logger did not), so a received message is a typed
+//     recorder call that bumps its counter and keeps just the fields the
+//     trace stores: no GUID, envelope or payload is built, and a
+//     forwarded query's text is never resolved — vocab.SkipSample
+//     advances the random stream past the draw instead.
 //
 // # Streaming pipeline
 //

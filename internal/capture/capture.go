@@ -17,8 +17,16 @@
 //   - the wider network: forwarded queries (hops 2–7) on ultrapeer
 //     connections, remote pongs and query hits, at per-connection rates
 //     calibrated so full-scale totals land near Table 1;
-//   - the node itself: probe pings and pong replies (sent, therefore not
-//     part of the received-message counts).
+//   - the node itself: probe pings (sent, therefore not part of the
+//     received-message counts).
+//
+// The vantage records; it does not route. Like the paper's logger it
+// writes down every message it receives and originates nothing but the
+// probe, so a delivery is a typed recorder call (recvQuery, recvPong,
+// recvHit, or a PING/BYE counter) that keeps exactly the fields the trace
+// stores. Nothing the trace never sees is computed: no GUIDs, no message
+// envelopes, no reverse routes, and no text for forwarded queries, which
+// are only counted.
 //
 // Beyond the paper's single vantage, the deployment grows the way the
 // distributed-measurement literature does (Allali et al.'s distributed
@@ -37,9 +45,7 @@ import (
 
 	"repro/internal/behavior"
 	"repro/internal/geo"
-	"repro/internal/guid"
 	"repro/internal/model"
-	"repro/internal/overlay"
 	"repro/internal/simtime"
 	"repro/internal/stream"
 	"repro/internal/trace"
@@ -139,7 +145,6 @@ type simConn struct {
 	silent   bool
 	lastRecv simtime.Time
 	probeH   simtime.Handle
-	probed   bool
 	closed   bool
 	// pongSeen marks that the connection's hop-1 self-pong was recorded.
 	pongSeen bool
@@ -152,21 +157,18 @@ type simConn struct {
 	queries []trace.Query
 }
 
-// vantage is one measurement node of a fleet: its own overlay node,
-// connection slots, random streams and output stream, driven by its own
-// scheduler and the arrivals its driver hands it. The zero-indexed
-// node's random streams coincide with the historical single-node
-// simulator, so a one-node fleet reproduces the paper's deployment.
+// vantage is one measurement node of a fleet: its connection slots,
+// random stream and output stream, driven by its own scheduler and the
+// arrivals its driver hands it. The zero-indexed node's random stream
+// coincides with the historical single-node simulator, so a one-node
+// fleet reproduces the paper's deployment.
 type vantage struct {
 	cfg     Config
 	nodeIdx int
 	sched   simtime.Scheduler
-	node    *overlay.Node
 	rng     *rand.Rand
-	guids   *guid.Source
 	params  *model.Params
 	geoReg  *geo.Registry
-	vocab   *vocab.Vocabulary
 	// received tallies every received message by type: the aggregate
 	// counters the stream trailer carries.
 	received trace.MessageCounts
@@ -181,20 +183,10 @@ type vantage struct {
 	// droppedQueryEvents counts client query events that found their
 	// connection already closed (diagnostic).
 	droppedQueryEvents uint64
-	// cur is the connection whose message is being delivered — what the
-	// record tap, which the overlay node calls with a bare connection id,
-	// attributes the message to.
-	cur *simConn
 	// freeEvents recycles the argument-carrying event records (see
 	// connEvent); counts tallies scheduled events by kind.
 	freeEvents []*connEvent
 	counts     EventCounts
-	// Scratch payloads, overwritten by every delivery: overlay.Node.Receive
-	// and the record tap copy what they keep (see overlay.Config.OnMessage).
-	pong      wire.Pong
-	query     wire.Query
-	hit       wire.QueryHit
-	hitResult [1]wire.HitResult
 	// sink receives every record the moment it is final — session records
 	// at close, pong/hit records at receipt — and, at the end of the run,
 	// the trailer with the aggregate counters.
@@ -208,45 +200,26 @@ type vantage struct {
 }
 
 // newVantage builds node idx of a fleet deployment around the given
-// scheduler. Per-node random streams are salted by the node index; index
-// 0 reproduces the historical single-node streams exactly.
+// scheduler. The random stream is salted by the node index; index 0
+// reproduces the historical single-node stream exactly.
 func newVantage(cfg Config, idx int, sched simtime.Scheduler, sh *SharedModel, sink *stream.Producer) *vantage {
 	salt := uint64(idx) * 0x9e3779b97f4a7c15
-	s := &vantage{
+	return &vantage{
 		cfg:         cfg,
 		nodeIdx:     idx,
 		sched:       sched,
 		rng:         rand.New(rand.NewPCG(cfg.Workload.Seed, 0xca9107e^salt)),
-		guids:       guid.NewSource(cfg.Workload.Seed, 0x600d^salt),
 		params:      sh.params,
 		geoReg:      sh.geoReg,
-		vocab:       sh.vocab,
 		conns:       make(map[int]*simConn),
 		sink:        sink,
 		dayKeyCount: make(map[string]int),
 	}
-	s.node = overlay.New(overlay.Config{
-		Self:      s.guids.Next(),
-		Ultrapeer: true,
-		// University of Dortmund space; each fleet node gets its own host
-		// address.
-		Addr:      netip.AddrFrom4([4]byte{129, 217, 0, byte(1 + idx%254)}),
-		Port:      6346,
-		Now:       func() time.Duration { return s.sched.Now() },
-		Send:      func(int, wire.Envelope) {}, // passive: forwards vanish into the ether
-		OnMessage: s.record,
-		GUIDs:     s.guids,
-		Rand:      func() float64 { return s.rng.Float64() },
-		// Forwarding to the no-op Send would cost O(connections) per
-		// received query — quadratic in scale — for zero recorded effect.
-		Passive: true,
-	})
-	return s
 }
 
 // arrive handles one session arrival assigned to this vantage.
 func (s *vantage) arrive(now simtime.Time, sess *behavior.Session) {
-	if s.node.ConnCount() >= s.cfg.MaxConns {
+	if len(s.conns) >= s.cfg.MaxConns {
 		s.rejected++
 		return
 	}
@@ -276,10 +249,7 @@ func (s *vantage) arrive(now simtime.Time, sess *behavior.Session) {
 		UserAgent: sess.UserAgent,
 	}
 	s.sink.Open(uint64(id), now)
-	s.node.AddConn(id, sess.Ultrapeer)
-	if cc := s.node.ConnCount(); cc > s.peak {
-		s.peak = cc
-	}
+	s.peak = max(s.peak, len(s.conns))
 
 	// The client announces itself with a pong shortly after the
 	// handshake.
@@ -308,53 +278,75 @@ func (s *vantage) arrive(now simtime.Time, sess *behavior.Session) {
 	s.rearmProbe(c, s.cfg.ProbeIdle)
 }
 
-// clientMessage delivers a client-initiated message and rearms the probe
-// with the short idle window.
-func (s *vantage) clientMessage(c *simConn, at simtime.Time, env wire.Envelope) {
-	if c.closed {
-		if env.Header.Type == wire.TypeQuery {
-			s.droppedQueryEvents++
-		}
+// recvQuery records a QUERY received on c. The client's own query (q
+// non-nil, hop 1) is kept whole and answered; a forwarded one (q nil) is
+// only counted.
+func (s *vantage) recvQuery(c *simConn, at simtime.Time, q *behavior.TimedQuery) {
+	c.lastRecv = at
+	s.received.Query++
+	if q == nil {
 		return
 	}
-	s.deliver(c, at, env)
+	s.received.QueryHop1++
+	c.queries = append(c.queries, trace.Query{
+		ConnID: uint64(c.id),
+		At:     at,
+		Text:   q.Text,
+		SHA1:   q.SHA1,
+		TTL:    6,
+		Hops:   1,
+	})
+	s.scheduleResponses(c, len(c.queries)-1, q, at)
+}
+
+// recvPong records a PONG received on c. The first self-pong (hop 1) of a
+// connection is kept; repeats carry no new information (same peer, same
+// library). Remote pongs are kept at PongSampleRate.
+func (s *vantage) recvPong(c *simConn, at simtime.Time, addr netip.Addr, files uint32, hops uint8) {
+	c.lastRecv = at
+	s.received.Pong++
+	if hops == 1 {
+		if !c.pongSeen {
+			c.pongSeen = true
+			s.sink.Pong(trace.Pong{At: at, Addr: addr, SharedFiles: files, Hops: 1})
+		}
+	} else if s.rng.Float64() < s.cfg.PongSampleRate {
+		s.sink.Pong(trace.Pong{At: at, Addr: addr, SharedFiles: files, Hops: hops})
+	}
+}
+
+// recvHit records a QUERYHIT received on c, kept at HitSampleRate.
+func (s *vantage) recvHit(c *simConn, at simtime.Time, addr netip.Addr, hops uint8) {
+	c.lastRecv = at
+	s.received.QueryHit++
+	if s.rng.Float64() < s.cfg.HitSampleRate {
+		s.sink.Hit(trace.Hit{At: at, Addr: addr, Hops: hops})
+	}
+}
+
+// selfPong records the client's hop-1 pong announcing its library.
+func (s *vantage) selfPong(c *simConn, at simtime.Time) {
+	s.recvPong(c, at, c.sess.Addr(), uint32(c.sess.SharedFiles), 1)
+}
+
+// selfPongFire records the pong a client announces itself with. The
+// client's own messages rearm the probe with the short idle window.
+func (s *vantage) selfPongFire(c *simConn, now simtime.Time) {
+	if c.closed {
+		return
+	}
+	s.selfPong(c, now)
 	s.rearmProbe(c, s.cfg.ProbeIdle)
 }
 
-// deliver hands a message to the node (which records it via the OnMessage
-// tap) and updates idle bookkeeping.
-func (s *vantage) deliver(c *simConn, at simtime.Time, env wire.Envelope) {
-	c.lastRecv = at
-	c.probed = false
-	s.cur = c
-	s.node.Receive(c.id, env)
-}
-
-func (s *vantage) selfPong(c *simConn) wire.Envelope {
-	s.pong = wire.Pong{
-		Port:        6346,
-		Addr:        c.sess.Addr(),
-		SharedFiles: uint32(c.sess.SharedFiles),
+// clientQueryFire records the client's query number i.
+func (s *vantage) clientQueryFire(c *simConn, i int, now simtime.Time) {
+	if c.closed {
+		s.droppedQueryEvents++
+		return
 	}
-	return wire.Envelope{
-		Header:  wire.Header{GUID: s.guids.Next(), Type: wire.TypePong, TTL: 1, Hops: 1},
-		Payload: &s.pong,
-	}
-}
-
-// sha1Extension is the extension block of every source-hunt query; shared
-// and never written.
-var sha1Extension = []string{"urn:sha1:PLSTHIPQGSSZTS5FJUPAKUZWUGYQYPFB"}
-
-func (s *vantage) queryEnvelope(q *behavior.TimedQuery) wire.Envelope {
-	s.query = wire.Query{SearchText: q.Text}
-	if q.SHA1 {
-		s.query.Extensions = sha1Extension
-	}
-	return wire.Envelope{
-		Header:  wire.Header{GUID: s.guids.Next(), Type: wire.TypeQuery, TTL: 6, Hops: 1},
-		Payload: &s.query,
-	}
+	s.recvQuery(c, now, &c.sess.Queries[i])
+	s.rearmProbe(c, s.cfg.ProbeIdle)
 }
 
 // scheduleKeepalive chains the client's own periodic PINGs.
@@ -374,10 +366,8 @@ func (s *vantage) keepaliveFire(c *simConn, now simtime.Time) {
 	// A keepalive is liveness evidence, so the probe is rearmed with
 	// the long window: probing 15 s after every keepalive would
 	// double the pong volume for no information.
-	s.deliver(c, now, wire.Envelope{
-		Header:  wire.Header{GUID: s.guids.Next(), Type: wire.TypePing, TTL: 1, Hops: 1},
-		Payload: &wire.Ping{},
-	})
+	c.lastRecv = now
+	s.received.Ping++
 	s.rearmProbe(c, s.cfg.ProbeRearmIdle)
 	s.scheduleKeepalive(c)
 }
@@ -415,13 +405,12 @@ func (s *vantage) remoteFire(c *simConn, kind EventKind, now simtime.Time) {
 	s.scheduleRemote(c, kind)
 }
 
-// remoteRegionAddr samples an address for a wider-network peer following
-// the hour's geographic mix (this is what makes the "all peers" series of
+// remoteAddr samples an address for a wider-network peer following the
+// hour's geographic mix (this is what makes the "all peers" series of
 // Figure 1 track the region curves).
-func (s *vantage) remoteRegionAddr(at simtime.Time) (geo.Region, [4]byte) {
+func (s *vantage) remoteAddr(at simtime.Time) netip.Addr {
 	region := s.params.PickRegion(s.rng, simtime.HourOfDay(at))
-	addr := s.geoReg.Sample(region, s.rng)
-	return region, addr.As4()
+	return s.geoReg.Sample(region, s.rng)
 }
 
 // remoteHops draws a plausible overlay distance for forwarded traffic:
@@ -445,59 +434,28 @@ func (s *vantage) remoteHops() uint8 {
 }
 
 func (s *vantage) remotePong(c *simConn, at simtime.Time) {
-	_, a4 := s.remoteRegionAddr(at)
+	addr := s.remoteAddr(at)
 	hops := s.remoteHops()
-	g := s.guids.Next()
-	s.pong = wire.Pong{
-		Port:        6346,
-		Addr:        netip.AddrFrom4(a4),
-		SharedFiles: uint32(s.params.SampleSharedFiles(s.rng)),
-	}
-	s.deliver(c, at, wire.Envelope{
-		Header:  wire.Header{GUID: g, Type: wire.TypePong, TTL: 7 - hops, Hops: hops},
-		Payload: &s.pong,
-	})
+	files := uint32(s.params.SampleSharedFiles(s.rng))
+	s.recvPong(c, at, addr, files, hops)
 	s.rearmProbe(c, s.cfg.ProbeRearmIdle)
-}
-
-// hitEnvelope fills the scratch QUERYHIT with one result and wraps it.
-// The header GUID is drawn before the servent GUID.
-func (s *vantage) hitEnvelope(a4 [4]byte, hops uint8, res wire.HitResult) wire.Envelope {
-	g := s.guids.Next()
-	s.hitResult[0] = res
-	s.hit = wire.QueryHit{
-		Port:    6346,
-		Addr:    netip.AddrFrom4(a4),
-		Speed:   350,
-		Results: s.hitResult[:],
-		Servent: s.guids.Next(),
-	}
-	return wire.Envelope{
-		Header:  wire.Header{GUID: g, Type: wire.TypeQueryHit, TTL: 7 - hops, Hops: hops},
-		Payload: &s.hit,
-	}
 }
 
 func (s *vantage) remoteHit(c *simConn, at simtime.Time) {
-	_, a4 := s.remoteRegionAddr(at)
+	addr := s.remoteAddr(at)
 	hops := s.remoteHops()
-	s.deliver(c, at, s.hitEnvelope(a4, hops, wire.HitResult{FileIndex: 1, FileSize: 3800, FileName: "remote.mp3"}))
+	s.recvHit(c, at, addr, hops)
 	s.rearmProbe(c, s.cfg.ProbeRearmIdle)
 }
 
+// remoteQuery counts a forwarded query. Its address, hop count and
+// vocabulary draw are made and dropped, so the random stream stays the one
+// the recorded traffic was calibrated on; its text is never resolved.
 func (s *vantage) remoteQuery(c *simConn, at simtime.Time) {
-	region, _ := s.remoteRegionAddr(at)
-	day := simtime.DayIndex(at)
-	if day >= s.cfg.Workload.Days {
-		day = s.cfg.Workload.Days - 1
-	}
-	hops := s.remoteHops()
-	g := s.guids.Next()
-	s.query = wire.Query{SearchText: s.vocab.Sample(s.rng, region, day)}
-	s.deliver(c, at, wire.Envelope{
-		Header:  wire.Header{GUID: g, Type: wire.TypeQuery, TTL: 7 - hops, Hops: hops},
-		Payload: &s.query,
-	})
+	s.remoteAddr(at)
+	s.remoteHops()
+	vocab.SkipSample(s.rng)
+	s.recvQuery(c, at, nil)
 	s.rearmProbe(c, s.cfg.ProbeRearmIdle)
 }
 
@@ -508,14 +466,14 @@ func (s *vantage) remoteQuery(c *simConn, at simtime.Time) {
 // sources — so the hit-rate extension analysis can recover the
 // hit-rate/popularity correlation. Responses are received messages and
 // count toward Table 1's QUERYHIT row.
-func (s *vantage) scheduleResponses(c *simConn, queryIdx int, q *wire.Query, at simtime.Time) {
-	if q.HasSHA1() {
+func (s *vantage) scheduleResponses(c *simConn, queryIdx int, q *behavior.TimedQuery, at simtime.Time) {
+	if q.SHA1 {
 		// Source hunts answer rarely; the sources are already known.
 		if s.rng.Float64() > 0.10 {
 			return
 		}
 	}
-	key := wire.KeywordKey(q.SearchText)
+	key := wire.KeywordKey(q.Text)
 	if key == "" {
 		return
 	}
@@ -550,14 +508,12 @@ func (s *vantage) responseHitFire(c *simConn, queryIdx int, now simtime.Time) {
 	if c.closed || now >= c.end {
 		return
 	}
-	_, a4 := s.remoteRegionAddr(now)
+	addr := s.remoteAddr(now)
 	hops := s.remoteHops()
 	// The query record is still in flight (its session has not closed —
-	// checked above), so the hit counter can be bumped in place; the
-	// record is also where the query's text is kept.
-	q := &c.queries[queryIdx]
-	q.Hits++
-	s.deliver(c, now, s.hitEnvelope(a4, hops, wire.HitResult{FileIndex: 1, FileSize: 3700, FileName: q.Text + ".mp3"}))
+	// checked above), so the hit counter can be bumped in place.
+	c.queries[queryIdx].Hits++
+	s.recvHit(c, now, addr, hops)
 	s.rearmProbe(c, s.cfg.ProbeRearmIdle)
 }
 
@@ -577,8 +533,7 @@ func (s *vantage) probeFire(c *simConn, now simtime.Time) {
 	if c.closed {
 		return
 	}
-	c.probed = true
-	s.node.Probe(c.id) // sent by the node; not a received message
+	// The probe PING is sent, not received: nothing to record.
 	if now < c.end {
 		// Client is alive: it answers with a pong after a network RTT.
 		// If it dies right after the probe, the deadline below still
@@ -593,7 +548,7 @@ func (s *vantage) probeReplyFire(c *simConn, now simtime.Time) {
 	if c.closed || now >= c.end {
 		return // died between probe and response
 	}
-	s.deliver(c, now, s.selfPong(c))
+	s.selfPong(c, now)
 	s.rearmProbe(c, s.cfg.ProbeRearmIdle)
 }
 
@@ -611,7 +566,8 @@ func (s *vantage) sessionEndFire(c *simConn, now simtime.Time) {
 		return
 	}
 	if s.rng.Float64() < byeFraction {
-		s.deliver(c, now, wire.NewEnvelope(s.guids.Next(), 1, &wire.Bye{Code: 200, Reason: "bye"}))
+		c.lastRecv = now
+		s.received.Bye++
 	}
 	s.finalize(c, now, false)
 }
@@ -625,58 +581,9 @@ func (s *vantage) finalize(c *simConn, end simtime.Time, silent bool) {
 	}
 	c.closed = true
 	s.sched.Cancel(c.probeH)
-	s.node.RemoveConn(c.id)
 	delete(s.conns, c.id)
 	c.rec.End = end
 	c.rec.SilentClose = silent
 	s.sink.Close(uint64(c.id), end, &stream.SessionRecord{Conn: c.rec, Queries: c.queries})
 	c.queries = nil
-}
-
-// record is the node's OnMessage tap: it observes every received message
-// exactly as the modified mutella logged its traffic. The payload is one
-// of the vantage's scratch values, so only copies of its fields are kept.
-func (s *vantage) record(conn int, env wire.Envelope) {
-	at := s.sched.Now()
-	c := s.cur
-	switch m := env.Payload.(type) {
-	case *wire.Ping:
-		s.received.Ping++
-	case *wire.Bye:
-		s.received.Bye++
-	case *wire.Push:
-		s.received.Push++
-	case *wire.Query:
-		s.received.Query++
-		if env.Header.Hops == 1 {
-			s.received.QueryHop1++
-			q := trace.Query{
-				ConnID: uint64(conn),
-				At:     at,
-				Text:   m.SearchText,
-				SHA1:   m.HasSHA1(),
-				TTL:    env.Header.TTL,
-				Hops:   env.Header.Hops,
-			}
-			c.queries = append(c.queries, q)
-			s.scheduleResponses(c, len(c.queries)-1, m, at)
-		}
-	case *wire.Pong:
-		s.received.Pong++
-		if env.Header.Hops == 1 {
-			// Record the first self-pong per connection; repeats carry
-			// no new information (same peer, same library).
-			if !c.pongSeen {
-				c.pongSeen = true
-				s.sink.Pong(trace.Pong{At: at, Addr: m.Addr, SharedFiles: m.SharedFiles, Hops: 1})
-			}
-		} else if s.rng.Float64() < s.cfg.PongSampleRate {
-			s.sink.Pong(trace.Pong{At: at, Addr: m.Addr, SharedFiles: m.SharedFiles, Hops: env.Header.Hops})
-		}
-	case *wire.QueryHit:
-		s.received.QueryHit++
-		if s.rng.Float64() < s.cfg.HitSampleRate {
-			s.sink.Hit(trace.Hit{At: at, Addr: m.Addr, Hops: env.Header.Hops})
-		}
-	}
 }

@@ -111,13 +111,13 @@ func (e *connEvent) Fire(now simtime.Time) {
 	case KindProbeReply:
 		s.probeReplyFire(c, now)
 	case KindSelfPong:
-		s.clientMessage(c, now, s.selfPong(c))
+		s.selfPongFire(c, now)
 	case KindSessionEnd:
 		s.sessionEndFire(c, now)
 	case KindProbeDeadline:
 		s.probeDeadlineFire(c, simtime.Time(arg), now)
 	case KindClientQuery:
-		s.clientMessage(c, now, s.queryEnvelope(&c.sess.Queries[arg]))
+		s.clientQueryFire(c, int(arg), now)
 	case KindResponseHit:
 		s.responseHitFire(c, int(arg), now)
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/simtime"
 	"repro/internal/stream"
-	"repro/internal/vocab"
 )
 
 // SessionGUIDSalt seeds the fleet's session-GUID stream — the identity
@@ -68,25 +67,22 @@ type FleetStats struct {
 }
 
 // SharedModel bundles the immutable model state every vantage of one
-// deployment shares: the conditional session model, the geographic address
-// registry, and the query vocabulary. All three are safe for concurrent
-// readers (the vocabulary's lazy per-(class, day) rankings are built behind
-// sync.Once), which is what lets internal/engine run vantage event loops
-// on separate goroutines against one SharedModel.
+// deployment shares: the conditional session model and the geographic
+// address registry. Both are read-only, which is what lets internal/engine
+// run vantage event loops on separate goroutines against one SharedModel.
+// No vantage reads the query vocabulary: client queries arrive with their
+// text, and forwarded queries are counted, never resolved.
 type SharedModel struct {
 	params *model.Params
 	geoReg *geo.Registry
-	vocab  *vocab.Vocabulary
 }
 
-// NewSharedModel extracts the shared state from the arrival generator —
-// required for byte-identity, since vocabulary draws depend on the
-// ranking state's seed.
+// NewSharedModel extracts the shared state from the arrival generator, so
+// the vantages draw from the same session model the arrivals came from.
 func NewSharedModel(gen *behavior.Generator) *SharedModel {
 	return &SharedModel{
 		params: gen.Workload().Params(),
 		geoReg: geo.Default(),
-		vocab:  gen.Workload().Vocabulary(),
 	}
 }
 

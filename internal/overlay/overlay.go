@@ -9,10 +9,11 @@
 // end at the node.
 //
 // The engine is transport-agnostic and clock-agnostic: the embedder
-// supplies a Send callback and a Now function, which lets the same code
-// run under the discrete-event simulator (internal/capture), over real
-// TCP connections (internal/transport, cmd/gnutellad), and inside the
-// search-protocol evaluation example.
+// supplies a Send callback and a Now function. It runs over real TCP
+// connections (internal/transport, in cmd/gnutellad and the livecapture
+// example). The simulated vantage (internal/capture) does not embed it:
+// a passive logger routes nothing the study measures, so it records each
+// delivery directly.
 package overlay
 
 import (
@@ -43,13 +44,6 @@ type Config struct {
 	// Library is the node's shared-file list; queries matching it produce
 	// QUERYHIT responses.
 	Library []SharedFile
-	// Passive disables query forwarding entirely. The measurement
-	// simulator uses it: its Send callback discards everything anyway,
-	// and iterating a few hundred connections per received query turns
-	// the simulation quadratic in scale. Reverse routes, duplicate
-	// suppression and local hit serving still work. PING replies are
-	// counted (Stats.PongsSent) but not built or sent.
-	Passive bool
 	// Now supplies the node's clock (simulated, or monotonic wall time
 	// since start). It must never run backward: route expiry relies on
 	// insertion order being time order.
@@ -62,9 +56,8 @@ type Config struct {
 	// OnMessage, when set, observes every received message before
 	// processing (the measurement tap). The payload is on loan from
 	// Receive's caller, who may overwrite it as soon as Receive returns
-	// (a parser's buffer, the simulator's per-vantage scratch values):
-	// copy whatever must outlive the call — field values, never the
-	// payload pointer or a slice inside it.
+	// (a parser's buffer): copy whatever must outlive the call — field
+	// values, never the payload pointer or a slice inside it.
 	OnMessage func(conn int, env wire.Envelope)
 	// GUIDs generates identifiers for originated messages. Required for
 	// Probe.
@@ -223,12 +216,6 @@ func (n *Node) Receive(conn int, env wire.Envelope) {
 func (n *Node) handlePing(conn int, env wire.Envelope) {
 	// Remember the reverse route so PONGs can flow back.
 	n.setRoute(env.Header.GUID, conn)
-	if n.cfg.Passive {
-		// The replies below would be built only for Send to drop them;
-		// count them as sent and skip the work.
-		n.stats.PongsSent += 1 + uint64(min(len(n.pongCache), 3))
-		return
-	}
 	// Reply with our own pong...
 	pong := &wire.Pong{
 		Port:        n.cfg.Port,
@@ -307,9 +294,6 @@ func (n *Node) handleQuery(conn int, env wire.Envelope, m *wire.Query) {
 	}
 
 	// Flood onward.
-	if n.cfg.Passive {
-		return
-	}
 	fwd, ok := env.Forwarded()
 	if !ok {
 		n.stats.DroppedTTL++

@@ -307,65 +307,53 @@ func TestPongCacheServedOnPing(t *testing.T) {
 	}
 }
 
-// TestPassivePingRepliesCountedNotSent pins the passive shortcut: a
-// passive node (the simulator's, whose Send discards) counts its PING
-// replies in Stats.PongsSent — own pong plus up to three cached — without
-// building or sending them, while a forwarding node sends exactly those
-// envelopes.
-func TestPassivePingRepliesCountedNotSent(t *testing.T) {
+// TestPingRepliesOwnPongThenCached pins a PING's replies: the node's own
+// pong, then up to three cached ones, each counted in Stats.PongsSent.
+func TestPingRepliesOwnPongThenCached(t *testing.T) {
 	for _, cached := range []int{0, 2, 5} {
-		for _, passive := range []bool{true, false} {
-			var out []wire.Envelope
-			node := New(Config{
-				Self:    guid.NewSource(1, 99).Next(),
-				Addr:    netip.MustParseAddr("193.1.1.1"),
-				Port:    6346,
-				Passive: passive,
-				Now:     func() time.Duration { return 0 },
-				Send:    func(_ int, env wire.Envelope) { out = append(out, env) },
+		var out []wire.Envelope
+		node := New(Config{
+			Self: guid.NewSource(1, 99).Next(),
+			Addr: netip.MustParseAddr("193.1.1.1"),
+			Port: 6346,
+			Now:  func() time.Duration { return 0 },
+			Send: func(_ int, env wire.Envelope) { out = append(out, env) },
+		})
+		node.AddConn(1, true)
+		node.AddConn(2, true)
+		var pongs []wire.Pong
+		for i := 0; i < cached; i++ {
+			p := wire.Pong{Port: 6346, Addr: netip.AddrFrom4([4]byte{61, 0, 0, byte(i)}), SharedFiles: uint32(i)}
+			pongs = append(pongs, p)
+			node.Receive(2, wire.Envelope{
+				Header:  wire.Header{GUID: msgGUIDs.Next(), Type: wire.TypePong, TTL: 3, Hops: 2},
+				Payload: &p,
 			})
-			node.AddConn(1, true)
-			node.AddConn(2, true)
-			var pongs []wire.Pong
-			for i := 0; i < cached; i++ {
-				p := wire.Pong{Port: 6346, Addr: netip.AddrFrom4([4]byte{61, 0, 0, byte(i)}), SharedFiles: uint32(i)}
-				pongs = append(pongs, p)
-				node.Receive(2, wire.Envelope{
-					Header:  wire.Header{GUID: msgGUIDs.Next(), Type: wire.TypePong, TTL: 3, Hops: 2},
-					Payload: &p,
-				})
-			}
-			out = nil
-			before := node.Stats().PongsSent
-			ping := wire.Envelope{
-				Header:  wire.Header{GUID: msgGUIDs.Next(), Type: wire.TypePing, TTL: 1, Hops: 1},
-				Payload: &wire.Ping{},
-			}
-			node.Receive(1, ping)
+		}
+		out = nil
+		before := node.Stats().PongsSent
+		ping := wire.Envelope{
+			Header:  wire.Header{GUID: msgGUIDs.Next(), Type: wire.TypePing, TTL: 1, Hops: 1},
+			Payload: &wire.Ping{},
+		}
+		node.Receive(1, ping)
 
-			want := 1 + min(3, cached)
-			if got := node.Stats().PongsSent - before; got != uint64(want) {
-				t.Errorf("passive=%v cached=%d: PongsSent advanced by %d, want %d", passive, cached, got, want)
+		want := 1 + min(3, cached)
+		if got := node.Stats().PongsSent - before; got != uint64(want) {
+			t.Errorf("cached=%d: PongsSent advanced by %d, want %d", cached, got, want)
+		}
+		if len(out) != want {
+			t.Fatalf("cached=%d: %d replies sent, want %d", cached, len(out), want)
+		}
+		for i, env := range out {
+			wantHdr := wire.Header{GUID: ping.Header.GUID, Type: wire.TypePong, TTL: 2}
+			wantPong := wire.Pong{Port: 6346, Addr: netip.MustParseAddr("193.1.1.1")}
+			if i > 0 {
+				wantHdr.Hops = 1
+				wantPong = pongs[i-1]
 			}
-			if passive {
-				if len(out) != 0 {
-					t.Errorf("passive cached=%d: Send called %d times, want 0", cached, len(out))
-				}
-				continue
-			}
-			if len(out) != want {
-				t.Fatalf("cached=%d: %d replies sent, want %d", cached, len(out), want)
-			}
-			for i, env := range out {
-				wantHdr := wire.Header{GUID: ping.Header.GUID, Type: wire.TypePong, TTL: 2}
-				wantPong := wire.Pong{Port: 6346, Addr: netip.MustParseAddr("193.1.1.1")}
-				if i > 0 {
-					wantHdr.Hops = 1
-					wantPong = pongs[i-1]
-				}
-				if env.Header != wantHdr || *env.Payload.(*wire.Pong) != wantPong {
-					t.Errorf("cached=%d reply %d = %+v %+v, want %+v %+v", cached, i, env.Header, env.Payload, wantHdr, wantPong)
-				}
+			if env.Header != wantHdr || *env.Payload.(*wire.Pong) != wantPong {
+				t.Errorf("cached=%d reply %d = %+v %+v, want %+v %+v", cached, i, env.Header, env.Payload, wantHdr, wantPong)
 			}
 		}
 	}
@@ -559,45 +547,6 @@ func TestDefaultRandDeterministic(t *testing.T) {
 	}
 }
 
-func TestPassiveModeSkipsForwarding(t *testing.T) {
-	h := &harness{}
-	src := guid.NewSource(8, 8)
-	h.node = New(Config{
-		Self:    src.Next(),
-		Addr:    netip.MustParseAddr("193.1.1.1"),
-		Library: []SharedFile{{Index: 1, Name: "hit me"}},
-		Now:     func() time.Duration { return h.now },
-		Send:    func(conn int, env wire.Envelope) { h.out = append(h.out, sent{conn, env}) },
-		GUIDs:   guid.NewSource(9, 9),
-		Passive: true,
-	})
-	h.node.AddConn(1, true)
-	h.node.AddConn(2, true)
-	env := query("hit me", 5, 1)
-	h.node.Receive(1, env)
-	// No forwarding to conn 2, but the local hit still goes back on conn 1.
-	if len(h.sentTo(2)) != 0 {
-		t.Error("passive node forwarded a query")
-	}
-	hits := h.sentTo(1)
-	if len(hits) != 1 || hits[0].Header.Type != wire.TypeQueryHit {
-		t.Fatalf("local hit missing: %d messages", len(hits))
-	}
-	// Reverse routing still works for responses.
-	h.reset()
-	h.node.Receive(2, wire.Envelope{
-		Header: wire.Header{GUID: env.Header.GUID, Type: wire.TypeQueryHit, TTL: 4, Hops: 2},
-		Payload: &wire.QueryHit{
-			Addr:    netip.MustParseAddr("80.2.2.2"),
-			Results: []wire.HitResult{{FileIndex: 1, FileName: "x"}},
-			Servent: msgGUIDs.Next(),
-		},
-	})
-	if len(h.sentTo(1)) != 1 {
-		t.Error("passive node must still route responses back")
-	}
-}
-
 // TestRouteExpiryMatchesFullWalk checks the insertion-order expiry queue
 // against the rule it replaces: at every sweep, the routes and origin
 // tables must equal what a walk over both maps deleting every entry older
@@ -610,11 +559,10 @@ func TestPassiveModeSkipsForwarding(t *testing.T) {
 func TestRouteExpiryMatchesFullWalk(t *testing.T) {
 	var now time.Duration
 	n := New(Config{
-		Self:    guid.NewSource(3, 3).Next(),
-		Passive: true,
-		Now:     func() time.Duration { return now },
-		Send:    func(int, wire.Envelope) {},
-		GUIDs:   guid.NewSource(4, 4),
+		Self:  guid.NewSource(3, 3).Next(),
+		Now:   func() time.Duration { return now },
+		Send:  func(int, wire.Envelope) {},
+		GUIDs: guid.NewSource(4, 4),
 	})
 	ttl := routeTTL
 	rng := rand.New(rand.NewPCG(2004, 10))

@@ -365,6 +365,15 @@ func (v *Vocabulary) Sample(rng *rand.Rand, region geo.Region, day int) string {
 	return v.QueryAt(c, day, rank)
 }
 
+// SkipSample advances rng exactly as Sample does, without resolving a
+// query string: it is for callers that only count the draw but must keep
+// the random stream the recorded draws depend on. Sample consumes two
+// uniforms, one for PickClass and one for the class's rank.
+func SkipSample(rng *rand.Rand) {
+	rng.Float64()
+	rng.Float64()
+}
+
 // SampleClass draws a query string from a specific class on the given day.
 func (v *Vocabulary) SampleClass(rng *rand.Rand, c Class, day int) string {
 	rank := v.classes[c].ranker.SampleRank(rng)

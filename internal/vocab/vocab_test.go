@@ -252,3 +252,23 @@ func TestAlphaAccessor(t *testing.T) {
 		t.Error("published α values wrong")
 	}
 }
+
+// TestSkipSampleConsumesSampleDraws pins SkipSample to Sample's draws: two
+// twin streams, one advanced by Sample and one by SkipSample, must agree
+// on the next value after every draw, for every region and several days —
+// so no class's ranker may ever draw more, or fewer, than SkipSample skips.
+func TestSkipSampleConsumesSampleDraws(t *testing.T) {
+	v := New(2004)
+	for _, r := range geo.Regions {
+		for _, day := range []int{0, 1, 7, 39} {
+			sampled, skipped := newRNG(uint64(day)), newRNG(uint64(day))
+			for i := 0; i < 10_000; i++ {
+				v.Sample(sampled, r, day)
+				SkipSample(skipped)
+				if a, b := sampled.Uint64(), skipped.Uint64(); a != b {
+					t.Fatalf("%v day %d draw %d: streams diverged (%#x after Sample, %#x after SkipSample)", r, day, i, a, b)
+				}
+			}
+		}
+	}
+}

@@ -34,12 +34,21 @@ func BenchmarkWireDecodeQuery(b *testing.B) {
 }
 
 // BenchmarkKeywordKey measures the canonical keyword-set key every hop-1
-// query is ranked and counted by.
+// query is ranked and counted by: mixed-case text with a repeat (the
+// general path), and the vocabulary's shape — lower case, one to three
+// words — on the ASCII fast path.
 func BenchmarkKeywordKey(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if KeywordKey("Blue MOUNTAIN blue song mp3") == "" {
-			b.Fatal("empty key")
-		}
+	for _, bc := range []struct{ name, text string }{
+		{"mixed", "Blue MOUNTAIN blue song mp3"},
+		{"vocab", "sotavi bakelo dimu"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if KeywordKey(bc.text) == "" {
+					b.Fatal("empty key")
+				}
+			}
+		})
 	}
 }

@@ -52,13 +52,18 @@ func FuzzParse(f *testing.F) {
 }
 
 // FuzzKeywordKey checks the canonicalization invariants on arbitrary
-// input: idempotence and insensitivity to leading/trailing whitespace.
+// input: agreement with the reference definition, idempotence and
+// insensitivity to leading/trailing whitespace.
 func FuzzKeywordKey(f *testing.F) {
-	for _, s := range []string{"", "a b", "B a", "  padded  ", "ümlaut ÜMLAUT", "x\ty\nz"} {
+	for _, s := range []string{"", "a b", "B a", "  padded  ", "ümlaut ÜMLAUT", "x\ty\nz",
+		"b a b", "a\u00a0b", "i h g f e d c b a"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		k := KeywordKey(s)
+		if ref := referenceKeywordKey(s); k != ref {
+			t.Fatalf("KeywordKey(%q) = %q, reference says %q", s, k, ref)
+		}
 		if KeywordKey(k) != k {
 			t.Fatalf("not idempotent: %q → %q → %q", s, k, KeywordKey(k))
 		}

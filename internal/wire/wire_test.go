@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net/netip"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -271,6 +272,24 @@ func TestParserReuseAndClone(t *testing.T) {
 	}
 }
 
+// referenceKeywordKey is the plain definition of KeywordKey — split on
+// Unicode white space, lower-case, sort, deduplicate, join — that the
+// ASCII fast path must agree with on every input.
+func referenceKeywordKey(searchText string) string {
+	fields := strings.Fields(strings.ToLower(searchText))
+	if len(fields) == 0 {
+		return ""
+	}
+	sort.Strings(fields)
+	out := fields[:1]
+	for _, f := range fields[1:] {
+		if f != out[len(out)-1] {
+			out = append(out, f)
+		}
+	}
+	return strings.Join(out, " ")
+}
+
 func TestKeywordKey(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"Blue Mountain MP3", "blue mountain mp3"},
@@ -279,15 +298,53 @@ func TestKeywordKey(t *testing.T) {
 		{"   ", ""},
 		{"single", "single"},
 		{"b a", "a b"},
+		{"a b", "a b"},
+		{"  a   b  ", "a b"},
+		{"a b ", "a b"},
+		{"b\ta\nc\v\f\rd", "a b c d"},
+		{"a\tb", "a b"},
+		{"b a b a", "a b"},
+		{"a a", "a"},
+		{"x\u00a0y", "x y"},
+		{"x\u0085y", "x y"},
+		{"caf\u00e9 bar", "bar caf\u00e9"},
+		{"CAF\u00c9 bar", "bar caf\u00e9"},
+		{"h g f e d c b a", "a b c d e f g h"},
+		{"i h g f e d c b a", "a b c d e f g h i"},
+		{"a b c d e f g h i", "a b c d e f g h i"},
+		{"a a a a a a a a a b", "a b"},
+		{"\xff b", "b \ufffd"},
 	}
 	for _, c := range cases {
 		if got := KeywordKey(c.in); got != c.want {
 			t.Errorf("KeywordKey(%q) = %q, want %q", c.in, got, c.want)
 		}
+		if ref := referenceKeywordKey(c.in); ref != c.want {
+			t.Errorf("referenceKeywordKey(%q) = %q, want %q", c.in, ref, c.want)
+		}
 	}
 	q := &Query{SearchText: "Zeta alpha"}
 	if q.KeywordKey() != "alpha zeta" {
 		t.Errorf("Query.KeywordKey = %q", q.KeywordKey())
+	}
+}
+
+// TestKeywordKeyAllocs pins the fast path's allocations: none when the
+// text already is its key, one when it must be rebuilt.
+func TestKeywordKeyAllocs(t *testing.T) {
+	for _, c := range []struct {
+		in  string
+		max float64
+	}{
+		{"", 0},
+		{"bakelo", 0},
+		{"bakelo dimu sotavi", 0},
+		{"sotavi bakelo dimu", 1},
+		{"dimu  dimu bakelo", 1},
+	} {
+		if got := testing.AllocsPerRun(100, func() { KeywordKey(c.in) }); got > c.max {
+			t.Errorf("KeywordKey(%q): %.0f allocations, want at most %.0f", c.in, got, c.max)
+		}
 	}
 }
 
