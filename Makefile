@@ -25,6 +25,7 @@ race:
 # because FuzzParse exists in both internal/wire and internal/scenario.
 # A crasher becomes a committed corpus seed (testdata/fuzz) plus its fix.
 FUZZ_TARGETS := \
+	internal/behavior:FuzzSortQueries \
 	internal/dist:FuzzFitZipf \
 	internal/dist:FuzzKS \
 	internal/dist:FuzzFitters \
@@ -102,10 +103,12 @@ scenario-suite:
 # caps never bind: the busiest node peaks at 158 concurrent connections)
 # through the engine's bounded-memory pipeline — bounded arrival
 # producer, per-node event emission, online k-way merge — with the live
-# sketch layer on (-online). On two cores the simulate phase takes ≈250 s
-# wall at 2.21 GB peak RSS (-perf reports both), under the 2 GiB soft
-# memory limit analyze applies when GOMEMLIMIT is unset. `-tracehash`
-# prints the SHA-256 ROADMAP.md carries.
+# sketch layer on (-online). On a two-core x86-64 VM the simulate phase
+# takes ≈82 s wall at 2.13 GiB peak RSS (-perf reports both), with the
+# 2 GiB soft memory limit analyze applies when GOMEMLIMIT is unset; the
+# whole run, characterize and -tracehash included, takes ≈2.3 min wall,
+# ≈217 CPU-s and 2.58 GiB. `-tracehash` prints the SHA-256 ROADMAP.md
+# carries.
 fullscale:
 	$(GO) run ./cmd/analyze -simulate -scale 1.0 -days 40 -nodes 48 -online -tracehash -only summary -perf
 

@@ -103,6 +103,15 @@
 //     forwarded query's text is never resolved — vocab.SkipSample
 //     advances the random stream past the draw instead.
 //
+// The arrival producer that feeds the loops is held to the same
+// discipline. The generator refills one scratch user session per arrival
+// (workload.Generator.NextInto), the shaper collects each client query
+// stream in a reused buffer, orders it by a key sort and copies it out
+// once at exact size, and the engine hands each session to its vantage by
+// value. An arrival thus costs about one allocation, its query stream
+// (TestGeneratorAllocationBudget: at most 0.4 per arrival), and one the
+// vantage rejects at its connection cap costs nothing more.
+//
 // # Streaming pipeline
 //
 // internal/stream turns the batch reproducer into a system that can

@@ -18,13 +18,20 @@
 //
 // The Kind of each query is ground truth for ablation and calibration
 // only: the filter pipeline never sees it.
+//
+// A Generator produces sessions one arrival at a time: NextInto fills a
+// caller-owned Session (the engine's producer path), Next returns a fresh
+// one. Each Session carries its own exact-size query stream and no
+// reference to the user session it wraps, whose storage the generator
+// reuses from one arrival to the next.
 package behavior
 
 import (
+	"cmp"
 	"math"
 	"math/rand/v2"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/geo"
@@ -71,7 +78,10 @@ type TimedQuery struct {
 }
 
 // Session is a raw client session as the measurement node will see it:
-// the user session plus everything the client software adds.
+// the user session plus everything the client software adds. It holds no
+// reference to the user session it was generated from: the generator
+// reuses that as scratch, and a Session is a plain value its consumer may
+// copy (the engine queues sessions by value).
 type Session struct {
 	Start       time.Duration // simulated trace time
 	Region      geo.Region
@@ -84,16 +94,16 @@ type Session struct {
 	// interval run can keep the client online slightly longer than the
 	// user session it wraps).
 	Duration time.Duration
-	// Queries is the full time-ordered query stream.
+	// Queries is the full time-ordered query stream, allocated at exact
+	// size for this session alone (nil when it is empty).
 	Queries []TimedQuery
-	// User points to the arrival skeleton: the full user session for
-	// wrapped sessions, or the unused would-be session for quick ones
-	// (quick disconnects preempt whatever the user might have done).
-	User *workload.Session
+	// addr is the peer's address, taken from the arrival skeleton (the
+	// user session, or the unused would-be one of a quick disconnect).
+	addr netip.Addr
 }
 
-// Addr returns the peer's address, carried on the arrival skeleton.
-func (s *Session) Addr() netip.Addr { return s.User.Addr }
+// Addr returns the peer's address.
+func (s *Session) Addr() netip.Addr { return s.addr }
 
 // End returns the session end in trace time.
 func (s *Session) End() time.Duration { return s.Start + s.Duration }
@@ -157,6 +167,11 @@ type Shaper struct {
 	model *model.Params
 	// cumulative profile shares for sampling
 	cum []float64
+	// buf collects a session's query stream in generation order and keys
+	// holds its sort keys; both are scratch, reused across sessions, and
+	// the stream leaves them through one exact-size copy (finishQueries).
+	buf  []TimedQuery
+	keys []queryKey
 }
 
 // NewShaper builds a shaper drawing automation randomness from the seed.
@@ -185,12 +200,13 @@ func (sh *Shaper) PickProfile() Profile {
 	return profiles[0].Profile
 }
 
-// Quick converts an arrival skeleton into a system-terminated quick
-// session (< 64 s): the connection the measurement node sees when client
-// software decides to disconnect for its own reasons (rule 3).
-func (sh *Shaper) Quick(s *workload.Session) *Session {
+// Quick fills cs with the system-terminated quick session (< 64 s) the
+// arrival skeleton s becomes: the connection the measurement node sees
+// when client software decides to disconnect for its own reasons (rule
+// 3). It overwrites every field of cs and keeps no reference to s.
+func (sh *Shaper) Quick(s *workload.Session, cs *Session) {
 	prof := sh.PickProfile()
-	cs := &Session{
+	*cs = Session{
 		Start:       time.Duration(s.Start),
 		Region:      s.Region,
 		Ultrapeer:   s.Ultrapeer,
@@ -198,49 +214,53 @@ func (sh *Shaper) Quick(s *workload.Session) *Session {
 		UserAgent:   prof.UserAgent,
 		Quick:       true,
 		Duration:    sh.model.SampleQuickDisconnect(sh.rng),
-		User:        s,
+		addr:        s.Addr,
 	}
 	// A small fraction of quick sessions carries a query or two (Table 2,
 	// rule 3: ≈0.1 queries per discarded session).
+	qs := sh.buf[:0]
 	if sh.rng.Float64() < model.QuickSessionQueryFraction {
 		day := dayOf(cs.Start)
 		off := time.Duration(sh.rng.Float64() * float64(cs.Duration))
-		cs.Queries = append(cs.Queries, TimedQuery{
+		qs = append(qs, TimedQuery{
 			Offset: off,
 			Text:   sh.vocab.Sample(sh.rng, s.Region, day),
 			Kind:   KindUser,
 		})
 		if sh.rng.Float64() < 0.5 && cs.Duration-off > 2*time.Second {
 			// An immediate automated re-send inside the short window.
-			cs.Queries = append(cs.Queries, TimedQuery{
+			qs = append(qs, TimedQuery{
 				Offset: off + time.Second + time.Duration(sh.rng.Float64()*float64(time.Second)),
-				Text:   cs.Queries[0].Text,
+				Text:   qs[0].Text,
 				Kind:   KindRequery,
 			})
 		}
 	}
-	return cs
+	sh.buf = qs
+	cs.Queries = sh.finishQueries()
 }
 
-// Wrap converts a user session into the raw client session the overlay
-// will observe.
-func (sh *Shaper) Wrap(s *workload.Session) *Session {
+// Wrap fills cs with the raw client session the overlay will observe for
+// the user session s. It overwrites every field of cs and keeps no
+// reference to s.
+func (sh *Shaper) Wrap(s *workload.Session, cs *Session) {
 	prof := sh.PickProfile()
-	cs := &Session{
+	*cs = Session{
 		Start:       time.Duration(s.Start),
 		Region:      s.Region,
 		Ultrapeer:   s.Ultrapeer,
 		SharedFiles: s.SharedFiles,
 		UserAgent:   prof.UserAgent,
 		Duration:    s.Duration,
-		User:        s,
+		addr:        s.Addr,
 	}
 	if s.Passive {
-		return cs
+		return
 	}
 
 	// User queries, with the pre-connect ones forming the rule-4 burst:
 	// the client re-issues them back to back right after connecting.
+	qs := sh.buf[:0]
 	burstAt := 200 * time.Millisecond
 	for _, q := range s.Queries {
 		tq := TimedQuery{Offset: q.Offset, Text: q.Text, Kind: KindUser}
@@ -249,7 +269,7 @@ func (sh *Shaper) Wrap(s *workload.Session) *Session {
 			tq.Offset = burstAt
 			burstAt += 300*time.Millisecond + time.Duration(sh.rng.Float64()*400)*time.Millisecond
 		}
-		cs.Queries = append(cs.Queries, tq)
+		qs = append(qs, tq)
 	}
 
 	// Automatic re-queries: the client re-issues each pending search every
@@ -267,7 +287,7 @@ func (sh *Shaper) Wrap(s *workload.Session) *Session {
 			if off >= s.Duration {
 				break
 			}
-			cs.Queries = append(cs.Queries, TimedQuery{
+			qs = append(qs, TimedQuery{
 				Offset: off,
 				Text:   q.Text,
 				Kind:   KindRequery,
@@ -285,7 +305,7 @@ func (sh *Shaper) Wrap(s *workload.Session) *Session {
 		}
 		for i := 0; i < n && i < 40; i++ {
 			off := q.Offset + time.Duration(sh.rng.Float64()*float64(window))
-			cs.Queries = append(cs.Queries, TimedQuery{
+			qs = append(qs, TimedQuery{
 				Offset: off,
 				SHA1:   true,
 				Kind:   KindSHA1,
@@ -315,7 +335,7 @@ func (sh *Shaper) Wrap(s *workload.Session) *Session {
 		start := 2*time.Second + time.Duration(sh.rng.Float64()*float64(10*time.Second))
 		for i := 0; i < n; i++ {
 			off := start + time.Duration(i)*prof.IntervalEvery
-			cs.Queries = append(cs.Queries, TimedQuery{
+			qs = append(qs, TimedQuery{
 				Offset: off,
 				// Interval automation replays a machine-held queue of
 				// pending searches — filename-like strings outside the
@@ -332,8 +352,29 @@ func (sh *Shaper) Wrap(s *workload.Session) *Session {
 		}
 	}
 
-	sortQueries(cs.Queries)
-	return cs
+	sh.buf = qs
+	cs.Queries = sh.finishQueries()
+}
+
+// finishQueries copies the stream collected in sh.buf out, ordered by
+// offset, to a slice of exactly its length (nil when empty), and leaves
+// sh.buf for the next session. A stream generated in order, such as
+// every quick session's, skips the sort.
+func (sh *Shaper) finishQueries() []TimedQuery {
+	qs := sh.buf
+	if len(qs) == 0 {
+		return nil
+	}
+	out := make([]TimedQuery, len(qs))
+	if slices.IsSortedFunc(qs, compareOffsets) {
+		copy(out, qs)
+		return out
+	}
+	sh.keys = sortKeys(qs, sh.keys)
+	for i, k := range sh.keys {
+		out[i] = qs[k.index]
+	}
+	return out
 }
 
 // machineString generates a filename-like query string for automated
@@ -374,12 +415,33 @@ func (sh *Shaper) geom(mean float64) int {
 
 func dayOf(t time.Duration) int { return int(t / (24 * time.Hour)) }
 
-// sortQueries orders the stream by offset. The sort must be stable so
-// that equal-offset queries keep their generation order (determinism),
-// and O(n log n) so that automation-heavy sessions (thousands of
-// periodic re-queries) stay cheap.
-func sortQueries(qs []TimedQuery) {
-	sort.SliceStable(qs, func(i, j int) bool { return qs[i].Offset < qs[j].Offset })
+// queryKey is a query's sort key: its offset and its generation index.
+// Ordering keys by (offset, index) orders the queries by offset with ties
+// in generation order — exactly a stable sort by offset — while the sort
+// moves 16-byte, pointer-free keys instead of the 40-byte queries.
+type queryKey struct {
+	offset time.Duration
+	index  int
+}
+
+func compareOffsets(a, b TimedQuery) int { return cmp.Compare(a.Offset, b.Offset) }
+
+// sortKeys fills keys (reusing its backing array) with the stream's sort
+// keys in offset order. The sort must keep equal-offset queries in their
+// generation order (determinism) and be O(n log n), so that
+// automation-heavy sessions (thousands of periodic re-queries) stay cheap.
+func sortKeys(qs []TimedQuery, keys []queryKey) []queryKey {
+	keys = keys[:0]
+	for i := range qs {
+		keys = append(keys, queryKey{qs[i].Offset, i})
+	}
+	slices.SortFunc(keys, func(a, b queryKey) int {
+		if c := cmp.Compare(a.offset, b.offset); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.index, b.index)
+	})
+	return keys
 }
 
 // Generator composes the workload arrival process with the client layer:
@@ -397,6 +459,10 @@ type Generator struct {
 	// rng so attaching churn events leaves the quick/wrap decisions and
 	// shaping draws of every session untouched.
 	churnRNG *rand.Rand
+	// user is the arrival skeleton scratch: every arrival's user session
+	// is generated into it, reusing its query array, and read by the
+	// shaper before the next arrival overwrites it.
+	user workload.Session
 }
 
 // NewGenerator builds the composed generator.
@@ -417,14 +483,25 @@ func NewGenerator(cfg workload.Config) *Generator {
 // Workload exposes the inner user-session generator.
 func (g *Generator) Workload() *workload.Generator { return g.users }
 
-// Shaper exposes the client layer (for tests and ablations).
-func (g *Generator) Shaper() *Shaper { return g.shaper }
-
-// Next returns the next raw client session, or nil at the trace horizon.
+// Next returns the next raw client session as a fresh heap object, or nil
+// at the trace horizon.
 func (g *Generator) Next() *Session {
-	s := g.users.Next()
-	if s == nil {
+	cs := new(Session)
+	if !g.NextInto(cs) {
 		return nil
+	}
+	return cs
+}
+
+// NextInto fills cs with the next raw client session and reports false at
+// the trace horizon. It overwrites every field of cs; the Queries it
+// leaves there are allocated for this session alone (unlike
+// workload.Generator.NextInto's), so cs may be copied and kept as a value
+// while the caller passes the same cs back for the next arrival.
+func (g *Generator) NextInto(cs *Session) bool {
+	s := &g.user
+	if !g.users.NextInto(s) {
+		return false
 	}
 	// The quick draw happens for every arrival — automated scenario
 	// classes merely ignore its outcome — so the rng stream stays
@@ -433,14 +510,13 @@ func (g *Generator) Next() *Session {
 	if quick && g.automated(s.Class) {
 		quick = false
 	}
-	var cs *Session
 	if quick {
-		cs = g.shaper.Quick(s)
+		g.shaper.Quick(s, cs)
 	} else {
-		cs = g.shaper.Wrap(s)
+		g.shaper.Wrap(s, cs)
 	}
 	g.applyChurn(cs)
-	return cs
+	return true
 }
 
 // automated reports whether the session's scenario class models automated

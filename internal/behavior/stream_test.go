@@ -92,17 +92,24 @@ func boolByte(v bool) byte {
 	return 0
 }
 
-func hashStream(g *Generator) (string, int) {
+// hashStream hashes the stream next produces, each session one arrival
+// late: it is hashed only after the generator has produced the following
+// one, so a query stream the generator went on to reuse would show.
+func hashStream(next func(*Session) bool) (string, int) {
 	sh := newSessionHasher()
-	for s := g.Next(); s != nil; s = g.Next() {
-		sh.add(s)
+	var prev, cur Session
+	for ok := next(&prev); ok; prev = cur {
+		ok = next(&cur)
+		sh.add(&prev)
 	}
 	return sh.sum(), sh.n
 }
 
+// TestGeneratorStreamGolden runs both entry points: NextInto refilling
+// one caller-owned Session (the engine's producer path) and Next.
 func TestGeneratorStreamGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("generates two full 2-day streams")
+		t.Skip("generates four full 2-day streams")
 	}
 	for _, tc := range []struct {
 		name string
@@ -112,9 +119,22 @@ func TestGeneratorStreamGolden(t *testing.T) {
 		{"plain", nil, streamGoldenPlain},
 		{"scenario", goldenScenario(), streamGoldenScenario},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			got, n := hashStream(NewGenerator(goldenConfig(tc.sc)))
-			if got != tc.want {
+		t.Run(tc.name+"/into", func(t *testing.T) {
+			g := NewGenerator(goldenConfig(tc.sc))
+			if got, n := hashStream(g.NextInto); got != tc.want {
+				t.Errorf("stream of %d sessions hashes to %s, want %s", n, got, tc.want)
+			}
+		})
+		t.Run(tc.name+"/next", func(t *testing.T) {
+			g := NewGenerator(goldenConfig(tc.sc))
+			next := func(s *Session) bool {
+				p := g.Next()
+				if p != nil {
+					*s = *p
+				}
+				return p != nil
+			}
+			if got, n := hashStream(next); got != tc.want {
 				t.Errorf("stream of %d sessions hashes to %s, want %s", n, got, tc.want)
 			}
 		})

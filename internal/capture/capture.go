@@ -138,9 +138,12 @@ const quickSilentFraction = 0.05
 const byeFraction = 0.05
 
 type simConn struct {
-	id       int
-	v        *vantage
-	sess     *behavior.Session
+	id int
+	v  *vantage
+	// sess is the connection's own copy of its session, taken when the
+	// vantage accepted the arrival; it shares only the immutable query
+	// stream with the caller's value.
+	sess     behavior.Session
 	end      simtime.Time // client's true end (trace time)
 	silent   bool
 	lastRecv simtime.Time
@@ -217,7 +220,9 @@ func newVantage(cfg Config, idx int, sched simtime.Scheduler, sh *SharedModel, s
 	}
 }
 
-// arrive handles one session arrival assigned to this vantage.
+// arrive handles one session arrival assigned to this vantage. It keeps
+// no reference to sess: an accepted session is copied into its
+// connection, and a rejected one costs nothing.
 func (s *vantage) arrive(now simtime.Time, sess *behavior.Session) {
 	if len(s.conns) >= s.cfg.MaxConns {
 		s.rejected++
@@ -228,7 +233,7 @@ func (s *vantage) arrive(now simtime.Time, sess *behavior.Session) {
 	c := &simConn{
 		id:       id,
 		v:        s,
-		sess:     sess,
+		sess:     *sess,
 		end:      sess.End(),
 		lastRecv: now,
 	}

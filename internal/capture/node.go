@@ -106,7 +106,8 @@ func NewNode(cfg Config, idx int, sched simtime.Scheduler, sh *SharedModel, sink
 
 // Arrive delivers one session arrival assigned to this vantage: the node
 // accepts it subject to its MaxConns cap and schedules the session's
-// message events on its scheduler.
+// message events on its scheduler. The node copies an accepted session
+// and keeps no pointer to sess, so the caller may reuse it at once.
 func (n *Node) Arrive(now simtime.Time, sess *behavior.Session) {
 	n.v.arrive(now, sess)
 }

@@ -322,11 +322,15 @@ func (e *Engine) ScheduledPerNode() []uint64 {
 	return e.schedPerNode
 }
 
-// ownedSession is one node-owned arrival: the session object plus its
-// global chain position, which is the Epoch of its precomputed tie-break
-// key.
+// ownedSession is one node-owned arrival: the session plus its global
+// chain position, which is the Epoch of its precomputed tie-break key. The
+// session travels by value — the producer fills one local per arrival and
+// copies it into the batch, and the queues hold the values themselves — so
+// handing an arrival to its vantage allocates nothing beyond the query
+// stream the generator already gave it; the copies share that stream,
+// which no one mutates once generated.
 type ownedSession struct {
-	sess *behavior.Session
+	sess behavior.Session
 	gidx uint64
 }
 

@@ -157,7 +157,8 @@ func produceArrivals(cfg capture.FleetConfig, gen *behavior.Generator, ch *chain
 		}
 		starts, owned, owners = starts[:0], owned[:0], owners[:0]
 	}
-	for sess := gen.Next(); sess != nil; sess = gen.Next() {
+	var sess behavior.Session
+	for gen.NextInto(&sess) {
 		n := guids.Next().Shard(cfg.Nodes)
 		if queues[n] != nil {
 			owned = append(owned, ownedSession{sess: sess, gidx: total})
@@ -230,7 +231,7 @@ func (r *keyedBoundedRun) Fire(now simtime.Time) {
 		r.node.ScheduleArrival(next.sess.Start, simtime.SeqKey{Epoch: next.gidx}, r)
 	}
 	r.arrivals.Inc()
-	r.node.Arrive(now, sess)
+	r.node.Arrive(now, &sess)
 }
 
 // runNodeBounded simulates vantage idx to the horizon against the bounded

@@ -83,8 +83,9 @@ var regionMix = [24][4]float64{
 // peakHours marks, per region, the measurement-node hours in which that
 // region's query load is high (Figure 3): North America peaks in its
 // evening (19:00–04:59 node time), Europe from late morning to midnight,
-// Asia in its evening block (11:00–16:59 node time).
-var peakHours = map[geo.Region][24]bool{
+// Asia in its evening block (11:00–16:59 node time). Unknown has no peak
+// hours (IsPeak checks the bound).
+var peakHours = [geo.NumRegions][24]bool{
 	geo.NorthAmerica: hoursIn(19, 20, 21, 22, 23, 0, 1, 2, 3, 4),
 	geo.Europe:       hoursIn(11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23),
 	geo.Asia:         hoursIn(11, 12, 13, 14, 15, 16),
@@ -101,7 +102,8 @@ func hoursIn(hs ...int) [24]bool {
 
 // passiveBase is the mean fraction of connected sessions that issue no
 // queries, per region (Figure 4): 80–85% NA, 75–80% EU, 80–90% Asia.
-var passiveBase = map[geo.Region]float64{
+// Unknown takes Other's 0.82 through normRegion.
+var passiveBase = [geo.NumRegions]float64{
 	geo.NorthAmerica: 0.825,
 	geo.Europe:       0.775,
 	geo.Asia:         0.85,
@@ -150,32 +152,28 @@ func QueryBucketIAT(n int) int {
 
 // Params is the full generative model. Build it once with Default (or a
 // variant) and share it: it is immutable and safe for concurrent use.
+// Every table is indexed by assignable region; lookups go through
+// normRegion, which folds Unknown into Other.
 type Params struct {
 	// passiveDuration[region][period]: Table A.1 (+ inferred EU/Asia).
-	passiveDuration map[geo.Region][2]dist.Dist
+	passiveDuration [geo.NumRegions][2]dist.Dist
 	// numQueries[region]: Table A.2 lognormals over a continuous variate,
 	// discretized by SampleNumQueries.
-	numQueries map[geo.Region]dist.Lognormal
+	numQueries [geo.NumRegions]dist.Lognormal
 	// firstQuery[region][period][bucketA3]: Table A.3 (+ inferred).
-	firstQuery map[geo.Region][2][3]dist.Dist
+	firstQuery [geo.NumRegions][2][3]dist.Dist
 	// interarrival[region][period][bucketIAT]: Table A.4; only Europe
 	// varies by bucket (Figure 8(b)).
-	interarrival map[geo.Region][2][3]dist.Dist
+	interarrival [geo.NumRegions][2][3]dist.Dist
 	// afterLast[region][period][bucketA5]: Table A.5 (+ inferred).
-	afterLast map[geo.Region][2][3]dist.Dist
+	afterLast [geo.NumRegions][2][3]dist.Dist
 	// sharedFiles is the library-size model behind Figure 2.
 	sharedFiles dist.Dist
 }
 
 // Default returns the paper-parameterized model.
 func Default() *Params {
-	p := &Params{
-		passiveDuration: make(map[geo.Region][2]dist.Dist),
-		numQueries:      make(map[geo.Region]dist.Lognormal),
-		firstQuery:      make(map[geo.Region][2][3]dist.Dist),
-		interarrival:    make(map[geo.Region][2][3]dist.Dist),
-		afterLast:       make(map[geo.Region][2][3]dist.Dist),
-	}
+	p := &Params{}
 
 	// ---- Table A.1: passive connected-session duration (seconds). ----
 	// Body window is [64 s, 120 s]: durations below 64 s were filtered by
@@ -391,12 +389,10 @@ func (p *Params) PickRegion(rng *rand.Rand, hour int) geo.Region {
 // IsPeak reports whether the hour is a high-load period for the region
 // (Figure 3).
 func (p *Params) IsPeak(r geo.Region, hour int) bool {
-	h := ((hour % 24) + 24) % 24
-	hs, ok := peakHours[r]
-	if !ok {
+	if int(r) >= len(peakHours) {
 		return false
 	}
-	return hs[h]
+	return peakHours[r][((hour%24)+24)%24]
 }
 
 // PeriodOf converts IsPeak into the Period enum.
@@ -411,11 +407,7 @@ func (p *Params) PeriodOf(r geo.Region, hour int) Period {
 // given hour issues no queries (Figure 4). The ±2% sinusoidal wobble
 // models the paper's "fluctuates only by about 5% over time of day".
 func (p *Params) PassiveFraction(r geo.Region, hour int) float64 {
-	base, ok := passiveBase[r]
-	if !ok {
-		base = 0.82
-	}
-	return base + 0.02*math.Sin(2*math.Pi*float64(hour)/24)
+	return passiveBase[normRegion(r)] + 0.02*math.Sin(2*math.Pi*float64(hour)/24)
 }
 
 // PassiveDuration returns the connected-session-duration model for passive

@@ -18,6 +18,7 @@ package workload
 import (
 	"math/rand/v2"
 	"net/netip"
+	"slices"
 	"time"
 
 	"repro/internal/geo"
@@ -174,6 +175,21 @@ func (g *Generator) arrivalRate(at simtime.Time) float64 {
 // Next generates the next arriving session, advancing the generator's
 // clock. It returns nil when the trace horizon is reached.
 func (g *Generator) Next() *Session {
+	s := new(Session)
+	if !g.NextInto(s) {
+		return nil
+	}
+	return s
+}
+
+// NextInto generates the next arriving session into s, advancing the
+// generator's clock, and reports false when the trace horizon is reached.
+// It overwrites every field of s but reuses the backing array of
+// s.Queries, so a caller that keeps one Session and passes it back each
+// time pays no allocation for the query stream once the array has grown.
+// Aliasing contract: the Queries it leaves in s stay valid only until the
+// next call that is handed the same s; copy them out to keep them.
+func (g *Generator) NextInto(s *Session) bool {
 	// Thinned nonhomogeneous Poisson arrivals: draw at the maximum rate,
 	// accept with probability rate(t)/maxRate. The envelope carries the
 	// scenario's surge bound (1 without one) so recovery waves stay
@@ -183,30 +199,40 @@ func (g *Generator) Next() *Session {
 		step := g.rng.ExpFloat64() / maxRate // hours
 		g.now += simtime.Time(step * float64(time.Hour))
 		if g.now >= g.horizon {
-			return nil
+			return false
 		}
 		if g.rng.Float64()*maxRate <= g.arrivalRate(g.now) {
 			break
 		}
 	}
-	return g.SessionAt(g.now)
+	g.sessionInto(s, g.now)
+	return true
 }
 
 // SessionAt generates one session starting at the given instant, following
 // Figure 12 step by step.
 func (g *Generator) SessionAt(start simtime.Time) *Session {
+	s := new(Session)
+	g.sessionInto(s, start)
+	return s
+}
+
+// sessionInto is SessionAt into a caller-owned session, reusing the
+// backing array of s.Queries (see NextInto).
+func (g *Generator) sessionInto(s *Session, start simtime.Time) {
 	rng := g.rng
 	hour := simtime.HourOfDay(start)
 
 	// (1) Select the geographical region conditioned on time of day.
 	region := g.params.PickRegion(rng, hour)
 
-	s := &Session{
+	*s = Session{
 		Start:       start,
 		Region:      region,
 		Addr:        g.geoReg.Sample(region, rng),
 		Ultrapeer:   rng.Float64() < model.UltrapeerFraction,
 		SharedFiles: g.params.SampleSharedFiles(rng),
+		Queries:     s.Queries[:0],
 	}
 
 	// (2) Passive or active, conditioned on region (and hour).
@@ -215,7 +241,8 @@ func (g *Generator) SessionAt(start simtime.Time) *Session {
 		// (3) Passive: connected session length from Table A.1.
 		s.Passive = true
 		s.Duration = secs(g.params.PassiveDuration(region, period).Sample(rng))
-		return g.finishSession(s)
+		g.finishSession(s)
+		return
 	}
 
 	// (4a) Number of queries from Table A.2.
@@ -226,7 +253,7 @@ func (g *Generator) SessionAt(start simtime.Time) *Session {
 
 	// (4c) Queries: interarrival times from Table A.4; query strings by
 	// class and per-day rank (Table 3 + Figure 11).
-	s.Queries = make([]Query, 0, n)
+	s.Queries = slices.Grow(s.Queries, n)
 	offset := secs(first)
 	preConnect := rng.Float64() < preConnectQueryFraction
 	for i := 0; i < n; i++ {
@@ -264,22 +291,21 @@ func (g *Generator) SessionAt(start simtime.Time) *Session {
 	if min := 64*time.Second + time.Duration(rng.IntN(2000))*time.Millisecond; s.Duration < min {
 		s.Duration = min
 	}
-	return g.finishSession(s)
+	g.finishSession(s)
 }
 
 // finishSession applies the scenario's client-class overlay (if any) to a
 // fully generated base session. Without a scenario it is the identity —
 // not even a random draw happens — preserving byte-identity with
 // scenario-free runs.
-func (g *Generator) finishSession(s *Session) *Session {
+func (g *Generator) finishSession(s *Session) {
 	sc := g.cfg.Scenario
 	if sc == nil || len(sc.Classes) == 0 {
-		return s
+		return
 	}
 	if cls := sc.pickClass(g.scenRNG); cls != nil {
 		g.applyClass(s, cls)
 	}
-	return s
 }
 
 // SteadyState produces the literal Figure 12 evaluation workload: the
