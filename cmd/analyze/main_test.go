@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -158,14 +160,31 @@ func TestCLIAnalyzeCSVExport(t *testing.T) {
 	if err != nil {
 		t.Fatalf("analyze -csv: %v\n%s", err, out)
 	}
-	for _, f := range []string{"fig5_passive_duration_ccdf.csv", "fig8_interarrival_ccdf.csv", "fig11_popularity_pmf.csv"} {
+	// The SHA-256 of every exported file for smallTrace's fixed trace: a
+	// refactor of the figure containers or the series order shows here.
+	want := map[string]string{
+		"fig5_passive_duration_ccdf.csv":    "94a48bcac1145feed782f4b27176ed9cfc054393491952fe7be46c829ed0870a",
+		"fig6_queries_per_session_ccdf.csv": "985a219965029c0108d3b1ac10b0368a2b3d98213064930047ddad58a4054ccc",
+		"fig7_first_query_ccdf.csv":         "5a29f98593eb80775b80bccd363883d1cf2cf97c54efb1de90d298c548f5d0d1",
+		"fig8_interarrival_ccdf.csv":        "bcf6b626e95b2662c8f22dcdd71ad85c9a4c5d50fff9f51677d0984c520cd471",
+		"fig9_after_last_ccdf.csv":          "b0209461818626ea6b3118a6ab83f6ca947015c35f234ed19d3497413c979b60",
+		"fig11_popularity_pmf.csv":          "af2278a8c6d5d5a14da7ed509c1ccaf1dc270861f9a1abd6f0c9ad545750a195",
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(want) {
+		t.Errorf("CSV export wrote %d files, want %d", len(entries), len(want))
+	}
+	for f, sum := range want {
 		data, err := os.ReadFile(filepath.Join(dir, f))
 		if err != nil {
 			t.Errorf("missing CSV export: %v", err)
 			continue
 		}
-		if len(data) == 0 {
-			t.Errorf("%s is empty", f)
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != sum {
+			t.Errorf("%s: sha256 %s, want %s", f, got, sum)
 		}
 	}
 }
