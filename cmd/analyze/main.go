@@ -424,11 +424,11 @@ func exportCSV(dir string, c *core.Characterization) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	regionSeries := func(samples map[geo.Region]*stats.Sample, grid []float64) []report.Series {
+	regionSeries := func(samples *[geo.NumContinental]stats.Sample, grid []float64) []report.Series {
 		var out []report.Series
-		for _, r := range []geo.Region{geo.NorthAmerica, geo.Europe, geo.Asia} {
-			sample := samples[r]
-			if sample == nil || sample.Len() == 0 {
+		for _, r := range geo.Continental {
+			sample := &samples[r]
+			if sample.Len() == 0 {
 				continue
 			}
 			pts := sample.CCDFSeries(grid)
@@ -442,11 +442,11 @@ func exportCSV(dir string, c *core.Characterization) error {
 		return out
 	}
 	files := map[string][]report.Series{
-		"fig5_passive_duration_ccdf.csv":    regionSeries(c.Figure5.ByRegion, stats.LogSpace(60, 600000, 120)),
-		"fig6_queries_per_session_ccdf.csv": regionSeries(c.Figure6.ByRegion, stats.LogSpace(1, 1000, 80)),
-		"fig7_first_query_ccdf.csv":         regionSeries(c.Figure7.ByRegion, stats.LogSpace(1, 100000, 120)),
-		"fig8_interarrival_ccdf.csv":        regionSeries(c.Figure8.ByRegion, stats.LogSpace(1, 10000, 100)),
-		"fig9_after_last_ccdf.csv":          regionSeries(c.Figure9.ByRegion, stats.LogSpace(1, 100000, 120)),
+		"fig5_passive_duration_ccdf.csv":    regionSeries(&c.Figure5.ByRegion, stats.LogSpace(60, 600000, 120)),
+		"fig6_queries_per_session_ccdf.csv": regionSeries(&c.Figure6.ByRegion, stats.LogSpace(1, 1000, 80)),
+		"fig7_first_query_ccdf.csv":         regionSeries(&c.Figure7.ByRegion, stats.LogSpace(1, 100000, 120)),
+		"fig8_interarrival_ccdf.csv":        regionSeries(&c.Figure8.ByRegion, stats.LogSpace(1, 10000, 100)),
+		"fig9_after_last_ccdf.csv":          regionSeries(&c.Figure9.ByRegion, stats.LogSpace(1, 100000, 120)),
 	}
 	var pop []report.Series
 	for _, cl := range report.PopularityClassLabels() {

@@ -37,6 +37,18 @@
 // per-slot seeds) whose acceptances are trustworthy too, and the report
 // tags every verdict with its source.
 //
+// The conditioning cells the appendix tables and Figures 3–9 share are
+// defined once, in internal/model: the peak/off-peak model.Period of
+// Figure 3's hours (model.PeriodOf), the key one-hour periods
+// (model.KeyPeriods, model.KeyPeriodIndex) and the query-count buckets
+// (model.QueryBucketA3/A5/IAT). The generator's parameter tables and the
+// characterization index by the same cells: core.Fits and every
+// per-cell figure container are fixed-size arrays indexed by geo.Region
+// (the continental regions are Regions 0–2), period, key-period index,
+// bucket or popularity class. The measurement side takes only these
+// definitions from internal/model, never its parameter values;
+// TestMeasurementSeesNoGroundTruth (internal/core) holds that boundary.
+//
 // # Simulation engine
 //
 // internal/engine is the one way a vantage runs: a bounded producer
@@ -193,7 +205,7 @@
 // bucket) appendix fits runs as an independent task on the same bounded
 // pool (core.Options.Workers; 1 forces sequential). Tasks share only the
 // immutable trace and enriched-session slice and write to disjoint
-// fields, so for a fixed seed the rendered report is byte-identical for
+// fields or cells of core.Fits, so for a fixed seed the rendered report is byte-identical for
 // every worker count — a property pinned by tests, and demonstrated (not
 // just promised) by CI's multi-core job, which fails unless the parallel
 // pipeline beats sequential by ≥ 2× at 4 vCPUs.

@@ -8,7 +8,13 @@
 // All analyzers consume the raw trace and/or the filtered session view of
 // internal/filter; none of them sees generator ground truth, so the
 // pipeline measures exactly what the paper's post-processing could
-// measure.
+// measure. The conditioning cells are the paper's definitions, taken once
+// from internal/model: the peak/off-peak Period of Figure 3's hours, the
+// key periods, and the query-count buckets. Never model's parameter
+// values (Params): TestMeasurementSeesNoGroundTruth in internal/core
+// holds that boundary. Every per-cell result is a fixed-size array indexed
+// by geo.Region (the continental regions are Regions 0–2), key-period
+// index, bucket or PopularityClass.
 //
 // Popularity-analysis note: rule-4 flagged queries (pre-connection user
 // queries re-issued at connect) are included in the popularity and class
@@ -40,9 +46,8 @@ type Session struct {
 	// time.
 	StartHour int
 	StartDay  int
-	// Peak reports whether the session started in its region's high-load
-	// period.
-	Peak bool
+	// Period is the session's region's peak/off-peak period at its start.
+	Period model.Period
 	// UserQueries caches NumUserQueries.
 	UserQueries int
 }
@@ -63,7 +68,6 @@ func Enrich(res *filter.Result) []Session {
 func EnrichWorkers(res *filter.Result, workers int) []Session {
 	workers = par.Workers(workers)
 	reg := geo.Default()
-	params := model.Default()
 	out := make([]Session, len(res.Sessions))
 	var tasks []func()
 	par.Chunks(len(res.Sessions), workers*4, func(_, lo, hi int) {
@@ -77,7 +81,7 @@ func EnrichWorkers(res *filter.Result, workers int) []Session {
 					Region:      r,
 					StartHour:   hour,
 					StartDay:    simtime.DayIndex(fs.Conn.Start),
-					Peak:        params.IsPeak(r, hour),
+					Period:      model.PeriodOf(r, hour),
 					UserQueries: fs.NumUserQueries(),
 				}
 			}
@@ -122,16 +126,6 @@ func ComputeTable1(tr *trace.Trace) Table1 {
 		UltrapeerFraction: frac,
 	}
 }
-
-// KeyPeriods re-exports the model's four key one-hour windows for
-// conditioned analyses.
-var KeyPeriods = model.KeyPeriods
-
-// continental is the region set every per-region analyzer iterates.
-var continental = []geo.Region{geo.NorthAmerica, geo.Europe, geo.Asia}
-
-// Continental returns the three regions the paper characterizes.
-func Continental() []geo.Region { return continental }
 
 // secondsOf converts a duration to float seconds, the unit of the
 // appendix models.

@@ -7,13 +7,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dist"
 	"repro/internal/filter"
 	"repro/internal/geo"
+	"repro/internal/model"
 	"repro/internal/trace"
 )
 
 // addresses per region for synthetic traces.
-var testAddrs = map[geo.Region]string{
+var testAddrs = [geo.NumContinental]string{
 	geo.NorthAmerica: "66.10.0.%d",
 	geo.Europe:       "80.10.0.%d",
 	geo.Asia:         "61.10.0.%d",
@@ -21,13 +23,12 @@ var testAddrs = map[geo.Region]string{
 
 type traceBuilder struct {
 	tr     *trace.Trace
-	nextIP map[geo.Region]int
+	nextIP [geo.NumContinental]int
 }
 
 func newBuilder(days int) *traceBuilder {
 	return &traceBuilder{
-		tr:     &trace.Trace{Days: days, PongSampleRate: 1, HitSampleRate: 1},
-		nextIP: map[geo.Region]int{},
+		tr: &trace.Trace{Days: days, PongSampleRate: 1, HitSampleRate: 1},
 	}
 }
 
@@ -67,12 +68,22 @@ func TestEnrichResolvesRegions(t *testing.T) {
 	if len(ss) != 2 {
 		t.Fatalf("%d sessions", len(ss))
 	}
-	if ss[0].Region != geo.NorthAmerica || ss[0].StartHour != 3 || !ss[0].Peak {
+	if ss[0].Region != geo.NorthAmerica || ss[0].StartHour != 3 || ss[0].Period != model.Peak {
 		t.Errorf("session 0: %+v", ss[0])
 	}
-	if ss[1].Region != geo.Europe || ss[1].StartHour != 12 || !ss[1].Peak {
+	if ss[1].Region != geo.Europe || ss[1].StartHour != 12 || ss[1].Period != model.Peak {
 		t.Errorf("session 1: %+v", ss[1])
 	}
+}
+
+// keyIndex is the figures' key-period index of a key start hour.
+func keyIndex(t *testing.T, hour int) int {
+	t.Helper()
+	k, ok := model.KeyPeriodIndex(hour)
+	if !ok {
+		t.Fatalf("hour %d is not a key period", hour)
+	}
+	return k
 }
 
 func at(day, hour int) time.Duration {
@@ -186,8 +197,8 @@ func TestComputeFigure5(t *testing.T) {
 		t.Errorf("Asia CCDF(2min) = %v", got)
 	}
 	// EU session started at key period 03:00.
-	if pd.ByPeriod[geo.Europe][3].Len() != 1 {
-		t.Errorf("EU period-3 samples = %d", pd.ByPeriod[geo.Europe][3].Len())
+	if k := keyIndex(t, 3); pd.ByPeriod[geo.Europe][k].Len() != 1 {
+		t.Errorf("EU period-3 samples = %d", pd.ByPeriod[geo.Europe][k].Len())
 	}
 }
 
@@ -213,8 +224,8 @@ func TestComputeFigure6(t *testing.T) {
 	if got := q.Unfiltered[geo.Asia].Max(); got != 5 {
 		t.Errorf("Asia unfiltered count = %v, want 5", got)
 	}
-	if q.ByPeriodEU[11].Len() != 1 {
-		t.Errorf("EU period-11 sessions = %d", q.ByPeriodEU[11].Len())
+	if k := keyIndex(t, 11); q.ByPeriodEU[k].Len() != 1 {
+		t.Errorf("EU period-11 sessions = %d", q.ByPeriodEU[k].Len())
 	}
 }
 
@@ -250,8 +261,8 @@ func TestComputeFigure8(t *testing.T) {
 	if ia.ByBucketEU[0].Len() != 1 {
 		t.Errorf("bucket =2 count = %d", ia.ByBucketEU[0].Len())
 	}
-	if ia.ByPeriodEU[11].Len() != 1 {
-		t.Errorf("period 11 count = %d", ia.ByPeriodEU[11].Len())
+	if k := keyIndex(t, 11); ia.ByPeriodEU[k].Len() != 1 {
+		t.Errorf("period 11 count = %d", ia.ByPeriodEU[k].Len())
 	}
 }
 
@@ -367,7 +378,7 @@ func TestComputeFigure11(t *testing.T) {
 	if pop.Freq[ClassNAEU][0] == 0 {
 		t.Error("intersection class empty")
 	}
-	if _, ok := pop.Fit[ClassNAOnly]; !ok {
+	if pop.Fit[ClassNAOnly] == (dist.ZipfFit{}) {
 		t.Error("missing NA-only fit")
 	}
 }

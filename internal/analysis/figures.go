@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/geo"
+	"repro/internal/model"
 	"repro/internal/simtime"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -13,18 +14,17 @@ import (
 // (direct connections) versus all peers (addresses observed in remote
 // PONG and QUERYHIT traffic).
 type GeoDistribution struct {
-	// OneHop[region][hour] and AllPeers[region][hour] are average shares.
-	OneHop   map[geo.Region][]float64
-	AllPeers map[geo.Region][]float64
+	// OneHop[region][hour] and AllPeers[region][hour] are average shares,
+	// indexed by every Region, Unknown included.
+	OneHop   [geo.Unknown + 1][]float64
+	AllPeers [geo.Unknown + 1][]float64
 }
 
 // ComputeFigure1 measures the geographic mix from the raw trace.
 func ComputeFigure1(tr *trace.Trace) GeoDistribution {
 	reg := geo.Default()
-	regionsAll := []geo.Region{geo.NorthAmerica, geo.Europe, geo.Asia, geo.Other, geo.Unknown}
-	oneHop := make(map[geo.Region]*stats.DayBinMatrix)
-	all := make(map[geo.Region]*stats.DayBinMatrix)
-	for _, r := range regionsAll {
+	var oneHop, all [geo.Unknown + 1]*stats.DayBinMatrix
+	for r := range oneHop {
 		oneHop[r] = stats.NewDayBinMatrix(24)
 		all[r] = stats.NewDayBinMatrix(24)
 	}
@@ -46,19 +46,10 @@ func ComputeFigure1(tr *trace.Trace) GeoDistribution {
 		}
 		all[reg.Lookup(h.Addr)].Add(simtime.DayIndex(h.At), simtime.HourOfDay(h.At), 1)
 	}
-	out := GeoDistribution{
-		OneHop:   make(map[geo.Region][]float64),
-		AllPeers: make(map[geo.Region][]float64),
-	}
-	oneHopAll := []*stats.DayBinMatrix{}
-	allAll := []*stats.DayBinMatrix{}
-	for _, r := range regionsAll {
-		oneHopAll = append(oneHopAll, oneHop[r])
-		allAll = append(allAll, all[r])
-	}
-	for _, r := range regionsAll {
-		out.OneHop[r] = stats.AvgShare(oneHop[r], oneHopAll)
-		out.AllPeers[r] = stats.AvgShare(all[r], allAll)
+	var out GeoDistribution
+	for r := range oneHop {
+		out.OneHop[r] = stats.AvgShare(oneHop[r], oneHop[:])
+		out.AllPeers[r] = stats.AvgShare(all[r], all[:])
 	}
 	return out
 }
@@ -94,19 +85,18 @@ func ComputeFigure2(tr *trace.Trace) SharedFiles {
 // LoadByTime is Figure 3: user queries received per 30-minute bin, per
 // region, summarized min/avg/max across trace days.
 type LoadByTime struct {
-	PerRegion map[geo.Region]stats.BinSeries
+	PerRegion [geo.NumContinental]stats.BinSeries
 }
 
 // ComputeFigure3 bins the retained user queries by receive time.
 func ComputeFigure3(sessions []Session) LoadByTime {
-	mats := map[geo.Region]*stats.DayBinMatrix{}
-	for _, r := range continental {
+	var mats [geo.NumContinental]*stats.DayBinMatrix
+	for r := range mats {
 		mats[r] = stats.NewDayBinMatrix(48)
 	}
 	for i := range sessions {
 		s := &sessions[i]
-		m, ok := mats[s.Region]
-		if !ok {
+		if s.Region >= geo.NumContinental {
 			continue
 		}
 		for j := range s.Queries {
@@ -114,12 +104,12 @@ func ComputeFigure3(sessions []Session) LoadByTime {
 			if q.Rule5 {
 				continue
 			}
-			m.Add(simtime.DayIndex(q.At), simtime.HalfHourOfDay(q.At), 1)
+			mats[s.Region].Add(simtime.DayIndex(q.At), simtime.HalfHourOfDay(q.At), 1)
 		}
 	}
-	out := LoadByTime{PerRegion: make(map[geo.Region]stats.BinSeries)}
-	for _, r := range continental {
-		out.PerRegion[r] = mats[r].MinAvgMax()
+	var out LoadByTime
+	for r, m := range mats {
+		out.PerRegion[r] = m.MinAvgMax()
 	}
 	return out
 }
@@ -127,20 +117,19 @@ func ComputeFigure3(sessions []Session) LoadByTime {
 // PassiveFraction is Figure 4: the fraction of sessions starting in each
 // hour that issue no queries, per region, min/avg/max across days.
 type PassiveFraction struct {
-	PerRegion map[geo.Region]stats.BinSeries
+	PerRegion [geo.NumContinental]stats.BinSeries
 }
 
 // ComputeFigure4 measures the passive share by session start hour.
 func ComputeFigure4(sessions []Session) PassiveFraction {
-	passive := map[geo.Region]*stats.DayBinMatrix{}
-	total := map[geo.Region]*stats.DayBinMatrix{}
-	for _, r := range continental {
+	var passive, total [geo.NumContinental]*stats.DayBinMatrix
+	for r := range passive {
 		passive[r] = stats.NewDayBinMatrix(24)
 		total[r] = stats.NewDayBinMatrix(24)
 	}
 	for i := range sessions {
 		s := &sessions[i]
-		if _, ok := passive[s.Region]; !ok {
+		if s.Region >= geo.NumContinental {
 			continue
 		}
 		total[s.Region].Add(s.StartDay, s.StartHour, 1)
@@ -148,8 +137,8 @@ func ComputeFigure4(sessions []Session) PassiveFraction {
 			passive[s.Region].Add(s.StartDay, s.StartHour, 1)
 		}
 	}
-	out := PassiveFraction{PerRegion: make(map[geo.Region]stats.BinSeries)}
-	for _, r := range continental {
+	var out PassiveFraction
+	for r := range passive {
 		out.PerRegion[r] = stats.RatioMinAvgMax(passive[r], total[r])
 	}
 	return out
@@ -158,50 +147,36 @@ func ComputeFigure4(sessions []Session) PassiveFraction {
 // PassiveDurations is Figure 5: connected-session durations of passive
 // peers, in seconds, by region and (per region) by key start period.
 type PassiveDurations struct {
-	ByRegion map[geo.Region]*stats.Sample
-	// ByPeriod[region][startHour] holds durations of sessions starting in
-	// each key one-hour window.
-	ByPeriod map[geo.Region]map[int]*stats.Sample
+	ByRegion [geo.NumContinental]stats.Sample
+	// ByPeriod[region][k] holds durations of sessions starting in the key
+	// one-hour window model.KeyPeriods[k].
+	ByPeriod [geo.NumContinental][model.NumKeyPeriods]stats.Sample
 }
 
 // ComputeFigure5 collects passive session durations.
 func ComputeFigure5(sessions []Session) PassiveDurations {
-	out := PassiveDurations{
-		ByRegion: map[geo.Region]*stats.Sample{},
-		ByPeriod: map[geo.Region]map[int]*stats.Sample{},
-	}
-	for _, r := range continental {
-		out.ByRegion[r] = &stats.Sample{}
-		out.ByPeriod[r] = map[int]*stats.Sample{}
-		for _, h := range KeyPeriods {
-			out.ByPeriod[r][h] = &stats.Sample{}
-		}
-	}
+	var out PassiveDurations
 	// Pre-size the per-region samples: passive sessions are ~80% of the
 	// total, so letting append double its way up wastes both copies and
 	// peak memory at full trace scale.
-	counts := map[geo.Region]int{}
+	var counts [geo.NumContinental]int
 	for i := range sessions {
-		if sessions[i].Passive() {
-			counts[sessions[i].Region]++
+		if s := &sessions[i]; s.Passive() && s.Region < geo.NumContinental {
+			counts[s.Region]++
 		}
 	}
-	for _, r := range continental {
-		out.ByRegion[r].Grow(counts[r])
+	for r, n := range counts {
+		out.ByRegion[r].Grow(n)
 	}
 	for i := range sessions {
 		s := &sessions[i]
-		if !s.Passive() {
-			continue
-		}
-		sample, ok := out.ByRegion[s.Region]
-		if !ok {
+		if !s.Passive() || s.Region >= geo.NumContinental {
 			continue
 		}
 		d := secondsOf(s.Conn.Duration())
-		sample.Add(d)
-		if ps, ok := out.ByPeriod[s.Region][s.StartHour]; ok {
-			ps.Add(d)
+		out.ByRegion[s.Region].Add(d)
+		if k, ok := model.KeyPeriodIndex(s.StartHour); ok {
+			out.ByPeriod[s.Region][k].Add(d)
 		}
 	}
 	return out
@@ -209,40 +184,26 @@ func ComputeFigure5(sessions []Session) PassiveDurations {
 
 // QueriesPerSession is Figure 6: the number of queries per active
 // session — with rules 4–5 applied (ByRegion, ByPeriodEU) and without
-// (Unfiltered).
+// (Unfiltered). ByPeriodEU is indexed like model.KeyPeriods.
 type QueriesPerSession struct {
-	ByRegion   map[geo.Region]*stats.Sample
-	ByPeriodEU map[int]*stats.Sample
-	Unfiltered map[geo.Region]*stats.Sample
+	ByRegion   [geo.NumContinental]stats.Sample
+	ByPeriodEU [model.NumKeyPeriods]stats.Sample
+	Unfiltered [geo.NumContinental]stats.Sample
 }
 
 // ComputeFigure6 collects per-session query counts.
 func ComputeFigure6(sessions []Session) QueriesPerSession {
-	out := QueriesPerSession{
-		ByRegion:   map[geo.Region]*stats.Sample{},
-		ByPeriodEU: map[int]*stats.Sample{},
-		Unfiltered: map[geo.Region]*stats.Sample{},
-	}
-	for _, r := range continental {
-		out.ByRegion[r] = &stats.Sample{}
-		out.Unfiltered[r] = &stats.Sample{}
-	}
-	for _, h := range KeyPeriods {
-		out.ByPeriodEU[h] = &stats.Sample{}
-	}
+	var out QueriesPerSession
 	for i := range sessions {
 		s := &sessions[i]
-		if s.NumAllQueries() == 0 {
-			continue
-		}
-		if _, ok := out.ByRegion[s.Region]; !ok {
+		if s.NumAllQueries() == 0 || s.Region >= geo.NumContinental {
 			continue
 		}
 		if s.UserQueries > 0 {
 			out.ByRegion[s.Region].Add(float64(s.UserQueries))
 			if s.Region == geo.Europe {
-				if ps, ok := out.ByPeriodEU[s.StartHour]; ok {
-					ps.Add(float64(s.UserQueries))
+				if k, ok := model.KeyPeriodIndex(s.StartHour); ok {
+					out.ByPeriodEU[k].Add(float64(s.UserQueries))
 				}
 			}
 		}
@@ -255,44 +216,29 @@ func ComputeFigure6(sessions []Session) QueriesPerSession {
 // user query, by region, by session query-count bucket (North America),
 // and by key start period (Europe).
 type FirstQueryTimes struct {
-	ByRegion map[geo.Region]*stats.Sample
-	// ByBucketNA is keyed by the Table A.3 bucket: 0 (<3), 1 (=3), 2 (>3).
-	ByBucketNA map[int]*stats.Sample
-	ByPeriodEU map[int]*stats.Sample
+	ByRegion [geo.NumContinental]stats.Sample
+	// ByBucketNA is indexed by model.QueryBucketA3: 0 (<3), 1 (=3), 2 (>3).
+	ByBucketNA [model.NumBuckets]stats.Sample
+	ByPeriodEU [model.NumKeyPeriods]stats.Sample
 }
 
 // ComputeFigure7 collects time-to-first-query samples.
 func ComputeFigure7(sessions []Session) FirstQueryTimes {
-	out := FirstQueryTimes{
-		ByRegion:   map[geo.Region]*stats.Sample{},
-		ByBucketNA: map[int]*stats.Sample{},
-		ByPeriodEU: map[int]*stats.Sample{},
-	}
-	for _, r := range continental {
-		out.ByRegion[r] = &stats.Sample{}
-	}
-	for b := 0; b < 3; b++ {
-		out.ByBucketNA[b] = &stats.Sample{}
-	}
-	for _, h := range KeyPeriods {
-		out.ByPeriodEU[h] = &stats.Sample{}
-	}
+	var out FirstQueryTimes
 	for i := range sessions {
 		s := &sessions[i]
 		first, ok := s.FirstQueryTime()
-		if !ok {
+		if !ok || s.Region >= geo.NumContinental {
 			continue
 		}
 		v := secondsOf(first)
-		if sample, ok := out.ByRegion[s.Region]; ok {
-			sample.Add(v)
-		}
+		out.ByRegion[s.Region].Add(v)
 		if s.Region == geo.NorthAmerica {
-			out.ByBucketNA[bucketA3(s.UserQueries)].Add(v)
+			out.ByBucketNA[model.QueryBucketA3(s.UserQueries)].Add(v)
 		}
 		if s.Region == geo.Europe {
-			if ps, ok := out.ByPeriodEU[s.StartHour]; ok {
-				ps.Add(v)
+			if k, ok := model.KeyPeriodIndex(s.StartHour); ok {
+				out.ByPeriodEU[k].Add(v)
 			}
 		}
 	}
@@ -302,44 +248,31 @@ func ComputeFigure7(sessions []Session) FirstQueryTimes {
 // Interarrivals is Figure 8: query interarrival times in seconds, by
 // region, by query-count bucket (Europe), and by key period (Europe).
 type Interarrivals struct {
-	ByRegion map[geo.Region]*stats.Sample
-	// ByBucketEU keys: 0 (=2 queries), 1 (3–7), 2 (>7).
-	ByBucketEU map[int]*stats.Sample
-	ByPeriodEU map[int]*stats.Sample
+	ByRegion [geo.NumContinental]stats.Sample
+	// ByBucketEU is indexed by model.QueryBucketIAT: 0 (=2 queries),
+	// 1 (3–7), 2 (>7).
+	ByBucketEU [model.NumBuckets]stats.Sample
+	ByPeriodEU [model.NumKeyPeriods]stats.Sample
 }
 
 // ComputeFigure8 collects the valid interarrival times.
 func ComputeFigure8(sessions []Session) Interarrivals {
-	out := Interarrivals{
-		ByRegion:   map[geo.Region]*stats.Sample{},
-		ByBucketEU: map[int]*stats.Sample{},
-		ByPeriodEU: map[int]*stats.Sample{},
-	}
-	for _, r := range continental {
-		out.ByRegion[r] = &stats.Sample{}
-	}
-	for b := 0; b < 3; b++ {
-		out.ByBucketEU[b] = &stats.Sample{}
-	}
-	for _, h := range KeyPeriods {
-		out.ByPeriodEU[h] = &stats.Sample{}
-	}
+	var out Interarrivals
 	var scratch []time.Duration
 	for i := range sessions {
 		s := &sessions[i]
-		sample, ok := out.ByRegion[s.Region]
-		if !ok {
+		if s.Region >= geo.NumContinental {
 			continue
 		}
-		iats := s.AppendInterarrivals(scratch[:0])
-		scratch = iats
-		for _, iat := range iats {
+		scratch = s.AppendInterarrivals(scratch[:0])
+		k, keyHour := model.KeyPeriodIndex(s.StartHour)
+		for _, iat := range scratch {
 			v := secondsOf(iat)
-			sample.Add(v)
+			out.ByRegion[s.Region].Add(v)
 			if s.Region == geo.Europe {
-				out.ByBucketEU[bucketIAT(s.UserQueries)].Add(v)
-				if ps, ok := out.ByPeriodEU[s.StartHour]; ok {
-					ps.Add(v)
+				out.ByBucketEU[model.QueryBucketIAT(s.UserQueries)].Add(v)
+				if keyHour {
+					out.ByPeriodEU[k].Add(v)
 				}
 			}
 		}
@@ -351,45 +284,30 @@ func ComputeFigure8(sessions []Session) Interarrivals {
 // session end, by region, by Table A.5 bucket (North America), and by the
 // hour of the last query (Europe).
 type AfterLastTimes struct {
-	ByRegion map[geo.Region]*stats.Sample
-	// ByBucketNA keys: 0 (1 query), 1 (2–7), 2 (>7).
-	ByBucketNA map[int]*stats.Sample
-	ByPeriodEU map[int]*stats.Sample
+	ByRegion [geo.NumContinental]stats.Sample
+	// ByBucketNA is indexed by model.QueryBucketA5: 0 (1 query), 1 (2–7),
+	// 2 (>7).
+	ByBucketNA [model.NumBuckets]stats.Sample
+	ByPeriodEU [model.NumKeyPeriods]stats.Sample
 }
 
 // ComputeFigure9 collects time-after-last-query samples.
 func ComputeFigure9(sessions []Session) AfterLastTimes {
-	out := AfterLastTimes{
-		ByRegion:   map[geo.Region]*stats.Sample{},
-		ByBucketNA: map[int]*stats.Sample{},
-		ByPeriodEU: map[int]*stats.Sample{},
-	}
-	for _, r := range continental {
-		out.ByRegion[r] = &stats.Sample{}
-	}
-	for b := 0; b < 3; b++ {
-		out.ByBucketNA[b] = &stats.Sample{}
-	}
-	for _, h := range KeyPeriods {
-		out.ByPeriodEU[h] = &stats.Sample{}
-	}
+	var out AfterLastTimes
 	for i := range sessions {
 		s := &sessions[i]
 		gap, ok := s.LastQueryGap()
-		if !ok {
+		if !ok || s.Region >= geo.NumContinental {
 			continue
 		}
 		v := secondsOf(gap)
-		if sample, ok := out.ByRegion[s.Region]; ok {
-			sample.Add(v)
-		}
+		out.ByRegion[s.Region].Add(v)
 		if s.Region == geo.NorthAmerica {
-			out.ByBucketNA[bucketA5(s.UserQueries)].Add(v)
+			out.ByBucketNA[model.QueryBucketA5(s.UserQueries)].Add(v)
 		}
 		if s.Region == geo.Europe {
-			lastHour := lastQueryHour(s)
-			if ps, ok := out.ByPeriodEU[lastHour]; ok {
-				ps.Add(v)
+			if k, ok := model.KeyPeriodIndex(lastQueryHour(s)); ok {
+				out.ByPeriodEU[k].Add(v)
 			}
 		}
 	}
@@ -403,39 +321,4 @@ func lastQueryHour(s *Session) int {
 		}
 	}
 	return -1
-}
-
-// bucketA3 mirrors model.QueryBucketA3 without importing ground truth
-// into measurement code paths.
-func bucketA3(n int) int {
-	switch {
-	case n < 3:
-		return 0
-	case n == 3:
-		return 1
-	default:
-		return 2
-	}
-}
-
-func bucketA5(n int) int {
-	switch {
-	case n <= 1:
-		return 0
-	case n <= 7:
-		return 1
-	default:
-		return 2
-	}
-}
-
-func bucketIAT(n int) int {
-	switch {
-	case n <= 2:
-		return 0
-	case n <= 7:
-		return 1
-	default:
-		return 2
-	}
 }

@@ -18,9 +18,9 @@ import (
 // geography.
 type HitRates struct {
 	// ByRegion samples hits-per-query for each region.
-	ByRegion map[geo.Region]*stats.Sample
+	ByRegion [geo.NumContinental]stats.Sample
 	// AnsweredFraction is the per-region share of queries with ≥1 hit.
-	AnsweredFraction map[geo.Region]float64
+	AnsweredFraction [geo.NumContinental]float64
 	// Buckets relate same-day query popularity to hit counts.
 	Buckets []HitBucket
 	// PopularityCorrelation is the Pearson correlation between a query's
@@ -43,15 +43,8 @@ var hitBucketBounds = [][2]int{{1, 1}, {2, 3}, {4, 7}, {8, 15}, {16, 1 << 30}}
 // ComputeHitRates measures the hit-rate extension from the raw trace.
 func ComputeHitRates(tr *trace.Trace) HitRates {
 	reg := geo.Default()
-	out := HitRates{
-		ByRegion:         map[geo.Region]*stats.Sample{},
-		AnsweredFraction: map[geo.Region]float64{},
-	}
-	answered := map[geo.Region]int{}
-	totals := map[geo.Region]int{}
-	for _, r := range continental {
-		out.ByRegion[r] = &stats.Sample{}
-	}
+	var out HitRates
+	var answered, totals [geo.NumContinental]int
 
 	// First pass: per-day repetition count of each keyword set, assigning
 	// each query its own occurrence index (popularity seen so far).
@@ -79,16 +72,15 @@ func ComputeHitRates(tr *trace.Trace) HitRates {
 		dc[key]++
 		observations = append(observations, obs{hits: int(q.Hits), count: dc[key]})
 
-		r := reg.Lookup(tr.Conns[q.ConnID].Addr)
-		if sample, ok := out.ByRegion[r]; ok {
-			sample.Add(float64(q.Hits))
+		if r := reg.Lookup(tr.Conns[q.ConnID].Addr); r < geo.NumContinental {
+			out.ByRegion[r].Add(float64(q.Hits))
 			totals[r]++
 			if q.Hits > 0 {
 				answered[r]++
 			}
 		}
 	}
-	for _, r := range continental {
+	for r := range totals {
 		if totals[r] > 0 {
 			out.AnsweredFraction[r] = float64(answered[r]) / float64(totals[r])
 		}

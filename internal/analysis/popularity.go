@@ -20,20 +20,7 @@ type dayRegionQueries struct {
 }
 
 type regionFreq struct {
-	counts [3]int // NA, EU, AS
-}
-
-func regionIndex(r geo.Region) int {
-	switch r {
-	case geo.NorthAmerica:
-		return 0
-	case geo.Europe:
-		return 1
-	case geo.Asia:
-		return 2
-	default:
-		return -1
-	}
+	counts [geo.NumContinental]int // indexed by Region
 }
 
 // indexDays builds the per-day query index for the three continents.
@@ -44,8 +31,7 @@ func indexDays(sessions []Session, days int) []dayRegionQueries {
 	}
 	for i := range sessions {
 		s := &sessions[i]
-		ri := regionIndex(s.Region)
-		if ri < 0 {
+		if s.Region >= geo.NumContinental {
 			continue
 		}
 		for j := range s.Queries {
@@ -62,7 +48,7 @@ func indexDays(sessions []Session, days int) []dayRegionQueries {
 				rf = &regionFreq{}
 				idx[d].freq[q.Key] = rf
 			}
-			rf.counts[ri]++
+			rf.counts[s.Region]++
 		}
 	}
 	return idx
@@ -95,24 +81,25 @@ func ComputeTable3(sessions []Session, days int) QueryClasses {
 		var acc ClassCounts
 		n := 0
 		for start := 0; start+k <= days; start += k {
-			sets := [3]map[string]bool{{}, {}, {}}
+			sets := [geo.NumContinental]map[string]bool{{}, {}, {}}
 			for d := start; d < start+k; d++ {
 				for key, rf := range idx[d].freq {
-					for ri := 0; ri < 3; ri++ {
-						if rf.counts[ri] > 0 {
-							sets[ri][key] = true
+					for r, count := range rf.counts {
+						if count > 0 {
+							sets[r][key] = true
 						}
 					}
 				}
 			}
+			na, eu, as := sets[geo.NorthAmerica], sets[geo.Europe], sets[geo.Asia]
 			cc := ClassCounts{
-				NA: float64(len(sets[0])),
-				EU: float64(len(sets[1])),
-				AS: float64(len(sets[2])),
+				NA: float64(len(na)),
+				EU: float64(len(eu)),
+				AS: float64(len(as)),
 			}
-			for key := range sets[0] {
-				inEU := sets[1][key]
-				inAS := sets[2][key]
+			for key := range na {
+				inEU := eu[key]
+				inAS := as[key]
 				if inEU {
 					cc.NAEU++
 				}
@@ -123,8 +110,8 @@ func ComputeTable3(sessions []Session, days int) QueryClasses {
 					cc.All++
 				}
 			}
-			for key := range sets[1] {
-				if sets[2][key] {
+			for key := range eu {
+				if as[key] {
 					cc.EUAS++
 				}
 			}
@@ -178,7 +165,6 @@ func BandName(b int) string {
 // ComputeFigure10 measures day-to-day hot-set drift for one region's
 // queries (the paper uses North America).
 func ComputeFigure10(sessions []Session, days int, region geo.Region) HotSetDrift {
-	ri := regionIndex(region)
 	idx := indexDays(sessions, days)
 	// Rank each day's queries for the region.
 	ranked := make([][]string, days)
@@ -189,8 +175,8 @@ func ComputeFigure10(sessions []Session, days int, region geo.Region) HotSetDrif
 		}
 		var list []kf
 		for key, rf := range idx[d].freq {
-			if rf.counts[ri] > 0 {
-				list = append(list, kf{key, rf.counts[ri]})
+			if rf.counts[region] > 0 {
+				list = append(list, kf{key, rf.counts[region]})
 			}
 		}
 		sort.Slice(list, func(a, b int) bool {
@@ -255,6 +241,7 @@ const (
 	ClassNAOnly PopularityClass = iota
 	ClassEUOnly
 	ClassNAEU
+	NumPopularityClasses = iota
 )
 
 func (c PopularityClass) String() string {
@@ -272,9 +259,10 @@ func (c PopularityClass) String() string {
 // class, averaged across days, with Zipf fits.
 type Popularity struct {
 	// Freq[class][r] is the average frequency of the rank-(r+1) query.
-	Freq map[PopularityClass][]float64
-	// Fit holds the single-segment Zipf fit per class.
-	Fit map[PopularityClass]dist.ZipfFit
+	Freq [NumPopularityClasses][popularityRanks]float64
+	// Fit holds the single-segment Zipf fit per class; a class whose fit
+	// failed keeps the zero value.
+	Fit [NumPopularityClasses]dist.ZipfFit
 	// BodyFit and TailFit are the two-segment fit of the intersection
 	// class (ranks 1–45 and 46–100).
 	BodyFit dist.ZipfFit
@@ -289,19 +277,18 @@ const popularityRanks = 100
 // drift exactly as the paper prescribes.
 func ComputeFigure11(sessions []Session, days int) (Popularity, error) {
 	idx := indexDays(sessions, days)
-	sums := map[PopularityClass][]float64{
-		ClassNAOnly: make([]float64, popularityRanks),
-		ClassEUOnly: make([]float64, popularityRanks),
-		ClassNAEU:   make([]float64, popularityRanks),
-	}
-	daysCounted := map[PopularityClass]int{}
+	var out Popularity
+	var daysCounted [NumPopularityClasses]int
+	var classFreqs [NumPopularityClasses][]int
 	for d := 0; d < days; d++ {
 		// Partition the day's queries into the three classes.
-		classTotals := map[PopularityClass]int{}
-		classFreqs := map[PopularityClass][]int{}
+		var classTotals [NumPopularityClasses]int
+		for c := range classFreqs {
+			classFreqs[c] = classFreqs[c][:0]
+		}
 		for _, rf := range idx[d].freq {
-			na, eu := rf.counts[0], rf.counts[1]
-			as := rf.counts[2]
+			na, eu := rf.counts[geo.NorthAmerica], rf.counts[geo.Europe]
+			as := rf.counts[geo.Asia]
 			total := na + eu + as
 			var c PopularityClass
 			switch {
@@ -323,35 +310,28 @@ func ComputeFigure11(sessions []Session, days int) (Popularity, error) {
 			}
 			sort.Sort(sort.Reverse(sort.IntSlice(freqs)))
 			for r := 0; r < popularityRanks && r < len(freqs); r++ {
-				sums[c][r] += float64(freqs[r]) / float64(classTotals[c])
+				out.Freq[c][r] += float64(freqs[r]) / float64(classTotals[c])
 			}
 			daysCounted[c]++
 		}
 	}
-	out := Popularity{
-		Freq: make(map[PopularityClass][]float64),
-		Fit:  make(map[PopularityClass]dist.ZipfFit),
-	}
-	for c, sum := range sums {
-		n := daysCounted[c]
-		freq := make([]float64, popularityRanks)
-		if n > 0 {
-			for r := range sum {
-				freq[r] = sum[r] / float64(n)
+	for c := range out.Freq {
+		if n := daysCounted[c]; n > 0 {
+			for r := range out.Freq[c] {
+				out.Freq[c][r] /= float64(n)
 			}
 		}
-		out.Freq[c] = freq
-		if fit, err := dist.FitZipf(freq); err == nil {
+		if fit, err := dist.FitZipf(out.Freq[c][:]); err == nil {
 			out.Fit[c] = fit
 		}
 	}
 	var err error
-	if body, e := dist.FitZipfRange(out.Freq[ClassNAEU], 1, 45); e == nil {
+	if body, e := dist.FitZipfRange(out.Freq[ClassNAEU][:], 1, 45); e == nil {
 		out.BodyFit = body
 	} else {
 		err = e
 	}
-	if tail, e := dist.FitZipfRange(out.Freq[ClassNAEU], 46, popularityRanks); e == nil {
+	if tail, e := dist.FitZipfRange(out.Freq[ClassNAEU][:], 46, popularityRanks); e == nil {
 		out.TailFit = tail
 	}
 	return out, err

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/geo"
 	"repro/internal/report"
 )
 
@@ -20,6 +21,7 @@ func TestBootstrapVerdictSourceSurfaced(t *testing.T) {
 	c := core.CharacterizeOpts(tr, core.Options{KSBootstrap: 19})
 	checked := 0
 	for r, fit := range c.Fits.NumQueries {
+		r := geo.Region(r)
 		if !fit.OK {
 			continue
 		}
@@ -82,6 +84,7 @@ func TestBootstrapReplicateFloor(t *testing.T) {
 	c := core.CharacterizeOpts(tr, core.Options{KSBootstrap: 3})
 	checked := 0
 	for r, fit := range c.Fits.NumQueries {
+		r := geo.Region(r)
 		if !fit.OK {
 			continue
 		}

@@ -4,11 +4,14 @@
 // distributions (Tables A.1–A.5), producing a complete workload
 // characterization from which synthetic workloads can be generated.
 //
-// The package deliberately depends only on measurement-side packages
-// (trace, filter, analysis, dist) — it never sees generator ground truth,
-// which is what makes the repository's closed-loop validation meaningful:
-// internal/model generates behavior, internal/capture records it, and
-// this package must recover the model from the recording.
+// The package depends on measurement-side packages (trace, filter,
+// analysis, dist) and on internal/model only for the conditioning the
+// paper defines: the peak/off-peak Period, the query-count buckets and
+// their sizes. It never uses model's parameter values (Params, Default);
+// TestMeasurementSeesNoGroundTruth holds that boundary. This is what makes
+// the repository's closed-loop validation meaningful: internal/model
+// generates behavior, internal/capture records it, and this package must
+// recover the model from the recording.
 package core
 
 import (
@@ -21,25 +24,10 @@ import (
 	"repro/internal/dist"
 	"repro/internal/filter"
 	"repro/internal/geo"
+	"repro/internal/model"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
-
-// Period indexes the peak/off-peak conditioning of the appendix tables.
-type Period int
-
-// Period values.
-const (
-	Peak Period = iota
-	OffPeak
-)
-
-func (p Period) String() string {
-	if p == Peak {
-		return "peak"
-	}
-	return "off-peak"
-}
 
 // Characterization is the full output of the pipeline: every table and
 // figure of the paper, computed from one trace.
@@ -72,25 +60,26 @@ type Characterization struct {
 	Fits Fits
 }
 
-// Fits collects the fitted model distributions of Tables A.1–A.5.
-// Missing combinations (not enough data) are left as zero values with the
-// corresponding OK flag unset.
+// Fits collects the fitted model distributions of Tables A.1–A.5, indexed
+// [region][period][bucket] by geo.Region (continental regions only),
+// model.Period and the table's model.QueryBucket*. Missing combinations
+// (not enough data) are left as zero values with the OK flag unset.
 type Fits struct {
 	// PassiveDuration is Table A.1: body/tail lognormal mixture of the
 	// passive connected-session duration, per region and period.
-	PassiveDuration map[geo.Region][2]BodyTailFit
+	PassiveDuration [geo.NumContinental][model.NumPeriods]BodyTailFit
 	// NumQueries is Table A.2: lognormal fit of queries per active
 	// session, per region.
-	NumQueries map[geo.Region]LognormalFit
+	NumQueries [geo.NumContinental]LognormalFit
 	// FirstQuery is Table A.3: Weibull body + lognormal tail of the time
 	// until the first query, per region, period and A.3 bucket.
-	FirstQuery map[geo.Region][2][3]BodyTailFit
+	FirstQuery [geo.NumContinental][model.NumPeriods][model.NumBuckets]BodyTailFit
 	// Interarrival is Table A.4: lognormal body + Pareto tail of the
 	// query interarrival time, per region and period.
-	Interarrival map[geo.Region][2]BodyTailFit
+	Interarrival [geo.NumContinental][model.NumPeriods]BodyTailFit
 	// AfterLast is Table A.5: lognormal fit of the time after the last
 	// query, per region, period and A.5 bucket.
-	AfterLast map[geo.Region][2][3]LognormalFit
+	AfterLast [geo.NumContinental][model.NumPeriods][model.NumBuckets]LognormalFit
 }
 
 // FitAlpha is the significance level at which the report auto-rejects an
@@ -256,32 +245,23 @@ func ksVerdict(ks float64, n int, boot bootCfg,
 // fitAll computes the appendix fits from conditioned samples: one pass
 // over the sessions feeds the per-(region, period, bucket) sample slices,
 // then every independent fit runs as its own task on the worker pool,
-// writing to its own slot.
+// writing to its own cell of the result.
 func fitAll(sessions []analysis.Session, workers int, ksBootstrap int) Fits {
-	f := Fits{
-		PassiveDuration: map[geo.Region][2]BodyTailFit{},
-		NumQueries:      map[geo.Region]LognormalFit{},
-		FirstQuery:      map[geo.Region][2][3]BodyTailFit{},
-		Interarrival:    map[geo.Region][2]BodyTailFit{},
-		AfterLast:       map[geo.Region][2][3]LognormalFit{},
-	}
-
-	type key struct {
-		region geo.Region
-		peak   bool
-		bucket int
-	}
-	passive := map[key][]float64{}
-	numQ := map[geo.Region][]float64{}
-	firstQ := map[key][]float64{}
-	iat := map[key][]float64{}
-	afterLast := map[key][]float64{}
-
+	const (
+		regions = geo.NumContinental
+		periods = model.NumPeriods
+		buckets = model.NumBuckets
+	)
+	var (
+		passive, iat      [regions][periods][]float64
+		numQ              [regions][]float64
+		firstQ, afterLast [regions][periods][buckets][]float64
+	)
 	var iatScratch []time.Duration
 	for i := range sessions {
 		s := &sessions[i]
-		r := s.Region
-		if r != geo.NorthAmerica && r != geo.Europe && r != geo.Asia {
+		r, p := s.Region, s.Period
+		if r >= regions {
 			continue
 		}
 		if s.Passive() {
@@ -290,8 +270,7 @@ func fitAll(sessions []analysis.Session, workers int, ksBootstrap int) Fits {
 			// true end, so the duration fits use cleanly closed sessions
 			// only (the trace marks which is which).
 			if !s.Conn.SilentClose {
-				k := key{r, s.Peak, 0}
-				passive[k] = append(passive[k], s.Conn.Duration().Seconds())
+				passive[r][p] = append(passive[r][p], s.Conn.Duration().Seconds())
 			}
 			continue
 		}
@@ -301,86 +280,65 @@ func fitAll(sessions []analysis.Session, workers int, ksBootstrap int) Fits {
 		}
 		numQ[r] = append(numQ[r], float64(n))
 		if first, ok := s.FirstQueryTime(); ok && first > 0 {
-			k := key{r, s.Peak, bucketA3(n)}
-			firstQ[k] = append(firstQ[k], first.Seconds())
+			b := model.QueryBucketA3(n)
+			firstQ[r][p][b] = append(firstQ[r][p][b], first.Seconds())
 		}
 		iatScratch = s.AppendInterarrivals(iatScratch[:0])
 		for _, d := range iatScratch {
 			if d > 0 {
-				k := key{r, s.Peak, 0}
-				iat[k] = append(iat[k], d.Seconds())
+				iat[r][p] = append(iat[r][p], d.Seconds())
 			}
 		}
 		if gap, ok := s.LastQueryGap(); ok && gap > 0 {
-			k := key{r, s.Peak, bucketA5(n)}
-			afterLast[k] = append(afterLast[k], gap.Seconds())
+			b := model.QueryBucketA5(n)
+			afterLast[r][p][b] = append(afterLast[r][p][b], gap.Seconds())
 		}
 	}
 
 	// Fan the 51 independent fits out over the worker pool. Each task
-	// writes to its own array slot; the maps are assembled afterwards on
-	// the calling goroutine, so the result is identical in any order.
-	regions := [3]geo.Region{geo.NorthAmerica, geo.Europe, geo.Asia}
-	var (
-		pd [3][2]BodyTailFit
-		nq [3]LognormalFit
-		fq [3][2][3]BodyTailFit
-		ia [3][2]BodyTailFit
-		al [3][2][3]LognormalFit
-	)
+	// writes its own cell of f, so the result is identical in any order.
+	// A slot's bootstrap seed takes the Region value (NA 0, EU 1, AS 2)
+	// as its region coordinate.
+	var f Fits
 	var tasks []func()
-	for ri := range regions {
-		r := regions[ri]
-		ri := ri
+	for r := range regions {
 		// A.2 — queries per session: counts are rounded-and-floored, so
 		// the interval-censored fitter recovers the continuous lognormal.
 		tasks = append(tasks, func() {
-			nq[ri] = fitLognormalCounts(numQ[r], slotBoot(ksBootstrap, 2, ri, 0, 0))
+			f.NumQueries[r] = fitLognormalCounts(numQ[r], slotBoot(ksBootstrap, 2, r, 0, 0))
 		})
-		for p := 0; p < 2; p++ {
-			p := p
+		for p := range periods {
 			// A.1 — passive durations.
 			tasks = append(tasks, func() {
-				xs := passive[key{r, p == 0, 0}]
-				pd[ri][p] = fitBodyTail(xs, func(v []float64) (dist.BodyTailFit, error) {
+				f.PassiveDuration[r][p] = fitBodyTail(passive[r][p], func(v []float64) (dist.BodyTailFit, error) {
 					return dist.FitBimodalLognormal(v, passiveBodyLo, passiveSplit)
-				}, slotBoot(ksBootstrap, 1, ri, p, 0))
+				}, slotBoot(ksBootstrap, 1, r, p, 0))
 			})
 			// A.4 — interarrival times.
 			tasks = append(tasks, func() {
-				xs := iat[key{r, p == 0, 0}]
-				ia[ri][p] = fitBodyTail(xs, func(v []float64) (dist.BodyTailFit, error) {
+				f.Interarrival[r][p] = fitBodyTail(iat[r][p], func(v []float64) (dist.BodyTailFit, error) {
 					return dist.FitLognormalPareto(v, 0, iatSplit)
-				}, slotBoot(ksBootstrap, 4, ri, p, 0))
+				}, slotBoot(ksBootstrap, 4, r, p, 0))
 			})
 			split := firstQuerySplitPeak
-			if Period(p) == OffPeak {
+			if model.Period(p) == model.OffPeak {
 				split = firstQuerySplitOffPeak
 			}
-			for b := 0; b < 3; b++ {
-				b := b
+			for b := range buckets {
 				// A.3 — time until first query.
 				tasks = append(tasks, func() {
-					xs := firstQ[key{r, p == 0, b}]
-					fq[ri][p][b] = fitBodyTail(xs, func(v []float64) (dist.BodyTailFit, error) {
+					f.FirstQuery[r][p][b] = fitBodyTail(firstQ[r][p][b], func(v []float64) (dist.BodyTailFit, error) {
 						return dist.FitWeibullLognormal(v, 0, split)
-					}, slotBoot(ksBootstrap, 3, ri, p, b))
+					}, slotBoot(ksBootstrap, 3, r, p, b))
 				})
 				// A.5 — time after last query.
 				tasks = append(tasks, func() {
-					al[ri][p][b] = fitLognormal(afterLast[key{r, p == 0, b}], slotBoot(ksBootstrap, 5, ri, p, b))
+					f.AfterLast[r][p][b] = fitLognormal(afterLast[r][p][b], slotBoot(ksBootstrap, 5, r, p, b))
 				})
 			}
 		}
 	}
 	runTasks(workers, tasks)
-	for ri, r := range regions {
-		f.PassiveDuration[r] = pd[ri]
-		f.NumQueries[r] = nq[ri]
-		f.FirstQuery[r] = fq[ri]
-		f.Interarrival[r] = ia[ri]
-		f.AfterLast[r] = al[ri]
-	}
 	return f
 }
 
@@ -512,43 +470,6 @@ func fitBodyTail(xs []float64, fit func([]float64) (dist.BodyTailFit, error), bo
 	}
 }
 
-func bucketA3(n int) int {
-	switch {
-	case n < 3:
-		return 0
-	case n == 3:
-		return 1
-	default:
-		return 2
-	}
-}
-
-func bucketA5(n int) int {
-	switch {
-	case n <= 1:
-		return 0
-	case n <= 7:
-		return 1
-	default:
-		return 2
-	}
-}
-
-// SyntheticDists converts the characterization's fits into sampleable
-// distributions mirroring the shape of internal/model — the "use the
-// measured characterization to generate a synthetic workload" step of the
-// paper's Section 4.7. It returns false when the trace was too small to
-// fit the requested combination.
-func (c *Characterization) SyntheticDists(r geo.Region, p Period) (passive, firstQ, iat dist.Dist, ok bool) {
-	pd := c.Fits.PassiveDuration[r][p]
-	fq := c.Fits.FirstQuery[r][p][0]
-	ia := c.Fits.Interarrival[r][p]
-	if !pd.OK || !fq.OK || !ia.OK {
-		return nil, nil, nil, false
-	}
-	return pd.Fit.Mixture(), fq.Fit.Mixture(), ia.Fit.Mixture(), true
-}
-
 // PassiveShare returns the measured overall passive-session share, the
 // headline Figure 4 number.
 func (c *Characterization) PassiveShare() float64 {
@@ -562,20 +483,6 @@ func (c *Characterization) PassiveShare() float64 {
 		}
 	}
 	return float64(n) / float64(len(c.Sessions))
-}
-
-// MedianSessionDuration returns the median recorded duration of retained
-// sessions.
-func (c *Characterization) MedianSessionDuration() time.Duration {
-	return c.SessionDurationQuantile(0.5)
-}
-
-// SessionDurationQuantile returns the p-quantile of retained session
-// durations — the report's percentile lines. Selection runs in O(n) by
-// quickselect instead of a full sort.
-func (c *Characterization) SessionDurationQuantile(p float64) time.Duration {
-	qs := c.SessionDurationQuantiles(p)
-	return qs[0]
 }
 
 // SessionDurationQuantiles returns several duration quantiles sharing one

@@ -12,6 +12,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/engine"
 	"repro/internal/geo"
+	"repro/internal/model"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -110,7 +111,7 @@ func TestNumQueriesFitRecovered(t *testing.T) {
 func TestPassiveDurationFitRecovered(t *testing.T) {
 	// Table A.1: peak body weight ≈0.75 for North America; tail µ ≈6.4.
 	_, c := loop(t)
-	fit := c.Fits.PassiveDuration[geo.NorthAmerica][Peak]
+	fit := c.Fits.PassiveDuration[geo.NorthAmerica][model.Peak]
 	if !fit.OK {
 		t.Fatal("NA peak passive fit missing")
 	}
@@ -124,7 +125,7 @@ func TestPassiveDurationFitRecovered(t *testing.T) {
 		t.Errorf("KS = %v", fit.KS)
 	}
 	// Off-peak body weight ≈0.55 < peak.
-	off := c.Fits.PassiveDuration[geo.NorthAmerica][OffPeak]
+	off := c.Fits.PassiveDuration[geo.NorthAmerica][model.OffPeak]
 	if off.OK && off.Fit.BodyWeight >= fit.Fit.BodyWeight {
 		t.Errorf("off-peak body weight %v should be below peak %v",
 			off.Fit.BodyWeight, fit.Fit.BodyWeight)
@@ -135,8 +136,8 @@ func TestInterarrivalFitRecovered(t *testing.T) {
 	// Table A.4: Pareto tail α below ≈1 in peak hours for NA, larger
 	// off-peak.
 	_, c := loop(t)
-	peak := c.Fits.Interarrival[geo.NorthAmerica][Peak]
-	off := c.Fits.Interarrival[geo.NorthAmerica][OffPeak]
+	peak := c.Fits.Interarrival[geo.NorthAmerica][model.Peak]
+	off := c.Fits.Interarrival[geo.NorthAmerica][model.OffPeak]
 	if !peak.OK || !off.OK {
 		t.Fatal("NA interarrival fits missing")
 	}
@@ -161,24 +162,6 @@ func tailAlpha(f BodyTailFit) (float64, bool) {
 	return p.Alpha, true
 }
 
-func TestSyntheticDists(t *testing.T) {
-	_, c := loop(t)
-	passive, firstQ, iat, ok := c.SyntheticDists(geo.NorthAmerica, Peak)
-	if !ok {
-		t.Fatal("synthetic dists unavailable")
-	}
-	// The synthesized distributions must be usable and sane.
-	if passive.CDF(64) != 0 {
-		t.Error("passive durations start at 64 s")
-	}
-	if m := firstQ.CDF(1e6); m < 0.99 {
-		t.Errorf("first-query CDF(1e6) = %v", m)
-	}
-	if iat.CDF(0) != 0 {
-		t.Error("IAT CDF(0) should be 0")
-	}
-}
-
 func TestRegionalIATOrdering(t *testing.T) {
 	// Figure 8(a): P(IAT < 100 s) is EU > AS > NA.
 	_, c := loop(t)
@@ -192,12 +175,12 @@ func TestRegionalIATOrdering(t *testing.T) {
 
 func TestMedianSessionDuration(t *testing.T) {
 	_, c := loop(t)
-	med := c.MedianSessionDuration()
+	med := c.SessionDurationQuantiles(0.5)[0]
 	if med < 64*time.Second || med > 2*time.Hour {
 		t.Errorf("median retained duration = %v", med)
 	}
 	empty := &Characterization{}
-	if empty.MedianSessionDuration() != 0 {
+	if empty.SessionDurationQuantiles(0.5)[0] != 0 {
 		t.Error("empty characterization median should be 0")
 	}
 	if !math.IsNaN(empty.PassiveShare()) {
@@ -219,9 +202,9 @@ func TestPopularityFits(t *testing.T) {
 	// Figure 11: both single-region classes produce Zipf fits with small
 	// α (the filtered-workload signature), NA steeper than EU.
 	_, c := loop(t)
-	naFit, ok1 := c.Figure11.Fit[0] // ClassNAOnly
-	euFit, ok2 := c.Figure11.Fit[1] // ClassEUOnly
-	if !ok1 || !ok2 {
+	naFit := c.Figure11.Fit[analysis.ClassNAOnly]
+	euFit := c.Figure11.Fit[analysis.ClassEUOnly]
+	if naFit == (dist.ZipfFit{}) || euFit == (dist.ZipfFit{}) {
 		t.Fatal("missing popularity fits")
 	}
 	if naFit.Alpha < 0.15 || naFit.Alpha > 0.8 {
@@ -236,7 +219,7 @@ func TestPopularityFits(t *testing.T) {
 }
 
 func TestPeriodString(t *testing.T) {
-	if Peak.String() != "peak" || OffPeak.String() != "off-peak" {
+	if model.Peak.String() != "peak" || model.OffPeak.String() != "off-peak" {
 		t.Error("period strings")
 	}
 }
@@ -247,8 +230,8 @@ func TestHitRateExtension(t *testing.T) {
 	// answered share.
 	_, c := loop(t)
 	hr := c.HitRates
-	na := hr.ByRegion[geo.NorthAmerica]
-	if na == nil || na.Len() == 0 {
+	na := &hr.ByRegion[geo.NorthAmerica]
+	if na.Len() == 0 {
 		t.Fatal("no NA hit-rate samples")
 	}
 	if f := hr.AnsweredFraction[geo.NorthAmerica]; f < 0.2 || f > 0.8 {
@@ -332,12 +315,22 @@ func TestFigure3PeakStructure(t *testing.T) {
 	}
 }
 
+// keyIndex is the figures' key-period index of a key start hour.
+func keyIndex(t *testing.T, hour int) int {
+	t.Helper()
+	k, ok := model.KeyPeriodIndex(hour)
+	if !ok {
+		t.Fatalf("hour %d is not a key period", hour)
+	}
+	return k
+}
+
 func TestFigure5KeyPeriods(t *testing.T) {
 	// Figure 5(c): European passive sessions starting in the early
 	// morning (03:00, off-peak) run longer than afternoon ones (13:00).
 	_, c := loop(t)
-	offPeak := c.Figure5.ByPeriod[geo.Europe][3]
-	peak := c.Figure5.ByPeriod[geo.Europe][13]
+	offPeak := &c.Figure5.ByPeriod[geo.Europe][keyIndex(t, 3)]
+	peak := &c.Figure5.ByPeriod[geo.Europe][keyIndex(t, 13)]
 	if offPeak.Len() < 20 || peak.Len() < 20 {
 		t.Skipf("too few period samples (%d / %d)", offPeak.Len(), peak.Len())
 	}
@@ -351,8 +344,8 @@ func TestFigure8KeyPeriods(t *testing.T) {
 	// Figure 8(c): queries issued in EU peak hours have longer
 	// interarrival times than off-peak (03:00) ones.
 	_, c := loop(t)
-	off := c.Figure8.ByPeriodEU[3]
-	peak := c.Figure8.ByPeriodEU[13]
+	off := &c.Figure8.ByPeriodEU[keyIndex(t, 3)]
+	peak := &c.Figure8.ByPeriodEU[keyIndex(t, 13)]
 	if off.Len() < 30 || peak.Len() < 30 {
 		t.Skipf("too few period samples (%d / %d)", off.Len(), peak.Len())
 	}
@@ -366,8 +359,8 @@ func TestFigure9BucketOrdering(t *testing.T) {
 	// Figure 9(b): time after the last query grows with the session's
 	// query count.
 	_, c := loop(t)
-	one := c.Figure9.ByBucketNA[0]
-	many := c.Figure9.ByBucketNA[2]
+	one := &c.Figure9.ByBucketNA[0]
+	many := &c.Figure9.ByBucketNA[2]
 	if one.Len() < 30 || many.Len() < 30 {
 		t.Skipf("too few bucket samples (%d / %d)", one.Len(), many.Len())
 	}

@@ -42,8 +42,13 @@ const NumRegions = int(numRegions) - 1
 // Regions lists the assignable regions in canonical order.
 var Regions = [NumRegions]Region{NorthAmerica, Europe, Asia, Other}
 
+// NumContinental is the number of regions the paper characterizes in
+// depth. They are Regions 0 through NumContinental-1, so per-region tables
+// of the characterization index by Region directly.
+const NumContinental = 3
+
 // Continental lists the three regions the paper characterizes in depth.
-var Continental = [3]Region{NorthAmerica, Europe, Asia}
+var Continental = [NumContinental]Region{NorthAmerica, Europe, Asia}
 
 func (r Region) String() string {
 	switch r {
@@ -75,25 +80,6 @@ func (r Region) Short() string {
 		return "OT"
 	default:
 		return "??"
-	}
-}
-
-// UTCOffsetHours returns a representative offset from the measurement node's
-// clock (Dortmund, CET) for the region's population center. The paper plots
-// everything in measurement-node time; the offsets are only used by the
-// behavior layer to shape diurnal activity, so a single representative value
-// per region suffices (US Eastern/Central mix ≈ −6h, central Europe 0h,
-// east Asia ≈ +7h).
-func (r Region) UTCOffsetHours() int {
-	switch r {
-	case NorthAmerica:
-		return -6
-	case Europe:
-		return 0
-	case Asia:
-		return +7
-	default:
-		return 0
 	}
 }
 

@@ -135,18 +135,6 @@ func TestNewRegistryRejectsBadPrefix(t *testing.T) {
 	}
 }
 
-func TestUTCOffsets(t *testing.T) {
-	if NorthAmerica.UTCOffsetHours() >= 0 {
-		t.Error("NA offset should be negative relative to Dortmund")
-	}
-	if Europe.UTCOffsetHours() != 0 {
-		t.Error("EU offset should be zero (measurement node is in Europe)")
-	}
-	if Asia.UTCOffsetHours() <= 0 {
-		t.Error("Asia offset should be positive")
-	}
-}
-
 // Property: every sampled address from a continental region resolves back to
 // that region, for arbitrary seeds.
 func TestPropertySampleLookupConsistent(t *testing.T) {

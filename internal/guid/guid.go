@@ -31,9 +31,6 @@ var ErrBadLength = errors.New("guid: not 16 bytes")
 // ErrBadEncoding reports a malformed hexadecimal string passed to Parse.
 var ErrBadEncoding = errors.New("guid: invalid hex encoding")
 
-// IsNil reports whether g is the zero GUID.
-func (g GUID) IsNil() bool { return g == Nil }
-
 // String returns the canonical lower-case hexadecimal form, 32 characters
 // with no separators, matching what Gnutella developer tools print.
 func (g GUID) String() string {

@@ -7,9 +7,6 @@ import (
 
 func TestNilGUID(t *testing.T) {
 	var g GUID
-	if !g.IsNil() {
-		t.Fatal("zero GUID should be nil")
-	}
 	if Nil != g {
 		t.Fatal("Nil should equal the zero GUID")
 	}
@@ -37,7 +34,7 @@ func TestNextNeverNilAndMarked(t *testing.T) {
 	s := NewSource(7, 7)
 	for i := 0; i < 1000; i++ {
 		g := s.Next()
-		if g.IsNil() {
+		if g == Nil {
 			t.Fatal("Next returned nil GUID")
 		}
 		if !g.Marker() {

@@ -24,13 +24,15 @@ import (
 )
 
 // Period classifies an hour as peak or off-peak for a region. The paper
-// conditions A.1, A.3, A.4 and A.5 on this.
+// conditions A.1, A.3, A.4 and A.5 on this, and both the generator's
+// tables and the characterization's fits index by it.
 type Period int
 
 // The two day-period classes.
 const (
 	Peak Period = iota
 	OffPeak
+	NumPeriods = iota
 )
 
 func (p Period) String() string {
@@ -40,11 +42,25 @@ func (p Period) String() string {
 	return "off-peak"
 }
 
+// NumKeyPeriods is the number of key one-hour windows of Figure 3.
+const NumKeyPeriods = 4
+
 // KeyPeriods are the four one-hour windows (start hour, measurement-node
 // time) the paper identifies in Figure 3 and uses throughout Figures 5–9:
 // 03:00–04:00 (NA peak / EU sink), 11:00–12:00 (EU peak / NA sink),
 // 13:00–14:00 (EU+Asia peak / NA sink), 19:00–20:00 (joint NA+EU peak).
-var KeyPeriods = [4]int{3, 11, 13, 19}
+var KeyPeriods = [NumKeyPeriods]int{3, 11, 13, 19}
+
+// KeyPeriodIndex returns the index into KeyPeriods of a key start hour,
+// and false for every other hour.
+func KeyPeriodIndex(hour int) (int, bool) {
+	for k, h := range KeyPeriods {
+		if h == hour {
+			return k, true
+		}
+	}
+	return 0, false
+}
 
 // regionMix is the fraction of connected peers per region for each
 // measurement-node hour — the curves of Figure 1. Anchors from the paper:
@@ -110,6 +126,10 @@ var passiveBase = [geo.NumRegions]float64{
 	geo.Other:        0.82,
 }
 
+// NumBuckets is the number of query-count buckets each of the A.3, A.5
+// and interarrival conditionings splits sessions into.
+const NumBuckets = 3
+
 // QueryBucketA3 classifies a session's query count for the Table A.3
 // conditioning: <3, =3, >3.
 func QueryBucketA3(n int) int {
@@ -156,17 +176,17 @@ func QueryBucketIAT(n int) int {
 // normRegion, which folds Unknown into Other.
 type Params struct {
 	// passiveDuration[region][period]: Table A.1 (+ inferred EU/Asia).
-	passiveDuration [geo.NumRegions][2]dist.Dist
+	passiveDuration [geo.NumRegions][NumPeriods]dist.Dist
 	// numQueries[region]: Table A.2 lognormals over a continuous variate,
 	// discretized by SampleNumQueries.
 	numQueries [geo.NumRegions]dist.Lognormal
 	// firstQuery[region][period][bucketA3]: Table A.3 (+ inferred).
-	firstQuery [geo.NumRegions][2][3]dist.Dist
+	firstQuery [geo.NumRegions][NumPeriods][NumBuckets]dist.Dist
 	// interarrival[region][period][bucketIAT]: Table A.4; only Europe
 	// varies by bucket (Figure 8(b)).
-	interarrival [geo.NumRegions][2][3]dist.Dist
+	interarrival [geo.NumRegions][NumPeriods][NumBuckets]dist.Dist
 	// afterLast[region][period][bucketA5]: Table A.5 (+ inferred).
-	afterLast [geo.NumRegions][2][3]dist.Dist
+	afterLast [geo.NumRegions][NumPeriods][NumBuckets]dist.Dist
 	// sharedFiles is the library-size model behind Figure 2.
 	sharedFiles dist.Dist
 }
@@ -387,8 +407,9 @@ func (p *Params) PickRegion(rng *rand.Rand, hour int) geo.Region {
 }
 
 // IsPeak reports whether the hour is a high-load period for the region
-// (Figure 3).
-func (p *Params) IsPeak(r geo.Region, hour int) bool {
+// (Figure 3). It is a definition of the conditioning, not a model
+// parameter: the measurement side classifies sessions with it too.
+func IsPeak(r geo.Region, hour int) bool {
 	if int(r) >= len(peakHours) {
 		return false
 	}
@@ -396,8 +417,8 @@ func (p *Params) IsPeak(r geo.Region, hour int) bool {
 }
 
 // PeriodOf converts IsPeak into the Period enum.
-func (p *Params) PeriodOf(r geo.Region, hour int) Period {
-	if p.IsPeak(r, hour) {
+func PeriodOf(r geo.Region, hour int) Period {
+	if IsPeak(r, hour) {
 		return Peak
 	}
 	return OffPeak
@@ -414,11 +435,6 @@ func (p *Params) PassiveFraction(r geo.Region, hour int) float64 {
 // peers (Table A.1).
 func (p *Params) PassiveDuration(r geo.Region, period Period) dist.Dist {
 	return p.passiveDuration[normRegion(r)][period]
-}
-
-// NumQueriesDist returns the continuous Table A.2 lognormal for the region.
-func (p *Params) NumQueriesDist(r geo.Region) dist.Lognormal {
-	return p.numQueries[normRegion(r)]
 }
 
 // SampleNumQueries draws the number of queries of an active session:

@@ -80,27 +80,26 @@ func TestPickRegionFollowsMix(t *testing.T) {
 }
 
 func TestPeakPeriods(t *testing.T) {
-	p := Default()
 	// The four key periods must classify as the paper says.
-	if !p.IsPeak(geo.NorthAmerica, 3) {
+	if !IsPeak(geo.NorthAmerica, 3) {
 		t.Error("03:00 must be peak for NA")
 	}
-	if p.IsPeak(geo.Europe, 3) {
+	if IsPeak(geo.Europe, 3) {
 		t.Error("03:00 must be a sink for EU")
 	}
-	if p.IsPeak(geo.NorthAmerica, 11) || p.IsPeak(geo.NorthAmerica, 13) {
+	if IsPeak(geo.NorthAmerica, 11) || IsPeak(geo.NorthAmerica, 13) {
 		t.Error("11:00/13:00 must be sinks for NA")
 	}
-	if !p.IsPeak(geo.Europe, 11) || !p.IsPeak(geo.Europe, 13) {
+	if !IsPeak(geo.Europe, 11) || !IsPeak(geo.Europe, 13) {
 		t.Error("11:00/13:00 must be peaks for EU")
 	}
-	if !p.IsPeak(geo.Asia, 13) {
+	if !IsPeak(geo.Asia, 13) {
 		t.Error("13:00 must be peak for Asia")
 	}
-	if !p.IsPeak(geo.NorthAmerica, 19) || !p.IsPeak(geo.Europe, 19) {
+	if !IsPeak(geo.NorthAmerica, 19) || !IsPeak(geo.Europe, 19) {
 		t.Error("19:00 must be a joint NA+EU peak")
 	}
-	if p.PeriodOf(geo.NorthAmerica, 3) != Peak || p.PeriodOf(geo.NorthAmerica, 12) != OffPeak {
+	if PeriodOf(geo.NorthAmerica, 3) != Peak || PeriodOf(geo.NorthAmerica, 12) != OffPeak {
 		t.Error("PeriodOf mismatch")
 	}
 }
@@ -167,9 +166,9 @@ func TestPassiveDurationLongTail(t *testing.T) {
 
 func TestNumQueriesTableA2(t *testing.T) {
 	p := Default()
-	na := p.NumQueriesDist(geo.NorthAmerica)
-	eu := p.NumQueriesDist(geo.Europe)
-	as := p.NumQueriesDist(geo.Asia)
+	na := p.numQueries[geo.NorthAmerica]
+	eu := p.numQueries[geo.Europe]
+	as := p.numQueries[geo.Asia]
 	if na.Mu != -0.0673 || na.Sigma != 1.360 {
 		t.Errorf("NA = %v", na)
 	}
@@ -223,6 +222,19 @@ func TestQueryBuckets(t *testing.T) {
 	for n, want := range casesIAT {
 		if got := QueryBucketIAT(n); got != want {
 			t.Errorf("IAT(%d) = %d, want %d", n, got, want)
+		}
+	}
+}
+
+func TestKeyPeriodIndex(t *testing.T) {
+	for k, h := range KeyPeriods {
+		if got, ok := KeyPeriodIndex(h); !ok || got != k {
+			t.Errorf("KeyPeriodIndex(%d) = %d, %v; want %d, true", h, got, ok, k)
+		}
+	}
+	for _, h := range []int{-1, 0, 4, 12, 23, 24} {
+		if _, ok := KeyPeriodIndex(h); ok {
+			t.Errorf("hour %d must not be a key period", h)
 		}
 	}
 }
@@ -396,7 +408,7 @@ func TestUnknownRegionFallsBack(t *testing.T) {
 	if p.RegionShare(geo.Unknown, 0) != 0 {
 		t.Error("unknown region share should be 0")
 	}
-	if p.IsPeak(geo.Unknown, 12) {
+	if IsPeak(geo.Unknown, 12) {
 		t.Error("unknown region is never peak")
 	}
 }

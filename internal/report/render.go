@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/geo"
+	"repro/internal/model"
 	"repro/internal/stats"
 )
 
@@ -96,12 +97,6 @@ func RenderTable3(w io.Writer, c *core.Characterization) error {
 		[]string{"Window", "NA", "EU", "AS", "NA∩EU", "NA∩AS", "EU∩AS", "all"}, rows)
 }
 
-var regionNames = map[geo.Region]string{
-	geo.NorthAmerica: "North America",
-	geo.Europe:       "Europe",
-	geo.Asia:         "Asia",
-}
-
 // PopularityClassLabel pairs a Figure 11 class with its display names:
 // Name for charts, CSVName the ASCII-safe series name CSV consumers key on.
 type PopularityClassLabel struct {
@@ -122,8 +117,8 @@ func PopularityClassLabels() []PopularityClassLabel {
 
 // RenderFigure1 charts the hourly geographic mix of one-hop vs all peers.
 func RenderFigure1(w io.Writer, c *core.Characterization) error {
-	for _, r := range analysis.Continental() {
-		ch := NewChart(fmt.Sprintf("Figure 1 (%s) — fraction of peers by hour (paper: one-hop ≈ all peers)", regionNames[r]))
+	for _, r := range geo.Continental {
+		ch := NewChart(fmt.Sprintf("Figure 1 (%s) — fraction of peers by hour (paper: one-hop ≈ all peers)", r))
 		hours := make([]float64, 24)
 		for h := range hours {
 			hours[h] = float64(h)
@@ -155,9 +150,9 @@ func RenderFigure2(w io.Writer, c *core.Characterization) error {
 
 // RenderFigure3 charts query load over the day per region.
 func RenderFigure3(w io.Writer, c *core.Characterization) error {
-	for _, r := range analysis.Continental() {
+	for _, r := range geo.Continental {
 		series := c.Figure3.PerRegion[r]
-		ch := NewChart(fmt.Sprintf("Figure 3 (%s) — queries per 30-min bin (min/avg/max over days)", regionNames[r]))
+		ch := NewChart(fmt.Sprintf("Figure 3 (%s) — queries per 30-min bin (min/avg/max over days)", r))
 		bins := make([]float64, len(series.Avg))
 		for i := range bins {
 			bins[i] = float64(i) / 2
@@ -180,8 +175,8 @@ func RenderFigure4(w io.Writer, c *core.Characterization) error {
 	for h := range hours {
 		hours[h] = float64(h)
 	}
-	for _, r := range analysis.Continental() {
-		ch.Add(Series{Name: regionNames[r], X: hours, Y: c.Figure4.PerRegion[r].Avg})
+	for _, r := range geo.Continental {
+		ch.Add(Series{Name: r.String(), X: hours, Y: c.Figure4.PerRegion[r].Avg})
 	}
 	ch.XLabel = "hour of day"
 	return ch.Render(w)
@@ -197,10 +192,10 @@ type namedSample struct {
 
 // regionSamples orders per-region samples in the conventional NA, EU, AS
 // sequence.
-func regionSamples(m map[geo.Region]*stats.Sample) []namedSample {
-	out := make([]namedSample, 0, 3)
-	for _, r := range analysis.Continental() {
-		out = append(out, namedSample{regionNames[r], m[r]})
+func regionSamples(s *[geo.NumContinental]stats.Sample) []namedSample {
+	out := make([]namedSample, 0, geo.NumContinental)
+	for _, r := range geo.Continental {
+		out = append(out, namedSample{r.String(), &s[r]})
 	}
 	return out
 }
@@ -212,7 +207,7 @@ func ccdfChart(w io.Writer, title, xlabel string, grid []float64, series []named
 	ch.MinY = 0.01
 	ch.XLabel = xlabel
 	for _, s := range series {
-		if s.sample == nil || s.sample.Len() == 0 {
+		if s.sample.Len() == 0 {
 			continue
 		}
 		pts := s.sample.CCDFSeries(grid)
@@ -231,7 +226,7 @@ func RenderFigure5(w io.Writer, c *core.Characterization) error {
 	grid := stats.LogSpace(60, 600000, 64) // seconds; paper plots minutes 1..10⁴
 	return ccdfChart(w,
 		"Figure 5(a) — passive session duration CCDF (paper: <2 min = 85% AS, 75% NA, 55% EU)",
-		"seconds", grid, regionSamples(c.Figure5.ByRegion))
+		"seconds", grid, regionSamples(&c.Figure5.ByRegion))
 }
 
 // RenderFigure6 charts queries-per-session CCDFs.
@@ -239,12 +234,12 @@ func RenderFigure6(w io.Writer, c *core.Characterization) error {
 	grid := stats.LogSpace(1, 1000, 48)
 	if err := ccdfChart(w,
 		"Figure 6(a) — queries per active session CCDF (paper: <5 queries = 92% AS, 80% NA, 70% EU)",
-		"number of queries", grid, regionSamples(c.Figure6.ByRegion)); err != nil {
+		"number of queries", grid, regionSamples(&c.Figure6.ByRegion)); err != nil {
 		return err
 	}
 	return ccdfChart(w,
 		"Figure 6(c) — queries per session, rules 4–5 not applied (paper: 4% of Asian sessions >100)",
-		"number of queries", grid, regionSamples(c.Figure6.Unfiltered))
+		"number of queries", grid, regionSamples(&c.Figure6.Unfiltered))
 }
 
 // RenderFigure7 charts time-to-first-query CCDFs.
@@ -252,13 +247,13 @@ func RenderFigure7(w io.Writer, c *core.Characterization) error {
 	grid := stats.LogSpace(1, 100000, 64)
 	if err := ccdfChart(w,
 		"Figure 7(a) — time until first query CCDF (paper: ≈40% within 30 s everywhere)",
-		"seconds", grid, regionSamples(c.Figure7.ByRegion)); err != nil {
+		"seconds", grid, regionSamples(&c.Figure7.ByRegion)); err != nil {
 		return err
 	}
 	buckets := []namedSample{
-		{"<3 queries", c.Figure7.ByBucketNA[0]},
-		{"=3 queries", c.Figure7.ByBucketNA[1]},
-		{">3 queries", c.Figure7.ByBucketNA[2]},
+		{"<3 queries", &c.Figure7.ByBucketNA[0]},
+		{"=3 queries", &c.Figure7.ByBucketNA[1]},
+		{">3 queries", &c.Figure7.ByBucketNA[2]},
 	}
 	return ccdfChart(w,
 		"Figure 7(b) — NA, by session query count (paper: more queries ⇒ later first query)",
@@ -270,13 +265,13 @@ func RenderFigure8(w io.Writer, c *core.Characterization) error {
 	grid := stats.LogSpace(1, 10000, 56)
 	if err := ccdfChart(w,
 		"Figure 8(a) — query interarrival CCDF (paper: <100 s = 90% EU, 80% AS, 70% NA)",
-		"seconds", grid, regionSamples(c.Figure8.ByRegion)); err != nil {
+		"seconds", grid, regionSamples(&c.Figure8.ByRegion)); err != nil {
 		return err
 	}
 	buckets := []namedSample{
-		{"=2 queries", c.Figure8.ByBucketEU[0]},
-		{"3-7 queries", c.Figure8.ByBucketEU[1]},
-		{">7 queries", c.Figure8.ByBucketEU[2]},
+		{"=2 queries", &c.Figure8.ByBucketEU[0]},
+		{"3-7 queries", &c.Figure8.ByBucketEU[1]},
+		{">7 queries", &c.Figure8.ByBucketEU[2]},
 	}
 	return ccdfChart(w,
 		"Figure 8(b) — EU, by session query count (paper: more queries ⇒ shorter interarrivals)",
@@ -288,7 +283,7 @@ func RenderFigure9(w io.Writer, c *core.Characterization) error {
 	grid := stats.LogSpace(1, 100000, 64)
 	return ccdfChart(w,
 		"Figure 9(a) — time after last query CCDF (paper: >1000 s for 20% NA/EU, 10% AS)",
-		"seconds", grid, regionSamples(c.Figure9.ByRegion))
+		"seconds", grid, regionSamples(&c.Figure9.ByRegion))
 }
 
 // RenderFigure10 prints the hot-set drift distribution.
@@ -349,10 +344,10 @@ func RenderFits(w io.Writer, c *core.Characterization) error {
 	var rows [][]string
 	na := geo.NorthAmerica
 	// A.1
-	for p := core.Peak; p <= core.OffPeak; p++ {
+	for p := model.Peak; p <= model.OffPeak; p++ {
 		fit := c.Fits.PassiveDuration[na][p]
 		paper := "body 75% LN(2.502, 2.108), tail LN(2.749, 6.397)"
-		if p == core.OffPeak {
+		if p == model.OffPeak {
 			paper = "body 55% LN(2.383, 2.201), tail LN(2.848, 6.817)"
 		}
 		rows = append(rows, []string{
@@ -360,19 +355,20 @@ func RenderFits(w io.Writer, c *core.Characterization) error {
 		})
 	}
 	// A.2
-	for _, r := range analysis.Continental() {
+	paperA2 := [geo.NumContinental]string{
+		geo.NorthAmerica: "LN(σ=1.360, µ=-0.067)",
+		geo.Europe:       "LN(σ=1.306, µ=0.520)",
+		geo.Asia:         "LN(σ=1.618, µ=-1.029)",
+	}
+	for _, r := range geo.Continental {
 		fit := c.Fits.NumQueries[r]
-		paper := map[geo.Region]string{
-			geo.NorthAmerica: "LN(σ=1.360, µ=-0.067)",
-			geo.Europe:       "LN(σ=1.306, µ=0.520)",
-			geo.Asia:         "LN(σ=1.618, µ=-1.029)",
-		}[r]
+		paper := paperA2[r]
 		measured := "insufficient data"
 		if fit.OK {
 			measured = fmt.Sprintf("LN(σ=%.3f, µ=%.3f) n=%d%s",
 				fit.Model.Sigma, fit.Model.Mu, fit.N, ksVerdict(fit.KSP, fit.KSPSource, fit.Rejected))
 		}
-		rows = append(rows, []string{fmt.Sprintf("A.2 %s", regionNames[r]), measured, paper})
+		rows = append(rows, []string{fmt.Sprintf("A.2 %s", r), measured, paper})
 	}
 	// A.3 (NA peak, per bucket)
 	bucketNames := []string{"<3", "=3", ">3"}
@@ -382,16 +378,16 @@ func RenderFits(w io.Writer, c *core.Characterization) error {
 		"W(α=0.982, λ=0.02662) + LN(2.359, 6.301)",
 	}
 	for b := 0; b < 3; b++ {
-		fit := c.Fits.FirstQuery[na][core.Peak][b]
+		fit := c.Fits.FirstQuery[na][model.Peak][b]
 		rows = append(rows, []string{
 			fmt.Sprintf("A.3 NA peak %s queries", bucketNames[b]), fmtBodyTail(fit), paperA3[b],
 		})
 	}
 	// A.4
-	for p := core.Peak; p <= core.OffPeak; p++ {
+	for p := model.Peak; p <= model.OffPeak; p++ {
 		fit := c.Fits.Interarrival[na][p]
 		paper := "LN(1.625, 3.353) + Pareto(α=0.904, β=103)"
-		if p == core.OffPeak {
+		if p == model.OffPeak {
 			paper = "LN(1.410, 2.933) + Pareto(α=1.143, β=103)"
 		}
 		rows = append(rows, []string{fmt.Sprintf("A.4 NA %s", p), fmtBodyTail(fit), paper})
@@ -400,7 +396,7 @@ func RenderFits(w io.Writer, c *core.Characterization) error {
 	paperA5 := []string{"LN(2.361, 4.879)", "LN(2.259, 5.686)", "LN(2.145, 6.107)"}
 	bucketA5 := []string{"1", "2-7", ">7"}
 	for b := 0; b < 3; b++ {
-		fit := c.Fits.AfterLast[na][core.Peak][b]
+		fit := c.Fits.AfterLast[na][model.Peak][b]
 		measured := "insufficient data"
 		if fit.OK {
 			measured = fmt.Sprintf("LN(σ=%.3f, µ=%.3f) n=%d KS=%.3f%s",
@@ -439,18 +435,18 @@ func ksVerdict(p float64, src core.KSSource, rejected bool) string {
 	return fmt.Sprintf(", p=%.3f (%s)", p, tag)
 }
 
-// RenderHitRates prints the hit-rate extension (the paper's future work):
+// renderHitRates prints the hit-rate extension (the paper's future work):
 // hit availability per region and its correlation with query popularity.
-func RenderHitRates(w io.Writer, c *core.Characterization) error {
-	hr := c.HitRates
+func renderHitRates(w io.Writer, c *core.Characterization) error {
+	hr := &c.HitRates
 	var rows [][]string
-	for _, r := range analysis.Continental() {
-		sample := hr.ByRegion[r]
-		if sample == nil || sample.Len() == 0 {
+	for _, r := range geo.Continental {
+		sample := &hr.ByRegion[r]
+		if sample.Len() == 0 {
 			continue
 		}
 		rows = append(rows, []string{
-			regionNames[r],
+			r.String(),
 			fmt.Sprint(sample.Len()),
 			fmt.Sprintf("%.1f%%", 100*hr.AnsweredFraction[r]),
 			fmt.Sprintf("%.2f", sample.Mean()),
@@ -498,8 +494,8 @@ func RenderAll(w io.Writer, c *core.Characterization) error {
 		RenderSummary, RenderTable1, RenderTable2, RenderFigure1, RenderFigure2,
 		RenderFigure3, RenderFigure4, RenderFigure5, RenderFigure6,
 		RenderFigure7, RenderFigure8, RenderFigure9, RenderFigure10,
-		RenderFigure11, RenderTable3, RenderFits, RenderHitRates,
-		RenderAnchors,
+		RenderFigure11, RenderTable3, RenderFits, renderHitRates,
+		renderAnchors,
 	}
 	for _, render := range renderers {
 		if err := render(w, c); err != nil {
@@ -512,10 +508,10 @@ func RenderAll(w io.Writer, c *core.Characterization) error {
 	return nil
 }
 
-// RenderAnchors prints the quantitative CCDF anchor points the paper
+// renderAnchors prints the quantitative CCDF anchor points the paper
 // quotes in its prose, measured — the most precise paper-vs-measured
 // comparison the report offers.
-func RenderAnchors(w io.Writer, c *core.Characterization) error {
+func renderAnchors(w io.Writer, c *core.Characterization) error {
 	pct := func(v float64) string { return fmt.Sprintf("%.0f%%", 100*v) }
 	na, eu, as := geo.NorthAmerica, geo.Europe, geo.Asia
 	passiveAvg := func(r geo.Region) float64 {

@@ -165,7 +165,7 @@ func TestRenderTable2Accounting(t *testing.T) {
 func TestRenderAnchors(t *testing.T) {
 	c := renderFixture(t)
 	var buf bytes.Buffer
-	if err := RenderAnchors(&buf, c); err != nil {
+	if err := renderAnchors(&buf, c); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

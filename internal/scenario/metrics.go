@@ -55,8 +55,8 @@ func knownMetric(name string) bool {
 // Metrics holds one run's measured headline values, keyed by metric name.
 type Metrics map[string]float64
 
-// ComputeMetrics measures every headline metric on a drained trace.
-func ComputeMetrics(tr *trace.Trace, c *Compiled) Metrics {
+// computeMetrics measures every headline metric on a drained trace.
+func computeMetrics(tr *trace.Trace, c *Compiled) Metrics {
 	m := Metrics{
 		"conns":        float64(len(tr.Conns)),
 		"hop1_queries": float64(len(tr.Queries)),
@@ -175,7 +175,7 @@ func (r CheckResult) String() string {
 // EvaluateChecks measures the trace and applies the compiled spec's
 // assertions, returning every result and whether all passed.
 func EvaluateChecks(tr *trace.Trace, c *Compiled) ([]CheckResult, bool) {
-	m := ComputeMetrics(tr, c)
+	m := computeMetrics(tr, c)
 	results := make([]CheckResult, 0, len(c.Checks))
 	allOK := true
 	for _, ck := range c.Checks {

@@ -61,7 +61,7 @@ func TestComputeMetricsSynthetic(t *testing.T) {
 	c := &Compiled{Sim: capturedWith(&workload.Scenario{
 		Classes: []workload.ClientClass{{Name: "p", Share: 0.1, Inject: []string{"planted"}}},
 	})}
-	m := ComputeMetrics(tr, c)
+	m := computeMetrics(tr, c)
 
 	approx := func(name string, want float64) {
 		t.Helper()
@@ -97,7 +97,7 @@ func TestComputeMetricsChurn(t *testing.T) {
 	c := &Compiled{Sim: capturedWith(&workload.Scenario{
 		Churn: []workload.ChurnEvent{{At: 10 * time.Hour, Fraction: 0.8, Outage: 2 * time.Hour, Recovery: 3 * time.Hour}},
 	})}
-	m := ComputeMetrics(tr, c)
+	m := computeMetrics(tr, c)
 	if got := m["churn_outage_drop"]; math.Abs(got-0.8) > 0.01 {
 		t.Errorf("churn_outage_drop = %v, want ≈ 0.8", got)
 	}

@@ -16,7 +16,7 @@ func BenchmarkRankingBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for c := Class(0); c < NumClasses; c++ {
-			_ = v.QueryAt(c, i, 1) // day i is never cached
+			_ = v.queryAt(c, i, 1) // day i is never cached
 		}
 	}
 }
@@ -26,7 +26,7 @@ func BenchmarkRankingBuild(b *testing.B) {
 func BenchmarkSampleCachedDay(b *testing.B) {
 	v := New(42)
 	rng := rand.New(rand.NewPCG(1, 2))
-	_ = v.QueryAt(NAOnly, 0, 1)
+	_ = v.queryAt(NAOnly, 0, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -42,7 +42,7 @@ func BenchmarkSampleCachedDay(b *testing.B) {
 func BenchmarkSampleContended(b *testing.B) {
 	v := New(42)
 	for d := 0; d < 40; d++ {
-		_ = v.QueryAt(NAOnly, d, 1)
+		_ = v.queryAt(NAOnly, d, 1)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -28,7 +28,7 @@ func TestConcurrentSampleDeterminism(t *testing.T) {
 					t.Error("empty sample")
 					return
 				}
-				if shared.QueryAt(All, day, 1) == "" {
+				if shared.queryAt(All, day, 1) == "" {
 					t.Error("empty top query")
 					return
 				}
@@ -40,7 +40,7 @@ func TestConcurrentSampleDeterminism(t *testing.T) {
 	seq := New(99)
 	for c := Class(0); c < NumClasses; c++ {
 		for day := 0; day < days; day++ {
-			k := seq.DailySize(c)
+			k := dailySize(seq, c)
 			if k > 50 {
 				k = 50
 			}

@@ -108,8 +108,8 @@ var classMix = map[geo.Region][NumClasses]float64{
 	geo.Other: {NAOnly: 0.50, EUOnly: 0.25, All: 0.25},
 }
 
-// ClassProbs returns the class mix for a region.
-func ClassProbs(r geo.Region) [NumClasses]float64 {
+// classProbs returns the class mix for a region.
+func classProbs(r geo.Region) [NumClasses]float64 {
 	if m, ok := classMix[r]; ok {
 		return m
 	}
@@ -315,19 +315,12 @@ func scoredLess(a, b scoredIdx) bool {
 	return a.idx < b.idx
 }
 
-// DailySize returns the number of distinct queries active per day in the
-// class.
-func (v *Vocabulary) DailySize(c Class) int { return v.classes[c].shape.daily }
-
-// PoolSize returns the class's total pool of distinct query strings.
-func (v *Vocabulary) PoolSize(c Class) int { return v.classes[c].shape.pool }
-
 // Alpha returns the class's Zipf skew.
 func (v *Vocabulary) Alpha(c Class) float64 { return v.classes[c].shape.alpha }
 
-// QueryAt returns the query string at the given day-rank (1-based) of the
+// queryAt returns the query string at the given day-rank (1-based) of the
 // class on the given day.
-func (v *Vocabulary) QueryAt(c Class, day, rank int) string {
+func (v *Vocabulary) queryAt(c Class, day, rank int) string {
 	d := &v.classes[c]
 	if rank < 1 || rank > d.shape.daily {
 		panic(fmt.Sprintf("vocab: rank %d out of range for %v", rank, c))
@@ -335,9 +328,9 @@ func (v *Vocabulary) QueryAt(c Class, day, rank int) string {
 	return d.strings[v.rankedFor(c, day)[rank-1]]
 }
 
-// PickClass samples the class of a query issued by a peer in the region.
-func PickClass(rng *rand.Rand, r geo.Region) Class {
-	probs := ClassProbs(r)
+// pickClass samples the class of a query issued by a peer in the region.
+func pickClass(rng *rand.Rand, r geo.Region) Class {
+	probs := classProbs(r)
 	u := rng.Float64()
 	for c := Class(0); c < NumClasses; c++ {
 		if u < probs[c] {
@@ -360,24 +353,18 @@ func PickClass(rng *rand.Rand, r geo.Region) Class {
 // pick a class by the region's mix, then a day-rank by the class's
 // Zipf-like law, then resolve it through the day's drifted ranking.
 func (v *Vocabulary) Sample(rng *rand.Rand, region geo.Region, day int) string {
-	c := PickClass(rng, region)
+	c := pickClass(rng, region)
 	rank := v.classes[c].ranker.SampleRank(rng)
-	return v.QueryAt(c, day, rank)
+	return v.queryAt(c, day, rank)
 }
 
 // SkipSample advances rng exactly as Sample does, without resolving a
 // query string: it is for callers that only count the draw but must keep
 // the random stream the recorded draws depend on. Sample consumes two
-// uniforms, one for PickClass and one for the class's rank.
+// uniforms, one for pickClass and one for the class's rank.
 func SkipSample(rng *rand.Rand) {
 	rng.Float64()
 	rng.Float64()
-}
-
-// SampleClass draws a query string from a specific class on the given day.
-func (v *Vocabulary) SampleClass(rng *rand.Rand, c Class, day int) string {
-	rank := v.classes[c].ranker.SampleRank(rng)
-	return v.QueryAt(c, day, rank)
 }
 
 // TopK returns the day's k most popular query strings of the class, in

@@ -11,6 +11,9 @@ import (
 
 func newRNG(seed uint64) *rand.Rand { return rand.New(rand.NewPCG(seed, seed^77)) }
 
+// dailySize is the number of distinct queries active per day in the class.
+func dailySize(v *Vocabulary, c Class) int { return v.classes[c].shape.daily }
+
 func TestClassRegions(t *testing.T) {
 	if rs := NAOnly.Regions(); len(rs) != 1 || rs[0] != geo.NorthAmerica {
 		t.Errorf("NAOnly regions = %v", rs)
@@ -25,7 +28,7 @@ func TestClassRegions(t *testing.T) {
 
 func TestClassProbsSumToOne(t *testing.T) {
 	for _, r := range geo.Regions {
-		probs := ClassProbs(r)
+		probs := classProbs(r)
 		var sum float64
 		for _, p := range probs {
 			sum += p
@@ -39,14 +42,14 @@ func TestClassProbsSumToOne(t *testing.T) {
 func TestClassProbsPaperRecipe(t *testing.T) {
 	// "For North American peers, a query is in the set of North American
 	// queries with a probability of 0.97."
-	na := ClassProbs(geo.NorthAmerica)
+	na := classProbs(geo.NorthAmerica)
 	if math.Abs(na[NAOnly]-0.97) > 1e-9 {
 		t.Errorf("NA own-set probability = %v, want 0.97", na[NAOnly])
 	}
 	if na[EUOnly] != 0 || na[ASOnly] != 0 || na[EUAS] != 0 {
 		t.Error("NA peers must not draw from EU-only/AS-only/EU∩AS sets")
 	}
-	eu := ClassProbs(geo.Europe)
+	eu := classProbs(geo.Europe)
 	if math.Abs(eu[EUOnly]-0.97) > 1e-9 {
 		t.Errorf("EU own-set probability = %v", eu[EUOnly])
 	}
@@ -57,12 +60,12 @@ func TestVocabularyDeterminism(t *testing.T) {
 	b := New(7)
 	for c := Class(0); c < NumClasses; c++ {
 		for _, day := range []int{0, 5, 39} {
-			if a.QueryAt(c, day, 1) != b.QueryAt(c, day, 1) {
+			if a.queryAt(c, day, 1) != b.queryAt(c, day, 1) {
 				t.Fatalf("class %v day %d: rank-1 differs between identical seeds", c, day)
 			}
 		}
 	}
-	if New(8).QueryAt(NAOnly, 0, 1) == a.QueryAt(NAOnly, 0, 1) {
+	if New(8).queryAt(NAOnly, 0, 1) == a.queryAt(NAOnly, 0, 1) {
 		t.Error("different seeds should give different vocabularies")
 	}
 }
@@ -74,10 +77,10 @@ func TestDailySizesMatchTable3(t *testing.T) {
 		NAEU: 56, NAAS: 5, EUAS: 5, All: 2,
 	}
 	for c, w := range want {
-		if got := v.DailySize(c); got != w {
+		if got := dailySize(v, c); got != w {
 			t.Errorf("%v daily size = %d, want %d", c, got, w)
 		}
-		if v.PoolSize(c) < w {
+		if v.classes[c].shape.pool < w {
 			t.Errorf("%v pool smaller than daily size", c)
 		}
 	}
@@ -88,8 +91,8 @@ func TestClassStringsAreDisjoint(t *testing.T) {
 	seen := make(map[string]Class)
 	for c := Class(0); c < NumClasses; c++ {
 		for day := 0; day < 3; day++ {
-			for r := 1; r <= v.DailySize(c); r++ {
-				q := v.QueryAt(c, day, r)
+			for r := 1; r <= dailySize(v, c); r++ {
+				q := v.queryAt(c, day, r)
 				if prev, ok := seen[q]; ok && prev != c {
 					t.Fatalf("query %q appears in classes %v and %v", q, prev, c)
 				}
@@ -101,14 +104,14 @@ func TestClassStringsAreDisjoint(t *testing.T) {
 
 func TestQueryAtPanicsOutOfRange(t *testing.T) {
 	v := New(1)
-	for _, bad := range []int{0, -1, v.DailySize(All) + 1} {
+	for _, bad := range []int{0, -1, dailySize(v, All) + 1} {
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Errorf("rank %d should panic", bad)
 				}
 			}()
-			v.QueryAt(All, 0, bad)
+			v.queryAt(All, 0, bad)
 		}()
 	}
 }
@@ -118,7 +121,7 @@ func TestPickClassHonorsMix(t *testing.T) {
 	const n = 100000
 	counts := map[Class]int{}
 	for i := 0; i < n; i++ {
-		counts[PickClass(rng, geo.NorthAmerica)]++
+		counts[pickClass(rng, geo.NorthAmerica)]++
 	}
 	if got := float64(counts[NAOnly]) / n; math.Abs(got-0.97) > 0.005 {
 		t.Errorf("NAOnly frequency = %v, want 0.97", got)
@@ -134,8 +137,8 @@ func TestSampleStaysInRegionClasses(t *testing.T) {
 	// Collect the EU-only pool for membership checks.
 	euOnly := make(map[string]bool)
 	for day := 0; day < 2; day++ {
-		for r := 1; r <= v.DailySize(EUOnly); r++ {
-			euOnly[v.QueryAt(EUOnly, day, r)] = true
+		for r := 1; r <= dailySize(v, EUOnly); r++ {
+			euOnly[v.queryAt(EUOnly, day, r)] = true
 		}
 	}
 	for i := 0; i < 2000; i++ {
@@ -154,7 +157,7 @@ func TestZipfSkewOfSamples(t *testing.T) {
 	counts := make(map[string]int)
 	const n = 300000
 	for i := 0; i < n; i++ {
-		counts[v.SampleClass(rng, NAOnly, 0)]++
+		counts[v.queryAt(NAOnly, 0, v.classes[NAOnly].ranker.SampleRank(rng))]++
 	}
 	freqs := make([]float64, 0, len(counts))
 	for _, c := range counts {
@@ -218,19 +221,19 @@ func TestDayVocabulariesOverlapAcrossDays(t *testing.T) {
 	// for NA should be well below 2× the daily size.
 	v := New(23)
 	day0 := make(map[string]bool)
-	for r := 1; r <= v.DailySize(NAOnly); r++ {
-		day0[v.QueryAt(NAOnly, 0, r)] = true
+	for r := 1; r <= dailySize(v, NAOnly); r++ {
+		day0[v.queryAt(NAOnly, 0, r)] = true
 	}
 	union := len(day0)
-	for r := 1; r <= v.DailySize(NAOnly); r++ {
-		if !day0[v.QueryAt(NAOnly, 1, r)] {
+	for r := 1; r <= dailySize(v, NAOnly); r++ {
+		if !day0[v.queryAt(NAOnly, 1, r)] {
 			union++
 		}
 	}
-	if union >= 2*v.DailySize(NAOnly) {
+	if union >= 2*dailySize(v, NAOnly) {
 		t.Errorf("2-day union %d shows no overlap", union)
 	}
-	if union <= v.DailySize(NAOnly) {
+	if union <= dailySize(v, NAOnly) {
 		t.Errorf("2-day union %d shows no drift at all", union)
 	}
 	// Table 3 anchor: ≈3588 for two days (±15% tolerance for the model).
@@ -241,7 +244,7 @@ func TestDayVocabulariesOverlapAcrossDays(t *testing.T) {
 
 func TestTopKBounded(t *testing.T) {
 	v := New(2)
-	if got := v.TopK(All, 0, 100); len(got) != v.DailySize(All) {
+	if got := v.TopK(All, 0, 100); len(got) != dailySize(v, All) {
 		t.Errorf("TopK clamped = %d entries", len(got))
 	}
 }

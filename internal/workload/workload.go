@@ -10,7 +10,8 @@
 //     the measurement-node simulation (sessions arrive with an hourly rate
 //     modulated like Figure 1/3 and are played against the overlay).
 //
-//   - SteadyState: the literal Figure 12 setting — N concurrent peers at a
+//   - SessionAt: one session starting at a given instant, the building
+//     block of the literal Figure 12 setting — N concurrent peers at a
 //     fixed time of day, each replaced by a fresh peer when its session
 //     ends — for evaluating new P2P system designs (see examples/searchsim).
 package workload
@@ -236,7 +237,7 @@ func (g *Generator) sessionInto(s *Session, start simtime.Time) {
 	}
 
 	// (2) Passive or active, conditioned on region (and hour).
-	period := g.params.PeriodOf(region, hour)
+	period := model.PeriodOf(region, hour)
 	if rng.Float64() < g.params.PassiveFraction(region, hour) {
 		// (3) Passive: connected session length from Table A.1.
 		s.Passive = true
@@ -306,26 +307,6 @@ func (g *Generator) finishSession(s *Session) {
 	if cls := sc.pickClass(g.scenRNG); cls != nil {
 		g.applyClass(s, cls)
 	}
-}
-
-// SteadyState produces the literal Figure 12 evaluation workload: the
-// initial population of n concurrent peers for a fixed time of day. The
-// caller replaces each finished session by calling SessionAt again (or
-// Replace).
-func (g *Generator) SteadyState(n int, hour int) []*Session {
-	start := simtime.Time(hour) * simtime.Time(time.Hour)
-	out := make([]*Session, n)
-	for i := range out {
-		out[i] = g.SessionAt(start)
-	}
-	return out
-}
-
-// Replace generates the replacement for a finished session, starting the
-// moment the previous one ended — the steady-state population rule of
-// Figure 12.
-func (g *Generator) Replace(prev *Session) *Session {
-	return g.SessionAt(prev.End())
 }
 
 func secs(s float64) time.Duration {

@@ -198,17 +198,20 @@ func TestPreConnectQueries(t *testing.T) {
 }
 
 func TestSteadyState(t *testing.T) {
+	// The Figure 12 steady-state rule built from SessionAt: N concurrent
+	// peers at a fixed hour, each replaced the moment its session ends.
 	g := NewGenerator(DefaultConfig(23, 1))
-	peers := g.SteadyState(50, 12)
-	if len(peers) != 50 {
-		t.Fatalf("got %d peers", len(peers))
+	start := simtime.Time(12 * time.Hour)
+	peers := make([]*Session, 50)
+	for i := range peers {
+		peers[i] = g.SessionAt(start)
 	}
 	for _, s := range peers {
 		if simtime.HourOfDay(s.Start) != 12 {
 			t.Fatalf("steady-state session at hour %d", simtime.HourOfDay(s.Start))
 		}
 	}
-	next := g.Replace(peers[0])
+	next := g.SessionAt(peers[0].End())
 	if next.Start != peers[0].End() {
 		t.Errorf("replacement starts at %v, want %v", next.Start, peers[0].End())
 	}
