@@ -10,10 +10,13 @@ GO ?= go
 
 .PHONY: test race fuzz-smoke speedup-check distfleet-smoke scenario-suite fullscale fullscale-single lint
 
-# bench/ is its own module (replace repro => ../), so ./... never reaches
-# it; the second line builds it against this tree and runs its smoke-size
-# workloads, which check every hash in bench/golden.json.
+# test runs CI's gofmt and vet steps first. bench/ is its own module
+# (replace repro => ../), so ./... never reaches it; the last line builds
+# it against this tree and runs its smoke-size workloads, which check
+# every hash in bench/golden.json.
 test:
+	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
+	$(GO) vet ./...
 	$(GO) build ./... && $(GO) test ./...
 	$(GO) vet -C bench . && $(GO) test -C bench .
 

@@ -41,13 +41,17 @@
 // defined once, in internal/model: the peak/off-peak model.Period of
 // Figure 3's hours (model.PeriodOf), the key one-hour periods
 // (model.KeyPeriods, model.KeyPeriodIndex) and the query-count buckets
-// (model.QueryBucketA3/A5/IAT). The generator's parameter tables and the
-// characterization index by the same cells: core.Fits and every
-// per-cell figure container are fixed-size arrays indexed by geo.Region
+// (model.QueryBucketA3/A5/IAT). Tables A.1–A.5 are one type,
+// model.Params, whose exported [region][period][bucket] tables hold
+// dist.BodyTail and dist.Lognormal cells: model.Default fills it for the
+// generator, and the characterization fills it from its fits
+// (core.Fits.Model, with one core.Diag per fit beside it). Every per-cell
+// figure container is likewise a fixed-size array indexed by geo.Region
 // (the continental regions are Regions 0–2), period, key-period index,
-// bucket or popularity class. The measurement side takes only these
-// definitions from internal/model, never its parameter values;
-// TestMeasurementSeesNoGroundTruth (internal/core) holds that boundary.
+// bucket or popularity class. The measurement side takes these
+// definitions and the Params type from internal/model, never the
+// generator's parameter values; TestMeasurementSeesNoGroundTruth
+// (internal/core) holds that boundary.
 //
 // # Simulation engine
 //

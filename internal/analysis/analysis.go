@@ -10,9 +10,9 @@
 // pipeline measures exactly what the paper's post-processing could
 // measure. The conditioning cells are the paper's definitions, taken once
 // from internal/model: the peak/off-peak Period of Figure 3's hours, the
-// key periods, and the query-count buckets. Never model's parameter
-// values (Params): TestMeasurementSeesNoGroundTruth in internal/core
-// holds that boundary. Every per-cell result is a fixed-size array indexed
+// key periods, and the query-count buckets. Never the generator's
+// parameter values (model.Default): TestMeasurementSeesNoGroundTruth in
+// internal/core holds that boundary. Every per-cell result is a fixed-size array indexed
 // by geo.Region (the continental regions are Regions 0–2), key-period
 // index, bucket or PopularityClass.
 //

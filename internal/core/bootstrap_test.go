@@ -20,7 +20,7 @@ func TestBootstrapVerdictSourceSurfaced(t *testing.T) {
 	tr := parallelTrace(t)
 	c := core.CharacterizeOpts(tr, core.Options{KSBootstrap: 19})
 	checked := 0
-	for r, fit := range c.Fits.NumQueries {
+	for r, fit := range c.Fits.Diag.NumQueries {
 		r := geo.Region(r)
 		if !fit.OK {
 			continue
@@ -36,7 +36,7 @@ func TestBootstrapVerdictSourceSurfaced(t *testing.T) {
 			t.Errorf("A.2 %v: Rejected=%v inconsistent with p=%v", r, fit.Rejected, fit.KSP)
 		}
 	}
-	for _, fits := range c.Fits.PassiveDuration {
+	for _, fits := range c.Fits.Diag.PassiveDuration {
 		for p := range fits {
 			if fits[p].OK {
 				checked++
@@ -83,7 +83,7 @@ func TestBootstrapReplicateFloor(t *testing.T) {
 	tr := parallelTrace(t)
 	c := core.CharacterizeOpts(tr, core.Options{KSBootstrap: 3})
 	checked := 0
-	for r, fit := range c.Fits.NumQueries {
+	for r, fit := range c.Fits.Diag.NumQueries {
 		r := geo.Region(r)
 		if !fit.OK {
 			continue

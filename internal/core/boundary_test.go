@@ -14,11 +14,20 @@ import (
 // TestMeasurementSeesNoGroundTruth holds the closed-loop boundary: the
 // measurement side (filter, analysis, core, report) may use internal/model's
 // conditioning definitions (Period, the query-count buckets, the key
-// periods, PeriodOf), but never its parameter values. A non-test file that
-// names model.Params or model.Default could read the generator's answer
-// instead of recovering it from the trace.
+// periods, PeriodOf) and the Params type its fits fill, but never the
+// generator's parameter values. A non-test file that names model.Default
+// could read the generator's answer instead of recovering it from the
+// trace; one that imports a package holding the generator's *model.Params
+// (workload, behavior, capture, engine, vocab) could be handed it.
 func TestMeasurementSeesNoGroundTruth(t *testing.T) {
-	forbidden := map[string]bool{"Params": true, "Default": true}
+	forbidden := map[string]bool{"Default": true}
+	generatorSide := map[string]bool{
+		"repro/internal/workload": true,
+		"repro/internal/behavior": true,
+		"repro/internal/capture":  true,
+		"repro/internal/engine":   true,
+		"repro/internal/vocab":    true,
+	}
 	for _, dir := range []string{"../analysis", "../filter", ".", "../report"} {
 		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 		if err != nil {
@@ -38,7 +47,11 @@ func TestMeasurementSeesNoGroundTruth(t *testing.T) {
 			}
 			local := ""
 			for _, imp := range f.Imports {
-				if p, _ := strconv.Unquote(imp.Path.Value); p == "repro/internal/model" {
+				p, _ := strconv.Unquote(imp.Path.Value)
+				if generatorSide[p] {
+					t.Errorf("%s imports %s: measurement code must not reach the generator's parameters", path, p)
+				}
+				if p == "repro/internal/model" {
 					local = "model"
 					if imp.Name != nil {
 						local = imp.Name.Name

@@ -5,13 +5,15 @@
 // characterization from which synthetic workloads can be generated.
 //
 // The package depends on measurement-side packages (trace, filter,
-// analysis, dist) and on internal/model only for the conditioning the
-// paper defines: the peak/off-peak Period, the query-count buckets and
-// their sizes. It never uses model's parameter values (Params, Default);
-// TestMeasurementSeesNoGroundTruth holds that boundary. This is what makes
-// the repository's closed-loop validation meaningful: internal/model
-// generates behavior, internal/capture records it, and this package must
-// recover the model from the recording.
+// analysis, dist) and on internal/model for the conditioning the paper
+// defines (the peak/off-peak Period, the query-count buckets and their
+// sizes) and for the one appendix-model type, model.Params, which Fits
+// fills from the trace. It never sees the generator's parameter values:
+// TestMeasurementSeesNoGroundTruth forbids model.Default and every import
+// through which a generator's *model.Params could arrive. This is what
+// makes the repository's closed-loop validation meaningful:
+// internal/model generates behavior, internal/capture records it, and
+// this package must recover the model from the recording.
 package core
 
 import (
@@ -25,6 +27,7 @@ import (
 	"repro/internal/filter"
 	"repro/internal/geo"
 	"repro/internal/model"
+	"repro/internal/par"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -60,26 +63,21 @@ type Characterization struct {
 	Fits Fits
 }
 
-// Fits collects the fitted model distributions of Tables A.1–A.5, indexed
-// [region][period][bucket] by geo.Region (continental regions only),
-// model.Period and the table's model.QueryBucket*. Missing combinations
-// (not enough data) are left as zero values with the OK flag unset.
+// Fits is the recovered Appendix A model with one diagnostic per fit.
+// Model has the generator's own cells (model.Params), but only the
+// continental rows are fitted: the Other rows stay zero, as does any cell
+// without enough data (its Diag.OK unset). Diag is indexed like Model,
+// except that A.4 is fitted once per region and period and that one fit
+// fills all three buckets of its Model cell.
 type Fits struct {
-	// PassiveDuration is Table A.1: body/tail lognormal mixture of the
-	// passive connected-session duration, per region and period.
-	PassiveDuration [geo.NumContinental][model.NumPeriods]BodyTailFit
-	// NumQueries is Table A.2: lognormal fit of queries per active
-	// session, per region.
-	NumQueries [geo.NumContinental]LognormalFit
-	// FirstQuery is Table A.3: Weibull body + lognormal tail of the time
-	// until the first query, per region, period and A.3 bucket.
-	FirstQuery [geo.NumContinental][model.NumPeriods][model.NumBuckets]BodyTailFit
-	// Interarrival is Table A.4: lognormal body + Pareto tail of the
-	// query interarrival time, per region and period.
-	Interarrival [geo.NumContinental][model.NumPeriods]BodyTailFit
-	// AfterLast is Table A.5: lognormal fit of the time after the last
-	// query, per region, period and A.5 bucket.
-	AfterLast [geo.NumContinental][model.NumPeriods][model.NumBuckets]LognormalFit
+	Model model.Params
+	Diag  struct {
+		PassiveDuration [geo.NumContinental][model.NumPeriods]Diag
+		NumQueries      [geo.NumContinental]Diag
+		FirstQuery      [geo.NumContinental][model.NumPeriods][model.NumBuckets]Diag
+		Interarrival    [geo.NumContinental][model.NumPeriods]Diag
+		AfterLast       [geo.NumContinental][model.NumPeriods][model.NumBuckets]Diag
+	}
 }
 
 // FitAlpha is the significance level at which the report auto-rejects an
@@ -109,27 +107,14 @@ func (s KSSource) String() string {
 	return "asymptotic"
 }
 
-// LognormalFit is a fitted lognormal with sample context.
-type LognormalFit struct {
-	OK    bool
-	N     int
-	Model dist.Lognormal
-	KS    float64 // Kolmogorov–Smirnov distance of the fit on its data
+// Diag is the sample context and goodness of fit of one fitted cell.
+type Diag struct {
+	OK bool
+	N  int
+	KS float64 // Kolmogorov–Smirnov distance of the fit on its data
 	// KSP is the p-value of KS at N and Rejected the verdict at FitAlpha;
 	// KSPSource records how the p-value was computed (asymptotic by
 	// default; parametric bootstrap with Options.KSBootstrap > 0).
-	KSP       float64
-	KSPSource KSSource
-	Rejected  bool
-}
-
-// BodyTailFit is a fitted two-component mixture with sample context.
-type BodyTailFit struct {
-	OK  bool
-	N   int
-	Fit dist.BodyTailFit
-	KS  float64
-	// KSP, KSPSource and Rejected: see LognormalFit.
 	KSP       float64
 	KSPSource KSSource
 	Rejected  bool
@@ -165,14 +150,14 @@ func Characterize(tr *trace.Trace) *Characterization {
 // Workers setting: tasks write to disjoint fields and never read each
 // other's results.
 func CharacterizeOpts(tr *trace.Trace, opts Options) *Characterization {
-	workers := opts.resolve()
+	workers := par.Workers(opts.Workers)
 	res := filter.ApplyOpts(tr, filter.Options{Workers: workers})
 	sessions := analysis.EnrichWorkers(res, workers)
 	c := &Characterization{
 		Table2:   res,
 		Sessions: sessions,
 	}
-	runTasks(workers, []func(){
+	par.Run(workers, []func(){
 		func() { c.Table1 = analysis.ComputeTable1(tr) },
 		func() { c.Figure1 = analysis.ComputeFigure1(tr) },
 		func() { c.Figure2 = analysis.ComputeFigure2(tr) },
@@ -300,25 +285,31 @@ func fitAll(sessions []analysis.Session, workers int, ksBootstrap int) Fits {
 	// A slot's bootstrap seed takes the Region value (NA 0, EU 1, AS 2)
 	// as its region coordinate.
 	var f Fits
+	m, d := &f.Model, &f.Diag
 	var tasks []func()
 	for r := range regions {
 		// A.2 — queries per session: counts are rounded-and-floored, so
 		// the interval-censored fitter recovers the continuous lognormal.
 		tasks = append(tasks, func() {
-			f.NumQueries[r] = fitLognormalCounts(numQ[r], slotBoot(ksBootstrap, 2, r, 0, 0))
+			m.NumQueries[r], d.NumQueries[r] = fitCell(numQ[r], slotBoot(ksBootstrap, 2, r, 0, 0),
+				dist.FitLognormalCounts, ksRoundedCounts, drawCount)
 		})
 		for p := range periods {
 			// A.1 — passive durations.
 			tasks = append(tasks, func() {
-				f.PassiveDuration[r][p] = fitBodyTail(passive[r][p], func(v []float64) (dist.BodyTailFit, error) {
-					return dist.FitBimodalLognormal(v, passiveBodyLo, passiveSplit)
-				}, slotBoot(ksBootstrap, 1, r, p, 0))
+				m.PassiveDuration[r][p], d.PassiveDuration[r][p] = fitCell(passive[r][p], slotBoot(ksBootstrap, 1, r, p, 0),
+					func(v []float64) (dist.BodyTail, error) {
+						return dist.FitBimodalLognormal(v, passiveBodyLo, passiveSplit)
+					}, ksSorted, dist.BodyTail.Sample)
 			})
-			// A.4 — interarrival times.
+			// A.4 — interarrival times: one fit fills every bucket.
 			tasks = append(tasks, func() {
-				f.Interarrival[r][p] = fitBodyTail(iat[r][p], func(v []float64) (dist.BodyTailFit, error) {
-					return dist.FitLognormalPareto(v, 0, iatSplit)
-				}, slotBoot(ksBootstrap, 4, r, p, 0))
+				bt, diag := fitCell(iat[r][p], slotBoot(ksBootstrap, 4, r, p, 0),
+					func(v []float64) (dist.BodyTail, error) {
+						return dist.FitLognormalPareto(v, 0, iatSplit)
+					}, ksSorted, dist.BodyTail.Sample)
+				m.Interarrival[r][p] = [buckets]dist.BodyTail{bt, bt, bt}
+				d.Interarrival[r][p] = diag
 			})
 			split := firstQuerySplitPeak
 			if model.Period(p) == model.OffPeak {
@@ -327,55 +318,68 @@ func fitAll(sessions []analysis.Session, workers int, ksBootstrap int) Fits {
 			for b := range buckets {
 				// A.3 — time until first query.
 				tasks = append(tasks, func() {
-					f.FirstQuery[r][p][b] = fitBodyTail(firstQ[r][p][b], func(v []float64) (dist.BodyTailFit, error) {
-						return dist.FitWeibullLognormal(v, 0, split)
-					}, slotBoot(ksBootstrap, 3, r, p, b))
+					m.FirstQuery[r][p][b], d.FirstQuery[r][p][b] = fitCell(firstQ[r][p][b], slotBoot(ksBootstrap, 3, r, p, b),
+						func(v []float64) (dist.BodyTail, error) {
+							return dist.FitWeibullLognormal(v, 0, split)
+						}, ksSorted, dist.BodyTail.Sample)
 				})
 				// A.5 — time after last query.
 				tasks = append(tasks, func() {
-					f.AfterLast[r][p][b] = fitLognormal(afterLast[r][p][b], slotBoot(ksBootstrap, 5, r, p, b))
+					m.AfterLast[r][p][b], d.AfterLast[r][p][b] = fitCell(afterLast[r][p][b], slotBoot(ksBootstrap, 5, r, p, b),
+						dist.FitLognormal, ksSorted, dist.Lognormal.Sample)
 				})
 			}
 		}
 	}
-	runTasks(workers, tasks)
+	par.Run(workers, tasks)
 	return f
 }
 
-func fitLognormalCounts(xs []float64, boot bootCfg) LognormalFit {
+// fitCell fits one appendix cell and scores the fit on its own sample.
+// distance measures a sample against a model and may reorder the sample;
+// draw samples a model the way the fitter assumes the data arose. The
+// bootstrap replicates use both. A sample below minFitSamples, or one the
+// fitter rejects, leaves the cell zero with Diag.OK unset.
+func fitCell[M any](xs []float64, boot bootCfg, fit func([]float64) (M, error),
+	distance func([]float64, M) float64, draw func(M, *rand.Rand) float64) (M, Diag) {
+	var zero M
 	if len(xs) < minFitSamples {
-		return LognormalFit{N: len(xs)}
+		return zero, Diag{N: len(xs)}
 	}
-	m, err := dist.FitLognormalCounts(xs)
+	m, err := fit(xs)
 	if err != nil {
-		return LognormalFit{N: len(xs)}
+		return zero, Diag{N: len(xs)}
 	}
-	ks := ksRoundedCounts(xs, m)
-	p, src, rej := ksVerdict(ks, len(xs), boot,
+	d := Diag{OK: true, N: len(xs), KS: distance(xs, m)}
+	d.KSP, d.KSPSource, d.Rejected = ksVerdict(d.KS, d.N, boot,
 		func(rng *rand.Rand, out []float64) {
-			// Replicates mimic the generating process the fitter assumes:
-			// continuous lognormal draws rounded to counts, with the k=1
-			// cell absorbing everything below (matching ksRoundedCounts'
-			// censoring).
 			for i := range out {
-				k := math.Round(m.Sample(rng))
-				if k < 1 {
-					k = 1
-				}
-				out[i] = k
+				out[i] = draw(m, rng)
 			}
 		},
 		func(v []float64) float64 {
-			m2, err := dist.FitLognormalCounts(v)
+			// Refit on the replicate as drawn (the fitters' sums run in
+			// sample order) before distance may sort it.
+			m2, err := fit(v)
 			if err != nil {
 				return math.NaN()
 			}
-			return ksRoundedCounts(v, m2)
+			return distance(v, m2)
 		})
-	return LognormalFit{
-		OK: true, N: len(xs), Model: m, KS: ks,
-		KSP: p, KSPSource: src, Rejected: rej,
-	}
+	return m, d
+}
+
+// ksSorted sorts xs in place and returns its KS distance from d.
+func ksSorted[D dist.Dist](xs []float64, d D) float64 {
+	sort.Float64s(xs)
+	return dist.KSSorted(xs, d)
+}
+
+// drawCount draws one count the way FitLognormalCounts assumes counts
+// arise: a continuous lognormal draw rounded, with the k=1 cell absorbing
+// everything below (matching ksRoundedCounts' censoring).
+func drawCount(m dist.Lognormal, rng *rand.Rand) float64 {
+	return max(math.Round(m.Sample(rng)), 1)
 }
 
 // ksRoundedCounts measures the KS distance between integer count data and
@@ -407,67 +411,6 @@ func ksRoundedCounts(xs []float64, m dist.Lognormal) float64 {
 		}
 	}
 	return maxD
-}
-
-func fitLognormal(xs []float64, boot bootCfg) LognormalFit {
-	if len(xs) < minFitSamples {
-		return LognormalFit{N: len(xs)}
-	}
-	m, err := dist.FitLognormal(xs)
-	if err != nil {
-		return LognormalFit{N: len(xs)}
-	}
-	ks := dist.KS(xs, m)
-	p, src, rej := ksVerdict(ks, len(xs), boot,
-		func(rng *rand.Rand, out []float64) {
-			for i := range out {
-				out[i] = m.Sample(rng)
-			}
-		},
-		func(v []float64) float64 {
-			m2, err := dist.FitLognormal(v)
-			if err != nil {
-				return math.NaN()
-			}
-			sort.Float64s(v)
-			return dist.KSSorted(v, m2)
-		})
-	return LognormalFit{
-		OK: true, N: len(xs), Model: m, KS: ks,
-		KSP: p, KSPSource: src, Rejected: rej,
-	}
-}
-
-func fitBodyTail(xs []float64, fit func([]float64) (dist.BodyTailFit, error), boot bootCfg) BodyTailFit {
-	if len(xs) < minFitSamples {
-		return BodyTailFit{N: len(xs)}
-	}
-	bt, err := fit(xs)
-	if err != nil {
-		return BodyTailFit{N: len(xs)}
-	}
-	mix := bt.Mixture()
-	ks := dist.KS(xs, mix)
-	p, src, rej := ksVerdict(ks, len(xs), boot,
-		func(rng *rand.Rand, out []float64) {
-			for i := range out {
-				out[i] = mix.Sample(rng)
-			}
-		},
-		func(v []float64) float64 {
-			// Refit on the replicate as drawn (the fitters' sums run in
-			// sample order), then sort it in place for the distance.
-			bt2, err := fit(v)
-			if err != nil {
-				return math.NaN()
-			}
-			sort.Float64s(v)
-			return dist.KSSorted(v, bt2.Mixture())
-		})
-	return BodyTailFit{
-		OK: true, N: len(xs), Fit: bt, KS: ks,
-		KSP: p, KSPSource: src, Rejected: rej,
-	}
 }
 
 // PassiveShare returns the measured overall passive-session share, the

@@ -85,67 +85,70 @@ func TestNumQueriesFitRecovered(t *testing.T) {
 	// Table A.2: µ(EU) > µ(NA) > µ(AS); recovered values near the
 	// generative ones (−0.07, 0.52, −1.03) within discretization slack.
 	_, c := loop(t)
-	na := c.Fits.NumQueries[geo.NorthAmerica]
-	eu := c.Fits.NumQueries[geo.Europe]
-	as := c.Fits.NumQueries[geo.Asia]
-	if !na.OK || !eu.OK || !as.OK {
-		t.Fatalf("fits missing: NA=%v EU=%v AS=%v", na.OK, eu.OK, as.OK)
+	m, d := c.Fits.Model.NumQueries, c.Fits.Diag.NumQueries
+	na, eu, as := geo.NorthAmerica, geo.Europe, geo.Asia
+	if !d[na].OK || !d[eu].OK || !d[as].OK {
+		t.Fatalf("fits missing: NA=%v EU=%v AS=%v", d[na].OK, d[eu].OK, d[as].OK)
 	}
 	// Europe must sit clearly above the other regions; the Asian fit is
 	// noisy at test scale (few active sessions, counts mostly 1), so only
 	// its distance below Europe is asserted.
-	if !(eu.Model.Mu > na.Model.Mu && eu.Model.Mu > as.Model.Mu+0.3) {
-		t.Errorf("µ ordering: EU %v, NA %v, AS %v", eu.Model.Mu, na.Model.Mu, as.Model.Mu)
+	if !(m[eu].Mu > m[na].Mu && m[eu].Mu > m[as].Mu+0.3) {
+		t.Errorf("µ ordering: EU %v, NA %v, AS %v", m[eu].Mu, m[na].Mu, m[as].Mu)
 	}
 	// Rule-3 selection (short sessions dropped) biases µ upward relative
 	// to the pre-selection generative value; accept a generous band but
 	// require the right locations.
-	if math.Abs(eu.Model.Mu-0.52) > 0.35 {
-		t.Errorf("EU µ = %v, want ≈0.52", eu.Model.Mu)
+	if math.Abs(m[eu].Mu-0.52) > 0.35 {
+		t.Errorf("EU µ = %v, want ≈0.52", m[eu].Mu)
 	}
-	if na.Model.Mu < -0.15 || na.Model.Mu > 0.5 {
-		t.Errorf("NA µ = %v, want ≈0.0–0.4 (selection-shifted from −0.07)", na.Model.Mu)
+	if m[na].Mu < -0.15 || m[na].Mu > 0.5 {
+		t.Errorf("NA µ = %v, want ≈0.0–0.4 (selection-shifted from −0.07)", m[na].Mu)
 	}
 }
 
 func TestPassiveDurationFitRecovered(t *testing.T) {
 	// Table A.1: peak body weight ≈0.75 for North America; tail µ ≈6.4.
 	_, c := loop(t)
-	fit := c.Fits.PassiveDuration[geo.NorthAmerica][model.Peak]
-	if !fit.OK {
+	m, d := c.Fits.Model.PassiveDuration[geo.NorthAmerica], c.Fits.Diag.PassiveDuration[geo.NorthAmerica]
+	peak, off := model.Peak, model.OffPeak
+	if !d[peak].OK {
 		t.Fatal("NA peak passive fit missing")
 	}
-	if math.Abs(fit.Fit.BodyWeight-0.75) > 0.06 {
-		t.Errorf("body weight = %v, want ≈0.75", fit.Fit.BodyWeight)
+	if math.Abs(m[peak].BodyWeight-0.75) > 0.06 {
+		t.Errorf("body weight = %v, want ≈0.75", m[peak].BodyWeight)
 	}
 	// The ~30 s probe overestimate on silently closed sessions nudges the
 	// recorded durations off the pure generative mixture, so the KS band
 	// is wider than a clean-fit test would use.
-	if fit.KS > 0.12 {
-		t.Errorf("KS = %v", fit.KS)
+	if d[peak].KS > 0.12 {
+		t.Errorf("KS = %v", d[peak].KS)
 	}
 	// Off-peak body weight ≈0.55 < peak.
-	off := c.Fits.PassiveDuration[geo.NorthAmerica][model.OffPeak]
-	if off.OK && off.Fit.BodyWeight >= fit.Fit.BodyWeight {
+	if d[off].OK && m[off].BodyWeight >= m[peak].BodyWeight {
 		t.Errorf("off-peak body weight %v should be below peak %v",
-			off.Fit.BodyWeight, fit.Fit.BodyWeight)
+			m[off].BodyWeight, m[peak].BodyWeight)
 	}
 }
 
 func TestInterarrivalFitRecovered(t *testing.T) {
 	// Table A.4: Pareto tail α below ≈1 in peak hours for NA, larger
-	// off-peak.
+	// off-peak. One fit per period fills all three buckets.
 	_, c := loop(t)
-	peak := c.Fits.Interarrival[geo.NorthAmerica][model.Peak]
-	off := c.Fits.Interarrival[geo.NorthAmerica][model.OffPeak]
-	if !peak.OK || !off.OK {
+	m, d := c.Fits.Model.Interarrival[geo.NorthAmerica], c.Fits.Diag.Interarrival[geo.NorthAmerica]
+	if !d[model.Peak].OK || !d[model.OffPeak].OK {
 		t.Fatal("NA interarrival fits missing")
 	}
-	pa, ok := tailAlpha(peak)
+	for _, cells := range m {
+		if cells[1] != cells[0] || cells[2] != cells[0] {
+			t.Errorf("A.4 buckets differ: %v", cells)
+		}
+	}
+	pa, ok := tailAlpha(m[model.Peak][0])
 	if !ok {
 		t.Fatal("peak tail not Pareto")
 	}
-	oa, _ := tailAlpha(off)
+	oa, _ := tailAlpha(m[model.OffPeak][0])
 	if math.Abs(pa-0.9041) > 0.25 {
 		t.Errorf("peak Pareto α = %v, want ≈0.90", pa)
 	}
@@ -154,8 +157,8 @@ func TestInterarrivalFitRecovered(t *testing.T) {
 	}
 }
 
-func tailAlpha(f BodyTailFit) (float64, bool) {
-	p, ok := f.Fit.Tail.(dist.Pareto)
+func tailAlpha(bt dist.BodyTail) (float64, bool) {
+	p, ok := bt.Tail.(dist.Pareto)
 	if !ok {
 		return 0, false
 	}

@@ -1,7 +1,5 @@
 package core
 
-import "repro/internal/par"
-
 // Options tunes how Characterize executes. The zero value picks the
 // parallel mode sized to the machine.
 type Options struct {
@@ -23,19 +21,4 @@ type Options struct {
 	// attainable p-value 1/(B+1) can still reject at FitAlpha; below it a
 	// bootstrap verdict would be an all-accept stamp.
 	KSBootstrap int
-}
-
-// resolve applies the Options defaults (the shared par.Workers
-// convention).
-func (o Options) resolve() int {
-	return par.Workers(o.Workers)
-}
-
-// runTasks executes the tasks on the shared bounded worker pool
-// (internal/par). Each task must write only to state no other task
-// touches; with workers ≤ 1 the tasks run in order on the calling
-// goroutine, which is the reference sequential mode the determinism tests
-// compare against.
-func runTasks(workers int, tasks []func()) {
-	par.Run(workers, tasks)
 }

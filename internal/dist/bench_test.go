@@ -130,7 +130,7 @@ func BenchmarkFitWeibullLognormal(b *testing.B) {
 // the fitted Weibull–lognormal mixture into the one reused buffer,
 // refitted as drawn, then sorted in place and measured by KSSorted.
 func BenchmarkKSPValueBootstrap(b *testing.B) {
-	fit := func(v []float64) (BodyTailFit, error) { return FitWeibullLognormal(v, 0, 45) }
+	fit := func(v []float64) (BodyTail, error) { return FitWeibullLognormal(v, 0, 45) }
 	for _, n := range []int{1_000, 10_000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			xs := benchSample(n)
@@ -138,13 +138,12 @@ func BenchmarkKSPValueBootstrap(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			mix := bt.Mixture()
-			observed := KS(xs, mix)
+			observed := KS(xs, bt)
 			spec := BootstrapSpec{
 				N: n, B: 99, Seed: 1,
 				Sample: func(rng *rand.Rand, out []float64) {
 					for i := range out {
-						out[i] = mix.Sample(rng)
+						out[i] = bt.Sample(rng)
 					}
 				},
 				Distance: func(v []float64) float64 {
@@ -153,7 +152,7 @@ func BenchmarkKSPValueBootstrap(b *testing.B) {
 						return math.NaN()
 					}
 					sort.Float64s(v)
-					return KSSorted(v, bt2.Mixture())
+					return KSSorted(v, bt2)
 				},
 			}
 			b.ReportAllocs()

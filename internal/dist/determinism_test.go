@@ -16,11 +16,11 @@ func allDists() map[string]Dist {
 		"lognormal": Lognormal{Sigma: 1.5, Mu: 2},
 		"weibull":   Weibull{Alpha: 1.477, Lambda: 0.005252},
 		"pareto":    Pareto{Alpha: 0.9041, Beta: 103},
-		"bodytail-lognormal": BodyTail(body, 64, 120, 0.75,
+		"bodytail-lognormal": NewBodyTail(body, 64, 120, 0.75,
 			Lognormal{Sigma: 2.749, Mu: 6.397}),
-		"bodytail-weibull": BodyTail(Weibull{Alpha: 1.261, Lambda: 0.01081},
+		"bodytail-weibull": NewBodyTail(Weibull{Alpha: 1.261, Lambda: 0.01081},
 			0, 45, 0.77, Lognormal{Sigma: 2.045, Mu: 6.303}),
-		"bodytail-pareto": BodyTail(Lognormal{Sigma: 1.625, Mu: 3.353},
+		"bodytail-pareto": NewBodyTail(Lognormal{Sigma: 1.625, Mu: 3.353},
 			0, 103, 0.705, Pareto{Alpha: 0.9041, Beta: 103}),
 	}
 }

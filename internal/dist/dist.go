@@ -1,7 +1,9 @@
 // Package dist implements the statistical machinery of the paper's
 // appendix: the continuous distribution families used by the conditional
 // session models (lognormal, Weibull, Pareto), the body/tail composite
-// that every Table A.1–A.4 model is expressed in, Zipf-like rank
+// BodyTail that every Table A.1–A.4 model is expressed in (one type: the
+// generator samples it and the composite fitters return it, its
+// conditioning constants cached by NewBodyTail), Zipf-like rank
 // distributions for query popularity (Figure 11, including the
 // two-segment intersection fit), maximum-likelihood fitters that recover
 // each family's parameters from measured samples, and the

@@ -83,7 +83,7 @@ func TestBodyTailShape(t *testing.T) {
 	// The NA peak passive-duration model of Table A.1.
 	body := Lognormal{Sigma: 2.502, Mu: 2.108}
 	tail := Lognormal{Sigma: 2.749, Mu: 6.397}
-	d := BodyTail(body, 64, 120, 0.75, tail)
+	d := NewBodyTail(body, 64, 120, 0.75, tail)
 	if got := d.CDF(64); got != 0 {
 		t.Errorf("CDF(lo) = %v, want 0", got)
 	}
@@ -126,7 +126,7 @@ func TestBodyTailShape(t *testing.T) {
 func TestBodyTailParetoTail(t *testing.T) {
 	// Pareto tail with β = hi needs no conditioning: CDF just above hi
 	// starts at frac and the tail exponent governs the decay.
-	d := BodyTail(Lognormal{Sigma: 1.625, Mu: 3.353}, 0, 103, 0.705,
+	d := NewBodyTail(Lognormal{Sigma: 1.625, Mu: 3.353}, 0, 103, 0.705,
 		Pareto{Alpha: 0.9041, Beta: 103})
 	absErr(t, "CDF(103)", d.CDF(103), 0.705, 1e-12)
 	absErr(t, "CDF(100)", d.CDF(100), 0.70, 0.01) // the Figure 8(a) anchor

@@ -300,10 +300,10 @@ func splitComposite(xs []float64, hi float64) (body, tail []float64, weight floa
 // the body's (µ, σ) only weakly identifiable (many parameter pairs give
 // nearly the same conditional law); the mixture, body weight, and tail
 // parameters are the meaningful outputs.
-func FitBimodalLognormal(xs []float64, lo, hi float64) (BodyTailFit, error) {
+func FitBimodalLognormal(xs []float64, lo, hi float64) (BodyTail, error) {
 	body, tail, weight, err := splitComposite(xs, hi)
 	if err != nil {
-		return BodyTailFit{}, err
+		return BodyTail{}, err
 	}
 	bLo := lo
 	for _, x := range body {
@@ -314,27 +314,23 @@ func FitBimodalLognormal(xs []float64, lo, hi float64) (BodyTailFit, error) {
 	}
 	bodyFit, err := fitTruncatedLognormal(body, bLo, hi)
 	if err != nil {
-		return BodyTailFit{}, err
+		return BodyTail{}, err
 	}
 	tailFit, err := fitTruncatedLognormal(tail, hi, math.Inf(1))
 	if err != nil {
-		return BodyTailFit{}, err
+		return BodyTail{}, err
 	}
-	// Lo is the bound the body was actually fitted under, so Mixture()
-	// conditions the body exactly as the likelihood did.
-	return BodyTailFit{
-		Body: bodyFit, Tail: tailFit,
-		Lo: bLo, Hi: hi,
-		BodyWeight: weight,
-	}, nil
+	// Lo is the bound the body was actually fitted under, so the
+	// composite conditions the body exactly as the likelihood did.
+	return NewBodyTail(bodyFit, bLo, hi, weight, tailFit), nil
 }
 
 // FitWeibullLognormal fits the Table A.3 model — Weibull body on
 // [lo, hi], lognormal tail beyond hi.
-func FitWeibullLognormal(xs []float64, lo, hi float64) (BodyTailFit, error) {
+func FitWeibullLognormal(xs []float64, lo, hi float64) (BodyTail, error) {
 	body, tail, weight, err := splitComposite(xs, hi)
 	if err != nil {
-		return BodyTailFit{}, err
+		return BodyTail{}, err
 	}
 	for _, x := range body {
 		if x < lo {
@@ -344,26 +340,22 @@ func FitWeibullLognormal(xs []float64, lo, hi float64) (BodyTailFit, error) {
 	}
 	bodyFit, err := fitTruncatedWeibull(body, lo, hi)
 	if err != nil {
-		return BodyTailFit{}, err
+		return BodyTail{}, err
 	}
 	tailFit, err := fitTruncatedLognormal(tail, hi, math.Inf(1))
 	if err != nil {
-		return BodyTailFit{}, err
+		return BodyTail{}, err
 	}
-	return BodyTailFit{
-		Body: bodyFit, Tail: tailFit,
-		Lo: lo, Hi: hi,
-		BodyWeight: weight,
-	}, nil
+	return NewBodyTail(bodyFit, lo, hi, weight, tailFit), nil
 }
 
 // FitLognormalPareto fits the Table A.4 model — lognormal body on
 // [lo, hi], Pareto tail with β = hi. The Pareto shape is the exact
 // maximum-likelihood (Hill) estimator α = m / Σ ln(xᵢ/β) over the tail.
-func FitLognormalPareto(xs []float64, lo, hi float64) (BodyTailFit, error) {
+func FitLognormalPareto(xs []float64, lo, hi float64) (BodyTail, error) {
 	body, tail, weight, err := splitComposite(xs, hi)
 	if err != nil {
-		return BodyTailFit{}, err
+		return BodyTail{}, err
 	}
 	for _, x := range body {
 		if x < lo {
@@ -373,19 +365,15 @@ func FitLognormalPareto(xs []float64, lo, hi float64) (BodyTailFit, error) {
 	}
 	bodyFit, err := fitTruncatedLognormal(body, lo, hi)
 	if err != nil {
-		return BodyTailFit{}, err
+		return BodyTail{}, err
 	}
 	var sumLog float64
 	for _, x := range tail {
 		sumLog += math.Log(x / hi)
 	}
 	if sumLog <= 0 {
-		return BodyTailFit{}, errZeroVariance
+		return BodyTail{}, errZeroVariance
 	}
 	alpha := float64(len(tail)) / sumLog
-	return BodyTailFit{
-		Body: bodyFit, Tail: Pareto{Alpha: alpha, Beta: hi},
-		Lo: lo, Hi: hi,
-		BodyWeight: weight,
-	}, nil
+	return NewBodyTail(bodyFit, lo, hi, weight, Pareto{Alpha: alpha, Beta: hi}), nil
 }

@@ -94,7 +94,7 @@ func TestFitBimodalLognormalRecovery(t *testing.T) {
 	// Round trip through the Table A.1 NA peak model.
 	body := Lognormal{Sigma: 2.502, Mu: 2.108}
 	tail := Lognormal{Sigma: 2.749, Mu: 6.397}
-	gen := BodyTail(body, 64, 120, 0.75, tail)
+	gen := NewBodyTail(body, 64, 120, 0.75, tail)
 	rng := newRNG(17)
 	xs := make([]float64, 30000)
 	for i := range xs {
@@ -114,7 +114,7 @@ func TestFitBimodalLognormalRecovery(t *testing.T) {
 	absErr(t, "tail σ", tl.Sigma, tail.Sigma, 0.2)
 	// The body's (µ, σ) are only weakly identifiable on a window this
 	// narrow; the mixture as a whole must still match the sample.
-	if ks := KS(xs, fit.Mixture()); ks > 0.02 {
+	if ks := KS(xs, fit); ks > 0.02 {
 		t.Errorf("mixture KS = %v", ks)
 	}
 }
@@ -124,7 +124,7 @@ func TestFitWeibullLognormalRecovery(t *testing.T) {
 	// parameters are identifiable: F(hi) ≈ 0.9 at the window edge.
 	body := Weibull{Alpha: 1.2, Lambda: 0.02}
 	tail := Lognormal{Sigma: 2.0, Mu: 6.0}
-	gen := BodyTail(body, 0, 100, 0.8, tail)
+	gen := NewBodyTail(body, 0, 100, 0.8, tail)
 	rng := newRNG(19)
 	xs := make([]float64, 30000)
 	for i := range xs {
@@ -146,7 +146,7 @@ func TestFitWeibullLognormalRecovery(t *testing.T) {
 	tl := fit.Tail.(Lognormal)
 	absErr(t, "tail µ", tl.Mu, tail.Mu, 0.2)
 	absErr(t, "tail σ", tl.Sigma, tail.Sigma, 0.2)
-	if ks := KS(xs, fit.Mixture()); ks > 0.02 {
+	if ks := KS(xs, fit); ks > 0.02 {
 		t.Errorf("mixture KS = %v", ks)
 	}
 }
@@ -156,7 +156,7 @@ func TestFitLognormalParetoRecovery(t *testing.T) {
 	// uses the exact Hill MLE, so its tolerance is tight.
 	body := Lognormal{Sigma: 1.625, Mu: 3.353}
 	tailWant := Pareto{Alpha: 0.9041, Beta: 103}
-	gen := BodyTail(body, 0, 103, 0.705, tailWant)
+	gen := NewBodyTail(body, 0, 103, 0.705, tailWant)
 	rng := newRNG(23)
 	xs := make([]float64, 30000)
 	for i := range xs {
@@ -179,7 +179,7 @@ func TestFitLognormalParetoRecovery(t *testing.T) {
 	bl := fit.Body.(Lognormal)
 	absErr(t, "body µ", bl.Mu, body.Mu, 0.1)
 	absErr(t, "body σ", bl.Sigma, body.Sigma, 0.1)
-	if ks := KS(xs, fit.Mixture()); ks > 0.02 {
+	if ks := KS(xs, fit); ks > 0.02 {
 		t.Errorf("mixture KS = %v", ks)
 	}
 }

@@ -124,12 +124,6 @@ type Options struct {
 	Workers int
 }
 
-// resolve applies the Options defaults (the shared par.Workers
-// convention).
-func (o Options) resolve() int {
-	return par.Workers(o.Workers)
-}
-
 // Apply runs rules 1–5 over a trace with the default options (parallel,
 // sized to the machine).
 func Apply(tr *trace.Trace) *Result {
@@ -154,7 +148,7 @@ type partial struct {
 // chunks; at full-trace volume (4.36 M connections) this pass dominates
 // characterization, which is why it fans out over the shared pool.
 func ApplyOpts(tr *trace.Trace, opts Options) *Result {
-	workers := opts.resolve()
+	workers := par.Workers(opts.Workers)
 	res := &Result{
 		TotalSessions:    uint64(len(tr.Conns)),
 		TotalHop1Queries: uint64(len(tr.Queries)),

@@ -6,6 +6,13 @@
 // from this model; the analysis pipeline must then recover it from the
 // filtered trace, closing the reproduction loop.
 //
+// Tables A.1–A.5 are one type, Params: exported [region][period][bucket]
+// tables of dist.BodyTail and dist.Lognormal cells. Default fills it from
+// the paper and the generator indexes it directly; internal/core fills
+// the same type from its fits (core.Fits.Model). The conditioning those
+// tables are indexed by (Period, PeriodOf, the QueryBucket* functions,
+// the key periods) is defined here once for both sides.
+//
 // Where the paper publishes parameters only for North America, the
 // European and Asian analogues are inferred from the regional anchor
 // points quoted in the prose and figures (each inferred constant cites its
@@ -170,25 +177,32 @@ func QueryBucketIAT(n int) int {
 	}
 }
 
-// Params is the full generative model. Build it once with Default (or a
-// variant) and share it: it is immutable and safe for concurrent use.
-// Every table is indexed by assignable region; lookups go through
-// normRegion, which folds Unknown into Other.
+// Params is the Appendix A model as tables: what the generator samples
+// and what internal/core recovers from a trace. Default fills every row
+// from the paper; a characterization fills the continental rows from its
+// fits. Each table is indexed by assignable region (Unknown has no row:
+// PickRegion never assigns it, and PassiveFraction and SampleNumQueries
+// fold it into Other), then Period, then the table's QueryBucket*. Build
+// the BodyTail cells with dist.NewBodyTail. Build a Params once and share
+// it read-only: it is then safe for concurrent use.
 type Params struct {
-	// passiveDuration[region][period]: Table A.1 (+ inferred EU/Asia).
-	passiveDuration [geo.NumRegions][NumPeriods]dist.Dist
-	// numQueries[region]: Table A.2 lognormals over a continuous variate,
+	// PassiveDuration is Table A.1 (+ inferred EU/Asia): the passive
+	// connected-session duration.
+	PassiveDuration [geo.NumRegions][NumPeriods]dist.BodyTail
+	// NumQueries is Table A.2: lognormals over a continuous variate,
 	// discretized by SampleNumQueries.
-	numQueries [geo.NumRegions]dist.Lognormal
-	// firstQuery[region][period][bucketA3]: Table A.3 (+ inferred).
-	firstQuery [geo.NumRegions][NumPeriods][NumBuckets]dist.Dist
-	// interarrival[region][period][bucketIAT]: Table A.4; only Europe
-	// varies by bucket (Figure 8(b)).
-	interarrival [geo.NumRegions][NumPeriods][NumBuckets]dist.Dist
-	// afterLast[region][period][bucketA5]: Table A.5 (+ inferred).
-	afterLast [geo.NumRegions][NumPeriods][NumBuckets]dist.Dist
-	// sharedFiles is the library-size model behind Figure 2.
-	sharedFiles dist.Dist
+	NumQueries [geo.NumRegions]dist.Lognormal
+	// FirstQuery is Table A.3 (+ inferred), by QueryBucketA3: the time
+	// until the first query.
+	FirstQuery [geo.NumRegions][NumPeriods][NumBuckets]dist.BodyTail
+	// Interarrival is Table A.4, by QueryBucketIAT: the query
+	// interarrival time. Only Europe varies by bucket (Figure 8(b)).
+	Interarrival [geo.NumRegions][NumPeriods][NumBuckets]dist.BodyTail
+	// AfterLast is Table A.5 (+ inferred), by QueryBucketA5: the time
+	// after the last query.
+	AfterLast [geo.NumRegions][NumPeriods][NumBuckets]dist.Lognormal
+	// SharedFiles is the library-size model behind Figure 2.
+	SharedFiles dist.Lognormal
 }
 
 // Default returns the paper-parameterized model.
@@ -199,177 +213,177 @@ func Default() *Params {
 	// Body window is [64 s, 120 s]: durations below 64 s were filtered by
 	// rule 3, and the paper describes the body as the 1–2 minute mode.
 	naBody := dist.Lognormal{Sigma: 2.502, Mu: 2.108}
-	p.passiveDuration[geo.NorthAmerica] = [2]dist.Dist{
-		Peak:    dist.BodyTail(naBody, 64, 120, 0.75, dist.Lognormal{Sigma: 2.749, Mu: 6.397}),
-		OffPeak: dist.BodyTail(dist.Lognormal{Sigma: 2.383, Mu: 2.201}, 64, 120, 0.55, dist.Lognormal{Sigma: 2.848, Mu: 6.817}),
+	p.PassiveDuration[geo.NorthAmerica] = [NumPeriods]dist.BodyTail{
+		Peak:    dist.NewBodyTail(naBody, 64, 120, 0.75, dist.Lognormal{Sigma: 2.749, Mu: 6.397}),
+		OffPeak: dist.NewBodyTail(dist.Lognormal{Sigma: 2.383, Mu: 2.201}, 64, 120, 0.55, dist.Lognormal{Sigma: 2.848, Mu: 6.817}),
 	}
 	// Europe (inferred): Figure 5(a) — only 55% under 2 minutes, 35%
 	// intermediate, 10% beyond 200 minutes; early-morning (off-peak)
 	// sessions longer (Figure 5(c)).
-	p.passiveDuration[geo.Europe] = [2]dist.Dist{
-		Peak:    dist.BodyTail(naBody, 64, 120, 0.55, dist.Lognormal{Sigma: 2.80, Mu: 7.20}),
-		OffPeak: dist.BodyTail(naBody, 64, 120, 0.45, dist.Lognormal{Sigma: 2.85, Mu: 7.60}),
+	p.PassiveDuration[geo.Europe] = [NumPeriods]dist.BodyTail{
+		Peak:    dist.NewBodyTail(naBody, 64, 120, 0.55, dist.Lognormal{Sigma: 2.80, Mu: 7.20}),
+		OffPeak: dist.NewBodyTail(naBody, 64, 120, 0.45, dist.Lognormal{Sigma: 2.85, Mu: 7.60}),
 	}
 	// Asia (inferred): Figure 5(a) — 85% under 2 minutes, 12%
 	// intermediate, 3% long.
-	p.passiveDuration[geo.Asia] = [2]dist.Dist{
-		Peak:    dist.BodyTail(naBody, 64, 120, 0.86, dist.Lognormal{Sigma: 2.70, Mu: 5.80}),
-		OffPeak: dist.BodyTail(naBody, 64, 120, 0.80, dist.Lognormal{Sigma: 2.75, Mu: 6.10}),
+	p.PassiveDuration[geo.Asia] = [NumPeriods]dist.BodyTail{
+		Peak:    dist.NewBodyTail(naBody, 64, 120, 0.86, dist.Lognormal{Sigma: 2.70, Mu: 5.80}),
+		OffPeak: dist.NewBodyTail(naBody, 64, 120, 0.80, dist.Lognormal{Sigma: 2.75, Mu: 6.10}),
 	}
-	p.passiveDuration[geo.Other] = p.passiveDuration[geo.NorthAmerica]
+	p.PassiveDuration[geo.Other] = p.PassiveDuration[geo.NorthAmerica]
 
 	// ---- Table A.2: queries per active session. ----
-	p.numQueries[geo.NorthAmerica] = dist.Lognormal{Sigma: 1.360, Mu: -0.0673}
-	p.numQueries[geo.Europe] = dist.Lognormal{Sigma: 1.306, Mu: 0.520}
-	p.numQueries[geo.Asia] = dist.Lognormal{Sigma: 1.618, Mu: -1.029}
-	p.numQueries[geo.Other] = p.numQueries[geo.NorthAmerica]
+	p.NumQueries[geo.NorthAmerica] = dist.Lognormal{Sigma: 1.360, Mu: -0.0673}
+	p.NumQueries[geo.Europe] = dist.Lognormal{Sigma: 1.306, Mu: 0.520}
+	p.NumQueries[geo.Asia] = dist.Lognormal{Sigma: 1.618, Mu: -1.029}
+	p.NumQueries[geo.Other] = p.NumQueries[geo.NorthAmerica]
 
 	// ---- Table A.3: time until first query (seconds). ----
 	// Mixture body weights are not published; they are calibrated so the
 	// mixture passes through Figure 7(b)'s anchors (90% of <3-query
 	// sessions issue the first query before 200 s; =3 before 1000 s;
 	// >3 before 2000 s). See TestFirstQueryAnchors.
-	naFQPeak := [3]dist.Dist{
-		dist.BodyTail(dist.Weibull{Alpha: 1.477, Lambda: 0.005252}, 0, 45, 0.86,
+	naFQPeak := [NumBuckets]dist.BodyTail{
+		dist.NewBodyTail(dist.Weibull{Alpha: 1.477, Lambda: 0.005252}, 0, 45, 0.86,
 			dist.Lognormal{Sigma: 2.905, Mu: 5.091}),
-		dist.BodyTail(dist.Weibull{Alpha: 1.261, Lambda: 0.01081}, 0, 45, 0.77,
+		dist.NewBodyTail(dist.Weibull{Alpha: 1.261, Lambda: 0.01081}, 0, 45, 0.77,
 			dist.Lognormal{Sigma: 2.045, Mu: 6.303}),
-		dist.BodyTail(dist.Weibull{Alpha: 0.9821, Lambda: 0.02662}, 0, 45, 0.71,
+		dist.NewBodyTail(dist.Weibull{Alpha: 0.9821, Lambda: 0.02662}, 0, 45, 0.71,
 			dist.Lognormal{Sigma: 2.359, Mu: 6.301}),
 	}
 	// The paper prints the off-peak body range as "64–120 seconds"; we
 	// read it as [0, 120] — a first query can arrive within the first
 	// minute off-peak too, and the published Weibull scales (56–108 s)
 	// put most of their mass below 64 s.
-	naFQOff := [3]dist.Dist{
-		dist.BodyTail(dist.Weibull{Alpha: 1.159, Lambda: 0.01779}, 0, 120, 0.68,
+	naFQOff := [NumBuckets]dist.BodyTail{
+		dist.NewBodyTail(dist.Weibull{Alpha: 1.159, Lambda: 0.01779}, 0, 120, 0.68,
 			dist.Lognormal{Sigma: 3.384, Mu: 5.144}),
-		dist.BodyTail(dist.Weibull{Alpha: 1.207, Lambda: 0.01446}, 0, 120, 0.64,
+		dist.NewBodyTail(dist.Weibull{Alpha: 1.207, Lambda: 0.01446}, 0, 120, 0.64,
 			dist.Lognormal{Sigma: 2.324, Mu: 6.400}),
-		dist.BodyTail(dist.Weibull{Alpha: 0.9351, Lambda: 0.03380}, 0, 120, 0.55,
+		dist.NewBodyTail(dist.Weibull{Alpha: 0.9351, Lambda: 0.03380}, 0, 120, 0.55,
 			dist.Lognormal{Sigma: 2.463, Mu: 7.186}),
 	}
-	p.firstQuery[geo.NorthAmerica] = [2][3]dist.Dist{Peak: naFQPeak, OffPeak: naFQOff}
+	p.FirstQuery[geo.NorthAmerica] = [NumPeriods][NumBuckets]dist.BodyTail{Peak: naFQPeak, OffPeak: naFQOff}
 	// Europe (inferred): same bodies; tails shifted right — Figure 7(a)
 	// shows half of EU sessions issue the first query between 30 s and
 	// 1000 s (vs 30–90 s for Asia) and Figure 7(c) shows a 10% >10⁴ s
 	// off-peak tail.
-	p.firstQuery[geo.Europe] = [2][3]dist.Dist{
-		Peak: [3]dist.Dist{
-			dist.BodyTail(dist.Weibull{Alpha: 1.477, Lambda: 0.005252}, 0, 45, 0.72,
+	p.FirstQuery[geo.Europe] = [NumPeriods][NumBuckets]dist.BodyTail{
+		Peak: {
+			dist.NewBodyTail(dist.Weibull{Alpha: 1.477, Lambda: 0.005252}, 0, 45, 0.72,
 				dist.Lognormal{Sigma: 2.905, Mu: 5.491}),
-			dist.BodyTail(dist.Weibull{Alpha: 1.261, Lambda: 0.01081}, 0, 45, 0.68,
+			dist.NewBodyTail(dist.Weibull{Alpha: 1.261, Lambda: 0.01081}, 0, 45, 0.68,
 				dist.Lognormal{Sigma: 2.045, Mu: 6.703}),
-			dist.BodyTail(dist.Weibull{Alpha: 0.9821, Lambda: 0.02662}, 0, 45, 0.60,
+			dist.NewBodyTail(dist.Weibull{Alpha: 0.9821, Lambda: 0.02662}, 0, 45, 0.60,
 				dist.Lognormal{Sigma: 2.359, Mu: 6.701}),
 		},
-		OffPeak: [3]dist.Dist{
-			dist.BodyTail(dist.Weibull{Alpha: 1.159, Lambda: 0.01779}, 0, 120, 0.60,
+		OffPeak: {
+			dist.NewBodyTail(dist.Weibull{Alpha: 1.159, Lambda: 0.01779}, 0, 120, 0.60,
 				dist.Lognormal{Sigma: 3.384, Mu: 5.544}),
-			dist.BodyTail(dist.Weibull{Alpha: 1.207, Lambda: 0.01446}, 0, 120, 0.56,
+			dist.NewBodyTail(dist.Weibull{Alpha: 1.207, Lambda: 0.01446}, 0, 120, 0.56,
 				dist.Lognormal{Sigma: 2.324, Mu: 6.800}),
-			dist.BodyTail(dist.Weibull{Alpha: 0.9351, Lambda: 0.03380}, 0, 120, 0.48,
+			dist.NewBodyTail(dist.Weibull{Alpha: 0.9351, Lambda: 0.03380}, 0, 120, 0.48,
 				dist.Lognormal{Sigma: 2.463, Mu: 7.586}),
 		},
 	}
 	// Asia (inferred): Figure 7(a) — ≈10% within 10 s, ≈40% within 30 s
 	// (the common anchor across regions), ≈90% within 90 s: a steep body
 	// covering nearly all mass, thin tail.
-	asFQ := [3]dist.Dist{
-		dist.BodyTail(dist.Weibull{Alpha: 1.9, Lambda: 0.027}, 0, 90, 0.90,
+	asFQ := [NumBuckets]dist.BodyTail{
+		dist.NewBodyTail(dist.Weibull{Alpha: 1.9, Lambda: 0.027}, 0, 90, 0.90,
 			dist.Lognormal{Sigma: 1.6, Mu: 5.0}),
-		dist.BodyTail(dist.Weibull{Alpha: 1.85, Lambda: 0.025}, 0, 90, 0.88,
+		dist.NewBodyTail(dist.Weibull{Alpha: 1.85, Lambda: 0.025}, 0, 90, 0.88,
 			dist.Lognormal{Sigma: 1.6, Mu: 5.2}),
-		dist.BodyTail(dist.Weibull{Alpha: 1.8, Lambda: 0.023}, 0, 90, 0.85,
+		dist.NewBodyTail(dist.Weibull{Alpha: 1.8, Lambda: 0.023}, 0, 90, 0.85,
 			dist.Lognormal{Sigma: 1.7, Mu: 5.4}),
 	}
-	p.firstQuery[geo.Asia] = [2][3]dist.Dist{Peak: asFQ, OffPeak: asFQ}
-	p.firstQuery[geo.Other] = p.firstQuery[geo.NorthAmerica]
+	p.FirstQuery[geo.Asia] = [NumPeriods][NumBuckets]dist.BodyTail{Peak: asFQ, OffPeak: asFQ}
+	p.FirstQuery[geo.Other] = p.FirstQuery[geo.NorthAmerica]
 
 	// ---- Table A.4: query interarrival time (seconds). ----
 	// NA does not vary with session length (Figure 8(b) holds only for
 	// Europe), so its three buckets are identical. Body weights calibrated
 	// to the Figure 8(a) anchor P(IAT < 100 s) = 0.70 peak (see tests).
-	naIATPeak := dist.BodyTail(dist.Lognormal{Sigma: 1.625, Mu: 3.353}, 0, 103, 0.705,
+	naIATPeak := dist.NewBodyTail(dist.Lognormal{Sigma: 1.625, Mu: 3.353}, 0, 103, 0.705,
 		dist.Pareto{Alpha: 0.9041, Beta: 103})
-	naIATOff := dist.BodyTail(dist.Lognormal{Sigma: 1.410, Mu: 2.933}, 0, 103, 0.81,
+	naIATOff := dist.NewBodyTail(dist.Lognormal{Sigma: 1.410, Mu: 2.933}, 0, 103, 0.81,
 		dist.Pareto{Alpha: 1.143, Beta: 103})
-	p.interarrival[geo.NorthAmerica] = [2][3]dist.Dist{
+	p.Interarrival[geo.NorthAmerica] = [NumPeriods][NumBuckets]dist.BodyTail{
 		Peak:    {naIATPeak, naIATPeak, naIATPeak},
 		OffPeak: {naIATOff, naIATOff, naIATOff},
 	}
 	// Europe (inferred): P(IAT < 100 s) = 0.90 overall; many-query
 	// sessions have shorter interarrivals (Figure 8(b)); off-peak shorter
 	// still (94% below 100 s between 03:00 and 04:00, Figure 8(c)).
-	p.interarrival[geo.Europe] = [2][3]dist.Dist{
-		Peak: [3]dist.Dist{
-			dist.BodyTail(dist.Lognormal{Sigma: 1.55, Mu: 3.45}, 0, 103, 0.86, dist.Pareto{Alpha: 1.0, Beta: 103}),
-			dist.BodyTail(dist.Lognormal{Sigma: 1.50, Mu: 3.15}, 0, 103, 0.90, dist.Pareto{Alpha: 1.05, Beta: 103}),
-			dist.BodyTail(dist.Lognormal{Sigma: 1.45, Mu: 2.85}, 0, 103, 0.93, dist.Pareto{Alpha: 1.10, Beta: 103}),
+	p.Interarrival[geo.Europe] = [NumPeriods][NumBuckets]dist.BodyTail{
+		Peak: {
+			dist.NewBodyTail(dist.Lognormal{Sigma: 1.55, Mu: 3.45}, 0, 103, 0.86, dist.Pareto{Alpha: 1.0, Beta: 103}),
+			dist.NewBodyTail(dist.Lognormal{Sigma: 1.50, Mu: 3.15}, 0, 103, 0.90, dist.Pareto{Alpha: 1.05, Beta: 103}),
+			dist.NewBodyTail(dist.Lognormal{Sigma: 1.45, Mu: 2.85}, 0, 103, 0.93, dist.Pareto{Alpha: 1.10, Beta: 103}),
 		},
-		OffPeak: [3]dist.Dist{
-			dist.BodyTail(dist.Lognormal{Sigma: 1.45, Mu: 3.15}, 0, 103, 0.92, dist.Pareto{Alpha: 1.15, Beta: 103}),
-			dist.BodyTail(dist.Lognormal{Sigma: 1.40, Mu: 2.90}, 0, 103, 0.94, dist.Pareto{Alpha: 1.20, Beta: 103}),
-			dist.BodyTail(dist.Lognormal{Sigma: 1.35, Mu: 2.65}, 0, 103, 0.96, dist.Pareto{Alpha: 1.25, Beta: 103}),
+		OffPeak: {
+			dist.NewBodyTail(dist.Lognormal{Sigma: 1.45, Mu: 3.15}, 0, 103, 0.92, dist.Pareto{Alpha: 1.15, Beta: 103}),
+			dist.NewBodyTail(dist.Lognormal{Sigma: 1.40, Mu: 2.90}, 0, 103, 0.94, dist.Pareto{Alpha: 1.20, Beta: 103}),
+			dist.NewBodyTail(dist.Lognormal{Sigma: 1.35, Mu: 2.65}, 0, 103, 0.96, dist.Pareto{Alpha: 1.25, Beta: 103}),
 		},
 	}
 	// Asia (inferred): P(IAT < 100 s) = 0.80, no session-length
 	// conditioning reported.
-	asIATPeak := dist.BodyTail(dist.Lognormal{Sigma: 1.55, Mu: 3.25}, 0, 103, 0.80, dist.Pareto{Alpha: 1.0, Beta: 103})
-	asIATOff := dist.BodyTail(dist.Lognormal{Sigma: 1.45, Mu: 3.0}, 0, 103, 0.87, dist.Pareto{Alpha: 1.15, Beta: 103})
-	p.interarrival[geo.Asia] = [2][3]dist.Dist{
+	asIATPeak := dist.NewBodyTail(dist.Lognormal{Sigma: 1.55, Mu: 3.25}, 0, 103, 0.80, dist.Pareto{Alpha: 1.0, Beta: 103})
+	asIATOff := dist.NewBodyTail(dist.Lognormal{Sigma: 1.45, Mu: 3.0}, 0, 103, 0.87, dist.Pareto{Alpha: 1.15, Beta: 103})
+	p.Interarrival[geo.Asia] = [NumPeriods][NumBuckets]dist.BodyTail{
 		Peak:    {asIATPeak, asIATPeak, asIATPeak},
 		OffPeak: {asIATOff, asIATOff, asIATOff},
 	}
-	p.interarrival[geo.Other] = p.interarrival[geo.NorthAmerica]
+	p.Interarrival[geo.Other] = p.Interarrival[geo.NorthAmerica]
 
 	// ---- Table A.5: time after the last query (seconds). ----
-	p.afterLast[geo.NorthAmerica] = [2][3]dist.Dist{
-		Peak: [3]dist.Dist{
-			dist.Lognormal{Sigma: 2.361, Mu: 4.879},
-			dist.Lognormal{Sigma: 2.259, Mu: 5.686},
-			dist.Lognormal{Sigma: 2.145, Mu: 6.107},
+	p.AfterLast[geo.NorthAmerica] = [NumPeriods][NumBuckets]dist.Lognormal{
+		Peak: {
+			{Sigma: 2.361, Mu: 4.879},
+			{Sigma: 2.259, Mu: 5.686},
+			{Sigma: 2.145, Mu: 6.107},
 		},
-		OffPeak: [3]dist.Dist{
-			dist.Lognormal{Sigma: 2.162, Mu: 4.760},
-			dist.Lognormal{Sigma: 2.156, Mu: 5.672},
-			dist.Lognormal{Sigma: 2.286, Mu: 6.036},
+		OffPeak: {
+			{Sigma: 2.162, Mu: 4.760},
+			{Sigma: 2.156, Mu: 5.672},
+			{Sigma: 2.286, Mu: 6.036},
 		},
 	}
 	// Europe (inferred): Figure 9(a) shows EU ≈ NA; Figure 9(c) shows
 	// shorter tails off-peak (99% below 10⁴ s between 03:00 and 04:00).
-	p.afterLast[geo.Europe] = [2][3]dist.Dist{
-		Peak: [3]dist.Dist{
-			dist.Lognormal{Sigma: 2.361, Mu: 4.950},
-			dist.Lognormal{Sigma: 2.259, Mu: 5.750},
-			dist.Lognormal{Sigma: 2.145, Mu: 6.170},
+	p.AfterLast[geo.Europe] = [NumPeriods][NumBuckets]dist.Lognormal{
+		Peak: {
+			{Sigma: 2.361, Mu: 4.950},
+			{Sigma: 2.259, Mu: 5.750},
+			{Sigma: 2.145, Mu: 6.170},
 		},
-		OffPeak: [3]dist.Dist{
-			dist.Lognormal{Sigma: 1.90, Mu: 4.60},
-			dist.Lognormal{Sigma: 1.90, Mu: 5.30},
-			dist.Lognormal{Sigma: 1.90, Mu: 5.70},
+		OffPeak: {
+			{Sigma: 1.90, Mu: 4.60},
+			{Sigma: 1.90, Mu: 5.30},
+			{Sigma: 1.90, Mu: 5.70},
 		},
 	}
 	// Asia (inferred): closes sessions faster — P(>1000 s) ≈ 10% vs 20%
 	// (Figure 9(a)).
-	p.afterLast[geo.Asia] = [2][3]dist.Dist{
-		Peak: [3]dist.Dist{
-			dist.Lognormal{Sigma: 2.2, Mu: 4.10},
-			dist.Lognormal{Sigma: 2.1, Mu: 4.80},
-			dist.Lognormal{Sigma: 2.0, Mu: 5.20},
+	p.AfterLast[geo.Asia] = [NumPeriods][NumBuckets]dist.Lognormal{
+		Peak: {
+			{Sigma: 2.2, Mu: 4.10},
+			{Sigma: 2.1, Mu: 4.80},
+			{Sigma: 2.0, Mu: 5.20},
 		},
-		OffPeak: [3]dist.Dist{
-			dist.Lognormal{Sigma: 2.1, Mu: 4.00},
-			dist.Lognormal{Sigma: 2.0, Mu: 4.70},
-			dist.Lognormal{Sigma: 2.0, Mu: 5.10},
+		OffPeak: {
+			{Sigma: 2.1, Mu: 4.00},
+			{Sigma: 2.0, Mu: 4.70},
+			{Sigma: 2.0, Mu: 5.10},
 		},
 	}
-	p.afterLast[geo.Other] = p.afterLast[geo.NorthAmerica]
+	p.AfterLast[geo.Other] = p.AfterLast[geo.NorthAmerica]
 
 	// ---- Figure 2: shared-files model. ----
 	// A free-rider spike at zero plus a discretized lognormal library
 	// size; Adar & Hubermann's free-rider measurements motivate the spike.
-	p.sharedFiles = dist.Lognormal{Sigma: 1.6, Mu: 3.0}
+	p.SharedFiles = dist.Lognormal{Sigma: 1.6, Mu: 3.0}
 
 	return p
 }
@@ -431,38 +445,15 @@ func (p *Params) PassiveFraction(r geo.Region, hour int) float64 {
 	return passiveBase[normRegion(r)] + 0.02*math.Sin(2*math.Pi*float64(hour)/24)
 }
 
-// PassiveDuration returns the connected-session-duration model for passive
-// peers (Table A.1).
-func (p *Params) PassiveDuration(r geo.Region, period Period) dist.Dist {
-	return p.passiveDuration[normRegion(r)][period]
-}
-
 // SampleNumQueries draws the number of queries of an active session:
 // the Table A.2 lognormal rounded to the nearest integer, floored at one
 // (an active session has at least one query by definition).
 func (p *Params) SampleNumQueries(rng *rand.Rand, r geo.Region) int {
-	n := int(math.Round(p.numQueries[normRegion(r)].Sample(rng)))
+	n := int(math.Round(p.NumQueries[normRegion(r)].Sample(rng)))
 	if n < 1 {
 		n = 1
 	}
 	return n
-}
-
-// TimeToFirstQuery returns the Table A.3 model for the session's region,
-// period, and query-count bucket.
-func (p *Params) TimeToFirstQuery(r geo.Region, period Period, numQueries int) dist.Dist {
-	return p.firstQuery[normRegion(r)][period][QueryBucketA3(numQueries)]
-}
-
-// Interarrival returns the Table A.4 model. Only Europe conditions on the
-// session's query count (Figure 8(b)).
-func (p *Params) Interarrival(r geo.Region, period Period, numQueries int) dist.Dist {
-	return p.interarrival[normRegion(r)][period][QueryBucketIAT(numQueries)]
-}
-
-// TimeAfterLastQuery returns the Table A.5 model.
-func (p *Params) TimeAfterLastQuery(r geo.Region, period Period, numQueries int) dist.Dist {
-	return p.afterLast[normRegion(r)][period][QueryBucketA5(numQueries)]
 }
 
 // FreeRiderFraction is the probability that a peer shares zero files
@@ -474,7 +465,7 @@ func (p *Params) SampleSharedFiles(rng *rand.Rand) int {
 	if rng.Float64() < FreeRiderFraction {
 		return 0
 	}
-	n := int(p.sharedFiles.Sample(rng))
+	n := int(p.SharedFiles.Sample(rng))
 	if n < 1 {
 		n = 1
 	}

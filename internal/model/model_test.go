@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -127,9 +128,9 @@ func TestPassiveDurationOrdering(t *testing.T) {
 	// 75% NA, 55% EU.
 	p := Default()
 	twoMin := 120.0
-	as := p.PassiveDuration(geo.Asia, Peak).CDF(twoMin)
-	na := p.PassiveDuration(geo.NorthAmerica, Peak).CDF(twoMin)
-	eu := p.PassiveDuration(geo.Europe, Peak).CDF(twoMin)
+	as := p.PassiveDuration[geo.Asia][Peak].CDF(twoMin)
+	na := p.PassiveDuration[geo.NorthAmerica][Peak].CDF(twoMin)
+	eu := p.PassiveDuration[geo.Europe][Peak].CDF(twoMin)
 	if math.Abs(as-0.86) > 0.02 || math.Abs(na-0.75) > 0.02 || math.Abs(eu-0.55) > 0.02 {
 		t.Errorf("P(<2min) = AS %v NA %v EU %v", as, na, eu)
 	}
@@ -137,15 +138,15 @@ func TestPassiveDurationOrdering(t *testing.T) {
 	rng := newRNG(2)
 	for _, r := range []geo.Region{geo.NorthAmerica, geo.Europe, geo.Asia} {
 		for i := 0; i < 2000; i++ {
-			if d := p.PassiveDuration(r, Peak).Sample(rng); d < 64 {
+			if d := p.PassiveDuration[r][Peak].Sample(rng); d < 64 {
 				t.Fatalf("%v passive duration %v below 64 s", r, d)
 			}
 		}
 	}
 	// Off-peak sessions are longer than peak sessions (Figure 5(b,c)).
 	for _, r := range []geo.Region{geo.NorthAmerica, geo.Europe} {
-		peak := p.PassiveDuration(r, Peak).CDF(90 * 60)
-		off := p.PassiveDuration(r, OffPeak).CDF(90 * 60)
+		peak := p.PassiveDuration[r][Peak].CDF(90 * 60)
+		off := p.PassiveDuration[r][OffPeak].CDF(90 * 60)
 		if off >= peak {
 			t.Errorf("%v: off-peak CDF(90min)=%v should be < peak %v", r, off, peak)
 		}
@@ -156,7 +157,7 @@ func TestPassiveDurationLongTail(t *testing.T) {
 	// ~1% of sessions last 17–50 hours in every region (Figure 5(a)).
 	p := Default()
 	for _, r := range []geo.Region{geo.NorthAmerica, geo.Europe, geo.Asia} {
-		d := p.PassiveDuration(r, Peak)
+		d := p.PassiveDuration[r][Peak]
 		frac := d.CDF(50*3600) - d.CDF(17*3600)
 		if frac < 0.002 || frac > 0.04 {
 			t.Errorf("%v: P(17h–50h) = %v, want near 1%%", r, frac)
@@ -166,9 +167,9 @@ func TestPassiveDurationLongTail(t *testing.T) {
 
 func TestNumQueriesTableA2(t *testing.T) {
 	p := Default()
-	na := p.numQueries[geo.NorthAmerica]
-	eu := p.numQueries[geo.Europe]
-	as := p.numQueries[geo.Asia]
+	na := p.NumQueries[geo.NorthAmerica]
+	eu := p.NumQueries[geo.Europe]
+	as := p.NumQueries[geo.Asia]
 	if na.Mu != -0.0673 || na.Sigma != 1.360 {
 		t.Errorf("NA = %v", na)
 	}
@@ -249,14 +250,14 @@ func TestFirstQueryAnchors(t *testing.T) {
 		at         float64
 	}{{1, 200}, {3, 1000}, {5, 2000}}
 	for _, a := range anchors {
-		d := p.TimeToFirstQuery(geo.NorthAmerica, Peak, a.numQueries)
+		d := p.FirstQuery[geo.NorthAmerica][Peak][QueryBucketA3(a.numQueries)]
 		if got := d.CDF(a.at); math.Abs(got-0.90) > 0.03 {
 			t.Errorf("NA peak bucket(%d): CDF(%v) = %v, want ≈0.90", a.numQueries, a.at, got)
 		}
 	}
 	// More queries ⇒ stochastically later first query at the anchor scale.
-	lt3 := p.TimeToFirstQuery(geo.NorthAmerica, Peak, 1).CDF(500)
-	gt3 := p.TimeToFirstQuery(geo.NorthAmerica, Peak, 9).CDF(500)
+	lt3 := p.FirstQuery[geo.NorthAmerica][Peak][QueryBucketA3(1)].CDF(500)
+	gt3 := p.FirstQuery[geo.NorthAmerica][Peak][QueryBucketA3(9)].CDF(500)
 	if gt3 >= lt3 {
 		t.Errorf("CDF(500): <3 %v should exceed >3 %v", lt3, gt3)
 	}
@@ -265,7 +266,7 @@ func TestFirstQueryAnchors(t *testing.T) {
 func TestFirstQueryAsiaFasterBody(t *testing.T) {
 	// Figure 7(a): 90% of Asian first queries within 90 s.
 	p := Default()
-	d := p.TimeToFirstQuery(geo.Asia, Peak, 1)
+	d := p.FirstQuery[geo.Asia][Peak][QueryBucketA3(1)]
 	if got := d.CDF(90); math.Abs(got-0.90) > 0.03 {
 		t.Errorf("Asia CDF(90s) = %v, want ≈0.90", got)
 	}
@@ -282,7 +283,7 @@ func TestInterarrivalAnchors(t *testing.T) {
 	}
 	for _, c := range cases {
 		// Bucket 1 (3–7 queries) is the representative middle bucket.
-		d := p.Interarrival(c.r, Peak, 5)
+		d := p.Interarrival[c.r][Peak][QueryBucketIAT(5)]
 		if got := d.CDF(100); math.Abs(got-c.want) > 0.04 {
 			t.Errorf("%v: P(IAT<100) = %v, want ≈%v", c.r, got, c.want)
 		}
@@ -293,13 +294,13 @@ func TestInterarrivalEUConditioning(t *testing.T) {
 	// Figure 8(b): EU many-query sessions have shorter interarrivals;
 	// NA does not condition on the count.
 	p := Default()
-	euFew := p.Interarrival(geo.Europe, Peak, 2).CDF(100)
-	euMany := p.Interarrival(geo.Europe, Peak, 20).CDF(100)
+	euFew := p.Interarrival[geo.Europe][Peak][QueryBucketIAT(2)].CDF(100)
+	euMany := p.Interarrival[geo.Europe][Peak][QueryBucketIAT(20)].CDF(100)
 	if euMany <= euFew {
 		t.Errorf("EU: many-query CDF(100) %v should exceed few-query %v", euMany, euFew)
 	}
-	naFew := p.Interarrival(geo.NorthAmerica, Peak, 2)
-	naMany := p.Interarrival(geo.NorthAmerica, Peak, 20)
+	naFew := p.Interarrival[geo.NorthAmerica][Peak][QueryBucketIAT(2)]
+	naMany := p.Interarrival[geo.NorthAmerica][Peak][QueryBucketIAT(20)]
 	if naFew.CDF(100) != naMany.CDF(100) {
 		t.Error("NA interarrival must not depend on query count")
 	}
@@ -309,8 +310,8 @@ func TestInterarrivalPeakSlower(t *testing.T) {
 	// Figure 8(c): queries in peak hours have longer interarrival times.
 	p := Default()
 	for _, r := range []geo.Region{geo.NorthAmerica, geo.Europe, geo.Asia} {
-		peak := p.Interarrival(r, Peak, 5).CDF(100)
-		off := p.Interarrival(r, OffPeak, 5).CDF(100)
+		peak := p.Interarrival[r][Peak][QueryBucketIAT(5)].CDF(100)
+		off := p.Interarrival[r][OffPeak][QueryBucketIAT(5)].CDF(100)
 		if off <= peak {
 			t.Errorf("%v: off-peak CDF(100) %v should exceed peak %v", r, off, peak)
 		}
@@ -320,26 +321,26 @@ func TestInterarrivalPeakSlower(t *testing.T) {
 func TestAfterLastQueryTableA5(t *testing.T) {
 	p := Default()
 	// Published NA values.
-	got := p.TimeAfterLastQuery(geo.NorthAmerica, Peak, 1).(dist.Lognormal)
+	got := p.AfterLast[geo.NorthAmerica][Peak][QueryBucketA5(1)]
 	if got.Sigma != 2.361 || got.Mu != 4.879 {
 		t.Errorf("NA peak 1 query = %v", got)
 	}
-	got = p.TimeAfterLastQuery(geo.NorthAmerica, OffPeak, 10).(dist.Lognormal)
+	got = p.AfterLast[geo.NorthAmerica][OffPeak][QueryBucketA5(10)]
 	if got.Sigma != 2.286 || got.Mu != 6.036 {
 		t.Errorf("NA off-peak >7 = %v", got)
 	}
 	// µ increases with the query bucket (Figure 9(b)).
 	for _, r := range []geo.Region{geo.NorthAmerica, geo.Europe, geo.Asia} {
-		m1 := p.TimeAfterLastQuery(r, Peak, 1).(dist.Lognormal).Mu
-		m2 := p.TimeAfterLastQuery(r, Peak, 5).(dist.Lognormal).Mu
-		m3 := p.TimeAfterLastQuery(r, Peak, 9).(dist.Lognormal).Mu
+		m1 := p.AfterLast[r][Peak][QueryBucketA5(1)].Mu
+		m2 := p.AfterLast[r][Peak][QueryBucketA5(5)].Mu
+		m3 := p.AfterLast[r][Peak][QueryBucketA5(9)].Mu
 		if !(m1 < m2 && m2 < m3) {
 			t.Errorf("%v: µ not increasing: %v %v %v", r, m1, m2, m3)
 		}
 	}
 	// Asia closes faster (Figure 9(a)).
-	asP := p.TimeAfterLastQuery(geo.Asia, Peak, 5).CDF(1000)
-	naP := p.TimeAfterLastQuery(geo.NorthAmerica, Peak, 5).CDF(1000)
+	asP := p.AfterLast[geo.Asia][Peak][QueryBucketA5(5)].CDF(1000)
+	naP := p.AfterLast[geo.NorthAmerica][Peak][QueryBucketA5(5)].CDF(1000)
 	if asP <= naP {
 		t.Errorf("Asia CDF(1000) %v should exceed NA %v", asP, naP)
 	}
@@ -402,13 +403,60 @@ func TestSessionsPerHourFullScale(t *testing.T) {
 
 func TestUnknownRegionFallsBack(t *testing.T) {
 	p := Default()
-	if p.PassiveDuration(geo.Unknown, Peak) == nil {
-		t.Error("unknown region must fall back, not crash")
+	if p.PassiveFraction(geo.Unknown, 3) != p.PassiveFraction(geo.Other, 3) {
+		t.Error("unknown region's passive fraction must fold into Other's")
+	}
+	unknown, other := newRNG(6), newRNG(6)
+	for i := 0; i < 100; i++ {
+		if p.SampleNumQueries(unknown, geo.Unknown) != p.SampleNumQueries(other, geo.Other) {
+			t.Fatal("unknown region's query counts must fold into Other's")
+		}
 	}
 	if p.RegionShare(geo.Unknown, 0) != 0 {
 		t.Error("unknown region share should be 0")
 	}
 	if IsPeak(geo.Unknown, 12) {
 		t.Error("unknown region is never peak")
+	}
+}
+
+// TestDefaultCellsBuilt holds every cell of Default to its constructor. A
+// BodyTail written as a struct literal has a zero conditioning cache that
+// skews every draw, and a lognormal with σ = 0 is a cell never filled.
+func TestDefaultCellsBuilt(t *testing.T) {
+	p := Default()
+	positive := func(name string, l dist.Lognormal) {
+		if !(l.Sigma > 0) {
+			t.Errorf("%s: %v has σ ≤ 0", name, l)
+		}
+	}
+	built := func(name string, d dist.BodyTail) {
+		if d != dist.NewBodyTail(d.Body, d.Lo, d.Hi, d.BodyWeight, d.Tail) {
+			t.Errorf("%s: %v was not built by dist.NewBodyTail", name, d)
+		}
+		for _, c := range []dist.Dist{d.Body, d.Tail} {
+			if l, ok := c.(dist.Lognormal); ok {
+				positive(name, l)
+			}
+		}
+	}
+	for _, r := range geo.Regions {
+		positive(fmt.Sprintf("A.2 %v", r), p.NumQueries[r])
+		for per := range NumPeriods {
+			built(fmt.Sprintf("A.1 %v %v", r, Period(per)), p.PassiveDuration[r][per])
+			for b := range NumBuckets {
+				cell := fmt.Sprintf("%v %v bucket %d", r, Period(per), b)
+				built("A.3 "+cell, p.FirstQuery[r][per][b])
+				built("A.4 "+cell, p.Interarrival[r][per][b])
+				positive("A.5 "+cell, p.AfterLast[r][per][b])
+			}
+		}
+	}
+	positive("shared files", p.SharedFiles)
+	na, o := geo.NorthAmerica, geo.Other
+	if p.PassiveDuration[o] != p.PassiveDuration[na] || p.NumQueries[o] != p.NumQueries[na] ||
+		p.FirstQuery[o] != p.FirstQuery[na] || p.Interarrival[o] != p.Interarrival[na] ||
+		p.AfterLast[o] != p.AfterLast[na] {
+		t.Error("every Other row must equal North America's")
 	}
 }

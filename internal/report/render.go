@@ -342,16 +342,16 @@ func fmtFit(f dist.ZipfFit) string {
 // (paper) parameters.
 func RenderFits(w io.Writer, c *core.Characterization) error {
 	var rows [][]string
+	m, diag := &c.Fits.Model, &c.Fits.Diag
 	na := geo.NorthAmerica
 	// A.1
 	for p := model.Peak; p <= model.OffPeak; p++ {
-		fit := c.Fits.PassiveDuration[na][p]
 		paper := "body 75% LN(2.502, 2.108), tail LN(2.749, 6.397)"
 		if p == model.OffPeak {
 			paper = "body 55% LN(2.383, 2.201), tail LN(2.848, 6.817)"
 		}
 		rows = append(rows, []string{
-			fmt.Sprintf("A.1 NA %s", p), fmtBodyTail(fit), paper,
+			fmt.Sprintf("A.1 NA %s", p), fmtBodyTail(m.PassiveDuration[na][p], diag.PassiveDuration[na][p]), paper,
 		})
 	}
 	// A.2
@@ -361,14 +361,12 @@ func RenderFits(w io.Writer, c *core.Characterization) error {
 		geo.Asia:         "LN(σ=1.618, µ=-1.029)",
 	}
 	for _, r := range geo.Continental {
-		fit := c.Fits.NumQueries[r]
-		paper := paperA2[r]
+		d := diag.NumQueries[r]
 		measured := "insufficient data"
-		if fit.OK {
-			measured = fmt.Sprintf("LN(σ=%.3f, µ=%.3f) n=%d%s",
-				fit.Model.Sigma, fit.Model.Mu, fit.N, ksVerdict(fit.KSP, fit.KSPSource, fit.Rejected))
+		if d.OK {
+			measured = fmt.Sprintf("%v n=%d%s", m.NumQueries[r], d.N, ksVerdict(d))
 		}
-		rows = append(rows, []string{fmt.Sprintf("A.2 %s", r), measured, paper})
+		rows = append(rows, []string{fmt.Sprintf("A.2 %s", r), measured, paperA2[r]})
 	}
 	// A.3 (NA peak, per bucket)
 	bucketNames := []string{"<3", "=3", ">3"}
@@ -378,29 +376,29 @@ func RenderFits(w io.Writer, c *core.Characterization) error {
 		"W(α=0.982, λ=0.02662) + LN(2.359, 6.301)",
 	}
 	for b := 0; b < 3; b++ {
-		fit := c.Fits.FirstQuery[na][model.Peak][b]
 		rows = append(rows, []string{
-			fmt.Sprintf("A.3 NA peak %s queries", bucketNames[b]), fmtBodyTail(fit), paperA3[b],
+			fmt.Sprintf("A.3 NA peak %s queries", bucketNames[b]),
+			fmtBodyTail(m.FirstQuery[na][model.Peak][b], diag.FirstQuery[na][model.Peak][b]), paperA3[b],
 		})
 	}
 	// A.4
 	for p := model.Peak; p <= model.OffPeak; p++ {
-		fit := c.Fits.Interarrival[na][p]
 		paper := "LN(1.625, 3.353) + Pareto(α=0.904, β=103)"
 		if p == model.OffPeak {
 			paper = "LN(1.410, 2.933) + Pareto(α=1.143, β=103)"
 		}
-		rows = append(rows, []string{fmt.Sprintf("A.4 NA %s", p), fmtBodyTail(fit), paper})
+		rows = append(rows, []string{
+			fmt.Sprintf("A.4 NA %s", p), fmtBodyTail(m.Interarrival[na][p][0], diag.Interarrival[na][p]), paper,
+		})
 	}
 	// A.5 (NA peak)
 	paperA5 := []string{"LN(2.361, 4.879)", "LN(2.259, 5.686)", "LN(2.145, 6.107)"}
 	bucketA5 := []string{"1", "2-7", ">7"}
 	for b := 0; b < 3; b++ {
-		fit := c.Fits.AfterLast[na][model.Peak][b]
+		d := diag.AfterLast[na][model.Peak][b]
 		measured := "insufficient data"
-		if fit.OK {
-			measured = fmt.Sprintf("LN(σ=%.3f, µ=%.3f) n=%d KS=%.3f%s",
-				fit.Model.Sigma, fit.Model.Mu, fit.N, fit.KS, ksVerdict(fit.KSP, fit.KSPSource, fit.Rejected))
+		if d.OK {
+			measured = fmt.Sprintf("%v n=%d KS=%.3f%s", m.AfterLast[na][model.Peak][b], d.N, d.KS, ksVerdict(d))
 		}
 		rows = append(rows, []string{
 			fmt.Sprintf("A.5 NA peak %s queries", bucketA5[b]), measured, paperA5[b],
@@ -410,13 +408,12 @@ func RenderFits(w io.Writer, c *core.Characterization) error {
 		[]string{"table", "measured", "paper"}, rows)
 }
 
-func fmtBodyTail(f core.BodyTailFit) string {
-	if !f.OK {
-		return fmt.Sprintf("insufficient data (n=%d)", f.N)
+func fmtBodyTail(bt dist.BodyTail, d core.Diag) string {
+	if !d.OK {
+		return fmt.Sprintf("insufficient data (n=%d)", d.N)
 	}
 	return fmt.Sprintf("body %.0f%% %v + %v (n=%d, KS=%.3f%s)",
-		100*f.Fit.BodyWeight, f.Fit.Body, f.Fit.Tail, f.N, f.KS,
-		ksVerdict(f.KSP, f.KSPSource, f.Rejected))
+		100*bt.BodyWeight, bt.Body, bt.Tail, d.N, d.KS, ksVerdict(d))
 }
 
 // ksVerdict renders the KS acceptance verdict of a fit: the p-value
@@ -424,15 +421,15 @@ func fmtBodyTail(f core.BodyTailFit) string {
 // p-value (rejections trustworthy, acceptances optimistic) or "boot" for
 // the parametric bootstrap (both trustworthy; core.Options.KSBootstrap) —
 // with an explicit marker when the fit is rejected at core.FitAlpha.
-func ksVerdict(p float64, src core.KSSource, rejected bool) string {
+func ksVerdict(d core.Diag) string {
 	tag := "asym"
-	if src == core.KSBootstrapped {
+	if d.KSPSource == core.KSBootstrapped {
 		tag = "boot"
 	}
-	if rejected {
-		return fmt.Sprintf(", p=%.3f (%s) REJECTED at α=%.2g", p, tag, core.FitAlpha)
+	if d.Rejected {
+		return fmt.Sprintf(", p=%.3f (%s) REJECTED at α=%.2g", d.KSP, tag, core.FitAlpha)
 	}
-	return fmt.Sprintf(", p=%.3f (%s)", p, tag)
+	return fmt.Sprintf(", p=%.3f (%s)", d.KSP, tag)
 }
 
 // renderHitRates prints the hit-rate extension (the paper's future work):

@@ -241,7 +241,7 @@ func (g *Generator) sessionInto(s *Session, start simtime.Time) {
 	if rng.Float64() < g.params.PassiveFraction(region, hour) {
 		// (3) Passive: connected session length from Table A.1.
 		s.Passive = true
-		s.Duration = secs(g.params.PassiveDuration(region, period).Sample(rng))
+		s.Duration = secs(g.params.PassiveDuration[region][period].Sample(rng))
 		g.finishSession(s)
 		return
 	}
@@ -250,16 +250,17 @@ func (g *Generator) sessionInto(s *Session, start simtime.Time) {
 	n := g.params.SampleNumQueries(rng, region)
 
 	// (4b) Time until first query from Table A.3.
-	first := g.params.TimeToFirstQuery(region, period, n).Sample(rng)
+	first := g.params.FirstQuery[region][period][model.QueryBucketA3(n)].Sample(rng)
 
 	// (4c) Queries: interarrival times from Table A.4; query strings by
 	// class and per-day rank (Table 3 + Figure 11).
 	s.Queries = slices.Grow(s.Queries, n)
+	iat := &g.params.Interarrival[region][period][model.QueryBucketIAT(n)]
 	offset := secs(first)
 	preConnect := rng.Float64() < preConnectQueryFraction
 	for i := 0; i < n; i++ {
 		if i > 0 {
-			offset += secs(g.params.Interarrival(region, period, n).Sample(rng))
+			offset += secs(iat.Sample(rng))
 		}
 		day := simtime.DayIndex(start + offset)
 		if day >= g.cfg.Days {
@@ -280,7 +281,7 @@ func (g *Generator) sessionInto(s *Session, start simtime.Time) {
 	}
 
 	// (4d) Time after last query from Table A.5.
-	after := g.params.TimeAfterLastQuery(region, period, n).Sample(rng)
+	after := g.params.AfterLast[region][period][model.QueryBucketA5(n)].Sample(rng)
 	last := s.Queries[len(s.Queries)-1].Offset
 	s.Duration = last + secs(after)
 	// User sessions last at least 64 seconds by the model's own
