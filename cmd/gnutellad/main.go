@@ -1,8 +1,11 @@
 // Command gnutellad runs a live Gnutella ultrapeer over TCP — the
 // measurement node as a network service. It accepts v0.6 handshakes,
-// routes messages with the same overlay engine the simulator uses, logs
-// handshake metadata and hop-1 queries to stderr, and serves query hits
-// from an optional shared-file list.
+// routes messages with internal/overlay, records them under the
+// simulated vantage's observation policy (capture.Recorder at
+// capture.DefaultConfig: the 200-connection cap, per-type counts, hop-1
+// queries, sampled pong and hit records), logs handshake metadata and
+// hop-1 queries to stderr, and serves query hits from an optional
+// shared-file list.
 //
 // With -metrics ADDR it also serves the live online characterization of
 // everything it has ingested — Space-Saving top-K keyword ranking,
@@ -16,13 +19,13 @@
 // half of the streaming pipeline, characterizing wire traffic as it
 // arrives with bounded state.
 //
-// With -emit ADDR the daemon is also an ingest emitter: every closed
-// connection's session record (with its hop-1 queries) is streamed to an
-// ingest collector over the sequence-numbered resume protocol, so a live
+// With -emit ADDR the daemon is also an ingest emitter: its record
+// stream (session, pong and hit records) is streamed to an ingest
+// collector over the sequence-numbered resume protocol, so a live
 // measurement node and simulated vantages (cmd/vantage) can feed the
-// same merge. On SIGINT/SIGTERM the daemon sends its end-of-stream
-// trailer and waits for the final ack before exiting; sessions still
-// open at shutdown are not emitted.
+// same merge; without it the stream is dropped. On SIGINT/SIGTERM the
+// daemon censors the sessions still open, sends its end-of-stream
+// trailer and waits for the final ack before exiting.
 //
 // It pairs with examples/livecapture, which connects synthetic clients
 // and runs the filter pipeline on what the daemon observed.
@@ -36,6 +39,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math/rand/v2"
 	"net"
 	"net/http"
 	"net/netip"
@@ -46,12 +50,12 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/capture"
 	"repro/internal/guid"
 	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/overlay"
 	"repro/internal/stream"
-	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -135,21 +139,23 @@ func main() {
 		jl = obs.NewJournal(io.MultiWriter(jws...))
 	}
 
+	var em *ingest.Emitter
 	var emitDone chan error
+	var out chan<- stream.Batch
 	if *emit != "" {
-		em := ingest.NewEmitter(ingest.EmitterConfig{
+		em = ingest.NewEmitter(ingest.EmitterConfig{
 			Addr:   *emit,
 			Input:  *emitInput,
 			Obs:    &obs.Observer{Metrics: d.reg, Journal: jl},
 			Ship:   ship,
 			Source: fmt.Sprintf("gnutellad%d", *emitInput),
 		})
-		d.emitter = em
-		d.prod = stream.NewProducer(*emitInput, em.Intake())
+		out = em.Intake()
 		emitDone = make(chan error, 1)
 		go func() { emitDone <- em.Run() }()
 		log.Printf("emitting session records to %s as input %d", *emit, *emitInput)
 	}
+	d.recordTo(*emitInput, out)
 	serveSpan := jl.Begin("serve", obs.A("input", *emitInput))
 	stopHB = obs.StartHeartbeat(jl, *heartbeat, nil)
 
@@ -186,15 +192,9 @@ func main() {
 		go d.serve(peer, *idleTimeout)
 	}
 
-	d.mu.Lock()
-	serveSpan.End(obs.A("queries", d.counts.Query), obs.A("hop1_queries", d.counts.QueryHop1))
-	d.mu.Unlock()
-	if d.prod != nil {
-		d.mu.Lock()
-		d.prod.Done(time.Since(d.start), &stream.End{Counts: d.counts, Nodes: 1})
-		d.prod.Flush()
-		d.mu.Unlock()
-		close(d.emitter.Intake())
+	serveSpan.End(obs.A("queries", d.mQuery.Value()), obs.A("hop1_queries", d.mHop1.Value()))
+	d.finish()
+	if em != nil {
 		// Final journal lines go out after the last event ack (the
 		// deterministic snapshot point), then closing the ship lets the
 		// emitter's Run return once the collector acked the journal too.
@@ -204,7 +204,7 @@ func main() {
 		select {
 		case emitErr = <-emitDone:
 			gotErr = true
-		case <-d.emitter.EventsDrained():
+		case <-em.EventsDrained():
 		case <-deadline:
 			log.Printf("emit: timed out waiting for final ack")
 			os.Exit(1)
@@ -242,24 +242,20 @@ func main() {
 	}
 }
 
-// liveConn is the daemon's per-connection record under construction: the
-// open time and the hop-1 queries observed so far, finalized into a
-// session record at close.
-type liveConn struct {
-	start   trace.Time
-	queries []trace.Query
-}
-
-// daemon serializes the single overlay node across connection goroutines.
+// daemon serializes the overlay node and the recorder across connection
+// goroutines.
 type daemon struct {
 	mu     sync.Mutex
 	node   *overlay.Node
 	peers  map[int]*transport.Peer
-	opened map[int]*liveConn // conn id → in-progress session record
-	counts trace.MessageCounts
-	nextID int
 	start  time.Time
 	online *stream.Online
+
+	// rec records every connection into prod, whose batches go to out
+	// (see recordTo); all three are guarded by mu.
+	rec  *capture.Recorder
+	prod *stream.Producer
+	out  chan<- stream.Batch
 
 	// The daemon's metric registry: online characterization gauges,
 	// wire-message counters, process stats — what /metrics serves.
@@ -268,16 +264,11 @@ type daemon struct {
 	mQuery  *obs.Counter
 	mHop1   *obs.Counter
 	mActive *obs.Gauge
-
-	// emitter/prod are set when -emit is configured; prod is guarded by mu.
-	emitter *ingest.Emitter
-	prod    *stream.Producer
 }
 
 func newDaemon(files []overlay.SharedFile) *daemon {
 	d := &daemon{
 		peers:  make(map[int]*transport.Peer),
-		opened: make(map[int]*liveConn),
 		start:  time.Now(),
 		online: stream.NewOnline(stream.OnlineConfig{}),
 		reg:    obs.NewRegistry(),
@@ -302,33 +293,39 @@ func newDaemon(files []overlay.SharedFile) *daemon {
 				}
 			}
 		},
-		OnMessage: func(conn int, env wire.Envelope) {
-			if q, ok := env.Payload.(*wire.Query); ok {
-				d.counts.Query++
-				d.mQuery.Inc()
-				if env.Header.Hops != 1 {
-					return
-				}
-				d.counts.QueryHop1++
-				d.mHop1.Inc()
-				log.Printf("conn %d query %q (sha1=%v)", conn, q.SearchText, q.HasSHA1())
-				at := time.Since(d.start)
-				d.online.ObserveQuery(at, q.SearchText, q.HasSHA1())
-				if lc, ok := d.opened[conn]; ok {
-					lc.queries = append(lc.queries, trace.Query{
-						ConnID: uint64(conn),
-						At:     at,
-						Text:   q.SearchText,
-						SHA1:   q.HasSHA1(),
-						TTL:    env.Header.TTL,
-						Hops:   env.Header.Hops,
-					})
-				}
-			}
-		},
 		GUIDs: guid.NewSource(uint64(time.Now().UnixNano()), 2),
 	})
 	return d
+}
+
+// recordTo starts the daemon's recorder, streaming into out as ingest
+// input index input; a nil out is drained and dropped. The recorder runs
+// the paper's configuration with no seed or scale, which a live trace
+// has not. Call it once, before serve.
+func (d *daemon) recordTo(input int, out chan<- stream.Batch) {
+	if out == nil {
+		ch := make(chan stream.Batch)
+		go func() {
+			for range ch {
+			}
+		}()
+		out = ch
+	}
+	d.out = out
+	d.prod = stream.NewProducer(input, out)
+	rng := rand.New(rand.NewPCG(uint64(time.Now().UnixNano()), 3))
+	d.rec = capture.NewRecorder(capture.DefaultConfig(0, 0), rng, d.prod)
+}
+
+// finish ends the capture: it right-censors the sessions still open,
+// sends the stream trailer and closes the record stream's channel. Serve
+// goroutines of peers still connected run on, but their records are
+// closed, so what they receive or close later records nothing.
+func (d *daemon) finish() {
+	d.mu.Lock()
+	d.rec.Finish(time.Since(d.start))
+	d.mu.Unlock()
+	close(d.out)
 }
 
 // metricsHandler serves the daemon's observability surface: the metric
@@ -348,53 +345,53 @@ func (d *daemon) metricsHandler(pprof bool) http.Handler {
 	return mux
 }
 
+// observe records one message received on connection id, before the
+// overlay node routes it: the recorder's policy, the query counters, and
+// the online layer's view of hop-1 queries.
+func (d *daemon) observe(c *capture.Record, id int, env wire.Envelope) {
+	at := time.Since(d.start)
+	d.rec.Wire(c, at, env)
+	if q, ok := env.Payload.(*wire.Query); ok {
+		d.mQuery.Inc()
+		if env.Header.Hops == 1 {
+			d.mHop1.Inc()
+			log.Printf("conn %d query %q (sha1=%v)", id, q.SearchText, q.HasSHA1())
+			d.online.ObserveQuery(at, q.SearchText, q.HasSHA1())
+		}
+	}
+}
+
 func (d *daemon) serve(peer *transport.Peer, idle time.Duration) {
+	info := peer.Info()
+	addr, _ := netip.ParseAddrPort(peer.RemoteAddr().String())
+	var c capture.Record
 	d.mu.Lock()
-	id := d.nextID
-	d.nextID++
+	if !d.rec.Admit() {
+		d.mu.Unlock()
+		peer.Close()
+		log.Printf("conn from %s refused: no free slot", peer.RemoteAddr())
+		return
+	}
+	id := int(d.rec.Open(&c, time.Since(d.start), addr.Addr().Unmap(), info.Ultrapeer, info.UserAgent))
+	d.prod.Flush()
 	d.peers[id] = peer
 	d.mConns.Inc()
 	d.mActive.SetInt(int64(len(d.peers)))
-	start := time.Since(d.start)
-	d.opened[id] = &liveConn{start: start}
-	d.node.AddConn(id, peer.Info().Ultrapeer)
-	if d.prod != nil {
-		d.prod.Open(uint64(id), start)
-		d.prod.Flush()
-	}
+	d.node.AddConn(id, info.Ultrapeer)
 	d.mu.Unlock()
-	log.Printf("conn %d from %s (%s, ultrapeer=%v)",
-		id, peer.RemoteAddr(), peer.Info().UserAgent, peer.Info().Ultrapeer)
+	log.Printf("conn %d from %s (%s, ultrapeer=%v)", id, peer.RemoteAddr(), info.UserAgent, info.Ultrapeer)
 
 	defer func() {
 		d.mu.Lock()
 		d.node.RemoveConn(id)
 		delete(d.peers, id)
 		d.mActive.SetInt(int64(len(d.peers)))
-		lc := d.opened[id]
-		delete(d.opened, id)
-		end := time.Since(d.start)
-		conn := &trace.Conn{
-			ID:        uint64(id),
-			Start:     lc.start,
-			End:       end,
-			Ultrapeer: peer.Info().Ultrapeer,
-			UserAgent: peer.Info().UserAgent,
-		}
-		if tcp, ok := peer.RemoteAddr().(*net.TCPAddr); ok {
-			if a, ok := netip.AddrFromSlice(tcp.IP); ok {
-				conn.Addr = a.Unmap()
-			}
-		}
 		// The session record is final at close: feed it to the online
 		// layer with no queries — those were observed individually at
 		// receipt, and MergedSession would observe them a second time.
-		// The emitted record carries them, because the collector side has
-		// seen nothing yet.
-		d.online.MergedSession(conn, nil)
-		if d.prod != nil {
-			d.prod.Close(uint64(id), end, &stream.SessionRecord{Conn: *conn, Queries: lc.queries})
+		if conn := d.rec.Close(&c, time.Since(d.start), false); conn != nil {
 			d.prod.Flush()
+			d.online.MergedSession(conn, nil)
 		}
 		d.mu.Unlock()
 		peer.Close()
@@ -413,6 +410,7 @@ func (d *daemon) serve(peer *transport.Peer, idle time.Duration) {
 			return
 		}
 		d.mu.Lock()
+		d.observe(&c, id, env)
 		d.node.Receive(id, env)
 		d.mu.Unlock()
 	}

@@ -12,8 +12,10 @@
 //     of the measurement node that records what the stack would receive;
 //   - a synthetic peer population driven by the paper's published model
 //     (the generative ground truth);
-//   - the measurement node with the paper's exact observation rules, and
-//     beyond it a multi-vantage measurement fabric: N cooperating
+//   - the measurement node with the paper's exact observation rules —
+//     one policy, capture.Recorder, that the simulated vantage, the live
+//     daemon cmd/gnutellad and examples/livecapture all record through —
+//     and beyond it a multi-vantage measurement fabric: N cooperating
 //     ultrapeer nodes (capture.Node) on one simulated network, sharding
 //     arrivals consistently by session GUID (guid.Shard) so that — with N
 //     sized so no per-node 200-connection cap binds — the merged trace
@@ -114,8 +116,8 @@
 //     fire. The kinds double as the engine_sched_events_by_kind metric.
 //   - A delivery is a record, not a message. The vantage routes nothing
 //     (the paper's logger did not), so a received message is a typed
-//     recorder call that bumps its counter and keeps just the fields the
-//     trace stores: no GUID, envelope or payload is built, and a
+//     capture.Recorder call that bumps its counter and keeps just the
+//     fields the trace stores: no GUID, envelope or payload is built, and a
 //     forwarded query's text is never resolved — vocab.SkipSample
 //     advances the random stream past the draw instead.
 //
@@ -138,9 +140,9 @@
 //   - A typed, backpressured event stream: every vantage node
 //     (capture.NewNode) emits session open / close, query, pong and hit
 //     records into a bounded channel the moment each record is final,
-//     and keeps no per-node trace; Node.Finish censors the sessions
-//     still open at the horizon, in connection-id order, and ships the
-//     trailer. The
+//     and keeps no per-node trace; its Recorder's Finish censors the
+//     sessions still open at the horizon, in connection-id order, and
+//     ships the trailer. The
 //     engine's bounded producer publishes the arrival chain
 //     incrementally through a conservative time-window synchronizer and
 //     caps each node's undelivered sessions at engine.DefaultLookahead

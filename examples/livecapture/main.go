@@ -1,10 +1,10 @@
 // Livecapture exercises the full protocol stack over real TCP: it starts
-// an in-process measurement ultrapeer (the same overlay engine cmd/gnutellad
-// runs), connects a handful of synthetic Gnutella clients that play
-// behavior-generated session scripts — handshake, keyword queries, SHA1
-// source hunts, automated re-queries — over loopback sockets with
-// time compressed, then reconstructs a trace from what the node observed
-// and runs the Section 3.3 filter on it.
+// an in-process measurement ultrapeer (the overlay engine and the
+// capture.Recorder cmd/gnutellad runs), connects a handful of synthetic
+// Gnutella clients that play behavior-generated session scripts —
+// handshake, keyword queries, SHA1 source hunts, automated re-queries —
+// over loopback sockets with time compressed, then drains what the node
+// recorded into a trace and runs the Section 3.3 filter on it.
 //
 // Everything the offline pipeline computes works identically on this
 // socket-fed trace; that is the point.
@@ -13,12 +13,14 @@ package main
 import (
 	"fmt"
 	"log"
+	"math/rand/v2"
 	"net/netip"
 	"os"
 	"sync"
 	"time"
 
 	"repro/internal/behavior"
+	"repro/internal/capture"
 	"repro/internal/filter"
 	"repro/internal/guid"
 	"repro/internal/overlay"
@@ -29,29 +31,26 @@ import (
 	"repro/internal/workload"
 )
 
+// compress is the clients' time compression: 600× plays a 10-minute
+// session in one second.
+const compress = 600
+
 // node is the live measurement ultrapeer.
 type node struct {
 	mu      sync.Mutex
 	overlay *overlay.Node
 	peers   map[int]*transport.Peer
-	nextID  int
 	start   time.Time
-
-	// observed trace being assembled
-	conns   []trace.Conn
-	queries []trace.Query
-	counts  trace.MessageCounts
-
-	// online characterizes the stream live as it arrives off the sockets
-	// — the same sketch layer cmd/gnutellad serves over HTTP.
-	online *stream.Online
+	// rec records every connection under capture's observation policy,
+	// at protocol-scale instants (see now).
+	rec *capture.Recorder
 }
 
-func newNode() *node {
+func newNode(sink *stream.Producer) *node {
 	n := &node{
-		peers:  make(map[int]*transport.Peer),
-		start:  time.Now(),
-		online: stream.NewOnline(stream.OnlineConfig{}),
+		peers: make(map[int]*transport.Peer),
+		start: time.Now(),
+		rec:   capture.NewRecorder(capture.DefaultConfig(0, 0), rand.New(rand.NewPCG(42, 3)), sink),
 	}
 	n.overlay = overlay.New(overlay.Config{
 		Self:      guid.NewSource(42, 1).Next(),
@@ -64,52 +63,28 @@ func newNode() *node {
 				_ = p.Send(env)
 			}
 		},
-		OnMessage: n.record,
-		GUIDs:     guid.NewSource(42, 2),
+		GUIDs: guid.NewSource(42, 2),
 	})
 	return n
 }
 
-func (n *node) record(conn int, env wire.Envelope) {
-	now := time.Since(n.start)
-	switch m := env.Payload.(type) {
-	case *wire.Ping:
-		n.counts.Ping++
-	case *wire.Pong:
-		n.counts.Pong++
-	case *wire.Query:
-		n.counts.Query++
-		if env.Header.Hops == 1 {
-			n.counts.QueryHop1++
-			n.queries = append(n.queries, trace.Query{
-				ConnID: uint64(conn), At: now,
-				Text: m.SearchText, SHA1: m.HasSHA1(),
-				TTL: env.Header.TTL, Hops: env.Header.Hops,
-			})
-			n.online.ObserveQuery(now, m.SearchText, m.HasSHA1())
-		}
-	case *wire.QueryHit:
-		n.counts.QueryHit++
-	case *wire.Bye:
-		n.counts.Bye++
-	}
-}
+// now is the protocol-scale instant: the wall time since start, undoing
+// the clients' time compression, so the filter sees protocol-scale times.
+func (n *node) now() time.Duration { return compress * time.Since(n.start) }
 
 func (n *node) serve(peer *transport.Peer) {
+	info := peer.Info()
+	addr, _ := netip.ParseAddrPort(peer.RemoteAddr().String())
+	var c capture.Record
 	n.mu.Lock()
-	id := n.nextID
-	n.nextID++
-	n.peers[id] = peer
-	n.overlay.AddConn(id, peer.Info().Ultrapeer)
-	start := time.Since(n.start)
-	addr := netip.MustParseAddr("127.0.0.1")
-	if ap, err := netip.ParseAddrPort(peer.RemoteAddr().String()); err == nil {
-		addr = ap.Addr()
+	if !n.rec.Admit() {
+		n.mu.Unlock()
+		peer.Close()
+		return
 	}
-	n.conns = append(n.conns, trace.Conn{
-		ID: uint64(id), Start: start, Addr: addr,
-		Ultrapeer: peer.Info().Ultrapeer, UserAgent: peer.Info().UserAgent,
-	})
+	id := int(n.rec.Open(&c, n.now(), addr.Addr(), info.Ultrapeer, info.UserAgent))
+	n.peers[id] = peer
+	n.overlay.AddConn(id, info.Ultrapeer)
 	n.mu.Unlock()
 
 	for {
@@ -118,17 +93,15 @@ func (n *node) serve(peer *transport.Peer) {
 			break
 		}
 		n.mu.Lock()
+		n.rec.Wire(&c, n.now(), env)
 		n.overlay.Receive(id, env)
 		n.mu.Unlock()
 	}
 	n.mu.Lock()
 	n.overlay.RemoveConn(id)
 	delete(n.peers, id)
-	n.conns[id].End = time.Since(n.start)
-	rec := n.conns[id]
+	n.rec.Close(&c, n.now(), false)
 	n.mu.Unlock()
-	// The session record is final at close; queries were observed live.
-	n.online.MergedSession(&rec, nil)
 }
 
 // playClient connects one synthetic client and replays its session script
@@ -183,7 +156,14 @@ func playClient(addr string, sess *behavior.Session, compress float64) error {
 }
 
 func main() {
-	n := newNode()
+	// The recorder's stream drains through a one-input merge whose sink
+	// is the online sketch layer — the same layer cmd/gnutellad serves
+	// over HTTP.
+	online := stream.NewOnline(stream.OnlineConfig{})
+	m := stream.NewMerger(1, online)
+	merged := make(chan *trace.Trace, 1)
+	go func() { merged <- m.Run() }()
+	n := newNode(stream.NewProducer(0, m.Intake()))
 	l, err := transport.Listen("127.0.0.1:0", transport.Options{
 		UserAgent: "repro-livecapture/1.0",
 		Ultrapeer: true,
@@ -214,13 +194,13 @@ func main() {
 			sessions = append(sessions, s)
 		}
 	}
-	fmt.Printf("replaying %d active client sessions over TCP (600× compressed)...\n", len(sessions))
+	fmt.Printf("replaying %d active client sessions over TCP (%d× compressed)...\n", len(sessions), compress)
 	var wg sync.WaitGroup
 	for _, s := range sessions {
 		wg.Add(1)
 		go func(s *behavior.Session) {
 			defer wg.Done()
-			if err := playClient(l.Addr().String(), s, 600); err != nil {
+			if err := playClient(l.Addr().String(), s, compress); err != nil {
 				log.Printf("client: %v", err)
 			}
 		}(s)
@@ -228,24 +208,16 @@ func main() {
 	wg.Wait()
 	time.Sleep(200 * time.Millisecond) // let the node drain closes
 
+	// Sessions still open are censored here, as at the end of a real
+	// capture.
 	n.mu.Lock()
-	tr := &trace.Trace{Days: 1, Conns: n.conns, Queries: n.queries, Counts: n.counts}
-	// Undo the 600× compression so the filter sees protocol-scale times.
-	for i := range tr.Conns {
-		tr.Conns[i].Start *= 600
-		if tr.Conns[i].End == 0 {
-			tr.Conns[i].End = time.Since(n.start)
-		}
-		tr.Conns[i].End *= 600
-	}
-	for i := range tr.Queries {
-		tr.Queries[i].At *= 600
-	}
+	n.rec.Finish(n.now())
 	n.mu.Unlock()
+	tr := <-merged
 
 	fmt.Printf("\nnode observed: %d connections, %d hop-1 queries (%d QUERY, %d BYE)\n",
 		len(tr.Conns), len(tr.Queries), tr.Counts.Query, tr.Counts.Bye)
-	snap := n.online.Snapshot(5)
+	snap := online.Snapshot(5)
 	if err := snap.WriteText(os.Stdout); err != nil {
 		log.Fatal(err)
 	}

@@ -20,13 +20,14 @@
 //   - the node itself: probe pings (sent, therefore not part of the
 //     received-message counts).
 //
-// The vantage records; it does not route. Like the paper's logger it
-// writes down every message it receives and originates nothing but the
-// probe, so a delivery is a typed recorder call (recvQuery, recvPong,
-// recvHit, or a PING/BYE counter) that keeps exactly the fields the trace
-// stores. Nothing the trace never sees is computed: no GUIDs, no message
-// envelopes, no reverse routes, and no text for forwarded queries, which
-// are only counted.
+// The vantage records; it does not route. What it writes down is decided
+// by one observation policy, the clock- and transport-agnostic Recorder
+// (admission at the cap, per-type counts, hop-1 queries, the self-pong
+// and sampled pong and hit records, close and censoring, the trailer),
+// which cmd/gnutellad and examples/livecapture drive from real sockets
+// (Recorder.Wire). The simulated vantage delivers each message as a typed
+// Recorder call, so nothing the trace never sees is computed: no GUIDs,
+// envelopes or reverse routes, and no text for forwarded queries.
 //
 // Beyond the paper's single vantage, the deployment grows the way the
 // distributed-measurement literature does (Allali et al.'s distributed
@@ -48,7 +49,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/simtime"
 	"repro/internal/stream"
-	"repro/internal/trace"
 	"repro/internal/vocab"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -138,31 +138,23 @@ const quickSilentFraction = 0.05
 const byeFraction = 0.05
 
 type simConn struct {
-	id int
-	v  *vantage
+	Record // the connection's record, from acceptance to close
+	v      *vantage
 	// sess is the connection's own copy of its session, taken when the
 	// vantage accepted the arrival; it shares only the immutable query
 	// stream with the caller's value.
-	sess     behavior.Session
-	end      simtime.Time // client's true end (trace time)
-	silent   bool
-	lastRecv simtime.Time
-	probeH   simtime.Handle
-	closed   bool
-	// pongSeen marks that the connection's hop-1 self-pong was recorded.
-	pongSeen bool
+	sess   behavior.Session
+	end    simtime.Time // client's true end (trace time)
+	silent bool
+	probeH simtime.Handle
 	// fixed holds the connection's argument-less event records, one per
 	// kind below numFixedKinds (see connEvent).
 	fixed [numFixedKinds]connEvent
-	// rec and queries accumulate the connection's record until it closes,
-	// when the vantage emits it into its sink and releases it.
-	rec     trace.Conn
-	queries []trace.Query
 }
 
-// vantage is one measurement node of a fleet: its connection slots,
-// random stream and output stream, driven by its own scheduler and the
-// arrivals its driver hands it. The zero-indexed node's random stream
+// vantage is one measurement node of a fleet: its traffic model, random
+// stream and recorder, driven by its own scheduler and the arrivals its
+// driver hands it. The zero-indexed node's random stream
 // coincides with the historical single-node simulator, so a one-node
 // fleet reproduces the paper's deployment.
 type vantage struct {
@@ -172,17 +164,9 @@ type vantage struct {
 	rng     *rand.Rand
 	params  *model.Params
 	geoReg  *geo.Registry
-	// received tallies every received message by type: the aggregate
-	// counters the stream trailer carries.
-	received trace.MessageCounts
-	conns    map[int]*simConn
-	nextID   int
-	// peak tracks the maximum simultaneous connection count, the
-	// cap-sizing diagnostic of FleetStats.
-	peak int
-	// rejected counts arrivals refused because all MaxConns slots were
-	// busy.
-	rejected uint64
+	// rec records every delivery into the vantage's stream producer. It
+	// is held by value, so it costs no allocation of its own.
+	rec Recorder
 	// droppedQueryEvents counts client query events that found their
 	// connection already closed (diagnostic).
 	droppedQueryEvents uint64
@@ -190,10 +174,6 @@ type vantage struct {
 	// connEvent); counts tallies scheduled events by kind.
 	freeEvents []*connEvent
 	counts     EventCounts
-	// sink receives every record the moment it is final — session records
-	// at close, pong/hit records at receipt — and, at the end of the run,
-	// the trailer with the aggregate counters.
-	sink *stream.Producer
 	// dayKeyCount tracks how often each keyword set was queried today at
 	// this vantage, the popularity proxy of the hit-response model (each
 	// monitor estimates popularity from its own shard, as a real
@@ -207,15 +187,15 @@ type vantage struct {
 // reproduces the historical single-node stream exactly.
 func newVantage(cfg Config, idx int, sched simtime.Scheduler, sh *SharedModel, sink *stream.Producer) *vantage {
 	salt := uint64(idx) * 0x9e3779b97f4a7c15
+	rng := rand.New(rand.NewPCG(cfg.Workload.Seed, 0xca9107e^salt))
 	return &vantage{
 		cfg:         cfg,
 		nodeIdx:     idx,
 		sched:       sched,
-		rng:         rand.New(rand.NewPCG(cfg.Workload.Seed, 0xca9107e^salt)),
+		rng:         rng,
 		params:      sh.params,
 		geoReg:      sh.geoReg,
-		conns:       make(map[int]*simConn),
-		sink:        sink,
+		rec:         *NewRecorder(cfg, rng, sink),
 		dayKeyCount: make(map[string]int),
 	}
 }
@@ -224,19 +204,10 @@ func newVantage(cfg Config, idx int, sched simtime.Scheduler, sh *SharedModel, s
 // no reference to sess: an accepted session is copied into its
 // connection, and a rejected one costs nothing.
 func (s *vantage) arrive(now simtime.Time, sess *behavior.Session) {
-	if len(s.conns) >= s.cfg.MaxConns {
-		s.rejected++
+	if !s.rec.Admit() {
 		return
 	}
-	id := s.nextID
-	s.nextID++
-	c := &simConn{
-		id:       id,
-		v:        s,
-		sess:     *sess,
-		end:      sess.End(),
-		lastRecv: now,
-	}
+	c := &simConn{v: s, sess: *sess, end: sess.End()}
 	for k := range c.fixed {
 		c.fixed[k] = connEvent{kind: EventKind(k), c: c}
 	}
@@ -245,16 +216,7 @@ func (s *vantage) arrive(now simtime.Time, sess *behavior.Session) {
 	} else {
 		c.silent = s.rng.Float64() < silentCloseFraction
 	}
-	s.conns[id] = c
-	c.rec = trace.Conn{
-		ID:        uint64(id),
-		Start:     now,
-		Addr:      sess.Addr(),
-		Ultrapeer: sess.Ultrapeer,
-		UserAgent: sess.UserAgent,
-	}
-	s.sink.Open(uint64(id), now)
-	s.peak = max(s.peak, len(s.conns))
+	s.rec.Open(&c.Record, now, sess.Addr(), sess.Ultrapeer, sess.UserAgent)
 
 	// The client announces itself with a pong shortly after the
 	// handshake.
@@ -283,74 +245,24 @@ func (s *vantage) arrive(now simtime.Time, sess *behavior.Session) {
 	s.rearmProbe(c, s.cfg.ProbeIdle)
 }
 
-// recvQuery records a QUERY received on c. The client's own query (q
-// non-nil, hop 1) is kept whole and answered; a forwarded one (q nil) is
-// only counted.
-func (s *vantage) recvQuery(c *simConn, at simtime.Time, q *behavior.TimedQuery) {
-	c.lastRecv = at
-	s.received.Query++
-	if q == nil {
-		return
-	}
-	s.received.QueryHop1++
-	c.queries = append(c.queries, trace.Query{
-		ConnID: uint64(c.id),
-		At:     at,
-		Text:   q.Text,
-		SHA1:   q.SHA1,
-		TTL:    6,
-		Hops:   1,
-	})
-	s.scheduleResponses(c, len(c.queries)-1, q, at)
-}
-
-// recvPong records a PONG received on c. The first self-pong (hop 1) of a
-// connection is kept; repeats carry no new information (same peer, same
-// library). Remote pongs are kept at PongSampleRate.
-func (s *vantage) recvPong(c *simConn, at simtime.Time, addr netip.Addr, files uint32, hops uint8) {
-	c.lastRecv = at
-	s.received.Pong++
-	if hops == 1 {
-		if !c.pongSeen {
-			c.pongSeen = true
-			s.sink.Pong(trace.Pong{At: at, Addr: addr, SharedFiles: files, Hops: 1})
-		}
-	} else if s.rng.Float64() < s.cfg.PongSampleRate {
-		s.sink.Pong(trace.Pong{At: at, Addr: addr, SharedFiles: files, Hops: hops})
-	}
-}
-
-// recvHit records a QUERYHIT received on c, kept at HitSampleRate.
-func (s *vantage) recvHit(c *simConn, at simtime.Time, addr netip.Addr, hops uint8) {
-	c.lastRecv = at
-	s.received.QueryHit++
-	if s.rng.Float64() < s.cfg.HitSampleRate {
-		s.sink.Hit(trace.Hit{At: at, Addr: addr, Hops: hops})
-	}
-}
-
-// selfPong records the client's hop-1 pong announcing its library.
-func (s *vantage) selfPong(c *simConn, at simtime.Time) {
-	s.recvPong(c, at, c.sess.Addr(), uint32(c.sess.SharedFiles), 1)
-}
-
 // selfPongFire records the pong a client announces itself with. The
 // client's own messages rearm the probe with the short idle window.
 func (s *vantage) selfPongFire(c *simConn, now simtime.Time) {
 	if c.closed {
 		return
 	}
-	s.selfPong(c, now)
+	s.rec.Pong(&c.Record, now, c.sess.Addr(), uint32(c.sess.SharedFiles), 1)
 	s.rearmProbe(c, s.cfg.ProbeIdle)
 }
 
-// clientQueryFire records the client's query number i.
+// clientQueryFire records and answers the client's query number i.
 func (s *vantage) clientQueryFire(c *simConn, i int, now simtime.Time) {
 	if c.closed {
 		s.droppedQueryEvents++
 		return
 	}
-	s.recvQuery(c, now, &c.sess.Queries[i])
+	q := &c.sess.Queries[i]
+	s.scheduleResponses(c, s.rec.Query(&c.Record, now, q.Text, q.SHA1, 6), q, now)
 	s.rearmProbe(c, s.cfg.ProbeIdle)
 }
 
@@ -371,8 +283,7 @@ func (s *vantage) keepaliveFire(c *simConn, now simtime.Time) {
 	// A keepalive is liveness evidence, so the probe is rearmed with
 	// the long window: probing 15 s after every keepalive would
 	// double the pong volume for no information.
-	c.lastRecv = now
-	s.received.Ping++
+	s.rec.Count(&c.Record, now, wire.TypePing)
 	s.rearmProbe(c, s.cfg.ProbeRearmIdle)
 	s.scheduleKeepalive(c)
 }
@@ -442,14 +353,14 @@ func (s *vantage) remotePong(c *simConn, at simtime.Time) {
 	addr := s.remoteAddr(at)
 	hops := s.remoteHops()
 	files := uint32(s.params.SampleSharedFiles(s.rng))
-	s.recvPong(c, at, addr, files, hops)
+	s.rec.Pong(&c.Record, at, addr, files, hops)
 	s.rearmProbe(c, s.cfg.ProbeRearmIdle)
 }
 
 func (s *vantage) remoteHit(c *simConn, at simtime.Time) {
 	addr := s.remoteAddr(at)
 	hops := s.remoteHops()
-	s.recvHit(c, at, addr, hops)
+	s.rec.Hit(&c.Record, at, addr, hops)
 	s.rearmProbe(c, s.cfg.ProbeRearmIdle)
 }
 
@@ -460,7 +371,7 @@ func (s *vantage) remoteQuery(c *simConn, at simtime.Time) {
 	s.remoteAddr(at)
 	s.remoteHops()
 	vocab.SkipSample(s.rng)
-	s.recvQuery(c, at, nil)
+	s.rec.Count(&c.Record, at, wire.TypeQuery)
 	s.rearmProbe(c, s.cfg.ProbeRearmIdle)
 }
 
@@ -518,7 +429,7 @@ func (s *vantage) responseHitFire(c *simConn, queryIdx int, now simtime.Time) {
 	// The query record is still in flight (its session has not closed —
 	// checked above), so the hit counter can be bumped in place.
 	c.queries[queryIdx].Hits++
-	s.recvHit(c, now, addr, hops)
+	s.rec.Hit(&c.Record, now, addr, hops)
 	s.rearmProbe(c, s.cfg.ProbeRearmIdle)
 }
 
@@ -553,7 +464,8 @@ func (s *vantage) probeReplyFire(c *simConn, now simtime.Time) {
 	if c.closed || now >= c.end {
 		return // died between probe and response
 	}
-	s.selfPong(c, now)
+	// The reply is the client's own hop-1 pong.
+	s.rec.Pong(&c.Record, now, c.sess.Addr(), uint32(c.sess.SharedFiles), 1)
 	s.rearmProbe(c, s.cfg.ProbeRearmIdle)
 }
 
@@ -571,24 +483,15 @@ func (s *vantage) sessionEndFire(c *simConn, now simtime.Time) {
 		return
 	}
 	if s.rng.Float64() < byeFraction {
-		c.lastRecv = now
-		s.received.Bye++
+		s.rec.Count(&c.Record, now, wire.TypeBye)
 	}
 	s.finalize(c, now, false)
 }
 
-// finalize closes a connection, then emits and releases its record. The
-// record is final: no response event bumps a hit counter after close
-// (they check closed first).
+// finalize closes a connection: it cancels the probe and has the
+// recorder emit the record. The record is final: no response event bumps
+// a hit counter after close (they check closed first).
 func (s *vantage) finalize(c *simConn, end simtime.Time, silent bool) {
-	if c.closed {
-		return
-	}
-	c.closed = true
 	s.sched.Cancel(c.probeH)
-	delete(s.conns, c.id)
-	c.rec.End = end
-	c.rec.SilentClose = silent
-	s.sink.Close(uint64(c.id), end, &stream.SessionRecord{Conn: c.rec, Queries: c.queries})
-	c.queries = nil
+	s.rec.Close(&c.Record, end, silent)
 }

@@ -1,9 +1,6 @@
 package capture
 
 import (
-	"maps"
-	"slices"
-
 	"repro/internal/behavior"
 	"repro/internal/geo"
 	"repro/internal/model"
@@ -123,38 +120,19 @@ func (n *Node) ScheduleArrival(at simtime.Time, key simtime.SeqKey, e simtime.Ev
 // EventCounts returns how many events the node has scheduled, by kind.
 func (n *Node) EventCounts() EventCounts { return n.v.counts }
 
-// Finish ends the run at the horizon: it right-censors every
-// still-open connection there — a real trace collection ends with
-// connections still open — then emits the stream trailer (the aggregate
-// message counters and the trace metadata the merge folds into the
-// merged trace) and flushes the producer. The censored sessions close in
-// connection-id order, so a rerun emits the same event sequence, the
-// guarantee ingest's resume-by-seq relies on. Call it once, after the
-// scheduler has run to the horizon.
-func (n *Node) Finish(horizon simtime.Time) {
-	v := n.v
-	for _, id := range slices.Sorted(maps.Keys(v.conns)) {
-		v.finalize(v.conns[id], horizon, false)
-	}
-	v.sink.Done(horizon, &stream.End{
-		Counts:         v.received,
-		Seed:           v.cfg.Workload.Seed,
-		Scale:          v.cfg.Workload.Scale,
-		Days:           v.cfg.Workload.Days,
-		Nodes:          1,
-		PongSampleRate: v.cfg.PongSampleRate,
-		HitSampleRate:  v.cfg.HitSampleRate,
-	})
-}
+// Finish ends the run at the horizon (Recorder.Finish: the open sessions
+// are censored there, then the trailer is emitted). Call it once, after
+// the scheduler has run to the horizon.
+func (n *Node) Finish(horizon simtime.Time) { n.v.rec.Finish(horizon) }
 
-// Stats returns the node's accounting row; nextID counts accepted
-// arrivals.
+// Stats returns the node's accounting row.
 func (n *Node) Stats() NodeStats {
+	r := &n.v.rec
 	return NodeStats{
 		Node:               n.v.nodeIdx,
-		Conns:              n.v.nextID,
-		Rejected:           n.v.rejected,
-		PeakConns:          n.v.peak,
+		Conns:              int(r.nextID),
+		Rejected:           r.rejected,
+		PeakConns:          r.peak,
 		DroppedQueryEvents: n.v.droppedQueryEvents,
 	}
 }

@@ -53,18 +53,9 @@ type Config struct {
 	// received message (forwards are cloned) and holds no reference to
 	// what it sent, so a transport may retain it past the call.
 	Send func(conn int, env wire.Envelope)
-	// OnMessage, when set, observes every received message before
-	// processing (the measurement tap). The payload is on loan from
-	// Receive's caller, who may overwrite it as soon as Receive returns
-	// (a parser's buffer): copy whatever must outlive the call — field
-	// values, never the payload pointer or a slice inside it.
-	OnMessage func(conn int, env wire.Envelope)
 	// GUIDs generates identifiers for originated messages. Required for
 	// Probe.
 	GUIDs *guid.Source
-	// Rand supplies the [0,1) variates used for probabilistic leaf
-	// forwarding. Defaults to a small deterministic LCG when nil.
-	Rand func() float64
 }
 
 // routeTTL is how long reverse routes live, as the specification
@@ -78,7 +69,6 @@ const leafForwardProb = 0.05
 
 // Stats counts the node's routing activity.
 type Stats struct {
-	Received       wire.MessageCountsByType
 	ForwardedQry   uint64
 	RoutedPong     uint64
 	RoutedHit      uint64
@@ -173,11 +163,9 @@ func (n *Node) RemoveConn(id int) {
 	delete(n.conns, id)
 }
 
+// rand draws the [0,1) variates of probabilistic leaf forwarding from an
+// xorshift64* stream, deterministic per node.
 func (n *Node) rand() float64 {
-	if n.cfg.Rand != nil {
-		return n.cfg.Rand()
-	}
-	// xorshift64*, deterministic per node.
 	x := n.lcg
 	x ^= x >> 12
 	x ^= x << 25
@@ -189,10 +177,6 @@ func (n *Node) rand() float64 {
 // Receive processes one message arriving on a connection. The envelope's
 // payload may alias a parser; the node copies whatever it retains.
 func (n *Node) Receive(conn int, env wire.Envelope) {
-	if n.cfg.OnMessage != nil {
-		n.cfg.OnMessage(conn, env)
-	}
-	n.stats.Received.Add(env.Header.Type)
 	n.maybeSweep()
 
 	switch m := env.Payload.(type) {
@@ -209,7 +193,7 @@ func (n *Node) Receive(conn int, env wire.Envelope) {
 		// connection down when the transport closes.
 	case *wire.Push:
 		// PUSH routing by servent GUID is out of scope for the
-		// measurement study; counted and dropped.
+		// measurement study; dropped.
 	}
 }
 
