@@ -67,7 +67,14 @@
 // journal lines (lane 1), each with its own seq space from 1, its own
 // frame kinds and cumulative ack, and one generic implementation
 // (lane.go) used for both. The emitter's sendQueue keeps every item
-// until an ack covers it; the collector's recvLane applies items in seq
+// until an ack covers it. It keeps the slices it is handed (the
+// producer's batches, the JournalShip's lines) as runs, without copying
+// them and without ever writing into them: an ack drops whole runs and
+// reslices a partly acked one, and a retransmit walks the runs in frames
+// of at most 256 items. The collector decodes each data frame into a
+// fixed handful of allocations: its events, one slab of session records,
+// one of queries, and one string arena holding only the frame's user
+// agents and query texts. The collector's recvLane applies items in seq
 // order exactly once — duplicates (seq ≤ applied) are dropped, a frame
 // past a gap is held in a reorder buffer of at most 1<<15 items — and
 // acks the highest contiguous seq applied. On reconnect the welcome

@@ -185,6 +185,11 @@ func (e *Emitter) Stop() { e.stopOnce.Do(func() { close(e.stop) }) }
 // merger intake so stream.NewProducer(0, e.Intake()) plugs in directly
 // (the batch's Input field is ignored — the hello frame binds the input).
 // Close it when the stream is complete; Run says bye after the final ack.
+//
+// A sent batch belongs to the emitter until Run returns: the retransmit
+// buffer keeps its Events slice itself, not a copy, and only reads it.
+// The sender must not write into a batch after sending it; the same
+// batch may be sent to any number of emitters (or mergers) at once.
 func (e *Emitter) Intake() chan<- stream.Batch { return e.intake }
 
 // rttMark remembers when the data frame ending at seq was written, so
@@ -213,7 +218,7 @@ func (e *Emitter) Run() error {
 		conn     net.Conn
 		acks     chan ackMsg
 		connDone chan struct{}
-		inflight []rttMark
+		inflight fifo[rttMark]
 
 		events  = sendQueue[stream.Event]{next: 1, frame: newDataFrame}
 		journal = sendQueue[[]byte]{frame: newJournalFrame}
@@ -235,14 +240,14 @@ func (e *Emitter) Run() error {
 	// process write its final journal lines between the last event ack
 	// and the ship's close.
 	finished := func() bool {
-		if !intakeClosed || len(events.items) != 0 {
+		if !intakeClosed || events.unacked != 0 {
 			return false
 		}
 		e.drainOnce.Do(func() { close(e.drained) })
 		if e.cfg.Ship == nil {
 			return true
 		}
-		return shipClosed && len(journal.items) == 0
+		return shipClosed && journal.unacked == 0
 	}
 	// ack applies one of lane's cumulative acks — from a welcome or an
 	// ack frame — and reports whether it moved the watermark.
@@ -257,12 +262,17 @@ func (e *Emitter) Run() error {
 		if !events.ack(seq) {
 			return false
 		}
-		for len(inflight) > 0 && inflight[0].seq <= seq {
-			e.hAckRTT.Observe(time.Since(inflight[0].at).Seconds())
-			inflight = inflight[1:]
+		k := 0
+		for _, m := range inflight.items() {
+			if m.seq > seq {
+				break
+			}
+			e.hAckRTT.Observe(time.Since(m.at).Seconds())
+			k++
 		}
+		inflight.pop(k)
 		e.mAcked.SetInt(int64(events.acked))
-		e.mUnacked.SetInt(int64(len(events.items)))
+		e.mUnacked.SetInt(int64(events.unacked))
 		return true
 	}
 	tick := e.cfg.AckTimeout / 4
@@ -272,6 +282,10 @@ func (e *Emitter) Run() error {
 	if tick <= 0 {
 		tick = time.Second
 	}
+	// One timer for the whole loop, reset every turn: a fresh time.After
+	// per turn would allocate once per batch and once per ack.
+	timer := time.NewTimer(tick)
+	defer timer.Stop()
 	var rng *rand.Rand
 	if e.cfg.Retry.Seed != 0 {
 		rng = rand.New(rand.NewPCG(e.cfg.Retry.Seed, 0x1d9e57))
@@ -281,7 +295,7 @@ func (e *Emitter) Run() error {
 			close(connDone)
 			conn.Close()
 			conn = nil
-			inflight = nil // retransmits restart the RTT clock
+			inflight.reset() // retransmits restart the RTT clock
 		}
 	}
 	defer teardown()
@@ -343,9 +357,10 @@ func (e *Emitter) Run() error {
 		}
 
 		in := intakeCh
-		if len(events.items) >= maxUnacked {
+		if events.unacked >= maxUnacked {
 			in = nil // backpressure: stall the producer until acks drain
 		}
+		timer.Reset(tick)
 		select {
 		case <-e.stop:
 			return nil
@@ -356,19 +371,19 @@ func (e *Emitter) Run() error {
 				continue
 			}
 			i := events.push(b.Events)
-			e.mUnacked.SetInt(int64(len(events.items)))
-			if i < len(events.items) {
+			e.mUnacked.SetInt(int64(events.unacked))
+			if i < len(events.runs.items()) {
 				if err := send(e, conn, &events, i); err != nil {
 					teardown()
 				} else {
-					inflight = append(inflight, rttMark{seq: events.next - 1, at: time.Now()})
+					inflight.push(rttMark{seq: events.next - 1, at: time.Now()})
 					lastSend = time.Now()
 				}
 			}
 		case <-shipCh:
 			var lines [][]byte
 			lines, shipClosed = e.cfg.Ship.Take()
-			if i := journal.push(lines); i < len(journal.items) {
+			if i := journal.push(lines); i < len(journal.runs.items()) {
 				if err := send(e, conn, &journal, i); err != nil {
 					teardown()
 				} else {
@@ -381,8 +396,8 @@ func (e *Emitter) Run() error {
 			} else if ack(a.lane, a.seq) {
 				lastProgress = time.Now()
 			}
-		case <-time.After(tick):
-			if (len(events.items) > 0 || len(journal.items) > 0) && time.Since(lastProgress) > e.cfg.AckTimeout {
+		case <-timer.C:
+			if (events.unacked > 0 || journal.unacked > 0) && time.Since(lastProgress) > e.cfg.AckTimeout {
 				// Outstanding events or journal lines, no ack progress:
 				// the connection is wedged (or a fault ate the frames).
 				// Start over.
@@ -470,18 +485,17 @@ func (e *Emitter) handshake(c net.Conn) (*welcomeFrame, error) {
 	return f.Welcome, nil
 }
 
-// send writes q's unacked items from index i on as frames of at most
+// send writes q's unacked runs from index i on as frames of at most
 // maxFrameEvents items, built by q.frame, each a single deadline-bounded
-// Write. The frames reference q's storage; e.fw has encoded them before
-// it returns.
+// Write. The frames reference the pushed slices; e.fw has encoded them
+// before it returns.
 func send[T any](e *Emitter, c net.Conn, q *sendQueue[T], i int) error {
-	for i < len(q.items) {
-		n := min(len(q.items)-i, maxFrameEvents)
+	err := q.frames(i, maxFrameEvents, func(first uint64, items []T) error {
 		_ = c.SetWriteDeadline(time.Now().Add(writeTimeout))
-		if err := e.fw.write(c, q.frame(q.acked+1+uint64(i), q.items[i:i+n])); err != nil {
-			return err
-		}
-		i += n
+		return e.fw.write(c, q.frame(first, items))
+	})
+	if err != nil {
+		return err
 	}
 	_ = c.SetWriteDeadline(time.Time{})
 	return nil

@@ -147,7 +147,10 @@ func newAck(lane int, seq uint64) *frame {
 // codec walks one frame in either direction: encoding appends each field
 // to buf, decoding reads it from buf at off and stores it through the
 // same pointer. Each layout is therefore written once (the methods
-// below), and encoder and decoder cannot drift apart. Decoding is
+// below), and encoder and decoder cannot drift apart. Encoding only reads
+// through those pointers, so the frame it walks may be read by other
+// goroutines at the same time: the emitter encodes the producer's own
+// batches, which other consumers may be reading too. Decoding is
 // strict, so an accepted payload re-encodes to exactly its own bytes:
 // varints must be minimal, bools 0 or 1, and every count must fit the
 // bytes left before anything is allocated for it. The first error
@@ -157,6 +160,9 @@ type codec struct {
 	buf []byte
 	off int
 	err error
+	// s is where decoding puts a data frame's session records, queries
+	// and session strings until slabs.place moves them out.
+	s *slabs
 }
 
 func (c *codec) fail(format string, args ...any) {
@@ -200,6 +206,9 @@ func (c *codec) uvarint(p *uint64) {
 func uvar[T ~uint8 | ~uint32 | ~uint64](c *codec, p *T) {
 	v := uint64(*p)
 	c.uvarint(&v)
+	if !c.dec {
+		return
+	}
 	if uint64(T(v)) != v {
 		c.fail("%d overflows its field", v)
 	}
@@ -211,6 +220,9 @@ func uvar[T ~uint8 | ~uint32 | ~uint64](c *codec, p *T) {
 func svar[T ~int | ~int64](c *codec, p *T) {
 	u := uint64(*p)<<1 ^ uint64(int64(*p)>>63)
 	c.uvarint(&u)
+	if !c.dec {
+		return
+	}
 	v := int64(u>>1) ^ -int64(u&1)
 	if int64(T(v)) != v {
 		c.fail("%d overflows int", v)
@@ -224,6 +236,9 @@ func (c *codec) bool(p *bool) {
 		v = 1
 	}
 	uvar(c, &v)
+	if !c.dec {
+		return
+	}
 	if v > 1 {
 		c.fail("bool %d", v)
 	}
@@ -342,7 +357,10 @@ func (c *codec) event(ev *stream.Event) {
 	uvar(c, &ev.ID)
 	svar(c, &ev.Time)
 	if flags&hasSess != 0 {
-		c.session(part(c, &ev.Sess))
+		if c.dec {
+			ev.Sess = c.s.session()
+		}
+		c.session(ev.Sess)
 	}
 	if flags&hasDone != 0 {
 		c.end(part(c, &ev.Done))
@@ -385,9 +403,30 @@ func (c *codec) session(s *stream.SessionRecord) {
 	svar(c, &cn.End)
 	c.addr(&cn.Addr)
 	c.bool(&cn.Ultrapeer)
-	c.str(&cn.UserAgent)
+	c.sessionStr(&cn.UserAgent)
 	c.bool(&cn.SilentClose)
-	slice(c, &s.Queries, minQueryLen, (*codec).query)
+	n, isNil := c.length(len(s.Queries), s.Queries == nil, minQueryLen)
+	if c.dec && !isNil {
+		s.Queries = c.s.queries(n)
+	}
+	for i := range s.Queries {
+		c.query(&s.Queries[i])
+	}
+}
+
+// sessionStr is a string of a session record, encoded as str. Decoding
+// leaves it empty and keeps its bytes in the frame's scratch: slabs.place
+// sets it, from the frame's one string arena.
+func (c *codec) sessionStr(p *string) {
+	if !c.dec {
+		c.str(p)
+		return
+	}
+	var n uint64
+	c.uvarint(&n)
+	if b := c.take(n); c.err == nil {
+		c.s.str(b)
+	}
 }
 
 // minQueryLen is a query's smallest encoding: one byte per field.
@@ -396,7 +435,7 @@ const minQueryLen = 7
 func (c *codec) query(q *trace.Query) {
 	uvar(c, &q.ConnID)
 	svar(c, &q.At)
-	c.str(&q.Text)
+	c.sessionStr(&q.Text)
 	c.bool(&q.SHA1)
 	uvar(c, &q.TTL)
 	uvar(c, &q.Hops)
@@ -486,10 +525,16 @@ func appendFrame(dst []byte, f *frame) ([]byte, error) {
 	return c.buf, nil
 }
 
-// decodeFrame decodes one payload. The frame it returns shares no memory
-// with payload, and a payload with bytes left over is refused.
-func decodeFrame(payload []byte) (*frame, error) {
-	c := codec{dec: true, buf: payload}
+// decodeFrame decodes one payload with a scratch of its own.
+func decodeFrame(payload []byte) (*frame, error) { return new(slabs).decode(payload) }
+
+// decode decodes one payload, using s as a data frame's scratch. The
+// frame it returns shares no memory with payload or s, and a payload with
+// bytes left over is refused.
+func (s *slabs) decode(payload []byte) (*frame, error) {
+	s.reset()
+	s.c = codec{dec: true, buf: payload, s: s}
+	c := &s.c
 	f := new(frame)
 	c.frame(f)
 	if c.err == nil && c.off != len(payload) {
@@ -498,7 +543,106 @@ func decodeFrame(payload []byte) (*frame, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
+	if f.Kind == frameData {
+		s.place(f.Data.Events)
+	}
 	return f, nil
+}
+
+// slabs is a frame reader's scratch for the data frames it decodes, kept
+// from frame to frame. The codec decodes a frame's session records, their
+// queries and the bytes of their strings (user agents, query texts) into
+// it; place then moves them into three allocations of exactly the decoded
+// size: one []stream.SessionRecord, one []trace.Query that each session's
+// Queries subslices, and one string arena holding only the frame's string
+// bytes, so a retained query text pins no pong or hit. A data frame thus
+// costs the same few allocations whatever it carries. Every scratch item
+// is taken under a count already checked against the bytes left.
+type slabs struct {
+	c    codec // walks the payload being decoded
+	sess []stream.SessionRecord
+	qs   []trace.Query
+	strs []byte // the session strings' bytes, in decode order
+	lens []int  // the session strings' lengths, in decode order
+}
+
+func (s *slabs) reset() {
+	s.sess, s.qs, s.strs, s.lens = s.sess[:0], s.qs[:0], s.strs[:0], s.lens[:0]
+}
+
+// session takes the next scratch record, zeroed.
+func (s *slabs) session() *stream.SessionRecord {
+	s.sess = append(grow(s.sess, 1), stream.SessionRecord{})
+	return &s.sess[len(s.sess)-1]
+}
+
+// queries takes the next n scratch queries, zeroed. Like a record, they
+// may end up in an array the scratch has since outgrown; place copies
+// them out of wherever they are.
+func (s *slabs) queries(n int) []trace.Query {
+	if n == 0 {
+		return []trace.Query{} // empty, not nil: nil is its own encoding
+	}
+	i := len(s.qs)
+	s.qs = grow(s.qs, n)[:i+n]
+	q := s.qs[i : i+n : i+n]
+	clear(q)
+	return q
+}
+
+func (s *slabs) str(b []byte) {
+	s.strs = append(grow(s.strs, len(b)), b...)
+	s.lens = append(grow(s.lens, 1), len(b))
+}
+
+// grow makes room for n more items in s, at least doubling its capacity
+// when it must grow, so a scratch that grows item by item allocates
+// O(log n) times and at most about twice its final size in all.
+func grow[T any](s []T, n int) []T {
+	if len(s)+n > cap(s) {
+		return slices.Grow(s, max(n, len(s)))
+	}
+	return s
+}
+
+// place moves the frame's session records out of the scratch into slabs
+// of their own and points evs at them. evs are the frame's events: each
+// Sess is a scratch record, possibly in an array the scratch has since
+// outgrown, and they come in the order session took them. place sets the
+// session strings in the order the codec decoded them: each record's
+// UserAgent, then its queries' Texts.
+func (s *slabs) place(evs []stream.Event) {
+	if len(s.sess) == 0 {
+		return
+	}
+	sess := make([]stream.SessionRecord, len(s.sess))
+	qs := make([]trace.Query, len(s.qs))
+	arena := string(s.strs)
+	str, off := 0, 0
+	next := func() string {
+		n := s.lens[str]
+		str++
+		off += n
+		return arena[off-n : off]
+	}
+	for i := range evs {
+		if evs[i].Sess == nil {
+			continue
+		}
+		rec := &sess[0]
+		*rec, sess = *evs[i].Sess, sess[1:]
+		evs[i].Sess = rec
+		rec.Conn.UserAgent = next()
+		if rec.Queries != nil {
+			n := len(rec.Queries)
+			q := qs[:n:n]
+			copy(q, rec.Queries)
+			rec.Queries, qs = q, qs[n:]
+			for k := range q {
+				q[k].Text = next()
+			}
+		}
+	}
 }
 
 // frameWriter encodes the frames of one writing goroutine into one
@@ -530,13 +674,14 @@ func (fw *frameWriter) write(w io.Writer, f *frame) error {
 }
 
 // frameReader reads the frames of one reading goroutine into one
-// payload buffer it reuses. The buffer grows only as payload bytes
-// arrive, at most readChunk ahead of them, and decoded frames never
-// alias it.
+// payload buffer it reuses, and decodes them with one scratch it reuses.
+// The buffer grows only as payload bytes arrive, at most readChunk ahead
+// of them, and decoded frames alias neither.
 type frameReader struct {
 	dec *obs.Histogram // when non-nil, observes the decode time in seconds
 	hdr [4]byte
 	buf []byte
+	s   slabs
 }
 
 // read reads one length-prefixed frame and decodes it. The decode time
@@ -569,7 +714,7 @@ func (fr *frameReader) read(r io.Reader) (*frame, error) {
 	if fr.dec != nil {
 		start = time.Now()
 	}
-	f, err := decodeFrame(b)
+	f, err := fr.s.decode(b)
 	if fr.dec != nil {
 		fr.dec.Observe(time.Since(start).Seconds())
 	}

@@ -342,6 +342,65 @@ func TestReadFrameAllocatesOnlyWhatArrives(t *testing.T) {
 	}
 }
 
+// TestDecodeFrameAllocationBudget holds data-frame decoding to a fixed
+// number of allocations: the frame, its data part, its events, and one
+// slab each for the sessions, their queries and their strings. A frame
+// of 256 events costs the same however many of them are sessions and
+// however many queries those carry; a decoder that allocated per record
+// would pay hundreds.
+func TestDecodeFrameAllocationBudget(t *testing.T) {
+	const budget = 6
+	r := rand.New(rand.NewPCG(2004, 39))
+	// IPv4, as the vantages record: a zoned IPv6 address costs its
+	// decoder the zone's string.
+	addr := func() netip.Addr { return netip.AddrFrom4([4]byte{10, byte(r.Uint32()), byte(r.Uint32()), 1}) }
+	frame := func(sessions, queries int) []byte {
+		evs := make([]stream.Event, maxFrameEvents)
+		for i := range evs {
+			at := trace.Time(i) * time.Second
+			switch {
+			case i < sessions:
+				rec := &stream.SessionRecord{Conn: trace.Conn{
+					ID: uint64(i), Start: at, End: at + time.Minute,
+					Addr: addr(), UserAgent: "LimeWire/4.0",
+				}}
+				for k := range queries {
+					rec.Queries = append(rec.Queries, trace.Query{ConnID: uint64(i), At: at + trace.Time(k), Text: randString(r), TTL: 7, Hops: 1})
+				}
+				evs[i] = stream.Event{Kind: stream.EvClose, ID: uint64(i), Time: at, Sess: rec}
+			case i%2 == 0:
+				evs[i] = stream.Event{Kind: stream.EvPong, Time: at, Pong: trace.Pong{At: at, Addr: addr(), SharedFiles: 40, Hops: 2}}
+			default:
+				evs[i] = stream.Event{Kind: stream.EvHit, Time: at, Hit: trace.Hit{At: at, Addr: addr(), Hops: 3}}
+			}
+		}
+		b, err := appendFrame(nil, newDataFrame(1, evs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b[4:]
+	}
+	var s slabs
+	for _, c := range []struct{ sessions, queries int }{{1, 1}, {16, 2}, {128, 4}, {256, 16}} {
+		payload := frame(c.sessions, c.queries)
+		want, err := s.decode(payload) // also grows the scratch to this frame
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := s.decode(payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != budget {
+			t.Errorf("%d sessions of %d queries: %.0f allocations per frame, want %d", c.sessions, c.queries, allocs, budget)
+		}
+		if got, _ := s.decode(payload); !reflect.DeepEqual(got, want) {
+			t.Errorf("%d sessions of %d queries: a decode with a reused scratch differs", c.sessions, c.queries)
+		}
+	}
+}
+
 // FuzzDecodeFrame feeds the decoder arbitrary payloads. It must never
 // panic; a payload it accepts must re-encode to exactly its own bytes;
 // and decoding may allocate at most a small constant per payload byte —

@@ -7,6 +7,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -274,6 +276,131 @@ func TestIngestEmitterRestartResume(t *testing.T) {
 	if col.DeadInputs() != 0 {
 		t.Fatalf("restarted input counted dead: %d", col.DeadInputs())
 	}
+}
+
+// TestEmitterLeavesBatchesUntouched pins the ownership contract the
+// emitter's retransmit buffer relies on: it keeps the batches it is fed,
+// not copies, and only reads them. One set of recorded batches goes
+// through two emitter/collector pairs at once, then through a third
+// collector with an emitter restart-resume on input 1. Every batch must
+// read afterwards exactly as it did before, and all three drained traces
+// must hash to the in-process merge's.
+func TestEmitterLeavesBatchesUntouched(t *testing.T) {
+	streams := [][]stream.Event{genStream(0, 150), genStream(1, 150)}
+	want := hashOf(t, directMerge(streams))
+	recorded := make([][]stream.Batch, len(streams))
+	for i, evs := range streams {
+		for len(evs) > 0 {
+			n := min(len(evs), 64)
+			recorded[i] = append(recorded[i], stream.Batch{Input: i, Events: evs[:n:n]})
+			evs = evs[n:]
+		}
+	}
+	before := deepCopyBatches(recorded)
+	feed := func(em *ingest.Emitter, bs []stream.Batch) {
+		for _, b := range bs {
+			em.Intake() <- b
+		}
+	}
+	newCollector := func() (*ingest.Collector, <-chan *trace.Trace) {
+		col, err := ingest.NewCollector(ingest.CollectorConfig{Inputs: len(streams), EvictAfter: 30 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return col, runCollector(t, col)
+	}
+
+	// Two pairs at once, every emitter fed the same batches.
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*len(streams))
+	var traces []<-chan *trace.Trace
+	for range 2 {
+		col, trCh := newCollector()
+		traces = append(traces, trCh)
+		for i, bs := range recorded {
+			em := ingest.NewEmitter(ingest.EmitterConfig{Addr: col.Addr(), Input: i})
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				errs <- em.Run()
+			}()
+			go func() {
+				defer wg.Done()
+				feed(em, bs)
+				close(em.Intake())
+			}()
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatalf("emitter: %v", err)
+		}
+	}
+
+	// A restart-resume: input 1's first life is stopped once the collector
+	// has applied part of it; its second life is fed every batch again and
+	// resumes from the welcome's watermark.
+	col, trCh := newCollector()
+	traces = append(traces, trCh)
+	half := len(recorded[1]) / 2
+	first := ingest.NewEmitter(ingest.EmitterConfig{Addr: col.Addr(), Input: 1})
+	firstDone := make(chan error, 1)
+	go func() { firstDone <- first.Run() }()
+	feed(first, recorded[1][:half])
+	deadline := time.Now().Add(5 * time.Second)
+	for col.Health().Inputs[1].AppliedSeq == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("collector never applied input 1's first life")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	first.Stop()
+	if err := <-firstDone; err != nil {
+		t.Fatalf("first life: %v", err)
+	}
+	for i, bs := range recorded {
+		em := ingest.NewEmitter(ingest.EmitterConfig{Addr: col.Addr(), Input: i})
+		done := make(chan error, 1)
+		go func() { done <- em.Run() }()
+		feed(em, bs)
+		close(em.Intake())
+		if err := <-done; err != nil {
+			t.Fatalf("input %d: %v", i, err)
+		}
+	}
+
+	for k, trCh := range traces {
+		if hashOf(t, <-trCh) != want {
+			t.Errorf("collector %d: drained trace differs from the in-process merge", k)
+		}
+	}
+	if !reflect.DeepEqual(recorded, before) {
+		t.Fatal("an emitter wrote into a batch it was fed")
+	}
+}
+
+// deepCopyBatches copies batches down to every record their events point
+// at, so a write through any of those pointers shows as a difference.
+func deepCopyBatches(in [][]stream.Batch) [][]stream.Batch {
+	out := make([][]stream.Batch, len(in))
+	for i, bs := range in {
+		for _, b := range bs {
+			evs := slices.Clone(b.Events)
+			for k := range evs {
+				if s := evs[k].Sess; s != nil {
+					evs[k].Sess = &stream.SessionRecord{Conn: s.Conn, Queries: slices.Clone(s.Queries)}
+				}
+				if d := evs[k].Done; d != nil {
+					evs[k].Done = new(stream.End)
+					*evs[k].Done = *d
+				}
+			}
+			out[i] = append(out[i], stream.Batch{Input: b.Input, Events: evs})
+		}
+	}
+	return out
 }
 
 // TestIngestDeadInputEvictedNoDeadlock is the degradation contract: a

@@ -20,7 +20,9 @@ import (
 //
 // Item k is the value k, so exactly once in order means the applied log
 // reads 1, 2, 3, …, and a final clean connection must deliver all total
-// items and leave nothing unacked.
+// items and leave nothing unacked. The queue keeps the pushed slices
+// themselves, so every slice ever pushed must still read as it did when
+// it was pushed: the queue never writes into a caller's slice.
 func FuzzSequencedLane(f *testing.F) {
 	f.Add(uint8(24), uint8(5), uint8(8), []byte{0o70, 3, 3, 6, 0o70, 3, 3, 6})                         // in order
 	f.Add(uint8(40), uint8(3), uint8(6), []byte{0o70, 0o70, 0o32, 0o15, 4, 2, 3, 6, 0o17, 3, 3, 0o26}) // reorder, dup, drop, reconnect
@@ -44,11 +46,18 @@ func checkLane(t *testing.T, total, frameMax, maxReorder int, ops []byte) {
 		got  uint64   // the applied log is 1..got
 		wire []run    // frames in flight
 		acks []uint64 // acks in flight
+		// pushed holds every slice handed to push, with a copy taken
+		// before it was pushed.
+		pushed [][2][]int
 	)
-	transmit := func(i int) { // q's items from index i on, copied as the codec would
-		for ; i < len(q.items); i += frameMax {
-			wire = append(wire, run{q.acked + 1 + uint64(i), slices.Clone(q.items[i:min(i+frameMax, len(q.items))])})
-		}
+	transmit := func(i int) { // q's runs from index i on, copied as the codec would
+		_ = q.frames(i, frameMax, func(first uint64, items []int) error {
+			if len(items) == 0 || len(items) > frameMax {
+				t.Fatalf("frame of %d items, limit %d", len(items), frameMax)
+			}
+			wire = append(wire, run{first, slices.Clone(items)})
+			return nil
+		})
 	}
 	reconnect := func() { // in-flight traffic dies; the welcome acks the receiver's watermark
 		wire, acks = nil, nil
@@ -61,6 +70,7 @@ func checkLane(t *testing.T, total, frameMax, maxReorder int, ops []byte) {
 			fed++
 			batch[i] = fed
 		}
+		pushed = append(pushed, [2][]int{batch, slices.Clone(batch)})
 		transmit(q.push(batch))
 	}
 	apply := func(k int) {
@@ -87,9 +97,24 @@ func checkLane(t *testing.T, total, frameMax, maxReorder int, ops []byte) {
 		acks = append(acks, ack)
 	}
 	check := func() {
-		for i, v := range q.items {
-			if uint64(v) != q.acked+1+uint64(i) {
-				t.Fatalf("queue position %d holds item %d, want seq %d", i, v, q.acked+1+uint64(i))
+		i := 0
+		for _, r := range q.runs.items() {
+			if len(r) == 0 {
+				t.Fatal("empty run queued")
+			}
+			for _, v := range r {
+				if uint64(v) != q.acked+1+uint64(i) {
+					t.Fatalf("queue position %d holds item %d, want seq %d", i, v, q.acked+1+uint64(i))
+				}
+				i++
+			}
+		}
+		if i != q.unacked {
+			t.Fatalf("runs hold %d items, unacked count %d", i, q.unacked)
+		}
+		for _, p := range pushed {
+			if !slices.Equal(p[0], p[1]) {
+				t.Fatalf("pushed slice modified: %v, pushed as %v", p[0], p[1])
 			}
 		}
 		if q.acked > got {
@@ -136,7 +161,30 @@ func checkLane(t *testing.T, total, frameMax, maxReorder int, ops []byte) {
 	}
 	q.ack(got)
 	check()
-	if got != uint64(total) || len(q.items) != 0 {
-		t.Fatalf("applied %d of %d items, %d left unacked", got, total, len(q.items))
+	if got != uint64(total) || q.unacked != 0 || len(q.runs.items()) != 0 {
+		t.Fatalf("applied %d of %d items, %d left unacked", got, total, q.unacked)
+	}
+}
+
+// TestSendQueueSteadyStateAllocatesNothing: the queue keeps the pushed
+// slices themselves, so once its run list has grown to the working depth,
+// pushing and acking (whole runs and partly acked ones alike) allocates
+// nothing.
+func TestSendQueueSteadyStateAllocatesNothing(t *testing.T) {
+	q := &sendQueue[int]{next: 1}
+	batch := make([]int, 256)
+	cycle := func() {
+		for range 8 {
+			q.push(batch)
+		}
+		q.ack(q.acked + 300) // two whole runs acked, the third resliced
+		q.ack(q.next - 1)
+	}
+	cycle() // grows the run list to its working depth
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("push and ack took %.1f allocations per cycle, want 0", allocs)
+	}
+	if q.unacked != 0 || len(q.runs.items()) != 0 {
+		t.Fatalf("%d items in %d runs left unacked", q.unacked, len(q.runs.items()))
 	}
 }

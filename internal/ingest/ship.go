@@ -79,7 +79,8 @@ func (s *JournalShip) Close() error {
 func (s *JournalShip) Ready() <-chan struct{} { return s.ready }
 
 // Take removes and returns every queued complete line, and whether the
-// ship has been closed.
+// ship has been closed. The ship never touches the returned slice or its
+// lines again, so the emitter queues them as they are.
 func (s *JournalShip) Take() (lines [][]byte, closed bool) {
 	s.mu.Lock()
 	lines, s.lines = s.lines, nil

@@ -126,9 +126,14 @@ type inputState struct {
 	end       *End
 	// open maps producer-local ids of open sessions to their start; fifo
 	// holds (id, start) in arrival order with lazy removal, so the
-	// earliest open start is the first fifo entry still present in open.
+	// earliest open start is fifo[head], the first entry still present in
+	// open. Entries before head are retired; an append that finds the
+	// array full moves the rest down over them when they are at least a
+	// quarter of it, so the array is reused instead of sliding off and
+	// regrowing.
 	open map[uint64]trace.Time
 	fifo []openRef
+	head int
 }
 
 type openRef struct {
@@ -217,15 +222,22 @@ func (m *Merger) apply(input int, st *inputState, ev *Event) {
 	switch ev.Kind {
 	case EvOpen:
 		st.open[ev.ID] = ev.Time
+		if len(st.fifo) == cap(st.fifo) && 4*st.head >= len(st.fifo) {
+			st.fifo = st.fifo[:copy(st.fifo, st.fifo[st.head:])]
+			st.head = 0
+		}
 		st.fifo = append(st.fifo, openRef{id: ev.ID, start: ev.Time})
 	case EvClose:
 		delete(st.open, ev.ID)
 		// Trim retired heads so earliest-open lookup stays O(1) amortized.
-		for len(st.fifo) > 0 {
-			if _, ok := st.open[st.fifo[0].id]; ok {
+		for st.head < len(st.fifo) {
+			if _, ok := st.open[st.fifo[st.head].id]; ok {
 				break
 			}
-			st.fifo = st.fifo[1:]
+			st.head++
+		}
+		if st.head == len(st.fifo) {
+			st.fifo, st.head = st.fifo[:0], 0
 		}
 		// Outliers — sessions longer than the emission window — go to the
 		// spill set. The windowed barrier may already have passed their
@@ -264,7 +276,7 @@ func (m *Merger) apply(input int, st *inputState, ev *Event) {
 		// they can never close, so waiting on them would deadlock the
 		// merge.
 		st.open = nil
-		st.fifo = nil
+		st.fifo, st.head = nil, 0
 		if ev.Done != nil {
 			// A liveness layer may synthesize a partial trailer from the
 			// events it applied, keeping the merged counters consistent
@@ -317,8 +329,8 @@ func (m *Merger) barrier() (trace.Time, bool) {
 	}
 	for i := range m.inputs {
 		st := &m.inputs[i]
-		if len(st.fifo) > 0 {
-			hold := st.fifo[0].start
+		if st.head < len(st.fifo) {
+			hold := st.fifo[st.head].start
 			if m.window > 0 && st.watermark-m.window > hold {
 				hold = st.watermark - m.window
 			}

@@ -122,6 +122,12 @@ type Event struct {
 // Batch is a run of events from one input, in emission order. Events
 // travel in batches to amortize channel synchronization across the
 // millions of records of a full-scale run.
+//
+// A sent batch is read-only: a consumer (the Merger, an ingest emitter)
+// reads Events and the records they point to and never writes them, and
+// the sender does not touch a batch after sending it. Consumers keep a
+// batch without copying it, and one batch may be fed to several
+// consumers, at once or one after another.
 type Batch struct {
 	Input  int
 	Events []Event
