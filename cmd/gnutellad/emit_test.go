@@ -53,10 +53,19 @@ type liveCapture struct {
 
 // startLiveCapture starts the daemon and its accept loop. With collect
 // set the record stream goes to a collector over the ingest wire, as
-// with -emit; otherwise it is dropped, as without.
-func startLiveCapture(t *testing.T, collect bool) *liveCapture {
+// with -emit; otherwise it is dropped, as without. A non-nil now
+// replaces the daemon's wall clock.
+func startLiveCapture(t *testing.T, collect bool, now func() time.Duration) *liveCapture {
 	t.Helper()
-	lc := &liveCapture{d: newDaemon(nil), served: make(chan struct{}, 8)}
+	l, err := transport.Listen("127.0.0.1:0", transport.Options{UserAgent: "repro-gnutellad/1.0", Ultrapeer: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	lc := &liveCapture{d: newDaemon(nil, l.Addr()), addr: l.Addr().String(), served: make(chan struct{}, 8)}
+	if now != nil {
+		lc.d.now = now
+	}
 	if collect {
 		col, err := ingest.NewCollector(ingest.CollectorConfig{Inputs: 1, EvictAfter: 30 * time.Second})
 		if err != nil {
@@ -78,13 +87,6 @@ func startLiveCapture(t *testing.T, collect bool) *liveCapture {
 	} else {
 		lc.d.recordTo(0, nil)
 	}
-
-	l, err := transport.Listen("127.0.0.1:0", transport.Options{UserAgent: "repro-gnutellad/1.0", Ultrapeer: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	lc.addr = l.Addr().String()
 	go func() {
 		for {
 			peer, err := l.Accept()
@@ -151,7 +153,7 @@ func send(t *testing.T, peer *transport.Peer, envs ...wire.Envelope) {
 // collector, and the daemon's shutdown trailer must drain the merge to a
 // trace holding exactly that session.
 func TestDaemonEmitStreamsSessionRecords(t *testing.T) {
-	lc := startLiveCapture(t, true)
+	lc := startLiveCapture(t, true, nil)
 	peer := lc.dial(t, "testclient/2.0")
 	send(t, peer, message(guid.NewSource(7, 9), 1, &wire.Query{SearchText: "warcraft iii"}))
 	peer.Close()
@@ -180,7 +182,7 @@ func TestDaemonEmitStreamsSessionRecords(t *testing.T) {
 // self-pong record and the second client's session censored at the
 // trailer instant, and must characterize and render Table 1.
 func TestDaemonLiveTraceIsFullTrace(t *testing.T) {
-	lc := startLiveCapture(t, true)
+	lc := startLiveCapture(t, true, nil)
 	d := lc.d
 	stay := lc.dial(t, "stayer/1.0")
 	defer stay.Close()
@@ -205,9 +207,9 @@ func TestDaemonLiveTraceIsFullTrace(t *testing.T) {
 	peer.Close()
 	<-lc.served // the serve loop has read every message and closed
 
-	before := time.Since(d.start)
+	before := d.now()
 	tr := lc.drain(t)
-	after := time.Since(d.start)
+	after := d.now()
 
 	want := trace.MessageCounts{Ping: 1, Pong: 1, Query: 3, QueryHop1: 2, QueryHit: 1, Bye: 1}
 	if tr.Counts != want {
@@ -250,7 +252,7 @@ func TestDaemonLiveTraceIsFullTrace(t *testing.T) {
 // censored its session — instead of panicking on a send to the closed
 // record stream.
 func TestDaemonLateCloseAfterFinish(t *testing.T) {
-	lc := startLiveCapture(t, false)
+	lc := startLiveCapture(t, false, nil)
 	d := lc.d
 	peer := lc.dial(t, "late/1.0")
 	waitUntil(t, "peer admitted", d.locked(func() bool { return len(d.peers) == 1 }))
@@ -264,7 +266,7 @@ func TestDaemonLateCloseAfterFinish(t *testing.T) {
 // that completes its handshake is closed at once and recorded nowhere.
 // The cap is the recorder's MaxConns, lowered here from the paper's 200.
 func TestDaemonClosesConnBeyondCap(t *testing.T) {
-	lc := startLiveCapture(t, false)
+	lc := startLiveCapture(t, false, nil)
 	d := lc.d
 	cfg := capture.DefaultConfig(0, 0)
 	cfg.MaxConns = 1
@@ -292,14 +294,14 @@ func TestDaemonClosesConnBeyondCap(t *testing.T) {
 // handshakes and then goes silent must be reaped by the read deadline,
 // not held forever.
 func TestServeReapsIdleConns(t *testing.T) {
-	d := newDaemon(nil)
-	d.recordTo(0, nil)
-	defer d.finish()
 	l, err := transport.Listen("127.0.0.1:0", transport.Options{UserAgent: "repro-gnutellad/1.0", Ultrapeer: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	d := newDaemon(nil, l.Addr())
+	d.recordTo(0, nil)
+	defer d.finish()
 	go func() {
 		peer, err := l.Accept()
 		if err != nil {
@@ -318,5 +320,28 @@ func TestServeReapsIdleConns(t *testing.T) {
 	_ = peer.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := peer.Recv(); err == nil {
 		t.Fatal("client read succeeded after daemon reaped the conn")
+	}
+}
+
+// TestDaemonAdvertisesListenPort: the daemon's own PONG names the address
+// and port it listens on, whatever -listen chose, so a peer that learns
+// of it from a PONG (or a downloader from a QUERYHIT) can reach it.
+func TestDaemonAdvertisesListenPort(t *testing.T) {
+	lc := startLiveCapture(t, false, nil)
+	defer lc.d.finish()
+	peer := lc.dial(t, "pinger/1.0")
+	defer peer.Close()
+	send(t, peer, message(guid.NewSource(3, 1), 1, &wire.Ping{}))
+	_ = peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+	env, err := peer.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pong, ok := env.Payload.(*wire.Pong)
+	if !ok {
+		t.Fatalf("reply to a PING is %T, want *wire.Pong", env.Payload)
+	}
+	if want := netip.MustParseAddrPort(lc.addr); pong.Addr != want.Addr() || pong.Port != want.Port() {
+		t.Errorf("PONG advertises %v:%d, want %v", pong.Addr, pong.Port, want)
 	}
 }

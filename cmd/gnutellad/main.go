@@ -26,9 +26,6 @@
 // same merge; without it the stream is dropped. On SIGINT/SIGTERM the
 // daemon censors the sessions still open, sends its end-of-stream
 // trailer and waits for the final ack before exiting.
-//
-// It pairs with examples/livecapture, which connects synthetic clients
-// and runs the filter pipeline on what the daemon observed.
 package main
 
 import (
@@ -89,7 +86,6 @@ func main() {
 		f.Close()
 	}
 
-	d := newDaemon(files)
 	l, err := transport.Listen(*listen, transport.Options{
 		UserAgent: "repro-gnutellad/1.0",
 		Ultrapeer: true,
@@ -97,6 +93,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("listen: %v", err)
 	}
+	d := newDaemon(files, l.Addr())
 	log.Printf("gnutellad listening on %s (%d shared files)", l.Addr(), len(files))
 	if *metrics != "" {
 		ml, err := net.Listen("tcp", *metrics)
@@ -248,8 +245,11 @@ type daemon struct {
 	mu     sync.Mutex
 	node   *overlay.Node
 	peers  map[int]*transport.Peer
-	start  time.Time
 	online *stream.Online
+	// now is the daemon's one clock, read for every recorded instant and
+	// by the overlay node: wall time since newDaemon. Only tests replace
+	// it, before the first serve.
+	now func() time.Duration
 
 	// rec records every connection into prod, whose batches go to out
 	// (see recordTo); all three are guarded by mu.
@@ -266,12 +266,22 @@ type daemon struct {
 	mActive *obs.Gauge
 }
 
-func newDaemon(files []overlay.SharedFile) *daemon {
+// newDaemon builds a daemon for the listener bound at listen. Its PONGs
+// and QUERYHITs advertise that port, and that address unless it is the
+// unspecified one, which no peer can reach, or IPv6, which they cannot
+// carry (loopback stands in).
+func newDaemon(files []overlay.SharedFile, listen net.Addr) *daemon {
+	start := time.Now()
 	d := &daemon{
 		peers:  make(map[int]*transport.Peer),
-		start:  time.Now(),
+		now:    func() time.Duration { return time.Since(start) },
 		online: stream.NewOnline(stream.OnlineConfig{}),
 		reg:    obs.NewRegistry(),
+	}
+	self := listen.(*net.TCPAddr).AddrPort()
+	addr := self.Addr().Unmap()
+	if addr.IsUnspecified() || !addr.Is4() {
+		addr = netip.MustParseAddr("127.0.0.1")
 	}
 	obs.RegisterProcessMetrics(d.reg)
 	d.online.Register(d.reg)
@@ -282,10 +292,10 @@ func newDaemon(files []overlay.SharedFile) *daemon {
 	d.node = overlay.New(overlay.Config{
 		Self:      guid.NewSource(uint64(time.Now().UnixNano()), 1).Next(),
 		Ultrapeer: true,
-		Addr:      netip.MustParseAddr("127.0.0.1"),
-		Port:      6346,
+		Addr:      addr,
+		Port:      self.Port(),
 		Library:   files,
-		Now:       func() time.Duration { return time.Since(d.start) },
+		Now:       func() time.Duration { return d.now() },
 		Send: func(conn int, env wire.Envelope) {
 			if p, ok := d.peers[conn]; ok {
 				if err := p.Send(env); err != nil {
@@ -323,7 +333,7 @@ func (d *daemon) recordTo(input int, out chan<- stream.Batch) {
 // closed, so what they receive or close later records nothing.
 func (d *daemon) finish() {
 	d.mu.Lock()
-	d.rec.Finish(time.Since(d.start))
+	d.rec.Finish(d.now())
 	d.mu.Unlock()
 	close(d.out)
 }
@@ -349,7 +359,7 @@ func (d *daemon) metricsHandler(pprof bool) http.Handler {
 // overlay node routes it: the recorder's policy, the query counters, and
 // the online layer's view of hop-1 queries.
 func (d *daemon) observe(c *capture.Record, id int, env wire.Envelope) {
-	at := time.Since(d.start)
+	at := d.now()
 	d.rec.Wire(c, at, env)
 	if q, ok := env.Payload.(*wire.Query); ok {
 		d.mQuery.Inc()
@@ -372,7 +382,7 @@ func (d *daemon) serve(peer *transport.Peer, idle time.Duration) {
 		log.Printf("conn from %s refused: no free slot", peer.RemoteAddr())
 		return
 	}
-	id := int(d.rec.Open(&c, time.Since(d.start), addr.Addr().Unmap(), info.Ultrapeer, info.UserAgent))
+	id := int(d.rec.Open(&c, d.now(), addr.Addr().Unmap(), info.Ultrapeer, info.UserAgent))
 	d.prod.Flush()
 	d.peers[id] = peer
 	d.mConns.Inc()
@@ -389,7 +399,7 @@ func (d *daemon) serve(peer *transport.Peer, idle time.Duration) {
 		// The session record is final at close: feed it to the online
 		// layer with no queries — those were observed individually at
 		// receipt, and MergedSession would observe them a second time.
-		if conn := d.rec.Close(&c, time.Since(d.start), false); conn != nil {
+		if conn := d.rec.Close(&c, d.now(), false); conn != nil {
 			d.prod.Flush()
 			d.online.MergedSession(conn, nil)
 		}

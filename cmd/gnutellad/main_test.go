@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os/exec"
@@ -180,7 +181,7 @@ func TestCLIGnutelladServesQueriesAndMetrics(t *testing.T) {
 // serves Prometheus text over the daemon registry, /online.json the
 // online-characterization snapshot, and /metrics.json is gone.
 func TestGnutelladMetricsHandler(t *testing.T) {
-	d := newDaemon(nil)
+	d := newDaemon(nil, &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 6346})
 	d.mConns.Inc()
 	d.online.ObserveQuery(time.Second, "metallica one", false)
 	srv := httptest.NewServer(d.metricsHandler(false))

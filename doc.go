@@ -13,9 +13,8 @@
 //   - a synthetic peer population driven by the paper's published model
 //     (the generative ground truth);
 //   - the measurement node with the paper's exact observation rules —
-//     one policy, capture.Recorder, that the simulated vantage, the live
-//     daemon cmd/gnutellad and examples/livecapture all record through —
-//     and beyond it a multi-vantage measurement fabric: N cooperating
+//     one policy, capture.Recorder, that the simulated vantage and the
+//     live daemon cmd/gnutellad both record through — and beyond it a multi-vantage measurement fabric: N cooperating
 //     ultrapeer nodes (capture.Node) on one simulated network, sharding
 //     arrivals consistently by session GUID (guid.Shard) so that — with N
 //     sized so no per-node 200-connection cap binds — the merged trace
@@ -172,8 +171,7 @@
 // with or without it;
 // cmd/gnutellad -metrics serves the live snapshot of wire-ingested
 // traffic (Prometheus text at /metrics, the JSON snapshot with its top-K
-// keywords at /online.json); examples/livecapture feeds the same layer from
-// loopback TCP.
+// keywords at /online.json).
 //
 // # Declarative scenarios and the run facade
 //

@@ -24,10 +24,10 @@
 // by one observation policy, the clock- and transport-agnostic Recorder
 // (admission at the cap, per-type counts, hop-1 queries, the self-pong
 // and sampled pong and hit records, close and censoring, the trailer),
-// which cmd/gnutellad and examples/livecapture drive from real sockets
-// (Recorder.Wire). The simulated vantage delivers each message as a typed
-// Recorder call, so nothing the trace never sees is computed: no GUIDs,
-// envelopes or reverse routes, and no text for forwarded queries.
+// which cmd/gnutellad drives from real sockets (Recorder.Wire). The
+// simulated vantage delivers each message as a typed Recorder call, so
+// nothing the trace never sees is computed: no GUIDs, envelopes or
+// reverse routes, and no text for forwarded queries.
 //
 // Beyond the paper's single vantage, the deployment grows the way the
 // distributed-measurement literature does (Allali et al.'s distributed

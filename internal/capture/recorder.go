@@ -29,8 +29,8 @@ type Record struct {
 // MaxConns, connection IDs, per-type message counts, hop-1 queries kept
 // whole, the first self-pong kept and remote pongs and hits sampled, each
 // session record emitted at close, and the stream trailer. Every instant
-// is an argument, so the simulated vantage, cmd/gnutellad and
-// examples/livecapture all drive it. It is not safe for concurrent use.
+// is an argument, so the simulated vantage and cmd/gnutellad both drive
+// it. It is not safe for concurrent use.
 type Recorder struct {
 	cfg    Config
 	rng    *rand.Rand

@@ -1,11 +1,11 @@
 // Package faultnet injects network faults at the net.Conn level from a
 // deterministic, seeded schedule: connection drops (torn mid-write, then
 // dead), delivery delays, duplication and reordering of whole writes,
-// slow readers, and dial-time partition windows. It exists so the
-// distributed ingest layer (internal/ingest) can be tested — and CI-gated
-// — under the failure modes a real multi-machine capture fleet lives
-// with: the byte-identity contract must hold under *any* injected
-// schedule, and the seed makes a failing schedule reproducible.
+// and dial-time partition windows. It exists so the distributed ingest
+// layer (internal/ingest) can be tested — and CI-gated — under the
+// failure modes a real multi-machine capture fleet lives with: the
+// byte-identity contract must hold under *any* injected schedule, and
+// the seed makes a failing schedule reproducible.
 //
 // Faults are decided per write from a per-connection PCG stream derived
 // from Config.Seed and the connection's accept/dial ordinal, so the fault
@@ -64,12 +64,6 @@ type Config struct {
 	// delivering the write (DelayMax defaults to 50 ms).
 	DelayProb float64
 	DelayMax  time.Duration
-
-	// ReadChunk caps the bytes returned per Read and ReadDelay sleeps
-	// before each Read — together they make a slow reader that forces the
-	// peer's write path into its deadline handling.
-	ReadChunk int
-	ReadDelay time.Duration
 
 	// Partitions are dial-time outage windows, relative to New.
 	Partitions []Window
@@ -214,12 +208,6 @@ func (c *conn) Read(p []byte) (int, error) {
 	c.mu.Unlock()
 	if dead {
 		return 0, fmt.Errorf("%w: conn dropped", ErrInjected)
-	}
-	if c.cfg.ReadDelay > 0 {
-		time.Sleep(c.cfg.ReadDelay)
-	}
-	if c.cfg.ReadChunk > 0 && len(p) > c.cfg.ReadChunk {
-		p = p[:c.cfg.ReadChunk]
 	}
 	return c.Conn.Read(p)
 }

@@ -151,22 +151,6 @@ func TestPartitionWindowBlocksDial(t *testing.T) {
 	}
 }
 
-func TestSlowReaderChunks(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	slow := New(Config{ReadChunk: 3}).Wrap(b)
-	defer slow.Close()
-	go a.Write([]byte("0123456789"))
-	buf := make([]byte, 8)
-	n, err := slow.Read(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n > 3 {
-		t.Fatalf("slow reader returned %d bytes, want <= 3", n)
-	}
-}
-
 func TestListenerWrapsAcceptedConns(t *testing.T) {
 	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -10,10 +10,9 @@
 //
 // The engine is transport-agnostic and clock-agnostic: the embedder
 // supplies a Send callback and a Now function. It runs over real TCP
-// connections (internal/transport, in cmd/gnutellad and the livecapture
-// example). The simulated vantage (internal/capture) does not embed it:
-// a passive logger routes nothing the study measures, so it records each
-// delivery directly.
+// connections (internal/transport, in cmd/gnutellad). The simulated
+// vantage (internal/capture) does not embed it: a passive logger routes
+// nothing the study measures, so it records each delivery directly.
 package overlay
 
 import (

@@ -12,24 +12,15 @@ import (
 	"repro/internal/wire"
 )
 
-// OnlineConfig parameterizes the online characterization layer.
-type OnlineConfig struct {
-	// TopKCapacity is the Space-Saving counter budget for the keyword
-	// ranking (0 = DefaultTopKCapacity). The ranking is exact while the
-	// distinct keyword-set count fits the capacity.
-	TopKCapacity int
-	// QuantileEpsilon is the rank-error bound of the duration and
-	// interarrival summaries (0 = DefaultQuantileEpsilon).
-	QuantileEpsilon float64
-	// RateBucket and RateBuckets shape the sliding rate windows
-	// (defaults: 60 × 1 minute = a one-hour window).
-	RateBucket  trace.Time
-	RateBuckets int
-}
+// OnlineConfig is NewOnline's parameter. It has no fields: the layer
+// runs at DefaultTopKCapacity, DefaultQuantileEpsilon and a one-hour rate
+// window of 60 one-minute buckets.
+type OnlineConfig struct{}
 
 // DefaultTopKCapacity holds the full keyword working set of a paper-scale
 // day with room to spare, so the CI-scale rankings are exact and the
-// full-scale ranking is exact for every key above N/capacity.
+// full-scale ranking is exact for every key above N/capacity. The
+// ranking is exact while the distinct keyword-set count fits it.
 const DefaultTopKCapacity = 8192
 
 // Online characterizes a query stream as it arrives, with state that
@@ -65,22 +56,13 @@ type Online struct {
 }
 
 // NewOnline builds the online layer.
-func NewOnline(cfg OnlineConfig) *Online {
-	if cfg.TopKCapacity <= 0 {
-		cfg.TopKCapacity = DefaultTopKCapacity
-	}
-	if cfg.RateBucket <= 0 {
-		cfg.RateBucket = time.Minute
-	}
-	if cfg.RateBuckets <= 0 {
-		cfg.RateBuckets = 60
-	}
+func NewOnline(OnlineConfig) *Online {
 	return &Online{
-		dur:      NewQuantile(cfg.QuantileEpsilon),
-		inter:    NewQuantile(cfg.QuantileEpsilon),
-		keywords: NewTopK(cfg.TopKCapacity),
-		arrivals: NewRateWindow(cfg.RateBucket, cfg.RateBuckets),
-		qrate:    NewRateWindow(cfg.RateBucket, cfg.RateBuckets),
+		dur:      NewQuantile(DefaultQuantileEpsilon),
+		inter:    NewQuantile(DefaultQuantileEpsilon),
+		keywords: NewTopK(DefaultTopKCapacity),
+		arrivals: NewRateWindow(time.Minute, 60),
+		qrate:    NewRateWindow(time.Minute, 60),
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package transport carries Gnutella messages over real network
 // connections: the v0.6 handshake followed by framed binary messages.
-// It backs the live measurement mode (cmd/gnutellad and the livecapture
-// example, both around the internal/overlay routing engine),
-// complementing the in-process simulation of internal/capture.
+// It backs the live measurement mode (cmd/gnutellad, around the
+// internal/overlay routing engine), complementing the in-process
+// simulation of internal/capture.
 package transport
 
 import (
