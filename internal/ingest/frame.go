@@ -163,6 +163,24 @@ type codec struct {
 	// s is where decoding puts a data frame's session records, queries
 	// and session strings until slabs.place moves them out.
 	s *slabs
+	// p holds the frame decoding returns and the parts it points at.
+	p parts
+}
+
+// parts are a decoded frame and the part values it can point at. A frame
+// reader decodes every frame into the same ones, so a decoded frame and
+// its part live until the reader decodes the next frame: its callers use
+// each frame before reading another, and keep only what decoding
+// allocates afresh (a data frame's events, a journal frame's lines, a
+// trailer).
+type parts struct {
+	f       frame
+	hello   helloFrame
+	welcome welcomeFrame
+	data    dataFrame
+	ack     ackFrame
+	journal journalFrame
+	jack    ackFrame
 }
 
 func (c *codec) fail(format string, args ...any) {
@@ -363,7 +381,10 @@ func (c *codec) event(ev *stream.Event) {
 		c.session(ev.Sess)
 	}
 	if flags&hasDone != 0 {
-		c.end(part(c, &ev.Done))
+		if c.dec {
+			ev.Done = new(stream.End)
+		}
+		c.end(ev.Done)
 	}
 	if flags&hasPong != 0 {
 		c.pong(&ev.Pong)
@@ -472,47 +493,49 @@ func (c *codec) frame(f *frame) {
 	uvar(c, &f.Kind)
 	switch f.Kind {
 	case frameHello:
-		h := part(c, &f.Hello)
+		h := own(c, &f.Hello, &c.p.hello)
 		svar(c, &h.Proto)
 		svar(c, &h.Input)
 		c.str(&h.Source)
 		c.float(&h.JournalTMs)
 	case frameWelcome:
-		w := part(c, &f.Welcome)
+		w := own(c, &f.Welcome, &c.p.welcome)
 		c.uvarint(&w.Resume)
 		c.uvarint(&w.JournalResume)
 		c.bool(&w.Evicted)
 	case frameData:
-		d := part(c, &f.Data)
+		d := own(c, &f.Data, &c.p.data)
 		c.uvarint(&d.FirstSeq)
 		slice(c, &d.Events, minEventLen, (*codec).event)
 	case frameAck:
-		c.uvarint(&part(c, &f.Ack).Seq)
+		c.uvarint(&own(c, &f.Ack, &c.p.ack).Seq)
 	case frameJournal:
-		j := part(c, &f.Journal)
+		j := own(c, &f.Journal, &c.p.journal)
 		c.uvarint(&j.FirstSeq)
 		slice(c, &j.Lines, 1, (*codec).bytes)
 	case frameJournalAck:
-		c.uvarint(&part(c, &f.JAck).Seq)
+		c.uvarint(&own(c, &f.JAck, &c.p.jack).Seq)
 	case frameBye:
 	default:
 		c.fail("unknown frame kind %d", f.Kind)
 	}
 }
 
-// part returns the struct *p points to for the codec to walk, first
-// allocating it when decoding.
-func part[T any](c *codec, p **T) *T {
+// own points *p at v, zeroed, when decoding — a part the reader reuses
+// (see parts) — and returns the struct *p points to.
+func own[T any](c *codec, p **T, v *T) *T {
 	if c.dec {
-		*p = new(T)
+		var zero T
+		*v = zero
+		*p = v
 	}
 	return *p
 }
 
 // appendFrame appends f as one wire unit to dst: a 4-byte big-endian
 // payload length, then the payload.
-func appendFrame(dst []byte, f *frame) ([]byte, error) {
-	c := codec{buf: append(dst, 0, 0, 0, 0)}
+func (c *codec) appendFrame(dst []byte, f *frame) ([]byte, error) {
+	c.dec, c.buf, c.off, c.err, c.s = false, append(dst, 0, 0, 0, 0), 0, nil, nil
 	c.frame(f)
 	n := len(c.buf) - len(dst) - 4
 	if c.err == nil && n > maxFrameLen {
@@ -529,13 +552,15 @@ func appendFrame(dst []byte, f *frame) ([]byte, error) {
 func decodeFrame(payload []byte) (*frame, error) { return new(slabs).decode(payload) }
 
 // decode decodes one payload, using s as a data frame's scratch. The
-// frame it returns shares no memory with payload or s, and a payload with
-// bytes left over is refused.
+// frame it returns and its part are s's own, valid until the next decode
+// (see parts); the rest of it shares no memory with payload or s. A
+// payload with bytes left over is refused.
 func (s *slabs) decode(payload []byte) (*frame, error) {
 	s.reset()
-	s.c = codec{dec: true, buf: payload, s: s}
 	c := &s.c
-	f := new(frame)
+	c.dec, c.buf, c.off, c.err, c.s = true, payload, 0, nil, s
+	f := &c.p.f
+	*f = frame{}
 	c.frame(f)
 	if c.err == nil && c.off != len(payload) {
 		c.fail("%d trailing bytes", len(payload)-c.off)
@@ -646,10 +671,11 @@ func (s *slabs) place(evs []stream.Event) {
 }
 
 // frameWriter encodes the frames of one writing goroutine into one
-// buffer it reuses.
+// buffer it reuses, with one codec it reuses.
 type frameWriter struct {
 	enc *obs.Histogram // when non-nil, observes the encode time in seconds
 	buf []byte
+	c   codec
 }
 
 // write encodes f and delivers it with a single Write: length prefix
@@ -661,7 +687,7 @@ func (fw *frameWriter) write(w io.Writer, f *frame) error {
 	if fw.enc != nil {
 		start = time.Now()
 	}
-	b, err := appendFrame(fw.buf[:0], f)
+	b, err := fw.c.appendFrame(fw.buf[:0], f)
 	if fw.enc != nil {
 		fw.enc.Observe(time.Since(start).Seconds())
 	}

@@ -2,7 +2,10 @@ package stream_test
 
 import (
 	"bytes"
+	"cmp"
 	"math/rand/v2"
+	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -126,48 +129,56 @@ func mergeStreams(traces ...*trace.Trace) *trace.Trace {
 	return drain(stream.NewMerger(len(traces), nil), traces...)
 }
 
-// replayAsStream plays a trace's sessions through a producer the way a
-// live vantage would: opens at Start in arrival order, closes at End in
-// end order — with closes genuinely out of arrival order — plus pongs,
-// hits and the trailer.
+// replayAsStream plays a trace through a producer the way a live vantage
+// would, every event at its own instant in nondecreasing time: opens at
+// Start in arrival order, closes at End in end order — with closes
+// genuinely out of arrival order — pongs and hits at their At, in the
+// trace's order where instants tie, and the trailer at the horizon.
 func replayAsStream(tr *trace.Trace, p *stream.Producer, horizon trace.Time) {
 	byConn := tr.QueriesPerConn()
 	type ev struct {
 		at   trace.Time
-		open bool
+		kind stream.Kind
 		idx  int
 	}
 	var evs []ev
 	for i := range tr.Conns {
-		evs = append(evs, ev{at: tr.Conns[i].Start, open: true, idx: i})
-		evs = append(evs, ev{at: tr.Conns[i].End, idx: i})
+		evs = append(evs, ev{at: tr.Conns[i].Start, kind: stream.EvOpen, idx: i})
+		evs = append(evs, ev{at: tr.Conns[i].End, kind: stream.EvClose, idx: i})
 	}
-	// Sort by time, opens before closes at equal times so an open always
-	// precedes its own close; stable keeps equal-start opens in arrival
-	// order, matching a live vantage.
+	for i := range tr.Pongs {
+		evs = append(evs, ev{at: tr.Pongs[i].At, kind: stream.EvPong, idx: i})
+	}
+	for i := range tr.Hits {
+		evs = append(evs, ev{at: tr.Hits[i].At, kind: stream.EvHit, idx: i})
+	}
+	// Sort by time, opens first at equal times so an open always precedes
+	// its own close; stable keeps equal-start opens in arrival order,
+	// matching a live vantage, and equal-instant pongs and hits in the
+	// trace's order.
 	sort.SliceStable(evs, func(a, b int) bool {
 		if evs[a].at != evs[b].at {
 			return evs[a].at < evs[b].at
 		}
-		return evs[a].open && !evs[b].open
+		return evs[a].kind == stream.EvOpen && evs[b].kind != stream.EvOpen
 	})
 	for _, e := range evs {
-		c := tr.Conns[e.idx]
-		if e.open {
+		switch e.kind {
+		case stream.EvOpen:
+			c := tr.Conns[e.idx]
 			p.Open(c.ID, c.Start)
-			continue
+		case stream.EvClose:
+			c := tr.Conns[e.idx]
+			rec := &stream.SessionRecord{Conn: c}
+			for _, q := range byConn[e.idx] {
+				rec.Queries = append(rec.Queries, *q)
+			}
+			p.Close(c.ID, c.End, rec)
+		case stream.EvPong:
+			p.Pong(tr.Pongs[e.idx])
+		case stream.EvHit:
+			p.Hit(tr.Hits[e.idx])
 		}
-		rec := &stream.SessionRecord{Conn: c}
-		for _, q := range byConn[e.idx] {
-			rec.Queries = append(rec.Queries, *q)
-		}
-		p.Close(c.ID, c.End, rec)
-	}
-	for _, pg := range tr.Pongs {
-		p.Pong(pg)
-	}
-	for _, h := range tr.Hits {
-		p.Hit(h)
 	}
 	p.Done(horizon, &stream.End{
 		Counts: tr.Counts, Seed: tr.Seed, Scale: tr.Scale, Days: tr.Days,
@@ -182,13 +193,9 @@ func replayAsStream(tr *trace.Trace, p *stream.Producer, horizon trace.Time) {
 func TestMergerLiveStreamsMatchBatch(t *testing.T) {
 	traces := fleetTraces(t, 5, 2, 3)
 	want := traceBytes(t, trace.Merge(traces...))
-	m := stream.NewMerger(len(traces), nil)
-	got := traceBytes(t, drain(m, traces...))
+	got := traceBytes(t, mergeStreams(traces...))
 	if !bytes.Equal(want, got) {
 		t.Fatal("live-stream merge differs from batch trace.Merge")
-	}
-	if m.Emitted() != uint64(len(trace.Merge(traces...).Conns)) {
-		t.Fatalf("Emitted() = %d, want %d", m.Emitted(), len(trace.Merge(traces...).Conns))
 	}
 }
 
@@ -266,15 +273,24 @@ func TestMergerSinkSeesMergedOrder(t *testing.T) {
 }
 
 // FuzzMergeAgainstBatch cross-checks the streaming merge against batch
-// trace.Merge on tiny synthetic traces with adversarial overlap: equal
-// starts, duplicate sessions, interleaved queries.
+// trace.Merge on tiny synthetic traces with adversarial overlap, from one
+// to eight inputs: equal starts, duplicate sessions, queries out of the
+// section's order within a session (and before its start), pongs and hits
+// tied on their instant out of comparator order. A nonzero window (in
+// seconds) drives sessions down the spill path and reclaims the slots of
+// those still open past it.
 func FuzzMergeAgainstBatch(f *testing.F) {
-	f.Add(uint64(1), uint8(2), uint8(8))
-	f.Add(uint64(42), uint8(3), uint8(3))
-	f.Fuzz(func(t *testing.T, seed uint64, nodes, conns uint8) {
-		k := int(nodes)%4 + 1
+	f.Add(uint64(1), uint8(2), uint8(8), uint8(0))
+	f.Add(uint64(42), uint8(3), uint8(3), uint8(0))
+	f.Add(uint64(7), uint8(7), uint8(15), uint8(3))
+	f.Add(uint64(2004), uint8(5), uint8(12), uint8(1))
+	f.Add(uint64(9), uint8(0), uint8(15), uint8(2))
+	f.Fuzz(func(t *testing.T, seed uint64, nodes, conns, window uint8) {
+		k := int(nodes)%8 + 1
 		n := int(conns) % 16
 		rng := rand.New(rand.NewPCG(seed, 99))
+		addr := func() netip.Addr { return netip.AddrFrom4([4]byte{10, 0, 0, byte(rng.IntN(3))}) }
+		instant := func() trace.Time { return trace.Time(rng.IntN(20)) * time.Second }
 		traces := make([]*trace.Trace, k)
 		for i := range traces {
 			tr := &trace.Trace{Days: 1, Nodes: 1, PongSampleRate: 1, HitSampleRate: 1}
@@ -283,10 +299,10 @@ func FuzzMergeAgainstBatch(f *testing.F) {
 				end := start + trace.Time(rng.IntN(10)+1)*time.Second
 				id := uint64(len(tr.Conns))
 				tr.Conns = append(tr.Conns, trace.Conn{ID: id, Start: start, End: end})
-				for q := 0; q < rng.IntN(3); q++ {
+				for q := 0; q < rng.IntN(4); q++ {
 					tr.Queries = append(tr.Queries, trace.Query{
 						ConnID: id,
-						At:     start + trace.Time(rng.IntN(5))*time.Second,
+						At:     start + trace.Time(rng.IntN(8)-2)*time.Second,
 						Text:   string(rune('a' + rng.IntN(3))),
 						Hops:   1,
 					})
@@ -294,10 +310,20 @@ func FuzzMergeAgainstBatch(f *testing.F) {
 					tr.Counts.QueryHop1++
 				}
 			}
+			for range rng.IntN(6) {
+				tr.Pongs = append(tr.Pongs, trace.Pong{At: instant(), Addr: addr(), SharedFiles: uint32(rng.IntN(3)), Hops: 1})
+			}
+			for range rng.IntN(6) {
+				tr.Hits = append(tr.Hits, trace.Hit{At: instant(), Addr: addr(), Hops: uint8(rng.IntN(2) + 1)})
+			}
+			slices.SortStableFunc(tr.Pongs, func(a, b trace.Pong) int { return cmp.Compare(a.At, b.At) })
+			slices.SortStableFunc(tr.Hits, func(a, b trace.Hit) int { return cmp.Compare(a.At, b.At) })
 			traces[i] = tr
 		}
 		want := traceBytes(t, trace.Merge(traces...))
-		got := traceBytes(t, mergeStreams(traces...))
+		m := stream.NewMerger(k, nil)
+		m.SetWindow(trace.Time(window%16) * time.Second)
+		got := traceBytes(t, drain(m, traces...))
 		if !bytes.Equal(want, got) {
 			t.Fatal("streaming merge differs from batch merge")
 		}

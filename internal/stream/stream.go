@@ -30,8 +30,11 @@
 //     an Online sink computes — is deterministic, independent of how the
 //     producer goroutines interleave.
 //   - Bounded memory: a producer blocked on a full channel stops
-//     simulating (backpressure); the merger holds only in-flight sessions,
-//     plus completed sessions not yet past the emission barrier.
+//     simulating (backpressure). The merger holds one queue of sessions
+//     per input — the open ones, and the completed ones not yet past the
+//     emission barrier — and, until finish, what becomes the trace: the
+//     retired sessions' query lists and each input's run of pongs and
+//     hits, which finish sweeps and merges into the record sections.
 //   - Sketch accuracy: TopK is exact while the distinct-key count fits its
 //     capacity and ε-bounded beyond it (ErrBound reports the bound);
 //     Quantile answers every query within rank error ε·n (default
