@@ -32,6 +32,7 @@ FUZZ_TARGETS := \
 	internal/dist:FuzzFitZipf \
 	internal/dist:FuzzKS \
 	internal/dist:FuzzFitters \
+	internal/dist:FuzzPow \
 	internal/engine:FuzzKeyedReplayEquivalence \
 	internal/handshake:FuzzReadRequest \
 	internal/ingest:FuzzDecodeFrame \

@@ -19,7 +19,6 @@ package core
 import (
 	"math"
 	"math/rand/v2"
-	"sort"
 	"time"
 
 	"repro/internal/analysis"
@@ -337,11 +336,15 @@ func fitAll(sessions []analysis.Session, workers int, ksBootstrap int) Fits {
 
 // fitCell fits one appendix cell and scores the fit on its own sample.
 // distance measures a sample against a model and may reorder the sample;
-// draw samples a model the way the fitter assumes the data arose. The
-// bootstrap replicates use both. A sample below minFitSamples, or one the
-// fitter rejects, leaves the cell zero with Diag.OK unset.
+// it may use scratch, a buffer of the sample's length, as working space,
+// and must answer the same when scratch is nil. draw samples a model the
+// way the fitter assumes the data arose. The bootstrap replicates use
+// both, sharing one scratch that is allocated only when the cell is
+// bootstrapped, so a characterization without bootstrap pays nothing for
+// it. A sample below minFitSamples, or one the fitter rejects, leaves the
+// cell zero with Diag.OK unset.
 func fitCell[M any](xs []float64, boot bootCfg, fit func([]float64) (M, error),
-	distance func([]float64, M) float64, draw func(M, *rand.Rand) float64) (M, Diag) {
+	distance func(xs []float64, m M, scratch []float64) float64, draw func(M, *rand.Rand) float64) (M, Diag) {
 	var zero M
 	if len(xs) < minFitSamples {
 		return zero, Diag{N: len(xs)}
@@ -350,7 +353,11 @@ func fitCell[M any](xs []float64, boot bootCfg, fit func([]float64) (M, error),
 	if err != nil {
 		return zero, Diag{N: len(xs)}
 	}
-	d := Diag{OK: true, N: len(xs), KS: distance(xs, m)}
+	d := Diag{OK: true, N: len(xs), KS: distance(xs, m, nil)}
+	var scratch []float64
+	if boot.b > 0 {
+		scratch = make([]float64, len(xs))
+	}
 	d.KSP, d.KSPSource, d.Rejected = ksVerdict(d.KS, d.N, boot,
 		func(rng *rand.Rand, out []float64) {
 			for i := range out {
@@ -364,14 +371,15 @@ func fitCell[M any](xs []float64, boot bootCfg, fit func([]float64) (M, error),
 			if err != nil {
 				return math.NaN()
 			}
-			return distance(v, m2)
+			return distance(v, m2, scratch)
 		})
 	return m, d
 }
 
-// ksSorted sorts xs in place and returns its KS distance from d.
-func ksSorted[D dist.Dist](xs []float64, d D) float64 {
-	sort.Float64s(xs)
+// ksSorted sorts xs in place, radix-sorting through scratch when it has
+// room (dist.SortPositive), and returns its KS distance from d.
+func ksSorted[D dist.Dist](xs []float64, d D, scratch []float64) float64 {
+	dist.SortPositive(xs, scratch)
 	return dist.KSSorted(xs, d)
 }
 
@@ -390,7 +398,7 @@ func drawCount(m dist.Lognormal, rng *rand.Rand) float64 {
 // dominated by discretization rather than misfit and auto-reject every
 // A.2 fit. The p-value derived from this distance is conservative
 // (discrete-support KS).
-func ksRoundedCounts(xs []float64, m dist.Lognormal) float64 {
+func ksRoundedCounts(xs []float64, m dist.Lognormal, _ []float64) float64 {
 	hist := map[int]int{}
 	maxK := 0
 	for _, x := range xs {

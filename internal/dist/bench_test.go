@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
 	"testing"
 )
 
@@ -31,12 +30,16 @@ func benchSample(n int) []float64 {
 // left the truncated objectives, the Weibull objective was 90 % of the
 // bootstrap: math.Pow 61 %, the three logarithms it took per sample per
 // evaluation 27 %, replicate copy-and-sort 3 %. With ln x taken once per
-// fit and the ln α + α ln λ prefix once per evaluation, math.Pow alone is
-// 84 % and the in-place sort 3 %: ns/op 389 → 263 ms (medians of five
-// alternating runs), 3.9 → 1.7 MB and 2576 → 696 allocations per op. The
-// data pass is now one Pow per sample, so what is left to cut is the
-// number of evaluations (the iteration budget, warm starts) or the Pow
-// itself, and both move bits.
+// fit and the ln α + α ln λ prefix once per evaluation, math.Pow alone
+// was 84 %, and a third of that was its per-call overhead (Modf, Frexp,
+// Ldexp, the special-case switch), not Exp and Log; the sort was 4 %.
+// fixedPow (pow.go) splits the exponent once per evaluation and keeps
+// math.Pow's bits, and SortPositive radix-sorts the replicates: ns/op
+// 107 → 61 ms at n=1k and 1,107 → 615 ms at n=10k (three alternating
+// runs each). The power is now 78 % of the bootstrap, and Exp alone 50 %;
+// the sort is under 2 %. What is left to cut is the number of
+// evaluations (the iteration budget, warm starts) or Exp and Log
+// themselves, and both move bits.
 
 // BenchmarkFitLognormal is the closed-form (moment) fit — the baseline
 // the iterative fitters are compared against.
@@ -128,7 +131,8 @@ func BenchmarkFitWeibullLognormal(b *testing.B) {
 // BenchmarkKSPValueBootstrap is one fit slot's bootstrap verdict as
 // internal/core runs it for Table A.3: 99 replicates, each drawn from
 // the fitted Weibull–lognormal mixture into the one reused buffer,
-// refitted as drawn, then sorted in place and measured by KSSorted.
+// refitted as drawn, then sorted in place by SortPositive through the
+// slot's one scratch buffer and measured by KSSorted.
 func BenchmarkKSPValueBootstrap(b *testing.B) {
 	fit := func(v []float64) (BodyTail, error) { return FitWeibullLognormal(v, 0, 45) }
 	for _, n := range []int{1_000, 10_000} {
@@ -139,6 +143,7 @@ func BenchmarkKSPValueBootstrap(b *testing.B) {
 				b.Fatal(err)
 			}
 			observed := KS(xs, bt)
+			scratch := make([]float64, n)
 			spec := BootstrapSpec{
 				N: n, B: 99, Seed: 1,
 				Sample: func(rng *rand.Rand, out []float64) {
@@ -151,7 +156,7 @@ func BenchmarkKSPValueBootstrap(b *testing.B) {
 					if err != nil {
 						return math.NaN()
 					}
-					sort.Float64s(v)
+					SortPositive(v, scratch)
 					return KSSorted(v, bt2)
 				},
 			}

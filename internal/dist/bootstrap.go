@@ -32,7 +32,11 @@ type BootstrapSpec struct {
 	// xs for the duration of the call and may reorder it — typically it
 	// refits on xs as drawn, then sorts it in place for KSSorted — but
 	// must keep no reference to it after returning: the next replicate
-	// overwrites it.
+	// overwrites it. It may also use working space of its own that lives
+	// across replicates, such as the scratch buffer SortPositive sorts
+	// through; a caller allocates that once per fit slot, and only when
+	// it bootstraps that slot, so fits without a bootstrap never pay for
+	// it.
 	Distance func(xs []float64) float64
 }
 

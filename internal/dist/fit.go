@@ -65,55 +65,83 @@ func FitLognormal(xs []float64) (Lognormal, error) {
 // discretization, most severely for the Asian table whose counts are
 // mostly 1.
 func FitLognormalCounts(xs []float64) (Lognormal, error) {
-	if err := checkSample(xs, 2); err != nil {
+	o, err := newCountLL(xs)
+	if err != nil {
 		return Lognormal{}, err
+	}
+	mu, t := minimize2(o.negLL, o.mu0, o.t0, 0.2, 0.2)
+	return Lognormal{Sigma: math.Exp(t), Mu: mu}, nil
+}
+
+// countLL is FitLognormalCounts' objective over one sample: the negative
+// interval-censored log-likelihood in (µ, ln σ), with its log-moment
+// start (mu0, t0).
+type countLL struct {
+	cells   []countCell
+	mu0, t0 float64
+}
+
+// countCell is one count k, its multiplicity n, and the logs of its
+// censoring interval: hi = ln(k+0.5) and, for k > 1, lo = ln(k−0.5).
+type countCell struct {
+	k, n   int
+	lo, hi float64
+}
+
+func newCountLL(xs []float64) (countLL, error) {
+	if err := checkSample(xs, 2); err != nil {
+		return countLL{}, err
 	}
 	hist := make(map[int]int)
 	for _, x := range xs {
 		k := int(math.Round(x))
 		if k < 1 {
-			return Lognormal{}, fmt.Errorf("dist: count %v is not a positive integer", x)
+			return countLL{}, fmt.Errorf("dist: count %v is not a positive integer", x)
 		}
 		hist[k]++
 	}
 	if len(hist) < 2 {
-		return Lognormal{}, errZeroVariance
+		return countLL{}, errZeroVariance
 	}
-	// Flatten to sorted (count, multiplicity) cells: map iteration order
-	// would vary the floating-point summation order run-to-run, which can
-	// flip simplex comparisons and make the fit non-reproducible.
-	type cell struct{ k, n int }
-	cells := make([]cell, 0, len(hist))
+	// Flatten to sorted cells: map iteration order would vary the
+	// floating-point summation order run-to-run, which can flip simplex
+	// comparisons and make the fit non-reproducible. The interval logs
+	// never change between evaluations, so they are taken here.
+	cells := make([]countCell, 0, len(hist))
 	for k, n := range hist {
-		cells = append(cells, cell{k, n})
+		c := countCell{k: k, n: n, hi: math.Log(float64(k) + 0.5)}
+		if k > 1 {
+			c.lo = math.Log(float64(k) - 0.5)
+		}
+		cells = append(cells, c)
 	}
 	sort.Slice(cells, func(a, b int) bool { return cells[a].k < cells[b].k })
 	mu0, s0 := logMoments(xs)
 	if s0 < 0.05 {
 		s0 = 0.05
 	}
-	negLL := func(mu, t float64) float64 {
-		if math.Abs(mu) > 60 || math.Abs(t) > 8 {
+	return countLL{cells: cells, mu0: mu0, t0: math.Log(s0)}, nil
+}
+
+func (o *countLL) negLL(mu, t float64) float64 {
+	if math.Abs(mu) > 60 || math.Abs(t) > 8 {
+		return math.MaxFloat64
+	}
+	s := math.Exp(t)
+	ll := 0.0
+	for _, c := range o.cells {
+		zHi := (c.hi - mu) / s
+		zLo := math.Inf(-1)
+		if c.k > 1 {
+			zLo = (c.lo - mu) / s
+		}
+		p := normCDFDiff(zLo, zHi)
+		if p < 1e-300 {
 			return math.MaxFloat64
 		}
-		s := math.Exp(t)
-		ll := 0.0
-		for _, c := range cells {
-			zHi := (math.Log(float64(c.k)+0.5) - mu) / s
-			zLo := math.Inf(-1)
-			if c.k > 1 {
-				zLo = (math.Log(float64(c.k)-0.5) - mu) / s
-			}
-			p := normCDFDiff(zLo, zHi)
-			if p < 1e-300 {
-				return math.MaxFloat64
-			}
-			ll += float64(c.n) * math.Log(p)
-		}
-		return -ll
+		ll += float64(c.n) * math.Log(p)
 	}
-	mu, t := minimize2(negLL, mu0, math.Log(s0), 0.2, 0.2)
-	return Lognormal{Sigma: math.Exp(t), Mu: mu}, nil
+	return -ll
 }
 
 // fitTruncatedLognormal fits a lognormal to samples known to be the
@@ -247,11 +275,13 @@ func (o *truncatedWeibullLL) negLL(la, ll2 float64) float64 {
 	// Per-sample log-density ln α + α ln λ + (α−1) ln x − (λx)^α, summed
 	// left to right as written: the hoisted prefix is exactly the first
 	// partial sum, so every term rounds as it would inline. (λx)^α stays
-	// a Pow, since ln(λx) and ln λ + ln x differ in bits.
+	// a power, since ln(λx) and ln λ + ln x differ in bits; its exponent
+	// is split once per evaluation, not once per sample.
 	prefix := math.Log(alpha) + alpha*math.Log(lambda)
 	am1 := alpha - 1
+	pw := newFixedPow(alpha)
 	for i, x := range o.xs {
-		ll += prefix + am1*o.lxs[i] - math.Pow(lambda*x, alpha)
+		ll += prefix + am1*o.lxs[i] - pw.of(lambda*x)
 	}
 	if math.IsNaN(ll) || math.IsInf(ll, 0) {
 		return math.MaxFloat64

@@ -114,6 +114,7 @@ func FuzzFitters(f *testing.F) {
 		case 1:
 			m, err := FitLognormalCounts(xs)
 			check("FitLognormalCounts", m, err)
+			checkCountFitBitExact(t, xs)
 		case 2:
 			m, err := FitBimodalLognormal(xs, 64, 120)
 			check("FitBimodalLognormal", m, err)

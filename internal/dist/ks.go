@@ -42,6 +42,60 @@ func KSSorted(sorted []float64, d Dist) float64 {
 	return maxD
 }
 
+// radixMin is the shortest sample SortPositive radix-sorts: below it the
+// 256-entry digit counts cost more than comparison sorting saves.
+const radixMin = 256
+
+// SortPositive sorts xs ascending, leaving exactly what sort.Float64s
+// leaves. When every value is positive and finite and scratch holds at
+// least len(xs) values, it runs an LSD radix sort over the float bits,
+// one byte per pass, using scratch as the second buffer and skipping any
+// byte every key shares: such values order as their IEEE-754 encodings
+// do as unsigned integers, and equal values have equal bits, so the
+// result is the same slice. Otherwise — fewer than radixMin values, too
+// little scratch, or any zero, negative, infinite or NaN value — it calls
+// sort.Float64s. scratch is overwritten; nil scratch always takes the
+// comparison sort.
+func SortPositive(xs, scratch []float64) {
+	n := len(xs)
+	if n < radixMin || len(scratch) < n {
+		sort.Float64s(xs)
+		return
+	}
+	var counts [8][256]int
+	for _, x := range xs {
+		if !(x > 0 && x <= math.MaxFloat64) {
+			sort.Float64s(xs)
+			return
+		}
+		b := math.Float64bits(x)
+		for d := range counts {
+			counts[d][byte(b>>(8*d))]++
+		}
+	}
+	src, dst := xs, scratch[:n]
+	for d := range counts {
+		c := &counts[d]
+		shift := 8 * d
+		if c[byte(math.Float64bits(src[0])>>shift)] == n {
+			continue
+		}
+		sum := 0
+		for i, k := range c {
+			c[i], sum = sum, sum+k
+		}
+		for _, x := range src {
+			k := byte(math.Float64bits(x) >> shift)
+			dst[c[k]] = x
+			c[k]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &xs[0] {
+		copy(xs, src)
+	}
+}
+
 // KSPValue returns the two-sided asymptotic p-value of a one-sample
 // Kolmogorov–Smirnov distance d at sample size n: the probability that a
 // sample truly drawn from the model shows a distance at least this large.

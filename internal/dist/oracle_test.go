@@ -82,8 +82,13 @@ func refTruncatedWeibullObjective(xs []float64, lo, hi float64) (negLL func(la, 
 			return math.MaxFloat64
 		}
 		alpha, lambda := math.Exp(la), math.Exp(ll2)
-		w := Weibull{Alpha: alpha, Lambda: lambda}
-		norm := w.CDF(hi) - w.CDF(lo)
+		cdf := func(x float64) float64 {
+			if x <= 0 {
+				return 0
+			}
+			return -math.Expm1(-math.Pow(lambda*x, alpha))
+		}
+		norm := cdf(hi) - cdf(lo)
 		if norm < 1e-300 {
 			return math.MaxFloat64
 		}
@@ -98,6 +103,79 @@ func refTruncatedWeibullObjective(xs []float64, lo, hi float64) (negLL func(la, 
 		ll -= 1e-3 * (la*la + (ll2-l0)*(ll2-l0))
 		return -ll
 	}, l0
+}
+
+// refCountObjective is FitLognormalCounts' objective and start as they
+// read with both interval logs taken inside the objective; negLL is nil
+// where the fit refuses the sample.
+func refCountObjective(xs []float64) (negLL func(mu, t float64) float64, mu0, t0 float64) {
+	if checkSample(xs, 2) != nil {
+		return nil, 0, 0
+	}
+	hist := make(map[int]int)
+	for _, x := range xs {
+		k := int(math.Round(x))
+		if k < 1 {
+			return nil, 0, 0
+		}
+		hist[k]++
+	}
+	if len(hist) < 2 {
+		return nil, 0, 0
+	}
+	type cell struct{ k, n int }
+	cells := make([]cell, 0, len(hist))
+	for k, n := range hist {
+		cells = append(cells, cell{k, n})
+	}
+	sort.Slice(cells, func(a, b int) bool { return cells[a].k < cells[b].k })
+	mu0, s0 := refLogMoments(xs)
+	if s0 < 0.05 {
+		s0 = 0.05
+	}
+	return func(mu, t float64) float64 {
+		if math.Abs(mu) > 60 || math.Abs(t) > 8 {
+			return math.MaxFloat64
+		}
+		s := math.Exp(t)
+		ll := 0.0
+		for _, c := range cells {
+			zHi := (math.Log(float64(c.k)+0.5) - mu) / s
+			zLo := math.Inf(-1)
+			if c.k > 1 {
+				zLo = (math.Log(float64(c.k)-0.5) - mu) / s
+			}
+			p := normCDFDiff(zLo, zHi)
+			if p < 1e-300 {
+				return math.MaxFloat64
+			}
+			ll += float64(c.n) * math.Log(p)
+		}
+		return -ll
+	}, mu0, math.Log(s0)
+}
+
+// checkCountFitBitExact fails t unless the count fit agrees with the
+// reference objective bit for bit: the same verdict on the sample, the
+// same start, the same objective value at every point the reference's
+// simplex visits, and the same fitted parameters.
+func checkCountFitBitExact(t testing.TB, xs []float64) {
+	t.Helper()
+	o, err := newCountLL(xs)
+	refNegLL, refMu0, refT0 := refCountObjective(xs)
+	if (err != nil) != (refNegLL == nil) {
+		t.Fatalf("count fit: error %v, reference accepts %v", err, refNegLL != nil)
+	}
+	if err != nil {
+		return
+	}
+	checkBits(t, "count fit start", []float64{o.mu0, o.t0}, []float64{refMu0, refT0})
+	mu, tt := checkPath(t, "count fit", o.negLL, refNegLL, refMu0, refT0, 0.2)
+	got, err := FitLognormalCounts(xs)
+	if err != nil {
+		t.Fatalf("count fit: %v", err)
+	}
+	checkBits(t, "count fit", []float64{got.Mu, got.Sigma}, []float64{mu, math.Exp(tt)})
 }
 
 func refKS(xs []float64, d Dist) float64 {
@@ -146,7 +224,7 @@ func checkKernelsBitExact(t testing.TB, xs []float64, lo, hi float64) {
 	}
 	if err == nil {
 		checkBits(t, "truncated lognormal start", []float64{o.mu0, o.t0}, []float64{refMu0, refT0})
-		mu, tt := checkPath(t, "truncated lognormal", o.negLL, refNegLL, refMu0, refT0)
+		mu, tt := checkPath(t, "truncated lognormal", o.negLL, refNegLL, refMu0, refT0, 0.3)
 		ref := Lognormal{Sigma: math.Exp(tt), Mu: mu}
 		got, err := fitTruncatedLognormal(xs, lo, hi)
 		if err != nil {
@@ -159,7 +237,7 @@ func checkKernelsBitExact(t testing.TB, xs []float64, lo, hi float64) {
 	w := newTruncatedWeibullLL(xs, lo, hi)
 	refWNegLL, refL0 := refTruncatedWeibullObjective(xs, lo, hi)
 	checkBits(t, "truncated Weibull start", []float64{w.l0}, []float64{refL0})
-	la, ll2 := checkPath(t, "truncated Weibull", w.negLL, refWNegLL, 0, refL0)
+	la, ll2 := checkPath(t, "truncated Weibull", w.negLL, refWNegLL, 0, refL0, 0.3)
 	ref := Weibull{Alpha: math.Exp(la), Lambda: math.Exp(ll2)}
 	got, err := fitTruncatedWeibull(xs, lo, hi)
 	if err != nil {
@@ -169,10 +247,10 @@ func checkKernelsBitExact(t testing.TB, xs []float64, lo, hi float64) {
 	checkKS(t, "truncated Weibull", xs, got, ref)
 }
 
-// checkPath minimizes the reference objective from (a0, b0) as the
-// fitters do, asserts the optimized objective's bits at every point the
+// checkPath minimizes the reference objective from (a0, b0) with the
+// fitter's initial step, as the fitters do, asserts the optimized objective's bits at every point the
 // simplex evaluates, and returns the reference optimum.
-func checkPath(t testing.TB, name string, f, ref func(a, b float64) float64, a0, b0 float64) (float64, float64) {
+func checkPath(t testing.TB, name string, f, ref func(a, b float64) float64, a0, b0, step float64) (float64, float64) {
 	t.Helper()
 	evals := 0
 	a, b := minimize2(func(a, b float64) float64 {
@@ -182,7 +260,7 @@ func checkPath(t testing.TB, name string, f, ref func(a, b float64) float64, a0,
 			t.Fatalf("%s: objective(%v, %v) = %v, reference %v (evaluation %d)", name, a, b, got, want, evals)
 		}
 		return want
-	}, a0, b0, 0.3, 0.3)
+	}, a0, b0, step, step)
 	return a, b
 }
 
@@ -199,7 +277,7 @@ func checkKS(t testing.TB, name string, xs []float64, got, ref Dist) {
 	t.Helper()
 	want := refKS(xs, ref)
 	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
+	SortPositive(sorted, make([]float64, len(sorted)))
 	checkBits(t, name+" KS", []float64{KS(xs, got), KSSorted(sorted, got)}, []float64{want, want})
 }
 
@@ -230,6 +308,22 @@ func TestKernelsMatchReference(t *testing.T) {
 					checkKernelsBitExact(t, windowSample(seed, n, w[0], w[1]), w[0], w[1])
 				})
 			}
+		}
+	}
+}
+
+// TestCountFitMatchesReference pins FitLognormalCounts to its reference
+// bit for bit on rounded lognormal counts shaped like Table A.2's: mostly
+// ones (the Asian rows) through long-tailed (the European rows).
+func TestCountFitMatchesReference(t *testing.T) {
+	for _, mu := range []float64{-0.5, 0.5, 1.5} {
+		for _, n := range []int{2, 50, 5000} {
+			rng := rand.New(rand.NewPCG(uint64(n), math.Float64bits(mu)))
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = max(math.Round(math.Exp(mu+1.2*rng.NormFloat64())), 1)
+			}
+			checkCountFitBitExact(t, xs)
 		}
 	}
 }

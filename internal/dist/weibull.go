@@ -25,7 +25,7 @@ func (w Weibull) CDF(x float64) float64 {
 	if x <= 0 {
 		return 0
 	}
-	return -math.Expm1(-math.Pow(w.Lambda*x, w.Alpha))
+	return -math.Expm1(-pow(w.Lambda*x, w.Alpha))
 }
 
 // Quantile returns the p-quantile (1/λ)·(−ln(1−p))^{1/α}.
@@ -36,7 +36,7 @@ func (w Weibull) Quantile(p float64) float64 {
 	if p >= 1 {
 		return math.Inf(1)
 	}
-	return math.Pow(-math.Log1p(-p), 1/w.Alpha) / w.Lambda
+	return pow(-math.Log1p(-p), 1/w.Alpha) / w.Lambda
 }
 
 // Mean returns E[X] = Γ(1 + 1/α)/λ.
@@ -46,7 +46,7 @@ func (w Weibull) Mean() float64 {
 
 // Median returns (ln 2)^{1/α}/λ.
 func (w Weibull) Median() float64 {
-	return math.Pow(math.Ln2, 1/w.Alpha) / w.Lambda
+	return pow(math.Ln2, 1/w.Alpha) / w.Lambda
 }
 
 func (w Weibull) String() string {

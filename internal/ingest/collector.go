@@ -495,7 +495,7 @@ func (c *Collector) serve(conn net.Conn) {
 			return
 		}
 		_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-		if err := fw.write(conn, newAck(lane, ack)); err != nil {
+		if err := fw.write(conn, fw.out.setAck(lane, ack)); err != nil {
 			return
 		}
 	}

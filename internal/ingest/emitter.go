@@ -220,8 +220,8 @@ func (e *Emitter) Run() error {
 		connDone chan struct{}
 		inflight fifo[rttMark]
 
-		events  = sendQueue[stream.Event]{next: 1, frame: newDataFrame}
-		journal = sendQueue[[]byte]{frame: newJournalFrame}
+		events  = sendQueue[stream.Event]{next: 1, frame: (*parts).setData}
+		journal = sendQueue[[]byte]{frame: (*parts).setJournal}
 
 		intakeCh     = e.intake
 		intakeClosed bool
@@ -408,7 +408,7 @@ func (e *Emitter) Run() error {
 				// Idle keepalive: an empty data frame, so the collector's
 				// liveness layer can tell quiet from dead.
 				_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-				if err := e.fw.write(conn, newDataFrame(events.next, nil)); err != nil {
+				if err := e.fw.write(conn, e.fw.out.setData(events.next, nil)); err != nil {
 					teardown()
 				} else {
 					_ = conn.SetWriteDeadline(time.Time{})
@@ -486,13 +486,13 @@ func (e *Emitter) handshake(c net.Conn) (*welcomeFrame, error) {
 }
 
 // send writes q's unacked runs from index i on as frames of at most
-// maxFrameEvents items, built by q.frame, each a single deadline-bounded
-// Write. The frames reference the pushed slices; e.fw has encoded them
-// before it returns.
+// maxFrameEvents items, each filled into e.fw's own frame by q.frame and
+// written with a single deadline-bounded Write. The frames reference the
+// pushed slices; e.fw has encoded them before it returns.
 func send[T any](e *Emitter, c net.Conn, q *sendQueue[T], i int) error {
 	err := q.frames(i, maxFrameEvents, func(first uint64, items []T) error {
 		_ = c.SetWriteDeadline(time.Now().Add(writeTimeout))
-		return e.fw.write(c, q.frame(first, items))
+		return e.fw.write(c, q.frame(&e.fw.out, first, items))
 	})
 	if err != nil {
 		return err

@@ -125,23 +125,33 @@ type frame struct {
 	JAck    *ackFrame
 }
 
-// newDataFrame and newJournalFrame build one lane's frame for a
-// contiguous run whose first item carries seq first: the sendQueue
-// frame builders.
-func newDataFrame(first uint64, evs []stream.Event) *frame {
-	return &frame{Kind: frameData, Data: &dataFrame{FirstSeq: first, Events: evs}}
+// setData and setJournal fill p as one lane's frame for a contiguous run
+// whose first item carries seq first, and return it: the sendQueue frame
+// builders. A writer fills its own parts (frameWriter.out) for every
+// frame it writes, so writing one allocates nothing; the frame is valid
+// until p is filled again.
+func (p *parts) setData(first uint64, evs []stream.Event) *frame {
+	p.data = dataFrame{FirstSeq: first, Events: evs}
+	p.f = frame{Kind: frameData, Data: &p.data}
+	return &p.f
 }
 
-func newJournalFrame(first uint64, lines [][]byte) *frame {
-	return &frame{Kind: frameJournal, Journal: &journalFrame{FirstSeq: first, Lines: lines}}
+func (p *parts) setJournal(first uint64, lines [][]byte) *frame {
+	p.journal = journalFrame{FirstSeq: first, Lines: lines}
+	p.f = frame{Kind: frameJournal, Journal: &p.journal}
+	return &p.f
 }
 
-// newAck builds lane's cumulative ack frame.
-func newAck(lane int, seq uint64) *frame {
+// setAck fills p as lane's cumulative ack frame and returns it.
+func (p *parts) setAck(lane int, seq uint64) *frame {
 	if lane == laneJournal {
-		return &frame{Kind: frameJournalAck, JAck: &ackFrame{Seq: seq}}
+		p.jack = ackFrame{Seq: seq}
+		p.f = frame{Kind: frameJournalAck, JAck: &p.jack}
+	} else {
+		p.ack = ackFrame{Seq: seq}
+		p.f = frame{Kind: frameAck, Ack: &p.ack}
 	}
-	return &frame{Kind: frameAck, Ack: &ackFrame{Seq: seq}}
+	return &p.f
 }
 
 // codec walks one frame in either direction: encoding appends each field
@@ -167,12 +177,12 @@ type codec struct {
 	p parts
 }
 
-// parts are a decoded frame and the part values it can point at. A frame
-// reader decodes every frame into the same ones, so a decoded frame and
-// its part live until the reader decodes the next frame: its callers use
-// each frame before reading another, and keep only what decoding
-// allocates afresh (a data frame's events, a journal frame's lines, a
-// trailer).
+// parts are a frame and the part values it can point at. A frame reader
+// decodes every frame into the same ones, so a decoded frame and its part
+// live until the reader decodes the next frame: its callers use each
+// frame before reading another, and keep only what decoding allocates
+// afresh (a data frame's events, a journal frame's lines, a trailer). A
+// frame writer likewise fills its own for every frame it writes.
 type parts struct {
 	f       frame
 	hello   helloFrame
@@ -676,6 +686,7 @@ type frameWriter struct {
 	enc *obs.Histogram // when non-nil, observes the encode time in seconds
 	buf []byte
 	c   codec
+	out parts // the frame its caller fills for each write (see setData)
 }
 
 // write encodes f and delivers it with a single Write: length prefix

@@ -155,7 +155,7 @@ func randFrame(r *rand.Rand) *frame {
 		for i := range evs {
 			evs[i] = randEvent(r)
 		}
-		return newDataFrame(seq(), evs)
+		return new(parts).setData(seq(), evs)
 	case frameJournal:
 		var lines [][]byte
 		if n := r.IntN(6); n > 0 {
@@ -166,11 +166,11 @@ func randFrame(r *rand.Rand) *frame {
 				lines[i] = []byte(randString(r))
 			}
 		}
-		return newJournalFrame(seq(), lines)
+		return new(parts).setJournal(seq(), lines)
 	case frameAck:
-		return newAck(laneEvents, seq())
+		return new(parts).setAck(laneEvents, seq())
 	case frameJournalAck:
-		return newAck(laneJournal, seq())
+		return new(parts).setAck(laneJournal, seq())
 	default:
 		return &frame{Kind: kind}
 	}
@@ -377,7 +377,7 @@ func TestDecodeFrameAllocationBudget(t *testing.T) {
 				evs[i] = stream.Event{Kind: stream.EvHit, Time: at, Hit: trace.Hit{At: at, Addr: addr(), Hops: 3}}
 			}
 		}
-		b, err := appendFrame(nil, newDataFrame(1, evs))
+		b, err := appendFrame(nil, new(parts).setData(1, evs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -529,11 +529,11 @@ func TestCollectorRawFrames(t *testing.T) {
 		lane int
 		ack  uint64
 	}{
-		{newJournalFrame(2, [][]byte{line(2)}), laneJournal, 0},
-		{newJournalFrame(1, [][]byte{line(1)}), laneJournal, 2},
-		{newDataFrame(1, []stream.Event{{Kind: stream.EvDone, Time: time.Second, Done: &stream.End{Nodes: 1}}}), laneEvents, 1},
+		{new(parts).setJournal(2, [][]byte{line(2)}), laneJournal, 0},
+		{new(parts).setJournal(1, [][]byte{line(1)}), laneJournal, 2},
+		{new(parts).setData(1, []stream.Event{{Kind: stream.EvDone, Time: time.Second, Done: &stream.End{Nodes: 1}}}), laneEvents, 1},
 	} {
-		if got, err := exchange(c, step.f); err != nil || !reflect.DeepEqual(got, newAck(step.lane, step.ack)) {
+		if got, err := exchange(c, step.f); err != nil || !reflect.DeepEqual(got, new(parts).setAck(step.lane, step.ack)) {
 			t.Fatalf("after frame kind %d: got %+v, err %v; want ack %d on lane %d", step.f.Kind, got, err, step.ack, step.lane)
 		}
 	}
@@ -589,11 +589,11 @@ func TestCollectorWaitsForGoodbye(t *testing.T) {
 			t.Fatalf("welcome: frame %+v, err %v", f, err)
 		}
 		sent := time.Now()
-		trailer := newDataFrame(1, []stream.Event{{Kind: stream.EvDone, Time: time.Second, Done: &stream.End{Nodes: 1}}})
+		trailer := new(parts).setData(1, []stream.Event{{Kind: stream.EvDone, Time: time.Second, Done: &stream.End{Nodes: 1}}})
 		if err := writeFrame(c, trailer); err != nil {
 			t.Fatal(err)
 		}
-		if f, err := readFrame(c); err != nil || !reflect.DeepEqual(f, newAck(laneEvents, 1)) {
+		if f, err := readFrame(c); err != nil || !reflect.DeepEqual(f, new(parts).setAck(laneEvents, 1)) {
 			t.Fatalf("trailer ack: frame %+v, err %v", f, err)
 		}
 		return c, done, sent
@@ -652,7 +652,7 @@ func TestEmitterByeAfterCollectorGone(t *testing.T) {
 		}
 		_ = writeFrame(c, &frame{Kind: frameWelcome, Welcome: &welcomeFrame{}})
 		if f, err := readFrame(c); err == nil && f.Kind == frameData {
-			_ = writeFrame(c, newAck(laneEvents, uint64(len(f.Data.Events))))
+			_ = writeFrame(c, new(parts).setAck(laneEvents, uint64(len(f.Data.Events))))
 		}
 		_, _ = readFrame(c) // until the emitter closes
 	}()
@@ -692,4 +692,69 @@ func (c *failByeConn) Write(p []byte) (int, error) {
 		return 0, errors.New("bye lost")
 	}
 	return c.Conn.Write(p)
+}
+
+// discardConn accepts every write and counts them.
+type discardConn struct {
+	net.Conn
+	writes int
+}
+
+func (c *discardConn) Write(p []byte) (int, error) {
+	c.writes++
+	return len(p), nil
+}
+
+func (c *discardConn) SetWriteDeadline(time.Time) error { return nil }
+
+// TestFrameWritesAllocateNothing pins the steady-state write path at zero
+// allocations per frame: send fills the emitter's own frame for each data
+// frame it writes, and the collector's ack writer fills its own for each
+// ack, so once the encode buffer has grown nothing is allocated.
+func TestFrameWritesAllocateNothing(t *testing.T) {
+	evs := make([]stream.Event, 4*maxFrameEvents)
+	for i := range evs {
+		at := trace.Time(i) * time.Second
+		addr := netip.AddrFrom4([4]byte{10, byte(i), byte(i >> 8), 1})
+		switch i % 3 {
+		case 0:
+			rec := &stream.SessionRecord{Conn: trace.Conn{ID: uint64(i), Start: at, End: at + time.Minute, Addr: addr, UserAgent: "LimeWire/4.0"}}
+			rec.Queries = []trace.Query{{ConnID: uint64(i), At: at, Text: "free music", TTL: 7, Hops: 1}}
+			evs[i] = stream.Event{Kind: stream.EvClose, ID: uint64(i), Time: at, Sess: rec}
+		case 1:
+			evs[i] = stream.Event{Kind: stream.EvPong, Time: at, Pong: trace.Pong{At: at, Addr: addr, SharedFiles: 40, Hops: 2}}
+		default:
+			evs[i] = stream.Event{Kind: stream.EvHit, Time: at, Hit: trace.Hit{At: at, Addr: addr, Hops: 3}}
+		}
+	}
+	var e Emitter
+	q := sendQueue[stream.Event]{next: 1, frame: (*parts).setData}
+	q.push(evs)
+	c := &discardConn{}
+	if err := send(&e, c, &q, 0); err != nil { // grows the encode buffer
+		t.Fatal(err)
+	}
+	c.writes = 0
+	const runs = 20
+	if allocs := testing.AllocsPerRun(runs, func() {
+		if err := send(&e, c, &q, 0); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("send allocates %v times per %d data frames, want 0", allocs, len(evs)/maxFrameEvents)
+	}
+	if want := (runs + 1) * len(evs) / maxFrameEvents; c.writes != want {
+		t.Fatalf("%d frames written, want %d", c.writes, want)
+	}
+
+	var fw frameWriter
+	seq := uint64(0)
+	if allocs := testing.AllocsPerRun(runs, func() {
+		seq++
+		if err := fw.write(c, fw.out.setAck(int(seq%2), seq)); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("an ack write allocates %v times, want 0", allocs)
+	}
 }

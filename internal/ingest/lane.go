@@ -20,7 +20,7 @@ type sendQueue[T any] struct {
 	runs    fifo[[]T] // unacked items in seq order, as pushed
 	unacked int       // items across runs
 
-	frame func(first uint64, items []T) *frame // builds one lane frame (see frames)
+	frame func(p *parts, first uint64, items []T) *frame // fills p as one lane frame (see frames)
 }
 
 // push numbers items from next on and queues the ones past the acked
