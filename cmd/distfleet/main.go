@@ -110,9 +110,11 @@ func main() {
 	// before the kill even on a short run, so the journal story
 	// (heartbeat -> stalled -> evicted) has material to assert on. It
 	// must be well under the victim's whole stream: at the smoke size
-	// that is under 100 ms, so two heartbeats at 50 ms can arrive only
-	// after its trailer.
-	runScenario(p, scenario{name: "dead-input", kill: true, evictAfter: 2 * time.Second, heartbeat: 10 * time.Millisecond}, refHash, len(ref.Conns))
+	// that streams in 20–40 ms on two cores, faster than span_start and
+	// two 10 ms heartbeats can be applied and seen. So the victim alone
+	// also delays every write it makes by up to 4 ms: a lossless delay,
+	// which stretches its stream without changing a byte of it.
+	runScenario(p, scenario{name: "dead-input", kill: true, evictAfter: 2 * time.Second, heartbeat: 10 * time.Millisecond, slowVictim: 4 * time.Millisecond}, refHash, len(ref.Conns))
 
 	fmt.Println("distfleet-smoke PASS")
 }
@@ -124,7 +126,15 @@ type scenario struct {
 	restart    bool
 	evictAfter time.Duration // 0 = generous default (eviction must not fire)
 	heartbeat  time.Duration // 0 = 250ms default journal heartbeat
+	// slowVictim, when > 0, delays each of the killed vantage's writes
+	// by up to this much (faultnet's delay at probability 1, so nothing
+	// is lost), keeping it streaming until the kill lands.
+	slowVictim time.Duration
 }
+
+// victimOf is the input the kill scenarios SIGKILL: an interior one, 0
+// when nodes==1.
+func victimOf(p params) int { return (p.nodes - 1) / 2 }
 
 // runScenario brings up collector + subprocess emitters, applies the
 // scenario's interference, and dies loudly on any broken invariant.
@@ -170,7 +180,7 @@ func runScenario(p params, sc scenario, refHash [32]byte, refConns int) []byte {
 
 	victim := -1
 	if sc.kill {
-		victim = (p.nodes - 1) / 2 // an interior input, 0 when nodes==1
+		victim = victimOf(p)
 		// The kill must land after the victim has shipped journal lines
 		// too — its span_start (and, for the eviction story, heartbeats)
 		// must already be applied so the fleet journal can tell the story.
@@ -306,6 +316,12 @@ func startVantage(p params, sc scenario, addr string, input, life int) *exec.Cmd
 			"-retry-base", "1ms",
 			"-retry-cap", "20ms",
 		)
+	} else if sc.slowVictim > 0 && input == victimOf(p) {
+		args = append(args,
+			"-fault-seed", fmt.Sprint(p.seed+uint64(input)*31+uint64(life)*1009+1),
+			"-fault-delay", "1",
+			"-fault-delay-max", sc.slowVictim.String(),
+		)
 	}
 	cmd := exec.Command(p.bin, args...)
 	cmd.Stdout = os.Stderr
@@ -335,7 +351,7 @@ func waitApplied(p params, sc scenario, col *ingest.Collector, input int, min, m
 			log.Fatalf("%s: vantage %d never reached applied_seq %d / journal_seq %d (at %d / %d)",
 				sc.name, input, min, minJournal, st.AppliedSeq, st.JournalSeq)
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
 }
 

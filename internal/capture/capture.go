@@ -137,19 +137,21 @@ const quickSilentFraction = 0.05
 // departure with a BYE message (most 2004 clients did not).
 const byeFraction = 0.05
 
+// simConn is one accepted connection. Of its session it keeps only what
+// later events read: the immutable query stream, shared with the
+// caller's value, and the library size its pongs advertise. The peer's
+// address is the record's own (conn.Addr, set by Recorder.Open).
 type simConn struct {
 	Record // the connection's record, from acceptance to close
 	v      *vantage
-	// sess is the connection's own copy of its session, taken when the
-	// vantage accepted the arrival; it shares only the immutable query
-	// stream with the caller's value.
-	sess   behavior.Session
-	end    simtime.Time // client's true end (trace time)
+	plan   []behavior.TimedQuery // the session's query stream
+	end    simtime.Time          // client's true end (trace time)
+	files  uint32                // the session's shared-file count
 	silent bool
 	probeH simtime.Handle
 	// fixed holds the connection's argument-less event records, one per
-	// kind below numFixedKinds (see connEvent).
-	fixed [numFixedKinds]connEvent
+	// kind below numFixedKinds (see fixedEvent).
+	fixed [numFixedKinds]fixedEvent
 }
 
 // vantage is one measurement node of a fleet: its traffic model, random
@@ -201,15 +203,15 @@ func newVantage(cfg Config, idx int, sched simtime.Scheduler, sh *SharedModel, s
 }
 
 // arrive handles one session arrival assigned to this vantage. It keeps
-// no reference to sess: an accepted session is copied into its
-// connection, and a rejected one costs nothing.
+// no reference to sess: an accepted session's query stream and library
+// size are copied into its connection, and a rejected one costs nothing.
 func (s *vantage) arrive(now simtime.Time, sess *behavior.Session) {
 	if !s.rec.Admit() {
 		return
 	}
-	c := &simConn{v: s, sess: *sess, end: sess.End()}
+	c := &simConn{v: s, plan: sess.Queries, end: sess.End(), files: uint32(sess.SharedFiles)}
 	for k := range c.fixed {
-		c.fixed[k] = connEvent{kind: EventKind(k), c: c}
+		c.fixed[k] = fixedEvent{kind: EventKind(k), c: c}
 	}
 	if sess.Quick {
 		c.silent = s.rng.Float64() < quickSilentFraction
@@ -220,11 +222,11 @@ func (s *vantage) arrive(now simtime.Time, sess *behavior.Session) {
 
 	// The client announces itself with a pong shortly after the
 	// handshake.
-	s.after(300*time.Millisecond, &c.fixed[KindSelfPong])
+	s.after(300*time.Millisecond, &c.fixed[KindSelfPong], KindSelfPong)
 
 	// Schedule the client's query stream.
 	for i := range sess.Queries {
-		s.schedule(sess.Start+sess.Queries[i].Offset, s.event(KindClientQuery, c, int64(i)))
+		s.schedule(sess.Start+sess.Queries[i].Offset, s.event(KindClientQuery, c, int64(i)), KindClientQuery)
 	}
 
 	// Keepalive pings.
@@ -240,7 +242,7 @@ func (s *vantage) arrive(now simtime.Time, sess *behavior.Session) {
 	// Session end: an observed close, or silence for the probe machinery
 	// to detect.
 	if !c.silent {
-		s.schedule(c.end, &c.fixed[KindSessionEnd])
+		s.schedule(c.end, &c.fixed[KindSessionEnd], KindSessionEnd)
 	}
 	s.rearmProbe(c, s.cfg.ProbeIdle)
 }
@@ -251,7 +253,7 @@ func (s *vantage) selfPongFire(c *simConn, now simtime.Time) {
 	if c.closed {
 		return
 	}
-	s.rec.Pong(&c.Record, now, c.sess.Addr(), uint32(c.sess.SharedFiles), 1)
+	s.rec.Pong(&c.Record, now, c.conn.Addr, c.files, 1)
 	s.rearmProbe(c, s.cfg.ProbeIdle)
 }
 
@@ -261,7 +263,7 @@ func (s *vantage) clientQueryFire(c *simConn, i int, now simtime.Time) {
 		s.droppedQueryEvents++
 		return
 	}
-	q := &c.sess.Queries[i]
+	q := &c.plan[i]
 	s.scheduleResponses(c, s.rec.Query(&c.Record, now, q.Text, q.SHA1, 6), q, now)
 	s.rearmProbe(c, s.cfg.ProbeIdle)
 }
@@ -273,7 +275,7 @@ func (s *vantage) scheduleKeepalive(c *simConn) {
 	if at >= c.end {
 		return
 	}
-	s.schedule(at, &c.fixed[KindKeepalive])
+	s.schedule(at, &c.fixed[KindKeepalive], KindKeepalive)
 }
 
 func (s *vantage) keepaliveFire(c *simConn, now simtime.Time) {
@@ -303,7 +305,7 @@ func (s *vantage) scheduleRemote(c *simConn, kind EventKind) {
 		every = remoteHitEvery
 	}
 	gap := time.Duration(s.rng.ExpFloat64() * float64(every))
-	s.after(gap, &c.fixed[kind])
+	s.after(gap, &c.fixed[kind], kind)
 }
 
 func (s *vantage) remoteFire(c *simConn, kind EventKind, now simtime.Time) {
@@ -414,7 +416,7 @@ func (s *vantage) scheduleResponses(c *simConn, queryIdx int, q *behavior.TimedQ
 	}
 	for i := 0; i < n; i++ {
 		delay := 500*time.Millisecond + time.Duration(s.rng.Float64()*float64(8*time.Second))
-		s.after(delay, s.event(KindResponseHit, c, int64(queryIdx)))
+		s.after(delay, s.event(KindResponseHit, c, int64(queryIdx)), KindResponseHit)
 	}
 }
 
@@ -441,7 +443,7 @@ func (s *vantage) rearmProbe(c *simConn, idle time.Duration) {
 		return
 	}
 	s.sched.Cancel(c.probeH)
-	c.probeH = s.after(idle, &c.fixed[KindProbe])
+	c.probeH = s.after(idle, &c.fixed[KindProbe], KindProbe)
 }
 
 // probeFire implements the paper's liveness rule.
@@ -455,9 +457,9 @@ func (s *vantage) probeFire(c *simConn, now simtime.Time) {
 		// If it dies right after the probe, the deadline below still
 		// closes the connection.
 		rtt := 100*time.Millisecond + time.Duration(s.rng.Float64()*float64(300*time.Millisecond))
-		s.after(rtt, &c.fixed[KindProbeReply])
+		s.after(rtt, &c.fixed[KindProbeReply], KindProbeReply)
 	}
-	s.schedule(now+s.cfg.ProbeTimeout, s.event(KindProbeDeadline, c, int64(now)))
+	s.schedule(now+s.cfg.ProbeTimeout, s.event(KindProbeDeadline, c, int64(now)), KindProbeDeadline)
 }
 
 func (s *vantage) probeReplyFire(c *simConn, now simtime.Time) {
@@ -465,7 +467,7 @@ func (s *vantage) probeReplyFire(c *simConn, now simtime.Time) {
 		return // died between probe and response
 	}
 	// The reply is the client's own hop-1 pong.
-	s.rec.Pong(&c.Record, now, c.sess.Addr(), uint32(c.sess.SharedFiles), 1)
+	s.rec.Pong(&c.Record, now, c.conn.Addr, c.files, 1)
 	s.rearmProbe(c, s.cfg.ProbeRearmIdle)
 }
 

@@ -10,7 +10,7 @@ import (
 // event loop is almost entirely per-connection background traffic
 // (keepalives, forwarded queries, pongs and hits, idle probes), so every
 // event is a typed record — a kind, a connection and at most one scalar —
-// dispatched by one Fire, never a closure.
+// dispatched by one switch (vantage.fire), never a closure.
 type EventKind uint8
 
 const (
@@ -56,13 +56,20 @@ func (k EventKind) String() string { return eventKindNames[k] }
 // EventCounts tallies scheduled events by kind.
 type EventCounts [NumEventKinds]uint64
 
-// connEvent is one scheduled event of a connection. A record without an
-// argument never changes once its connection exists, so the single record
+// fixedEvent is one scheduled argument-less event of a connection. Such a
+// record never changes once its connection exists, so the single record
 // embedded in the connection (simConn.fixed) serves however many
 // instances of its kind are pending — one for the renewal chains and the
 // cancellable probe timer, several for probe replies when ProbeIdle is
-// shorter than ProbeTimeout. Records with an argument come from the
-// vantage's free list and return to it when they fire.
+// shorter than ProbeTimeout.
+type fixedEvent struct {
+	c    *simConn
+	kind EventKind
+}
+
+// connEvent is one scheduled event of a connection that carries an
+// argument. These come from the vantage's free list and return to it
+// when they fire.
 type connEvent struct {
 	c    *simConn
 	arg  int64
@@ -82,25 +89,32 @@ func (s *vantage) event(kind EventKind, c *simConn, arg int64) *connEvent {
 	return e
 }
 
-// schedule queues a connection event at an absolute instant and counts it.
-func (s *vantage) schedule(at simtime.Time, e *connEvent) simtime.Handle {
-	s.counts[e.kind]++
+// schedule queues a connection event of the given kind at an absolute
+// instant and counts it.
+func (s *vantage) schedule(at simtime.Time, e simtime.Event, kind EventKind) simtime.Handle {
+	s.counts[kind]++
 	return s.sched.Schedule(at, e)
 }
 
 // after queues a connection event delay after the current instant.
-func (s *vantage) after(delay time.Duration, e *connEvent) simtime.Handle {
-	return s.schedule(s.sched.Now()+delay, e)
+func (s *vantage) after(delay time.Duration, e simtime.Event, kind EventKind) simtime.Handle {
+	return s.schedule(s.sched.Now()+delay, e, kind)
 }
 
 // Fire implements simtime.Event.
+func (e *fixedEvent) Fire(now simtime.Time) { e.c.v.fire(e.c, e.kind, 0, now) }
+
+// Fire implements simtime.Event: the record goes back to the free list
+// before its event runs, which may draw it again.
 func (e *connEvent) Fire(now simtime.Time) {
 	c, kind, arg := e.c, e.kind, e.arg
-	s := c.v
-	if kind >= numFixedKinds {
-		e.c = nil
-		s.freeEvents = append(s.freeEvents, e)
-	}
+	e.c = nil
+	c.v.freeEvents = append(c.v.freeEvents, e)
+	c.v.fire(c, kind, arg, now)
+}
+
+// fire dispatches one connection event of either record type.
+func (s *vantage) fire(c *simConn, kind EventKind, arg int64, now simtime.Time) {
 	switch kind {
 	case KindKeepalive:
 		s.keepaliveFire(c, now)

@@ -3,6 +3,7 @@ package capture
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/behavior"
 	"repro/internal/simtime"
@@ -99,5 +100,13 @@ func TestEventLoopAllocationBudget(t *testing.T) {
 	t.Logf("%d allocations over %d scheduled events = %.3f per event", after.Mallocs-before.Mallocs, events, perEvent)
 	if perEvent > 0.18 {
 		t.Errorf("%.3f allocations per scheduled event, budget 0.18", perEvent)
+	}
+}
+
+// TestSimConnSizeClass pins the accepted connection, allocated once per
+// admitted session, to the runtime's 320-byte size class.
+func TestSimConnSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(simConn{}); n > 320 {
+		t.Errorf("simConn is %d bytes, budget 320", n)
 	}
 }

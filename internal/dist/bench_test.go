@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"sort"
 	"testing"
 )
 
@@ -166,6 +167,29 @@ func BenchmarkKSPValueBootstrap(b *testing.B) {
 				if p := KSPValueBootstrap(observed, spec); math.IsNaN(p) {
 					b.Fatal("bootstrap abandoned the estimate")
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkSortPositive sizes SortPositive's two paths on replicate-sized
+// lognormal samples: the radix sort it runs from radixMin values on, and
+// the sort.Float64s it calls below. Each iteration copies the unsorted
+// sample back first, so both paths pay the same copy.
+func BenchmarkSortPositive(b *testing.B) {
+	for _, n := range []int{16, 32, 64, 128, 256, 512, 896, 1024} {
+		src := benchSample(n)
+		xs, scratch := make([]float64, n), make([]float64, n)
+		b.Run(fmt.Sprintf("n=%d/radix", n), func(b *testing.B) {
+			for range b.N {
+				copy(xs, src)
+				radixSort(xs, scratch)
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/Float64s", n), func(b *testing.B) {
+			for range b.N {
+				copy(xs, src)
+				sort.Float64s(xs)
 			}
 		})
 	}

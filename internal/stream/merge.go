@@ -12,7 +12,9 @@ import (
 // Sink observes the merged stream as it retires: one call per merged
 // session, in the final merged order, with the final dense connection ID
 // already assigned. The online characterization layer implements Sink; a
-// nil sink is allowed. Calls happen on the merger's goroutine.
+// nil sink is allowed. Calls happen on the merger's goroutine. c points
+// into the merger's own storage and is valid only during the call: a
+// sink that keeps the connection copies it.
 //
 // Sessions that take the spill path — those whose duration exceeds the
 // emission window (SetWindow), and closes that arrive where no open slot
@@ -73,10 +75,16 @@ type Merger struct {
 	spilled int
 
 	out *trace.Trace
-	// lists holds each merged session's query list — lists[id] belongs to
-	// out.Conns[id] — in the record's own order, until finish builds the
-	// Queries section from them; queries counts their records.
+	// chunks hold the emitted sessions in merged order, each with its
+	// query list in the record's own order. A chunk is filled to its
+	// capacity and never moves, so the sink's *trace.Conn can point into
+	// it; finish copies the chunks into out.Conns and lists, allocated
+	// once at their final length. lists[id] belongs to out.Conns[id]
+	// until finish builds the Queries section from them. emitted counts
+	// the sessions in the chunks and queries their query records.
+	chunks  []chunk
 	lists   [][]trace.Query
+	emitted int
 	queries int
 	remain  int // inputs that have not sent EvDone yet
 	// pending counts completed sessions held behind the barrier, and
@@ -498,19 +506,38 @@ func (st *inputState) sortGroup() {
 	}
 }
 
+// chunk is a run of emitted sessions: conns[i] and its query list
+// lists[i]. Neither slice grows past the capacity it was made with.
+type chunk struct {
+	conns []trace.Conn
+	lists [][]trace.Query
+}
+
+// mergeChunk is the most sessions one chunk holds. The first chunks are
+// smaller, each as large as all before it, so a short merge does not
+// reserve a full one.
+const mergeChunk = 4096
+
 func (m *Merger) emit(r *SessionRecord) {
 	if m.last != nil && compareRecords(m.last, r) == 0 {
 		m.dropDuplicate(r)
 		return
 	}
 	m.last = r
-	id := uint64(len(m.out.Conns))
+	k := len(m.chunks) - 1
+	if k < 0 || len(m.chunks[k].conns) == cap(m.chunks[k].conns) {
+		n := min(max(m.emitted, 256), mergeChunk)
+		m.chunks = append(m.chunks, chunk{conns: make([]trace.Conn, 0, n), lists: make([][]trace.Query, 0, n)})
+		k++
+	}
+	ch := &m.chunks[k]
 	c := r.Conn
-	c.ID = id
-	m.out.Conns = append(m.out.Conns, c)
-	m.lists = append(m.lists, r.Queries)
+	c.ID = uint64(m.emitted)
+	m.emitted++
+	ch.conns = append(ch.conns, c)
+	ch.lists = append(ch.lists, r.Queries)
 	m.queries += len(r.Queries)
-	m.merged(&m.out.Conns[id], r)
+	m.merged(&ch.conns[len(ch.conns)-1], r)
 }
 
 // merged hands one merged session to the sink and the metrics.
@@ -538,6 +565,7 @@ func (m *Merger) dropDuplicate(r *SessionRecord) {
 // holds exactly the records batch trace.Merge would, in its order.
 func (m *Merger) finish() {
 	m.advance()
+	m.collect()
 	if len(m.spill) > 0 {
 		m.foldSpill()
 	}
@@ -551,6 +579,20 @@ func (m *Merger) finish() {
 	}
 	m.out.Pongs = mergeRuns(pongs, comparePong)
 	m.out.Hits = mergeRuns(hits, compareHit)
+}
+
+// collect copies the emitted chunks into out.Conns and lists, each
+// allocated once with room for the spill fold, and drops the chunks.
+func (m *Merger) collect() {
+	if n := m.emitted + len(m.spill); n > 0 {
+		m.out.Conns = make([]trace.Conn, 0, n)
+		m.lists = make([][]trace.Query, 0, n)
+	}
+	for _, ch := range m.chunks {
+		m.out.Conns = append(m.out.Conns, ch.conns...)
+		m.lists = append(m.lists, ch.lists...)
+	}
+	m.chunks = nil
 }
 
 // foldSpill merges the spilled sessions into the inline-emitted sessions
@@ -590,9 +632,9 @@ func (m *Merger) foldSpill() {
 		return
 	}
 
+	// collect left room for every spilled session.
 	n := len(conns)
-	conns = slices.Grow(conns, len(sp))[:n+len(sp)]
-	lists = slices.Grow(lists, len(sp))[:n+len(sp)]
+	conns, lists = conns[:n+len(sp)], lists[:n+len(sp)]
 	at := make([]int, len(sp))
 	i := n - 1
 	for j := len(sp) - 1; j >= 0; j-- {

@@ -26,7 +26,11 @@ type Quantile struct {
 	eps float64
 	n   uint64
 	sum []gkTuple // sorted by v
-	buf []float64
+	// spare is the previous flush's summary array, which the next flush
+	// merges into: the two swap roles, so a summary that has stopped
+	// growing flushes without allocating.
+	spare []gkTuple
+	buf   []float64
 	// min/max are tracked exactly: the stream's extremes are free.
 	min, max float64
 }
@@ -141,7 +145,10 @@ func (q *Quantile) flush() {
 		threshold = 1
 	}
 
-	merged := make([]gkTuple, 0, len(q.sum)+len(q.buf))
+	merged := q.spare[:0]
+	if need := len(q.sum) + len(q.buf); cap(merged) < need {
+		merged = make([]gkTuple, 0, need)
+	}
 	i, j := 0, 0
 	for i < len(q.sum) || j < len(q.buf) {
 		if j >= len(q.buf) || (i < len(q.sum) && q.sum[i].v <= q.buf[j]) {
@@ -179,5 +186,5 @@ func (q *Quantile) flush() {
 		}
 		out = append(out, t)
 	}
-	q.sum = out
+	q.spare, q.sum = q.sum, out
 }

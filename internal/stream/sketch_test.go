@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -154,6 +155,116 @@ func TestQuantileBoundedSize(t *testing.T) {
 	}
 	if s := q.Size(); s > n/20 {
 		t.Fatalf("summary holds %d tuples for %d observations — not bounded", s, n)
+	}
+}
+
+// allocatingFlush is Quantile.flush as it was before the summary kept a
+// spare merge buffer: it merges into a freshly made slice. It is the
+// oracle the reusing flush is held to.
+func allocatingFlush(q *Quantile) {
+	if len(q.buf) == 0 {
+		return
+	}
+	sort.Float64s(q.buf)
+	q.n += uint64(len(q.buf))
+	threshold := uint64(2 * q.eps * float64(q.n))
+	if threshold < 1 {
+		threshold = 1
+	}
+	merged := make([]gkTuple, 0, len(q.sum)+len(q.buf))
+	i, j := 0, 0
+	for i < len(q.sum) || j < len(q.buf) {
+		if j >= len(q.buf) || (i < len(q.sum) && q.sum[i].v <= q.buf[j]) {
+			merged = append(merged, q.sum[i])
+			i++
+			continue
+		}
+		var del uint64
+		if i > 0 && i < len(q.sum) && threshold > 0 {
+			del = threshold - 1
+		}
+		merged = append(merged, gkTuple{v: q.buf[j], g: 1, del: del})
+		j++
+	}
+	q.buf = q.buf[:0]
+	out := merged[:0]
+	for k := 0; k < len(merged); k++ {
+		t := merged[k]
+		if k > 0 {
+			for k+1 < len(merged) && t.g+merged[k+1].g+merged[k+1].del < threshold {
+				next := merged[k+1]
+				next.g += t.g
+				t = next
+				k++
+			}
+		}
+		out = append(out, t)
+	}
+	q.sum = out
+}
+
+// TestQuantileFlushMatchesAllocatingFlush feeds one stream to a summary
+// and to a reference flushed by allocatingFlush, over well past 50
+// flushes, some forced early by Query: every summary tuple, every
+// Query(φ) and Size must agree.
+func TestQuantileFlushMatchesAllocatingFlush(t *testing.T) {
+	q, ref := NewQuantile(0.002), NewQuantile(0.002)
+	rng := rand.New(rand.NewPCG(3, 4))
+	flushes := 0
+	for i := range 60_000 {
+		v := math.Exp(3 + 1.5*rng.NormFloat64())
+		if i%3 == 0 {
+			v = float64(rng.IntN(40)) // ties
+		}
+		q.Add(v)
+		ref.min, ref.max = min(ref.min, v), max(ref.max, v)
+		ref.buf = append(ref.buf, v)
+		full := len(ref.buf) == cap(ref.buf)
+		if full || i%7919 == 0 {
+			allocatingFlush(ref)
+			flushes++
+			if !full {
+				q.flush()
+			}
+			if !slices.Equal(q.sum, ref.sum) {
+				t.Fatalf("after %d values: summary differs from the allocating flush's", i+1)
+			}
+			if q.Size() != ref.Size() {
+				t.Fatalf("after %d values: Size %d, allocating flush %d", i+1, q.Size(), ref.Size())
+			}
+			for _, phi := range []float64{0, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1} {
+				if got, want := q.Query(phi), ref.Query(phi); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("after %d values: Query(%g) = %g, allocating flush %g", i+1, phi, got, want)
+				}
+			}
+		}
+	}
+	if flushes < 50 {
+		t.Fatalf("only %d flushes compared", flushes)
+	}
+}
+
+// TestQuantileAddAllocatesNothing: once the summary has stopped growing,
+// a flush merges into the spare array of the one before, so Add
+// allocates nothing.
+func TestQuantileAddAllocatesNothing(t *testing.T) {
+	q := NewQuantile(0.001)
+	i := 0
+	add := func() {
+		for range cap(q.buf) {
+			q.Add(float64(i%100_000) * 0.37)
+			i++
+		}
+	}
+	for range 1000 {
+		add()
+	}
+	// One run is a whole flush cycle; AllocsPerRun(1, f) runs f once to
+	// warm up and reports the second run's exact count.
+	for range 50 {
+		if a := testing.AllocsPerRun(1, add); a != 0 {
+			t.Fatalf("a steady-state flush cycle of Add made %v allocations", a)
+		}
 	}
 }
 
