@@ -109,12 +109,9 @@ func main() {
 	// The fast heartbeat makes the victim ship several liveness lines
 	// before the kill even on a short run, so the journal story
 	// (heartbeat -> stalled -> evicted) has material to assert on. It
-	// must be well under the victim's whole stream: at the smoke size
-	// that streams in 20–40 ms on two cores, faster than span_start and
-	// two 10 ms heartbeats can be applied and seen. So the victim alone
-	// also delays every write it makes by up to 4 ms: a lossless delay,
-	// which stretches its stream without changing a byte of it.
-	runScenario(p, scenario{name: "dead-input", kill: true, evictAfter: 2 * time.Second, heartbeat: 10 * time.Millisecond, slowVictim: 4 * time.Millisecond}, refHash, len(ref.Conns))
+	// must be well under the victim's whole stream, which startVantage
+	// stretches with victimWriteDelay.
+	runScenario(p, scenario{name: "dead-input", kill: true, evictAfter: 2 * time.Second, heartbeat: 10 * time.Millisecond}, refHash, len(ref.Conns))
 
 	fmt.Println("distfleet-smoke PASS")
 }
@@ -126,11 +123,15 @@ type scenario struct {
 	restart    bool
 	evictAfter time.Duration // 0 = generous default (eviction must not fire)
 	heartbeat  time.Duration // 0 = 250ms default journal heartbeat
-	// slowVictim, when > 0, delays each of the killed vantage's writes
-	// by up to this much (faultnet's delay at probability 1, so nothing
-	// is lost), keeping it streaming until the kill lands.
-	slowVictim time.Duration
 }
+
+// victimWriteDelay bounds the delay a victim that stays dead puts on
+// each of its writes. At the smoke size an undelayed vantage streams its
+// whole input in 20–40 ms on two cores, sooner than its span_start and
+// two 10 ms heartbeats can be applied and seen, so the kill could land
+// after its trailer. A delay at probability 1 drops nothing, so the
+// stream's bytes are the same; only its pace changes.
+const victimWriteDelay = 4 * time.Millisecond
 
 // victimOf is the input the kill scenarios SIGKILL: an interior one, 0
 // when nodes==1.
@@ -316,11 +317,11 @@ func startVantage(p params, sc scenario, addr string, input, life int) *exec.Cmd
 			"-retry-base", "1ms",
 			"-retry-cap", "20ms",
 		)
-	} else if sc.slowVictim > 0 && input == victimOf(p) {
+	} else if sc.kill && !sc.restart && input == victimOf(p) {
 		args = append(args,
-			"-fault-seed", fmt.Sprint(p.seed+uint64(input)*31+uint64(life)*1009+1),
+			"-fault-seed", "1",
 			"-fault-delay", "1",
-			"-fault-delay-max", sc.slowVictim.String(),
+			"-fault-delay-max", victimWriteDelay.String(),
 		)
 	}
 	cmd := exec.Command(p.bin, args...)

@@ -222,11 +222,11 @@ func (s *vantage) arrive(now simtime.Time, sess *behavior.Session) {
 
 	// The client announces itself with a pong shortly after the
 	// handshake.
-	s.after(300*time.Millisecond, &c.fixed[KindSelfPong], KindSelfPong)
+	s.scheduleFixed(s.sched.Now()+300*time.Millisecond, c, KindSelfPong)
 
 	// Schedule the client's query stream.
 	for i := range sess.Queries {
-		s.schedule(sess.Start+sess.Queries[i].Offset, s.event(KindClientQuery, c, int64(i)), KindClientQuery)
+		s.scheduleArg(sess.Start+sess.Queries[i].Offset, c, KindClientQuery, int64(i))
 	}
 
 	// Keepalive pings.
@@ -242,7 +242,7 @@ func (s *vantage) arrive(now simtime.Time, sess *behavior.Session) {
 	// Session end: an observed close, or silence for the probe machinery
 	// to detect.
 	if !c.silent {
-		s.schedule(c.end, &c.fixed[KindSessionEnd], KindSessionEnd)
+		s.scheduleFixed(c.end, c, KindSessionEnd)
 	}
 	s.rearmProbe(c, s.cfg.ProbeIdle)
 }
@@ -275,7 +275,7 @@ func (s *vantage) scheduleKeepalive(c *simConn) {
 	if at >= c.end {
 		return
 	}
-	s.schedule(at, &c.fixed[KindKeepalive], KindKeepalive)
+	s.scheduleFixed(at, c, KindKeepalive)
 }
 
 func (s *vantage) keepaliveFire(c *simConn, now simtime.Time) {
@@ -305,7 +305,7 @@ func (s *vantage) scheduleRemote(c *simConn, kind EventKind) {
 		every = remoteHitEvery
 	}
 	gap := time.Duration(s.rng.ExpFloat64() * float64(every))
-	s.after(gap, &c.fixed[kind], kind)
+	s.scheduleFixed(s.sched.Now()+gap, c, kind)
 }
 
 func (s *vantage) remoteFire(c *simConn, kind EventKind, now simtime.Time) {
@@ -416,7 +416,7 @@ func (s *vantage) scheduleResponses(c *simConn, queryIdx int, q *behavior.TimedQ
 	}
 	for i := 0; i < n; i++ {
 		delay := 500*time.Millisecond + time.Duration(s.rng.Float64()*float64(8*time.Second))
-		s.after(delay, s.event(KindResponseHit, c, int64(queryIdx)), KindResponseHit)
+		s.scheduleArg(s.sched.Now()+delay, c, KindResponseHit, int64(queryIdx))
 	}
 }
 
@@ -443,7 +443,7 @@ func (s *vantage) rearmProbe(c *simConn, idle time.Duration) {
 		return
 	}
 	s.sched.Cancel(c.probeH)
-	c.probeH = s.after(idle, &c.fixed[KindProbe], KindProbe)
+	c.probeH = s.scheduleFixed(s.sched.Now()+idle, c, KindProbe)
 }
 
 // probeFire implements the paper's liveness rule.
@@ -457,9 +457,9 @@ func (s *vantage) probeFire(c *simConn, now simtime.Time) {
 		// If it dies right after the probe, the deadline below still
 		// closes the connection.
 		rtt := 100*time.Millisecond + time.Duration(s.rng.Float64()*float64(300*time.Millisecond))
-		s.after(rtt, &c.fixed[KindProbeReply], KindProbeReply)
+		s.scheduleFixed(s.sched.Now()+rtt, c, KindProbeReply)
 	}
-	s.schedule(now+s.cfg.ProbeTimeout, s.event(KindProbeDeadline, c, int64(now)), KindProbeDeadline)
+	s.scheduleArg(now+s.cfg.ProbeTimeout, c, KindProbeDeadline, int64(now))
 }
 
 func (s *vantage) probeReplyFire(c *simConn, now simtime.Time) {

@@ -1,10 +1,6 @@
 package capture
 
-import (
-	"time"
-
-	"repro/internal/simtime"
-)
+import "repro/internal/simtime"
 
 // EventKind names what a scheduled vantage event does when it fires. The
 // event loop is almost entirely per-connection background traffic
@@ -76,8 +72,17 @@ type connEvent struct {
 	kind EventKind
 }
 
-// event draws an argument-carrying record from the free list.
-func (s *vantage) event(kind EventKind, c *simConn, arg int64) *connEvent {
+// scheduleFixed queues the connection's own record of an argument-less
+// kind at an absolute instant and counts it.
+func (s *vantage) scheduleFixed(at simtime.Time, c *simConn, kind EventKind) simtime.Handle {
+	s.counts[kind]++
+	return s.sched.Schedule(at, &c.fixed[kind])
+}
+
+// scheduleArg draws a record carrying arg from the free list, queues it
+// at an absolute instant and counts it.
+func (s *vantage) scheduleArg(at simtime.Time, c *simConn, kind EventKind, arg int64) {
+	s.counts[kind]++
 	var e *connEvent
 	if n := len(s.freeEvents); n > 0 {
 		e = s.freeEvents[n-1]
@@ -86,19 +91,7 @@ func (s *vantage) event(kind EventKind, c *simConn, arg int64) *connEvent {
 		e = new(connEvent)
 	}
 	*e = connEvent{kind: kind, c: c, arg: arg}
-	return e
-}
-
-// schedule queues a connection event of the given kind at an absolute
-// instant and counts it.
-func (s *vantage) schedule(at simtime.Time, e simtime.Event, kind EventKind) simtime.Handle {
-	s.counts[kind]++
-	return s.sched.Schedule(at, e)
-}
-
-// after queues a connection event delay after the current instant.
-func (s *vantage) after(delay time.Duration, e simtime.Event, kind EventKind) simtime.Handle {
-	return s.schedule(s.sched.Now()+delay, e, kind)
+	s.sched.Schedule(at, e)
 }
 
 // Fire implements simtime.Event.

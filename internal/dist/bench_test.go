@@ -174,21 +174,27 @@ func BenchmarkKSPValueBootstrap(b *testing.B) {
 
 // BenchmarkSortPositive sizes SortPositive's two paths on replicate-sized
 // lognormal samples: the radix sort it runs from radixMin values on, and
-// the sort.Float64s it calls below. Each iteration copies the unsorted
-// sample back first, so both paths pay the same copy.
+// the sort.Float64s it calls below. Iterations cycle through distinct
+// samples, so the branch predictor cannot learn one sample's comparison
+// sequence; each copies its sample in first, so both paths pay the same
+// copy.
 func BenchmarkSortPositive(b *testing.B) {
-	for _, n := range []int{16, 32, 64, 128, 256, 512, 896, 1024} {
-		src := benchSample(n)
+	for _, n := range []int{16, 32, 48, 64, 96, 128, 256, 512} {
+		all := benchSample(max(64*n, 1<<16))
+		srcs := make([][]float64, len(all)/n)
+		for i := range srcs {
+			srcs[i] = all[i*n : (i+1)*n]
+		}
 		xs, scratch := make([]float64, n), make([]float64, n)
 		b.Run(fmt.Sprintf("n=%d/radix", n), func(b *testing.B) {
-			for range b.N {
-				copy(xs, src)
+			for i := range b.N {
+				copy(xs, srcs[i%len(srcs)])
 				radixSort(xs, scratch)
 			}
 		})
 		b.Run(fmt.Sprintf("n=%d/Float64s", n), func(b *testing.B) {
-			for range b.N {
-				copy(xs, src)
+			for i := range b.N {
+				copy(xs, srcs[i%len(srcs)])
 				sort.Float64s(xs)
 			}
 		})

@@ -44,11 +44,12 @@ func KSSorted(sorted []float64, d Dist) float64 {
 
 // radixMin is the shortest sample SortPositive radix-sorts: below it the
 // eight 256-entry digit counts cost more than comparison sorting saves.
-// BenchmarkSortPositive (-cpu 1, 2-core x86-64 VM, lognormal samples)
-// puts the crossover there: sort.Float64s takes 13 µs at n=512 against
-// the radix sort's 20 µs, the two are level near n=896, and at n=1024
-// the radix sort takes 41 µs against 55 µs.
-const radixMin = 896
+// On a 2-core x86-64 VM (one goroutine) both the bootstrap replicates the
+// reanalyze-boot workload sorts and BenchmarkSortPositive's samples put
+// the crossover between 56 and 96 values: at 64–80 values the radix sort
+// took 2.6 µs a replicate against sort.Float64s' 3.2 µs, and at 48–56
+// values 2.5 µs against 2.0 µs.
+const radixMin = 64
 
 // SortPositive sorts xs ascending, leaving exactly what sort.Float64s
 // leaves. When every value is positive and finite and scratch holds at

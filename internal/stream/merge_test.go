@@ -417,40 +417,28 @@ func TestMergerTinyWindowMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestMergerChunkBoundaries drains more than three full chunks of merged
-// sessions, with two spilled outliers whose merged positions straddle
-// the first full chunk's boundary and an exact duplicate pair whose
-// first copy is the last session of a chunk. The drained trace must
-// equal batch trace.Merge byte for byte. The sink must see every inline
-// session in merged order with its dense ID, and then the outliers,
-// each as the final trace holds it.
+// TestMergerChunkBoundaries drains more than three chunks of merged
+// sessions, the largest chunk size more than twice, from two interleaved
+// inputs. The drained trace must equal batch trace.Merge byte for byte,
+// and the sink must see every session in merged order with its dense ID,
+// as the final trace holds it.
 func TestMergerChunkBoundaries(t *testing.T) {
-	const window = 10 * time.Second
 	n := 3*stream.MergeChunk + 100
-	dup := 2*stream.MergeChunk - 1 // the chunk's last inline ID
-	base := &trace.Trace{Days: 1, Nodes: 1, PongSampleRate: 1, HitSampleRate: 1}
-	other := &trace.Trace{Days: 1, Nodes: 1, PongSampleRate: 1, HitSampleRate: 1}
-	addConn := func(tr *trace.Trace, start, end trace.Time, queries int) {
+	var in [2]*trace.Trace
+	for k := range in {
+		in[k] = &trace.Trace{Days: 1, Nodes: 1, PongSampleRate: 1, HitSampleRate: 1}
+	}
+	for i := range n {
+		tr := in[i%2]
 		id := uint64(len(tr.Conns))
-		tr.Conns = append(tr.Conns, trace.Conn{ID: id, Start: start, End: end})
-		for q := range queries {
+		start := trace.Time(i) * time.Second
+		tr.Conns = append(tr.Conns, trace.Conn{ID: id, Start: start, End: start + time.Second})
+		for q := range i % 3 {
 			tr.Queries = append(tr.Queries, trace.Query{ConnID: id, At: start + trace.Time(q)*time.Millisecond, Text: "q", Hops: 1})
 			tr.Counts.Query++
 			tr.Counts.QueryHop1++
 		}
 	}
-	for i := range n {
-		start := trace.Time(i) * time.Second
-		addConn(base, start, start+time.Second, i%3)
-	}
-	// Two outliers, longer than the window, that merge between the
-	// inline sessions emitted as the last of one full chunk and the
-	// first of the next.
-	edge := trace.Time(stream.MergeChunk-1)*time.Second + 500*time.Millisecond
-	addConn(other, edge, edge+100*time.Second, 1)
-	addConn(other, edge, edge+200*time.Second, 0)
-	// An exact copy of base's session dup.
-	addConn(other, trace.Time(dup)*time.Second, trace.Time(dup+1)*time.Second, dup%3)
 
 	type seen struct {
 		c       trace.Conn
@@ -459,38 +447,18 @@ func TestMergerChunkBoundaries(t *testing.T) {
 	var got []seen
 	sink := sinkFunc(func(c *trace.Conn, qs []trace.Query) { got = append(got, seen{*c, len(qs)}) })
 	m := stream.NewMerger(2, sink)
-	m.SetWindow(window)
-	merged := drain(m, base, other)
-	if !bytes.Equal(traceBytes(t, trace.Merge(base, other)), traceBytes(t, merged)) {
+	m.SetWindow(10 * time.Second)
+	merged := drain(m, in[0], in[1])
+	if !bytes.Equal(traceBytes(t, trace.Merge(in[0], in[1])), traceBytes(t, merged)) {
 		t.Fatal("chunked merge differs from batch trace.Merge")
 	}
-	if m.Spilled() != 2 {
-		t.Fatalf("spilled %d sessions, want the 2 outliers", m.Spilled())
-	}
-	if len(merged.Conns) != n+2 || len(got) != n+2 {
-		t.Fatalf("merged %d conns and the sink saw %d, want %d", len(merged.Conns), len(got), n+2)
+	if len(merged.Conns) != n || len(got) != n {
+		t.Fatalf("merged %d conns and the sink saw %d, want %d", len(merged.Conns), len(got), n)
 	}
 	perConn := merged.QueriesPerConn()
-	inline := 0
-	for i := range merged.Conns {
-		c := merged.Conns[i]
-		if c.End-c.Start > window {
-			continue
-		}
-		s := got[inline]
-		if s.c.ID != uint64(inline) {
-			t.Fatalf("sink saw inline session %d with ID %d", inline, s.c.ID)
-		}
-		s.c.ID = c.ID
-		if s.c != c || s.queries != len(perConn[i]) {
-			t.Fatalf("sink saw inline session %d as %+v with %d queries, trace has %+v with %d", inline, s.c, s.queries, c, len(perConn[i]))
-		}
-		inline++
-	}
-	for _, s := range got[inline:] {
-		c := merged.Conns[s.c.ID]
-		if c.End-c.Start <= window || s.c != c || s.queries != len(perConn[s.c.ID]) {
-			t.Fatalf("sink saw folded session %+v, trace has %+v", s.c, c)
+	for i, s := range got {
+		if s.c.ID != uint64(i) || s.c != merged.Conns[i] || s.queries != len(perConn[i]) {
+			t.Fatalf("sink saw session %d as %+v with %d queries, trace has %+v with %d", i, s.c, s.queries, merged.Conns[i], len(perConn[i]))
 		}
 	}
 }
