@@ -288,6 +288,18 @@ func saveFleetJournal(p params, sc scenario, journal []byte) {
 // restart (different fault seed, so the replayed connections see a
 // different fault schedule — a stricter test than replaying the same one).
 func startVantage(p params, sc scenario, addr string, input, life int) *exec.Cmd {
+	cmd := exec.Command(p.bin, vantageArgs(p, sc, addr, input, life)...)
+	cmd.Stdout = os.Stderr
+	cmd.Stderr = os.Stderr
+	if err := cmd.Start(); err != nil {
+		log.Fatalf("%s: start vantage %d: %v", sc.name, input, err)
+	}
+	return cmd
+}
+
+// vantageArgs is the command line of input's vantage process in its
+// life-th run (0 for the first, 1 for a restart) under scenario sc.
+func vantageArgs(p params, sc scenario, addr string, input, life int) []string {
 	args := []string{
 		"-collector", addr,
 		"-input", fmt.Sprint(input),
@@ -324,13 +336,7 @@ func startVantage(p params, sc scenario, addr string, input, life int) *exec.Cmd
 			"-fault-delay-max", victimWriteDelay.String(),
 		)
 	}
-	cmd := exec.Command(p.bin, args...)
-	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		log.Fatalf("%s: start vantage %d: %v", sc.name, input, err)
-	}
-	return cmd
+	return args
 }
 
 // waitApplied polls collector health until the input has applied at

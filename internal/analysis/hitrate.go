@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"encoding/binary"
 	"sort"
 
 	"repro/internal/geo"
@@ -52,25 +53,22 @@ func ComputeHitRates(tr *trace.Trace) HitRates {
 		hits  int
 		count int // same-day occurrence index of its keyword set, 1-based
 	}
-	dayCounts := map[int]map[string]int{}
-	var observations []obs
+	// One table counts every day's keyword sets: a count's key is the
+	// query's day (a varint) followed by its keyword key.
+	var dayCounts wire.KeyCounts
+	var key []byte
+	observations := make([]obs, 0, len(tr.Queries))
 	for i := range tr.Queries {
 		q := &tr.Queries[i]
 		if q.SHA1 {
 			continue
 		}
-		key := wire.KeywordKey(q.Text)
-		if key == "" {
+		key = binary.AppendVarint(key[:0], int64(simtime.DayIndex(q.At)))
+		day := len(key)
+		if key = wire.AppendKeywordKey(key, q.Text); len(key) == day {
 			continue
 		}
-		day := simtime.DayIndex(q.At)
-		dc := dayCounts[day]
-		if dc == nil {
-			dc = map[string]int{}
-			dayCounts[day] = dc
-		}
-		dc[key]++
-		observations = append(observations, obs{hits: int(q.Hits), count: dc[key]})
+		observations = append(observations, obs{hits: int(q.Hits), count: dayCounts.Add(key)})
 
 		if r := reg.Lookup(tr.Conns[q.ConnID].Addr); r < geo.NumContinental {
 			out.ByRegion[r].Add(float64(q.Hits))
@@ -87,7 +85,8 @@ func ComputeHitRates(tr *trace.Trace) HitRates {
 	}
 
 	// Popularity buckets and correlation.
-	var xs, ys []float64
+	xs := make([]float64, 0, len(observations))
+	ys := make([]float64, 0, len(observations))
 	bucketAgg := make([]struct {
 		n, answered int
 		hits        float64

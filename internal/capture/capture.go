@@ -179,9 +179,11 @@ type vantage struct {
 	// dayKeyCount tracks how often each keyword set was queried today at
 	// this vantage, the popularity proxy of the hit-response model (each
 	// monitor estimates popularity from its own shard, as a real
-	// distributed deployment would).
-	dayKeyCount map[string]int
+	// distributed deployment would). key is the buffer a query's keyword
+	// key is built in.
+	dayKeyCount wire.KeyCounts
 	dayOfCount  int
+	key         []byte
 }
 
 // newVantage builds node idx of a fleet deployment around the given
@@ -191,14 +193,13 @@ func newVantage(cfg Config, idx int, sched simtime.Scheduler, sh *SharedModel, s
 	salt := uint64(idx) * 0x9e3779b97f4a7c15
 	rng := rand.New(rand.NewPCG(cfg.Workload.Seed, 0xca9107e^salt))
 	return &vantage{
-		cfg:         cfg,
-		nodeIdx:     idx,
-		sched:       sched,
-		rng:         rng,
-		params:      sh.params,
-		geoReg:      sh.geoReg,
-		rec:         *NewRecorder(cfg, rng, sink),
-		dayKeyCount: make(map[string]int),
+		cfg:     cfg,
+		nodeIdx: idx,
+		sched:   sched,
+		rng:     rng,
+		params:  sh.params,
+		geoReg:  sh.geoReg,
+		rec:     *NewRecorder(cfg, rng, sink),
 	}
 }
 
@@ -391,17 +392,15 @@ func (s *vantage) scheduleResponses(c *simConn, queryIdx int, q *behavior.TimedQ
 			return
 		}
 	}
-	key := wire.KeywordKey(q.Text)
-	if key == "" {
+	if s.key = wire.AppendKeywordKey(s.key[:0], q.Text); len(s.key) == 0 {
 		return
 	}
 	// Reset the popularity proxy at day boundaries (hot sets drift).
 	if day := simtime.DayIndex(at); day != s.dayOfCount {
 		s.dayOfCount = day
-		s.dayKeyCount = make(map[string]int)
+		s.dayKeyCount.Reset()
 	}
-	s.dayKeyCount[key]++
-	reps := float64(s.dayKeyCount[key])
+	reps := float64(s.dayKeyCount.Add(s.key))
 
 	// P(no hit) shrinks and the expected source count grows with the
 	// day's repetition count of the keyword set.

@@ -194,39 +194,47 @@ func ApplyOpts(tr *trace.Trace, opts Options) *Result {
 
 // applyRange runs the per-connection rule passes over Conns[lo:hi).
 func applyRange(tr *trace.Trace, byConn [][]*trace.Query, lo, hi int, out *partial) {
-	// One keyword-history map per range, cleared between connections:
-	// rule 2's state is per-session, and reusing the table avoids an
-	// allocation per connection.
-	seen := make(map[string]bool, 16)
+	// One keyword table per range: it interns each keyword key, so a
+	// keyword set costs its string once per range (and not at all when
+	// the query text already is its key), and it notes the last
+	// connection that issued the set, which is rule 2's per-session
+	// history. Keys are built in buf and looked up without allocating.
+	type keyUse struct {
+		key  string
+		conn int
+	}
+	keys := make(map[string]keyUse)
+	var buf []byte
 	for i := lo; i < hi; i++ {
 		conn := &tr.Conns[i]
 		raw := byConn[i]
 
 		// Rules 1 and 2 operate on the query stream of one session.
-		clear(seen)
 		var kept []Query
 		for _, q := range raw {
-			key := wire.KeywordKey(q.Text)
+			buf = wire.AppendKeywordKey(buf[:0], q.Text)
 			// Rule 1: source-hunting re-queries carry a SHA1 URN and no
-			// keywords.
-			if q.SHA1 && key == "" {
+			// keywords. Keywordless non-SHA1 queries carry no user intent
+			// either; the paper's rule 1 folds these in ("empty keywords
+			// and SHA1 extension").
+			if len(buf) == 0 {
 				out.rule1++
 				continue
 			}
-			if key == "" {
-				// Keywordless non-SHA1 queries carry no user intent
-				// either; the paper's rule 1 folds these in ("empty
-				// keywords and SHA1 extension").
-				out.rule1++
-				continue
-			}
+			u, ok := keys[string(buf)]
 			// Rule 2: repeated keyword set within the session.
-			if seen[key] {
+			if ok && u.conn == i {
 				out.rule2++
 				continue
 			}
-			seen[key] = true
-			kept = append(kept, Query{At: q.At, Key: key})
+			if !ok {
+				if u.key = q.Text; u.key != string(buf) {
+					u.key = string(buf)
+				}
+			}
+			u.conn = i
+			keys[u.key] = u
+			kept = append(kept, Query{At: q.At, Key: u.key})
 		}
 
 		// Rule 3: short sessions are system behavior.

@@ -92,6 +92,11 @@ type CollectorConfig struct {
 	Obs *obs.Observer
 }
 
+// returnedArrays is how many applied event arrays an input keeps for
+// its readers to decode into: the merge applies a batch soon after the
+// reader hands it over, so a few cover the frames in flight.
+const returnedArrays = 4
+
 // maxReorder bounds each input's per-lane reorder buffer in items. A
 // connection that would overflow it is dropped, forcing an in-order
 // retransmit.
@@ -136,6 +141,10 @@ type inputTrack struct {
 	journal recvLane[[]byte]
 	done    bool
 	bye     bool
+	// returned takes back the event arrays of the batches the merge has
+	// applied (stream.Batch.Return), for the input's readers to decode the
+	// next data frames into.
+	returned chan []stream.Event
 
 	lastProgress time.Time
 	evicted      bool
@@ -217,6 +226,7 @@ func NewCollector(cfg CollectorConfig) (*Collector, error) {
 			input:        i,
 			source:       "input" + strconv.Itoa(i),
 			lastProgress: now, // a vantage that never connects still gets evicted
+			returned:     make(chan []stream.Event, returnedArrays),
 		}
 	}
 	c.obs = cfg.Obs
@@ -428,6 +438,7 @@ func (c *Collector) serve(conn net.Conn) {
 		return
 	}
 	t := c.tracks[h.Input]
+	fr.s.spare = t.returned
 
 	// The offset sample: collector journal clock minus the emitter's
 	// clock as stamped into the hello. Both ends pay the network delay
@@ -518,12 +529,21 @@ func (c *Collector) applyEvents(t *inputTrack, df *dataFrame) (ack uint64, ok bo
 		t.mu.Unlock()
 		c.obs.EventSrc("collector/"+src, "input_done", obs.A("input", t.input), obs.A("applied_seq", ack))
 	}
-	if len(run) > 0 {
-		select {
-		case c.merger.Intake() <- stream.Batch{Input: t.input, Events: run}:
-		case <-c.stop:
-			return 0, false
+	if len(run) == 0 {
+		// The frame was held (copied) or all duplicates: its array is free
+		// to decode into again.
+		if cap(df.Events) > 0 {
+			select {
+			case t.returned <- df.Events:
+			default:
+			}
 		}
+		return ack, true
+	}
+	select {
+	case c.merger.Intake() <- stream.Batch{Input: t.input, Events: run, Return: t.returned}:
+	case <-c.stop:
+		return 0, false
 	}
 	return ack, true
 }

@@ -74,10 +74,13 @@
 // of at most 256 items. The collector decodes each data frame into a
 // fixed handful of allocations: its events, one slab of session records,
 // one of queries, and one string arena holding only the frame's user
-// agents and query texts. The collector's recvLane applies items in seq
-// order exactly once — duplicates (seq ≤ applied) are dropped, a frame
-// past a gap is held in a reorder buffer of at most 1<<15 items — and
-// acks the highest contiguous seq applied. On reconnect the welcome
+// agents and query texts. The events go into an array the merge has
+// handed back to the input (stream.Batch.Return) when one is free, so a
+// steady stream allocates none for them. The collector's recvLane
+// applies items in seq order exactly once — duplicates (seq ≤ applied)
+// are dropped, a frame past a gap is held in a reorder buffer of at most
+// 1<<15 items, copied out of the frame's array — and acks the highest
+// contiguous seq applied. On reconnect the welcome
 // carries both watermarks (resume, journalResume): the emitter drops
 // each acked prefix and retransmits the rest. A *restarted* emitter
 // (fresh process) regenerates its deterministic event stream from seq 1

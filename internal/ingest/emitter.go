@@ -189,7 +189,9 @@ func (e *Emitter) Stop() { e.stopOnce.Do(func() { close(e.stop) }) }
 // A sent batch belongs to the emitter until Run returns: the retransmit
 // buffer keeps its Events slice itself, not a copy, and only reads it.
 // The sender must not write into a batch after sending it; the same
-// batch may be sent to any number of emitters (or mergers) at once.
+// batch may be sent to any number of emitters (or mergers) at once,
+// unless a merger could hand its array back to a sender still filling
+// arrays (stream.Batch.Return).
 func (e *Emitter) Intake() chan<- stream.Batch { return e.intake }
 
 // rttMark remembers when the data frame ending at seq was written, so

@@ -327,11 +327,20 @@ func (c *codec) bytes(p *[]byte) {
 }
 
 // slice walks a slice's length, then each item; minItem is an item's
-// smallest encoding.
+// smallest encoding. Decoding fills the array *p already holds when it
+// has room for the items, zeroed first, and allocates one otherwise.
 func slice[T any](c *codec, p *[]T, minItem int, item func(*codec, *T)) {
 	n, isNil := c.length(len(*p), *p == nil, minItem)
-	if c.dec && !isNil {
-		*p = make([]T, n)
+	if c.dec {
+		switch {
+		case isNil:
+			*p = nil
+		case n > 0 && n <= cap(*p):
+			*p = (*p)[:n]
+			clear(*p)
+		default:
+			*p = make([]T, n)
+		}
 	}
 	for i := range *p {
 		item(c, &(*p)[i])
@@ -516,6 +525,9 @@ func (c *codec) frame(f *frame) {
 	case frameData:
 		d := own(c, &f.Data, &c.p.data)
 		c.uvarint(&d.FirstSeq)
+		if c.dec {
+			d.Events = c.s.events()
+		}
 		slice(c, &d.Events, minEventLen, (*codec).event)
 	case frameAck:
 		c.uvarint(&own(c, &f.Ack, &c.p.ack).Seq)
@@ -599,6 +611,20 @@ type slabs struct {
 	qs   []trace.Query
 	strs []byte // the session strings' bytes, in decode order
 	lens []int  // the session strings' lengths, in decode order
+	// spare holds event arrays the merge has handed back to the reader's
+	// input (stream.Batch.Return); a data frame decodes into one when it
+	// can. nil until the reader knows its input.
+	spare <-chan []stream.Event
+}
+
+// events returns a spare event array for the next data frame, or nil.
+func (s *slabs) events() []stream.Event {
+	select {
+	case evs := <-s.spare:
+		return evs
+	default:
+		return nil
+	}
 }
 
 func (s *slabs) reset() {

@@ -125,7 +125,7 @@ func (f *fifo[T]) reset() { f.pop(len(f.items())) }
 // in seq order.
 type recvLane[T any] struct {
 	applied   uint64       // highest contiguous seq applied: the cumulative ack
-	held      map[uint64]T // items that arrived past a gap
+	held      map[uint64]T // items that arrived past a gap, copied: their frame's array is reused
 	reordered int          // arrivals held past a gap, ever
 }
 

@@ -2,6 +2,7 @@ package simtime
 
 import (
 	"math/rand/v2"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -340,6 +341,72 @@ func TestCalendarScanBoundedOnClusteredTraffic(t *testing.T) {
 	t.Logf("%.2f bucket entries examined per Step at %d pending, %d buckets", perStep, s.Pending(), len(s.buckets))
 	if perStep > 8 {
 		t.Errorf("%.2f bucket entries examined per Step, want ≤ 8", perStep)
+	}
+}
+
+// TestCalendarResizeReusesBuckets pins what the calendar allocates on
+// clustered traffic whose pending count rises and falls through several
+// size changes, as a vantage's does over a run: most events land within
+// the next ten seconds, the rest up to three days ahead. Once two cycles
+// have grown the item free list and the bucket arrays, an identical third
+// cycle allocates only each size change's bucket array and fresh slab
+// and the few buckets that outgrow their arrays (about 26 allocations
+// over 22,000 schedules). With fresh arrays at every size change, each
+// bucket that fills past its slack regrows them again: 1,077 allocations.
+func TestCalendarResizeReusesBuckets(t *testing.T) {
+	s := NewCalendarScheduler()
+	ev := EventFunc(func(Time) {})
+	schedules, resizes := 0, 0
+	cycle := func() {
+		rng := rand.New(rand.NewPCG(2004, 44))
+		at := func() Time {
+			if rng.IntN(4) == 0 {
+				return s.Now() + Time(rng.Int64N(int64(3*Day)))
+			}
+			return s.Now() + Time(300+rng.Int64N(8200))*time.Millisecond
+		}
+		size := len(s.buckets)
+		step := func() {
+			s.Step()
+			if len(s.buckets) != size {
+				size = len(s.buckets)
+				resizes++
+			}
+		}
+		// Rise to about 12 k pending, three schedules per Step …
+		for i := range 18000 {
+			s.Schedule(at(), ev)
+			schedules++
+			if i%3 == 0 {
+				step()
+			}
+		}
+		// … and fall back, one schedule per four Steps.
+		for i := 0; s.Pending() > 200; i++ {
+			step()
+			if i%4 == 0 {
+				s.Schedule(at(), ev)
+				schedules++
+			}
+		}
+	}
+	// The first cycle grows the item free list and the bucket arrays from
+	// an empty calendar; the second starts where every later one does.
+	cycle()
+	cycle()
+	schedules, resizes = 0, 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cycle()
+	runtime.ReadMemStats(&after)
+	allocs := after.Mallocs - before.Mallocs
+	perK := 1000 * float64(allocs) / float64(schedules)
+	t.Logf("third cycle: %d allocations over %d schedules (%.2f per 1,000), %d size changes", allocs, schedules, perK, resizes)
+	if resizes < 8 {
+		t.Fatalf("only %d size changes in a cycle; the test no longer exercises them", resizes)
+	}
+	if perK > 2 {
+		t.Errorf("%.2f allocations per 1,000 schedules, budget 2", perK)
 	}
 }
 

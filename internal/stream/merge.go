@@ -227,7 +227,10 @@ func (m *Merger) Spilled() int { return m.spilled }
 // Run consumes batches until every input has delivered its EvDone
 // trailer, then drains the queues and returns the merged trace. It must
 // run on its own goroutine while producers emit (the intake channel is
-// bounded — that bound is the backpressure window).
+// bounded — that bound is the backpressure window). Each batch's event
+// array goes back to its sender once applied (Batch.Return): what the
+// merge keeps of an event, it keeps by value or through the record
+// pointers the event carries, never in the array.
 func (m *Merger) Run() *trace.Trace {
 	for m.remain > 0 {
 		b := <-m.intake
@@ -236,6 +239,7 @@ func (m *Merger) Run() *trace.Trace {
 			m.apply(b.Input, st, &b.Events[i])
 		}
 		m.advance()
+		b.recycle()
 	}
 	m.finish()
 	return m.out

@@ -46,6 +46,7 @@ type Online struct {
 	inter *Quantile // within-session query interarrival, seconds
 
 	keywords *TopK
+	key      []byte // the keyword key being counted, built in place
 
 	arrivals *RateWindow
 	qrate    *RateWindow
@@ -102,8 +103,8 @@ func (o *Online) observeQueryLocked(at trace.Time, text string, sha1 bool) {
 	if sha1 {
 		return // source hunts carry no keywords
 	}
-	if key := wire.KeywordKey(text); key != "" {
-		o.keywords.Add(key)
+	if o.key = wire.AppendKeywordKey(o.key[:0], text); len(o.key) > 0 {
+		o.keywords.addKey(o.key)
 	}
 }
 

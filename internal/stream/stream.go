@@ -131,9 +131,32 @@ type Event struct {
 // the sender does not touch a batch after sending it. Consumers keep a
 // batch without copying it, and one batch may be fed to several
 // consumers, at once or one after another.
+//
+// Return, when set, is where the sender takes event arrays back to
+// refill, and it makes the Merger the batch's one consumer: once the
+// Merger has applied the batch it offers Events on Return without
+// blocking (a full channel drops the array) and never touches the array
+// again, so the sender may overwrite it. Any other consumer ignores
+// Return. Such a batch may go to more consumers only once its sender has
+// stopped reading Return, as when a recording of a finished producer's
+// batches is replayed; the records Events point to are never recycled,
+// only the array.
 type Batch struct {
 	Input  int
 	Events []Event
+	Return chan<- []Event
+}
+
+// recycle offers b's event array back to its sender, if it asked for
+// it; the caller must be done with the array.
+func (b *Batch) recycle() {
+	if b.Return == nil {
+		return
+	}
+	select {
+	case b.Return <- b.Events:
+	default:
+	}
 }
 
 // batchSize is the producer-side slab length. 256 events ≈ 30 KB per
@@ -144,18 +167,31 @@ const batchSize = 256
 // Producer accumulates one input's events and ships them to the merger's
 // shared intake in slabs. Not safe for concurrent use: each producer
 // belongs to exactly one goroutine (one vantage node's event loop).
+//
+// Every batch it sends carries the producer's own return channel, and a
+// flush refills from the arrays the merger has handed back before it
+// allocates one, so a producer feeding a merger settles on the few
+// arrays in flight. A consumer that keeps batches (an ingest emitter's
+// unacked queue, a recording) returns nothing, and the producer then
+// allocates a fresh array per batch.
 type Producer struct {
-	input int
-	out   chan<- Batch
-	buf   []Event
+	input    int
+	out      chan<- Batch
+	buf      []Event
+	returned chan []Event // arrays the merger has handed back
 }
+
+// producerSpare is how many returned arrays a producer's channel holds:
+// the merger returns a batch's array as soon as it has applied it, so a
+// few cover the batches in flight.
+const producerSpare = 4
 
 // NewProducer builds the producer for input (one of the merger's k
 // declared inputs). All producers of one merger share its intake channel;
 // per-producer order is preserved because each producer is single-
 // threaded and channel sends are FIFO per sender.
 func NewProducer(input int, out chan<- Batch) *Producer {
-	return &Producer{input: input, out: out, buf: make([]Event, 0, batchSize)}
+	return &Producer{input: input, out: out, buf: make([]Event, 0, batchSize), returned: make(chan []Event, producerSpare)}
 }
 
 // Emit appends one event, flushing the batch when full. A full intake
@@ -195,11 +231,17 @@ func (p *Producer) Done(at trace.Time, end *End) {
 	p.Flush()
 }
 
-// Flush ships the buffered events.
+// Flush ships the buffered events and takes the next array from the
+// returned ones, or allocates it.
 func (p *Producer) Flush() {
 	if len(p.buf) == 0 {
 		return
 	}
-	p.out <- Batch{Input: p.input, Events: p.buf}
-	p.buf = make([]Event, 0, batchSize)
+	p.out <- Batch{Input: p.input, Events: p.buf, Return: p.returned}
+	select {
+	case buf := <-p.returned:
+		p.buf = buf[:0]
+	default:
+		p.buf = make([]Event, 0, batchSize)
+	}
 }

@@ -50,12 +50,33 @@ func (t *TopK) Add(key string) { t.AddN(key, 1) }
 
 // AddN counts n occurrences of key.
 func (t *TopK) AddN(key string, n uint64) {
-	t.n += n
 	if e, ok := t.entries[key]; ok {
-		e.count += n
-		t.down(e.pos)
+		t.bump(e, n)
 		return
 	}
+	t.insert(key, n)
+}
+
+// addKey counts one occurrence of the key spelled by b. It allocates the
+// key's string only when the sketch starts counting that key: the
+// lookup of a counted one allocates nothing.
+func (t *TopK) addKey(b []byte) {
+	if e, ok := t.entries[string(b)]; ok {
+		t.bump(e, 1)
+		return
+	}
+	t.insert(string(b), 1)
+}
+
+func (t *TopK) bump(e *tkEntry, n uint64) {
+	t.n += n
+	e.count += n
+	t.down(e.pos)
+}
+
+// insert starts counting key, which the sketch does not hold, at n.
+func (t *TopK) insert(key string, n uint64) {
+	t.n += n
 	if len(t.heap) < t.cap {
 		e := &tkEntry{key: key, count: n, pos: len(t.heap)}
 		t.entries[key] = e

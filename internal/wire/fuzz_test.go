@@ -52,17 +52,22 @@ func FuzzParse(f *testing.F) {
 }
 
 // FuzzKeywordKey checks the canonicalization invariants on arbitrary
-// input: agreement with the reference definition, idempotence and
-// insensitivity to leading/trailing whitespace.
+// input: agreement with the reference definition, idempotence,
+// insensitivity to leading/trailing whitespace, and AppendKeywordKey
+// appending exactly KeywordKey's result after what its buffer holds.
 func FuzzKeywordKey(f *testing.F) {
 	for _, s := range []string{"", "a b", "B a", "  padded  ", "ümlaut ÜMLAUT", "x\ty\nz",
-		"b a b", "a\u00a0b", "i h g f e d c b a"} {
+		"b a b", "a\u00a0b", "i h g f e d c b a", "Blue MOUNTAIN blue", "j i h g f e d c b a j",
+		"dimu dimu dimu", "bakelo ", "ä b ä"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		k := KeywordKey(s)
 		if ref := referenceKeywordKey(s); k != ref {
 			t.Fatalf("KeywordKey(%q) = %q, reference says %q", s, k, ref)
+		}
+		if got := AppendKeywordKey([]byte("held|"), s); string(got) != "held|"+k {
+			t.Fatalf("AppendKeywordKey(%q) appended %q, KeywordKey says %q", s, got[len("held|"):], k)
 		}
 		if KeywordKey(k) != k {
 			t.Fatalf("not idempotent: %q → %q → %q", s, k, KeywordKey(k))

@@ -15,34 +15,52 @@ import (
 //
 // The key is the sorted, deduplicated, lower-cased keyword set joined by
 // single spaces. An empty or whitespace-only search text yields "".
+// Text that already is its key is returned as is; any other costs one
+// exact-size allocation. A key longer than 64 bytes is built on the heap,
+// one allocation more.
 func KeywordKey(searchText string) string {
-	if key, ok := asciiKeywordKey(searchText); ok {
-		return key
+	var buf [64]byte
+	key := AppendKeywordKey(buf[:0], searchText)
+	if string(key) == searchText {
+		return searchText
+	}
+	return string(key)
+}
+
+// AppendKeywordKey appends the KeywordKey of searchText to dst and returns
+// the extended buffer. For ASCII text without upper case and with at most
+// maxFastFields keywords — every query the vocabulary generates — it
+// allocates nothing beyond dst's growth, so a caller that keeps one
+// buffer can look a key up in a map (m[string(key)], which Go does not
+// allocate for) and pay for the key's string only when it inserts it.
+func AppendKeywordKey(dst []byte, searchText string) []byte {
+	if out, ok := appendASCIIKey(dst, searchText); ok {
+		return out
 	}
 	fields := strings.Fields(strings.ToLower(searchText))
 	if len(fields) == 0 {
-		return ""
+		return dst
 	}
 	sort.Strings(fields)
-	out := fields[:1]
-	for _, f := range fields[1:] {
-		if f != out[len(out)-1] {
-			out = append(out, f)
+	dst = append(dst, fields[0]...)
+	for i, f := range fields[1:] {
+		if f != fields[i] {
+			dst = append(dst, ' ')
+			dst = append(dst, f...)
 		}
 	}
-	return strings.Join(out, " ")
+	return dst
 }
 
-// maxFastFields bounds the keywords asciiKeywordKey sorts in place.
+// maxFastFields bounds the keywords appendASCIIKey sorts in place.
 const maxFastFields = 8
 
-// asciiKeywordKey is KeywordKey for ASCII text without upper case and with
-// at most maxFastFields keywords — every query the vocabulary generates —
-// and reports false for anything else. Text that already is its key is
-// returned as is; any other costs one exact-size allocation.
-func asciiKeywordKey(s string) (string, bool) {
+// appendASCIIKey is AppendKeywordKey for ASCII text without upper case and
+// with at most maxFastFields keywords, and reports false, with dst
+// untouched, for anything else.
+func appendASCIIKey(dst []byte, s string) ([]byte, bool) {
 	var fields [maxFastFields]string
-	n, size := 0, 0
+	n := 0
 	canonical := true // single ' ' separators, strictly ascending
 	for i := 0; i < len(s); {
 		if asciiSpace(s[i]) {
@@ -53,23 +71,19 @@ func asciiKeywordKey(s string) (string, bool) {
 		start := i
 		for ; i < len(s) && !asciiSpace(s[i]); i++ {
 			if c := s[i]; c >= utf8.RuneSelf || 'A' <= c && c <= 'Z' {
-				return "", false
+				return dst, false
 			}
 		}
 		if n == maxFastFields {
-			return "", false
+			return dst, false
 		}
 		f := s[start:i]
 		canonical = canonical && (n == 0 || fields[n-1] < f)
 		fields[n] = f
 		n++
-		size += len(f)
 	}
-	switch {
-	case n == 0:
-		return "", true
-	case canonical && size+n-1 == len(s):
-		return s, true
+	if canonical && n > 0 && !asciiSpace(s[len(s)-1]) {
+		return append(dst, s...), true
 	}
 	// Insertion sort, dropping duplicates as they meet.
 	m := 0
@@ -79,22 +93,49 @@ func asciiKeywordKey(s string) (string, bool) {
 			j--
 		}
 		if j > 0 && fields[j-1] == f {
-			size -= len(f)
 			continue
 		}
 		copy(fields[j+1:m+1], fields[j:m])
 		fields[j] = f
 		m++
 	}
-	var b strings.Builder
-	b.Grow(size + m - 1)
 	for i, f := range fields[:m] {
 		if i > 0 {
-			b.WriteByte(' ')
+			dst = append(dst, ' ')
 		}
-		b.WriteString(f)
+		dst = append(dst, f...)
 	}
-	return b.String(), true
+	return dst, true
+}
+
+// KeyCounts counts occurrences of keys given as bytes, such as keyword
+// keys built by AppendKeywordKey into a reused buffer. A key's string is
+// allocated the first time it is counted; counting it again allocates
+// nothing. The zero value is ready to use.
+type KeyCounts struct {
+	index  map[string]int // key → its slot in counts
+	counts []int
+}
+
+// Add counts one occurrence of key and returns its count so far.
+func (k *KeyCounts) Add(key []byte) int {
+	i, ok := k.index[string(key)]
+	if !ok {
+		if k.index == nil {
+			k.index = make(map[string]int)
+		}
+		i = len(k.counts)
+		k.index[string(key)] = i
+		k.counts = append(k.counts, 0)
+	}
+	k.counts[i]++
+	return k.counts[i]
+}
+
+// Reset forgets every key and keeps the storage.
+func (k *KeyCounts) Reset() {
+	clear(k.index)
+	k.counts = k.counts[:0]
 }
 
 // asciiSpace reports whether c is one of the ASCII bytes unicode.IsSpace

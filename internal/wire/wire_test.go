@@ -348,6 +348,28 @@ func TestKeywordKeyAllocs(t *testing.T) {
 	}
 }
 
+// TestAppendKeywordKeyHeldKeyAllocatesNothing pins what the callers that
+// count or rank keys rely on: building a key into a reused buffer and
+// looking it up in a map that already holds it allocates nothing,
+// whether the text is its key or must be sorted, deduplicated or
+// re-spaced first.
+func TestAppendKeywordKeyHeldKeyAllocatesNothing(t *testing.T) {
+	held := map[string]int{"bakelo dimu sotavi": 1, "bakelo": 2}
+	texts := []string{"bakelo dimu sotavi", "sotavi bakelo dimu", "dimu  sotavi bakelo dimu", " bakelo\t", "bakelo bakelo"}
+	buf := make([]byte, 0, 64)
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, s := range texts {
+			buf = AppendKeywordKey(buf[:0], s)
+			if held[string(buf)] == 0 {
+				t.Fatalf("key %q of %q not held", buf, s)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%.0f allocations per run of %d held keys, want 0", allocs, len(texts))
+	}
+}
+
 // Property: any query text round-trips (as long as it has no NUL, which the
 // wire format cannot carry).
 func TestPropertyQueryRoundTrip(t *testing.T) {
