@@ -12,22 +12,21 @@ import (
 // flagged queries are included (the user issued them before connecting),
 // rule-5 automation is excluded (see the package comment).
 
-// dayRegionQueries indexes, per day, each query key's issuing regions and
-// per-region frequency.
-type dayRegionQueries struct {
-	// freq[key] counts per region.
-	freq map[string]*regionFreq
-}
+// DayIndex holds, per trace day, each query key's per-region frequency
+// for the three continents: the one index Table 3 and Figures 10 and 11
+// all read. Build it once per characterization with IndexDays and share
+// it; it is read-only once built, so concurrent readers are safe.
+type DayIndex []map[string]regionFreq
 
 type regionFreq struct {
 	counts [geo.NumContinental]int // indexed by Region
 }
 
-// indexDays builds the per-day query index for the three continents.
-func indexDays(sessions []Session, days int) []dayRegionQueries {
-	idx := make([]dayRegionQueries, days)
+// IndexDays builds the per-day query index over days trace days.
+func IndexDays(sessions []Session, days int) DayIndex {
+	idx := make(DayIndex, days)
 	for d := range idx {
-		idx[d].freq = make(map[string]*regionFreq)
+		idx[d] = make(map[string]regionFreq)
 	}
 	for i := range sessions {
 		s := &sessions[i]
@@ -43,12 +42,9 @@ func indexDays(sessions []Session, days int) []dayRegionQueries {
 			if d < 0 || d >= days {
 				continue
 			}
-			rf := idx[d].freq[q.Key]
-			if rf == nil {
-				rf = &regionFreq{}
-				idx[d].freq[q.Key] = rf
-			}
+			rf := idx[d][q.Key]
 			rf.counts[s.Region]++
+			idx[d][q.Key] = rf
 		}
 	}
 	return idx
@@ -72,7 +68,12 @@ type QueryClasses struct {
 // ComputeTable3 computes distinct-query set sizes and intersections for
 // 1-, 2- and 4-day windows.
 func ComputeTable3(sessions []Session, days int) QueryClasses {
-	idx := indexDays(sessions, days)
+	return IndexDays(sessions, days).Table3()
+}
+
+// Table3 is ComputeTable3 over a built index.
+func (idx DayIndex) Table3() QueryClasses {
+	days := len(idx)
 	out := QueryClasses{Windows: make(map[int]ClassCounts)}
 	for _, k := range []int{1, 2, 4} {
 		if days < k {
@@ -83,7 +84,7 @@ func ComputeTable3(sessions []Session, days int) QueryClasses {
 		for start := 0; start+k <= days; start += k {
 			sets := [geo.NumContinental]map[string]bool{{}, {}, {}}
 			for d := start; d < start+k; d++ {
-				for key, rf := range idx[d].freq {
+				for key, rf := range idx[d] {
 					for r, count := range rf.counts {
 						if count > 0 {
 							sets[r][key] = true
@@ -165,7 +166,12 @@ func BandName(b int) string {
 // ComputeFigure10 measures day-to-day hot-set drift for one region's
 // queries (the paper uses North America).
 func ComputeFigure10(sessions []Session, days int, region geo.Region) HotSetDrift {
-	idx := indexDays(sessions, days)
+	return IndexDays(sessions, days).Figure10(region)
+}
+
+// Figure10 is ComputeFigure10 over a built index.
+func (idx DayIndex) Figure10(region geo.Region) HotSetDrift {
+	days := len(idx)
 	// Rank each day's queries for the region.
 	ranked := make([][]string, days)
 	for d := 0; d < days; d++ {
@@ -174,7 +180,7 @@ func ComputeFigure10(sessions []Session, days int, region geo.Region) HotSetDrif
 			n   int
 		}
 		var list []kf
-		for key, rf := range idx[d].freq {
+		for key, rf := range idx[d] {
 			if rf.counts[region] > 0 {
 				list = append(list, kf{key, rf.counts[region]})
 			}
@@ -276,7 +282,12 @@ const popularityRanks = 100
 // averages the frequency at each rank over all days, preserving hot-set
 // drift exactly as the paper prescribes.
 func ComputeFigure11(sessions []Session, days int) (Popularity, error) {
-	idx := indexDays(sessions, days)
+	return IndexDays(sessions, days).Figure11()
+}
+
+// Figure11 is ComputeFigure11 over a built index.
+func (idx DayIndex) Figure11() (Popularity, error) {
+	days := len(idx)
 	var out Popularity
 	var daysCounted [NumPopularityClasses]int
 	var classFreqs [NumPopularityClasses][]int
@@ -286,7 +297,7 @@ func ComputeFigure11(sessions []Session, days int) (Popularity, error) {
 		for c := range classFreqs {
 			classFreqs[c] = classFreqs[c][:0]
 		}
-		for _, rf := range idx[d].freq {
+		for _, rf := range idx[d] {
 			na, eu := rf.counts[geo.NorthAmerica], rf.counts[geo.Europe]
 			as := rf.counts[geo.Asia]
 			total := na + eu + as

@@ -141,17 +141,34 @@ const byeFraction = 0.05
 // later events read: the immutable query stream, shared with the
 // caller's value, and the library size its pongs advertise. The peer's
 // address is the record's own (conn.Addr, set by Recorder.Open).
+//
+// pending counts the connection's queued events: scheduling raises it,
+// and firing, or cancelling the probe while it is still queued, lowers
+// it. A closed connection with none pending is named by nothing in the
+// scheduler, so it goes on its vantage's free list for a later arrival
+// to reuse; every event that outlives the close (the chains that stop at
+// closed) has fired by then.
 type simConn struct {
-	Record // the connection's record, from acceptance to close
-	v      *vantage
-	plan   []behavior.TimedQuery // the session's query stream
-	end    simtime.Time          // client's true end (trace time)
-	files  uint32                // the session's shared-file count
-	silent bool
-	probeH simtime.Handle
+	Record  // the connection's record, from acceptance to close
+	v       *vantage
+	plan    []behavior.TimedQuery // the session's query stream
+	end     simtime.Time          // client's true end (trace time)
+	files   uint32                // the session's shared-file count
+	pending int32
+	silent  bool
+	probeH  simtime.Handle
 	// fixed holds the connection's argument-less event records, one per
 	// kind below numFixedKinds (see fixedEvent).
 	fixed [numFixedKinds]fixedEvent
+}
+
+// newSimConn builds a connection of vantage v with its fixed records.
+func newSimConn(v *vantage) *simConn {
+	c := &simConn{v: v}
+	for k := range c.fixed {
+		c.fixed[k] = fixedEvent{kind: EventKind(k), c: c}
+	}
+	return c
 }
 
 // vantage is one measurement node of a fleet: its traffic model, random
@@ -173,8 +190,10 @@ type vantage struct {
 	// connection already closed (diagnostic).
 	droppedQueryEvents uint64
 	// freeEvents recycles the argument-carrying event records (see
-	// connEvent); counts tallies scheduled events by kind.
+	// connEvent) and freeConns the closed connections nothing queued
+	// names (see simConn); counts tallies scheduled events by kind.
 	freeEvents []*connEvent
+	freeConns  []*simConn
 	counts     EventCounts
 	// dayKeyCount tracks how often each keyword set was queried today at
 	// this vantage, the popularity proxy of the hit-response model (each
@@ -206,14 +225,21 @@ func newVantage(cfg Config, idx int, sched simtime.Scheduler, sh *SharedModel, s
 // arrive handles one session arrival assigned to this vantage. It keeps
 // no reference to sess: an accepted session's query stream and library
 // size are copied into its connection, and a rejected one costs nothing.
+// The connection is a released one when there is one; its fixed records
+// already name it.
 func (s *vantage) arrive(now simtime.Time, sess *behavior.Session) {
 	if !s.rec.Admit() {
 		return
 	}
-	c := &simConn{v: s, plan: sess.Queries, end: sess.End(), files: uint32(sess.SharedFiles)}
-	for k := range c.fixed {
-		c.fixed[k] = fixedEvent{kind: EventKind(k), c: c}
+	var c *simConn
+	if n := len(s.freeConns); n > 0 {
+		c = s.freeConns[n-1]
+		s.freeConns = s.freeConns[:n-1]
+	} else {
+		c = newSimConn(s)
 	}
+	c.plan, c.end, c.files = sess.Queries, sess.End(), uint32(sess.SharedFiles)
+	c.probeH = simtime.Handle{}
 	if sess.Quick {
 		c.silent = s.rng.Float64() < quickSilentFraction
 	} else {
@@ -441,8 +467,17 @@ func (s *vantage) rearmProbe(c *simConn, idle time.Duration) {
 	if c.closed {
 		return
 	}
-	s.sched.Cancel(c.probeH)
+	s.cancelProbe(c)
 	c.probeH = s.scheduleFixed(s.sched.Now()+idle, c, KindProbe)
+}
+
+// cancelProbe cancels the connection's probe, counting it off the
+// connection's pending events when it was still queued.
+func (s *vantage) cancelProbe(c *simConn) {
+	if !c.probeH.Cancelled() {
+		c.pending--
+	}
+	s.sched.Cancel(c.probeH)
 }
 
 // probeFire implements the paper's liveness rule.
@@ -493,6 +528,6 @@ func (s *vantage) sessionEndFire(c *simConn, now simtime.Time) {
 // recorder emit the record. The record is final: no response event bumps
 // a hit counter after close (they check closed first).
 func (s *vantage) finalize(c *simConn, end simtime.Time, silent bool) {
-	s.sched.Cancel(c.probeH)
+	s.cancelProbe(c)
 	s.rec.Close(&c.Record, end, silent)
 }

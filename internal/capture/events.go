@@ -72,41 +72,56 @@ type connEvent struct {
 	kind EventKind
 }
 
+// eventBlock is how many argument-carrying records an empty free list is
+// refilled with at once.
+const eventBlock = 128
+
 // scheduleFixed queues the connection's own record of an argument-less
 // kind at an absolute instant and counts it.
 func (s *vantage) scheduleFixed(at simtime.Time, c *simConn, kind EventKind) simtime.Handle {
 	s.counts[kind]++
+	c.pending++
 	return s.sched.Schedule(at, &c.fixed[kind])
 }
 
-// scheduleArg draws a record carrying arg from the free list, queues it
-// at an absolute instant and counts it.
+// scheduleArg draws a record carrying arg from the free list, refilling
+// an empty list with a fresh block, queues it at an absolute instant and
+// counts it.
 func (s *vantage) scheduleArg(at simtime.Time, c *simConn, kind EventKind, arg int64) {
 	s.counts[kind]++
-	var e *connEvent
-	if n := len(s.freeEvents); n > 0 {
-		e = s.freeEvents[n-1]
-		s.freeEvents = s.freeEvents[:n-1]
-	} else {
-		e = new(connEvent)
+	c.pending++
+	if len(s.freeEvents) == 0 {
+		block := make([]connEvent, eventBlock)
+		for i := range block {
+			s.freeEvents = append(s.freeEvents, &block[i])
+		}
 	}
+	n := len(s.freeEvents)
+	e := s.freeEvents[n-1]
+	s.freeEvents = s.freeEvents[:n-1]
 	*e = connEvent{kind: kind, c: c, arg: arg}
 	s.sched.Schedule(at, e)
 }
 
 // Fire implements simtime.Event.
-func (e *fixedEvent) Fire(now simtime.Time) { e.c.v.fire(e.c, e.kind, 0, now) }
+func (e *fixedEvent) Fire(now simtime.Time) {
+	e.c.pending--
+	e.c.v.fire(e.c, e.kind, 0, now)
+}
 
 // Fire implements simtime.Event: the record goes back to the free list
 // before its event runs, which may draw it again.
 func (e *connEvent) Fire(now simtime.Time) {
 	c, kind, arg := e.c, e.kind, e.arg
 	e.c = nil
+	c.pending--
 	c.v.freeEvents = append(c.v.freeEvents, e)
 	c.v.fire(c, kind, arg, now)
 }
 
-// fire dispatches one connection event of either record type.
+// fire dispatches one connection event of either record type. A closed
+// connection whose last pending event this was goes back to the free
+// list: nothing queued names it any more, so arrive may reuse it.
 func (s *vantage) fire(c *simConn, kind EventKind, arg int64, now simtime.Time) {
 	switch kind {
 	case KindKeepalive:
@@ -127,5 +142,8 @@ func (s *vantage) fire(c *simConn, kind EventKind, arg int64, now simtime.Time) 
 		s.clientQueryFire(c, int(arg), now)
 	case KindResponseHit:
 		s.responseHitFire(c, int(arg), now)
+	}
+	if c.closed && c.pending == 0 {
+		s.freeConns = append(s.freeConns, c)
 	}
 }

@@ -160,7 +160,7 @@ func (r *Recorder) Close(c *Record, at simtime.Time, silent bool) *trace.Conn {
 	c.closed = true
 	delete(r.open, c.conn.ID)
 	c.conn.End, c.conn.SilentClose = at, silent
-	r.sink.Close(c.conn.ID, at, &stream.SessionRecord{Conn: c.conn, Queries: c.queries})
+	r.sink.Close(c.conn.ID, at, c.conn, c.queries)
 	c.queries = nil
 	return &c.conn
 }

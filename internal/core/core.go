@@ -19,6 +19,7 @@ package core
 import (
 	"math"
 	"math/rand/v2"
+	"sync"
 	"time"
 
 	"repro/internal/analysis"
@@ -156,6 +157,9 @@ func CharacterizeOpts(tr *trace.Trace, opts Options) *Characterization {
 		Table2:   res,
 		Sessions: sessions,
 	}
+	// Table 3 and Figures 10 and 11 read one per-day query index; the
+	// first of them to run builds it.
+	days := sync.OnceValue(func() analysis.DayIndex { return analysis.IndexDays(sessions, tr.Days) })
 	par.Run(workers, []func(){
 		func() { c.Table1 = analysis.ComputeTable1(tr) },
 		func() { c.Figure1 = analysis.ComputeFigure1(tr) },
@@ -167,9 +171,9 @@ func CharacterizeOpts(tr *trace.Trace, opts Options) *Characterization {
 		func() { c.Figure7 = analysis.ComputeFigure7(sessions) },
 		func() { c.Figure8 = analysis.ComputeFigure8(sessions) },
 		func() { c.Figure9 = analysis.ComputeFigure9(sessions) },
-		func() { c.Figure10 = analysis.ComputeFigure10(sessions, tr.Days, geo.NorthAmerica) },
-		func() { c.Figure11, _ = analysis.ComputeFigure11(sessions, tr.Days) },
-		func() { c.Table3 = analysis.ComputeTable3(sessions, tr.Days) },
+		func() { c.Figure10 = days().Figure10(geo.NorthAmerica) },
+		func() { c.Figure11, _ = days().Figure11() },
+		func() { c.Table3 = days().Table3() },
 		func() { c.HitRates = analysis.ComputeHitRates(tr) },
 	})
 	c.Fits = fitAll(sessions, workers, opts.KSBootstrap)

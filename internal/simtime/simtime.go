@@ -11,9 +11,11 @@
 //
 // Both schedulers keep their queue entries on a per-scheduler free list:
 // an entry is recycled when its event fires and when its cancellation is
-// completed, so a steady-state Schedule/Step loop allocates nothing. A
-// Handle therefore names one scheduled event, not one queue entry: it
-// carries the entry's generation, which advances every time the entry is
+// completed, so a steady-state Schedule/Step loop allocates nothing, and
+// an empty list is refilled a block of entries at a time, so a rising
+// pending count allocates once per block, not once per entry. A Handle
+// therefore names one scheduled event, not one queue entry: it carries
+// the entry's generation, which advances every time the entry is
 // recycled. Cancel and Cancelled on a handle whose event has fired or
 // been cancelled stay the documented no-op / true forever, no matter how
 // many later events have reused the entry — callers may keep a stale
@@ -187,15 +189,24 @@ type item struct {
 // contract, so a plain slice is all the synchronization recycling needs.
 type itemPool struct{ free []*item }
 
-// get returns a recycled item, or a new one when the list is empty. Every
-// field but gen is stale; the caller overwrites them all.
+// itemBlock is how many items an empty free list is refilled with at
+// once: one allocation per block, not one per item, while the pending
+// count climbs to its peak.
+const itemBlock = 256
+
+// get returns a recycled item, refilling an empty list with a fresh
+// block. Every field but gen is stale; the caller overwrites them all.
 func (p *itemPool) get() *item {
-	if n := len(p.free); n > 0 {
-		it := p.free[n-1]
-		p.free = p.free[:n-1]
-		return it
+	if len(p.free) == 0 {
+		block := make([]item, itemBlock)
+		for i := range block {
+			p.free = append(p.free, &block[i])
+		}
 	}
-	return new(item)
+	n := len(p.free)
+	it := p.free[n-1]
+	p.free = p.free[:n-1]
+	return it
 }
 
 // put recycles an item that has left the queue for good. Advancing the

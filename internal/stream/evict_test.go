@@ -14,6 +14,11 @@ func sessRec(start, end trace.Time) *stream.SessionRecord {
 	return &stream.SessionRecord{Conn: trace.Conn{Start: start, End: end}}
 }
 
+// closeRec emits r's connection and queries as p's close of id at at.
+func closeRec(p *stream.Producer, id uint64, at trace.Time, r *stream.SessionRecord) {
+	p.Close(id, at, r.Conn, r.Queries)
+}
+
 // TestMergerEvictionResumesStalledBarrier is the liveness contract: an
 // input whose watermark stops advancing stalls the emission barrier at
 // its last watermark; evicting it releases the barrier, the merge drains,
@@ -30,9 +35,9 @@ func TestMergerEvictionResumesStalledBarrier(t *testing.T) {
 	// Input 0 is healthy: two sessions, trailer at the horizon.
 	p0 := stream.NewProducer(0, m.Intake())
 	p0.Open(1, 1*time.Second)
-	p0.Close(1, 2*time.Second, sessRec(1*time.Second, 2*time.Second))
+	closeRec(p0, 1, 2*time.Second, sessRec(1*time.Second, 2*time.Second))
 	p0.Open(2, 3*time.Second)
-	p0.Close(2, 4*time.Second, sessRec(3*time.Second, 4*time.Second))
+	closeRec(p0, 2, 4*time.Second, sessRec(3*time.Second, 4*time.Second))
 	p0.Done(10*time.Second, &stream.End{Days: 1, Nodes: 1})
 
 	// Input 1 opens two sessions, closes one, then goes silent forever —
@@ -41,7 +46,7 @@ func TestMergerEvictionResumesStalledBarrier(t *testing.T) {
 	p1 := stream.NewProducer(1, m.Intake())
 	p1.Open(7, 500*time.Millisecond)
 	p1.Open(8, 6*time.Second)
-	p1.Close(8, 7*time.Second, sessRec(6*time.Second, 7*time.Second))
+	closeRec(p1, 8, 7*time.Second, sessRec(6*time.Second, 7*time.Second))
 	p1.Flush()
 
 	// The liveness layer declares input 1 dead, with a partial trailer
@@ -81,7 +86,7 @@ func TestMergerEvictAfterDoneIgnored(t *testing.T) {
 
 	p1 := stream.NewProducer(1, m.Intake())
 	p1.Open(1, 1*time.Second)
-	p1.Close(1, 2*time.Second, sessRec(1*time.Second, 2*time.Second))
+	closeRec(p1, 1, 2*time.Second, sessRec(1*time.Second, 2*time.Second))
 	p1.Done(5*time.Second, &stream.End{Days: 1, Nodes: 1})
 
 	// Late eviction for the already-finished input: dropped on the floor.
@@ -89,7 +94,7 @@ func TestMergerEvictAfterDoneIgnored(t *testing.T) {
 
 	p0 := stream.NewProducer(0, m.Intake())
 	p0.Open(1, 1*time.Second)
-	p0.Close(1, 3*time.Second, sessRec(1*time.Second, 3*time.Second))
+	closeRec(p0, 1, 3*time.Second, sessRec(1*time.Second, 3*time.Second))
 	p0.Done(5*time.Second, &stream.End{Days: 1, Nodes: 1})
 
 	tr := <-done
@@ -132,9 +137,9 @@ func TestMergerEvictionReleasesQueuedSessions(t *testing.T) {
 	p1 := stream.NewProducer(1, m.Intake())
 	p1.Open(7, 500*time.Millisecond)
 	p1.Open(8, 2*time.Second)
-	p1.Close(8, 3*time.Second, queued[0])
+	closeRec(p1, 8, 3*time.Second, queued[0])
 	p1.Open(9, 4*time.Second)
-	p1.Close(9, 5*time.Second, queued[1])
+	closeRec(p1, 9, 5*time.Second, queued[1])
 	p1.Flush()
 
 	p0 := stream.NewProducer(0, m.Intake())
@@ -142,7 +147,7 @@ func TestMergerEvictionReleasesQueuedSessions(t *testing.T) {
 		p0.Open(uint64(i), r.Conn.Start)
 	}
 	for i, r := range healthy {
-		p0.Close(uint64(i), r.Conn.End, r)
+		closeRec(p0, uint64(i), r.Conn.End, r)
 	}
 	p0.Done(10*time.Second, &stream.End{Days: 1, Nodes: 1})
 	m.Intake() <- stream.Batch{Input: 1, Events: []stream.Event{{Kind: stream.EvEvict, Done: &stream.End{Nodes: 1}}}}
@@ -194,19 +199,19 @@ func TestMergerStrayClosesLandInOrder(t *testing.T) {
 	go func() { done <- m.Run() }()
 	p0 := stream.NewProducer(0, m.Intake())
 	p0.Open(1, a.Conn.Start)
-	p0.Close(1, a.Conn.End, a)
+	closeRec(p0, 1, a.Conn.End, a)
 	p0.Open(2, b.Conn.Start)
-	p0.Close(2, b.Conn.End, b)
-	p0.Close(9, stray.Conn.End, stray) // never opened
-	p0.Close(2, again.Conn.End, again) // closed twice
+	closeRec(p0, 2, b.Conn.End, b)
+	closeRec(p0, 9, stray.Conn.End, stray) // never opened
+	closeRec(p0, 2, again.Conn.End, again) // closed twice
 	p0.Open(3, c.Conn.Start)
 	p0.Open(4, 7500*time.Millisecond)
-	p0.Close(3, c.Conn.End, c)
-	p0.Close(4, moved.Conn.End, moved) // announced at 7.5 s
+	closeRec(p0, 3, c.Conn.End, c)
+	closeRec(p0, 4, moved.Conn.End, moved) // announced at 7.5 s
 	p0.Done(10*time.Second, &stream.End{Days: 1, Nodes: 1, Counts: trace.MessageCounts{Query: 4, QueryHop1: 4}})
 	p1 := stream.NewProducer(1, m.Intake())
 	p1.Open(5, other.Conn.Start)
-	p1.Close(5, other.Conn.End, other)
+	closeRec(p1, 5, other.Conn.End, other)
 	p1.Done(10*time.Second, &stream.End{Days: 1, Nodes: 1, Counts: trace.MessageCounts{Query: 1, QueryHop1: 1}})
 
 	got := <-done

@@ -71,7 +71,7 @@ type Merger struct {
 	// finish. 0 means unbounded (the barrier waits for the oldest open
 	// session, however long it lives).
 	window  trace.Time
-	spill   []*SessionRecord
+	spill   []SessionRecord
 	spilled int
 
 	out *trace.Trace
@@ -350,7 +350,7 @@ func (m *Merger) close(st *inputState, ev *Event) {
 		}
 		return
 	}
-	m.spill = append(m.spill, r)
+	m.spill = append(m.spill, *r)
 	m.spilled++
 	m.om.spilled.Inc()
 }
@@ -611,7 +611,7 @@ func (m *Merger) collect() {
 func (m *Merger) foldSpill() {
 	sp := m.spill
 	m.spill = nil
-	slices.SortFunc(sp, compareRecords)
+	slices.SortFunc(sp, func(a, b SessionRecord) int { return compareRecords(&a, &b) })
 	conns, lists := m.out.Conns, m.lists
 	inline := func(i int, r *SessionRecord) int {
 		if c := trace.CompareConn(&conns[i], &r.Conn); c != 0 {
@@ -620,16 +620,17 @@ func (m *Merger) foldSpill() {
 		return trace.CompareQueryValueLists(lists[i], r.Queries)
 	}
 	kept := sp[:0]
-	for _, r := range sp {
+	for i := range sp {
+		r := &sp[i]
 		// Before the fold every inline connection's ID is its index.
 		_, dup := slices.BinarySearchFunc(conns, r, func(c trace.Conn, r *SessionRecord) int {
 			return inline(int(c.ID), r)
 		})
-		if dup || len(kept) > 0 && compareRecords(kept[len(kept)-1], r) == 0 {
+		if dup || len(kept) > 0 && compareRecords(&kept[len(kept)-1], r) == 0 {
 			m.dropDuplicate(r)
 			continue
 		}
-		kept = append(kept, r)
+		kept = append(kept, *r)
 	}
 	sp = kept
 	if len(sp) == 0 {
@@ -642,7 +643,7 @@ func (m *Merger) foldSpill() {
 	at := make([]int, len(sp))
 	i := n - 1
 	for j := len(sp) - 1; j >= 0; j-- {
-		r := sp[j]
+		r := &sp[j]
 		for ; i >= 0 && inline(i, r) > 0; i-- {
 			conns[i+j+1], lists[i+j+1] = conns[i], lists[i]
 		}
@@ -653,9 +654,9 @@ func (m *Merger) foldSpill() {
 		conns[k].ID = uint64(k)
 	}
 	m.out.Conns, m.lists = conns, lists
-	for j, r := range sp {
-		m.queries += len(r.Queries)
-		m.merged(&conns[at[j]], r)
+	for j := range sp {
+		m.queries += len(sp[j].Queries)
+		m.merged(&conns[at[j]], &sp[j])
 	}
 }
 

@@ -169,11 +169,11 @@ func replayAsStream(tr *trace.Trace, p *stream.Producer, horizon trace.Time) {
 			p.Open(c.ID, c.Start)
 		case stream.EvClose:
 			c := tr.Conns[e.idx]
-			rec := &stream.SessionRecord{Conn: c}
+			var qs []trace.Query
 			for _, q := range byConn[e.idx] {
-				rec.Queries = append(rec.Queries, *q)
+				qs = append(qs, *q)
 			}
-			p.Close(c.ID, c.End, rec)
+			p.Close(c.ID, c.End, c, qs)
 		case stream.EvPong:
 			p.Pong(tr.Pongs[e.idx])
 		case stream.EvHit:
@@ -212,21 +212,19 @@ func TestMergerIncrementalEmission(t *testing.T) {
 	done := make(chan *trace.Trace)
 	go func() { done <- m.Run() }()
 
-	mk := func(start, end trace.Time) *stream.SessionRecord {
-		return &stream.SessionRecord{Conn: trace.Conn{Start: start, End: end}}
-	}
+	mk := func(start, end trace.Time) trace.Conn { return trace.Conn{Start: start, End: end} }
 	// Session A opens at 1s and stays open; B (5s..10s) and C (7s..12s)
 	// close — but may not retire while A is open.
 	p.Open(1, 1*time.Second)
 	p.Open(2, 5*time.Second)
 	p.Open(3, 7*time.Second)
-	p.Close(2, 10*time.Second, mk(5*time.Second, 10*time.Second))
-	p.Close(3, 12*time.Second, mk(7*time.Second, 12*time.Second))
+	p.Close(2, 10*time.Second, mk(5*time.Second, 10*time.Second), nil)
+	p.Close(3, 12*time.Second, mk(7*time.Second, 12*time.Second), nil)
 	p.Flush()
 	// Nothing can be asserted synchronously about the merger goroutine's
 	// progress except through the deterministic final order; emitting A's
 	// close unblocks everything in (A, B, C) start order.
-	p.Close(1, 20*time.Second, mk(1*time.Second, 20*time.Second))
+	p.Close(1, 20*time.Second, mk(1*time.Second, 20*time.Second), nil)
 	p.Done(21*time.Second, &stream.End{Days: 1})
 	tr := <-done
 

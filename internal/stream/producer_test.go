@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"reflect"
+	"strconv"
 	"testing"
 	"time"
 	"unsafe"
@@ -52,5 +54,58 @@ func TestProducerRefillsFromReturnedArrays(t *testing.T) {
 	}
 	if len(arrays) != 2 {
 		t.Errorf("%d batches travelled in %d arrays, want 2", flushed+1, len(arrays))
+	}
+}
+
+// TestProducerRecordsOutliveTheirArrays closes more sessions than one
+// record slab holds through a consumer that wipes each batch's array
+// before handing it back, and the producer refills the arrays it gets
+// back: every record must still read as it was emitted once all of them
+// have gone round.
+func TestProducerRecordsOutliveTheirArrays(t *testing.T) {
+	intake := make(chan Batch, 4)
+	p := NewProducer(0, intake)
+	var recs []*SessionRecord
+	arrays := make(map[*Event]bool)
+	batches := 0
+	drain := func() {
+		for len(intake) > 0 {
+			b := <-intake
+			batches++
+			arrays[unsafe.SliceData(b.Events)] = true
+			for i := range b.Events {
+				if b.Events[i].Kind == EvClose {
+					recs = append(recs, b.Events[i].Sess)
+				}
+				b.Events[i] = Event{}
+			}
+			b.recycle()
+		}
+	}
+	const sessions = 3*recordSlab + 17
+	conn := func(i int) trace.Conn {
+		at := trace.Time(i) * time.Second
+		return trace.Conn{ID: uint64(i), Start: at, End: at + time.Second, UserAgent: strconv.Itoa(i)}
+	}
+	for i := range sessions {
+		c := conn(i)
+		p.Open(c.ID, c.Start)
+		p.Close(c.ID, c.End, c, []trace.Query{{ConnID: c.ID, At: c.Start, Text: strconv.Itoa(i)}})
+		drain()
+	}
+	p.Done(sessions*time.Second, &End{Nodes: 1})
+	drain()
+
+	if len(arrays) >= batches {
+		t.Fatalf("%d batches in %d arrays: no array was refilled", batches, len(arrays))
+	}
+	if len(recs) != sessions {
+		t.Fatalf("%d records emitted, want %d", len(recs), sessions)
+	}
+	for i, r := range recs {
+		want := SessionRecord{Conn: conn(i), Queries: []trace.Query{{ConnID: uint64(i), At: conn(i).Start, Text: strconv.Itoa(i)}}}
+		if !reflect.DeepEqual(*r, want) {
+			t.Fatalf("record %d reads %+v after its array was refilled, want %+v", i, *r, want)
+		}
 	}
 }

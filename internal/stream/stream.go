@@ -174,12 +174,21 @@ const batchSize = 256
 // arrays in flight. A consumer that keeps batches (an ingest emitter's
 // unacked queue, a recording) returns nothing, and the producer then
 // allocates a fresh array per batch.
+//
+// The session records it emits are handed out of slabs of recordSlab
+// records, one allocation per slab. A record is never recycled, only the
+// event arrays are, so a consumer may keep one as long as it likes; the
+// merger keeps none past its window (its spill copies them).
 type Producer struct {
 	input    int
 	out      chan<- Batch
 	buf      []Event
-	returned chan []Event // arrays the merger has handed back
+	returned chan []Event    // arrays the merger has handed back
+	recs     []SessionRecord // the current slab's unused records
 }
+
+// recordSlab is how many session records one slab holds.
+const recordSlab = 256
 
 // producerSpare is how many returned arrays a producer's channel holds:
 // the merger returns a batch's array as soon as it has applied it, so a
@@ -209,8 +218,15 @@ func (p *Producer) Open(id uint64, at trace.Time) {
 	p.Emit(Event{Kind: EvOpen, ID: id, Time: at})
 }
 
-// Close emits a completed session record.
-func (p *Producer) Close(id uint64, at trace.Time, rec *SessionRecord) {
+// Close emits a completed session record of conn and its query list,
+// which the record then owns. The record comes from the producer's slab.
+func (p *Producer) Close(id uint64, at trace.Time, conn trace.Conn, queries []trace.Query) {
+	if len(p.recs) == 0 {
+		p.recs = make([]SessionRecord, recordSlab)
+	}
+	rec := &p.recs[0]
+	p.recs = p.recs[1:]
+	*rec = SessionRecord{Conn: conn, Queries: queries}
 	p.Emit(Event{Kind: EvClose, ID: id, Time: at, Sess: rec})
 }
 

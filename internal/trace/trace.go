@@ -158,11 +158,13 @@ type Trace struct {
 // known connection are dropped. The hot consumers (filter, merge) use
 // this positional form rather than a map keyed by connection ID: it
 // allocates one slice header per connection instead of a hash table over
-// millions of entries.
+// millions of entries. Every connection's slice is a capacity-capped
+// window of one shared array, so appending to one copies it out rather
+// than overwrite its neighbour.
 func (t *Trace) QueriesPerConn() [][]*Query {
 	out := make([][]*Query, len(t.Conns))
-	// Pre-size each connection's slice with a counting pass so the index
-	// costs exactly two scans and no reallocation.
+	// Size each connection's window with a counting pass so the index
+	// costs exactly two scans and one array.
 	counts := make([]uint32, len(t.Conns))
 	dense := true
 	for i := range t.Conns {
@@ -184,14 +186,19 @@ func (t *Trace) QueriesPerConn() [][]*Query {
 		}
 		pos = func(id uint64) (int, bool) { p, ok := m[id]; return p, ok }
 	}
+	total := 0
 	for i := range t.Queries {
 		if p, ok := pos(t.Queries[i].ConnID); ok {
 			counts[p]++
+			total++
 		}
 	}
+	all := make([]*Query, total)
+	off := 0
 	for i, c := range counts {
 		if c > 0 {
-			out[i] = make([]*Query, 0, c)
+			out[i] = all[off : off : off+int(c)]
+			off += int(c)
 		}
 	}
 	for i := range t.Queries {

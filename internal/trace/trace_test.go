@@ -139,6 +139,12 @@ func TestQueriesPerConnSparseIDs(t *testing.T) {
 	if len(idx[1]) != 2 || idx[1][0].Text != "a" || idx[1][1].Text != "c" {
 		t.Fatalf("conn at position 1 (ID 7) queries = %+v", idx[1])
 	}
+	// The windows share one array; appending to one must not reach into
+	// the next.
+	_ = append(idx[0], &Query{Text: "appended"})
+	if idx[1][0].Text != "a" {
+		t.Fatalf("appending to position 0 overwrote position 1: %+v", idx[1])
+	}
 }
 
 func TestExportJSONL(t *testing.T) {

@@ -28,6 +28,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/dist"
@@ -197,17 +198,25 @@ type scoredIdx struct {
 func New(seed uint64) *Vocabulary {
 	v := &Vocabulary{seed: seed}
 	seen := make(map[string]bool)
+	var q []byte
 	for c := Class(0); c < NumClasses; c++ {
 		shape := classShapes[c]
 		rng := rand.New(rand.NewPCG(seed, uint64(c)+1000))
+		// The class's strings are substrings of one arena, sized so that it
+		// rarely grows. A strings.Builder never changes what it has written,
+		// so a string taken from it stays valid if it does.
+		var arena strings.Builder
+		arena.Grow(shape.pool * arenaBytesPerQuery)
 		strs := make([]string, shape.pool)
 		for i := range strs {
-			s := genQueryString(rng)
-			for seen[s] {
-				s = genQueryString(rng)
+			q = appendQueryString(q[:0], rng)
+			for seen[string(q)] {
+				q = appendQueryString(q[:0], rng)
 			}
-			seen[s] = true
-			strs[i] = s
+			arena.Write(q)
+			all := arena.String()
+			strs[i] = all[len(all)-len(q):]
+			seen[strs[i]] = true
 		}
 		var ranker dist.Ranker
 		if shape.twoSegment {
@@ -243,9 +252,14 @@ var syllables = []string{
 	"ta", "te", "ti", "to", "tu", "va", "ve", "vi", "vo", "vu",
 }
 
-func genQueryString(rng *rand.Rand) string {
+// arenaBytesPerQuery sizes a class's string arena: a query string
+// averages 13 bytes (two words of three two-letter syllables and a
+// space).
+const arenaBytesPerQuery = 16
+
+// appendQueryString appends one synthetic query string to out.
+func appendQueryString(out []byte, rng *rand.Rand) []byte {
 	words := 1 + rng.IntN(3)
-	out := make([]byte, 0, 24)
 	for w := 0; w < words; w++ {
 		if w > 0 {
 			out = append(out, ' ')
@@ -255,7 +269,7 @@ func genQueryString(rng *rand.Rand) string {
 			out = append(out, syllables[rng.IntN(len(syllables))]...)
 		}
 	}
-	return string(out)
+	return out
 }
 
 // rankedFor returns the class's day ranking, building it lazily on first
