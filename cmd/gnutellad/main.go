@@ -382,7 +382,7 @@ func (d *daemon) serve(peer *transport.Peer, idle time.Duration) {
 		log.Printf("conn from %s refused: no free slot", peer.RemoteAddr())
 		return
 	}
-	id := int(d.rec.Open(&c, d.now(), addr.Addr().Unmap(), info.Ultrapeer, info.UserAgent))
+	id := int(d.rec.Open(&c, d.now(), addr.Addr().Unmap(), info.Ultrapeer, info.UserAgent, 0))
 	d.prod.Flush()
 	d.peers[id] = peer
 	d.mConns.Inc()

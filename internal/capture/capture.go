@@ -245,7 +245,7 @@ func (s *vantage) arrive(now simtime.Time, sess *behavior.Session) {
 	} else {
 		c.silent = s.rng.Float64() < silentCloseFraction
 	}
-	s.rec.Open(&c.Record, now, sess.Addr(), sess.Ultrapeer, sess.UserAgent)
+	s.rec.Open(&c.Record, now, sess.Addr(), sess.Ultrapeer, sess.UserAgent, len(c.plan))
 
 	// The client announces itself with a pong shortly after the
 	// handshake.

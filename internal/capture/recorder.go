@@ -22,6 +22,7 @@ type Record struct {
 	lastRecv simtime.Time // the probe rule's evidence of life
 	pongSeen bool         // the hop-1 self-pong was kept
 	closed   bool
+	planned  uint32 // the queries Open was told to expect: the list's capacity
 }
 
 // Recorder is one vantage's observation policy, what the paper's passive
@@ -66,11 +67,14 @@ func (r *Recorder) Admit() bool {
 }
 
 // Open starts c as an admitted connection's record at instant at and
-// returns the connection's ID.
-func (r *Recorder) Open(c *Record, at simtime.Time, addr netip.Addr, ultrapeer bool, userAgent string) uint64 {
+// returns the connection's ID. queries is how many hop-1 queries the
+// connection is expected to send, or 0 when that is not known: the first
+// Query sizes the list to it, so a session that sends them all allocates
+// its list once.
+func (r *Recorder) Open(c *Record, at simtime.Time, addr netip.Addr, ultrapeer bool, userAgent string, queries int) uint64 {
 	id := r.nextID
 	r.nextID++
-	*c = Record{conn: trace.Conn{ID: id, Start: at, Addr: addr, Ultrapeer: ultrapeer, UserAgent: userAgent}, lastRecv: at}
+	*c = Record{conn: trace.Conn{ID: id, Start: at, Addr: addr, Ultrapeer: ultrapeer, UserAgent: userAgent}, lastRecv: at, planned: uint32(queries)}
 	r.open[id] = c
 	r.sink.Open(id, at)
 	r.peak = max(r.peak, len(r.open))
@@ -82,6 +86,9 @@ func (r *Recorder) Query(c *Record, at simtime.Time, text string, sha1 bool, ttl
 	c.lastRecv = at
 	r.counts.Query++
 	r.counts.QueryHop1++
+	if c.queries == nil && c.planned > 0 {
+		c.queries = make([]trace.Query, 0, c.planned)
+	}
 	c.queries = append(c.queries, trace.Query{ConnID: c.conn.ID, At: at, Text: text, SHA1: sha1, TTL: ttl, Hops: 1})
 	return len(c.queries) - 1
 }

@@ -29,6 +29,46 @@ func events(ch chan stream.Batch) []stream.Event {
 	return out
 }
 
+// TestRecorderSizesQueryListOnce pins Open's query hint: a session that
+// sends the queries it was opened with fills one list of that capacity,
+// and one that sends none still closes with a nil list, as an unhinted
+// one does.
+func TestRecorderSizesQueryListOnce(t *testing.T) {
+	r, ch := newTestRecorder()
+	var c, quiet Record
+	for _, rec := range []*Record{&c, &quiet} {
+		r.Admit()
+		r.Open(rec, 0, netip.MustParseAddr("10.0.0.1"), false, "peer/1.0", 3)
+	}
+	if allocs := testing.AllocsPerRun(1, func() {
+		c.queries = nil
+		for i := range 3 {
+			r.Query(&c, time.Duration(i+1)*time.Second, "q", false, 6)
+		}
+	}); allocs != 1 {
+		t.Errorf("3 hinted queries took %v allocations, want 1", allocs)
+	}
+	if len(c.queries) != 3 || cap(c.queries) != 3 {
+		t.Errorf("query list len %d cap %d, want 3 and 3", len(c.queries), cap(c.queries))
+	}
+	r.Close(&c, 5*time.Second, false)
+	r.Close(&quiet, 5*time.Second, false)
+	r.Finish(time.Minute)
+	closes := 0
+	for _, ev := range events(ch) {
+		if ev.Kind != stream.EvClose {
+			continue
+		}
+		closes++
+		if ev.Sess.Conn.ID == quiet.conn.ID && ev.Sess.Queries != nil {
+			t.Errorf("a session that sent no query closed with queries %#v, want nil", ev.Sess.Queries)
+		}
+	}
+	if closes != 2 {
+		t.Fatalf("%d session records, want 2", closes)
+	}
+}
+
 // TestRecorderWireCounts maps every message type a peer can send onto the
 // recorder: each is counted under its Table 1 row, a hop-1 QUERY is kept
 // and a forwarded one only counted.
@@ -36,7 +76,7 @@ func TestRecorderWireCounts(t *testing.T) {
 	r, ch := newTestRecorder()
 	var c Record
 	r.Admit()
-	r.Open(&c, 0, netip.MustParseAddr("10.0.0.1"), true, "peer/1.0")
+	r.Open(&c, 0, netip.MustParseAddr("10.0.0.1"), true, "peer/1.0", 0)
 	guids := guid.NewSource(3, 4)
 	msg := func(hops uint8, m wire.Message) wire.Envelope {
 		return wire.Envelope{Header: wire.Header{GUID: guids.Next(), Type: m.Type(), TTL: 7 - hops, Hops: hops}, Payload: m}
@@ -98,7 +138,7 @@ func TestRecorderFinish(t *testing.T) {
 		var a, b, c Record
 		for _, rec := range []*Record{&a, &b, &c} {
 			r.Admit()
-			r.Open(rec, time.Second, netip.Addr{}, false, "")
+			r.Open(rec, time.Second, netip.Addr{}, false, "", 0)
 		}
 		r.Close(&b, 2*time.Second, false)
 		r.Finish(tc.horizon)

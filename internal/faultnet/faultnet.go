@@ -16,7 +16,7 @@
 // reproducing the decisions, not the timing.
 //
 // Duplication and reordering operate on whole Write calls. Protocols that
-// frame each message as a single Write (internal/ingest does) therefore
+// write only whole frames in each Write (internal/ingest does) therefore
 // see duplicated and swapped frames — the retransmit/dedupe layer's job —
 // while torn frames only ever come from drops, which also kill the
 // connection, exactly like a mid-segment link failure.

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"io"
 	"runtime"
 	"sync"
 	"testing"
@@ -100,4 +101,58 @@ func BenchmarkFrameCodec(b *testing.B) {
 			}
 		})
 	})
+}
+
+// BenchmarkFrameReader is the read path's isolating benchmark: the data
+// frames of recorded vantage streams, encoded back to back, read through
+// one frameReader from a reader that returns at most 64 KiB per Read, as
+// a socket with that much queued would, and decoded with their event
+// arrays handed back. It reports ns and Reads per frame.
+func BenchmarkFrameReader(b *testing.B) {
+	frames, err := recordedFrames()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var c codec
+	var p parts
+	var wire []byte
+	for _, evs := range frames {
+		if wire, err = c.appendFrame(wire, p.setData(1, evs)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	spare := make(chan []stream.Event, 1)
+	fr := frameReader{s: slabs{spare: spare}}
+	src := &chunkReader{max: 64 << 10}
+	b.ResetTimer()
+	for range b.N {
+		src.b = wire
+		for range frames {
+			f, err := fr.read(src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			spare <- f.Data.Events
+		}
+	}
+	b.StopTimer()
+	n := float64(b.N) * float64(len(frames))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/frame")
+	b.ReportMetric(float64(src.reads)/n, "reads/frame")
+}
+
+// chunkReader reads b, at most max bytes per Read, and counts its Reads.
+type chunkReader struct {
+	b          []byte
+	max, reads int
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(r.b) == 0 {
+		return 0, io.EOF
+	}
+	r.reads++
+	n := copy(p[:min(len(p), r.max)], r.b)
+	r.b = r.b[n:]
+	return n, nil
 }

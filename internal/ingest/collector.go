@@ -80,9 +80,11 @@ type CollectorConfig struct {
 	// runs every min(StallAfter, EvictAfter)/4, kept within [10 ms, 1 s].
 	EvictAfter time.Duration
 
-	// ReadTimeout bounds each frame read on a connection (default 2×
-	// EvictAfter): a connection that goes silent longer is reaped, which
-	// also bounds how long serve goroutines outlive their emitters.
+	// ReadTimeout bounds each Read on a connection (default 2×
+	// EvictAfter), set as its deadline only before a Read: frames already
+	// read ahead cost none. A connection that goes silent longer is
+	// reaped, which also bounds how long serve goroutines outlive their
+	// emitters.
 	ReadTimeout time.Duration
 
 	// Obs attaches the observability layer: per-input liveness
@@ -93,9 +95,11 @@ type CollectorConfig struct {
 }
 
 // returnedArrays is how many applied event arrays an input keeps for
-// its readers to decode into: the merge applies a batch soon after the
-// reader hands it over, so a few cover the frames in flight.
-const returnedArrays = 4
+// its readers to decode into. A reader decodes the frames it read ahead
+// back to back, and the merge's intake holds four batches per input, so
+// this covers the frames one input has in flight; an array that finds
+// the channel full is dropped, and a later frame allocates afresh.
+const returnedArrays = 16
 
 // maxReorder bounds each input's per-lane reorder buffer in items. A
 // connection that would overflow it is dropped, forcing an in-order
@@ -403,9 +407,10 @@ func (c *Collector) acceptLoop() {
 }
 
 // serve handles one emitter connection: hello, welcome-with-resume, then
-// data and journal frames, each acked on its lane as applied, until the
-// bye. Any protocol or I/O error just drops the connection — the
-// emitter's reconnect-and-retransmit makes that safe.
+// data and journal frames, applied as they are read and acked per lane
+// once the frames read together are applied, until the bye. Any protocol
+// or I/O error just drops the connection — the emitter's
+// reconnect-and-retransmit makes that safe.
 func (c *Collector) serve(conn net.Conn) {
 	defer c.wg.Done()
 	defer func() {
@@ -415,9 +420,8 @@ func (c *Collector) serve(conn net.Conn) {
 		c.mu.Unlock()
 	}()
 
-	fr := frameReader{dec: c.hDecode}
+	fr := frameReader{dec: c.hDecode, timeout: c.cfg.ReadTimeout}
 	fw := frameWriter{enc: c.hEncode}
-	_ = conn.SetReadDeadline(time.Now().Add(c.cfg.ReadTimeout))
 	f, err := fr.read(conn)
 	if err != nil || f.Kind != frameHello {
 		// An I/O error is no verdict on the peer; a frame that arrived is.
@@ -475,8 +479,29 @@ func (c *Collector) serve(conn net.Conn) {
 		return
 	}
 
+	// acks holds each lane's newest ack not yet written. Acks are
+	// cumulative, so the newest covers every earlier one: serve writes
+	// them, both lanes' in one Write, only before a Read that may block,
+	// when no whole frame is left in the read buffer.
+	var acks [2]struct {
+		seq  uint64
+		owed bool
+	}
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(c.cfg.ReadTimeout))
+		if (acks[0].owed || acks[1].owed) && !fr.buffered() {
+			for lane := range acks {
+				if a := &acks[lane]; a.owed {
+					a.owed = false
+					if err := fw.add(fw.out.setAck(lane, a.seq)); err != nil {
+						return
+					}
+				}
+			}
+			_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+			if err := fw.flush(conn); err != nil {
+				return
+			}
+		}
 		f, err := fr.read(conn)
 		if err != nil {
 			return
@@ -505,10 +530,7 @@ func (c *Collector) serve(conn net.Conn) {
 		if !ok {
 			return
 		}
-		_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-		if err := fw.write(conn, fw.out.setAck(lane, ack)); err != nil {
-			return
-		}
+		acks[lane].seq, acks[lane].owed = ack, true
 	}
 }
 

@@ -13,30 +13,46 @@
 // # Wire protocol
 //
 // Every message is one frame: a 4-byte big-endian payload length, then
-// the payload, written with a single Write call. One-frame-per-Write is
-// what makes the protocol survive write-granular duplication and
-// reordering (a duplicated or swapped frame is still a well-formed frame
-// — the seq layer below discards it). Each frame is stateless: it
-// decodes alone, with no dictionary or type descriptor carried over from
-// an earlier one, so torn frames only arise from a dying connection.
+// the payload. Each Write carries whole frames: the emitter writes one
+// frame per Write, and the collector writes a lane's ack, or both lanes'
+// acks, in one. Whole-frame Writes are what make the protocol survive
+// write-granular duplication and reordering (a duplicated or swapped
+// frame is still a well-formed frame — the seq layer below discards it).
+// Each frame is stateless: it decodes alone, with no dictionary or type
+// descriptor carried over from an earlier one, so torn frames only arise
+// from a dying connection. A reader reads ahead (frame.go's frameReader):
+// one Read takes every frame that has arrived, as far as its buffer
+// reaches, and a frame already in the buffer costs no Read.
 //
 // The payload is a kind byte and a fixed layout per kind (frame.go's
 // codec walks each layout once, in both directions). Integers are
-// uvarints; signed ones (times, hello ints) are zigzag uvarints; floats
-// are the 8 raw IEEE bytes, little-endian; bools one byte, 0 or 1. A
-// string is its uvarint length and bytes. A slice is its uvarint length
-// plus one (0 for nil) and its items; a journal line is such a byte
-// slice. The exchange, per connection (the collector closes on a hello
-// whose proto is not 4, the one version it speaks):
+// uvarints; signed ones (hello ints, an End's Days and Nodes) are zigzag
+// uvarints; floats are the 8 raw IEEE bytes, little-endian; bools one
+// byte, 0 or 1. A time is the zigzag uvarint of its difference from the
+// frame's previous time, in walk order (the first from 0), wrapping as
+// int64 arithmetic does. A frame's events lie close together in time, so
+// a difference of seconds takes five bytes where an instant hours into a
+// run took seven, and a pong's or hit's time, equal to its event's, takes
+// one. A string is
+// its uvarint length and bytes. A slice is its uvarint length plus one
+// (0 for nil) and its items; a journal line is such a byte slice. The
+// exchange, per connection (the collector closes on a hello whose proto
+// is not 5, the one version it speaks; version 4 wrote whole times):
 //
 //	dir  kind            payload after the kind byte
 //	e→c  1 hello         proto, input, source, journalTMs
 //	c→e  2 welcome       resume, journalResume, evicted
 //	e→c  3 data          firstSeq, events[]            (repeated)
-//	c→e  4 ack           seq                           (after each data frame)
+//	c→e  4 ack           seq                           (see below)
 //	e→c  5 journal       firstSeq, lines[]             (interleaved with data)
-//	c→e  6 journalAck    seq                           (after each journal frame)
+//	c→e  6 journalAck    seq                           (see below)
 //	e→c  7 bye           —                             (once both lanes are acked)
+//
+// The collector acks a lane's newest applied seq once no whole frame is
+// left in its read buffer, that is just before a Read that may block:
+// the frames read together cost one ack per lane that they moved, both
+// lanes' in one Write. Acks are cumulative, so the last covers the rest,
+// and a frame cut short by the end of a Read is never waited for.
 //
 // An event is kind, presence flags (1 Sess, 2 Done, 4 Pong, 8 Hit: what
 // is set, never what the kind implies), ID and Time, then each present
@@ -89,8 +105,9 @@
 // regenerated, so it numbers its first line journalResume+1. Either way
 // every item applies exactly once, in order. Backpressure (the emitter
 // stops draining its intake at 1<<16 unacked events), ack timing
-// (ingest_ack_rtt_seconds) and ingest_reordered_events belong to the
-// events lane alone.
+// (ingest_ack_rtt_seconds: a data frame's send to the first ack that
+// covers it, so a frame read ahead waits for the frames read with it)
+// and ingest_reordered_events belong to the events lane alone.
 //
 // # Liveness and degradation
 //

@@ -315,7 +315,7 @@ func (e *Emitter) Run() error {
 
 	for {
 		if conn == nil {
-			c, welcome, err := e.connect(rng, finished())
+			c, fr, welcome, err := e.connect(rng, finished())
 			if errors.Is(err, errStopped) || errors.Is(err, errGone) {
 				return nil
 			}
@@ -342,7 +342,7 @@ func (e *Emitter) Run() error {
 			}
 			acks = make(chan ackMsg, 64)
 			connDone = make(chan struct{})
-			go readAcks(c, acks, connDone, e.hDecode)
+			go readAcks(c, fr, acks, connDone)
 			conn = c
 			lastProgress = time.Now()
 			lastSend = time.Now()
@@ -422,40 +422,45 @@ func (e *Emitter) Run() error {
 }
 
 // connect dials and handshakes on the Retry schedule, returning the
-// established connection and its welcome. With everything acked (acked),
-// a refused dial returns errGone at once: only the bye is left to say,
-// and nobody is listening for it.
-func (e *Emitter) connect(rng *rand.Rand, acked bool) (net.Conn, *welcomeFrame, error) {
+// established connection, the reader that read its welcome (to read the
+// rest of the connection's frames with, as it may hold some already) and
+// the welcome. With everything acked (acked), a refused dial returns
+// errGone at once: only the bye is left to say, and nobody is listening
+// for it.
+func (e *Emitter) connect(rng *rand.Rand, acked bool) (net.Conn, *frameReader, *welcomeFrame, error) {
 	var err error
 	for attempt := 0; ; attempt++ {
 		var c net.Conn
 		c, err = e.cfg.Dial(e.cfg.Addr, dialTimeout)
 		if acked && errors.Is(err, syscall.ECONNREFUSED) {
-			return nil, nil, errGone
+			return nil, nil, nil, errGone
 		}
 		if err == nil {
+			fr := &frameReader{dec: e.hDecode}
 			var w *welcomeFrame
-			w, err = e.handshake(c)
+			w, err = e.handshake(c, fr)
 			if err == nil {
-				return c, w, nil
+				return c, fr, w, nil
 			}
 			c.Close()
 			if errors.Is(err, ErrEvicted) {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 		}
 		if attempt >= e.cfg.Retry.Max {
-			return nil, nil, fmt.Errorf("ingest: connect %s: %w", e.cfg.Addr, err)
+			return nil, nil, nil, fmt.Errorf("ingest: connect %s: %w", e.cfg.Addr, err)
 		}
 		select {
 		case <-time.After(e.cfg.Retry.Backoff(attempt, rng)):
 		case <-e.stop:
-			return nil, nil, errStopped
+			return nil, nil, nil, errStopped
 		}
 	}
 }
 
-func (e *Emitter) handshake(c net.Conn) (*welcomeFrame, error) {
+// handshake writes the hello on c and reads the welcome through fr. The
+// welcome is fr's own, valid until fr reads the next frame.
+func (e *Emitter) handshake(c net.Conn, fr *frameReader) (*welcomeFrame, error) {
 	_ = c.SetDeadline(time.Now().Add(e.cfg.WelcomeTimeout))
 	defer c.SetDeadline(time.Time{})
 	// JournalTMs carries the emitter's journal clock at hello time — the
@@ -474,7 +479,7 @@ func (e *Emitter) handshake(c net.Conn) (*welcomeFrame, error) {
 	if err := e.fw.write(c, hello); err != nil {
 		return nil, err
 	}
-	f, err := (&frameReader{dec: e.hDecode}).read(c)
+	f, err := fr.read(c)
 	if err != nil {
 		return nil, err
 	}
@@ -503,12 +508,11 @@ func send[T any](e *Emitter, c net.Conn, q *sendQueue[T], i int) error {
 	return nil
 }
 
-// readAcks is the per-connection reader: it forwards each lane's ack seqs
-// until the connection dies, then reports the error and exits.
-// connDone unblocks it when the main loop has already moved on to a new
-// connection.
-func readAcks(c net.Conn, out chan<- ackMsg, connDone <-chan struct{}, dec *obs.Histogram) {
-	fr := frameReader{dec: dec}
+// readAcks is the per-connection reader: it forwards each lane's ack seqs,
+// read through fr, the connection's reader since its welcome, until the
+// connection dies, then reports the error and exits. connDone unblocks it
+// when the main loop has already moved on to a new connection.
+func readAcks(c net.Conn, fr *frameReader, out chan<- ackMsg, connDone <-chan struct{}) {
 	for {
 		f, err := fr.read(c)
 		var msg ackMsg

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"net/netip"
 	"slices"
 	"time"
@@ -17,10 +18,11 @@ import (
 )
 
 // protoVersion is the ingest wire protocol version, the only one spoken:
-// the collector closes any hello carrying another. Version 4 is the
-// hand-written frame layout below; version 3, its gob-encoded
-// predecessor, is refused like any other.
-const protoVersion = 4
+// the collector closes any hello carrying another. Version 5 is the
+// hand-written frame layout below, with every time a delta from the
+// frame's previous one; version 4 wrote each time whole, and version 3
+// was gob-encoded. Both are refused like any other.
+const protoVersion = 5
 
 // maxFrameLen bounds one frame's payload: a data frame carries at most
 // maxFrameEvents session records, far under this; anything larger is a
@@ -32,10 +34,14 @@ const maxFrameLen = 32 << 20
 // size.
 const maxFrameEvents = 256
 
-// readChunk is how far the payload buffer may grow ahead of the bytes
-// that have arrived, so a length prefix claiming more than its peer sends
-// costs at most this much memory.
+// readChunk is how far a frame reader's buffer may grow ahead of the
+// bytes that have arrived, so a length prefix claiming more than its peer
+// sends costs at most this much memory.
 const readChunk = 64 << 10
+
+// minReadBuf is the smallest buffer a frame reader reads ahead into: room
+// for a burst of acks, or the start of a data frame, in one Read.
+const minReadBuf = 512
 
 // errBadFrame marks a frame that is not a valid frame: a length prefix
 // out of range, or a payload the codec refuses. I/O errors, including a
@@ -170,6 +176,9 @@ type codec struct {
 	buf []byte
 	off int
 	err error
+	// prev is the frame's previous time field: each time is coded as the
+	// difference from it (see time).
+	prev trace.Time
 	// s is where decoding puts a data frame's session records, queries
 	// and session strings until slabs.place moves them out.
 	s *slabs
@@ -193,9 +202,12 @@ type parts struct {
 	jack    ackFrame
 }
 
+// fail records the first error. It moves the decoding offset to the end,
+// so the inlined fast path of uvarint finds nothing more to read.
 func (c *codec) fail(format string, args ...any) {
 	if c.err == nil {
 		c.err = fmt.Errorf("%w: %s", errBadFrame, fmt.Sprintf(format, args...))
+		c.off = len(c.buf)
 	}
 }
 
@@ -213,13 +225,70 @@ func (c *codec) take(n uint64) []byte {
 	return b
 }
 
+// uvarint is an unsigned varint: the one-byte case inline, else the
+// strict multi-byte path out of line. The hot field kinds (uvar, time,
+// bool) spell these two lines out themselves, so their one-byte values
+// cost no call at all.
 func (c *codec) uvarint(p *uint64) {
+	if !c.oneByte(p) {
+		c.longUvarint(p)
+	}
+}
+
+// oneByte codes *p when it is a one-byte uvarint, most fields of most
+// frames, and reports whether it was. It inlines in both directions.
+func (c *codec) oneByte(p *uint64) bool {
+	if c.dec {
+		if c.off < len(c.buf) && c.buf[c.off] < 0x80 {
+			*p = uint64(c.buf[c.off])
+			c.off++
+			return true
+		}
+		return false
+	}
+	if *p < 0x80 {
+		c.buf = append(c.buf, byte(*p))
+		return true
+	}
+	return false
+}
+
+// longUvarint codes a uvarint of any length. A value under 2⁵⁶, eight
+// bytes or fewer, moves through one 64-bit word without a loop, so its
+// length costs no mispredicted branch; longer ones take encoding/binary's
+// loop. Decoding refuses a non-minimal varint (a trailing zero byte), so
+// the value re-encodes to the same bytes.
+func (c *codec) longUvarint(p *uint64) {
 	if !c.dec {
-		c.buf = binary.AppendUvarint(c.buf, *p)
+		v := *p
+		if v >= 1<<56 {
+			c.buf = binary.AppendUvarint(c.buf, v)
+			return
+		}
+		n := (bits.Len64(v|1) + 6) / 7
+		w := v&0x7f | v<<1&0x7f00 | v<<2&0x7f0000 | v<<3&0x7f000000 |
+			v<<4&0x7f00000000 | v<<5&0x7f0000000000 | v<<6&0x7f000000000000 | v<<7&0x7f00000000000000
+		w |= 0x8080808080808080 & (1<<(8*(n-1)) - 1)
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, w)[:len(c.buf)+n]
 		return
 	}
 	if c.err != nil {
 		return
+	}
+	if c.off+8 <= len(c.buf) {
+		w := binary.LittleEndian.Uint64(c.buf[c.off:])
+		if stop := ^w & 0x8080808080808080; stop != 0 {
+			k := bits.TrailingZeros64(stop) // the top bit of the last byte
+			if k > 7 && w>>(k-7)&0x7f == 0 {
+				c.fail("bad uvarint at offset %d", c.off)
+				return
+			}
+			w &= 1<<k - 1
+			*p = w&0x7f | w>>1&0x3f80 | w>>2&0x1fc000 | w>>3&0xfe00000 |
+				w>>4&0x7f0000000 | w>>5&0x3f800000000 | w>>6&0x1fc0000000000 | w>>7&0xfe000000000000
+			c.off += k/8 + 1
+			return
+		}
 	}
 	v, n := binary.Uvarint(c.buf[c.off:])
 	if n <= 0 || n > 1 && c.buf[c.off+n-1] == 0 {
@@ -233,7 +302,9 @@ func (c *codec) uvarint(p *uint64) {
 // uvar is an unsigned field as a uvarint.
 func uvar[T ~uint8 | ~uint32 | ~uint64](c *codec, p *T) {
 	v := uint64(*p)
-	c.uvarint(&v)
+	if !c.oneByte(&v) {
+		c.longUvarint(&v)
+	}
 	if !c.dec {
 		return
 	}
@@ -243,27 +314,46 @@ func uvar[T ~uint8 | ~uint32 | ~uint64](c *codec, p *T) {
 	*p = T(v)
 }
 
-// svar is a signed field as a zigzag uvarint, so small negatives (a
-// JournalTMs of −1, a trace.Time before the epoch) stay one byte.
-func svar[T ~int | ~int64](c *codec, p *T) {
+// svar is a signed int as a zigzag uvarint, so small negatives (an End's
+// Nodes of −1) stay one byte.
+func svar(c *codec, p *int) {
 	u := uint64(*p)<<1 ^ uint64(int64(*p)>>63)
 	c.uvarint(&u)
 	if !c.dec {
 		return
 	}
 	v := int64(u>>1) ^ -int64(u&1)
-	if int64(T(v)) != v {
+	if int64(int(v)) != v {
 		c.fail("%d overflows int", v)
 	}
-	*p = T(v)
+	*p = int(v)
+}
+
+// time is a trace.Time as the zigzag uvarint of its difference from the
+// frame's previous time field: the times of one frame's events lie close
+// together, and a pong's or hit's time, equal to its event's, takes one
+// byte. The difference wraps like int64 arithmetic, so every uvarint
+// decodes to exactly one time and back.
+func (c *codec) time(p *trace.Time) {
+	d := uint64(*p - c.prev)
+	u := d<<1 ^ uint64(int64(d)>>63)
+	if !c.oneByte(&u) {
+		c.longUvarint(&u)
+	}
+	if c.dec {
+		*p = c.prev + trace.Time(u>>1^-(u&1))
+	}
+	c.prev = *p
 }
 
 func (c *codec) bool(p *bool) {
-	var v uint8
+	var v uint64
 	if *p {
 		v = 1
 	}
-	uvar(c, &v)
+	if !c.oneByte(&v) {
+		c.longUvarint(&v)
+	}
 	if !c.dec {
 		return
 	}
@@ -348,8 +438,20 @@ func slice[T any](c *codec, p *[]T, minItem int, item func(*codec, *T)) {
 }
 
 // addr is netip.Addr's binary form, length-prefixed: 0 bytes for the
-// zero Addr, 4 for IPv4, 16 plus the zone for IPv6.
+// zero Addr, 4 for IPv4, 16 plus the zone for IPv6. IPv4, what vantages
+// record, is coded in place; the rest goes through the netip methods.
 func (c *codec) addr(p *netip.Addr) {
+	if c.dec {
+		if c.off+5 <= len(c.buf) && c.buf[c.off] == 4 {
+			*p = netip.AddrFrom4([4]byte(c.buf[c.off+1 : c.off+5]))
+			c.off += 5
+			return
+		}
+	} else if p.Is4() {
+		a := p.As4()
+		c.buf = append(c.buf, 4, a[0], a[1], a[2], a[3])
+		return
+	}
 	var n uint64
 	switch {
 	case p.Is4():
@@ -392,7 +494,7 @@ func (c *codec) event(ev *stream.Event) {
 		return
 	}
 	uvar(c, &ev.ID)
-	svar(c, &ev.Time)
+	c.time(&ev.Time)
 	if flags&hasSess != 0 {
 		if c.dec {
 			ev.Sess = c.s.session()
@@ -407,13 +509,13 @@ func (c *codec) event(ev *stream.Event) {
 	}
 	if flags&hasPong != 0 {
 		c.pong(&ev.Pong)
-		if ev.Pong == (trace.Pong{}) {
+		if !pongSet(&ev.Pong) {
 			c.fail("zero pong flagged present")
 		}
 	}
 	if flags&hasHit != 0 {
 		c.hit(&ev.Hit)
-		if ev.Hit == (trace.Hit{}) {
+		if !hitSet(&ev.Hit) {
 			c.fail("zero hit flagged present")
 		}
 	}
@@ -427,20 +529,30 @@ func eventFlags(ev *stream.Event) uint8 {
 	if ev.Done != nil {
 		flags |= hasDone
 	}
-	if ev.Pong != (trace.Pong{}) {
+	if pongSet(&ev.Pong) {
 		flags |= hasPong
 	}
-	if ev.Hit != (trace.Hit{}) {
+	if hitSet(&ev.Hit) {
 		flags |= hasHit
 	}
 	return flags
 }
 
+// pongSet and hitSet report whether an event's pong or hit part is set,
+// that is not zero, field by field: comparing the structs whole costs a
+// memequal call per event. TestFrameCodecCoversEveryField pins their
+// field counts, so a new field is added here as well as to the codec.
+func pongSet(p *trace.Pong) bool {
+	return p.At != 0 || p.Addr.IsValid() || p.SharedFiles != 0 || p.Hops != 0
+}
+
+func hitSet(h *trace.Hit) bool { return h.At != 0 || h.Addr.IsValid() || h.Hops != 0 }
+
 func (c *codec) session(s *stream.SessionRecord) {
 	cn := &s.Conn
 	uvar(c, &cn.ID)
-	svar(c, &cn.Start)
-	svar(c, &cn.End)
+	c.time(&cn.Start)
+	c.time(&cn.End)
 	c.addr(&cn.Addr)
 	c.bool(&cn.Ultrapeer)
 	c.sessionStr(&cn.UserAgent)
@@ -474,7 +586,7 @@ const minQueryLen = 7
 
 func (c *codec) query(q *trace.Query) {
 	uvar(c, &q.ConnID)
-	svar(c, &q.At)
+	c.time(&q.At)
 	c.sessionStr(&q.Text)
 	c.bool(&q.SHA1)
 	uvar(c, &q.TTL)
@@ -483,14 +595,14 @@ func (c *codec) query(q *trace.Query) {
 }
 
 func (c *codec) pong(p *trace.Pong) {
-	svar(c, &p.At)
+	c.time(&p.At)
 	c.addr(&p.Addr)
 	uvar(c, &p.SharedFiles)
 	uvar(c, &p.Hops)
 }
 
 func (c *codec) hit(h *trace.Hit) {
-	svar(c, &h.At)
+	c.time(&h.At)
 	c.addr(&h.Addr)
 	uvar(c, &h.Hops)
 }
@@ -557,7 +669,7 @@ func own[T any](c *codec, p **T, v *T) *T {
 // appendFrame appends f as one wire unit to dst: a 4-byte big-endian
 // payload length, then the payload.
 func (c *codec) appendFrame(dst []byte, f *frame) ([]byte, error) {
-	c.dec, c.buf, c.off, c.err, c.s = false, append(dst, 0, 0, 0, 0), 0, nil, nil
+	c.dec, c.buf, c.off, c.err, c.prev, c.s = false, append(dst, 0, 0, 0, 0), 0, nil, 0, nil
 	c.frame(f)
 	n := len(c.buf) - len(dst) - 4
 	if c.err == nil && n > maxFrameLen {
@@ -580,7 +692,7 @@ func decodeFrame(payload []byte) (*frame, error) { return new(slabs).decode(payl
 func (s *slabs) decode(payload []byte) (*frame, error) {
 	s.reset()
 	c := &s.c
-	c.dec, c.buf, c.off, c.err, c.s = true, payload, 0, nil, s
+	c.dec, c.buf, c.off, c.err, c.prev, c.s = true, payload, 0, nil, 0, s
 	f := &c.p.f
 	*f = frame{}
 	c.frame(f)
@@ -709,79 +821,145 @@ func (s *slabs) place(evs []stream.Event) {
 // frameWriter encodes the frames of one writing goroutine into one
 // buffer it reuses, with one codec it reuses.
 type frameWriter struct {
-	enc *obs.Histogram // when non-nil, observes the encode time in seconds
-	buf []byte
+	enc *obs.Histogram // when non-nil, observes each frame's encode time in seconds
+	buf []byte         // frames encoded and not yet written
 	c   codec
 	out parts // the frame its caller fills for each write (see setData)
 }
 
-// write encodes f and delivers it with a single Write: length prefix
-// and payload together, so a write-granular fault (drop, dup, reorder)
-// acts on whole frames and never tears one except by killing the
-// connection. The encode time excludes the network write.
-func (fw *frameWriter) write(w io.Writer, f *frame) error {
+// add encodes f after the frames already waiting in the buffer. A frame
+// that fails to encode leaves the buffer as it was.
+func (fw *frameWriter) add(f *frame) error {
 	var start time.Time
 	if fw.enc != nil {
 		start = time.Now()
 	}
-	b, err := fw.c.appendFrame(fw.buf[:0], f)
+	b, err := fw.c.appendFrame(fw.buf, f)
 	if fw.enc != nil {
 		fw.enc.Observe(time.Since(start).Seconds())
 	}
 	fw.buf = b
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
 	return err
 }
 
-// frameReader reads the frames of one reading goroutine into one
-// payload buffer it reuses, and decodes them with one scratch it reuses.
-// The buffer grows only as payload bytes arrive, at most readChunk ahead
-// of them, and decoded frames alias neither.
-type frameReader struct {
-	dec *obs.Histogram // when non-nil, observes the decode time in seconds
-	hdr [4]byte
-	buf []byte
-	s   slabs
+// flush delivers the frames added since the last flush, if any, with a
+// single Write: whole frames, length prefixes and payloads together, so a
+// write-granular fault (drop, dup, reorder) acts on whole frames and never
+// tears one except by killing the connection.
+func (fw *frameWriter) flush(w io.Writer) error {
+	if len(fw.buf) == 0 {
+		return nil
+	}
+	_, err := w.Write(fw.buf)
+	fw.buf = fw.buf[:0]
+	return err
 }
 
-// read reads one length-prefixed frame and decodes it. The decode time
-// excludes the blocking network read.
-func (fr *frameReader) read(r io.Reader) (*frame, error) {
-	if _, err := io.ReadFull(r, fr.hdr[:]); err != nil {
+// write encodes f and delivers it with a single Write. The encode time
+// excludes the network write.
+func (fw *frameWriter) write(w io.Writer, f *frame) error {
+	if err := fw.add(f); err != nil {
+		return err
+	}
+	return fw.flush(w)
+}
+
+// frameReader reads the frames of one connection into one buffer it
+// reuses, and decodes them with one scratch it reuses. It reads ahead: a
+// Read takes whatever has arrived, as far as the buffer reaches, so the
+// frames that arrived together cost one Read, and the ones after the
+// frame returned wait in the buffer for the next call. The buffer grows
+// only as bytes arrive, at most readChunk ahead of them, and decoded
+// frames alias neither it nor the scratch (see parts). One reader serves
+// a connection for its whole life: bytes read ahead belong to it.
+type frameReader struct {
+	dec *obs.Histogram // when non-nil, observes the decode time in seconds
+	// timeout, when positive, is the read deadline set on a connection
+	// (an io.Reader with SetReadDeadline) before each Read. A frame
+	// already in the buffer costs neither a Read nor a deadline.
+	timeout time.Duration
+	buf     []byte // its whole capacity; buf[r:w] arrived and is not yet decoded
+	r, w    int
+	s       slabs
+}
+
+// buffered reports whether a whole frame is in the buffer, so the next
+// read returns it without a Read.
+func (fr *frameReader) buffered() bool {
+	n := fr.w - fr.r
+	return n >= 4 && uint64(n-4) >= uint64(binary.BigEndian.Uint32(fr.buf[fr.r:]))
+}
+
+// read returns the next frame, decoded. The decode time excludes the
+// blocking network read.
+func (fr *frameReader) read(rd io.Reader) (*frame, error) {
+	if err := fr.fill(rd, 4); err != nil {
 		return nil, err
 	}
-	n := int(binary.BigEndian.Uint32(fr.hdr[:]))
+	n := int(binary.BigEndian.Uint32(fr.buf[fr.r:]))
 	if n == 0 || n > maxFrameLen {
 		return nil, fmt.Errorf("%w: length %d out of range", errBadFrame, n)
 	}
-	b := fr.buf[:0]
-	for len(b) < n {
-		if len(b) == cap(b) {
-			b = slices.Grow(b, min(n-len(b), max(len(b), readChunk)))
-		}
-		m, err := io.ReadFull(r, b[len(b):min(n, cap(b))])
-		b = b[:len(b)+m]
-		if err != nil {
-			fr.buf = b
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, err
-		}
+	if err := fr.fill(rd, 4+n); err != nil {
+		return nil, err
 	}
-	fr.buf = b
+	payload := fr.buf[fr.r+4 : fr.r+4+n]
+	fr.r += 4 + n
 	var start time.Time
 	if fr.dec != nil {
 		start = time.Now()
 	}
-	f, err := fr.s.decode(b)
+	f, err := fr.s.decode(payload)
 	if fr.dec != nil {
 		fr.dec.Observe(time.Since(start).Seconds())
 	}
 	return f, err
+}
+
+// fill reads until need bytes from fr.r on have arrived. Input that ends
+// inside a frame is io.ErrUnexpectedEOF; io.EOF means it ended between
+// frames.
+func (fr *frameReader) fill(rd io.Reader, need int) error {
+	for fr.w-fr.r < need {
+		if cap(fr.buf)-fr.r < need {
+			fr.room(need)
+		}
+		if fr.timeout > 0 {
+			if c, ok := rd.(interface{ SetReadDeadline(time.Time) error }); ok {
+				_ = c.SetReadDeadline(time.Now().Add(fr.timeout))
+			}
+		}
+		m, err := rd.Read(fr.buf[fr.w:])
+		fr.w += m
+		if err != nil && fr.w-fr.r < need {
+			if err == io.EOF && fr.w > fr.r {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+// room moves the bytes not yet decoded to the front of the buffer, and
+// grows it when need of them would still not fit. A reader of small
+// frames (acks, a welcome) keeps minReadBuf; one that meets a larger frame
+// reads ahead by readChunk: its buffer grows to readChunk, or to need if
+// that is more, but never more than readChunk (or the bytes' own length,
+// if larger) past the bytes that have arrived. A length prefix claiming
+// more than its peer sends thus costs memory only as its bytes arrive.
+func (fr *frameReader) room(need int) {
+	n := copy(fr.buf, fr.buf[fr.r:fr.w])
+	fr.r, fr.w = 0, n
+	if need <= cap(fr.buf) {
+		return
+	}
+	size := min(max(need, readChunk), n+max(n, readChunk))
+	if need <= minReadBuf {
+		size = minReadBuf
+	}
+	fr.buf = slices.Grow(fr.buf[:n], size-n)
+	fr.buf = fr.buf[:cap(fr.buf)]
 }
 
 // latencyBuckets is the shared bucket schema for the per-frame wall

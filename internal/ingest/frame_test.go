@@ -41,8 +41,8 @@ var goldenFrames = []struct {
 	f   *frame
 	hex string
 }{
-	{&frame{Kind: frameHello, Hello: &helloFrame{Proto: protoVersion, Input: 2, Source: "vantage2", JournalTMs: 123.5}}, "000000140108040876616e74616765320000000000e05e40"},
-	{&frame{Kind: frameHello, Hello: &helloFrame{Proto: protoVersion, Input: 0, JournalTMs: -1}}, "0000000c01080000000000000000f0bf"},
+	{&frame{Kind: frameHello, Hello: &helloFrame{Proto: protoVersion, Input: 2, Source: "vantage2", JournalTMs: 123.5}}, "00000014010a040876616e74616765320000000000e05e40"},
+	{&frame{Kind: frameHello, Hello: &helloFrame{Proto: protoVersion, Input: 0, JournalTMs: -1}}, "0000000c010a0000000000000000f0bf"},
 	{&frame{Kind: frameWelcome, Welcome: &welcomeFrame{Resume: 77, JournalResume: 12, Evicted: true}}, "00000004024d0c01"},
 	{&frame{Kind: frameJournal, Journal: &journalFrame{FirstSeq: 13, Lines: [][]byte{
 		[]byte(`{"kind":"event","t_ms":1,"name":"x"}`),
@@ -60,14 +60,14 @@ var goldenFrames = []struct {
 		}},
 		{Kind: stream.EvPong, Time: 3 * time.Second, Pong: trace.Pong{At: 3 * time.Second, Addr: netip.MustParseAddr("2001:db8::1"), SharedFiles: 120, Hops: 2}},
 		{Kind: stream.EvDone, Time: time.Hour, Done: &stream.End{Seed: 1, Scale: 0.5, Days: 2, Nodes: 1}},
-	}}}, "00000094" + "03" + "09" + "05" + // length, kind, FirstSeq, 4 events
-		"00" + "00" + "04" + "80a8d6b907" + // open: kind, flags, ID, Time
-		"01" + "01" + "04" + "80e0ba84bf03" + // close, Sess:
-		"00" + "80a8d6b907" + "80e0ba84bf03" + "04" + "0a010203" + "01" + "0c" + "4c696d65576972652f342e30" + "00" + // Conn
-		"02" + "00" + "80d0acf30e" + "08" + "66726565206d7033" + "00" + "07" + "01" + "03" + // 1 query
-		"02" + "04" + "00" + "80f882ad16" + // pong, Pong:
-		"80f882ad16" + "10" + "20010db8000000000000000000000001" + "78" + "02" +
-		"04" + "02" + "00" + "8080c58bc6d101" + // done, Done:
+	}}}, "00000092" + "03" + "09" + "05" + // length, kind, FirstSeq, 4 events; each time is a zigzag delta from the one before
+		"00" + "00" + "04" + "80a8d6b907" + // open: kind, flags, ID, Time +1 s
+		"01" + "01" + "04" + "80b8e4cab703" + // close (Time +59 s), Sess:
+		"00" + "ffb7e4cab703" + "80b8e4cab703" + "04" + "0a010203" + "01" + "0c" + "4c696d65576972652f342e30" + "00" + // Conn: Start −59 s, End +59 s
+		"02" + "00" + "ff8f8e91b003" + "08" + "66726565206d7033" + "00" + "07" + "01" + "03" + // 1 query, At −58 s
+		"02" + "04" + "00" + "80a8d6b907" + // pong (Time +1 s), Pong:
+		"00" + "10" + "20010db8000000000000000000000001" + "78" + "02" + // At +0
+		"04" + "02" + "00" + "8088c2deafd101" + // done (Time +3597 s), Done:
 		"00000000000000" + "01" + "000000000000e03f" + "04" + "02" + "0000000000000000" + "0000000000000000"},
 	{&frame{Kind: frameAck, Ack: &ackFrame{Seq: 1 << 40}}, "0000000704808080808020"},
 	{&frame{Kind: frameBye}, "0000000107"},
@@ -235,6 +235,38 @@ func randString(r *rand.Rand) string {
 	return strings.Repeat("é√x", r.IntN(4)) + strings.Repeat("q", r.IntN(200))
 }
 
+// TestUvarintMatchesBinary holds the codec's varints to
+// encoding/binary's at every length: values at each bit-length boundary
+// and random ones encode to the same bytes, and decode back with or
+// without eight more bytes behind them (the word path and the loop).
+func TestUvarintMatchesBinary(t *testing.T) {
+	r := rand.New(rand.NewPCG(2004, 46))
+	var vals []uint64
+	for k := range 65 {
+		hi := uint64(1)<<k - 1
+		if k == 64 {
+			hi = math.MaxUint64
+		}
+		vals = append(vals, hi, hi+1, r.Uint64()&hi)
+	}
+	for _, v := range vals {
+		want := binary.AppendUvarint(nil, v)
+		enc := codec{}
+		enc.uvarint(&v)
+		if !bytes.Equal(enc.buf, want) {
+			t.Fatalf("%d encodes as %x, want %x", v, enc.buf, want)
+		}
+		for _, tail := range [][]byte{nil, make([]byte, 8)} {
+			dec := codec{dec: true, buf: append(append([]byte(nil), want...), tail...)}
+			var got uint64
+			dec.uvarint(&got)
+			if dec.err != nil || got != v || dec.off != len(want) {
+				t.Fatalf("%x (tail %d) decodes as %d at offset %d, err %v; want %d at %d", want, len(tail), got, dec.off, dec.err, v, len(want))
+			}
+		}
+	}
+}
+
 // TestFrameCodecCoversEveryField pins the field counts of every struct
 // the frame codec walks. A new field must be encoded by codec in
 // frame.go, or it would silently arrive as its zero value.
@@ -268,6 +300,7 @@ func TestFrameRejectsMalformed(t *testing.T) {
 		"trailing byte":     ack(5, 0),
 		"short read":        ack(0x80),
 		"overlong varint":   ack(0x85, 0x00),
+		"overlong in words": {byte(frameWelcome), 0x85, 0x80, 0x00, 1, 1, 1, 1, 1, 1, 1},
 		"bool 2":            {byte(frameWelcome), 1, 1, 2},
 		"count past end":    {byte(frameData), 1, 0xff, 0xff, 0xff, 0x07},
 		"line past end":     {byte(frameJournal), 1, 2, 9, 'x'},
@@ -325,6 +358,63 @@ func TestFrameTornPayload(t *testing.T) {
 	if _, err := readFrame(bytes.NewReader(torn)); err == nil {
 		t.Fatal("torn frame accepted")
 	}
+}
+
+// TestFrameReaderReadsAhead pins the read-ahead: frames that arrive
+// together cost one Read and one read deadline, buffered reports each
+// whole frame still waiting, and frames cut at any byte by the Reads come
+// out the same.
+func TestFrameReaderReadsAhead(t *testing.T) {
+	var wire []byte
+	var want []*frame
+	for seq := range uint64(3) {
+		f := new(parts).setAck(int(seq%2), seq+1)
+		b, err := appendFrame(wire, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire, want = b, append(want, f)
+	}
+	src := &deadlineReader{chunkReader: chunkReader{b: wire, max: len(wire)}}
+	fr := frameReader{timeout: time.Second}
+	for i, w := range want {
+		if i > 0 && !fr.buffered() {
+			t.Fatalf("frame %d not buffered", i)
+		}
+		if f, err := fr.read(src); err != nil || !reflect.DeepEqual(f, w) {
+			t.Fatalf("frame %d: %+v, err %v; want %+v", i, f, err, w)
+		}
+	}
+	if fr.buffered() {
+		t.Fatal("buffered after the last frame")
+	}
+	if src.reads != 1 || src.deadlines != 1 {
+		t.Fatalf("%d Reads and %d deadlines for frames written together, want 1 and 1", src.reads, src.deadlines)
+	}
+	if _, err := fr.read(src); err != io.EOF {
+		t.Fatalf("after the last frame: err %v, want io.EOF", err)
+	}
+
+	for size := 1; size <= len(wire); size++ {
+		var fr frameReader
+		src := &chunkReader{b: wire, max: size}
+		for i, w := range want {
+			if f, err := fr.read(src); err != nil || !reflect.DeepEqual(f, w) {
+				t.Fatalf("Reads of %d bytes, frame %d: %+v, err %v; want %+v", size, i, f, err, w)
+			}
+		}
+	}
+}
+
+// deadlineReader is a chunkReader that counts its read deadlines.
+type deadlineReader struct {
+	chunkReader
+	deadlines int
+}
+
+func (r *deadlineReader) SetReadDeadline(time.Time) error {
+	r.deadlines++
+	return nil
 }
 
 // TestReadFrameAllocatesOnlyWhatArrives: a length prefix claiming the
@@ -454,8 +544,9 @@ func FuzzDecodeFrame(f *testing.F) {
 }
 
 // TestCollectorRawFrames speaks the protocol by hand over a real
-// connection. A version-3 (gob) hello captured from the previous
-// protocol, a current-layout hello of any version but protoVersion, and
+// connection. A version-3 (gob) hello captured from that protocol, a
+// current-layout hello of any version but protoVersion (version 4 wrote
+// the same hello, with whole times in its data frames), and
 // a current hello whose journal clock is NaN or ±Inf are closed on with
 // no welcome and counted as refused. A current hello
 // is welcomed, journal frames sent out of order (seq 2, then 1) are
@@ -506,6 +597,7 @@ func TestCollectorRawFrames(t *testing.T) {
 	}
 	for _, h := range []*helloFrame{
 		{Proto: 3, Source: "raw"},
+		{Proto: 4, Source: "raw"},
 		{Proto: protoVersion, Source: "raw", JournalTMs: math.Inf(1)},
 		{Proto: protoVersion, Source: "raw", JournalTMs: math.Inf(-1)},
 		{Proto: protoVersion, Source: "raw", JournalTMs: math.NaN()},
@@ -516,8 +608,8 @@ func TestCollectorRawFrames(t *testing.T) {
 			t.Fatalf("hello %+v answered with %+v", h, f)
 		}
 	}
-	if n := col.mRefused.Value(); n != 7 {
-		t.Fatalf("ingest_hellos_refused_total = %d, want 7 (the gob hello, the version-3 one, the three non-finite clocks and the two above the ceiling)", n)
+	if n := col.mRefused.Value(); n != 8 {
+		t.Fatalf("ingest_hellos_refused_total = %d, want 8 (the gob hello, the version-3 and version-4 ones, the three non-finite clocks and the two above the ceiling)", n)
 	}
 	c = dial()
 	if f, err := exchange(c, &frame{Kind: frameHello, Hello: &helloFrame{Proto: protoVersion, Source: "raw"}}); err != nil || f.Kind != frameWelcome {
@@ -557,6 +649,93 @@ func TestCollectorRawFrames(t *testing.T) {
 	}
 	if want := []string{"line1", "line2"}; !reflect.DeepEqual(names, want) {
 		t.Fatalf("raw lane = %v, want %v", names, want)
+	}
+}
+
+// TestCoalescedAcksCoverBothLanes pins the collector's ack coalescing
+// over a raw connection. The collector acks once no whole frame is left
+// in its read buffer, and it owes each lane its own ack: a data frame and
+// a journal frame written together must both be acked, and a data frame
+// followed by half of the next frame must be acked before the rest of
+// that frame comes. A collector that kept one pending ack for both lanes
+// would lose the first, and one that waited for a whole frame the second;
+// either leaves an emitter waiting out its ack timeout.
+func TestCoalescedAcksCoverBothLanes(t *testing.T) {
+	col, err := NewCollector(CollectorConfig{Inputs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() { _, _ = col.Run(); close(done) }()
+	c, err := net.Dial("tcp", col.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_ = c.SetDeadline(time.Now().Add(10 * time.Second))
+	if err := writeFrame(c, &frame{Kind: frameHello, Hello: &helloFrame{Proto: protoVersion, JournalTMs: -1}}); err != nil {
+		t.Fatal(err)
+	}
+	var fr frameReader // one reader: a Write may carry both lanes' acks
+	if f, err := fr.read(c); err != nil || f.Kind != frameWelcome {
+		t.Fatalf("welcome: frame %+v, err %v", f, err)
+	}
+	wire := func(frames ...*frame) []byte {
+		var b []byte
+		for _, f := range frames {
+			if b, err = appendFrame(b, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b
+	}
+	pong := func(seq uint64) *frame {
+		at := trace.Time(seq) * time.Second
+		return new(parts).setData(seq, []stream.Event{{Kind: stream.EvPong, Time: at, Pong: trace.Pong{At: at, Addr: netip.MustParseAddr("10.0.0.1"), SharedFiles: 5, Hops: 2}}})
+	}
+	var acked [2]uint64
+	// await reads acks until each lane's reaches want, each Read within 2 s.
+	await := func(step string, want [2]uint64) {
+		t.Helper()
+		_ = c.SetReadDeadline(time.Now().Add(2 * time.Second))
+		for acked[laneEvents] < want[laneEvents] || acked[laneJournal] < want[laneJournal] {
+			f, err := fr.read(c)
+			if err != nil {
+				t.Fatalf("%s: acks %v, want %v: %v", step, acked, want, err)
+			}
+			switch f.Kind {
+			case frameAck:
+				acked[laneEvents] = max(acked[laneEvents], f.Ack.Seq)
+			case frameJournalAck:
+				acked[laneJournal] = max(acked[laneJournal], f.JAck.Seq)
+			}
+		}
+	}
+	write := func(b []byte) {
+		t.Helper()
+		if _, err := c.Write(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	line := []byte(`{"kind":"event","t_ms":1,"name":"x"}`)
+	write(wire(pong(1), new(parts).setJournal(1, [][]byte{line})))
+	await("a data frame and a journal frame in one write", [2]uint64{1, 1})
+
+	trailer := wire(new(parts).setData(3, []stream.Event{{Kind: stream.EvDone, Time: 3 * time.Second, Done: &stream.End{Nodes: 1}}}))
+	half := len(trailer) / 2
+	write(append(wire(pong(2)), trailer[:half]...))
+	await("a data frame and half the next", [2]uint64{2, 1})
+
+	write(trailer[half:])
+	await("the rest of the trailer", [2]uint64{3, 1})
+	if err := writeFrame(c, &frame{Kind: frameBye}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run still running 10 s after the bye")
 	}
 }
 

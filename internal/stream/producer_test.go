@@ -14,8 +14,10 @@ import (
 // the merger has applied a batch it hands the array back, and the
 // producer's next flush refills from it instead of allocating. Each batch
 // here is flushed only after the one before it came back, so a stream of
-// dozens of batches travels in two arrays, and the drained trace holds
-// every session.
+// dozens of batches travels in at most two arrays, and the drained trace
+// holds every session. A flush may take back the very array it just sent,
+// when the merger applied it first; then no batch is out and there is
+// nothing to wait for.
 func TestProducerRefillsFromReturnedArrays(t *testing.T) {
 	m := NewMerger(1, nil)
 	done := make(chan *trace.Trace)
@@ -23,18 +25,21 @@ func TestProducerRefillsFromReturnedArrays(t *testing.T) {
 	p := NewProducer(0, m.Intake())
 	arrays := make(map[*Event]bool)
 	flushed := 0
+	var sent *Event // the array of the batch flushed last
 	emit := func(ev Event) {
-		if len(p.buf) == batchSize-1 && flushed > 0 {
+		if len(p.buf) == batchSize-1 && flushed > 0 && unsafe.SliceData(p.buf) != sent {
 			for deadline := time.Now().Add(10 * time.Second); len(p.returned) == 0; time.Sleep(time.Millisecond) {
 				if time.Now().After(deadline) {
 					t.Fatalf("batch %d never came back", flushed)
 				}
 			}
 		}
-		arrays[unsafe.SliceData(p.buf)] = true
+		arr := unsafe.SliceData(p.buf)
+		arrays[arr] = true
 		p.Emit(ev)
 		if len(p.buf) == 0 {
 			flushed++
+			sent = arr
 		}
 	}
 	const sessions = 5000
@@ -52,8 +57,8 @@ func TestProducerRefillsFromReturnedArrays(t *testing.T) {
 	if flushed < 30 {
 		t.Fatalf("only %d batches; the stream is too short to show reuse", flushed)
 	}
-	if len(arrays) != 2 {
-		t.Errorf("%d batches travelled in %d arrays, want 2", flushed+1, len(arrays))
+	if n := len(arrays); n < 1 || n > 2 {
+		t.Errorf("%d batches travelled in %d arrays, want one or two", flushed+1, n)
 	}
 }
 
