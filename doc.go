@@ -87,13 +87,16 @@
 //
 // simtime.Scheduler has two order-equivalent implementations, the
 // container/heap HeapScheduler and a Brown calendar queue
-// (CalendarScheduler) with lazy cancellation, property- and fuzz-tested
-// to pop identical sequences — ties, cancellations, stale handles and
-// far-future gaps included. The engine's nodes run the calendar queue:
-// bench/'s simtime.*_hold_ns layer metrics measured a hold at 110 ns
-// against the heap's 304 ns at 10^3 pending events, and 152 against 497
-// ns at 32·10^3. HeapScheduler is the order oracle for tests (the
-// chain-replay oracle and ad-hoc test schedulers run it), nothing more.
+// (CalendarScheduler) whose buckets hold pointer-free (instant, item id)
+// entries and whose cancellations remove their entry at once,
+// property- and fuzz-tested to pop identical sequences — ties, explicit
+// keys, cancellations, stale handles and far-future gaps included. The
+// engine's nodes run the calendar queue: bench/'s simtime.*_hold_ns
+// layer metrics, medians of five traced fleet-stream runs on a 2-core
+// x86-64 host, measured a hold at 82 ns against the heap's 234 ns at
+// 10^3 pending events, and 199 against 527 ns at 32·10^3.
+// HeapScheduler is the order oracle for tests (the chain-replay oracle
+// and ad-hoc test schedulers run it), nothing more.
 //
 // The node event loop is nearly all of a simulation's CPU, and nearly
 // every event in it is per-connection background traffic, so the loop is
@@ -105,7 +108,7 @@
 //
 //   - Scheduler items are recycled. Each scheduler keeps a free list,
 //     refilled 256 items at a time when it runs dry; an item returns to
-//     it when its event fires or its cancellation is swept. A
+//     it when its event fires or is cancelled. A
 //     simtime.Handle carries the item's generation, so Cancel
 //     and Cancelled on a handle whose event is spent stay inert however
 //     often the item has been reused — the probe re-arm in

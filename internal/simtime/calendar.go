@@ -1,6 +1,10 @@
 package simtime
 
-import "time"
+import (
+	"math"
+	"math/bits"
+	"time"
+)
 
 // CalendarScheduler is a calendar-queue Scheduler (R. Brown, "Calendar
 // Queues: A Fast O(1) Priority Queue Implementation for the Simulation
@@ -10,9 +14,10 @@ import "time"
 // back to a direct search when a whole year of days is empty. The bucket
 // count follows the live event count, and the bucket width is set from
 // the head of the queue — about three times the mean separation of the
-// earliest live events, Brown's rule — so a scanned day holds a handful
+// earliest live events, Brown's rule, rounded down to a power of two so a
+// bucket index is a shift and a mask — so a scanned day holds a handful
 // of entries and enqueue and dequeue are O(1) amortized where a binary
-// heap pays O(log n); calendarWidth says why the head, not the whole live
+// heap pays O(log n); calendarShift says why the head, not the whole live
 // set, must set it. When the head's density drifts between resizes, Step
 // notices the longer scans and re-measures the width (the dynamic
 // calendar queue of Oh and Ahn, 1997).
@@ -22,10 +27,15 @@ import "time"
 // the caller never touches keys — which the equivalence property and
 // fuzz tests pin operation for operation, cancellations and ties included.
 // The bucket width affects only speed, never the fire order.
-// Cancellation is lazy: a cancelled item stays in its bucket (marked by
-// the shared index == -1 sentinel) until a scan sweeps it out, so Cancel
-// is O(1) and Pending counts live events only; the item is recycled at
-// the sweep, not at the Cancel. Not safe for concurrent use.
+//
+// A bucket holds pointer-free entries, each an event's instant and its
+// item's id, so a day scan compares instants without touching an item (it
+// reads one only to break an exact-instant tie) and filling and emptying
+// buckets writes no pointers for the garbage collector to track.
+// Cancellation is eager: a queued item knows its slot in its bucket
+// (item.index), so Cancel swap-deletes its entry and recycles the item at
+// once, and the buckets hold live events only. Not safe for concurrent
+// use.
 type CalendarScheduler struct {
 	now       Time
 	cur       SeqKey // implicit key of the next Schedule call
@@ -35,11 +45,10 @@ type CalendarScheduler struct {
 	hook      FireHook
 	pool      itemPool
 
-	buckets [][]*item
+	buckets [][]entry
 	mask    int  // len(buckets) - 1; bucket count is a power of two
-	width   Time // bucket span; one year is width × len(buckets)
-	live    int  // queued, non-cancelled items
-	dead    int  // queued, cancelled items awaiting sweep
+	shift   uint // bucket span is 1 << shift; one year is that × len(buckets)
+	live    int  // queued items
 
 	// winStart is the absolute start of the day currently being scanned.
 	// All live timestamps are ≥ now, and now is never behind winStart, so
@@ -49,49 +58,50 @@ type CalendarScheduler struct {
 	winStart Time
 
 	// cached is the item the last findMin located, so peek-then-pop
-	// (RunUntil's loop) pays one scan, not two, and cachedSlot is its
-	// position in its bucket, so Step removes it without a second walk.
-	// The cache is dropped whenever an operation could invalidate either:
-	// a Schedule before its timestamp, its own cancellation (detected via
-	// the index sentinel), or a resize. Nothing else reorders a bucket
-	// between a findMin and the Step that consumes it: Schedule only
-	// appends, and Cancel only marks.
-	cached     *item
-	cachedSlot int
+	// (RunUntil's loop) pays one scan, not two. It is dropped when a
+	// Schedule preempts it, when it is cancelled, and at a resize; its
+	// slot is its index, which every removal keeps current.
+	cached *item
 
-	// gather is resize's scratch list of live items, kept between calls.
-	gather []*item
-	// counts is newBuckets' scratch: per-bucket item counts.
+	// gather is resize's scratch list of entries, kept between calls.
+	gather []entry
+	// counts is newBuckets' scratch: per-bucket entry counts.
 	counts []int
-	// head is calendarWidth's scratch: a max-heap of the earliest live
+	// head is calendarShift's scratch: a max-heap of the earliest live
 	// timestamps.
 	head [calendarSampleCap]Time
 
-	// examined counts the bucket entries (live or awaiting sweep) that
-	// findMin has looked at — the scan length the bucket width exists to
-	// keep short. windowSteps and windowMark are the Step count and
-	// examined value at the start of Step's current scan-length window.
+	// examined counts the bucket entries that findMin has looked at — the
+	// scan length the bucket width exists to keep short. windowSteps and
+	// windowMark are the Step count and examined value at the start of
+	// Step's current scan-length window.
 	examined    uint64
 	windowSteps int
 	windowMark  uint64
+}
+
+// entry is a queued event as its bucket holds it: its instant and its
+// item's id in the scheduler's pool.
+type entry struct {
+	at Time
+	id uint32
 }
 
 const (
 	// calendarMinBuckets keeps the calendar from thrashing at small sizes,
 	// where the heap wins anyway.
 	calendarMinBuckets = 64
-	// calendarDefaultWidth spaces an empty calendar's buckets before any
-	// spacing statistics exist.
-	calendarDefaultWidth = Time(time.Millisecond)
+	// calendarDefaultShift spaces an empty calendar's buckets (about half
+	// a millisecond apart) before any spacing statistics exist.
+	calendarDefaultShift = 19
 	// calendarMaxScan is the mean number of bucket entries per Step above
 	// which Step re-measures the bucket width. A well-sized calendar scans
-	// about five: three of the current day, plus later years' entries and
-	// cancelled ones.
+	// about four: three of the current day plus later years' entries.
 	calendarMaxScan = 8
 	// calendarSlack is the room newBuckets leaves in each bucket beyond
-	// the items a resize places there. Over the 8 vantages of a
-	// scale-0.25, 3-day fleet run, buckets outgrew their arrays 42,272
-	// times with 4, 24,216 with 8, 12,919 with 12 and 7,008 with 16.
+	// the entries a resize places there. Over the 8 vantages of a
+	// scale-0.25, 3-day fleet run, buckets outgrew their arrays about
+	// 27,300 times with 4, 10,200 with 8, 3,400 with 12 and 1,250 with 16.
 	calendarSlack = 12
 	// calendarSampleCap is how many of the earliest live timestamps a
 	// resize measures the bucket width from.
@@ -101,12 +111,11 @@ const (
 // NewCalendarScheduler returns a calendar scheduler positioned at the
 // trace epoch.
 func NewCalendarScheduler() *CalendarScheduler {
-	s := &CalendarScheduler{
-		buckets: make([][]*item, calendarMinBuckets),
+	return &CalendarScheduler{
+		buckets: make([][]entry, calendarMinBuckets),
 		mask:    calendarMinBuckets - 1,
-		width:   calendarDefaultWidth,
+		shift:   calendarDefaultShift,
 	}
-	return s
 }
 
 // Now returns the current simulated time.
@@ -123,10 +132,14 @@ func (s *CalendarScheduler) Scheduled() uint64 { return s.scheduled }
 // cancelled.
 func (s *CalendarScheduler) Pending() int { return s.live }
 
-// bucketOf maps an absolute timestamp to its bucket index.
+// bucketOf maps a timestamp to its bucket index. Queued timestamps are
+// never negative (they are ≥ now ≥ 0).
 func (s *CalendarScheduler) bucketOf(at Time) int {
-	return int(uint64(at/s.width) & uint64(s.mask))
+	return int(uint64(at)>>s.shift) & s.mask
 }
+
+// dayOf returns the start of the day holding a timestamp.
+func (s *CalendarScheduler) dayOf(at Time) Time { return at &^ (1<<s.shift - 1) }
 
 // Schedule queues an event at an absolute simulated instant with the
 // implicit (FIFO-advancing) tie-break key. Scheduling in the past (before
@@ -148,16 +161,17 @@ func (s *CalendarScheduler) ScheduleKeyed(at Time, key SeqKey, e Event) Handle {
 		s.resize(len(s.buckets) * 2)
 	}
 	it := s.pool.get()
-	it.at, it.key, it.seq, it.event, it.index = at, key, s.seq, e, 0
+	it.at, it.key, it.seq, it.event = at, key, s.seq, e
 	s.seq++
 	s.scheduled++
 	i := s.bucketOf(at)
-	s.buckets[i] = append(s.buckets[i], it)
+	it.index = int32(len(s.buckets[i]))
+	s.buckets[i] = append(s.buckets[i], entry{at: at, id: it.id})
 	s.live++
 	// An item can land in a day the scan already walked past (the scan
 	// runs ahead of the clock across empty stretches); pull the scan
 	// position back so the next findMin sees it.
-	if day := at - at%s.width; day < s.winStart {
+	if day := s.dayOf(at); day < s.winStart {
 		s.winStart = day
 	}
 	// The new item preempts the cached minimum when it fires first —
@@ -180,91 +194,84 @@ func (s *CalendarScheduler) After(delay time.Duration, e Event) Handle {
 	return s.Schedule(s.now+delay, e)
 }
 
-// Cancel removes a scheduled event. Cancelling an already-fired or
-// already-cancelled event is a no-op. The item itself is swept out of its
-// bucket by a later scan or resize.
+// Cancel removes a scheduled event and recycles its item. Cancelling an
+// already-fired or already-cancelled event is a no-op.
 func (s *CalendarScheduler) Cancel(h Handle) {
 	if !h.pending() {
 		return
 	}
-	h.it.index = -1
-	h.it.event = nil
-	s.live--
-	s.dead++
+	s.remove(h.it)
 	if s.cached == h.it {
 		s.cached = nil
 	}
-	// A cancellation-heavy phase (every delivered message re-arms a probe
-	// timer) must not let dead items dominate the scans: compact once they
-	// outnumber the live set.
-	if s.dead > s.live+4*len(s.buckets) {
-		s.resize(len(s.buckets))
-	}
+	s.pool.put(h.it)
 }
 
-// findMin locates the earliest (at, key, seq) live item, advancing the
-// day scan as far as needed, and caches it with its bucket slot. It
-// returns nil when no live items remain. The day scan also sweeps out the
-// cancelled items it meets, so each scanned bucket is walked once.
+// remove swap-deletes a queued item's entry from its bucket, moving the
+// bucket's last entry into the freed slot and updating that entry's
+// index.
+func (s *CalendarScheduler) remove(it *item) {
+	i := s.bucketOf(it.at)
+	b := s.buckets[i]
+	last := len(b) - 1
+	if j := it.index; int(j) != last {
+		b[j] = b[last]
+		s.pool.item(b[j].id).index = j
+	}
+	s.buckets[i] = s.buckets[i][:last] // a length-only store: no write barrier
+	s.live--
+}
+
+// findMin locates and caches the earliest (at, key, seq) queued item,
+// advancing the day scan as far as needed. It returns nil when none
+// remain.
 func (s *CalendarScheduler) findMin() *item {
-	if s.cached != nil && s.cached.index != -1 {
+	if s.cached != nil || s.live == 0 {
 		return s.cached
 	}
-	s.cached = nil
-	if s.live == 0 {
-		return nil
-	}
-	n := len(s.buckets)
-	for scanned := 0; scanned < n; scanned++ {
-		i := s.bucketOf(s.winStart)
+	width := Time(1) << s.shift
+	for range s.buckets {
 		// Only items of the current year's window belong to this day;
 		// later years wait for their wrap-around.
-		if best, slot := s.scanDay(i, s.winStart, false); best != nil {
-			s.cached, s.cachedSlot = best, slot
+		if best := s.scanDay(s.bucketOf(s.winStart), s.winStart, uint64(width)); best != nil {
+			s.cached = best
 			return best
 		}
-		s.winStart += s.width
+		s.winStart += width
 	}
 	// A whole year of days is empty: jump straight to the global minimum's
 	// day instead of spinning across the gap.
 	var best *item
 	for i := range s.buckets {
-		if it, slot := s.scanDay(i, 0, true); it != nil && (best == nil || it.before(best)) {
-			best, s.cachedSlot = it, slot
+		if it := s.scanDay(i, 0, math.MaxUint64); it != nil && (best == nil || it.before(best)) {
+			best = it
 		}
 	}
-	s.winStart = best.at - best.at%s.width
+	s.winStart = s.dayOf(best.at)
 	s.cached = best
 	return best
 }
 
-// scanDay walks bucket i once: it recycles the cancelled items it meets
-// (swap-deletion; buckets are unordered) and returns the earliest live
-// item of the day starting at day — or of any year, when anyYear is set
-// — and that item's slot, or nil.
-func (s *CalendarScheduler) scanDay(i int, day Time, anyYear bool) (*item, int) {
+// scanDay returns the earliest item in bucket i that lies in [day,
+// day+span), or nil. It compares the entries' offsets from day as
+// unsigned numbers, so an entry outside the day, before or after it,
+// reads as at least span and one comparison both filters and orders;
+// it reads items only to order an exact-instant tie.
+func (s *CalendarScheduler) scanDay(i int, day Time, span uint64) *item {
 	b := s.buckets[i]
 	s.examined += uint64(len(b))
-	var best *item
-	slot := 0
-	for j := 0; j < len(b); {
-		it := b[j]
-		if it.index == -1 {
-			s.pool.put(it)
-			b[j] = b[len(b)-1]
-			b[len(b)-1] = nil
-			b = b[:len(b)-1]
-			s.dead--
-			continue
+	best, bestOff := -1, span
+	for j, e := range b {
+		if off := uint64(e.at - day); off < bestOff {
+			best, bestOff = j, off
+		} else if off == bestOff && best >= 0 && s.pool.item(e.id).before(s.pool.item(b[best].id)) {
+			best = j
 		}
-		inDay := anyYear || it.at >= day && it.at < day+s.width
-		if inDay && (best == nil || it.before(best)) {
-			best, slot = it, j
-		}
-		j++
 	}
-	s.buckets[i] = b
-	return best, slot
+	if best < 0 {
+		return nil
+	}
+	return s.pool.item(b[best].id)
 }
 
 // Step fires the earliest pending event, advancing the clock to its
@@ -274,15 +281,7 @@ func (s *CalendarScheduler) Step() bool {
 	if it == nil {
 		return false
 	}
-	// Swap-delete the item from the slot findMin recorded.
-	i := s.bucketOf(it.at)
-	b := s.buckets[i]
-	last := len(b) - 1
-	b[s.cachedSlot] = b[last]
-	b[last] = nil
-	s.buckets[i] = b[:last]
-	s.live--
-	it.index = -1
+	s.remove(it)
 	s.cached = nil
 	// The width was measured at the last resize; when the head's density
 	// has drifted since (a fill that front-loaded one kind of event, a
@@ -334,67 +333,58 @@ func (s *CalendarScheduler) Run() {
 }
 
 // resize rebuilds the bucket array at the given size (a power of two),
-// recomputing the bucket width from the live items' spacing and recycling
-// cancelled items. Also used at constant size as a compaction pass — the
-// steady state of a cancellation-heavy run — where every bucket keeps its
+// recomputing the bucket width from the queued instants. Also used at
+// constant size to re-measure the width, where every bucket keeps its
 // backing array; a size change hands the arrays on (newBuckets).
-// (Items never leave the scheduler — they are queued or on the free list
-// — so the stale pointers beyond a truncated slice's length pin nothing.)
 func (s *CalendarScheduler) resize(size int) {
 	if size < calendarMinBuckets {
 		size = calendarMinBuckets
 	}
-	items := s.gather[:0]
+	entries := s.gather[:0]
 	for _, b := range s.buckets {
-		for _, it := range b {
-			if it.index != -1 {
-				items = append(items, it)
-			} else {
-				s.pool.put(it)
-			}
-		}
+		entries = append(entries, b...)
 	}
-	s.width = s.calendarWidth(items)
+	s.shift = s.calendarShift(entries)
 	s.mask = size - 1
 	if size == len(s.buckets) {
 		for i, b := range s.buckets {
 			s.buckets[i] = b[:0]
 		}
 	} else {
-		s.buckets = s.newBuckets(size, items)
+		s.buckets = s.newBuckets(size, entries)
 	}
-	s.dead = 0
-	for _, it := range items {
-		i := s.bucketOf(it.at)
-		s.buckets[i] = append(s.buckets[i], it)
+	for _, e := range entries {
+		i := s.bucketOf(e.at)
+		s.pool.item(e.id).index = int32(len(s.buckets[i]))
+		s.buckets[i] = append(s.buckets[i], e)
 	}
-	s.gather = items[:0]
+	s.gather = entries[:0]
 	// All live timestamps are ≥ now, so scanning from now's day is always
 	// safe after a rebuild.
-	s.winStart = s.now - s.now%s.width
+	s.winStart = s.dayOf(s.now)
 	s.cached = nil
 	s.windowSteps, s.windowMark = 0, s.examined
 }
 
-// newBuckets builds a bucket array of the given size for the items resize
-// is about to place. The previous layout's arrays have grown to the load
-// the calendar carries, and the pending count swings across the resize
-// thresholds many times in a run, so they are handed on: old bucket j's
-// array goes to new bucket j mod size (the largest, where several meet),
-// and a bucket keeps it when it has room for the bucket's items plus
-// calendarSlack. Every other bucket takes a share of one fresh slab with
-// that much room. A bucket that outgrows its array regrows it step by
-// step as schedules land in it, one small allocation per step.
-func (s *CalendarScheduler) newBuckets(size int, items []*item) [][]*item {
+// newBuckets builds a bucket array of the given size for the entries
+// resize is about to place. The previous layout's arrays have grown to the
+// load the calendar carries, and the pending count swings across the
+// resize thresholds many times in a run, so they are handed on: old bucket
+// j's array goes to new bucket j mod size (the largest, where several
+// meet), and a bucket keeps it when it has room for the bucket's entries
+// plus calendarSlack. Every other bucket takes a share of one fresh slab
+// with that much room. A bucket that outgrows its array regrows it step
+// by step as schedules land in it, one small allocation per step.
+func (s *CalendarScheduler) newBuckets(size int, entries []entry) [][]entry {
 	if cap(s.counts) < size {
 		s.counts = make([]int, size)
 	}
 	counts := s.counts[:size]
 	clear(counts)
-	for _, it := range items {
-		counts[s.bucketOf(it.at)]++
+	for _, e := range entries {
+		counts[s.bucketOf(e.at)]++
 	}
-	buckets := make([][]*item, size)
+	buckets := make([][]entry, size)
 	for j, b := range s.buckets {
 		if i := j & (size - 1); cap(b) > cap(buckets[i]) {
 			buckets[i] = b[:0]
@@ -406,7 +396,7 @@ func (s *CalendarScheduler) newBuckets(size int, items []*item) [][]*item {
 			fresh += c + calendarSlack
 		}
 	}
-	slab := make([]*item, fresh)
+	slab := make([]entry, fresh)
 	off := 0
 	for i, c := range counts {
 		if cap(buckets[i]) < c+calendarSlack {
@@ -418,25 +408,19 @@ func (s *CalendarScheduler) newBuckets(size int, items []*item) [][]*item {
 	return buckets
 }
 
-// calendarWidth sets the bucket width from the front of the queue, as
+// calendarShift sets the bucket width from the front of the queue, as
 // Brown does: about three times the mean separation of the
-// calendarSampleCap earliest live timestamps, so the days the scan walks
-// next hold a handful of events each. Only the head matters because the
-// scan only ever walks the head; later events hash evenly across the
-// whole year and add about one entry per bucket at the bucket counts
-// resize keeps (between half and twice the live count). The earlier rule
-// took the interquartile spread of all live events, which suits uniformly
-// spaced traffic but not a vantage's: its events crowd the next few
-// seconds (query hits, self-pongs, probe replies) while session ends and
-// query streams trail off days ahead, so the middle of the distribution
-// was hours wide, every scanned day held some thirty entries, and the
-// calendar ran no faster than the heap inside the simulation loop. The
-// selection is a bounded max-heap in the scheduler's own scratch —
-// O(live), no sort of the live set, no allocation — and deterministic: it
-// depends only on the timestamps.
-func (s *CalendarScheduler) calendarWidth(items []*item) Time {
+// calendarSampleCap earliest live timestamps, rounded down to a power of
+// two, so the days the scan walks next hold a handful of events each. Only
+// the head matters because the scan only ever walks the head; later events
+// hash evenly across the year, about one per bucket. A vantage's events
+// crowd the next few seconds while session ends trail off days ahead, so
+// a width from the whole live set's spread is hours wide and piles the
+// near term into one day. The selection is a bounded max-heap in the
+// scheduler's own scratch: O(live), no allocation, and deterministic.
+func (s *CalendarScheduler) calendarShift(entries []entry) uint {
 	h := s.head[:0]
-	for _, it := range items {
+	for _, it := range entries {
 		switch {
 		case len(h) < len(s.head):
 			h = append(h, it.at)
@@ -469,7 +453,7 @@ func (s *CalendarScheduler) calendarWidth(items []*item) Time {
 		}
 	}
 	if len(h) < 2 {
-		return calendarDefaultWidth
+		return calendarDefaultShift
 	}
 	first := h[0]
 	for _, at := range h[1:] {
@@ -477,7 +461,7 @@ func (s *CalendarScheduler) calendarWidth(items []*item) Time {
 	}
 	span := h[0] - first
 	if span <= 0 {
-		return calendarDefaultWidth
+		return calendarDefaultShift
 	}
-	return max(3*span/Time(len(h)-1), 1)
+	return uint(bits.Len64(uint64(max(3*span/Time(len(h)-1), 1)))) - 1
 }

@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"math"
 	"math/rand/v2"
 	"runtime"
 	"testing"
@@ -8,20 +9,58 @@ import (
 )
 
 // popTrace drives a scheduler through a scripted operation sequence and
-// records the exact pop order as (at, tag) pairs. The script is replayed
-// identically on every implementation, so equal traces mean equal order —
-// ties, cancellations and reentrant scheduling included.
+// records the exact pop order as (at, tag, key) triples, the key as the
+// fire hook saw it. The script is replayed identically on every
+// implementation, so equal traces mean equal order — ties, explicit keys,
+// cancellations and reentrant scheduling included.
 type popRecord struct {
 	at  Time
 	tag int
+	key SeqKey
+}
+
+// recordKeys installs a fire hook that checks the hook's instant against
+// the clock and keeps the key of the event about to fire in *key.
+func recordKeys(t *testing.T, s Scheduler, key *SeqKey) {
+	s.SetFireHook(func(at Time, k SeqKey) {
+		if at != s.Now() {
+			t.Fatalf("fire hook at %v, clock at %v", at, s.Now())
+		}
+		*key = k
+	})
+}
+
+// firstPending returns the indices of the two pending handles whose events
+// fire first, in fire order, or -1 where fewer are pending.
+func firstPending(handles []Handle) (first, second int) {
+	first, second = -1, -1
+	for i, h := range handles {
+		switch {
+		case !h.pending():
+		case first < 0 || h.it.before(handles[first].it):
+			first, second = i, first
+		case second < 0 || h.it.before(handles[second].it):
+			second = i
+		}
+	}
+	return first, second
+}
+
+// collidingKey draws an explicit tie-break key from a range small enough
+// that keys collide with each other and with the implicit keys.
+func collidingKey(rng *rand.Rand) SeqKey {
+	return SeqKey{Epoch: rng.Uint64N(2), Pos: rng.Uint64N(4)}
 }
 
 // opScript is a deterministic random operation mix: schedules (with
-// deliberately colliding timestamps), cancellations of random handles,
+// deliberately colliding timestamps, some at explicit, colliding keys),
+// repositionings of the implicit key, cancellations of random handles,
 // events that schedule more events when they fire, far-future outliers
-// that force the calendar across empty years, and cancellations through
+// that force the calendar across empty years, cancellations through
 // stale handles — ones whose event already fired or was cancelled, used
-// after later Schedule calls had the chance to recycle their item.
+// after later Schedule calls had the chance to recycle their item — and
+// partial runs that leave the next event found, then cancel it or the
+// one after it, then step.
 type opScript struct {
 	seed   uint64
 	n      int
@@ -39,11 +78,25 @@ type opScript struct {
 	// staleFrac makes roughly this fraction of firing events cancel (and
 	// query) a handle known to be spent.
 	staleFrac float64
+	// keyedFrac schedules roughly this fraction of events with
+	// ScheduleKeyed at a colliding explicit key. The three fractions below
+	// draw from the random stream only when set, so the scripts without
+	// them replay the operations they always did.
+	keyedFrac float64
+	// reseedFrac repositions the implicit key before roughly this
+	// fraction of schedules.
+	reseedFrac float64
+	// peekFrac runs, after roughly this fraction of schedules, a short
+	// RunUntil (which leaves the next event found), cancels the first or
+	// second pending event, and steps once.
+	peekFrac float64
 }
 
 func (sc opScript) run(t *testing.T, s Scheduler) []popRecord {
 	rng := rand.New(rand.NewPCG(sc.seed, 0xca1e4da5))
 	var trace []popRecord
+	var key SeqKey
+	recordKeys(t, s, &key)
 	var handles []Handle
 	// spent lists the indices of handles whose event has fired or been
 	// cancelled by the script; live[i] says handle i is not among them.
@@ -63,7 +116,7 @@ func (sc opScript) run(t *testing.T, s Scheduler) []popRecord {
 		idx := len(handles)
 		var ev Event
 		ev = EventFunc(func(now Time) {
-			trace = append(trace, popRecord{at: now, tag: myTag})
+			trace = append(trace, popRecord{at: now, tag: myTag, key: key})
 			live[idx] = false
 			spent = append(spent, idx)
 			if rng.Float64() < sc.chainFrac {
@@ -71,7 +124,7 @@ func (sc opScript) run(t *testing.T, s Scheduler) []popRecord {
 				tag++
 				child := now + Time(rng.Int64N(sc.spanNS/4+1))
 				s.Schedule(child, EventFunc(func(n2 Time) {
-					trace = append(trace, popRecord{at: n2, tag: childTag})
+					trace = append(trace, popRecord{at: n2, tag: childTag, key: key})
 				}))
 			}
 			if len(handles) > 0 && rng.Float64() < sc.cancelFrac {
@@ -89,7 +142,11 @@ func (sc opScript) run(t *testing.T, s Scheduler) []popRecord {
 				}
 			}
 		})
-		handles = append(handles, s.Schedule(at, ev))
+		if sc.keyedFrac > 0 && rng.Float64() < sc.keyedFrac {
+			handles = append(handles, s.ScheduleKeyed(at, collidingKey(rng), ev))
+		} else {
+			handles = append(handles, s.Schedule(at, ev))
+		}
 		live = append(live, true)
 	}
 	for i := 0; i < sc.n; i++ {
@@ -104,9 +161,23 @@ func (sc opScript) run(t *testing.T, s Scheduler) []popRecord {
 		default:
 			at = Time(rng.Int64N(sc.spanNS))
 		}
+		if sc.reseedFrac > 0 && rng.Float64() < sc.reseedFrac {
+			s.Reseed(collidingKey(rng))
+		}
 		schedule(at)
 		if rng.Float64() < sc.cancelFrac/2 {
 			cancel(rng.IntN(len(handles)))
+		}
+		if sc.peekFrac > 0 && rng.Float64() < sc.peekFrac {
+			s.RunUntil(s.Now() + Time(rng.Int64N(sc.spanNS/16+1)))
+			first, second := firstPending(handles)
+			if rng.IntN(2) == 1 {
+				first = second
+			}
+			if first >= 0 {
+				cancel(first)
+			}
+			s.Step()
 		}
 	}
 	s.Run()
@@ -131,6 +202,9 @@ func TestCalendarHeapEquivalence(t *testing.T) {
 		{seed: 5, n: 3000, spanNS: int64(time.Millisecond), cancelFrac: 0.6, chainFrac: 0.05, staleFrac: 0.1},
 		{seed: 6, n: 200, spanNS: int64(365 * 24 * time.Hour), farEvery: 2, chainFrac: 0.4}, // sparse, far-future heavy
 		{seed: 7, n: 1500, spanNS: int64(time.Minute), chainFrac: 0.9, staleFrac: 1},        // the probe re-arm pattern: every fire schedules, then cancels a spent handle
+		{seed: 8, n: 2000, spanNS: int64(time.Second), tieEvery: 2, cancelFrac: 0.2, chainFrac: 0.2, keyedFrac: 0.5, reseedFrac: 0.1},
+		{seed: 9, n: 3000, spanNS: int64(time.Minute), tieEvery: 3, cancelFrac: 0.1, chainFrac: 0.3, staleFrac: 0.2, keyedFrac: 0.3, reseedFrac: 0.05, peekFrac: 0.3},
+		{seed: 10, n: 1000, spanNS: 100, tieEvery: 1, farEvery: 50, keyedFrac: 0.7, reseedFrac: 0.2, peekFrac: 0.5}, // dense ties under keys, peeks across empty years
 	}
 	for _, sc := range scripts {
 		heapTrace := sc.run(t, NewScheduler())
@@ -191,21 +265,23 @@ func TestCalendarStepEquivalence(t *testing.T) {
 	}
 }
 
-// TestCalendarFarFutureGap pins the direct-search escape: one near event
-// and one forty simulated years out must both fire, in order, without the
-// scan spinning bucket by bucket across the gap (the test would time out
-// if it did — the gap is ~10^9 default bucket widths).
+// TestCalendarFarFutureGap pins the direct-search escape: one near event,
+// ones forty and eighty simulated years out and one at the last
+// representable instant must all fire, in order, without the scan
+// spinning bucket by bucket across the gap (the test would time out if
+// it did — the gap is ~10^9 default bucket widths).
 func TestCalendarFarFutureGap(t *testing.T) {
 	s := NewCalendarScheduler()
 	var order []int
 	s.Schedule(time.Second, EventFunc(func(Time) { order = append(order, 1) }))
 	s.Schedule(40*365*24*time.Hour, EventFunc(func(Time) { order = append(order, 2) }))
 	s.Schedule(80*365*24*time.Hour, EventFunc(func(Time) { order = append(order, 3) }))
+	s.Schedule(math.MaxInt64, EventFunc(func(Time) { order = append(order, 4) }))
 	s.Run()
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
+	if len(order) != 4 || order[0] != 1 || order[1] != 2 || order[2] != 3 || order[3] != 4 {
 		t.Fatalf("order = %v", order)
 	}
-	if s.Now() != 80*365*24*time.Hour {
+	if s.Now() != math.MaxInt64 {
 		t.Fatalf("clock = %v", s.Now())
 	}
 }
@@ -230,8 +306,9 @@ func TestCalendarScheduleBehindScan(t *testing.T) {
 }
 
 // TestCalendarCancelCompaction checks that a cancellation-heavy workload
-// (the probe re-arm pattern: schedule, cancel, schedule, cancel …) does
-// not accumulate dead items without bound.
+// (the probe re-arm pattern: schedule, cancel, schedule, cancel …) leaves
+// nothing behind: cancellation is eager, so after every pair the buckets
+// hold exactly the one live entry.
 func TestCalendarCancelCompaction(t *testing.T) {
 	s := NewCalendarScheduler()
 	var h Handle
@@ -242,8 +319,12 @@ func TestCalendarCancelCompaction(t *testing.T) {
 	if s.Pending() != 1 {
 		t.Fatalf("pending = %d, want 1", s.Pending())
 	}
-	if s.dead > 10*calendarMinBuckets {
-		t.Fatalf("dead items not compacted: %d linger", s.dead)
+	queued := 0
+	for _, b := range s.buckets {
+		queued += len(b)
+	}
+	if queued != 1 {
+		t.Fatalf("%d entries queued across the buckets, want 1", queued)
 	}
 	s.Run()
 	if s.Fired() != 1 {
@@ -412,11 +493,15 @@ func TestCalendarResizeReusesBuckets(t *testing.T) {
 
 // FuzzCalendarHeapEquivalence feeds arbitrary byte strings as operation
 // scripts to both implementations: each byte pair becomes a schedule (with
-// a coarse timestamp grid, so ties are dense), a cancel, a single Step, or
-// a cancel through a handle that is already spent — its event fired or
-// was cancelled earlier in the script, and later schedules may have
-// recycled its item. The two pop traces must match exactly, and a spent
-// handle must read as cancelled and cancel nothing on either.
+// a coarse timestamp grid, so ties are dense), a schedule at an explicit
+// key from a small colliding range, a Reseed of the implicit key into the
+// same range, a cancel, a single Step, a short RunUntil that leaves the
+// next event found followed by a cancel of that event or of the one after
+// it and a Step, or a cancel through a handle that is already spent — its
+// event fired or was cancelled earlier in the script, and later schedules
+// may have recycled its item. The two pop traces, with the keys the fire
+// hook saw, must match exactly, and a spent handle must read as cancelled
+// and cancel nothing on either.
 func FuzzCalendarHeapEquivalence(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 255, 254, 7, 7, 7, 9})
 	f.Add([]byte{10, 0, 10, 0, 10, 0, 200, 200})
@@ -425,30 +510,38 @@ func FuzzCalendarHeapEquivalence(f *testing.F) {
 	// Clustered: a run of near-term schedules, then far-future ones, then
 	// steps and cancels — the vantage's shape, dense near now with a tail.
 	f.Add([]byte{0, 0, 1, 1, 0, 2, 1, 3, 0, 1, 1, 2, 0, 3, 2, 40, 2, 90, 2, 200, 0, 1, 1, 0, 4, 0, 3, 1, 4, 0, 0, 2, 5, 3, 4, 0, 3, 7, 4, 0, 4, 0})
+	// Keyed: colliding explicit keys and reseeds among implicit schedules
+	// on one instant, then peeks that cancel the found event or the next.
+	f.Add([]byte{0, 2, 6, 2, 6, 66, 7, 1, 0, 2, 6, 130, 1, 2, 8, 0, 8, 16, 6, 10, 7, 64, 0, 3, 8, 1, 8, 17, 4, 0})
 	run := func(t *testing.T, data []byte, s Scheduler) []popRecord {
 		var trace []popRecord
 		var handles []Handle
 		var spent []bool // by handle index: fired, or cancelled by the script
-		schedule := func(at Time, tag int) {
+		var key SeqKey
+		recordKeys(t, s, &key)
+		event := func(tag int) Event {
 			idx := len(handles)
-			handles = append(handles, s.Schedule(at, EventFunc(func(now Time) {
-				trace = append(trace, popRecord{at: now, tag: tag})
+			return EventFunc(func(now Time) {
+				trace = append(trace, popRecord{at: now, tag: tag, key: key})
 				spent[idx] = true
-			})))
-			spent = append(spent, false)
+			})
+		}
+		cancel := func(j int) {
+			s.Cancel(handles[j])
+			spent[j] = true
 		}
 		for i := 0; i+1 < len(data); i += 2 {
 			op, arg := data[i], data[i+1]
-			switch op % 6 {
+			switch op % 9 {
 			case 0, 1: // schedule on a coarse grid: ties are the point
-				schedule(s.Now()+Time(arg%32)*Time(time.Second), i)
+				handles = append(handles, s.Schedule(s.Now()+Time(arg%32)*Time(time.Second), event(i)))
+				spent = append(spent, false)
 			case 2: // far-future schedule (bounded to stay inside int64)
-				schedule(Time(arg)*1000*Time(time.Hour), i)
+				handles = append(handles, s.Schedule(Time(arg)*1000*Time(time.Hour), event(i)))
+				spent = append(spent, false)
 			case 3: // cancel an arbitrary earlier handle
 				if len(handles) > 0 {
-					j := int(arg) % len(handles)
-					s.Cancel(handles[j])
-					spent[j] = true
+					cancel(int(arg) % len(handles))
 				}
 			case 4: // fire one event, so later schedules reuse its item
 				s.Step()
@@ -468,6 +561,22 @@ func FuzzCalendarHeapEquivalence(f *testing.F) {
 					}
 					break
 				}
+			case 6: // schedule at an explicit key that collides
+				k := SeqKey{Epoch: uint64(arg >> 6 & 1), Pos: uint64(arg >> 3 & 7)}
+				handles = append(handles, s.ScheduleKeyed(s.Now()+Time(arg%8)*Time(time.Second), k, event(i)))
+				spent = append(spent, false)
+			case 7: // move the implicit key back onto used ranks
+				s.Reseed(SeqKey{Epoch: uint64(arg >> 6 & 1), Pos: uint64(arg & 7)})
+			case 8: // peek, cancel the found event or the next, step
+				s.RunUntil(s.Now() + Time(arg%16)*Time(time.Second))
+				first, second := firstPending(handles)
+				if arg&16 != 0 {
+					first = second
+				}
+				if first >= 0 {
+					cancel(first)
+				}
+				s.Step()
 			}
 		}
 		s.Run()

@@ -10,8 +10,8 @@
 // # Handles and item recycling
 //
 // Both schedulers keep their queue entries on a per-scheduler free list:
-// an entry is recycled when its event fires and when its cancellation is
-// completed, so a steady-state Schedule/Step loop allocates nothing, and
+// an entry is recycled the moment its event fires or is cancelled, so a
+// steady-state Schedule/Step loop allocates nothing, and
 // an empty list is refilled a block of entries at a time, so a rising
 // pending count allocates once per block, not once per entry. A Handle
 // therefore names one scheduled event, not one queue entry: it carries
@@ -175,19 +175,25 @@ type item struct {
 	// caller plants two events on the same (at, key).
 	seq   uint64
 	event Event
-	// index is -1 once the item has fired or been cancelled. While queued,
-	// the heap implementation stores the item's heap position here; the
-	// calendar implementation only uses the -1 sentinel (cancellation is
-	// lazy there — dead items are swept out when their bucket is scanned).
-	index int
+	// index is the item's slot while it is queued: in HeapScheduler's
+	// heap, or in its CalendarScheduler bucket (a removal there moves the
+	// bucket's last entry into the freed slot and updates its index).
+	index int32
+	id    uint32 // the item's name in its pool (itemPool.item)
 	// gen counts how often the item has been recycled; a Handle is live
 	// only while its generation matches.
 	gen uint64
 }
 
-// itemPool is a scheduler's free list. Schedulers are single-goroutine by
-// contract, so a plain slice is all the synchronization recycling needs.
-type itemPool struct{ free []*item }
+// itemPool is a scheduler's items and their free list. Items live in
+// fixed blocks and never move, so an item is named both by its address
+// (Handle) and by its id (the calendar's pointer-free buckets).
+// Schedulers are single-goroutine by contract, so plain slices are all
+// the synchronization recycling needs.
+type itemPool struct {
+	blocks []*[itemBlock]item
+	free   []uint32
+}
 
 // itemBlock is how many items an empty free list is refilled with at
 // once: one allocation per block, not one per item, while the pending
@@ -195,26 +201,31 @@ type itemPool struct{ free []*item }
 const itemBlock = 256
 
 // get returns a recycled item, refilling an empty list with a fresh
-// block. Every field but gen is stale; the caller overwrites them all.
+// block. Every field but id and gen is stale; the caller overwrites them.
 func (p *itemPool) get() *item {
 	if len(p.free) == 0 {
-		block := make([]item, itemBlock)
+		block, base := new([itemBlock]item), uint32(len(p.blocks))*itemBlock
+		p.blocks = append(p.blocks, block)
 		for i := range block {
-			p.free = append(p.free, &block[i])
+			block[i].id = base + uint32(i)
+			p.free = append(p.free, base+uint32(i))
 		}
 	}
 	n := len(p.free)
-	it := p.free[n-1]
+	id := p.free[n-1]
 	p.free = p.free[:n-1]
-	return it
+	return p.item(id)
 }
+
+// item returns the item an id names.
+func (p *itemPool) item(id uint32) *item { return &p.blocks[id/itemBlock][id%itemBlock] }
 
 // put recycles an item that has left the queue for good. Advancing the
 // generation is what retires every Handle issued for its previous event.
 func (p *itemPool) put(it *item) {
 	it.gen++
 	it.event = nil
-	p.free = append(p.free, it)
+	p.free = append(p.free, it.id)
 }
 
 // before is the full fire order: timestamp, then key, then insertion.
@@ -235,10 +246,11 @@ type Handle struct {
 	gen uint64
 }
 
-// pending reports whether the handle's event is still queued: the item
-// has not been recycled for another event, fired, or been cancelled.
+// pending reports whether the handle's event is still queued. Both
+// schedulers recycle an item the moment its event fires or is cancelled,
+// so a matching generation means the event is neither.
 func (h Handle) pending() bool {
-	return h.it != nil && h.it.gen == h.gen && h.it.index != -1
+	return h.it != nil && h.it.gen == h.gen
 }
 
 // Cancelled reports whether the handle's event has been cancelled or
@@ -251,12 +263,12 @@ func (h eventHeap) Len() int           { return len(h) }
 func (h eventHeap) Less(i, j int) bool { return h[i].before(h[j]) }
 func (h eventHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+	h[i].index = int32(i)
+	h[j].index = int32(j)
 }
 func (h *eventHeap) Push(x any) {
 	it := x.(*item)
-	it.index = len(*h)
+	it.index = int32(len(*h))
 	*h = append(*h, it)
 }
 func (h *eventHeap) Pop() any {
@@ -264,7 +276,6 @@ func (h *eventHeap) Pop() any {
 	n := len(old)
 	it := old[n-1]
 	old[n-1] = nil
-	it.index = -1
 	*h = old[:n-1]
 	return it
 }
@@ -345,7 +356,7 @@ func (s *HeapScheduler) Cancel(h Handle) {
 	if !h.pending() {
 		return
 	}
-	heap.Remove(&s.events, h.it.index)
+	heap.Remove(&s.events, int(h.it.index))
 	s.pool.put(h.it)
 }
 

@@ -575,14 +575,17 @@ func (m *Merger) finish() {
 	}
 	m.out.Queries = sweepQueries(m.lists, m.queries)
 	m.lists = nil
-	pongs := make([][]trace.Pong, len(m.inputs))
-	hits := make([][]trace.Hit, len(m.inputs))
+	pongs := make([]runCursor[trace.Pong], 0, len(m.inputs))
+	hits := make([]runCursor[trace.Hit], 0, len(m.inputs))
 	for i := range m.inputs {
-		pongs[i] = m.inputs[i].pongs.sorted(comparePong)
-		hits[i] = m.inputs[i].hits.sorted(compareHit)
+		pongs = m.inputs[i].pongs.sorted(pongs, comparePong)
+		hits = m.inputs[i].hits.sorted(hits, compareHit)
 	}
 	m.out.Pongs = mergeRuns(pongs, comparePong)
 	m.out.Hits = mergeRuns(hits, compareHit)
+	for i := range m.inputs {
+		m.inputs[i].pongs, m.inputs[i].hits = run[trace.Pong]{}, run[trace.Hit]{}
+	}
 }
 
 // collect copies the emitted chunks into out.Conns and lists, each
@@ -730,61 +733,82 @@ func compareSessionQuery(a, b trace.Query) int {
 
 // run is one input's pongs or hits in arrival order, which is time order,
 // so usually already the comparator's order; disordered records whether
-// it is not. It grows by doubling from runChunk records, so a run of n
-// records costs about log2(n/runChunk) allocations.
+// it is not. It fills chunks that never grow: the first holds runChunk
+// records and each later one as many as all before it, so a run of n
+// records costs the log2(n/runChunk) allocations that doubling one array
+// would, but copies nothing until finish. The chunk list is an array in
+// the run itself, long enough for any run that fits in memory.
 type run[T any] struct {
-	recs       []T
+	chunks     [32][]T
+	k          int // chunks in use
 	disordered bool
 }
 
 const runChunk = 1024
 
 func (r *run[T]) add(v T, cmp func(a, b T) int) {
-	n := len(r.recs)
-	if n == cap(r.recs) {
-		r.recs = slices.Grow(r.recs, max(n, runChunk))
-	}
-	r.recs = append(r.recs, v)
-	if n > 0 && !r.disordered && cmp(r.recs[n-1], r.recs[n]) > 0 {
+	k := r.k - 1 // the last chunk, never empty
+	if k >= 0 && !r.disordered && cmp(r.chunks[k][len(r.chunks[k])-1], v) > 0 {
 		r.disordered = true
 	}
+	if k < 0 || len(r.chunks[k]) == cap(r.chunks[k]) {
+		k, r.k = r.k, r.k+1
+		r.chunks[k] = make([]T, 0, runChunk<<max(k-1, 0))
+	}
+	r.chunks[k] = append(r.chunks[k], v)
 }
 
-// sorted returns the run's records in comparator order, sorting them only
-// when they arrived out of it.
-func (r *run[T]) sorted(cmp func(a, b T) int) []T {
-	if r.disordered {
-		slices.SortFunc(r.recs, cmp)
+// sorted appends the run to cursors as sorted runs: the run itself when
+// it arrived in comparator order, else each of its chunks, sorted in
+// place. The cursors point into the run until it is reset.
+func (r *run[T]) sorted(cursors []runCursor[T], cmp func(a, b T) int) []runCursor[T] {
+	switch chunks := r.chunks[:r.k]; {
+	case r.k == 0:
+	case !r.disordered:
+		cursors = append(cursors, runCursor[T]{cur: chunks[0], rest: chunks[1:]})
+	default:
+		for _, c := range chunks {
+			slices.SortFunc(c, cmp)
+			cursors = append(cursors, runCursor[T]{cur: c})
+		}
 	}
-	recs := r.recs
-	r.recs = nil
-	return recs
+	return cursors
+}
+
+// runCursor walks one sorted run: cur is what is left of its current
+// chunk, rest the chunks after it.
+type runCursor[T any] struct {
+	cur  []T
+	rest [][]T
 }
 
 // mergeRuns k-way merges sorted runs into one section of exactly their
-// total length, in comparator order; a single non-empty run is the
-// section itself.
-func mergeRuns[T any](runs [][]T, cmp func(a, b T) int) []T {
-	runs = slices.DeleteFunc(runs, func(r []T) bool { return len(r) == 0 })
-	switch len(runs) {
-	case 0:
-		return nil
-	case 1:
-		return runs[0]
-	}
+// total length, in comparator order, so every record is copied once; a
+// lone run of one chunk is the section itself.
+func mergeRuns[T any](runs []runCursor[T], cmp func(a, b T) int) []T {
 	total := 0
 	for _, r := range runs {
-		total += len(r)
+		total += len(r.cur)
+		for _, c := range r.rest {
+			total += len(c)
+		}
+	}
+	switch {
+	case total == 0:
+		return nil
+	case len(runs) == 1 && len(runs[0].rest) == 0:
+		return runs[0].cur
 	}
 	out := make([]T, 0, total)
-	less := func(a, b []T) bool { return cmp(a[0], b[0]) < 0 }
+	less := func(a, b runCursor[T]) bool { return cmp(a.cur[0], b.cur[0]) < 0 }
 	heapify(runs, less)
 	for len(runs) > 0 {
-		r := runs[0]
-		out = append(out, r[0])
-		if r = r[1:]; len(r) > 0 {
-			runs[0] = r
-		} else {
+		r := &runs[0]
+		out = append(out, r.cur[0])
+		if r.cur = r.cur[1:]; len(r.cur) == 0 && len(r.rest) > 0 {
+			r.cur, r.rest = r.rest[0], r.rest[1:]
+		}
+		if len(r.cur) == 0 {
 			runs[0] = runs[len(runs)-1]
 			runs = runs[:len(runs)-1]
 		}

@@ -328,6 +328,34 @@ func FuzzMergeAgainstBatch(f *testing.F) {
 	})
 }
 
+// TestMergerRunChunkBoundaries drains pong and hit runs that span several
+// run chunks, one input's in comparator order and one's out of it (the
+// records of each instant arrive in descending address order), alone and
+// together, and checks the merged sections against batch trace.Merge.
+func TestMergerRunChunkBoundaries(t *testing.T) {
+	n := 4*stream.RunChunk + 100
+	var in [2]*trace.Trace
+	for k := range in {
+		tr := &trace.Trace{Days: 1, Nodes: 1, PongSampleRate: 1, HitSampleRate: 1}
+		for i := range n {
+			b := byte(i % 4)
+			if k == 1 {
+				b = 3 - b
+			}
+			at, addr := trace.Time(i/4)*time.Second, netip.AddrFrom4([4]byte{10, byte(k), byte(i >> 8), b})
+			tr.Pongs = append(tr.Pongs, trace.Pong{At: at, Addr: addr, Hops: 1})
+			tr.Hits = append(tr.Hits, trace.Hit{At: at, Addr: addr, Hops: 1})
+		}
+		in[k] = tr
+	}
+	for _, traces := range [][]*trace.Trace{in[:1], in[1:], in[:]} {
+		want := traceBytes(t, trace.Merge(traces...))
+		if got := traceBytes(t, mergeStreams(traces...)); !bytes.Equal(want, got) {
+			t.Fatalf("%d inputs: chunked runs merge differently from batch trace.Merge", len(traces))
+		}
+	}
+}
+
 // windowTestTrace builds the window regression workload: one trace-long
 // session opening at the epoch and closing just before the horizon, with
 // queries, plus shortCount one-second sessions marching across the span.
