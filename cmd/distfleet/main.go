@@ -246,8 +246,10 @@ func runScenario(p params, sc scenario, refHash [32]byte, refConns int) []byte {
 		if res.tr.Nodes != p.nodes {
 			log.Fatalf("%s: trace nodes=%d, want %d", sc.name, res.tr.Nodes, p.nodes)
 		}
-		assertStallThenEvict(sc.name, journal.Bytes(), victim)
-		assertDeadInputStory(sc.name, journal.Bytes(), victim)
+		if err := assertDeadInputStory(journal.Bytes(), victim); err != nil {
+			log.Fatalf("%s: %v", sc.name, err)
+		}
+		log.Printf("%s: journal story in order: heartbeat -> input_stalled -> input_evicted for vantage %d", sc.name, victim)
 		return journal.Bytes()
 	}
 	if dead != 0 || lost != 0 {
@@ -257,7 +259,10 @@ func runScenario(p params, sc scenario, refHash [32]byte, refConns int) []byte {
 		log.Fatalf("%s: trace DIVERGED from single-process reference\n  got  %x\n  want %x",
 			sc.name, gotHash, refHash)
 	}
-	assertFleetJournal(sc.name, journal.Bytes(), p.nodes, sc.restart, victim)
+	if err := assertFleetJournal(journal.Bytes(), p.nodes, sc.restart, victim); err != nil {
+		log.Fatalf("%s: %v", sc.name, err)
+	}
+	log.Printf("%s: fleet journal carries all %d lanes in collector time", sc.name, p.nodes+1)
 	return journal.Bytes()
 }
 
@@ -375,17 +380,17 @@ type jline struct {
 	Attrs map[string]any `json:"attrs"`
 }
 
-func parseFleet(name string, journal []byte) []jline {
+func parseFleet(journal []byte) ([]jline, error) {
 	var out []jline
 	dec := json.NewDecoder(bytes.NewReader(journal))
 	for i := 0; dec.More(); i++ {
 		var l jline
 		if err := dec.Decode(&l); err != nil {
-			log.Fatalf("%s: fleet journal line %d unparseable: %v", name, i, err)
+			return nil, fmt.Errorf("fleet journal line %d unparseable: %w", i, err)
 		}
 		out = append(out, l)
 	}
-	return out
+	return out, nil
 }
 
 // assertFleetJournal checks a lossless scenario's merged journal carries
@@ -394,8 +399,11 @@ func parseFleet(name string, journal []byte) []jline {
 // vantage's lane (two simulate starts for a restarted victim — one per
 // life), an input_done liveness event per input, and every line's
 // rebased t_ms inside the collect span's interval.
-func assertFleetJournal(name string, journal []byte, nodes int, restart bool, victim int) {
-	lines := parseFleet(name, journal)
+func assertFleetJournal(journal []byte, nodes int, restart bool, victim int) error {
+	lines, err := parseFleet(journal)
+	if err != nil {
+		return err
+	}
 	var t0, t1 float64
 	haveT0, haveT1 := false, false
 	for _, l := range lines {
@@ -409,7 +417,7 @@ func assertFleetJournal(name string, journal []byte, nodes int, restart bool, vi
 		}
 	}
 	if !haveT0 || !haveT1 {
-		log.Fatalf("%s: fleet journal missing the collector's collect span", name)
+		return fmt.Errorf("fleet journal missing the collector's collect span")
 	}
 	const slackMs = 250
 	for i := 0; i < nodes; i++ {
@@ -427,8 +435,8 @@ func assertFleetJournal(name string, journal []byte, nodes int, restart bool, vi
 				done++
 			}
 			if l.Src == lane && (l.TMs < t0-slackMs || l.TMs > t1+slackMs) {
-				log.Fatalf("%s: %s line at t_ms=%.1f outside the collect span [%.1f, %.1f] — clock rebase broken",
-					name, lane, l.TMs, t0, t1)
+				return fmt.Errorf("%s line at t_ms=%.1f outside the collect span [%.1f, %.1f] — clock rebase broken",
+					lane, l.TMs, t0, t1)
 			}
 		}
 		wantStarts := 1
@@ -436,90 +444,50 @@ func assertFleetJournal(name string, journal []byte, nodes int, restart bool, vi
 			wantStarts = 2 // one per process life
 		}
 		if starts != wantStarts || ends < 1 || metrics < 1 || done < 1 {
-			log.Fatalf("%s: lane %s incomplete: simulate starts=%d (want %d) ends=%d metrics=%d input_done=%d",
-				name, lane, starts, wantStarts, ends, metrics, done)
+			return fmt.Errorf("lane %s incomplete: simulate starts=%d (want %d) ends=%d metrics=%d input_done=%d",
+				lane, starts, wantStarts, ends, metrics, done)
 		}
 	}
-	log.Printf("%s: fleet journal carries all %d lanes in collector time [%.0f ms, %.0f ms]", name, nodes+1, t0, t1)
+	return nil
 }
 
 // assertDeadInputStory checks the merged journal tells the eviction
 // story end-to-end in collector-normalized time: the victim's own last
-// shipped heartbeat precedes the collector's input_stalled, which
-// precedes input_evicted.
-func assertDeadInputStory(name string, journal []byte, victim int) {
+// shipped heartbeat precedes the collector's input_stalled (StallAfter),
+// which precedes input_evicted (EvictAfter) — strictly, in journal line
+// order, as well as in time.
+func assertDeadInputStory(journal []byte, victim int) error {
+	lines, err := parseFleet(journal)
+	if err != nil {
+		return err
+	}
 	lane := fmt.Sprintf("vantage%d", victim)
 	lastHB := -1.0
-	tStalled, tEvicted := -1.0, -1.0
-	for _, l := range parseFleet(name, journal) {
+	stalled, evicted := -1, -1 // line indices
+	for i, l := range lines {
 		switch {
 		case l.Src == lane && l.Kind == "heartbeat":
-			if l.TMs > lastHB {
-				lastHB = l.TMs
-			}
+			lastHB = max(lastHB, l.TMs)
 		case l.Src == "collector/"+lane && l.Kind == "event" && l.Name == "input_stalled":
-			if tStalled < 0 {
-				tStalled = l.TMs
-			}
-		case l.Src == "collector/"+lane && l.Kind == "event" && l.Name == "input_evicted":
-			if tEvicted < 0 {
-				tEvicted = l.TMs
-			}
-		}
-	}
-	if lastHB < 0 {
-		log.Fatalf("%s: victim's lane %s shipped no heartbeat before the kill", name, lane)
-	}
-	if tStalled < 0 || tEvicted < 0 {
-		log.Fatalf("%s: fleet journal missing stalled/evicted for %s (stalled=%.1f evicted=%.1f)", name, lane, tStalled, tEvicted)
-	}
-	if !(lastHB <= tStalled && tStalled <= tEvicted) {
-		log.Fatalf("%s: eviction story out of order: last heartbeat %.1f, input_stalled %.1f, input_evicted %.1f",
-			name, lastHB, tStalled, tEvicted)
-	}
-	log.Printf("%s: journal story in order: heartbeat %.0f ms -> stalled %.0f ms -> evicted %.0f ms", name, lastHB, tStalled, tEvicted)
-}
-
-// assertStallThenEvict checks the collector's journal told the dead
-// input's story in order: input_stalled (StallAfter) strictly before
-// input_evicted (EvictAfter), both for the killed vantage.
-func assertStallThenEvict(name string, journal []byte, victim int) {
-	stalled, evicted := -1, -1
-	dec := json.NewDecoder(bytes.NewReader(journal))
-	for i := 0; dec.More(); i++ {
-		var rec struct {
-			Kind  string         `json:"kind"`
-			Name  string         `json:"name"`
-			Attrs map[string]any `json:"attrs"`
-		}
-		if err := dec.Decode(&rec); err != nil {
-			log.Fatalf("%s: journal line %d unparseable: %v", name, i, err)
-		}
-		if rec.Kind != "event" {
-			continue
-		}
-		in, ok := rec.Attrs["input"].(float64)
-		if !ok || int(in) != victim {
-			continue
-		}
-		switch rec.Name {
-		case "input_stalled":
 			if stalled < 0 {
 				stalled = i
 			}
-		case "input_evicted":
+		case l.Src == "collector/"+lane && l.Kind == "event" && l.Name == "input_evicted":
 			if evicted < 0 {
 				evicted = i
 			}
 		}
 	}
+	if lastHB < 0 {
+		return fmt.Errorf("victim's lane %s shipped no heartbeat before the kill", lane)
+	}
 	if stalled < 0 || evicted < 0 {
-		log.Fatalf("%s: journal missing the victim's liveness transitions (stalled line %d, evicted line %d):\n%s",
-			name, stalled, evicted, journal)
+		return fmt.Errorf("fleet journal missing stalled/evicted for %s (stalled line %d, evicted line %d)", lane, stalled, evicted)
 	}
-	if stalled >= evicted {
-		log.Fatalf("%s: journal order broken: input_stalled (line %d) must precede input_evicted (line %d)",
-			name, stalled, evicted)
+	tStalled, tEvicted := lines[stalled].TMs, lines[evicted].TMs
+	if stalled >= evicted || !(lastHB <= tStalled && tStalled <= tEvicted) {
+		return fmt.Errorf("eviction story out of order: last heartbeat %.1f ms, input_stalled line %d at %.1f ms, input_evicted line %d at %.1f ms",
+			lastHB, stalled, tStalled, evicted, tEvicted)
 	}
-	log.Printf("%s: journal records input_stalled -> input_evicted for vantage %d", name, victim)
+	return nil
 }

@@ -85,16 +85,18 @@
 // chain-replay oracle kept in the engine's tests, by fuzzing and by the
 // golden hashes of bench/golden.json).
 //
-// simtime.Scheduler has two order-equivalent implementations, the
-// container/heap HeapScheduler and a Brown calendar queue
-// (CalendarScheduler) whose buckets hold pointer-free (instant, item id)
-// entries and whose cancellations remove their entry at once,
-// property- and fuzz-tested to pop identical sequences — ties, explicit
-// keys, cancellations, stale handles and far-future gaps included. The
-// engine's nodes run the calendar queue: bench/'s simtime.*_hold_ns
-// layer metrics, medians of five traced fleet-stream runs on a 2-core
-// x86-64 host, measured a hold at 82 ns against the heap's 234 ns at
-// 10^3 pending events, and 199 against 527 ns at 32·10^3.
+// simtime.Scheduler has two order-equivalent implementations, one core
+// (clock, keys, counters, fire hook, item pool and every method) around
+// one of two queues: the container/heap HeapScheduler and a Brown
+// calendar queue (CalendarScheduler) whose buckets hold pointer-free
+// (instant, item id) entries and whose cancellations remove their entry
+// at once, property- and fuzz-tested to pop identical sequences — ties,
+// explicit keys, cancellations, stale handles and far-future gaps
+// included. The engine's nodes run the calendar queue: bench/'s
+// simtime.*_hold_ns layer metrics, medians of five traced fleet-stream
+// runs on a 2-core x86-64 host, measured a hold at 82 ns against the
+// heap's 234 ns at 10^3 pending events, and 199 against 527 ns at
+// 32·10^3.
 // HeapScheduler is the order oracle for tests (the chain-replay oracle
 // and ad-hoc test schedulers run it), nothing more.
 //
@@ -102,16 +104,17 @@
 // every event in it is per-connection background traffic, so the loop is
 // held to four allocation rules. Under them it allocates in proportion
 // to the connections it holds at once, not to the sessions it sees
-// (TestEventLoopAllocationBudget: 0.022 allocations per scheduled event
+// (TestEventLoopAllocationBudget: 0.010 allocations per scheduled event
 // against a budget of 0.04, nearly all of it each session's query list
-// and each day's first sighting of a keyword set in the hit model):
+// and each day's first sighting of a keyword set in the hit model). The
+// three recycled kinds below share one free list type, simtime.Pool,
+// refilled 256 values at a time when it runs dry:
 //
-//   - Scheduler items are recycled. Each scheduler keeps a free list,
-//     refilled 256 items at a time when it runs dry; an item returns to
-//     it when its event fires or is cancelled. A
-//     simtime.Handle carries the item's generation, so Cancel
-//     and Cancelled on a handle whose event is spent stay inert however
-//     often the item has been reused — the probe re-arm in
+//   - Scheduler items are recycled. Each scheduler keeps a Pool of
+//     items; an item returns to it when its event fires or is
+//     cancelled. A simtime.Handle carries the item's generation, so
+//     Cancel and Cancelled on a handle whose event is spent stay inert
+//     however often the item has been reused — the probe re-arm in
 //     internal/capture cancels such a handle on every delivered message.
 //     The calendar's bucket arrays are kept too: a size change hands the
 //     old arrays to the new buckets, so the pending count's swings across
@@ -120,12 +123,11 @@
 //     connection and at most one scalar, dispatched by one Fire. A record
 //     without an argument is immutable and lives inside its connection;
 //     one with an argument (a probe deadline's probe instant, a query
-//     index) comes from a per-vantage free list, refilled 128 records at
-//     a time, and returns to it on fire. The kinds double as the
-//     engine_sched_events_by_kind metric.
+//     index) comes from a per-vantage Pool and returns to it on fire.
+//     The kinds double as the engine_sched_events_by_kind metric.
 //   - Connections are recycled. A connection counts its queued events;
 //     once it is closed and none is left, nothing can reach it any more,
-//     so it goes on its vantage's free list and a later arrival reuses
+//     so it goes back to its vantage's Pool and a later arrival reuses
 //     it. The session record it emits at close comes from its stream
 //     producer's 256-record slab, and the record is never reused.
 //   - A delivery is a record, not a message. The vantage routes nothing

@@ -45,8 +45,6 @@ import (
 	"time"
 
 	"repro/internal/behavior"
-	"repro/internal/geo"
-	"repro/internal/model"
 	"repro/internal/simtime"
 	"repro/internal/stream"
 	"repro/internal/vocab"
@@ -145,15 +143,16 @@ const byeFraction = 0.05
 // pending counts the connection's queued events: scheduling raises it,
 // and firing, or cancelling the probe while it is still queued, lowers
 // it. A closed connection with none pending is named by nothing in the
-// scheduler, so it goes on its vantage's free list for a later arrival
-// to reuse; every event that outlives the close (the chains that stop at
+// scheduler, so it goes back to its node's pool for a later arrival to
+// reuse; every event that outlives the close (the chains that stop at
 // closed) has fired by then.
 type simConn struct {
-	Record  // the connection's record, from acceptance to close
-	v       *vantage
+	Record                        // the connection's record, from acceptance to close
+	v       *Node                 // nil until the connection first leaves the pool
 	plan    []behavior.TimedQuery // the session's query stream
 	end     simtime.Time          // client's true end (trace time)
 	files   uint32                // the session's shared-file count
+	id      uint32                // the connection's name in v.conns
 	pending int32
 	silent  bool
 	probeH  simtime.Handle
@@ -162,39 +161,31 @@ type simConn struct {
 	fixed [numFixedKinds]fixedEvent
 }
 
-// newSimConn builds a connection of vantage v with its fixed records.
-func newSimConn(v *vantage) *simConn {
-	c := &simConn{v: v}
-	for k := range c.fixed {
-		c.fixed[k] = fixedEvent{kind: EventKind(k), c: c}
-	}
-	return c
-}
-
-// vantage is one measurement node of a fleet: its traffic model, random
-// stream and recorder, driven by its own scheduler and the arrivals its
-// driver hands it. The zero-indexed node's random stream
-// coincides with the historical single-node simulator, so a one-node
-// fleet reproduces the paper's deployment.
-type vantage struct {
+// Node is one measurement vantage, the unit internal/engine drives: its
+// random stream and recorder, driven by a caller-owned scheduler and the
+// arrivals its driver hands it, so its event loop can live on its own
+// goroutine with its own clock. All methods must be called from that one
+// goroutine (nodes share only the read-only SharedModel). Node 0's random
+// stream is the historical single-node simulator's, so a one-node fleet
+// reproduces the paper's deployment.
+type Node struct {
 	cfg     Config
 	nodeIdx int
 	sched   simtime.Scheduler
 	rng     *rand.Rand
-	params  *model.Params
-	geoReg  *geo.Registry
+	shared  *SharedModel
 	// rec records every delivery into the vantage's stream producer. It
 	// is held by value, so it costs no allocation of its own.
 	rec Recorder
 	// droppedQueryEvents counts client query events that found their
 	// connection already closed (diagnostic).
 	droppedQueryEvents uint64
-	// freeEvents recycles the argument-carrying event records (see
-	// connEvent) and freeConns the closed connections nothing queued
-	// names (see simConn); counts tallies scheduled events by kind.
-	freeEvents []*connEvent
-	freeConns  []*simConn
-	counts     EventCounts
+	// events recycles the argument-carrying event records (see
+	// connEvent) and conns the closed connections nothing queued names
+	// (see simConn); counts tallies scheduled events by kind.
+	events simtime.Pool[connEvent]
+	conns  simtime.Pool[simConn]
+	counts EventCounts
 	// dayKeyCount tracks how often each keyword set was queried today at
 	// this vantage, the popularity proxy of the hit-response model (each
 	// monitor estimates popularity from its own shard, as a real
@@ -205,38 +196,43 @@ type vantage struct {
 	key         []byte
 }
 
-// newVantage builds node idx of a fleet deployment around the given
-// scheduler. The random stream is salted by the node index; index 0
-// reproduces the historical single-node stream exactly.
-func newVantage(cfg Config, idx int, sched simtime.Scheduler, sh *SharedModel, sink *stream.Producer) *vantage {
+// NewNode builds vantage idx of an N-node deployment around the given
+// scheduler. The node emits every record into sink the moment it is
+// final — session records at close, pong/hit records at receipt — and
+// keeps none. Its random stream is salted by idx (index 0 reproduces the
+// historical single-node stream exactly), so the stream depends only on
+// the arrivals delivered and the order the scheduler fires them.
+func NewNode(cfg Config, idx int, sched simtime.Scheduler, sh *SharedModel, sink *stream.Producer) *Node {
 	salt := uint64(idx) * 0x9e3779b97f4a7c15
 	rng := rand.New(rand.NewPCG(cfg.Workload.Seed, 0xca9107e^salt))
-	return &vantage{
+	return &Node{
 		cfg:     cfg,
 		nodeIdx: idx,
 		sched:   sched,
 		rng:     rng,
-		params:  sh.params,
-		geoReg:  sh.geoReg,
+		shared:  sh,
 		rec:     *NewRecorder(cfg, rng, sink),
 	}
 }
 
-// arrive handles one session arrival assigned to this vantage. It keeps
-// no reference to sess: an accepted session's query stream and library
-// size are copied into its connection, and a rejected one costs nothing.
-// The connection is a released one when there is one; its fixed records
-// already name it.
-func (s *vantage) arrive(now simtime.Time, sess *behavior.Session) {
+// Arrive delivers one session arrival assigned to this vantage: the node
+// accepts it subject to its MaxConns cap and schedules the session's
+// message events on its scheduler. It keeps no reference to sess, so the
+// caller may reuse it at once: an accepted session's query stream and
+// library size are copied into its connection, and a rejected one costs
+// nothing. A connection taken from the pool for the first time gets its
+// fixed records; a recycled one's already name it.
+func (s *Node) Arrive(now simtime.Time, sess *behavior.Session) {
 	if !s.rec.Admit() {
 		return
 	}
-	var c *simConn
-	if n := len(s.freeConns); n > 0 {
-		c = s.freeConns[n-1]
-		s.freeConns = s.freeConns[:n-1]
-	} else {
-		c = newSimConn(s)
+	id := s.conns.Get()
+	c := s.conns.At(id)
+	if c.v == nil {
+		c.v, c.id = s, id
+		for k := range c.fixed {
+			c.fixed[k] = fixedEvent{kind: EventKind(k), c: c}
+		}
 	}
 	c.plan, c.end, c.files = sess.Queries, sess.End(), uint32(sess.SharedFiles)
 	c.probeH = simtime.Handle{}
@@ -276,7 +272,7 @@ func (s *vantage) arrive(now simtime.Time, sess *behavior.Session) {
 
 // selfPongFire records the pong a client announces itself with. The
 // client's own messages rearm the probe with the short idle window.
-func (s *vantage) selfPongFire(c *simConn, now simtime.Time) {
+func (s *Node) selfPongFire(c *simConn, now simtime.Time) {
 	if c.closed {
 		return
 	}
@@ -285,7 +281,7 @@ func (s *vantage) selfPongFire(c *simConn, now simtime.Time) {
 }
 
 // clientQueryFire records and answers the client's query number i.
-func (s *vantage) clientQueryFire(c *simConn, i int, now simtime.Time) {
+func (s *Node) clientQueryFire(c *simConn, i int, now simtime.Time) {
 	if c.closed {
 		s.droppedQueryEvents++
 		return
@@ -296,7 +292,7 @@ func (s *vantage) clientQueryFire(c *simConn, i int, now simtime.Time) {
 }
 
 // scheduleKeepalive chains the client's own periodic PINGs.
-func (s *vantage) scheduleKeepalive(c *simConn) {
+func (s *Node) scheduleKeepalive(c *simConn) {
 	gap := time.Duration(s.rng.ExpFloat64() * float64(keepaliveMean))
 	at := s.sched.Now() + gap
 	if at >= c.end {
@@ -305,7 +301,7 @@ func (s *vantage) scheduleKeepalive(c *simConn) {
 	s.scheduleFixed(at, c, KindKeepalive)
 }
 
-func (s *vantage) keepaliveFire(c *simConn, now simtime.Time) {
+func (s *Node) keepaliveFire(c *simConn, now simtime.Time) {
 	if c.closed {
 		return
 	}
@@ -321,7 +317,7 @@ func (s *vantage) keepaliveFire(c *simConn, now simtime.Time) {
 // connection. Inbound forwarded traffic arrives through the peer, so it
 // stops at the peer's true end — this is precisely why a silently dead
 // connection goes idle and the probe machinery can detect it.
-func (s *vantage) scheduleRemote(c *simConn, kind EventKind) {
+func (s *Node) scheduleRemote(c *simConn, kind EventKind) {
 	var every time.Duration
 	switch kind {
 	case KindRemoteQuery:
@@ -335,7 +331,7 @@ func (s *vantage) scheduleRemote(c *simConn, kind EventKind) {
 	s.scheduleFixed(s.sched.Now()+gap, c, kind)
 }
 
-func (s *vantage) remoteFire(c *simConn, kind EventKind, now simtime.Time) {
+func (s *Node) remoteFire(c *simConn, kind EventKind, now simtime.Time) {
 	if c.closed || now >= c.end {
 		return
 	}
@@ -353,14 +349,14 @@ func (s *vantage) remoteFire(c *simConn, kind EventKind, now simtime.Time) {
 // remoteAddr samples an address for a wider-network peer following the
 // hour's geographic mix (this is what makes the "all peers" series of
 // Figure 1 track the region curves).
-func (s *vantage) remoteAddr(at simtime.Time) netip.Addr {
-	region := s.params.PickRegion(s.rng, simtime.HourOfDay(at))
-	return s.geoReg.Sample(region, s.rng)
+func (s *Node) remoteAddr(at simtime.Time) netip.Addr {
+	region := s.shared.params.PickRegion(s.rng, simtime.HourOfDay(at))
+	return s.shared.geoReg.Sample(region, s.rng)
 }
 
 // remoteHops draws a plausible overlay distance for forwarded traffic:
 // flooding fan-out makes higher hop counts more common.
-func (s *vantage) remoteHops() uint8 {
+func (s *Node) remoteHops() uint8 {
 	u := s.rng.Float64()
 	switch {
 	case u < 0.05:
@@ -378,15 +374,15 @@ func (s *vantage) remoteHops() uint8 {
 	}
 }
 
-func (s *vantage) remotePong(c *simConn, at simtime.Time) {
+func (s *Node) remotePong(c *simConn, at simtime.Time) {
 	addr := s.remoteAddr(at)
 	hops := s.remoteHops()
-	files := uint32(s.params.SampleSharedFiles(s.rng))
+	files := uint32(s.shared.params.SampleSharedFiles(s.rng))
 	s.rec.Pong(&c.Record, at, addr, files, hops)
 	s.rearmProbe(c, s.cfg.ProbeRearmIdle)
 }
 
-func (s *vantage) remoteHit(c *simConn, at simtime.Time) {
+func (s *Node) remoteHit(c *simConn, at simtime.Time) {
 	addr := s.remoteAddr(at)
 	hops := s.remoteHops()
 	s.rec.Hit(&c.Record, at, addr, hops)
@@ -396,7 +392,7 @@ func (s *vantage) remoteHit(c *simConn, at simtime.Time) {
 // remoteQuery counts a forwarded query. Its address, hop count and
 // vocabulary draw are made and dropped, so the random stream stays the one
 // the recorded traffic was calibrated on; its text is never resolved.
-func (s *vantage) remoteQuery(c *simConn, at simtime.Time) {
+func (s *Node) remoteQuery(c *simConn, at simtime.Time) {
 	s.remoteAddr(at)
 	s.remoteHops()
 	vocab.SkipSample(s.rng)
@@ -411,7 +407,7 @@ func (s *vantage) remoteQuery(c *simConn, at simtime.Time) {
 // sources — so the hit-rate extension analysis can recover the
 // hit-rate/popularity correlation. Responses are received messages and
 // count toward Table 1's QUERYHIT row.
-func (s *vantage) scheduleResponses(c *simConn, queryIdx int, q *behavior.TimedQuery, at simtime.Time) {
+func (s *Node) scheduleResponses(c *simConn, queryIdx int, q *behavior.TimedQuery, at simtime.Time) {
 	if q.SHA1 {
 		// Source hunts answer rarely; the sources are already known.
 		if s.rng.Float64() > 0.10 {
@@ -447,7 +443,7 @@ func (s *vantage) scheduleResponses(c *simConn, queryIdx int, q *behavior.TimedQ
 
 // responseHitFire delivers one routed-back QUERYHIT for the connection's
 // query record queryIdx.
-func (s *vantage) responseHitFire(c *simConn, queryIdx int, now simtime.Time) {
+func (s *Node) responseHitFire(c *simConn, queryIdx int, now simtime.Time) {
 	if c.closed || now >= c.end {
 		return
 	}
@@ -463,7 +459,7 @@ func (s *vantage) responseHitFire(c *simConn, queryIdx int, now simtime.Time) {
 // rearmProbe (re)schedules the idle probe at now+idle. The handle it
 // cancels has usually fired already (every delivered message rearms);
 // simtime guarantees that is a no-op.
-func (s *vantage) rearmProbe(c *simConn, idle time.Duration) {
+func (s *Node) rearmProbe(c *simConn, idle time.Duration) {
 	if c.closed {
 		return
 	}
@@ -473,7 +469,7 @@ func (s *vantage) rearmProbe(c *simConn, idle time.Duration) {
 
 // cancelProbe cancels the connection's probe, counting it off the
 // connection's pending events when it was still queued.
-func (s *vantage) cancelProbe(c *simConn) {
+func (s *Node) cancelProbe(c *simConn) {
 	if !c.probeH.Cancelled() {
 		c.pending--
 	}
@@ -481,7 +477,7 @@ func (s *vantage) cancelProbe(c *simConn) {
 }
 
 // probeFire implements the paper's liveness rule.
-func (s *vantage) probeFire(c *simConn, now simtime.Time) {
+func (s *Node) probeFire(c *simConn, now simtime.Time) {
 	if c.closed {
 		return
 	}
@@ -496,7 +492,7 @@ func (s *vantage) probeFire(c *simConn, now simtime.Time) {
 	s.scheduleArg(now+s.cfg.ProbeTimeout, c, KindProbeDeadline, int64(now))
 }
 
-func (s *vantage) probeReplyFire(c *simConn, now simtime.Time) {
+func (s *Node) probeReplyFire(c *simConn, now simtime.Time) {
 	if c.closed || now >= c.end {
 		return // died between probe and response
 	}
@@ -507,14 +503,14 @@ func (s *vantage) probeReplyFire(c *simConn, now simtime.Time) {
 
 // probeDeadlineFire closes the connection unless something arrived since
 // the probe sent at probedAt.
-func (s *vantage) probeDeadlineFire(c *simConn, probedAt, now simtime.Time) {
+func (s *Node) probeDeadlineFire(c *simConn, probedAt, now simtime.Time) {
 	if c.closed || c.lastRecv >= probedAt {
 		return
 	}
 	s.finalize(c, now, true)
 }
 
-func (s *vantage) sessionEndFire(c *simConn, now simtime.Time) {
+func (s *Node) sessionEndFire(c *simConn, now simtime.Time) {
 	if c.closed {
 		return
 	}
@@ -527,7 +523,7 @@ func (s *vantage) sessionEndFire(c *simConn, now simtime.Time) {
 // finalize closes a connection: it cancels the probe and has the
 // recorder emit the record. The record is final: no response event bumps
 // a hit counter after close (they check closed first).
-func (s *vantage) finalize(c *simConn, end simtime.Time, silent bool) {
+func (s *Node) finalize(c *simConn, end simtime.Time, silent bool) {
 	s.cancelProbe(c)
 	s.rec.Close(&c.Record, end, silent)
 }

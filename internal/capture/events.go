@@ -6,7 +6,7 @@ import "repro/internal/simtime"
 // event loop is almost entirely per-connection background traffic
 // (keepalives, forwarded queries, pongs and hits, idle probes), so every
 // event is a typed record — a kind, a connection and at most one scalar —
-// dispatched by one switch (vantage.fire), never a closure.
+// dispatched by one switch (Node.fire), never a closure.
 type EventKind uint8
 
 const (
@@ -64,42 +64,31 @@ type fixedEvent struct {
 }
 
 // connEvent is one scheduled event of a connection that carries an
-// argument. These come from the vantage's free list and return to it
-// when they fire.
+// argument. These come from the node's pool and return to it when they
+// fire.
 type connEvent struct {
 	c    *simConn
 	arg  int64
 	kind EventKind
+	id   uint32 // the record's name in the node's events pool
 }
-
-// eventBlock is how many argument-carrying records an empty free list is
-// refilled with at once.
-const eventBlock = 128
 
 // scheduleFixed queues the connection's own record of an argument-less
 // kind at an absolute instant and counts it.
-func (s *vantage) scheduleFixed(at simtime.Time, c *simConn, kind EventKind) simtime.Handle {
+func (s *Node) scheduleFixed(at simtime.Time, c *simConn, kind EventKind) simtime.Handle {
 	s.counts[kind]++
 	c.pending++
 	return s.sched.Schedule(at, &c.fixed[kind])
 }
 
-// scheduleArg draws a record carrying arg from the free list, refilling
-// an empty list with a fresh block, queues it at an absolute instant and
-// counts it.
-func (s *vantage) scheduleArg(at simtime.Time, c *simConn, kind EventKind, arg int64) {
+// scheduleArg draws a record carrying arg from the pool, queues it at an
+// absolute instant and counts it.
+func (s *Node) scheduleArg(at simtime.Time, c *simConn, kind EventKind, arg int64) {
 	s.counts[kind]++
 	c.pending++
-	if len(s.freeEvents) == 0 {
-		block := make([]connEvent, eventBlock)
-		for i := range block {
-			s.freeEvents = append(s.freeEvents, &block[i])
-		}
-	}
-	n := len(s.freeEvents)
-	e := s.freeEvents[n-1]
-	s.freeEvents = s.freeEvents[:n-1]
-	*e = connEvent{kind: kind, c: c, arg: arg}
+	id := s.events.Get()
+	e := s.events.At(id)
+	*e = connEvent{kind: kind, c: c, arg: arg, id: id}
 	s.sched.Schedule(at, e)
 }
 
@@ -109,20 +98,20 @@ func (e *fixedEvent) Fire(now simtime.Time) {
 	e.c.v.fire(e.c, e.kind, 0, now)
 }
 
-// Fire implements simtime.Event: the record goes back to the free list
+// Fire implements simtime.Event: the record goes back to the pool
 // before its event runs, which may draw it again.
 func (e *connEvent) Fire(now simtime.Time) {
 	c, kind, arg := e.c, e.kind, e.arg
 	e.c = nil
 	c.pending--
-	c.v.freeEvents = append(c.v.freeEvents, e)
+	c.v.events.Put(e.id)
 	c.v.fire(c, kind, arg, now)
 }
 
 // fire dispatches one connection event of either record type. A closed
-// connection whose last pending event this was goes back to the free
-// list: nothing queued names it any more, so arrive may reuse it.
-func (s *vantage) fire(c *simConn, kind EventKind, arg int64, now simtime.Time) {
+// connection whose last pending event this was goes back to the pool:
+// nothing queued names it any more, so Arrive may reuse it.
+func (s *Node) fire(c *simConn, kind EventKind, arg int64, now simtime.Time) {
 	switch kind {
 	case KindKeepalive:
 		s.keepaliveFire(c, now)
@@ -144,6 +133,6 @@ func (s *vantage) fire(c *simConn, kind EventKind, arg int64, now simtime.Time) 
 		s.responseHitFire(c, int(arg), now)
 	}
 	if c.closed && c.pending == 0 {
-		s.freeConns = append(s.freeConns, c)
+		s.conns.Put(c.id)
 	}
 }

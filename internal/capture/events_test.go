@@ -56,14 +56,14 @@ func simulateVantage(cfg Config) (*trace.Trace, NodeStats) {
 }
 
 // TestEventLoopAllocationBudget holds the event loop to its allocation
-// rules: scheduler items and event records recycled and grown a block at
-// a time, connections reused once nothing queued names them, session
-// records handed out of slabs, direct recording, calendar buckets that
-// keep their arrays across size changes and keyword keys counted from a
-// reused buffer leave each session's query list, map growth and each
-// day's first sighting of a keyword set as nearly the only allocations:
-// 0.022 per scheduled event, under a budget of 0.04. The closure-based
-// loop paid ≈ 3.1.
+// rules: scheduler items, event records and connections recycled through
+// pools grown a block at a time (a connection once nothing queued names
+// it), session records handed out of slabs, direct recording, calendar
+// buckets that keep their arrays across size changes and keyword keys
+// counted from a reused buffer leave each session's query list, map
+// growth and each day's first sighting of a keyword set as nearly the
+// only allocations: 0.010 per scheduled event, under a budget of 0.04.
+// The closure-based loop paid ≈ 3.1.
 func TestEventLoopAllocationBudget(t *testing.T) {
 	cfg := DefaultConfig(2004, 0.02)
 	cfg.Workload.Days = 1
@@ -130,27 +130,29 @@ func TestReusedConnHoldsOnlyItsOwnTraffic(t *testing.T) {
 		}
 		recs <- got
 	}()
-	v := newVantage(cfg, 0, sched, NewSharedModel(behavior.NewGenerator(cfg.Workload)), stream.NewProducer(0, intake))
+	v := NewNode(cfg, 0, sched, NewSharedModel(behavior.NewGenerator(cfg.Workload)), stream.NewProducer(0, intake))
 	session := func(start time.Duration, agent string) *behavior.Session {
 		return &behavior.Session{Start: start, Duration: time.Hour, UserAgent: agent,
 			Queries: []behavior.TimedQuery{{Offset: time.Second, Text: " "}}}
 	}
 
-	// Session A takes a connection the test holds, queries, and closes at
-	// 5 s with a routed-back hit for its query still due at 20 s.
-	a := newSimConn(v)
-	v.freeConns = append(v.freeConns, a)
-	v.arrive(0, session(0, "A"))
+	// Session A takes the connection the test peeks at (the pool hands
+	// back the value put last), queries, and closes at 5 s with a
+	// routed-back hit for its query still due at 20 s.
+	id := v.conns.Get()
+	a := v.conns.At(id)
+	v.conns.Put(id)
+	v.Arrive(0, session(0, "A"))
 	sched.RunUntil(5 * time.Second)
 	v.scheduleArg(20*time.Second, a, KindResponseHit, 0)
 	v.finalize(a, sched.Now(), false)
 
 	// Session B arrives while A's events are queued.
 	sched.RunUntil(6 * time.Second)
-	if a.pending == 0 || len(v.freeConns) != 0 {
-		t.Fatalf("closed connection released with %d events pending", a.pending)
+	if v.rec.open[0] != nil || a.pending == 0 {
+		t.Fatalf("connection A not closed with events pending (%d pending)", a.pending)
 	}
-	v.arrive(sched.Now(), session(sched.Now(), "B"))
+	v.Arrive(sched.Now(), session(sched.Now(), "B"))
 	if v.rec.open[1] == &a.Record {
 		t.Fatal("session B reuses a connection with events still queued")
 	}
@@ -158,11 +160,8 @@ func TestReusedConnHoldsOnlyItsOwnTraffic(t *testing.T) {
 	// Once A's last event has fired, session C gets its connection.
 	for a.pending > 0 && sched.Step() {
 	}
-	if n := len(v.freeConns); n != 1 || v.freeConns[0] != a {
-		t.Fatalf("free list holds %d connections, want A's alone", n)
-	}
 	start := sched.Now()
-	v.arrive(start, session(start, "C"))
+	v.Arrive(start, session(start, "C"))
 	if v.rec.open[2] != &a.Record {
 		t.Fatal("session C did not reuse the released connection")
 	}
@@ -189,11 +188,18 @@ func TestReusedConnHoldsOnlyItsOwnTraffic(t *testing.T) {
 	}
 }
 
-// TestSimConnSizeClass pins the accepted connection, allocated once per
-// connection the vantage holds at once and reused across sessions, to
-// the runtime's 320-byte size class.
+// TestSimConnSizeClass pins the accepted connection, one per connection
+// the vantage holds at once and reused across sessions, to 320 bytes.
 func TestSimConnSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(simConn{}); n > 320 {
 		t.Errorf("simConn is %d bytes, budget 320", n)
+	}
+}
+
+// TestConnEventSize pins the argument-carrying event record, one per
+// pending response hit, client query or probe deadline, to 24 bytes.
+func TestConnEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(connEvent{}); n > 24 {
+		t.Errorf("connEvent is %d bytes, budget 24", n)
 	}
 }

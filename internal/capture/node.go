@@ -5,7 +5,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/model"
 	"repro/internal/simtime"
-	"repro/internal/stream"
 )
 
 // SessionGUIDSalt seeds the fleet's session-GUID stream — the identity
@@ -83,56 +82,29 @@ func NewSharedModel(gen *behavior.Generator) *SharedModel {
 	}
 }
 
-// Node is one measurement vantage, the unit internal/engine drives,
-// constructed around a caller-owned scheduler so its event loop can live
-// on its own goroutine with its own clock. All methods must be called
-// from that one goroutine (the vantage shares no mutable state with other
-// nodes — only the SharedModel, which is read-only).
-type Node struct {
-	v *vantage
-}
-
-// NewNode builds vantage idx of an N-node deployment around the given
-// scheduler. The node emits every record into sink the moment it is
-// final — session records at close, pong/hit records at receipt — and
-// keeps none. Its random streams are salted by idx, so the stream depends
-// only on the arrivals delivered and the order the scheduler fires them.
-func NewNode(cfg Config, idx int, sched simtime.Scheduler, sh *SharedModel, sink *stream.Producer) *Node {
-	return &Node{v: newVantage(cfg, idx, sched, sh, sink)}
-}
-
-// Arrive delivers one session arrival assigned to this vantage: the node
-// accepts it subject to its MaxConns cap and schedules the session's
-// message events on its scheduler. The node copies an accepted session
-// and keeps no pointer to sess, so the caller may reuse it at once.
-func (n *Node) Arrive(now simtime.Time, sess *behavior.Session) {
-	n.v.arrive(now, sess)
-}
-
 // ScheduleArrival queues the driver's arrival event on the node's
 // scheduler at the explicit tie-break key, counting it under KindArrival
 // so EventCounts covers everything the scheduler was given.
-func (n *Node) ScheduleArrival(at simtime.Time, key simtime.SeqKey, e simtime.Event) {
-	n.v.counts[KindArrival]++
-	n.v.sched.ScheduleKeyed(at, key, e)
+func (s *Node) ScheduleArrival(at simtime.Time, key simtime.SeqKey, e simtime.Event) {
+	s.counts[KindArrival]++
+	s.sched.ScheduleKeyed(at, key, e)
 }
 
 // EventCounts returns how many events the node has scheduled, by kind.
-func (n *Node) EventCounts() EventCounts { return n.v.counts }
+func (s *Node) EventCounts() EventCounts { return s.counts }
 
 // Finish ends the run at the horizon (Recorder.Finish: the open sessions
 // are censored there, then the trailer is emitted). Call it once, after
 // the scheduler has run to the horizon.
-func (n *Node) Finish(horizon simtime.Time) { n.v.rec.Finish(horizon) }
+func (s *Node) Finish(horizon simtime.Time) { s.rec.Finish(horizon) }
 
 // Stats returns the node's accounting row.
-func (n *Node) Stats() NodeStats {
-	r := &n.v.rec
+func (s *Node) Stats() NodeStats {
 	return NodeStats{
-		Node:               n.v.nodeIdx,
-		Conns:              int(r.nextID),
-		Rejected:           r.rejected,
-		PeakConns:          r.peak,
-		DroppedQueryEvents: n.v.droppedQueryEvents,
+		Node:               s.nodeIdx,
+		Conns:              int(s.rec.nextID),
+		Rejected:           s.rec.rejected,
+		PeakConns:          s.rec.peak,
+		DroppedQueryEvents: s.droppedQueryEvents,
 	}
 }

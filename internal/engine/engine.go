@@ -17,7 +17,7 @@
 //     arrivals — to its owner's queue, at most DefaultLookahead sessions
 //     deep. The in-flight session set is therefore nodes × DefaultLookahead,
 //     not the measurement period.
-//  2. One keyed event loop per vantage (runNodeBounded, one goroutine
+//  2. One keyed event loop per vantage (keyedBoundedRun, one goroutine
 //     each) schedules only its own sessions and emits each record into
 //     its stream.Producer the moment it is final. Per-node cost is O(own
 //     sessions × events per session); the global arrival count appears
@@ -68,8 +68,6 @@
 package engine
 
 import (
-	"sync"
-
 	"repro/internal/behavior"
 	"repro/internal/capture"
 	"repro/internal/obs"
@@ -121,16 +119,14 @@ func (c *Config) queueDepth() int {
 // Run; a second Run returns the memoized trace.
 type Engine struct {
 	cfg Config
-	// newSched builds each node's scheduler. The calendar queue is the
-	// production choice on its measured cost inside this loop, not on a
-	// microbenchmark alone: Engine.Run at seed 2004, 3 days, median of
-	// five runs on a 2-core x86-64 container, calendar vs heap, 1.06 vs
-	// 1.32 s at scale 0.25 with 8 nodes and 0.94 vs 1.31 s at scale 1.0
-	// with one node. (With the bucket width taken from the interquartile
-	// spread of all live events the two were even, 1.47 vs 1.40 s at
-	// scale 1.0, although BenchmarkSchedulerHold's uniform spacing showed
-	// the calendar ahead.) Tests swap in the heap to pin that the engine's
-	// output does not depend on the implementation.
+	// newSched builds each node's scheduler, Run's and NodeStream's alike.
+	// The calendar queue is the production choice on its measured cost
+	// inside this loop, not on a microbenchmark alone: Engine.Run at seed
+	// 2004, 3 days, medians of two sets of five runs on a 2-core x86-64
+	// container, calendar vs heap, 0.88–0.92 vs 1.30–1.39 s at scale 0.25
+	// with 8 nodes and 0.78–0.80 vs 1.05–1.17 s at scale 1.0 with one
+	// node. Tests swap in the heap to pin that the engine's output does
+	// not depend on the implementation.
 	newSched func() simtime.Scheduler
 
 	ran    bool
@@ -188,14 +184,21 @@ func (e *Engine) Run(sink stream.Sink) *trace.Trace {
 	merger := stream.NewMerger(nodes, sink)
 	merger.SetObserver(e.cfg.Obs)
 	merger.SetWindow(DefaultMergeWindow)
-	var wg sync.WaitGroup
-	wg.Add(1)
+	sinks := make([]*stream.Producer, nodes)
+	for i := range sinks {
+		sinks[i] = stream.NewProducer(i, merger.Intake())
+	}
+	arrCounter := e.cfg.Obs.Counter("engine_arrivals_total", "arrival events fired across all vantage nodes")
+	done := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		e.runNodes(scheds, merger.Intake())
+		// Accounted here, so the nodes and their schedulers are garbage
+		// while the merge finishes.
+		arrivals, ran := runFleet(e.cfg, scheds, sinks, arrCounter)
+		e.account(arrivals, scheds, ran)
+		close(done)
 	}()
 	e.merged = merger.Run()
-	wg.Wait()
+	<-done
 	e.peakPending = merger.PeakPending()
 	e.spilled = merger.Spilled()
 	// The merge's pending high-water mark is left off the span: it depends
@@ -209,51 +212,17 @@ func (e *Engine) Run(sink stream.Sink) *trace.Trace {
 	return e.merged
 }
 
-// runNodes executes the whole fleet: the producer on one goroutine, every
-// node on its own — a blocked node parks its goroutine, so concurrency is
-// throttled by the producer window and sized by the OS scheduler — each
-// emitting into its own stream.Producer over the merger's intake.
-func (e *Engine) runNodes(scheds []simtime.Scheduler, intake chan<- stream.Batch) {
-	nodeCfg := e.cfg.Fleet.Node
-	gen := behavior.NewGenerator(nodeCfg.Workload)
-	shared := capture.NewSharedModel(gen)
-	horizon := simtime.Time(nodeCfg.Workload.Days) * simtime.Day
-	nodes := e.cfg.Fleet.Nodes
-	ch := newChain()
-	queues := make([]chan ownedSession, nodes)
-	for i := range queues {
-		queues[i] = make(chan ownedSession, e.cfg.queueDepth())
-	}
-	var arrivals uint64
-	var prodWG sync.WaitGroup
-	prodWG.Add(1)
-	go func() {
-		defer prodWG.Done()
-		arrivals = produceArrivals(e.cfg.Fleet, gen, ch, queues)
-	}()
-
-	arrCounter := e.cfg.Obs.Counter("engine_arrivals_total", "arrival events fired across all vantage nodes")
-	e.schedPerNode = make([]uint64, nodes)
-	e.kindsPerNode = make([]capture.EventCounts, nodes)
-	perNode := make([]capture.NodeStats, nodes)
-	var wg sync.WaitGroup
-	for i := 0; i < nodes; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			node := runNodeBounded(nodeCfg, i, scheds[i], shared, ch, queues[i], horizon, stream.NewProducer(i, intake), arrCounter)
-			perNode[i] = node.Stats()
-			e.schedPerNode[i] = scheds[i].Scheduled()
-			e.kindsPerNode[i] = node.EventCounts()
-		}(i)
-	}
-	wg.Wait()
-	prodWG.Wait()
-
-	e.stats = capture.FleetStats{Arrivals: arrivals, PerNode: perNode}
-	for i := range perNode {
-		e.stats.Rejected += perNode[i].Rejected
-		e.stats.DroppedQueryEvents += perNode[i].DroppedQueryEvents
+// account keeps the fleet's accounting and each node's event counts.
+func (e *Engine) account(arrivals uint64, scheds []simtime.Scheduler, nodes []*capture.Node) {
+	e.stats = capture.FleetStats{Arrivals: arrivals, PerNode: make([]capture.NodeStats, len(nodes))}
+	e.schedPerNode = make([]uint64, len(nodes))
+	e.kindsPerNode = make([]capture.EventCounts, len(nodes))
+	for i, node := range nodes {
+		e.stats.PerNode[i] = node.Stats()
+		e.stats.Rejected += e.stats.PerNode[i].Rejected
+		e.stats.DroppedQueryEvents += e.stats.PerNode[i].DroppedQueryEvents
+		e.schedPerNode[i] = scheds[i].Scheduled()
+		e.kindsPerNode[i] = node.EventCounts()
 	}
 }
 

@@ -220,37 +220,77 @@ func (r *keyedBoundedRun) beforeFire(at simtime.Time, key simtime.SeqKey) {
 	}
 }
 
-// Fire dispatches the node's next own session, first pulling the
-// following one off the queue (which may block until the producer
-// delivers it) and scheduling it at its precomputed key — the reference
-// dispatcher's schedule-next-then-dispatch order.
+// Fire dispatches the node's next own session, first scheduling the
+// following one — the reference dispatcher's schedule-next-then-dispatch
+// order.
 func (r *keyedBoundedRun) Fire(now simtime.Time) {
 	sess := r.cur.sess
-	if next, ok := <-r.queue; ok {
-		r.cur = next
-		r.node.ScheduleArrival(next.sess.Start, simtime.SeqKey{Epoch: next.gidx}, r)
-	}
+	r.next()
 	r.arrivals.Inc()
 	r.node.Arrive(now, &sess)
 }
 
-// runNodeBounded simulates vantage idx to the horizon against the bounded
-// producer, emitting every record into sink and finishing with the
-// stream trailer.
-func runNodeBounded(cfg capture.Config, idx int, sched simtime.Scheduler, shared *capture.SharedModel,
-	ch *chain, queue <-chan ownedSession, horizon simtime.Time, sink *stream.Producer, arrivals *obs.Counter) *capture.Node {
+// next pulls the node's next own session off its queue, which may block
+// until the producer delivers it, and schedules its arrival at its
+// precomputed key.
+func (r *keyedBoundedRun) next() {
+	if s, ok := <-r.queue; ok {
+		r.cur = s
+		r.node.ScheduleArrival(s.sess.Start, simtime.SeqKey{Epoch: s.gidx}, r)
+	}
+}
+
+// run simulates the vantage to the horizon against the bounded producer
+// and finishes its stream with the trailer.
+func (r *keyedBoundedRun) run(horizon simtime.Time) {
 	// Reserve Pos 0 of epoch 0 for the virtual chain head before anything
 	// is scheduled, keeping the epoch/Pos split an invariant from the
 	// first event on.
-	sched.Reseed(simtime.SeqKey{Epoch: 0, Pos: 1})
-	node := capture.NewNode(cfg, idx, sched, shared, sink)
-	r := &keyedBoundedRun{sched: sched, node: node, ch: ch, queue: queue, arrivals: arrivals}
-	sched.SetFireHook(r.beforeFire)
-	if first, ok := <-queue; ok {
-		r.cur = first
-		node.ScheduleArrival(first.sess.Start, simtime.SeqKey{Epoch: first.gidx}, r)
+	r.sched.Reseed(simtime.SeqKey{Epoch: 0, Pos: 1})
+	r.sched.SetFireHook(r.beforeFire)
+	r.next()
+	r.sched.RunUntil(horizon)
+	r.node.Finish(horizon)
+}
+
+// runFleet is the one fleet runner of Run and NodeStream: the bounded
+// producer and, each on its own goroutine, every vantage i with a
+// scheduler scheds[i], emitting into sinks[i] and counting its arrivals
+// on arrivals. A vantage with a nil scheduler runs elsewhere: its queue
+// stays nil, so the producer drops its sessions. It returns the
+// fleet-wide arrival count and the vantages it ran, nil for the others.
+func runFleet(cfg Config, scheds []simtime.Scheduler, sinks []*stream.Producer, arrivals *obs.Counter) (uint64, []*capture.Node) {
+	nodeCfg := cfg.Fleet.Node
+	gen := behavior.NewGenerator(nodeCfg.Workload)
+	shared := capture.NewSharedModel(gen)
+	horizon := simtime.Time(nodeCfg.Workload.Days) * simtime.Day
+	ch := newChain()
+	queues := make([]chan ownedSession, len(scheds))
+	for i := range queues {
+		if scheds[i] != nil {
+			queues[i] = make(chan ownedSession, cfg.queueDepth())
+		}
 	}
-	sched.RunUntil(horizon)
-	node.Finish(horizon)
-	return node
+	var total uint64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		total = produceArrivals(cfg.Fleet, gen, ch, queues)
+	}()
+	nodes := make([]*capture.Node, len(scheds))
+	for i, sched := range scheds {
+		if sched == nil {
+			continue
+		}
+		nodes[i] = capture.NewNode(nodeCfg, i, sched, shared, sinks[i])
+		r := &keyedBoundedRun{sched: sched, node: nodes[i], ch: ch, queue: queues[i], arrivals: arrivals}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.run(horizon)
+		}()
+	}
+	wg.Wait()
+	return total, nodes
 }

@@ -2,9 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 
-	"repro/internal/behavior"
 	"repro/internal/capture"
 	"repro/internal/simtime"
 	"repro/internal/stream"
@@ -15,10 +13,10 @@ import (
 // sink. This is the emitter-process entrypoint of the distributed ingest
 // pipeline (cmd/vantage): the arrival process is deterministic in the
 // seed, so each vantage process regenerates the full global arrival chain
-// locally through the same produceArrivals, keeps only the sessions
-// guid.Shard assigns to idx (every other queue is nil), and runs the same
-// runNodeBounded loop as Run's node idx — so its per-input event stream
-// is bit-equal to that node's. N such processes feeding a collector
+// locally through the same runFleet as Run, with a scheduler for idx
+// alone, so the producer keeps only the sessions guid.Shard assigns to
+// idx and the one loop that runs is Run's node idx — its per-input event
+// stream is bit-equal to that node's. N such processes feeding a collector
 // therefore drain to a trace byte-identical to Run's, the acceptance the
 // ingest tests pin. It also makes emitter restart cheap: a fresh process
 // replays the same stream from the start and the ingest resume protocol
@@ -29,29 +27,14 @@ import (
 // how large the fleet-wide arrival volume is. Foreign sessions cost only
 // their generation.
 func NodeStream(cfg Config, idx int, sink *stream.Producer) (capture.NodeStats, error) {
-	if cfg.Fleet.Nodes < 1 {
-		cfg.Fleet.Nodes = 1
+	e := New(cfg)
+	if idx < 0 || idx >= e.cfg.Fleet.Nodes {
+		return capture.NodeStats{}, fmt.Errorf("engine: vantage %d out of range [0,%d)", idx, e.cfg.Fleet.Nodes)
 	}
-	if idx < 0 || idx >= cfg.Fleet.Nodes {
-		return capture.NodeStats{}, fmt.Errorf("engine: vantage %d out of range [0,%d)", idx, cfg.Fleet.Nodes)
-	}
-	nodeCfg := cfg.Fleet.Node
-	gen := behavior.NewGenerator(nodeCfg.Workload)
-	shared := capture.NewSharedModel(gen)
-	horizon := simtime.Time(nodeCfg.Workload.Days) * simtime.Day
-
-	ch := newChain()
-	queues := make([]chan ownedSession, cfg.Fleet.Nodes)
-	queues[idx] = make(chan ownedSession, cfg.queueDepth())
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		produceArrivals(cfg.Fleet, gen, ch, queues)
-	}()
-
+	scheds := make([]simtime.Scheduler, e.cfg.Fleet.Nodes)
+	sinks := make([]*stream.Producer, e.cfg.Fleet.Nodes)
+	scheds[idx], sinks[idx] = e.newSched(), sink
 	arrivals := cfg.Obs.Counter("engine_arrivals_total", "arrival events fired by this vantage")
-	node := runNodeBounded(nodeCfg, idx, simtime.NewCalendarScheduler(), shared, ch, queues[idx], horizon, sink, arrivals)
-	wg.Wait()
-	return node.Stats(), nil
+	_, nodes := runFleet(e.cfg, scheds, sinks, arrivals)
+	return nodes[idx].Stats(), nil
 }

@@ -32,8 +32,6 @@ const (
 const (
 	HeaderUserAgent = "User-Agent"
 	HeaderUltrapeer = "X-Ultrapeer"
-	HeaderRemoteIP  = "Remote-IP"
-	HeaderListenIP  = "Listen-IP"
 )
 
 // Errors returned by the handshake reader.

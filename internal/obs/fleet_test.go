@@ -313,28 +313,6 @@ func TestStartHeartbeatStopCeases(t *testing.T) {
 	}
 }
 
-func TestTimeOrder(t *testing.T) {
-	in := strings.Join([]string{
-		`{"kind":"event","t_ms":5,"name":"late","src":"collector"}`,
-		`{"kind":"event","t_ms":2,"name":"early","src":"v0"}`,
-		`{"kind":"event","t_ms":5,"name":"tie","src":"v1"}`,
-	}, "\n")
-	got, err := TimeOrder(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("got %d lines", len(got))
-	}
-	if !strings.Contains(got[0], "early") {
-		t.Fatalf("not time-ordered: %v", got)
-	}
-	// Stable: equal t_ms keeps file order.
-	if !strings.Contains(got[1], "late") || !strings.Contains(got[2], "tie") {
-		t.Fatalf("tie order not stable: %v", got)
-	}
-}
-
 func TestWriteTimeline(t *testing.T) {
 	var ebuf bytes.Buffer
 	em := NewJournal(&ebuf)

@@ -9,8 +9,7 @@ import (
 	"strings"
 )
 
-// tlLine is one parsed journal line plus its original file position,
-// kept so sorts can stay stable with respect to write order.
+// tlLine is one parsed journal line.
 type tlLine struct {
 	kind    string
 	src     string
@@ -20,8 +19,6 @@ type tlLine struct {
 	id      uint64
 	attrs   map[string]any
 	samples map[string]float64
-	raw     string
-	pos     int
 }
 
 func parseJournal(r io.Reader) ([]tlLine, error) {
@@ -39,7 +36,7 @@ func parseJournal(r io.Reader) ([]tlLine, error) {
 		if err := json.Unmarshal([]byte(raw), &m); err != nil {
 			return nil, fmt.Errorf("journal line %d: %w", ln, err)
 		}
-		l := tlLine{raw: raw, pos: len(out)}
+		var l tlLine
 		l.kind, _ = m["kind"].(string)
 		l.src, _ = m["src"].(string)
 		l.name, _ = m["name"].(string)
@@ -62,25 +59,6 @@ func parseJournal(r io.Reader) ([]tlLine, error) {
 		out = append(out, l)
 	}
 	return out, sc.Err()
-}
-
-// TimeOrder reads a JSONL journal and returns its raw lines stable-sorted
-// by t_ms. The collector's fleet journal is written in arrival order
-// (crash-safe append of whatever lands next), so shipped lines from a
-// slow input can appear after later local ones; TimeOrder restores the
-// collector-normalized time axis, producing the single time-ordered
-// stream the fleet-journal artifact and the timeline renderer consume.
-func TimeOrder(r io.Reader) ([]string, error) {
-	lines, err := parseJournal(r)
-	if err != nil {
-		return nil, err
-	}
-	sort.SliceStable(lines, func(i, k int) bool { return lines[i].t < lines[k].t })
-	out := make([]string, len(lines))
-	for i, l := range lines {
-		out[i] = l.raw
-	}
-	return out, nil
 }
 
 // timelineGapMs is the intra-lane silence (milliseconds between

@@ -157,6 +157,25 @@ func TestTTLExhaustedNotForwarded(t *testing.T) {
 	}
 }
 
+// TestOversizedTTLClampedOnFlood: a query claiming TTL 200 is flooded on
+// with the TTL the MaxTTL limit leaves, not 199.
+func TestOversizedTTLClampedOnFlood(t *testing.T) {
+	h := newHarness(t, true, nil)
+	h.node.AddConn(1, true)
+	h.node.AddConn(2, true)
+	h.node.AddConn(3, true)
+	h.node.Receive(1, query("loud", 200, 2))
+	for _, c := range []int{2, 3} {
+		got := h.sentTo(c)
+		if len(got) != 1 {
+			t.Fatalf("conn %d got %d messages, want the flooded query", c, len(got))
+		}
+		if hd := got[0].Header; hd.TTL != wire.MaxTTL-3 || hd.Hops != 3 {
+			t.Errorf("conn %d got TTL %d hops %d, want TTL %d hops 3", c, hd.TTL, hd.Hops, wire.MaxTTL-3)
+		}
+	}
+}
+
 func TestLibraryMatchProducesHit(t *testing.T) {
 	lib := []SharedFile{
 		{Index: 1, Name: "Blue Mountain Song.mp3", SizeKB: 4000},

@@ -3,12 +3,12 @@ package simtime
 import (
 	"math"
 	"math/bits"
-	"time"
 )
 
-// CalendarScheduler is a calendar-queue Scheduler (R. Brown, "Calendar
-// Queues: A Fast O(1) Priority Queue Implementation for the Simulation
-// Event Set Problem", CACM 1988): pending events hash by timestamp into an
+// CalendarScheduler is the Scheduler that queues its pending items in a
+// calendar queue (R. Brown, "Calendar Queues: A Fast O(1) Priority Queue
+// Implementation for the Simulation Event Set Problem", CACM 1988), the
+// one the engine's nodes run: pending events hash by timestamp into an
 // array of day buckets whose combined span is one "year"; dequeue scans the
 // current day for the earliest event of the current year and only falls
 // back to a direct search when a whole year of days is empty. The bucket
@@ -36,14 +36,11 @@ import (
 // (item.index), so Cancel swap-deletes its entry and recycles the item at
 // once, and the buckets hold live events only. Not safe for concurrent
 // use.
-type CalendarScheduler struct {
-	now       Time
-	cur       SeqKey // implicit key of the next Schedule call
-	seq       uint64 // unique insertion counter
-	scheduled uint64
-	fired     uint64
-	hook      FireHook
-	pool      itemPool
+type CalendarScheduler struct{ core }
+
+// calendar is CalendarScheduler's queue.
+type calendar struct {
+	items *Pool[item] // the scheduler's items, which entries name by id
 
 	buckets [][]entry
 	mask    int  // len(buckets) - 1; bucket count is a power of two
@@ -59,8 +56,8 @@ type CalendarScheduler struct {
 
 	// cached is the item the last findMin located, so peek-then-pop
 	// (RunUntil's loop) pays one scan, not two. It is dropped when a
-	// Schedule preempts it, when it is cancelled, and at a resize; its
-	// slot is its index, which every removal keeps current.
+	// Schedule preempts it, when it leaves the queue, and at a resize;
+	// its slot is its index, which every removal keeps current.
 	cached *item
 
 	// gather is resize's scratch list of entries, kept between calls.
@@ -81,7 +78,7 @@ type CalendarScheduler struct {
 }
 
 // entry is a queued event as its bucket holds it: its instant and its
-// item's id in the scheduler's pool.
+// item's id in the scheduler's Pool.
 type entry struct {
 	at Time
 	id uint32
@@ -111,144 +108,93 @@ const (
 // NewCalendarScheduler returns a calendar scheduler positioned at the
 // trace epoch.
 func NewCalendarScheduler() *CalendarScheduler {
-	return &CalendarScheduler{
+	s := &CalendarScheduler{}
+	s.cal = &calendar{
+		items:   &s.items,
 		buckets: make([][]entry, calendarMinBuckets),
 		mask:    calendarMinBuckets - 1,
 		shift:   calendarDefaultShift,
 	}
+	return s
 }
-
-// Now returns the current simulated time.
-func (s *CalendarScheduler) Now() Time { return s.now }
-
-// Fired returns how many events have been executed.
-func (s *CalendarScheduler) Fired() uint64 { return s.fired }
-
-// Scheduled returns how many events have been queued over the scheduler's
-// lifetime.
-func (s *CalendarScheduler) Scheduled() uint64 { return s.scheduled }
-
-// Pending returns the number of scheduled events not yet fired or
-// cancelled.
-func (s *CalendarScheduler) Pending() int { return s.live }
 
 // bucketOf maps a timestamp to its bucket index. Queued timestamps are
 // never negative (they are ≥ now ≥ 0).
-func (s *CalendarScheduler) bucketOf(at Time) int {
-	return int(uint64(at)>>s.shift) & s.mask
+func (c *calendar) bucketOf(at Time) int {
+	return int(uint64(at)>>c.shift) & c.mask
 }
 
 // dayOf returns the start of the day holding a timestamp.
-func (s *CalendarScheduler) dayOf(at Time) Time { return at &^ (1<<s.shift - 1) }
+func (c *calendar) dayOf(at Time) Time { return at &^ (1<<c.shift - 1) }
 
-// Schedule queues an event at an absolute simulated instant with the
-// implicit (FIFO-advancing) tie-break key. Scheduling in the past (before
-// Now) fires the event at the current time rather than rewinding the
-// clock.
-func (s *CalendarScheduler) Schedule(at Time, e Event) Handle {
-	key := s.cur
-	s.cur.Pos++
-	return s.ScheduleKeyed(at, key, e)
-}
-
-// ScheduleKeyed queues an event with an explicit tie-break key, leaving
-// the implicit key untouched.
-func (s *CalendarScheduler) ScheduleKeyed(at Time, key SeqKey, e Event) Handle {
-	if at < s.now {
-		at = s.now
+// push queues a stamped item; now is the scheduler's clock.
+func (c *calendar) push(it *item, now Time) {
+	if c.live+1 > 2*len(c.buckets) {
+		c.resize(len(c.buckets)*2, now)
 	}
-	if s.live+1 > 2*len(s.buckets) {
-		s.resize(len(s.buckets) * 2)
-	}
-	it := s.pool.get()
-	it.at, it.key, it.seq, it.event = at, key, s.seq, e
-	s.seq++
-	s.scheduled++
-	i := s.bucketOf(at)
-	it.index = int32(len(s.buckets[i]))
-	s.buckets[i] = append(s.buckets[i], entry{at: at, id: it.id})
-	s.live++
+	i := c.bucketOf(it.at)
+	it.index = int32(len(c.buckets[i]))
+	c.buckets[i] = append(c.buckets[i], entry{at: it.at, id: it.id})
+	c.live++
 	// An item can land in a day the scan already walked past (the scan
 	// runs ahead of the clock across empty stretches); pull the scan
 	// position back so the next findMin sees it.
-	if day := s.dayOf(at); day < s.winStart {
-		s.winStart = day
+	if day := c.dayOf(it.at); day < c.winStart {
+		c.winStart = day
 	}
 	// The new item preempts the cached minimum when it fires first —
 	// which an explicit key can achieve even at an equal timestamp, so
 	// the comparison must be the full fire order, not just the instant.
-	if s.cached != nil && it.before(s.cached) {
-		s.cached = nil
+	if c.cached != nil && it.before(c.cached) {
+		c.cached = nil
 	}
-	return Handle{it: it, gen: it.gen}
-}
-
-// Reseed repositions the implicit key.
-func (s *CalendarScheduler) Reseed(key SeqKey) { s.cur = key }
-
-// SetFireHook installs the pre-fire callback.
-func (s *CalendarScheduler) SetFireHook(h FireHook) { s.hook = h }
-
-// After queues an event delay after the current instant.
-func (s *CalendarScheduler) After(delay time.Duration, e Event) Handle {
-	return s.Schedule(s.now+delay, e)
-}
-
-// Cancel removes a scheduled event and recycles its item. Cancelling an
-// already-fired or already-cancelled event is a no-op.
-func (s *CalendarScheduler) Cancel(h Handle) {
-	if !h.pending() {
-		return
-	}
-	s.remove(h.it)
-	if s.cached == h.it {
-		s.cached = nil
-	}
-	s.pool.put(h.it)
 }
 
 // remove swap-deletes a queued item's entry from its bucket, moving the
 // bucket's last entry into the freed slot and updating that entry's
-// index.
-func (s *CalendarScheduler) remove(it *item) {
-	i := s.bucketOf(it.at)
-	b := s.buckets[i]
+// index, and drops the item from the cache.
+func (c *calendar) remove(it *item) {
+	i := c.bucketOf(it.at)
+	b := c.buckets[i]
 	last := len(b) - 1
 	if j := it.index; int(j) != last {
 		b[j] = b[last]
-		s.pool.item(b[j].id).index = j
+		c.items.At(b[j].id).index = j
 	}
-	s.buckets[i] = s.buckets[i][:last] // a length-only store: no write barrier
-	s.live--
+	c.buckets[i] = c.buckets[i][:last] // a length-only store: no write barrier
+	c.live--
+	if c.cached == it {
+		c.cached = nil
+	}
 }
 
 // findMin locates and caches the earliest (at, key, seq) queued item,
 // advancing the day scan as far as needed. It returns nil when none
 // remain.
-func (s *CalendarScheduler) findMin() *item {
-	if s.cached != nil || s.live == 0 {
-		return s.cached
+func (c *calendar) findMin() *item {
+	if c.cached != nil || c.live == 0 {
+		return c.cached
 	}
-	width := Time(1) << s.shift
-	for range s.buckets {
+	width := Time(1) << c.shift
+	for range c.buckets {
 		// Only items of the current year's window belong to this day;
 		// later years wait for their wrap-around.
-		if best := s.scanDay(s.bucketOf(s.winStart), s.winStart, uint64(width)); best != nil {
-			s.cached = best
+		if best := c.scanDay(c.bucketOf(c.winStart), c.winStart, uint64(width)); best != nil {
+			c.cached = best
 			return best
 		}
-		s.winStart += width
+		c.winStart += width
 	}
 	// A whole year of days is empty: jump straight to the global minimum's
 	// day instead of spinning across the gap.
 	var best *item
-	for i := range s.buckets {
-		if it := s.scanDay(i, 0, math.MaxUint64); it != nil && (best == nil || it.before(best)) {
+	for i := range c.buckets {
+		if it := c.scanDay(i, 0, math.MaxUint64); it != nil && (best == nil || it.before(best)) {
 			best = it
 		}
 	}
-	s.winStart = s.dayOf(best.at)
-	s.cached = best
+	c.winStart = c.dayOf(best.at)
+	c.cached = best
 	return best
 }
 
@@ -257,113 +203,82 @@ func (s *CalendarScheduler) findMin() *item {
 // unsigned numbers, so an entry outside the day, before or after it,
 // reads as at least span and one comparison both filters and orders;
 // it reads items only to order an exact-instant tie.
-func (s *CalendarScheduler) scanDay(i int, day Time, span uint64) *item {
-	b := s.buckets[i]
-	s.examined += uint64(len(b))
+func (c *calendar) scanDay(i int, day Time, span uint64) *item {
+	b := c.buckets[i]
+	c.examined += uint64(len(b))
 	best, bestOff := -1, span
 	for j, e := range b {
 		if off := uint64(e.at - day); off < bestOff {
 			best, bestOff = j, off
-		} else if off == bestOff && best >= 0 && s.pool.item(e.id).before(s.pool.item(b[best].id)) {
+		} else if off == bestOff && best >= 0 && c.items.At(e.id).before(c.items.At(b[best].id)) {
 			best = j
 		}
 	}
 	if best < 0 {
 		return nil
 	}
-	return s.pool.item(b[best].id)
+	return c.items.At(b[best].id)
 }
 
-// Step fires the earliest pending event, advancing the clock to its
-// timestamp. It reports false when no events remain.
-func (s *CalendarScheduler) Step() bool {
-	it := s.findMin()
+// pop dequeues the earliest item, or returns nil when none remain; now is
+// the scheduler's clock, not yet advanced to the item.
+func (c *calendar) pop(now Time) *item {
+	it := c.findMin()
 	if it == nil {
-		return false
+		return nil
 	}
-	s.remove(it)
-	s.cached = nil
+	c.remove(it)
 	// The width was measured at the last resize; when the head's density
 	// has drifted since (a fill that front-loaded one kind of event, a
 	// phase change in the traffic), re-measure it. Judged once per window
 	// of one Step per bucket, so the rebuild costs O(1) amortized.
-	s.windowSteps++
-	if s.windowSteps >= len(s.buckets) {
-		if s.examined-s.windowMark > calendarMaxScan*uint64(s.windowSteps) {
-			s.resize(len(s.buckets))
+	c.windowSteps++
+	if c.windowSteps >= len(c.buckets) {
+		if c.examined-c.windowMark > calendarMaxScan*uint64(c.windowSteps) {
+			c.resize(len(c.buckets), now)
 		} else {
-			s.windowSteps, s.windowMark = 0, s.examined
+			c.windowSteps, c.windowMark = 0, c.examined
 		}
 	}
-	at, key, ev := it.at, it.key, it.event
-	// Recycled before Fire so the events it schedules can reuse the item.
-	s.pool.put(it)
-	if s.live < len(s.buckets)/2 && len(s.buckets) > calendarMinBuckets {
-		s.resize(len(s.buckets) / 2)
+	if c.live < len(c.buckets)/2 && len(c.buckets) > calendarMinBuckets {
+		c.resize(len(c.buckets)/2, now)
 	}
-	s.now = at
-	s.fired++
-	if s.hook != nil {
-		s.hook(at, key)
-	}
-	ev.Fire(at)
-	return true
-}
-
-// RunUntil fires events in order until the queue is empty or the next
-// event lies strictly after the horizon. The clock finishes at the horizon
-// (or at the last event, whichever is later).
-func (s *CalendarScheduler) RunUntil(horizon Time) {
-	for {
-		it := s.findMin()
-		if it == nil || it.at > horizon {
-			break
-		}
-		s.Step()
-	}
-	if s.now < horizon {
-		s.now = horizon
-	}
-}
-
-// Run drains the event queue completely.
-func (s *CalendarScheduler) Run() {
-	for s.Step() {
-	}
+	return it
 }
 
 // resize rebuilds the bucket array at the given size (a power of two),
-// recomputing the bucket width from the queued instants. Also used at
-// constant size to re-measure the width, where every bucket keeps its
-// backing array; a size change hands the arrays on (newBuckets).
-func (s *CalendarScheduler) resize(size int) {
+// recomputing the bucket width from the queued instants; now is the
+// scheduler's clock. Also used at constant size to re-measure the width,
+// where every bucket keeps its backing array; a size change hands the
+// arrays on (newBuckets).
+func (c *calendar) resize(size int, now Time) {
 	if size < calendarMinBuckets {
 		size = calendarMinBuckets
 	}
-	entries := s.gather[:0]
-	for _, b := range s.buckets {
+	entries := c.gather[:0]
+	for _, b := range c.buckets {
 		entries = append(entries, b...)
 	}
-	s.shift = s.calendarShift(entries)
-	s.mask = size - 1
-	if size == len(s.buckets) {
-		for i, b := range s.buckets {
-			s.buckets[i] = b[:0]
+	c.shift = c.calendarShift(entries)
+	c.mask = size - 1
+	if size == len(c.buckets) {
+		for i, b := range c.buckets {
+			c.buckets[i] = b[:0]
 		}
 	} else {
-		s.buckets = s.newBuckets(size, entries)
+		c.buckets = c.newBuckets(size, entries)
 	}
 	for _, e := range entries {
-		i := s.bucketOf(e.at)
-		s.pool.item(e.id).index = int32(len(s.buckets[i]))
-		s.buckets[i] = append(s.buckets[i], e)
+		i := c.bucketOf(e.at)
+		c.items.At(e.id).index = int32(len(c.buckets[i]))
+		c.buckets[i] = append(c.buckets[i], e)
 	}
-	s.gather = entries[:0]
+	c.gather = entries[:0]
 	// All live timestamps are ≥ now, so scanning from now's day is always
 	// safe after a rebuild.
-	s.winStart = s.dayOf(s.now)
-	s.cached = nil
-	s.windowSteps, s.windowMark = 0, s.examined
+	c.winStart = c.dayOf(now)
+	c.cached = nil
+	c.windowSteps, c.windowMark = 0, c.examined
 }
 
 // newBuckets builds a bucket array of the given size for the entries
@@ -375,17 +290,17 @@ func (s *CalendarScheduler) resize(size int) {
 // plus calendarSlack. Every other bucket takes a share of one fresh slab
 // with that much room. A bucket that outgrows its array regrows it step
 // by step as schedules land in it, one small allocation per step.
-func (s *CalendarScheduler) newBuckets(size int, entries []entry) [][]entry {
-	if cap(s.counts) < size {
-		s.counts = make([]int, size)
+func (c *calendar) newBuckets(size int, entries []entry) [][]entry {
+	if cap(c.counts) < size {
+		c.counts = make([]int, size)
 	}
-	counts := s.counts[:size]
+	counts := c.counts[:size]
 	clear(counts)
 	for _, e := range entries {
-		counts[s.bucketOf(e.at)]++
+		counts[c.bucketOf(e.at)]++
 	}
 	buckets := make([][]entry, size)
-	for j, b := range s.buckets {
+	for j, b := range c.buckets {
 		if i := j & (size - 1); cap(b) > cap(buckets[i]) {
 			buckets[i] = b[:0]
 		}
@@ -418,11 +333,11 @@ func (s *CalendarScheduler) newBuckets(size int, entries []entry) [][]entry {
 // a width from the whole live set's spread is hours wide and piles the
 // near term into one day. The selection is a bounded max-heap in the
 // scheduler's own scratch: O(live), no allocation, and deterministic.
-func (s *CalendarScheduler) calendarShift(entries []entry) uint {
-	h := s.head[:0]
+func (c *calendar) calendarShift(entries []entry) uint {
+	h := c.head[:0]
 	for _, it := range entries {
 		switch {
-		case len(h) < len(s.head):
+		case len(h) < len(c.head):
 			h = append(h, it.at)
 			// Sift up.
 			for c := len(h) - 1; c > 0; {

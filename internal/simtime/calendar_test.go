@@ -320,7 +320,7 @@ func TestCalendarCancelCompaction(t *testing.T) {
 		t.Fatalf("pending = %d, want 1", s.Pending())
 	}
 	queued := 0
-	for _, b := range s.buckets {
+	for _, b := range s.cal.buckets {
 		queued += len(b)
 	}
 	if queued != 1 {
@@ -414,12 +414,12 @@ func TestCalendarScanBoundedOnClusteredTraffic(t *testing.T) {
 	if p := s.Pending(); p < 3500 || p > 4500 {
 		t.Fatalf("pending = %d, want about 4 k", p)
 	}
-	examined, fired := s.examined, s.Fired()
+	examined, fired := s.cal.examined, s.Fired()
 	for range 200000 {
 		s.Step()
 	}
-	perStep := float64(s.examined-examined) / float64(s.Fired()-fired)
-	t.Logf("%.2f bucket entries examined per Step at %d pending, %d buckets", perStep, s.Pending(), len(s.buckets))
+	perStep := float64(s.cal.examined-examined) / float64(s.Fired()-fired)
+	t.Logf("%.2f bucket entries examined per Step at %d pending, %d buckets", perStep, s.Pending(), len(s.cal.buckets))
 	if perStep > 8 {
 		t.Errorf("%.2f bucket entries examined per Step, want ≤ 8", perStep)
 	}
@@ -446,11 +446,11 @@ func TestCalendarResizeReusesBuckets(t *testing.T) {
 			}
 			return s.Now() + Time(300+rng.Int64N(8200))*time.Millisecond
 		}
-		size := len(s.buckets)
+		size := len(s.cal.buckets)
 		step := func() {
 			s.Step()
-			if len(s.buckets) != size {
-				size = len(s.buckets)
+			if len(s.cal.buckets) != size {
+				size = len(s.cal.buckets)
 				resizes++
 			}
 		}

@@ -9,22 +9,23 @@
 //
 // # Handles and item recycling
 //
-// Both schedulers keep their queue entries on a per-scheduler free list:
-// an entry is recycled the moment its event fires or is cancelled, so a
-// steady-state Schedule/Step loop allocates nothing, and
-// an empty list is refilled a block of entries at a time, so a rising
-// pending count allocates once per block, not once per entry. A Handle
-// therefore names one scheduled event, not one queue entry: it carries
-// the entry's generation, which advances every time the entry is
-// recycled. Cancel and Cancelled on a handle whose event has fired or
-// been cancelled stay the documented no-op / true forever, no matter how
-// many later events have reused the entry — callers may keep a stale
-// handle and cancel it blindly (the probe re-arm pattern in
-// internal/capture does so on every delivered message). The zero Handle
-// names no event and reads as cancelled. A handle is only meaningful to
-// the scheduler that issued it, and a scheduler retains an Event only
-// until it fires or is cancelled, so the caller may reuse the Event value
-// from inside its own Fire.
+// Both schedulers are one core (the clock, the keys, the counters and the
+// fire hook) around one ordering of the pending items, a binary heap or a
+// calendar queue. The core takes every queue entry, an item, from its
+// Pool, a free list refilled a block of items at a time: an item goes
+// back the moment its event fires or is cancelled, so a steady-state
+// Schedule/Step loop allocates nothing, and a rising pending count
+// allocates once per block, not once per entry. A Handle therefore names
+// one scheduled event, not one queue entry: it carries the entry's
+// generation, which advances every time the entry is recycled. Cancel and
+// Cancelled on a handle whose event has fired or been cancelled stay the
+// documented no-op / true forever, no matter how many later events have
+// reused the entry — callers may keep a stale handle and cancel it
+// blindly (the probe re-arm pattern in internal/capture does so on every
+// delivered message). The zero Handle names no event and reads as
+// cancelled. A handle is only meaningful to the scheduler that issued it,
+// and a scheduler retains an Event only until it fires or is cancelled,
+// so the caller may reuse the Event value from inside its own Fire.
 package simtime
 
 import (
@@ -45,9 +46,6 @@ const (
 	Day      = 24 * time.Hour
 	HalfHour = 30 * time.Minute
 )
-
-// Absolute converts a simulated instant to an absolute wall-clock time.
-func Absolute(t Time) time.Time { return Epoch.Add(t) }
 
 // HourOfDay returns the hour bin [0,24) of the instant, in measurement-node
 // local time — the x-axis of every diurnal figure in the paper.
@@ -112,13 +110,14 @@ type FireHook func(at Time, key SeqKey)
 
 // Scheduler is the discrete-event scheduler API: a virtual clock plus a
 // pending-event queue ordered by (timestamp, sequence key). Two
-// implementations exist — HeapScheduler (container/heap binary heap) and
-// CalendarScheduler (Brown's calendar queue, O(1) amortized at large
-// pending counts) — and they are contractually order-equivalent: for the
-// same sequence of operations both fire the same events in the same order,
-// ties included (pinned by property and fuzz tests). No implementation is
-// safe for concurrent use; the simulation gives each event loop its own
-// scheduler so a given seed always produces an identical event order.
+// implementations exist, one core with two queues — HeapScheduler
+// (container/heap binary heap) and CalendarScheduler (Brown's calendar
+// queue, O(1) amortized at large pending counts) — and they are
+// contractually order-equivalent: for the same sequence of operations
+// both fire the same events in the same order, ties included (pinned by
+// property and fuzz tests). No implementation is safe for concurrent use;
+// the simulation gives each event loop its own scheduler so a given seed
+// always produces an identical event order.
 type Scheduler interface {
 	// Now returns the current simulated time.
 	Now() Time
@@ -179,53 +178,10 @@ type item struct {
 	// heap, or in its CalendarScheduler bucket (a removal there moves the
 	// bucket's last entry into the freed slot and updates its index).
 	index int32
-	id    uint32 // the item's name in its pool (itemPool.item)
+	id    uint32 // the item's name in its scheduler's Pool
 	// gen counts how often the item has been recycled; a Handle is live
 	// only while its generation matches.
 	gen uint64
-}
-
-// itemPool is a scheduler's items and their free list. Items live in
-// fixed blocks and never move, so an item is named both by its address
-// (Handle) and by its id (the calendar's pointer-free buckets).
-// Schedulers are single-goroutine by contract, so plain slices are all
-// the synchronization recycling needs.
-type itemPool struct {
-	blocks []*[itemBlock]item
-	free   []uint32
-}
-
-// itemBlock is how many items an empty free list is refilled with at
-// once: one allocation per block, not one per item, while the pending
-// count climbs to its peak.
-const itemBlock = 256
-
-// get returns a recycled item, refilling an empty list with a fresh
-// block. Every field but id and gen is stale; the caller overwrites them.
-func (p *itemPool) get() *item {
-	if len(p.free) == 0 {
-		block, base := new([itemBlock]item), uint32(len(p.blocks))*itemBlock
-		p.blocks = append(p.blocks, block)
-		for i := range block {
-			block[i].id = base + uint32(i)
-			p.free = append(p.free, base+uint32(i))
-		}
-	}
-	n := len(p.free)
-	id := p.free[n-1]
-	p.free = p.free[:n-1]
-	return p.item(id)
-}
-
-// item returns the item an id names.
-func (p *itemPool) item(id uint32) *item { return &p.blocks[id/itemBlock][id%itemBlock] }
-
-// put recycles an item that has left the queue for good. Advancing the
-// generation is what retires every Handle issued for its previous event.
-func (p *itemPool) put(it *item) {
-	it.gen++
-	it.event = nil
-	p.free = append(p.free, it.id)
 }
 
 // before is the full fire order: timestamp, then key, then insertion.
@@ -257,6 +213,158 @@ func (h Handle) pending() bool {
 // already fired.
 func (h Handle) Cancelled() bool { return !h.pending() }
 
+// core is the Scheduler both implementations share: the clock, the
+// implicit key, the counters, the fire hook, the item pool and every
+// method of the contract, which the Scheduler interface documents. The
+// two differ only in the queue the pending items wait in: a calendar
+// queue when cal is set (CalendarScheduler), a binary heap otherwise
+// (HeapScheduler). The queue is chosen by a branch on cal, not through an
+// interface, so the calendar's hot path makes direct calls only.
+type core struct {
+	now       Time
+	cur       SeqKey // implicit key of the next Schedule call
+	seq       uint64 // unique insertion counter
+	scheduled uint64
+	fired     uint64
+	hook      FireHook
+	items     Pool[item]
+	cal       *calendar
+	heap      eventHeap
+}
+
+// Now returns the current simulated time.
+func (s *core) Now() Time { return s.now }
+
+// Fired returns how many events have been executed.
+func (s *core) Fired() uint64 { return s.fired }
+
+// Scheduled returns how many events have been queued in all.
+func (s *core) Scheduled() uint64 { return s.scheduled }
+
+// Pending returns the number of scheduled events not yet fired or cancelled.
+func (s *core) Pending() int {
+	if s.cal != nil {
+		return s.cal.live
+	}
+	return len(s.heap)
+}
+
+// Schedule queues an event at an instant with the implicit key.
+func (s *core) Schedule(at Time, e Event) Handle {
+	key := s.cur
+	s.cur.Pos++
+	return s.ScheduleKeyed(at, key, e)
+}
+
+// ScheduleKeyed queues an event at an instant with an explicit key.
+func (s *core) ScheduleKeyed(at Time, key SeqKey, e Event) Handle {
+	if at < s.now {
+		at = s.now
+	}
+	id := s.items.Get()
+	it := s.items.At(id)
+	it.at, it.key, it.seq, it.event, it.id = at, key, s.seq, e, id
+	s.seq++
+	s.scheduled++
+	if s.cal != nil {
+		s.cal.push(it, s.now)
+	} else {
+		heap.Push(&s.heap, it)
+	}
+	return Handle{it: it, gen: it.gen}
+}
+
+// Reseed repositions the implicit key.
+func (s *core) Reseed(key SeqKey) { s.cur = key }
+
+// SetFireHook installs the pre-fire callback.
+func (s *core) SetFireHook(h FireHook) { s.hook = h }
+
+// After queues an event delay after the current instant.
+func (s *core) After(delay time.Duration, e Event) Handle {
+	return s.Schedule(s.now+delay, e)
+}
+
+// Cancel removes a scheduled event and recycles its item.
+func (s *core) Cancel(h Handle) {
+	if !h.pending() {
+		return
+	}
+	if s.cal != nil {
+		s.cal.remove(h.it)
+	} else {
+		heap.Remove(&s.heap, int(h.it.index))
+	}
+	s.recycle(h.it)
+}
+
+// recycle returns an item that has left the queue for good to the pool.
+// Advancing the generation is what retires every Handle issued for its
+// event.
+func (s *core) recycle(it *item) {
+	it.gen++
+	it.event = nil
+	s.items.Put(it.id)
+}
+
+// Step fires the earliest pending event, if any.
+func (s *core) Step() bool {
+	var it *item
+	if s.cal != nil {
+		it = s.cal.pop(s.now)
+	} else if len(s.heap) > 0 {
+		it = heap.Pop(&s.heap).(*item)
+	}
+	if it == nil {
+		return false
+	}
+	at, key, ev := it.at, it.key, it.event
+	// Recycled before Fire so the events it schedules can reuse the item.
+	s.recycle(it)
+	s.now = at
+	s.fired++
+	if s.hook != nil {
+		s.hook(at, key)
+	}
+	ev.Fire(at)
+	return true
+}
+
+// RunUntil fires the events up to the horizon and moves the clock there.
+func (s *core) RunUntil(horizon Time) {
+	for {
+		var next *item
+		if s.cal != nil {
+			next = s.cal.findMin()
+		} else if len(s.heap) > 0 {
+			next = s.heap[0]
+		}
+		if next == nil || next.at > horizon {
+			break
+		}
+		s.Step()
+	}
+	if s.now < horizon {
+		s.now = horizon
+	}
+}
+
+// Run drains the event queue completely.
+func (s *core) Run() {
+	for s.Step() {
+	}
+}
+
+// HeapScheduler is the Scheduler that queues its pending items in a
+// binary heap — the order oracle the calendar queue is tested against,
+// and nothing more: the engine's nodes run CalendarScheduler. It is not
+// safe for concurrent use.
+type HeapScheduler struct{ core }
+
+// NewScheduler returns a heap scheduler positioned at the trace epoch.
+func NewScheduler() *HeapScheduler { return &HeapScheduler{} }
+
+// eventHeap is HeapScheduler's queue, in container/heap's terms.
 type eventHeap []*item
 
 func (h eventHeap) Len() int           { return len(h) }
@@ -278,122 +386,4 @@ func (h *eventHeap) Pop() any {
 	old[n-1] = nil
 	*h = old[:n-1]
 	return it
-}
-
-// HeapScheduler is the binary-heap Scheduler implementation — the order
-// oracle the calendar queue is tested against, and nothing more: the
-// engine's nodes run CalendarScheduler, which holds an event in about a
-// third of the heap's time at 10^3 pending. It is not safe for concurrent
-// use.
-type HeapScheduler struct {
-	now       Time
-	cur       SeqKey // implicit key of the next Schedule call
-	seq       uint64 // unique insertion counter
-	scheduled uint64
-	events    eventHeap
-	fired     uint64
-	hook      FireHook
-	pool      itemPool
-}
-
-// NewScheduler returns a heap scheduler positioned at the trace epoch.
-func NewScheduler() *HeapScheduler {
-	return &HeapScheduler{}
-}
-
-// Now returns the current simulated time.
-func (s *HeapScheduler) Now() Time { return s.now }
-
-// Fired returns how many events have been executed, a cheap progress and
-// complexity metric for benchmarks.
-func (s *HeapScheduler) Fired() uint64 { return s.fired }
-
-// Scheduled returns how many events have been queued over the scheduler's
-// lifetime.
-func (s *HeapScheduler) Scheduled() uint64 { return s.scheduled }
-
-// Pending returns the number of scheduled events not yet fired or cancelled.
-func (s *HeapScheduler) Pending() int { return len(s.events) }
-
-// Schedule queues an event at an absolute simulated instant with the
-// implicit (FIFO-advancing) tie-break key. Scheduling in the past (before
-// Now) fires the event at the current time rather than rewinding the
-// clock.
-func (s *HeapScheduler) Schedule(at Time, e Event) Handle {
-	key := s.cur
-	s.cur.Pos++
-	return s.ScheduleKeyed(at, key, e)
-}
-
-// ScheduleKeyed queues an event with an explicit tie-break key, leaving
-// the implicit key untouched.
-func (s *HeapScheduler) ScheduleKeyed(at Time, key SeqKey, e Event) Handle {
-	if at < s.now {
-		at = s.now
-	}
-	it := s.pool.get()
-	it.at, it.key, it.seq, it.event = at, key, s.seq, e
-	s.seq++
-	s.scheduled++
-	heap.Push(&s.events, it)
-	return Handle{it: it, gen: it.gen}
-}
-
-// Reseed repositions the implicit key.
-func (s *HeapScheduler) Reseed(key SeqKey) { s.cur = key }
-
-// SetFireHook installs the pre-fire callback.
-func (s *HeapScheduler) SetFireHook(h FireHook) { s.hook = h }
-
-// After queues an event delay after the current instant.
-func (s *HeapScheduler) After(delay time.Duration, e Event) Handle {
-	return s.Schedule(s.now+delay, e)
-}
-
-// Cancel removes a scheduled event. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (s *HeapScheduler) Cancel(h Handle) {
-	if !h.pending() {
-		return
-	}
-	heap.Remove(&s.events, int(h.it.index))
-	s.pool.put(h.it)
-}
-
-// Step fires the earliest pending event, advancing the clock to its
-// timestamp. It reports false when no events remain.
-func (s *HeapScheduler) Step() bool {
-	if len(s.events) == 0 {
-		return false
-	}
-	it := heap.Pop(&s.events).(*item)
-	at, key, ev := it.at, it.key, it.event
-	// Recycled before Fire so the events it schedules can reuse the item.
-	s.pool.put(it)
-	s.now = at
-	s.fired++
-	if s.hook != nil {
-		s.hook(at, key)
-	}
-	ev.Fire(at)
-	return true
-}
-
-// RunUntil fires events in order until the queue is empty or the next event
-// lies strictly after the horizon. The clock finishes at the horizon (or at
-// the last event, whichever is later — the clock never exceeds events that
-// fired).
-func (s *HeapScheduler) RunUntil(horizon Time) {
-	for len(s.events) > 0 && s.events[0].at <= horizon {
-		s.Step()
-	}
-	if s.now < horizon {
-		s.now = horizon
-	}
-}
-
-// Run drains the event queue completely.
-func (s *HeapScheduler) Run() {
-	for s.Step() {
-	}
 }

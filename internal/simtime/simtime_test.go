@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestEpoch(t *testing.T) {
@@ -46,13 +47,6 @@ func TestAt(t *testing.T) {
 	want := 2*Day + 3*time.Hour + 4*time.Minute + 5*time.Second
 	if got != want {
 		t.Fatalf("At = %v, want %v", got, want)
-	}
-}
-
-func TestAbsolute(t *testing.T) {
-	a := Absolute(At(1, 12, 0, 0))
-	if a.Day() != 16 || a.Hour() != 12 {
-		t.Fatalf("Absolute = %v, want March 16 12:00", a)
 	}
 }
 
@@ -324,4 +318,12 @@ func TestHoldAllocatesNothing(t *testing.T) {
 			t.Errorf("hold at 1k pending: %v allocs/op, want 0", allocs)
 		}
 	})
+}
+
+// TestItemSize pins a queue entry to 64 bytes: one cache line, and the
+// size its Pool blocks were sized at.
+func TestItemSize(t *testing.T) {
+	if n := unsafe.Sizeof(item{}); n > 64 {
+		t.Errorf("item is %d bytes, budget 64", n)
+	}
 }

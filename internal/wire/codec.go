@@ -25,9 +25,16 @@ func NewEnvelope(g guid.GUID, ttl uint8, m Message) Envelope {
 }
 
 // Forwarded returns a copy of the envelope with TTL decremented and hops
-// incremented, as performed by every relaying servent. It reports false
-// when the TTL is exhausted and the message must not be forwarded.
+// incremented, as performed by every relaying servent. A TTL above the
+// MaxTTL − Hops the limit leaves is clamped to it first, so the copy
+// never carries TTL + Hops > MaxTTL. It reports false when the TTL is
+// exhausted, or the hops have reached MaxTTL, and the message must not be
+// forwarded.
 func (e Envelope) Forwarded() (Envelope, bool) {
+	if e.Header.Hops >= MaxTTL {
+		return e, false
+	}
+	e.Header.TTL = min(e.Header.TTL, MaxTTL-e.Header.Hops)
 	if e.Header.TTL <= 1 {
 		return e, false
 	}

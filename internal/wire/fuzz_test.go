@@ -48,6 +48,11 @@ func FuzzParse(f *testing.F) {
 		if env2.Header.GUID != env.Header.GUID || env2.Header.Type != env.Header.Type {
 			t.Fatalf("header changed across re-encode: %+v vs %+v", env.Header, env2.Header)
 		}
+		// Whatever TTL and hops arrived, a relayed copy stays within the
+		// limit.
+		if fwd, ok := env.Forwarded(); ok && int(fwd.Header.TTL)+int(fwd.Header.Hops) > MaxTTL {
+			t.Fatalf("forwarded %+v: TTL + hops above %d", fwd.Header, MaxTTL)
+		}
 	})
 }
 

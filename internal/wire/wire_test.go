@@ -155,6 +155,36 @@ func TestForwarded(t *testing.T) {
 	}
 }
 
+// TestForwardedHonorsMaxTTL: a relayed copy never carries TTL + Hops
+// above MaxTTL, whatever TTL the sender claimed, and nothing is relayed
+// once the hops reach MaxTTL.
+func TestForwardedHonorsMaxTTL(t *testing.T) {
+	for _, c := range []struct {
+		ttl, hops       uint8
+		ok              bool
+		wantTTL, wantHp uint8
+	}{
+		{ttl: 7, hops: 0, ok: true, wantTTL: 6, wantHp: 1},
+		{ttl: 200, hops: 0, ok: true, wantTTL: 6, wantHp: 1},
+		{ttl: 200, hops: 3, ok: true, wantTTL: 3, wantHp: 4},
+		{ttl: 255, hops: 5, ok: true, wantTTL: 1, wantHp: 6},
+		{ttl: 200, hops: 6},
+		{ttl: 200, hops: 7},
+		{ttl: 3, hops: 200},
+		{ttl: 255, hops: 255},
+		{ttl: 4, hops: 2, ok: true, wantTTL: 3, wantHp: 3},
+		{ttl: 1, hops: 0},
+	} {
+		e := NewEnvelope(guids.Next(), c.ttl, &Query{})
+		e.Header.Hops = c.hops
+		f, ok := e.Forwarded()
+		if ok != c.ok || (ok && (f.Header.TTL != c.wantTTL || f.Header.Hops != c.wantHp)) {
+			t.Errorf("TTL %d hops %d: got TTL %d hops %d ok=%v, want TTL %d hops %d ok=%v",
+				c.ttl, c.hops, f.Header.TTL, f.Header.Hops, ok, c.wantTTL, c.wantHp, c.ok)
+		}
+	}
+}
+
 func TestDecodeHeaderErrors(t *testing.T) {
 	var h Header
 	if err := DecodeHeader(make([]byte, 10), &h); !errors.Is(err, ErrShortHeader) {
