@@ -160,10 +160,12 @@
 //     sessions still open at the horizon, in connection-id order, and
 //     ships the trailer. The
 //     engine's bounded producer publishes the arrival chain
-//     incrementally through a conservative time-window synchronizer and
-//     caps each node's undelivered sessions at engine.DefaultLookahead
-//     (1024), so the in-flight session set is nodes × 1024 instead of
-//     the whole measurement period.
+//     incrementally through a conservative time-window synchronizer,
+//     hands each node its sessions in recycled batches of up to 512 (one
+//     channel send per batch, not per session), and caps each node's
+//     undelivered sessions at engine.DefaultLookahead (1024), so the
+//     in-flight session set is nodes × 1024 instead of the whole
+//     measurement period.
 //   - A streaming k-way merge (stream.Merger): per-node streams are
 //     unioned into the global deduplicated, time-ordered, densely
 //     re-identified order incrementally — a completed session retires the

@@ -354,6 +354,14 @@ func (s *Node) remoteAddr(at simtime.Time) netip.Addr {
 	return s.shared.geoReg.Sample(region, s.rng)
 }
 
+// skipRemoteDraws advances the random stream exactly as remoteAddr then
+// remoteHops would, without making the address or the hop count.
+func (s *Node) skipRemoteDraws(at simtime.Time) {
+	region := s.shared.params.PickRegion(s.rng, simtime.HourOfDay(at))
+	s.shared.geoReg.SkipSample(region, s.rng)
+	s.rng.Uint64()
+}
+
 // remoteHops draws a plausible overlay distance for forwarded traffic:
 // flooding fan-out makes higher hop counts more common.
 func (s *Node) remoteHops() uint8 {
@@ -389,12 +397,13 @@ func (s *Node) remoteHit(c *simConn, at simtime.Time) {
 	s.rearmProbe(c, s.cfg.ProbeRearmIdle)
 }
 
-// remoteQuery counts a forwarded query. Its address, hop count and
-// vocabulary draw are made and dropped, so the random stream stays the one
-// the recorded traffic was calibrated on; its text is never resolved.
+// remoteQuery counts a forwarded query. Its address, hop count and text
+// are never made, but their draws are, so the random stream stays the one
+// the recorded traffic was calibrated on: the region pick and the address
+// offset (geo.Registry.SkipSample), the one Uint64 remoteHops' Float64
+// draws, and the vocabulary's two uniforms.
 func (s *Node) remoteQuery(c *simConn, at simtime.Time) {
-	s.remoteAddr(at)
-	s.remoteHops()
+	s.skipRemoteDraws(at)
 	vocab.SkipSample(s.rng)
 	s.rec.Count(&c.Record, at, wire.TypeQuery)
 	s.rearmProbe(c, s.cfg.ProbeRearmIdle)

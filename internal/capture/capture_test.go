@@ -1,10 +1,13 @@
 package capture
 
 import (
+	"bytes"
 	"math"
+	"math/rand/v2"
 	"testing"
 	"time"
 
+	"repro/internal/behavior"
 	"repro/internal/geo"
 	"repro/internal/model"
 	"repro/internal/simtime"
@@ -295,4 +298,64 @@ func TestScaledWorkloadConfig(t *testing.T) {
 		t.Error("probe timings must match the paper")
 	}
 	_ = workload.DefaultConfig(1, 1)
+}
+
+// zeroingSource is a PCG stream that counts its draws and returns 0 in
+// place of the draws at the listed positions. A 0 sends Uint64N(n), for
+// any n that is not a power of two, round its rejection loop once more.
+type zeroingSource struct {
+	pcg   *rand.PCG
+	n     int
+	zeros map[int]bool
+}
+
+func (z *zeroingSource) Uint64() uint64 {
+	v := z.pcg.Uint64()
+	z.n++
+	if z.zeros[z.n-1] {
+		return 0
+	}
+	return v
+}
+
+// TestSkipRemoteDrawsMatchesFullDraw: a forwarded query makes neither
+// its address nor its hop count, but it must leave the node's random
+// stream exactly where remoteAddr then remoteHops leave it — over every
+// hour of the day, every region the hour's mix picks, and when the
+// address draw's Uint64N retries (a 0 forced at draw 1, just after the
+// region pick, or at draws 1 and 2).
+func TestSkipRemoteDrawsMatchesFullDraw(t *testing.T) {
+	cfg := DefaultConfig(1, 0.01)
+	shared := NewSharedModel(behavior.NewGenerator(cfg.Workload))
+	node := &Node{shared: shared}
+	picked := map[geo.Region]bool{}
+	retried := false
+	for seed := uint64(0); seed < 32; seed++ {
+		for hour := 0; hour < 24; hour++ {
+			at := simtime.At(0, hour, 17, 0)
+			for _, zeros := range []map[int]bool{nil, {1: true}, {1: true, 2: true}} {
+				full := &zeroingSource{pcg: rand.NewPCG(seed, 5), zeros: zeros}
+				node.rng = rand.New(full)
+				picked[shared.geoReg.Lookup(node.remoteAddr(at))] = true
+				node.remoteHops()
+				skip := &zeroingSource{pcg: rand.NewPCG(seed, 5), zeros: zeros}
+				node.rng = rand.New(skip)
+				node.skipRemoteDraws(at)
+				fullState, _ := full.pcg.MarshalBinary()
+				skipState, _ := skip.pcg.MarshalBinary()
+				if full.n != skip.n || !bytes.Equal(fullState, skipState) {
+					t.Fatalf("seed %d hour %d zeros %v: full draw took %d values, skip path %d", seed, hour, zeros, full.n, skip.n)
+				}
+				retried = retried || full.n > 3
+			}
+		}
+	}
+	for _, r := range geo.Regions {
+		if !picked[r] {
+			t.Errorf("no draw picked region %v", r)
+		}
+	}
+	if !retried {
+		t.Fatal("no case sent Uint64N round its rejection loop")
+	}
 }

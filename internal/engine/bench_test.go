@@ -8,17 +8,29 @@ import (
 
 // BenchmarkEngineRun measures the whole pipeline — producer, per-node
 // event loops, merge — on an 8-node fleet at 5 % scale over 2 days.
-func BenchmarkEngineRun(b *testing.B) {
-	cfg := capture.DefaultConfig(2004, 0.05)
-	cfg.Workload.Days = 2
-	fleet := capture.FleetConfig{Node: cfg, Nodes: 8}
+func BenchmarkEngineRun(b *testing.B) { benchRun(b, 0.05, 2, 8) }
+
+// BenchmarkEngineRunSingle measures the paper's deployment: one vantage
+// at full scale over one day, where the 200-connection cap rejects about
+// 85 % of the arrivals (at 20 % scale it rejects only a third), so
+// handing arrivals to the node loop is a large share of the loop's work.
+// It reports the rejected share.
+func BenchmarkEngineRunSingle(b *testing.B) { benchRun(b, 1, 1, 1) }
+
+func benchRun(b *testing.B, scale float64, days, nodes int) {
+	cfg := capture.DefaultConfig(2004, scale)
+	cfg.Workload.Days = days
+	fleet := capture.FleetConfig{Node: cfg, Nodes: nodes}
 	b.ReportAllocs()
+	var st capture.FleetStats
 	for i := 0; i < b.N; i++ {
-		tr := New(Config{Fleet: fleet}).Run(nil)
-		if len(tr.Conns) == 0 {
+		e := New(Config{Fleet: fleet})
+		if len(e.Run(nil).Conns) == 0 {
 			b.Fatal("empty trace")
 		}
+		st = e.Stats()
 	}
+	b.ReportMetric(float64(st.Rejected)/float64(st.Arrivals), "rejected/arrival")
 }
 
 // BenchmarkEngineHighNodeCount runs the keyed engine at a node count far

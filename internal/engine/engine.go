@@ -14,9 +14,11 @@
 //     generation order, publishes every arrival instant to the shared
 //     chain, and hands each session — with its global chain position, the
 //     precomputed tie-break key that makes a node independent of foreign
-//     arrivals — to its owner's queue, at most DefaultLookahead sessions
-//     deep. The in-flight session set is therefore nodes × DefaultLookahead,
-//     not the measurement period.
+//     arrivals — to its owner in batches of up to 512 (a handoff: a ring
+//     of window slots, one channel send per batch, the exhausted batch
+//     handed back for reuse). At most DefaultLookahead sessions per node
+//     are undelivered at once, so the in-flight session set is
+//     nodes × DefaultLookahead, not the measurement period.
 //  2. One keyed event loop per vantage (keyedBoundedRun, one goroutine
 //     each) schedules only its own sessions and emits each record into
 //     its stream.Producer the moment it is final. Per-node cost is O(own
@@ -93,6 +95,11 @@ type Config struct {
 	// seam: the tests that narrow the producer window prove the trace
 	// does not depend on it.
 	lookahead int
+	// probe, when set, watches the hand-off: the producer calls it with
+	// put true after it buffers a session for vantage node, and the
+	// vantage with put false once it has taken the session off its batch.
+	// A test seam, like lookahead.
+	probe func(node int, put bool)
 }
 
 // DefaultMergeWindow is the streaming merge's emission window: how long
@@ -107,8 +114,8 @@ type Config struct {
 // whole trace.
 const DefaultMergeWindow = simtime.Day
 
-// queueDepth is each node's producer queue depth.
-func (c *Config) queueDepth() int {
+// window is each node's producer window, in sessions.
+func (c *Config) window() int {
 	if c.lookahead > 0 {
 		return c.lookahead
 	}
@@ -180,7 +187,7 @@ func (e *Engine) Run(sink stream.Sink) *trace.Trace {
 	// this goroutine only so journal line order stays deterministic
 	// (producer and node goroutines touch atomic metric handles, never the
 	// journal).
-	sp := e.cfg.Obs.Begin("simulate", obs.A("nodes", nodes), obs.A("lookahead", e.cfg.queueDepth()))
+	sp := e.cfg.Obs.Begin("simulate", obs.A("nodes", nodes), obs.A("lookahead", e.cfg.window()))
 	merger := stream.NewMerger(nodes, sink)
 	merger.SetObserver(e.cfg.Obs)
 	merger.SetWindow(DefaultMergeWindow)
@@ -294,8 +301,8 @@ func (e *Engine) ScheduledPerNode() []uint64 {
 // ownedSession is one node-owned arrival: the session plus its global
 // chain position, which is the Epoch of its precomputed tie-break key. The
 // session travels by value — the producer fills one local per arrival and
-// copies it into the batch, and the queues hold the values themselves — so
-// handing an arrival to its vantage allocates nothing beyond the query
+// copies it into its vantage's ring slot, and the vantage copies it out —
+// so handing an arrival to its vantage allocates nothing beyond the query
 // stream the generator already gave it; the copies share that stream,
 // which no one mutates once generated.
 type ownedSession struct {

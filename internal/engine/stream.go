@@ -13,11 +13,17 @@ import (
 )
 
 // DefaultLookahead is the bounded producer's per-node session window: how
-// many undelivered sessions one vantage's queue may hold before the
-// producer blocks. 48 nodes × 1024 sessions bounds the in-flight session
-// set to ≈50 k objects at any instant, against the 4.36 M arrivals of the
-// paper-scale run.
+// many sessions one vantage may have undelivered — buffered by the
+// producer, queued in batches, or not yet taken off the batch the vantage
+// is walking — before the producer blocks. 48 nodes × 1024 sessions
+// bounds the in-flight session set to ≈50 k objects at any instant,
+// against the 4.36 M arrivals of the paper-scale run.
 const DefaultLookahead = 1024
+
+// maxBatch caps one hand-off batch, in sessions: the producer publishes
+// the chain and sends its per-node batches at least this often, so a
+// vantage never waits on more than one batch's worth of generation.
+const maxBatch = 512
 
 // chainChunk is one slab of the published arrival instants. Chunked
 // storage lets readers index concurrently while the producer appends: a
@@ -99,11 +105,12 @@ func (c *chain) publish(starts []simtime.Time) {
 	for i := range starts {
 		k := n + int64(i)
 		if int(k/chainChunkSize) == len(dir) {
-			grown := make([]*chainChunk, len(dir), len(dir)+1)
-			copy(grown, dir)
-			grown = append(grown, &chainChunk{})
+			// A new directory, so readers holding the old one never see
+			// it change; only it escapes, so a publish that fits the
+			// existing chunks allocates nothing.
+			grown := append(dir[:len(dir):len(dir)], &chainChunk{})
+			c.dir.Store(&grown)
 			dir = grown
-			c.dir.Store(&dir)
 		}
 		dir[k/chainChunkSize].start[k%chainChunkSize] = starts[i]
 	}
@@ -121,60 +128,138 @@ func (c *chain) finish() {
 	c.mu.Unlock()
 }
 
+// handoff carries one vantage's sessions from the producer to its event
+// loop in batches. Its sessions live in ring, one slot per session of the
+// window, reused in order; a batch is a run of consecutive slots, so
+// handing sessions over allocates nothing. The producer fills the slots
+// after the last batch it sent and sends them as one batch on batches;
+// the vantage walks each batch, copying every session out of its slot,
+// and hands the exhausted batch back on free, which gives its slots back
+// to the producer. Both channels hold at most one entry per undelivered
+// session (a batch is never empty), so neither side ever blocks on a send
+// — which is why they are window-deep.
+type handoff struct {
+	ring    []ownedSession
+	batches chan []ownedSession
+	free    chan []ownedSession
+
+	// The producer's side: ring[lo:lo+n] (wrapping) is the unsent batch,
+	// and held counts the sessions in it and in every sent batch not yet
+	// handed back.
+	lo, n, held int
+	batchCap    int
+
+	probe func(put bool) // Config.probe for this vantage, or nil
+}
+
+func newHandoff(window int) *handoff {
+	return &handoff{
+		ring:     make([]ownedSession, window),
+		batches:  make(chan []ownedSession, window),
+		free:     make(chan []ownedSession, window),
+		batchCap: min(window, maxBatch),
+	}
+}
+
+// put buffers a session in the next slot and reports whether the unsent
+// batch is full. The window must have room (held < len(ring)).
+func (h *handoff) put(s *behavior.Session, gidx uint64) bool {
+	slot := h.lo + h.n
+	if slot >= len(h.ring) {
+		slot -= len(h.ring)
+	}
+	h.ring[slot] = ownedSession{sess: *s, gidx: gidx}
+	h.n++
+	h.held++
+	if h.probe != nil {
+		h.probe(true)
+	}
+	return h.n == h.batchCap
+}
+
+// send hands the unsent batch to the vantage: one batch, or two when it
+// wraps around the end of the ring.
+func (h *handoff) send() {
+	for h.n > 0 {
+		end := min(h.lo+h.n, len(h.ring))
+		h.batches <- h.ring[h.lo:end]
+		h.n -= end - h.lo
+		h.lo = end % len(h.ring)
+	}
+}
+
+// reclaim waits for the vantage to hand back a batch and frees its slots.
+func (h *handoff) reclaim() {
+	h.held -= len(<-h.free)
+}
+
 // produceArrivals is the bounded producer: it replays the arrival process
 // in generation order — generator and session-GUID streams consumed in
 // the one order every vantage agrees on (any divergence would shift every
 // tie-break key) — publishes the arrival instants incrementally and hands
 // each session (with its global chain position, the Epoch of its
-// tie-break key) to its owner's bounded queue, blocking when that queue
-// is full. A nil queue is the ownership filter: the vantage is simulated
-// elsewhere (another NodeStream process), so its sessions are dropped
-// after their instants are published. Publication order is
-// chain-before-session: by the time a node can fire arrival k, the chain
-// prefix through k is published, and sessions arrive on each queue in
-// exactly the order the node consumes them.
+// tie-break key) to its owner in batches. A nil handoff is the ownership
+// filter: the vantage is simulated elsewhere (another NodeStream
+// process), so its sessions are dropped after their instants are
+// published. Every maxBatch arrivals, and whenever one vantage's unsent
+// batch is full, the producer flushes: it publishes the chain prefix
+// through the last arrival, then sends every non-empty batch. Publication
+// order is therefore chain-before-session: by the time a node can fire
+// arrival k, the chain prefix through k is published, and sessions reach
+// each node in exactly the order the node consumes them.
 //
-// Deadlock freedom: the producer blocks only on the slowest node's full
-// queue; that node always has a queue's worth of sessions whose chain
-// prefix is fully published (publish precedes enqueue, and arrivals are
-// start-ordered), so its cursor can always resolve and it drains; every
-// other node either progresses on published entries or sleeps in
-// countThrough / its queue read, holding no resource the producer needs.
-func produceArrivals(cfg capture.FleetConfig, gen *behavior.Generator, ch *chain, queues []chan ownedSession) uint64 {
+// A vantage's window is counted in sessions: the producer buffers a
+// session only while the vantage holds fewer than the window undelivered
+// (handoff.held); at the limit it flushes and waits for the vantage to
+// hand a batch back.
+//
+// Deadlock freedom: the producer blocks only in reclaim, and only right
+// after a flush, so every session the waited-on node holds is in a batch
+// it has been sent and its chain prefix is fully published (publish
+// precedes send, and arrivals are start-ordered). The node's cursor can
+// therefore resolve every event up to its last held arrival, so it walks
+// to the end of its current batch and hands it back — it does so as it
+// takes the batch's last session, before firing it. Neither side blocks
+// on a send (see handoff); every other node either progresses on
+// published entries or sleeps in countThrough or its batch receive,
+// holding no resource the producer needs.
+func produceArrivals(cfg capture.FleetConfig, gen *behavior.Generator, ch *chain, hs []*handoff) uint64 {
 	guids := guid.NewSource(cfg.Node.Workload.Seed, capture.SessionGUIDSalt)
-	const batch = 512
-	starts := make([]simtime.Time, 0, batch)
-	owned := make([]ownedSession, 0, batch)
-	owners := make([]uint32, 0, batch)
+	starts := make([]simtime.Time, 0, maxBatch)
 	var total uint64
 	flush := func() {
 		if len(starts) == 0 {
 			return
 		}
 		ch.publish(starts)
-		for i, os := range owned {
-			queues[owners[i]] <- os
+		starts = starts[:0]
+		for _, h := range hs {
+			if h != nil {
+				h.send()
+			}
 		}
-		starts, owned, owners = starts[:0], owned[:0], owners[:0]
 	}
 	var sess behavior.Session
 	for gen.NextInto(&sess) {
-		n := guids.Next().Shard(cfg.Nodes)
-		if queues[n] != nil {
-			owned = append(owned, ownedSession{sess: sess, gidx: total})
-			owners = append(owners, uint32(n))
+		full := false
+		if h := hs[guids.Next().Shard(cfg.Nodes)]; h != nil {
+			if h.held == len(h.ring) {
+				flush()
+				h.reclaim()
+			}
+			full = h.put(&sess, total)
 		}
 		starts = append(starts, sess.Start)
 		total++
-		if len(starts) == batch {
+		if full || len(starts) == maxBatch {
 			flush()
 		}
 	}
 	flush()
 	ch.finish()
-	for _, q := range queues {
-		if q != nil {
-			close(q)
+	for _, h := range hs {
+		if h != nil {
+			close(h.batches)
 		}
 	}
 	return total
@@ -182,18 +267,22 @@ func produceArrivals(cfg capture.FleetConfig, gen *behavior.Generator, ch *chain
 
 // keyedBoundedRun is one vantage's event loop under the keyed tie-break:
 // it schedules only the node's own arrivals (each at its precomputed
-// explicit key, pulled from the node's queue) and, as the scheduler's
-// pre-fire hook, maintains the virtual chain cursor that keeps every
-// implicit key bit-equal to the reference order's FIFO counter. The run
-// object itself is the arrival event for every own session, so arrivals
-// cost no per-event allocations.
+// explicit key, taken off the node's hand-off batches) and, as the
+// scheduler's pre-fire hook, maintains the virtual chain cursor that
+// keeps every implicit key bit-equal to the reference order's FIFO
+// counter. The run object itself is the arrival event for every own
+// session, so arrivals cost no per-event allocations.
 type keyedBoundedRun struct {
-	sched    simtime.Scheduler
-	node     *capture.Node
-	ch       *chain
-	queue    <-chan ownedSession
-	cur      ownedSession // the session this scheduled arrival delivers
-	chainPos uint64       // global arrivals counted as dispatched so far
+	sched simtime.Scheduler
+	node  *capture.Node
+	ch    *chain
+	in    *handoff
+	batch []ownedSession // the hand-off batch being walked; batch[at:] is untaken
+	at    int
+	// cur is the session this scheduled arrival delivers: a copy, because
+	// its slot goes back to the producer with the batch's last session.
+	cur      ownedSession
+	chainPos uint64 // global arrivals counted as dispatched so far
 	// arrivals is the fleet-wide throughput counter (atomic; nil when no
 	// registry is installed — the Inc is then a nil-check no-op).
 	arrivals *obs.Counter
@@ -230,14 +319,30 @@ func (r *keyedBoundedRun) Fire(now simtime.Time) {
 	r.node.Arrive(now, &sess)
 }
 
-// next pulls the node's next own session off its queue, which may block
-// until the producer delivers it, and schedules its arrival at its
-// precomputed key.
+// next takes the node's next own session off its batch, which may block
+// until the producer delivers one, and schedules its arrival at its
+// precomputed key. Taking a batch's last session hands the batch back.
 func (r *keyedBoundedRun) next() {
-	if s, ok := <-r.queue; ok {
-		r.cur = s
-		r.node.ScheduleArrival(s.sess.Start, simtime.SeqKey{Epoch: s.gidx}, r)
+	if r.at == len(r.batch) {
+		b, ok := <-r.in.batches
+		if !ok {
+			return
+		}
+		r.batch, r.at = b, 0
 	}
+	r.cur = r.batch[r.at]
+	r.at++
+	if r.in.probe != nil {
+		r.in.probe(false)
+	}
+	if r.at == len(r.batch) {
+		// Cleared so the ring does not keep finished sessions' query
+		// streams alive.
+		clear(r.batch)
+		r.in.free <- r.batch
+		r.batch, r.at = nil, 0
+	}
+	r.node.ScheduleArrival(r.cur.sess.Start, simtime.SeqKey{Epoch: r.cur.gidx}, r)
 }
 
 // run simulates the vantage to the horizon against the bounded producer
@@ -256,7 +361,7 @@ func (r *keyedBoundedRun) run(horizon simtime.Time) {
 // runFleet is the one fleet runner of Run and NodeStream: the bounded
 // producer and, each on its own goroutine, every vantage i with a
 // scheduler scheds[i], emitting into sinks[i] and counting its arrivals
-// on arrivals. A vantage with a nil scheduler runs elsewhere: its queue
+// on arrivals. A vantage with a nil scheduler runs elsewhere: its handoff
 // stays nil, so the producer drops its sessions. It returns the
 // fleet-wide arrival count and the vantages it ran, nil for the others.
 func runFleet(cfg Config, scheds []simtime.Scheduler, sinks []*stream.Producer, arrivals *obs.Counter) (uint64, []*capture.Node) {
@@ -265,10 +370,14 @@ func runFleet(cfg Config, scheds []simtime.Scheduler, sinks []*stream.Producer, 
 	shared := capture.NewSharedModel(gen)
 	horizon := simtime.Time(nodeCfg.Workload.Days) * simtime.Day
 	ch := newChain()
-	queues := make([]chan ownedSession, len(scheds))
-	for i := range queues {
-		if scheds[i] != nil {
-			queues[i] = make(chan ownedSession, cfg.queueDepth())
+	hs := make([]*handoff, len(scheds))
+	for i := range hs {
+		if scheds[i] == nil {
+			continue
+		}
+		hs[i] = newHandoff(cfg.window())
+		if cfg.probe != nil {
+			hs[i].probe = func(put bool) { cfg.probe(i, put) }
 		}
 	}
 	var total uint64
@@ -276,7 +385,7 @@ func runFleet(cfg Config, scheds []simtime.Scheduler, sinks []*stream.Producer, 
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		total = produceArrivals(cfg.Fleet, gen, ch, queues)
+		total = produceArrivals(cfg.Fleet, gen, ch, hs)
 	}()
 	nodes := make([]*capture.Node, len(scheds))
 	for i, sched := range scheds {
@@ -284,7 +393,7 @@ func runFleet(cfg Config, scheds []simtime.Scheduler, sinks []*stream.Producer, 
 			continue
 		}
 		nodes[i] = capture.NewNode(nodeCfg, i, sched, shared, sinks[i])
-		r := &keyedBoundedRun{sched: sched, node: nodes[i], ch: ch, queue: queues[i], arrivals: arrivals}
+		r := &keyedBoundedRun{sched: sched, node: nodes[i], ch: ch, in: hs[i], arrivals: arrivals}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -2,8 +2,10 @@ package engine
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/behavior"
 	"repro/internal/stream"
 	"repro/internal/trace"
 )
@@ -25,6 +27,81 @@ func TestBoundedLookaheadMatchesEager(t *testing.T) {
 				t.Fatalf("nodes=%d lookahead=%d: trace differs from the eager oracle's", nodes, la)
 			}
 		}
+	}
+}
+
+// TestHandoffHoldsWindow pins the producer window in sessions: at no
+// moment may a vantage have more than the window's sessions undelivered
+// — buffered by the producer, queued in batches, or not yet taken off the
+// batch it walks. The probe counts each vantage's sessions as the
+// producer buffers them and as the vantage takes them; a vantage counts
+// its take before it hands the batch back, so the producer's reading
+// never undercounts what was taken.
+func TestHandoffHoldsWindow(t *testing.T) {
+	for _, nodes := range []int{1, 3} {
+		for _, la := range []int{1, 7, 64} {
+			put := make([]atomic.Int64, nodes)
+			took := make([]atomic.Int64, nodes)
+			var worst atomic.Int64
+			cfg := Config{Fleet: testCfg(2004, 2, nodes), lookahead: la, probe: func(n int, isPut bool) {
+				if !isPut {
+					took[n].Add(1)
+					return
+				}
+				if u := put[n].Add(1) - took[n].Load(); u > worst.Load() {
+					worst.Store(u)
+				}
+			}}
+			e := New(cfg)
+			e.Run(nil)
+			if w := worst.Load(); w > int64(la) {
+				t.Fatalf("nodes=%d lookahead=%d: a vantage had %d sessions undelivered", nodes, la, w)
+			}
+			var puts, takes int64
+			for i := range put {
+				puts += put[i].Load()
+				takes += took[i].Load()
+			}
+			if arrivals := int64(e.Stats().Arrivals); puts != arrivals || takes != arrivals {
+				t.Fatalf("nodes=%d lookahead=%d: %d arrivals, %d buffered, %d taken", nodes, la, arrivals, puts, takes)
+			}
+		}
+	}
+}
+
+// TestHandoffAllocationBudget: handing arrivals over allocates neither
+// per batch nor per arrival. The run is the paper's deployment with its
+// cap at one connection, so all but a handful of arrivals are rejected
+// and cost the node nothing; its allocations beyond the generator's own
+// then come from set-up and those few sessions, which a run varies by a
+// few dozen. Narrowing the window from the default to one session makes
+// every arrival a batch, and may add at most one allocation per 8
+// batches; a second day, about 1,100 more arrivals, at most one per 16.
+func TestHandoffAllocationBudget(t *testing.T) {
+	share := func(days, la int) (allocs float64, arrivals uint64) {
+		fleet := testCfg(2004, days, 1)
+		fleet.Node.MaxConns = 1
+		run := testing.AllocsPerRun(4, func() {
+			e := New(Config{Fleet: fleet, lookahead: la})
+			e.Run(nil)
+			arrivals = e.Stats().Arrivals
+		})
+		gen := testing.AllocsPerRun(4, func() {
+			g := behavior.NewGenerator(fleet.Node.Workload)
+			var s behavior.Session
+			for g.NextInto(&s) {
+			}
+		})
+		return run - gen, arrivals
+	}
+	base, arrivals := share(1, 0)
+	narrow, _ := share(1, 1)
+	if batches := float64(arrivals); narrow-base > batches/8 {
+		t.Errorf("a one-session window allocated %.0f more than the default over %.0f batches", narrow-base, batches)
+	}
+	long, more := share(2, 0)
+	if extra := float64(more - arrivals); long-base > extra/16 {
+		t.Errorf("a second day allocated %.0f more over %.0f more arrivals", long-base, extra)
 	}
 }
 

@@ -222,7 +222,7 @@ func (r *Registry) Lookup(a netip.Addr) Region {
 // Sampling from Unknown returns an address from reserved space (240/8) that
 // the registry will resolve back to Unknown.
 func (r *Registry) Sample(region Region, rng *rand.Rand) netip.Addr {
-	if region >= numRegions || region == Unknown || r.sizes[region] == 0 {
+	if !r.allocated(region) {
 		return u32ToAddr(0xF0000000 + uint32(rng.Uint64N(1<<24)))
 	}
 	n := rng.Uint64N(r.sizes[region])
@@ -236,6 +236,24 @@ func (r *Registry) Sample(region Region, rng *rand.Rand) netip.Addr {
 	}
 	// Unreachable: n < sizes[region] guarantees a block is found.
 	panic("geo: sample fell off the end of the region's blocks")
+}
+
+// SkipSample advances rng exactly as Sample does for the region, without
+// finding the address: for callers that drop the address but must keep
+// the random stream. Uint64N's rejection loop draws a number of values
+// that depends on the bound, so the bound is Sample's own.
+func (r *Registry) SkipSample(region Region, rng *rand.Rand) {
+	if !r.allocated(region) {
+		rng.Uint64N(1 << 24)
+		return
+	}
+	rng.Uint64N(r.sizes[region])
+}
+
+// allocated reports whether Sample draws the region's addresses from its
+// own blocks, not from reserved space.
+func (r *Registry) allocated(region Region) bool {
+	return region < numRegions && region != Unknown && r.sizes[region] != 0
 }
 
 func u32ToAddr(v uint32) netip.Addr {

@@ -161,3 +161,46 @@ func TestPropertyLookupTotal(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// zeroingSource is a PCG stream that counts its draws and returns 0 in
+// place of the draws at the listed positions. A 0 sends Uint64N(n), for
+// any n that is not a power of two, round its rejection loop once more.
+type zeroingSource struct {
+	pcg   *rand.PCG
+	n     int
+	zeros map[int]bool
+}
+
+func (z *zeroingSource) Uint64() uint64 {
+	v := z.pcg.Uint64()
+	z.n++
+	if z.zeros[z.n-1] {
+		return 0
+	}
+	return v
+}
+
+// TestSkipSampleMatchesSample: SkipSample must leave the random stream
+// exactly where Sample leaves it, for every region (Unknown and an
+// out-of-range value included) and when Uint64N retries.
+func TestSkipSampleMatchesSample(t *testing.T) {
+	r := Default()
+	retried := false
+	for region := Region(0); region <= numRegions; region++ {
+		for seed := uint64(0); seed < 16; seed++ {
+			for _, zeros := range []map[int]bool{nil, {0: true}, {0: true, 1: true}} {
+				full := &zeroingSource{pcg: rand.NewPCG(seed, 3), zeros: zeros}
+				r.Sample(region, rand.New(full))
+				skip := &zeroingSource{pcg: rand.NewPCG(seed, 3), zeros: zeros}
+				r.SkipSample(region, rand.New(skip))
+				if full.n != skip.n {
+					t.Fatalf("region %v seed %d zeros %v: Sample drew %d values, SkipSample %d", region, seed, zeros, full.n, skip.n)
+				}
+				retried = retried || full.n > 1
+			}
+		}
+	}
+	if !retried {
+		t.Fatal("no case sent Uint64N round its rejection loop")
+	}
+}
