@@ -135,9 +135,10 @@ func (c *chain) finish() {
 // after the last batch it sent and sends them as one batch on batches;
 // the vantage walks each batch, copying every session out of its slot,
 // and hands the exhausted batch back on free, which gives its slots back
-// to the producer. Both channels hold at most one entry per undelivered
-// session (a batch is never empty), so neither side ever blocks on a send
-// — which is why they are window-deep.
+// to the producer. Every batch on either channel still counts in held
+// (a batch is never empty, and held never exceeds the window), so neither
+// channel fills and neither side ever blocks on a send — which is why
+// each is window-deep.
 type handoff struct {
 	ring    []ownedSession
 	batches chan []ownedSession
