@@ -141,10 +141,17 @@
 // discipline. The generator refills one scratch user session per arrival
 // (workload.Generator.NextInto), the shaper collects each client query
 // stream in a reused buffer, orders it by a key sort and copies it out
-// once at exact size, and the engine hands each session to its vantage by
-// value. An arrival thus costs about one allocation, its query stream
-// (TestGeneratorAllocationBudget: at most 0.4 per arrival), and one the
-// vantage rejects at its connection cap costs nothing more.
+// once, and the engine hands each session to its vantage by value. The
+// copy goes into a recycled array when one fits: a vantage releases a
+// rejected arrival's stream at once and an accepted one's when its
+// connection goes back to the pool, and hands them to the producer with
+// each spent hand-off batch, which gives them back to the generator
+// (behavior.Generator.Recycle). A generator alone allocates each stream
+// (TestGeneratorAllocationBudget: at most 0.4 allocations per arrival);
+// at a vantage that rejects nearly everything, an arrival costs about
+// 0.12, mostly the machine-made strings drawn into interval automation
+// (TestRejectedArrivalAllocationBudget), and a stream the vantage still
+// reads is never handed out again (TestRecycledStreamsPoisoned).
 //
 // # Streaming pipeline
 //

@@ -23,15 +23,19 @@
 // caller-owned Session (the engine's producer path), Next returns a fresh
 // one. Each Session carries its own exact-size query stream and no
 // reference to the user session it wraps, whose storage the generator
-// reuses from one arrival to the next.
+// reuses from one arrival to the next. A consumer done with a stream may
+// hand it back (Generator.Recycle), and a later session's stream is then
+// written into its array instead of a new one.
 package behavior
 
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 	"net/netip"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/geo"
@@ -94,8 +98,8 @@ type Session struct {
 	// interval run can keep the client online slightly longer than the
 	// user session it wraps).
 	Duration time.Duration
-	// Queries is the full time-ordered query stream, allocated at exact
-	// size for this session alone (nil when it is empty).
+	// Queries is the full time-ordered query stream, in an array held by
+	// this session alone (nil when it is empty).
 	Queries []TimedQuery
 	// addr is the peer's address, taken from the arrival skeleton (the
 	// user session, or the unused would-be one of a quick disconnect).
@@ -172,6 +176,12 @@ type Shaper struct {
 	// the stream leaves them through one exact-size copy (finishQueries).
 	buf  []TimedQuery
 	keys []queryKey
+	// spare holds the recycled streams finishQueries copies into, by
+	// capacity class: class k holds arrays of capacity [2^k, 2^(k+1)).
+	// lent maps each stream handed out shorter than its array, by its
+	// first element, to the whole array (see takeSpare).
+	spare [bits.UintSize][][]TimedQuery
+	lent  map[*TimedQuery][]TimedQuery
 }
 
 // NewShaper builds a shaper drawing automation randomness from the seed.
@@ -357,15 +367,17 @@ func (sh *Shaper) Wrap(s *workload.Session, cs *Session) {
 }
 
 // finishQueries copies the stream collected in sh.buf out, ordered by
-// offset, to a slice of exactly its length (nil when empty), and leaves
-// sh.buf for the next session. A stream generated in order, such as
-// every quick session's, skips the sort.
+// offset, to a slice whose length is its capacity (nil when empty), and
+// leaves sh.buf for the next session. The copy goes into a recycled array
+// when one fits (takeSpare), and into a new one of exactly the stream's
+// length otherwise. A stream generated in order, such as every quick
+// session's, skips the sort.
 func (sh *Shaper) finishQueries() []TimedQuery {
 	qs := sh.buf
 	if len(qs) == 0 {
 		return nil
 	}
-	out := make([]TimedQuery, len(qs))
+	out := sh.takeSpare(len(qs))
 	if slices.IsSortedFunc(qs, compareOffsets) {
 		copy(out, qs)
 		return out
@@ -376,6 +388,66 @@ func (sh *Shaper) finishQueries() []TimedQuery {
 	}
 	return out
 }
+
+// takeSpare returns a recycled array for an n-query stream as arr[:n:n],
+// or a new one of length n when none fits. It looks at the top of three
+// classes: n's own, whose arrays may be shorter than n, and the two above
+// it, every array of which fits. An array lent out longer than the
+// stream is remembered in lent, so recycle files it at its full length
+// again and arrays do not shrink class by class. Its old contents are
+// left for the caller to overwrite, and its hidden tail is cleared, so it
+// keeps no earlier session's strings alive.
+func (sh *Shaper) takeSpare(n int) []TimedQuery {
+	k := bits.Len(uint(n)) - 1
+	for c := k; c <= k+2 && c < len(sh.spare); c++ {
+		free := sh.spare[c]
+		if len(free) == 0 || len(free[len(free)-1]) < n {
+			continue
+		}
+		arr := free[len(free)-1]
+		free[len(free)-1] = nil
+		sh.spare[c] = free[:len(free)-1]
+		if len(arr) > n {
+			clear(arr[n:])
+			if sh.lent == nil {
+				sh.lent = make(map[*TimedQuery][]TimedQuery)
+			}
+			sh.lent[&arr[0]] = arr
+		}
+		return arr[:n:n]
+	}
+	return make([]TimedQuery, n)
+}
+
+// recycle files a stream nothing reads any more under the capacity class
+// of its whole array.
+func (sh *Shaper) recycle(qs []TimedQuery) {
+	if cap(qs) == 0 {
+		return
+	}
+	qs = qs[:cap(qs)]
+	if arr, ok := sh.lent[&qs[0]]; ok {
+		delete(sh.lent, &qs[0])
+		qs = arr
+	}
+	if PoisonRecycled.Load() {
+		for i := range qs {
+			qs[i] = poisonQuery
+		}
+	}
+	c := bits.Len(uint(len(qs))) - 1
+	sh.spare[c] = append(sh.spare[c], qs)
+}
+
+// PoisonRecycled, when set, makes Generator.Recycle overwrite every
+// stream it takes back with poisonQuery at once. It is a test seam: a
+// consumer that still reads a stream after handing it back then records
+// the sentinel, and a trace hash shows it.
+var PoisonRecycled atomic.Bool
+
+// poisonQuery is the sentinel PoisonRecycled writes: a text no vocabulary
+// or automation produces, at an offset no session reaches.
+var poisonQuery = TimedQuery{Offset: math.MinInt64, Text: "\x00recycled stream read", SHA1: true, Kind: 0xff}
 
 // machineString generates a filename-like query string for automated
 // interval re-queries, distinct from the user vocabulary and from other
@@ -484,7 +556,8 @@ func NewGenerator(cfg workload.Config) *Generator {
 func (g *Generator) Workload() *workload.Generator { return g.users }
 
 // Next returns the next raw client session as a fresh heap object, or nil
-// at the trace horizon.
+// at the trace horizon. Its query stream is as NextInto's: a new array of
+// exactly its length unless streams have come back through Recycle.
 func (g *Generator) Next() *Session {
 	cs := new(Session)
 	if !g.NextInto(cs) {
@@ -495,9 +568,10 @@ func (g *Generator) Next() *Session {
 
 // NextInto fills cs with the next raw client session and reports false at
 // the trace horizon. It overwrites every field of cs; the Queries it
-// leaves there are allocated for this session alone (unlike
-// workload.Generator.NextInto's), so cs may be copied and kept as a value
-// while the caller passes the same cs back for the next arrival.
+// leaves there belong to this session alone (unlike
+// workload.Generator.NextInto's) until the caller hands them back through
+// Recycle, so cs may be copied and kept as a value while the caller
+// passes the same cs back for the next arrival.
 func (g *Generator) NextInto(cs *Session) bool {
 	s := &g.user
 	if !g.users.NextInto(s) {
@@ -518,6 +592,17 @@ func (g *Generator) NextInto(cs *Session) bool {
 	g.applyChurn(cs)
 	return true
 }
+
+// Recycle takes back a session's query stream once nothing reads it any
+// more, neither the session nor any copy of it: a later session's stream
+// may be written into the same array. The generator keeps only streams
+// handed back to it and allocates only when none it holds fits, so what
+// it holds grows with the streams its consumer keeps out at once, not
+// with the run's length. Recycling is optional: a stream never handed
+// back stays its consumer's, though one written into a longer recycled
+// array is freed only with the generator. Like the rest of the
+// Generator, Recycle is not safe for concurrent use.
+func (g *Generator) Recycle(qs []TimedQuery) { g.shaper.recycle(qs) }
 
 // automated reports whether the session's scenario class models automated
 // clients (content injectors), which never take the user quick-disconnect

@@ -97,23 +97,29 @@ func referenceSortQueries(qs []TimedQuery) {
 // stable-sort reference on arbitrary streams. Each byte is one query's
 // offset on a grid of mod+1 values, so small mods make long runs of equal
 // offsets, where only a stable order is correct; each query's text is its
-// generation index, so the comparison sees any reordering of ties.
+// generation index, so the comparison sees any reordering of ties. Each
+// byte of spares first recycles a dirty array of that capacity, so the
+// copy-out may land in a recycled array shorter or longer than the
+// stream; the stream is then recycled and copied out once more.
 func FuzzSortQueries(f *testing.F) {
-	f.Add([]byte{5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5}, uint8(0))
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}, uint8(255))
-	f.Add([]byte{13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0}, uint8(255))
-	f.Add([]byte{9, 3, 9, 1, 3, 3, 0, 9, 1, 1, 7, 3, 0, 0, 9, 2}, uint8(3))
-	f.Add([]byte{200, 100, 200, 100, 50, 50, 200, 0}, uint8(1))
-	f.Add([]byte{}, uint8(7))
+	mixed := []byte{1, 3, 7, 12, 13, 16, 31, 64, 200, 255, 2, 5}
+	f.Add([]byte{5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5}, uint8(0), []byte(nil))
+	f.Add([]byte{5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5}, uint8(0), []byte{11, 12, 13})
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}, uint8(255), mixed)
+	f.Add([]byte{13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0}, uint8(255), []byte{15})
+	f.Add([]byte{9, 3, 9, 1, 3, 3, 0, 9, 1, 1, 7, 3, 0, 0, 9, 2}, uint8(3), []byte{8, 31, 16})
+	f.Add([]byte{200, 100, 200, 100, 50, 50, 200, 0}, uint8(1), mixed)
+	f.Add([]byte{}, uint8(7), mixed)
 	// Past pdqsort's 12-element insertion-sort cutoff, where an unstable
 	// order of ties would show.
 	long := make([]byte, 200)
 	for i := range long {
 		long[i] = byte(i * 37)
 	}
-	f.Add(long, uint8(2))
-	f.Add(long, uint8(255))
-	f.Fuzz(func(t *testing.T, offsets []byte, mod uint8) {
+	f.Add(long, uint8(2), []byte(nil))
+	f.Add(long, uint8(255), mixed)
+	f.Add(long, uint8(255), []byte{199, 255})
+	f.Fuzz(func(t *testing.T, offsets []byte, mod uint8, spares []byte) {
 		qs := make([]TimedQuery, len(offsets))
 		for i, b := range offsets {
 			qs[i] = TimedQuery{
@@ -126,6 +132,13 @@ func FuzzSortQueries(f *testing.F) {
 		referenceSortQueries(want)
 
 		sh := &Shaper{buf: slices.Clone(qs)}
+		for _, c := range spares {
+			dirty := make([]TimedQuery, c)
+			for i := range dirty {
+				dirty[i] = poisonQuery
+			}
+			sh.recycle(dirty)
+		}
 		got := sh.finishQueries()
 		if len(qs) == 0 {
 			if got != nil {
@@ -141,6 +154,11 @@ func FuzzSortQueries(f *testing.F) {
 		}
 		if len(got) != cap(got) {
 			t.Fatalf("copied out at cap %d for %d queries", cap(got), len(got))
+		}
+		sh.recycle(got)
+		again := sh.finishQueries()
+		if !slices.Equal(again, want) || len(again) != cap(again) {
+			t.Fatalf("copied out again into a recycled array as %v (cap %d), want %v", again, cap(again), want)
 		}
 	})
 }

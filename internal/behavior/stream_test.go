@@ -94,19 +94,26 @@ func boolByte(v bool) byte {
 
 // hashStream hashes the stream next produces, each session one arrival
 // late: it is hashed only after the generator has produced the following
-// one, so a query stream the generator went on to reuse would show.
-func hashStream(next func(*Session) bool) (string, int) {
+// one, so a query stream the generator went on to reuse would show. done,
+// when not nil, gets each session once it is hashed.
+func hashStream(next func(*Session) bool, done func(*Session)) (string, int) {
 	sh := newSessionHasher()
 	var prev, cur Session
 	for ok := next(&prev); ok; prev = cur {
 		ok = next(&cur)
 		sh.add(&prev)
+		if done != nil {
+			done(&prev)
+		}
 	}
 	return sh.sum(), sh.n
 }
 
 // TestGeneratorStreamGolden runs both entry points: NextInto refilling
-// one caller-owned Session (the engine's producer path) and Next.
+// one caller-owned Session (the engine's producer path) and Next. The
+// recycled runs hand every stream back once it is hashed, poisoned at
+// once, so the generator writes later streams into recycled arrays: the
+// stream must not change, and no array may be handed out twice.
 func TestGeneratorStreamGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates four full 2-day streams")
@@ -121,8 +128,20 @@ func TestGeneratorStreamGolden(t *testing.T) {
 	} {
 		t.Run(tc.name+"/into", func(t *testing.T) {
 			g := NewGenerator(goldenConfig(tc.sc))
-			if got, n := hashStream(g.NextInto); got != tc.want {
+			if got, n := hashStream(g.NextInto, nil); got != tc.want {
 				t.Errorf("stream of %d sessions hashes to %s, want %s", n, got, tc.want)
+			}
+		})
+		t.Run(tc.name+"/recycled", func(t *testing.T) {
+			PoisonRecycled.Store(true)
+			t.Cleanup(func() { PoisonRecycled.Store(false) })
+			g := NewGenerator(goldenConfig(tc.sc))
+			recycle := func(s *Session) { g.Recycle(s.Queries) }
+			if got, n := hashStream(g.NextInto, recycle); got != tc.want {
+				t.Errorf("stream of %d sessions hashes to %s, want %s", n, got, tc.want)
+			}
+			if n := len(g.shaper.lent); n != 0 {
+				t.Errorf("%d arrays still lent out after every stream came back", n)
 			}
 		})
 		t.Run(tc.name+"/next", func(t *testing.T) {
@@ -134,7 +153,7 @@ func TestGeneratorStreamGolden(t *testing.T) {
 				}
 				return p != nil
 			}
-			if got, n := hashStream(next); got != tc.want {
+			if got, n := hashStream(next, nil); got != tc.want {
 				t.Errorf("stream of %d sessions hashes to %s, want %s", n, got, tc.want)
 			}
 		})

@@ -137,8 +137,9 @@ const byeFraction = 0.05
 
 // simConn is one accepted connection. Of its session it keeps only what
 // later events read: the immutable query stream, shared with the
-// caller's value, and the library size its pongs advertise. The peer's
-// address is the record's own (conn.Addr, set by Recorder.Open).
+// caller's value until the connection goes back to the pool, and the
+// library size its pongs advertise. The peer's address is the record's
+// own (conn.Addr, set by Recorder.Open).
 //
 // pending counts the connection's queued events: scheduling raises it,
 // and firing, or cancelling the probe while it is still queued, lowers
@@ -186,6 +187,9 @@ type Node struct {
 	events simtime.Pool[connEvent]
 	conns  simtime.Pool[simConn]
 	counts EventCounts
+	// recycle receives every query stream the node is done with (see
+	// SetRecycle); nil drops them.
+	recycle func([]behavior.TimedQuery)
 	// dayKeyCount tracks how often each keyword set was queried today at
 	// this vantage, the popularity proxy of the hit-response model (each
 	// monitor estimates popularity from its own shard, as a real
@@ -215,15 +219,31 @@ func NewNode(cfg Config, idx int, sched simtime.Scheduler, sh *SharedModel, sink
 	}
 }
 
+// SetRecycle has the node hand fn every session query stream it is done
+// with: a rejected arrival's at once, and an accepted one's when its
+// connection goes back to the pool, closed with no event queued. Each
+// stream is handed over once, and the node reads it no more. Call it
+// before the first arrival.
+func (s *Node) SetRecycle(fn func([]behavior.TimedQuery)) { s.recycle = fn }
+
+// release hands a query stream the node is done with to its recycle hook.
+func (s *Node) release(qs []behavior.TimedQuery) {
+	if s.recycle != nil && qs != nil {
+		s.recycle(qs)
+	}
+}
+
 // Arrive delivers one session arrival assigned to this vantage: the node
 // accepts it subject to its MaxConns cap and schedules the session's
 // message events on its scheduler. It keeps no reference to sess, so the
 // caller may reuse it at once: an accepted session's query stream and
-// library size are copied into its connection, and a rejected one costs
-// nothing. A connection taken from the pool for the first time gets its
-// fixed records; a recycled one's already name it.
+// library size are copied into its connection, and a rejected one's
+// stream goes straight to the recycle hook (SetRecycle), which is all a
+// rejection costs. A connection taken from the pool for the first time
+// gets its fixed records; a recycled one's already name it.
 func (s *Node) Arrive(now simtime.Time, sess *behavior.Session) {
 	if !s.rec.Admit() {
+		s.release(sess.Queries)
 		return
 	}
 	id := s.conns.Get()

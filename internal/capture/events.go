@@ -110,7 +110,8 @@ func (e *connEvent) Fire(now simtime.Time) {
 
 // fire dispatches one connection event of either record type. A closed
 // connection whose last pending event this was goes back to the pool:
-// nothing queued names it any more, so Arrive may reuse it.
+// nothing queued names it any more, so Arrive may reuse it, and no event
+// will read its query stream again, so the stream is released.
 func (s *Node) fire(c *simConn, kind EventKind, arg int64, now simtime.Time) {
 	switch kind {
 	case KindKeepalive:
@@ -133,6 +134,8 @@ func (s *Node) fire(c *simConn, kind EventKind, arg int64, now simtime.Time) {
 		s.responseHitFire(c, int(arg), now)
 	}
 	if c.closed && c.pending == 0 {
+		s.release(c.plan)
+		c.plan = nil
 		s.conns.Put(c.id)
 	}
 }

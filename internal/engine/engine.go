@@ -16,9 +16,11 @@
 //     precomputed tie-break key that makes a node independent of foreign
 //     arrivals — to its owner in batches of up to 512 (a handoff: a ring
 //     of window slots, one channel send per batch, the exhausted batch
-//     handed back for reuse). At most DefaultLookahead sessions per node
-//     are undelivered at once, so the in-flight session set is
-//     nodes × DefaultLookahead, not the measurement period.
+//     handed back for reuse with the query streams the node is done
+//     with, which the producer recycles into the generator). At most
+//     DefaultLookahead sessions per node are undelivered at once, so the
+//     in-flight session set is nodes × DefaultLookahead, not the
+//     measurement period.
 //  2. One keyed event loop per vantage (keyedBoundedRun, one goroutine
 //     each) schedules only its own sessions and emits each record into
 //     its stream.Producer the moment it is final. Per-node cost is O(own
@@ -304,7 +306,8 @@ func (e *Engine) ScheduledPerNode() []uint64 {
 // copies it into its vantage's ring slot, and the vantage copies it out —
 // so handing an arrival to its vantage allocates nothing beyond the query
 // stream the generator already gave it; the copies share that stream,
-// which no one mutates once generated.
+// which no one mutates until the vantage releases it and the generator
+// writes a later session's stream into its array.
 type ownedSession struct {
 	sess behavior.Session
 	gidx uint64

@@ -129,20 +129,31 @@ func (c *chain) finish() {
 }
 
 // handoff carries one vantage's sessions from the producer to its event
-// loop in batches. Its sessions live in ring, one slot per session of the
-// window, reused in order; a batch is a run of consecutive slots, so
-// handing sessions over allocates nothing. The producer fills the slots
-// after the last batch it sent and sends them as one batch on batches;
-// the vantage walks each batch, copying every session out of its slot,
-// and hands the exhausted batch back on free, which gives its slots back
-// to the producer. Every batch on either channel still counts in held
-// (a batch is never empty, and held never exceeds the window), so neither
-// channel fills and neither side ever blocks on a send — which is why
-// each is window-deep.
+// loop in batches, and the query streams the vantage is done with back.
+// Its sessions live in ring, one slot per session of the window, reused
+// in order; a batch is a run of consecutive slots, so handing sessions
+// over allocates nothing. The producer fills the slots after the last
+// batch it sent and sends them as one batch on batches; the vantage walks
+// each batch, copying every session out of its slot, and hands the
+// exhausted batch back on free, which gives its slots back to the
+// producer. Every batch on either channel still counts in held (a batch
+// is never empty, and held never exceeds the window), so neither channel
+// fills and neither side ever blocks on a send — which is why each is
+// window-deep.
+//
+// A spent batch also carries the streams the vantage released since it
+// last handed some over (rejected arrivals', and those of connections
+// gone back to their pool), for the producer to recycle into the
+// generator. Two stream lists take turns: the vantage fills one while the
+// other travels to the producer and comes back emptied on lists, so
+// handing streams back allocates nothing either. The vantage swaps only
+// when the emptied list is already back, so lists never holds more than
+// the one and the producer's send on it never blocks.
 type handoff struct {
 	ring    []ownedSession
 	batches chan []ownedSession
-	free    chan []ownedSession
+	free    chan spent
+	lists   chan [][]behavior.TimedQuery
 
 	// The producer's side: ring[lo:lo+n] (wrapping) is the unsent batch,
 	// and held counts the sessions in it and in every sent batch not yet
@@ -153,13 +164,23 @@ type handoff struct {
 	probe func(put bool) // Config.probe for this vantage, or nil
 }
 
+// spent is an exhausted batch on its way back to the producer, with the
+// query streams released since the previous swap, or nil.
+type spent struct {
+	batch   []ownedSession
+	streams [][]behavior.TimedQuery
+}
+
 func newHandoff(window int) *handoff {
-	return &handoff{
+	h := &handoff{
 		ring:     make([]ownedSession, window),
 		batches:  make(chan []ownedSession, window),
-		free:     make(chan []ownedSession, window),
+		free:     make(chan spent, window),
+		lists:    make(chan [][]behavior.TimedQuery, 1),
 		batchCap: min(window, maxBatch),
 	}
+	h.lists <- nil // the second list, grown on its first turn
+	return h
 }
 
 // put buffers a session in the next slot and reports whether the unsent
@@ -189,9 +210,39 @@ func (h *handoff) send() {
 	}
 }
 
-// reclaim waits for the vantage to hand back a batch and frees its slots.
-func (h *handoff) reclaim() {
-	h.held -= len(<-h.free)
+// reclaim waits, while the window is full, for the vantage to hand back
+// a batch and takes it. The flush before it may have taken one already.
+func (h *handoff) reclaim(gen *behavior.Generator) {
+	for h.held == len(h.ring) {
+		h.take(<-h.free, gen)
+	}
+}
+
+// drain takes every batch the vantage has handed back so far, without
+// waiting.
+func (h *handoff) drain(gen *behavior.Generator) {
+	for {
+		select {
+		case sp := <-h.free:
+			h.take(sp, gen)
+		default:
+			return
+		}
+	}
+}
+
+// take frees a spent batch's slots, recycles the streams it carries and
+// sends their list back to the vantage emptied.
+func (h *handoff) take(sp spent, gen *behavior.Generator) {
+	h.held -= len(sp.batch)
+	if sp.streams == nil {
+		return
+	}
+	for _, qs := range sp.streams {
+		gen.Recycle(qs)
+	}
+	clear(sp.streams)
+	h.lists <- sp.streams[:0]
 }
 
 // produceArrivals is the bounded producer: it replays the arrival process
@@ -202,12 +253,14 @@ func (h *handoff) reclaim() {
 // tie-break key) to its owner in batches. A nil handoff is the ownership
 // filter: the vantage is simulated elsewhere (another NodeStream
 // process), so its sessions are dropped after their instants are
-// published. Every maxBatch arrivals, and whenever one vantage's unsent
-// batch is full, the producer flushes: it publishes the chain prefix
-// through the last arrival, then sends every non-empty batch. Publication
-// order is therefore chain-before-session: by the time a node can fire
-// arrival k, the chain prefix through k is published, and sessions reach
-// each node in exactly the order the node consumes them.
+// published, each one's query stream straight back to the generator.
+// Every maxBatch arrivals, and whenever one vantage's unsent batch is
+// full, the producer flushes: it publishes the chain prefix through the
+// last arrival, sends every non-empty batch, and takes, without waiting,
+// every batch handed back so far, recycling the streams it carries.
+// Publication order is therefore chain-before-session: by the time a node
+// can fire arrival k, the chain prefix through k is published, and
+// sessions reach each node in exactly the order the node consumes them.
 //
 // A vantage's window is counted in sessions: the producer buffers a
 // session only while the vantage holds fewer than the window undelivered
@@ -220,10 +273,13 @@ func (h *handoff) reclaim() {
 // precedes send, and arrivals are start-ordered). The node's cursor can
 // therefore resolve every event up to its last held arrival, so it walks
 // to the end of its current batch and hands it back — it does so as it
-// takes the batch's last session, before firing it. Neither side blocks
-// on a send (see handoff); every other node either progresses on
-// published entries or sleeps in countThrough or its batch receive,
-// holding no resource the producer needs.
+// takes the batch's last session, before firing it. What free carries
+// besides the batch changes nothing here: the streams ride on a send the
+// vantage makes anyway, the vantage takes an emptied list only when one
+// is already waiting, and the producer's send of the emptied list never
+// blocks (see handoff). Neither side blocks on a send; every other node
+// either progresses on published entries or sleeps in countThrough or its
+// batch receive, holding no resource the producer needs.
 func produceArrivals(cfg capture.FleetConfig, gen *behavior.Generator, ch *chain, hs []*handoff) uint64 {
 	guids := guid.NewSource(cfg.Node.Workload.Seed, capture.SessionGUIDSalt)
 	starts := make([]simtime.Time, 0, maxBatch)
@@ -237,16 +293,19 @@ func produceArrivals(cfg capture.FleetConfig, gen *behavior.Generator, ch *chain
 		for _, h := range hs {
 			if h != nil {
 				h.send()
+				h.drain(gen)
 			}
 		}
 	}
 	var sess behavior.Session
 	for gen.NextInto(&sess) {
 		full := false
-		if h := hs[guids.Next().Shard(cfg.Nodes)]; h != nil {
+		if h := hs[guids.Next().Shard(cfg.Nodes)]; h == nil {
+			gen.Recycle(sess.Queries)
+		} else {
 			if h.held == len(h.ring) {
 				flush()
-				h.reclaim()
+				h.reclaim(gen)
 			}
 			full = h.put(&sess, total)
 		}
@@ -280,6 +339,11 @@ type keyedBoundedRun struct {
 	in    *handoff
 	batch []ownedSession // the hand-off batch being walked; batch[at:] is untaken
 	at    int
+	// released collects the query streams the node is done with until
+	// the next batch goes back; ended stops collecting once the producer
+	// has finished and nothing would take them.
+	released [][]behavior.TimedQuery
+	ended    bool
 	// cur is the session this scheduled arrival delivers: a copy, because
 	// its slot goes back to the producer with the batch's last session.
 	cur      ownedSession
@@ -327,6 +391,7 @@ func (r *keyedBoundedRun) next() {
 	if r.at == len(r.batch) {
 		b, ok := <-r.in.batches
 		if !ok {
+			r.ended, r.released = true, nil
 			return
 		}
 		r.batch, r.at = b, 0
@@ -337,13 +402,29 @@ func (r *keyedBoundedRun) next() {
 		r.in.probe(false)
 	}
 	if r.at == len(r.batch) {
-		// Cleared so the ring does not keep finished sessions' query
-		// streams alive.
+		// Cleared so the ring holds no finished session's query stream,
+		// which may be recycled into a later session's.
 		clear(r.batch)
-		r.in.free <- r.batch
+		sp := spent{batch: r.batch}
+		if len(r.released) > 0 {
+			select {
+			case emptied := <-r.in.lists:
+				sp.streams, r.released = r.released, emptied
+			default:
+			}
+		}
+		r.in.free <- sp
 		r.batch, r.at = nil, 0
 	}
 	r.node.ScheduleArrival(r.cur.sess.Start, simtime.SeqKey{Epoch: r.cur.gidx}, r)
+}
+
+// recycle is the node's recycle hook: it keeps a stream the node is done
+// with for the next batch handed back.
+func (r *keyedBoundedRun) recycle(qs []behavior.TimedQuery) {
+	if !r.ended {
+		r.released = append(r.released, qs)
+	}
 }
 
 // run simulates the vantage to the horizon against the bounded producer
@@ -395,6 +476,7 @@ func runFleet(cfg Config, scheds []simtime.Scheduler, sinks []*stream.Producer, 
 		}
 		nodes[i] = capture.NewNode(nodeCfg, i, sched, shared, sinks[i])
 		r := &keyedBoundedRun{sched: sched, node: nodes[i], ch: ch, in: hs[i], arrivals: arrivals}
+		nodes[i].SetRecycle(r.recycle)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -2,10 +2,12 @@ package engine
 
 import (
 	"bytes"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/behavior"
+	"repro/internal/capture"
 	"repro/internal/stream"
 	"repro/internal/trace"
 )
@@ -72,11 +74,14 @@ func TestHandoffHoldsWindow(t *testing.T) {
 // TestHandoffAllocationBudget: handing arrivals over allocates neither
 // per batch nor per arrival. The run is the paper's deployment with its
 // cap at one connection, so all but a handful of arrivals are rejected
-// and cost the node nothing; its allocations beyond the generator's own
-// then come from set-up and those few sessions, which a run varies by a
-// few dozen. Narrowing the window from the default to one session makes
-// every arrival a batch, and may add at most one allocation per 8
-// batches; a second day, about 1,100 more arrivals, at most one per 16.
+// and their query streams go back to the generator. The baseline is a
+// generator alone that gets each stream back a window of arrivals later,
+// about when the engine's producer does, so the streams in flight cost
+// both alike; the run's allocations beyond it come from set-up and those
+// few sessions, which a run varies by a few dozen. Narrowing the window
+// from the default to one session makes every arrival a batch, and may
+// add at most one allocation per 8 batches; a second day, about 1,100
+// more arrivals, at most one per 16.
 func TestHandoffAllocationBudget(t *testing.T) {
 	share := func(days, la int) (allocs float64, arrivals uint64) {
 		fleet := testCfg(2004, days, 1)
@@ -86,10 +91,15 @@ func TestHandoffAllocationBudget(t *testing.T) {
 			e.Run(nil)
 			arrivals = e.Stats().Arrivals
 		})
+		cfg := Config{lookahead: la}
 		gen := testing.AllocsPerRun(4, func() {
 			g := behavior.NewGenerator(fleet.Node.Workload)
+			held := make([][]behavior.TimedQuery, cfg.window())
 			var s behavior.Session
-			for g.NextInto(&s) {
+			for i := 0; g.NextInto(&s); i++ {
+				slot := &held[i%len(held)]
+				g.Recycle(*slot)
+				*slot = s.Queries
 			}
 		})
 		return run - gen, arrivals
@@ -102,6 +112,69 @@ func TestHandoffAllocationBudget(t *testing.T) {
 	long, more := share(2, 0)
 	if extra := float64(more - arrivals); long-base > extra/16 {
 		t.Errorf("a second day allocated %.0f more over %.0f more arrivals", long-base, extra)
+	}
+}
+
+// TestRejectedArrivalAllocationBudget holds what a turned-away arrival
+// allocates, counted over the whole engine: at a one-connection cap
+// nearly every arrival is rejected, its query stream goes back to the
+// generator, and what is left per arrival is mostly the strings drawn
+// into streams (Shaper.machineString). The rate is the third day's: the
+// allocations of a 3-day run beyond a 1-day run's, over its extra
+// arrivals, so set-up drops out. It reads 0.12 per arrival at seed 2004,
+// and 0.24 when every rejected stream was left to the garbage collector.
+func TestRejectedArrivalAllocationBudget(t *testing.T) {
+	const budget = 0.18
+	run := func(days int) (mallocs, arrivals uint64) {
+		cfg := capture.DefaultConfig(2004, 0.1)
+		cfg.Workload.Days = days
+		cfg.MaxConns = 1
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e := New(Config{Fleet: capture.FleetConfig{Node: cfg, Nodes: 1}})
+		e.Run(nil)
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, e.Stats().Arrivals
+	}
+	m1, a1 := run(1)
+	m3, a3 := run(3)
+	per := float64(m3-m1) / float64(a3-a1)
+	if per > budget {
+		t.Errorf("an arrival at a one-connection cap allocates %.3f times, budget %.2f", per, budget)
+	} else {
+		t.Logf("an arrival at a one-connection cap allocates %.3f times (budget %.2f)", per, budget)
+	}
+}
+
+// TestRecycledStreamsPoisoned holds the stream recycling to its rule: a
+// query stream goes back to the generator only once nothing reads it. With
+// the poison seam on, every stream the generator takes back is
+// overwritten with a sentinel at once, so a vantage that still read one —
+// a rejected arrival's, a pooled connection's, or one the ownership
+// filter dropped — would record the sentinel. At a two-connection cap
+// nearly every arrival is rejected and connections are reused often; the
+// traces must still equal the chain-replay oracle's, which recycles
+// nothing, for the fleet and for each vantage run alone.
+func TestRecycledStreamsPoisoned(t *testing.T) {
+	behavior.PoisonRecycled.Store(true)
+	t.Cleanup(func() { behavior.PoisonRecycled.Store(false) })
+	for _, nodes := range []int{1, 3} {
+		fleet := testCfg(2004, 2, nodes)
+		fleet.Node.MaxConns = 2
+		oracle := chainReplay(fleet, calendarSched)
+		want := traceBytes(t, trace.Merge(oracle.traces...))
+		for _, la := range []int{1, 64} {
+			cfg := Config{Fleet: fleet, lookahead: la}
+			if got := traceBytes(t, New(cfg).Run(nil)); !bytes.Equal(want, got) {
+				t.Fatalf("nodes=%d lookahead=%d: trace differs from the oracle's", nodes, la)
+			}
+			for i := 0; i < nodes; i++ {
+				got, _ := drainVantage(t, cfg, i)
+				if !bytes.Equal(traceBytes(t, trace.Merge(oracle.traces[i])), traceBytes(t, got)) {
+					t.Fatalf("nodes=%d lookahead=%d: vantage %d stream differs from the oracle's", nodes, la, i)
+				}
+			}
+		}
 	}
 }
 

@@ -62,6 +62,38 @@ func TestProducerRefillsFromReturnedArrays(t *testing.T) {
 	}
 }
 
+// TestProducerKeepsEveryReturnedArray: a merger that fell behind applies
+// the batches queued on its intake in a burst and hands all their arrays
+// back at once. The producer's return channel must take every one, so
+// that the flushes after the burst refill from them and allocate no new
+// array.
+func TestProducerKeepsEveryReturnedArray(t *testing.T) {
+	intake := make(chan Batch, 8)
+	p := NewProducer(0, intake)
+	flush := func() {
+		for range batchSize {
+			p.Emit(Event{Kind: EvPong})
+		}
+	}
+	for len(intake) < cap(intake) {
+		flush()
+	}
+	known := map[*Event]bool{unsafe.SliceData(p.buf): true}
+	for len(intake) > 0 {
+		b := <-intake
+		known[unsafe.SliceData(b.Events)] = true
+		b.recycle()
+	}
+	for range cap(intake) {
+		flush()
+	}
+	for len(intake) > 0 {
+		if b := <-intake; !known[unsafe.SliceData(b.Events)] {
+			t.Fatalf("a flush after the burst sent a new array; %d of %d came back", len(known)-1, cap(intake))
+		}
+	}
+}
+
 // TestProducerRecordsOutliveTheirArrays closes more sessions than one
 // record slab holds through a consumer that wipes each batch's array
 // before handing it back, and the producer refills the arrays it gets

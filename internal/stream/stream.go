@@ -190,17 +190,18 @@ type Producer struct {
 // recordSlab is how many session records one slab holds.
 const recordSlab = 256
 
-// producerSpare is how many returned arrays a producer's channel holds:
-// the merger returns a batch's array as soon as it has applied it, so a
-// few cover the batches in flight.
-const producerSpare = 4
-
 // NewProducer builds the producer for input (one of the merger's k
 // declared inputs). All producers of one merger share its intake channel;
 // per-producer order is preserved because each producer is single-
 // threaded and channel sends are FIFO per sender.
+//
+// The channel returned arrays come back on holds one more than out: a
+// producer's arrays in flight are at most those queued on out and the one
+// the merger is applying, so every array the merger hands back fits, and
+// the producer allocates only while more of its arrays are in flight than
+// ever before.
 func NewProducer(input int, out chan<- Batch) *Producer {
-	return &Producer{input: input, out: out, buf: make([]Event, 0, batchSize), returned: make(chan []Event, producerSpare)}
+	return &Producer{input: input, out: out, buf: make([]Event, 0, batchSize), returned: make(chan []Event, cap(out)+1)}
 }
 
 // Emit appends one event, flushing the batch when full. A full intake
